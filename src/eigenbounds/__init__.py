@@ -28,9 +28,9 @@ from .problems import (GeneralizedProblem, ManifestError, block_grid_family,
 from .scm import (GreedyError, GreedyRecord, GreedyResult, ScmState,
                   error_ratio, lower_bound, scm_greedy, solve_at_sample,
                   upper_bound, worst_case_family)
-from .subspace import (RitzData, SubspacePool, append_sample, beta_gap,
-                       eta_estimate, f_bound, residual_heuristic_bound,
+from .subspace import (RitzData, SubspacePool, SweepBounds, append_sample,
+                       beta_gap, f_bound, residual_heuristic_bound,
                        residual_norm, ritz_upper_bound, subspace_greedy,
-                       subspace_lower_bound)
+                       subspace_lower_bound, sweep_bounds)
 
 __version__ = "0.1.0"

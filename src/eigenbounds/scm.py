@@ -90,7 +90,7 @@ def solve_at_sample(family, mu, k, tol=1e-6, seed=0):
 
 
 class ScmState:
-    """Greedy sample set with eigenvalues, eigenvectors and LP warm starts."""
+    """Greedy sample set with eigenvalues and eigenvectors."""
 
     def __init__(self, family):
         self.family = family
@@ -100,7 +100,6 @@ class ScmState:
         self.upper_points = np.zeros((0, family.q))
         self.rows = np.zeros((0, family.q))
         self.rhs = np.zeros(0)
-        self.lp_cache = {}
 
     @property
     def j(self):
@@ -154,9 +153,15 @@ def error_ratio(lb, ub):
 
 
 def _ratio_array(lb, ub):
-    out = np.empty_like(ub)
-    for i in range(len(ub)):
-        out[i] = error_ratio(lb[i], ub[i])
+    """error_ratio elementwise, with the same branches."""
+    lb = np.asarray(lb, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    scale = np.abs(ub)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = ub - lb
+        out = np.where(scale < RATIO_DENOMINATOR_FLOOR, np.abs(gap),
+                       gap / scale)
+    out[np.isinf(ub)] = math.inf
     return out
 
 
@@ -259,7 +264,6 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
         lp_count += int(solved.sum())
         lp_seconds += time.perf_counter() - t
 
-        state.lp_cache = {i: sols[i] for i in range(m)}
         ratios = _ratio_array(lb, ub)
         max_ratio = float(ratios.max())
         rec = GreedyRecord(

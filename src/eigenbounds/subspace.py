@@ -10,6 +10,17 @@ lower bound all come from small dense problems:
   leading Ritz block, with the unknown complementary-subspace eigenvalue
   replaced by eta from the tightened active-set LP system.
 
+:func:`sweep_bounds` evaluates these bounds for a whole batch of
+parameters with array code: one GEMM builds every projected matrix and one
+every projected A(mu)^2, a stacked eigensolve gives all Ritz pairs, the
+residuals of every Ritz dimension r come from one stacked eigensolve per r,
+the gap-lemma shifts of every sample and every r from the sample-to-Ritz
+overlaps, and eta for every r from one stacked active-set solve.  Only the
+LP stays per parameter, and it is skipped where the caller still holds an
+optimal solution.  The per-parameter functions (:func:`ritz_upper_bound`,
+:func:`residual_norm`, :func:`beta_gap`) compute the same quantities one
+point at a time and serve as the reference.
+
 The greedy driver mirrors the classical SCM loop but measures the gap
 between these subspace bounds instead.
 """
@@ -24,19 +35,22 @@ import numpy as np
 
 from .family import compute_bounding_box, joint_rayleigh
 from .hermitian import ArgumentError, EigensolverError, orthonormal_columns
-from .lp import tighten_and_resolve
+# tighten_and_resolve is the per-point form of the eta step in _sweep_rows;
+# bench/tracer.py patches the name in this module, so it stays imported.
+from .lp import _CONDITION_CAP, tighten_and_resolve  # noqa: F401
 from .scm import (GreedyError, GreedyRecord, GreedyResult, _fan_out,
                   _ratio_array, lower_bound, solve_at_sample)
 
 __all__ = [
     "SubspacePool",
     "RitzData",
+    "SweepBounds",
     "append_sample",
     "ritz_upper_bound",
     "residual_norm",
     "beta_gap",
-    "eta_estimate",
     "f_bound",
+    "sweep_bounds",
     "subspace_lower_bound",
     "residual_heuristic_bound",
     "subspace_greedy",
@@ -44,6 +58,8 @@ __all__ = [
 
 DROP_TOL = 1e-10
 RHO_SQ_FLOOR = -1e-10
+# Bytes of stacked per-parameter arrays one chunk of a sweep may hold.
+SWEEP_CHUNK_BYTES = 1 << 22
 
 
 class SubspacePool:
@@ -179,6 +195,10 @@ def _cross_matrix(pool, th):
     return np.einsum("q,p,qpij->ij", th, th, pool.cross, optimize=True)
 
 
+def _hermitian_part(B):
+    return 0.5 * (B + np.swapaxes(B, -1, -2).conj())
+
+
 def ritz_upper_bound(pool, mu, r=1):
     """Smallest r Ritz pairs of A(mu) with respect to the pool basis.
 
@@ -200,14 +220,20 @@ def ritz_upper_bound(pool, mu, r=1):
 
 
 def _rho_from_parts(P_block, values):
-    """Residual norm from W*(V*A^2 V)W and the Ritz values."""
-    B = P_block - np.diag(values ** 2)
-    rho2 = float(np.linalg.eigvalsh(0.5 * (B + B.conj().T)).max())
-    if rho2 < RHO_SQ_FLOOR:
+    """Residual norms from W*(V*A^2 V)W and the Ritz values.
+
+    Works on stacks: ``P_block`` is (..., r, r), ``values`` (..., r), and
+    the result holds one norm per leading index.
+    """
+    B = np.array(P_block, copy=True)
+    diag = np.arange(values.shape[-1])
+    B[..., diag, diag] -= values ** 2
+    rho2 = np.linalg.eigvalsh(_hermitian_part(B))[..., -1]
+    if np.any(rho2 < RHO_SQ_FLOOR):
         raise ArgumentError(
-            f"negative squared residual {rho2:.3e}: reduced matrices are "
-            "internally inconsistent")
-    return math.sqrt(max(rho2, 0.0))
+            f"negative squared residual {np.min(rho2):.3e}: reduced matrices "
+            "are internally inconsistent")
+    return np.sqrt(np.maximum(rho2, 0.0))
 
 
 def residual_norm(pool, mu, ritz):
@@ -219,7 +245,7 @@ def residual_norm(pool, mu, ritz):
     th = pool.family.theta_at(mu)
     S = _cross_matrix(pool, th)
     W = ritz.coeffs
-    return _rho_from_parts(W.conj().T @ S @ W, ritz.values)
+    return float(_rho_from_parts(W.conj().T @ S @ W, ritz.values))
 
 
 def beta_gap(pool, i, u_coeffs):
@@ -253,14 +279,36 @@ def beta_gap(pool, i, u_coeffs):
     return smallest + float(lam_top - lam_head[0])
 
 
-def eta_estimate(lpsol, betas, theta_mu):
-    """Lower bound for the complementary-subspace smallest eigenvalue.
+def _gap_shifts(pool, W):
+    """beta_gap for every sample and every leading block of W, at once.
 
-    Bumps the active sample constraints of the LP solution by their beta
-    shifts and re-solves the active-set system; falls back to the plain LP
-    value (flagged) when the active set is all-box or ill-conditioned.
+    ``W`` stacks Ritz coefficient blocks, shape (m, dim, r_hi); entry
+    [k, i, r - 1] of the (m, J, r_hi) result is beta_gap(pool, i,
+    W[k, :, :r]).  M = V_i* U grows by one column per r, so the Gram
+    matrices M M* of all r are one cumulative sum.  For ell = 1 the lemma
+    has the closed form (lam2 - lam1) * min(||M||^2, 1): the min is the
+    clip of P = 1 - ||M||^2 at zero.  The caller keeps r_hi <= n / 2, the
+    lemma's domain.
     """
-    return tighten_and_resolve(lpsol, betas, theta_mu)
+    C = np.stack([pool.sample_coeffs(i) for i in range(pool.j)])
+    ell = C.shape[2]                                 # C is (J, dim, ell)
+    head = np.array([lam[:ell] for lam in pool.sample_values])
+    top = np.array([lam[ell] if len(lam) > ell else lam[-1]
+                    for lam in pool.sample_values])
+    gap = top - head[:, 0]
+    G = np.swapaxes(C, 1, 2).conj() @ W[:, None]     # (m, J, ell, r_hi)
+    if ell == 1:
+        overlap = np.cumsum(np.abs(G[:, :, 0]) ** 2, axis=-1)
+        return gap[:, None] * np.minimum(overlap, 1.0)
+    P = np.eye(ell) - np.cumsum(np.einsum("mjar,mjbr->mjrab", G, G.conj()),
+                                axis=2)
+    wp, Up = np.linalg.eigh(_hermitian_part(P))
+    Ph = (Up * np.sqrt(np.clip(wp, 0.0, None))[..., None, :]) \
+        @ np.swapaxes(Up, -1, -2).conj()
+    # Ph * s scales the columns: Ph @ diag(s) with s = head - top per sample
+    s = (head - top[:, None])[:, None, None, :]
+    smallest = np.linalg.eigvalsh((Ph * s) @ Ph)[..., 0]
+    return smallest + gap[:, None]
 
 
 def f_bound(lam_v1, eta, rho):
@@ -281,46 +329,164 @@ def f_bound(lam_v1, eta, rho):
     return float(out) if out.ndim == 0 else out
 
 
+def _sweep_rows(pool, theta, sols, r_max):
+    """Subspace bounds for coefficient rows whose LP solutions are known.
+
+    The array core of :func:`sweep_bounds`, for one chunk of rows.
+    Returns a dict of per-row arrays (see :class:`SweepBounds`) plus the
+    Ritz values ``vals`` (m, dim) and vectors ``vecs`` (m, dim, dim).
+    """
+    q, d, m = pool.family.q, pool.dim, len(theta)
+    r_hi = int(min(r_max, d, pool.family.n // 2))
+    rows = np.arange(m)
+
+    H = (theta @ pool.reduced.reshape(q, -1)).reshape(m, d, d)
+    vals, vecs = np.linalg.eigh(_hermitian_part(H))
+    pairs = (theta[:, :, None] * theta[:, None, :]).reshape(m, q * q)
+    S = (pairs @ pool.cross.reshape(q * q, -1)).reshape(m, d, d)
+    W = vecs[:, :, :max(r_hi, 1)]
+    P = np.swapaxes(W, 1, 2).conj() @ S @ W
+    rho = np.stack([_rho_from_parts(P[:, :r, :r], vals[:, :r])
+                    for r in range(1, W.shape[2] + 1)], axis=1)
+
+    lam_lb = np.array([sol.value for sol in sols], dtype=float)
+    eta = np.full((m, r_hi), math.nan)
+    fallback = np.full(m, None, dtype=object)
+    cands = lam_lb[:, None]
+    if r_hi:
+        beta = _gap_shifts(pool, vecs[:, :, :r_hi])
+        solve_rows, mats, rhs = [], [], []
+        for k, sol in enumerate(sols):
+            active = [(pos, tag[1]) for pos, tag in enumerate(sol.active)
+                      if tag[0] == "sample"]
+            if not active:
+                fallback[k] = "all_box"
+            elif sol.condition > _CONDITION_CAP:
+                fallback[k] = "ill_conditioned"
+            if fallback[k]:
+                eta[k] = sol.value
+                continue
+            pos, idx = (list(v) for v in zip(*active))
+            bumps = np.zeros((q, r_hi))
+            bumps[pos] = beta[k, idx]
+            solve_rows.append(k)
+            mats.append(sol.theta_mat)
+            rhs.append(sol.psi[:, None] + bumps)
+        if solve_rows:
+            # one stacked solve of every row's active-set system, with one
+            # right-hand side per r
+            Y = np.linalg.solve(np.stack(mats), np.stack(rhs))
+            eta[solve_rows] = (theta[solve_rows, None, :] @ Y)[:, 0, :]
+        cands = np.hstack([cands, f_bound(vals[:, :1], eta, rho[:, :r_hi])])
+
+    # first maximum: ties go to the smallest r
+    chosen = np.argmax(cands, axis=1)
+    won = chosen > 0
+    rho_c = np.full(m, math.nan)
+    eta_c = np.full(m, math.nan)
+    fallback_c = np.full(m, None, dtype=object)
+    rho_c[won] = rho[won, chosen[won] - 1]
+    eta_c[won] = eta[won, chosen[won] - 1]
+    fallback_c[won] = fallback[won]
+    return {"lam_slb": cands[rows, chosen], "lam_lb": lam_lb,
+            "chosen_r": chosen.astype(np.int64), "lam_sub": vals[:, 0].copy(),
+            "residual": rho[:, 0].copy(), "rho": rho_c, "eta": eta_c,
+            "eta_fallback": fallback_c, "vals": vals, "vecs": vecs}
+
+
+@dataclass
+class SweepBounds:
+    """Bounds from one batched sweep, one entry per swept parameter.
+
+    ``rho``, ``eta`` and ``eta_fallback`` belong to the winning Ritz
+    dimension ``chosen_r`` (NaN / None where r = 0 wins); ``residual`` is
+    the r = 1 residual norm.  ``lp_seconds`` is the time of the
+    per-parameter LP loop, ``lp_solves`` the number of LPs it solved.
+    """
+
+    lam_slb: np.ndarray
+    lam_lb: np.ndarray
+    chosen_r: np.ndarray
+    lam_sub: np.ndarray
+    residual: np.ndarray
+    rho: np.ndarray
+    eta: np.ndarray
+    eta_fallback: np.ndarray
+    sols: list
+    lp_seconds: float
+    lp_solves: int
+
+
+_SWEEP_FIELDS = ("lam_slb", "lam_lb", "chosen_r", "lam_sub", "residual",
+                 "rho", "eta", "eta_fallback")
+
+
+def sweep_bounds(pool, box, points, theta, sols=None, r_max=None,
+                 lp_tol=1e-8, workers=1):
+    """Subspace bounds at many parameters at once.
+
+    ``points`` (m, P) are the parameters and ``theta`` (m, Q) their
+    coefficient rows.  ``sols[k]``, where not None, must be an LP solution
+    that is still optimal for the pool's constraints (a warm-start hit);
+    the LP of every other row is solved from scratch, on ``workers``
+    threads.  Each row then gets the same bounds as
+    :func:`subspace_lower_bound`, from array code run in chunks of at most
+    about SWEEP_CHUNK_BYTES.
+    """
+    if pool.dim == 0:
+        raise ArgumentError("subspace pool is empty")
+    if r_max is None:
+        r_max = pool.family.q
+    theta = np.asarray(theta, dtype=float)
+    m = len(theta)
+    sols = [None] * m if sols is None else list(sols)
+    todo = [k for k in range(m) if sols[k] is None]
+
+    def solve(j):
+        k = todo[j]
+        sols[k] = lower_bound(pool, box, points[k], lp_tol=lp_tol)[1]
+
+    t = time.perf_counter()
+    _fan_out(len(todo), solve, workers)
+    lp_seconds = time.perf_counter() - t
+
+    d, j = pool.dim, pool.j
+    row_bytes = 16 * (3 * d * d + pool.family.q ** 2
+                      + 4 * j * min(r_max, d) * pool.ell ** 2)
+    step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
+    parts = [_sweep_rows(pool, theta[lo:lo + step], sols[lo:lo + step], r_max)
+             for lo in range(0, m, step)]
+    cat = {key: np.concatenate([p[key] for p in parts]) if parts else
+           np.zeros(0) for key in _SWEEP_FIELDS}
+    return SweepBounds(**cat, sols=sols, lp_seconds=lp_seconds,
+                       lp_solves=len(todo))
+
+
 def subspace_lower_bound(pool, box, mu, r_max=None, warm=None, lp_tol=1e-8):
     """Best certified lower bound over Ritz-space dimensions r = 0..r_max.
 
     r = 0 reproduces the classical LP lower bound; each r >= 1 combines the
     Ritz residual with the gap-tightened eta.  Returns the maximum over r
     (ties broken toward the smallest r) together with the Ritz data of the
-    winning r and the LP solution.
+    winning r and the LP solution.  This is the one-row case of
+    :func:`sweep_bounds`, with ``warm`` offered to the LP solver.
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
     if r_max is None:
         r_max = pool.family.q
-    th = pool.family.theta_at(mu)
-    lam_lb, sol = lower_bound(pool, box, mu, warm=warm, lp_tol=lp_tol)
-
-    H = _reduced_matrix(pool, th)
-    vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    r_hi = int(min(r_max, pool.dim, (pool.family.n) // 2))
-
-    best_val = lam_lb
-    best = RitzData(mu=np.atleast_1d(np.asarray(mu, dtype=float)), r=0,
-                    values=vals[:0], coeffs=vecs[:, :0], chosen=True)
-    if r_hi >= 1:
-        S = _cross_matrix(pool, th)
-        W_hi = vecs[:, :r_hi]
-        P_full = W_hi.conj().T @ S @ W_hi
-        sample_idx = sol.sample_indices()
-        for r in range(1, r_hi + 1):
-            W = vecs[:, :r]
-            rho = _rho_from_parts(P_full[:r, :r], vals[:r])
-            betas = {i: beta_gap(pool, i, W) for i in sample_idx}
-            tight = eta_estimate(sol, betas, th)
-            cand = f_bound(vals[0], tight.eta, rho)
-            if cand > best_val:
-                best_val = cand
-                best = RitzData(mu=np.atleast_1d(np.asarray(mu, dtype=float)),
-                                r=r, values=vals[:r].copy(), coeffs=W.copy(),
-                                rho=rho, eta=tight.eta,
-                                eta_fallback=tight.fallback, chosen=True)
-    return float(best_val), best, sol
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    _, sol = lower_bound(pool, box, mu, warm=warm, lp_tol=lp_tol)
+    out = _sweep_rows(pool, pool.family.theta_at(mu)[None], [sol], r_max)
+    r = int(out["chosen_r"][0])
+    vals, vecs = out["vals"][0], out["vecs"][0]
+    data = RitzData(mu=mu, r=r, values=vals[:r].copy(),
+                    coeffs=vecs[:, :r].copy(), chosen=True)
+    if r:
+        data.rho = float(out["rho"][0])
+        data.eta = float(out["eta"][0])
+        data.eta_fallback = out["eta_fallback"][0]
+    return float(out["lam_slb"][0]), data, sol
 
 
 def residual_heuristic_bound(pool, mu):
@@ -345,8 +511,10 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     subspace bounds; ``mode='heuristic'`` uses the relative Ritz residual
     instead (cheaper to trust, not guaranteed).  With ``lazy_sweep`` the
     subspace bounds of a parameter are only recomputed when its LP warm
-    start is invalidated, trading tightness for time.  ``workers`` fans the
-    per-parameter sweep out to a thread pool without changing any result.
+    start is invalidated, trading tightness for time.  Each iteration
+    sweeps the training set with :func:`sweep_bounds`; ``workers`` runs
+    that sweep's per-parameter LP solves on a thread pool (the array work
+    is not split) without changing any result.
 
     Returns a GreedyResult whose tables also include the classical bounds
     for comparison.
@@ -371,6 +539,7 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     theta_all = family.theta_table(pts)
     pool = SubspacePool(family, ell=ell)
     sols = [None] * m
+    sol_y = np.zeros((m, family.q))    # sols[i].y, for the warm-start test
     lam_lb = np.full(m, -math.inf)
     lam_slb = np.full(m, -math.inf)
     lam_sub = np.full(m, math.inf)
@@ -411,34 +580,33 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
         th_new = pool.rows[-1]
 
         ub = np.min(theta_all @ pool.upper_points.T, axis=1)
+        t = time.perf_counter()
+        # warm start: a cached minimizer stays optimal as long as it
+        # satisfies the one constraint this iteration added
         cache_ok = np.zeros(m, dtype=bool)
         if warm_start and it > 1:
-            for i in range(m):
-                if sols[i] is not None and \
-                        float(th_new @ sols[i].y) >= lam_new - lp_tol:
-                    cache_ok[i] = True
-
-        t = time.perf_counter()
-        solved = np.zeros(m, dtype=bool)
-
-        def sweep_one(i):
-            if lazy_sweep and cache_ok[i]:
-                return  # stale subspace bounds remain valid, just looser
-            warm = sols[i] if (warm_start and cache_ok[i]) else None
-            lam_slb[i], data, sols[i] = subspace_lower_bound(
-                pool, box, pts[i], r_max=r_max, warm=warm, lp_tol=lp_tol)
-            solved[i] = not sols[i].cache_hit
-            lam_lb[i] = sols[i].value
-            chosen_r[i] = data.r
-            ritz1 = ritz_upper_bound(pool, pts[i], r=1)
-            lam_sub[i] = float(ritz1.values[0])
-            rho1 = residual_norm(pool, pts[i], ritz1)
-            resid[i] = rho1
-            heur[i] = lam_sub[i] - rho1
-
-        _fan_out(m, sweep_one, workers)
-        lp_count += int(solved.sum())
-        reduced_seconds += time.perf_counter() - t
+            cache_ok = sol_y @ th_new >= lam_new - lp_tol
+        # lazy: the stale subspace bounds of a warm hit remain valid, just
+        # looser, so only the other parameters are swept again
+        idx = np.flatnonzero(~cache_ok) if lazy_sweep else np.arange(m)
+        sweep_lp = 0.0
+        if idx.size:
+            out = sweep_bounds(pool, box, pts[idx], theta_all[idx],
+                               [sols[i] if cache_ok[i] else None for i in idx],
+                               r_max=r_max, lp_tol=lp_tol, workers=workers)
+            lam_slb[idx] = out.lam_slb
+            lam_lb[idx] = out.lam_lb
+            chosen_r[idx] = out.chosen_r
+            lam_sub[idx] = out.lam_sub
+            resid[idx] = out.residual
+            heur[idx] = out.lam_sub - out.residual
+            for k, i in enumerate(idx):
+                sols[i] = out.sols[k]
+            sol_y[idx] = [sol.y for sol in out.sols]
+            sweep_lp = out.lp_seconds
+            lp_count += out.lp_solves
+        lp_seconds += sweep_lp
+        reduced_seconds += time.perf_counter() - t - sweep_lp
 
         if mode == "certified":
             ratios = _ratio_array(lam_slb, lam_sub)

@@ -11,6 +11,7 @@ from eigenbounds import (AffineFamily, ScmState, compute_bounding_box,
                          worst_case_family)
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
+from eigenbounds.scm import _ratio_array
 from helpers import build_state, make_smooth_family
 
 
@@ -93,6 +94,22 @@ class TestErrorRatio:
 
     def test_infinite_sentinel(self):
         assert error_ratio(-1.0, math.inf) == math.inf
+
+    def test_array_form_matches_scalar_bit_for_bit(self):
+        inf = math.inf
+        lb = np.array([-1.1, -2.0, -1e-16, -1.0, -inf, 3.0, -inf, 0.5,
+                       -0.3, 1e-15, inf, -1.0, 2.0, -0.0, 7e-15, -5.0])
+        ub = np.array([-1.0, -2.0, 1e-16, inf, inf, -inf, -1.0, 0.0,
+                       -0.0, 9e-15, 2.0, -1e-14, 1e-14 * (1 - 1e-12), 0.0,
+                       -3e-15, -inf])
+        rng = np.random.default_rng(5)
+        lb = np.concatenate([lb, rng.standard_normal(200)])
+        scales = 10.0 ** rng.integers(-16, 3, 200)
+        ub = np.concatenate([ub, rng.standard_normal(200) * scales])
+        expected = np.array([error_ratio(a, b) for a, b in zip(lb, ub)])
+        got = _ratio_array(lb, ub)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestGreedy:

@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenbounds import (AffineFamily, RitzData, SubspacePool, append_sample,
-                         beta_gap, compute_bounding_box, eta_estimate,
+                         beta_gap, compute_bounding_box,
                          f_bound, lower_bound,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
                          ritz_upper_bound, subspace_greedy,
-                         subspace_lower_bound, unit_circle_family)
+                         subspace_lower_bound, tighten_and_resolve,
+                         unit_circle_family)
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
 from helpers import build_pool, make_smooth_family
@@ -203,7 +204,7 @@ class TestEtaEstimate:
         mu = [np.pi / 4]
         val, sol = lower_bound(pool, box, mu)
         bumps = {i: 0.0 for i in sol.sample_indices()}
-        out = eta_estimate(sol, bumps, fam.theta_at(mu))
+        out = tighten_and_resolve(sol, bumps, fam.theta_at(mu))
         assert_allclose(out.eta, val, atol=1e-12)
 
     def test_eta_below_complement_minimum(self):
