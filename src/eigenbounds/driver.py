@@ -9,7 +9,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .mmio import write_matrix_market
 from .problems import (ManifestError, block_grid_family, load_family,
                        one_parameter_analytic_family, random_family,
                        unit_circle_family)
-from .scm import scm_greedy
+from .scm import _fan_out, scm_greedy
 from .subspace import subspace_greedy
 
 __all__ = [
@@ -112,13 +111,13 @@ def load_problem(manifest=None, generator=None):
 
 
 def _oracle_values(family, points, workers=1):
-    def solve(mu):
-        return float(np.linalg.eigvalsh(family.assemble_dense(mu))[0])
+    out = np.empty(len(points))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return np.array(list(pool.map(solve, points)))
-    return np.array([solve(mu) for mu in points])
+    def solve(i):
+        out[i] = np.linalg.eigvalsh(family.assemble_dense(points[i]))[0]
+
+    _fan_out(len(points), solve, workers)
+    return out
 
 
 def _fmt(value):

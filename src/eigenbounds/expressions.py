@@ -220,18 +220,6 @@ def _pretty(node):
     return f"({_pretty(node.left)} {node.op} {_pretty(node.right)})"
 
 
-def _max_var(node):
-    if isinstance(node, _Var):
-        return node.index + 1
-    if isinstance(node, _Neg):
-        return _max_var(node.arg)
-    if isinstance(node, _Call):
-        return _max_var(node.arg)
-    if isinstance(node, _BinOp):
-        return max(_max_var(node.left), _max_var(node.right))
-    return 0
-
-
 @dataclass(frozen=True)
 class ThetaExpression:
     """Parsed coefficient expression over parameters mu1..muP."""
@@ -247,17 +235,9 @@ class ThetaExpression:
                 f"expression {self.source!r} is not finite at mu={mu}")
         return value
 
-    def evaluate_many(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.evaluate(mu) for mu in points])
-
     def pretty(self):
         """Fully parenthesized canonical form; re-parsing it evaluates identically."""
         return _pretty(self.ast)
-
-    @property
-    def n_params_used(self):
-        return _max_var(self.ast)
 
 
 def parse_theta(text, n_params=None):

@@ -104,14 +104,6 @@ class HermitianOperator:
         eye = np.eye(self.n, dtype=complex if self.iscomplex else float)
         return self.matmat(eye)
 
-    def rayleigh(self, u):
-        """Real Rayleigh quotient u*Au / u*u."""
-        u = np.asarray(u)
-        nrm2 = np.real(np.vdot(u, u))
-        if nrm2 == 0.0:
-            raise ArgumentError("Rayleigh quotient of the zero vector")
-        return float(np.real(np.vdot(u, self.matvec(u))) / nrm2)
-
     def __neg__(self):
         return _Negated(self)
 

@@ -1,10 +1,12 @@
-"""Classical successive constraint method (SCM).
+"""Classical successive constraint method (SCM) and the greedy loop.
 
 Given a training set, the greedy loop alternates between sweeping the
 current lower/upper bounds over all training parameters and appending the
 parameter with the worst relative gap.  Upper bounds come from sampled
 joint-Rayleigh points, lower bounds from a small LP over the bounding box
-cut by the sampled spectral constraints.
+cut by the sampled spectral constraints.  The subspace pipeline
+(:mod:`eigenbounds.subspace`) runs the same loop with a richer sample set
+and one more bound step.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class GreedyRecord:
 class GreedyResult:
     converged: bool
     reason: str
-    model: object               # ScmState or SubspacePool
+    model: ScmState             # or its subclass SubspacePool
     box: BoundingBox
     records: list
     tables: dict                # per-training-point arrays from the final sweep
@@ -90,7 +92,8 @@ def solve_at_sample(family, mu, k, tol=1e-6, seed=0):
 
 
 class ScmState:
-    """Greedy sample set with eigenvalues and eigenvectors."""
+    """Greedy sample set: samples, their smallest eigenpairs, joint-Rayleigh
+    points and the LP constraints ``rows @ y >= rhs``."""
 
     def __init__(self, family):
         self.family = family
@@ -118,6 +121,11 @@ class ScmState:
         self.upper_points = np.vstack([self.upper_points, point])
         self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
         self.rhs = np.append(self.rhs, float(value))
+
+    def add_sample(self, mu, tol=1e-6, seed=0):
+        """Solve for the smallest eigenpair at ``mu`` and append it."""
+        pairs = solve_at_sample(self.family, mu, 1, tol=tol, seed=seed)
+        self.append(mu, pairs.values[0], pairs.vectors[:, 0])
 
 
 def upper_bound(state, mu):
@@ -180,6 +188,142 @@ def _fan_out(count, work, workers):
         list(pool.map(work, range(count)))
 
 
+def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
+            lp_tol, seed, workers, sweep=None, lazy_sweep=False,
+            mode="certified"):
+    """The greedy loop of both pipelines.
+
+    Each iteration solves at the selected parameter (``model.add_sample``),
+    updates the sampled upper bounds ``lam_ub``, solves the LP lower bound
+    ``lam_lb`` of every training point whose cached minimizer violates the
+    new constraint (all of them without ``warm_start``), then picks the
+    point with the worst ratio.  Classical SCM ranks points by the relative
+    gap between ``lam_lb`` and ``lam_ub``.  With ``sweep`` (the subspace
+    pipeline), ``sweep(tables, idx, theta, sols)`` fills the ``lam_slb``,
+    ``lam_sub``, ``residual``, ``chosen_r`` and ``heuristic`` rows ``idx``
+    of ``tables`` from their LP solutions: every row, or with
+    ``lazy_sweep`` only the rows whose LP was solved again.  The ratio is
+    then the relative gap between ``lam_slb`` and ``lam_sub``, or with
+    ``mode='heuristic'`` the relative Ritz residual.
+    """
+    family = model.family
+    pts = train.points
+    m = len(pts)
+    if m == 0:
+        raise ArgumentError("training set is empty")
+    t0 = time.perf_counter()
+    eig_seconds = lp_seconds = reduced_seconds = 0.0
+    t = time.perf_counter()
+    if box is None:
+        box = compute_bounding_box(family, tol=tol, seed=seed)
+    eig_seconds += time.perf_counter() - t
+    eig_count = 2 * family.q
+    lp_count = 0
+
+    theta_all = family.theta_table(pts)
+    sols = [None] * m
+    sol_y = np.zeros((m, family.q))    # sols[i].y, for the warm-start test
+    tables = {"lam_lb": np.full(m, -math.inf), "lam_ub": np.full(m, math.inf)}
+    lower, upper = "lam_lb", "lam_ub"
+    if sweep is not None:
+        tables.update(lam_slb=np.full(m, -math.inf),
+                      lam_sub=np.full(m, math.inf),
+                      heuristic=np.full(m, math.inf),
+                      residual=np.full(m, math.inf),
+                      chosen_r=np.zeros(m, dtype=np.int64))
+        lower, upper = "lam_slb", "lam_sub"
+    records = []
+    converged = False
+    reason = ""
+    selected = 0  # all ratios are +inf while C_J is empty: first index wins
+
+    def result():
+        tabs = {key: col.copy() for key, col in tables.items()}
+        tabs["ratio"] = _ratio_array(tables[lower], tables[upper])
+        tabs["ratio_fallback"] = (np.abs(tables[upper])
+                                  < RATIO_DENOMINATOR_FLOOR)
+        if oracle is not None:
+            tabs["oracle"] = np.asarray(oracle, dtype=float)
+        return GreedyResult(converged=converged, reason=reason, model=model,
+                            box=box, records=records, tables=tabs,
+                            training=train)
+
+    for it in range(1, j_max + 1):
+        mu_new = pts[selected]
+        t = time.perf_counter()
+        try:
+            model.add_sample(mu_new, tol=tol, seed=seed)
+        except EigensolverError as exc:
+            reason = f"eigensolver failed at sample {it}: {exc}"
+            raise GreedyError(reason, partial=result()) from exc
+        eig_seconds += time.perf_counter() - t
+        eig_count += 1
+        lam_new, th_new = model.rhs[-1], model.rows[-1]
+        tables["lam_ub"] = np.min(theta_all @ model.upper_points.T, axis=1)
+
+        t = time.perf_counter()
+        # warm start: a cached minimizer stays optimal as long as it
+        # satisfies the one constraint this iteration added
+        cache_ok = np.zeros(m, dtype=bool)
+        if warm_start and it > 1:
+            cache_ok = sol_y @ th_new >= lam_new - lp_tol
+        todo = np.flatnonzero(~cache_ok)
+        lam_lb = tables["lam_lb"]
+
+        def solve(k):
+            i = todo[k]
+            lam_lb[i], sols[i] = lower_bound(model, box, pts[i], lp_tol=lp_tol)
+            sol_y[i] = sols[i].y
+
+        _fan_out(len(todo), solve, workers)
+        lp_count += len(todo)
+        lp_seconds += time.perf_counter() - t
+
+        if sweep is not None:
+            t = time.perf_counter()
+            # lazy: the stale subspace bounds of a warm hit remain valid,
+            # just looser, so only the other parameters are swept again
+            idx = todo if lazy_sweep else np.arange(m)
+            if idx.size:
+                sweep(tables, idx, theta_all[idx], [sols[i] for i in idx])
+            reduced_seconds += time.perf_counter() - t
+
+        if mode == "heuristic":
+            ratios = tables["residual"] / np.maximum(
+                np.abs(tables["lam_sub"]), RATIO_DENOMINATOR_FLOOR)
+        else:
+            ratios = _ratio_array(tables[lower], tables[upper])
+        max_ratio = float(ratios.max())
+        rec = GreedyRecord(
+            iteration=it, selected_index=int(selected),
+            selected_mu=mu_new.copy(), max_ratio=max_ratio,
+            wall_seconds=time.perf_counter() - t0,
+            eig_seconds=eig_seconds, lp_seconds=lp_seconds,
+            reduced_seconds=reduced_seconds,
+            lp_count=lp_count, eig_count=eig_count)
+        if oracle is not None:
+            rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
+                                                       - oracle)))
+            rec.max_abs_lb_error = float(np.max(np.abs(tables[lower]
+                                                       - oracle)))
+            if sweep is not None:
+                rec.heuristic_valid = bool(np.all(tables["heuristic"]
+                                                  <= oracle + 1e-9))
+        records.append(rec)
+
+        if max_ratio <= eps:
+            converged = True
+            what = "residual" if mode == "heuristic" else "gap"
+            reason = (f"relative {what} {max_ratio:.3e} <= {eps:.1e} "
+                      f"after J={it}")
+            break
+        selected = int(np.argmax(ratios))
+    else:
+        reason = f"iteration cap J_max={j_max} reached (not converged)"
+
+    return result()
+
+
 def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
                warm_start=True, oracle=None, lp_tol=1e-8, seed=0, workers=1):
     """Greedy SCM loop.
@@ -194,98 +338,12 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
     warm_start : reuse a parameter's LP minimizer while it stays feasible
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
-    workers : thread fan-out for the per-parameter sweep (results are
+    workers : thread fan-out for the per-parameter LP solves (results are
         independent of the worker count)
     """
-    pts = train.points
-    m = len(pts)
-    if m == 0:
-        raise ArgumentError("training set is empty")
-    t0 = time.perf_counter()
-    eig_seconds = lp_seconds = 0.0
-    t = time.perf_counter()
-    if box is None:
-        box = compute_bounding_box(family, tol=tol, seed=seed)
-    eig_seconds += time.perf_counter() - t
-    eig_count = 2 * family.q
-    lp_count = 0
-
-    theta_all = family.theta_table(pts)
-    state = ScmState(family)
-    sols = [None] * m
-    lb = np.full(m, -math.inf)
-    ub = np.full(m, math.inf)
-    records = []
-    converged = False
-    reason = ""
-    selected = 0  # all ratios are +inf while C_J is empty: first index wins
-
-    def partial_result():
-        tables = {"lam_lb": lb.copy(), "lam_ub": ub.copy(),
-                  "ratio": _ratio_array(lb, ub),
-                  "ratio_fallback": np.abs(ub) < RATIO_DENOMINATOR_FLOOR}
-        if oracle is not None:
-            tables["oracle"] = np.asarray(oracle, dtype=float)
-        return GreedyResult(converged=converged, reason=reason, model=state,
-                            box=box, records=records, tables=tables,
-                            training=train)
-
-    for it in range(1, j_max + 1):
-        mu_new = pts[selected]
-        t = time.perf_counter()
-        try:
-            pairs = solve_at_sample(family, mu_new, 1, tol=tol, seed=seed)
-        except EigensolverError as exc:
-            reason = f"eigensolver failed at sample {it}: {exc}"
-            raise GreedyError(reason, partial=partial_result()) from exc
-        eig_seconds += time.perf_counter() - t
-        eig_count += 1
-        lam_new = float(pairs.values[0])
-        state.append(mu_new, lam_new, pairs.vectors[:, 0])
-
-        ub = np.min(theta_all @ state.upper_points.T, axis=1)
-
-        th_new = state.rows[-1]
-        t = time.perf_counter()
-        solved = np.zeros(m, dtype=bool)
-
-        def sweep_one(i):
-            # warm start: the cached minimizer stays optimal as long as it
-            # satisfies the one constraint this iteration added
-            if (warm_start and sols[i] is not None
-                    and float(th_new @ sols[i].y) >= lam_new - lp_tol):
-                return
-            lb[i], sols[i] = lower_bound(state, box, pts[i],
-                                         warm=sols[i] if warm_start else None,
-                                         lp_tol=lp_tol)
-            solved[i] = not sols[i].cache_hit
-
-        _fan_out(m, sweep_one, workers)
-        lp_count += int(solved.sum())
-        lp_seconds += time.perf_counter() - t
-
-        ratios = _ratio_array(lb, ub)
-        max_ratio = float(ratios.max())
-        rec = GreedyRecord(
-            iteration=it, selected_index=int(selected),
-            selected_mu=mu_new.copy(), max_ratio=max_ratio,
-            wall_seconds=time.perf_counter() - t0,
-            eig_seconds=eig_seconds, lp_seconds=lp_seconds,
-            reduced_seconds=0.0, lp_count=lp_count, eig_count=eig_count)
-        if oracle is not None:
-            rec.max_abs_ub_error = float(np.max(np.abs(ub - oracle)))
-            rec.max_abs_lb_error = float(np.max(np.abs(lb - oracle)))
-        records.append(rec)
-
-        if max_ratio <= eps:
-            converged = True
-            reason = f"relative gap {max_ratio:.3e} <= {eps:.1e} after J={it}"
-            break
-        selected = int(np.argmax(ratios))
-    else:
-        reason = f"iteration cap J_max={j_max} reached (not converged)"
-
-    return partial_result()
+    return _greedy(ScmState(family), train, eps, j_max, tol, box=box,
+                   warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
+                   seed=seed, workers=workers)
 
 
 def worst_case_family(state, mu_tilde, y_tilde, max_n=4096):

@@ -11,35 +11,35 @@ lower bound all come from small dense problems:
   replaced by eta from the tightened active-set LP system.
 
 :func:`sweep_bounds` evaluates these bounds for a whole batch of
-parameters with array code: one GEMM builds every projected matrix and one
-every projected A(mu)^2, a stacked eigensolve gives all Ritz pairs, the
-residuals of every Ritz dimension r come from one stacked eigensolve per r,
-the gap-lemma shifts of every sample and every r from the sample-to-Ritz
-overlaps, and eta for every r from one stacked active-set solve.  Only the
-LP stays per parameter, and it is skipped where the caller still holds an
-optimal solution.  The per-parameter functions (:func:`ritz_upper_bound`,
-:func:`residual_norm`, :func:`beta_gap`) compute the same quantities one
-point at a time and serve as the reference.
+parameters with array code, given their LP solutions: one GEMM builds
+every projected matrix and one every projected A(mu)^2, a stacked
+eigensolve gives all Ritz pairs, the residuals of every Ritz dimension r
+come from one stacked eigensolve per r, the gap-lemma shifts of every
+sample and every r from the sample-to-Ritz overlaps, and eta for every r
+from one stacked active-set solve.  The per-parameter functions
+(:func:`ritz_upper_bound`, :func:`residual_norm`, :func:`beta_gap`)
+compute the same quantities one point at a time and serve as the
+reference.
 
-The greedy driver mirrors the classical SCM loop but measures the gap
-between these subspace bounds instead.
+:class:`SubspacePool` extends the classical SCM sample set, and
+:func:`subspace_greedy` runs the SCM greedy loop with :func:`sweep_bounds`
+as its bound step.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .family import compute_bounding_box, joint_rayleigh
-from .hermitian import ArgumentError, EigensolverError, orthonormal_columns
-# tighten_and_resolve is the per-point form of the eta step in _sweep_rows;
-# bench/tracer.py patches the name in this module, so it stays imported.
+# bench/tracer.py patches these names in this module, so they stay bound
+# here: compute_bounding_box is called by the greedy loop in scm, and
+# tighten_and_resolve is the per-point form of the eta step in _sweep_rows.
+from .family import compute_bounding_box  # noqa: F401
+from .hermitian import ArgumentError, orthonormal_columns
 from .lp import _CONDITION_CAP, tighten_and_resolve  # noqa: F401
-from .scm import (GreedyError, GreedyRecord, GreedyResult, _fan_out,
-                  _ratio_array, lower_bound, solve_at_sample)
+from .scm import ScmState, _greedy, lower_bound, solve_at_sample
 
 __all__ = [
     "SubspacePool",
@@ -62,16 +62,15 @@ RHO_SQ_FLOOR = -1e-10
 SWEEP_CHUNK_BYTES = 1 << 22
 
 
-class SubspacePool:
+class SubspacePool(ScmState):
     """Samples, their eigen-data, the joint basis and its reduced matrices."""
 
     def __init__(self, family, ell=1):
         if ell < 1:
             raise ArgumentError("ell must be at least 1")
-        self.family = family
+        super().__init__(family)
         self.ell = int(min(ell, family.n))
         n, q = family.n, family.q
-        self.samples = []
         self.sample_values = []   # per sample: ascending, up to ell+1 values
         self.coeffs = []          # per sample: basis coefficients of its vectors
         self.dropped = []         # per sample: number of near-dependent vectors
@@ -79,21 +78,13 @@ class SubspacePool:
         self.applied = [np.zeros((n, 0)) for _ in range(q)]   # A_q V
         self.reduced = np.zeros((q, 0, 0))                    # V* A_q V
         self.cross = np.zeros((q, q, 0, 0))                   # V* A_q A_q' V
-        self.upper_points = np.zeros((0, q))
-        self.rows = np.zeros((0, q))
-        self.rhs = np.zeros(0)
-
-    @property
-    def j(self):
-        return len(self.samples)
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
-    def has_sample(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        return any(np.array_equal(mu, s) for s in self.samples)
+    def add_sample(self, mu, tol=1e-6, seed=0):
+        append_sample(self, mu, tol=tol, seed=seed)
 
     def sample_coeffs(self, i):
         """Basis coefficients of sample i's eigenvectors, zero-padded."""
@@ -160,15 +151,11 @@ def append_sample(pool, mu_new, tol=1e-6, seed=0):
         pool.cross = cross
         pool.basis = basis
 
-    pool.samples.append(mu_new)
+    pool.append(mu_new, pairs.values[0], pairs.vectors[:, 0])
     pool.sample_values.append(pairs.values.copy())
     pool.coeffs.append(pool.basis.conj().T @ vectors if pool.dim else
                        np.zeros((0, ell_eff)))
     pool.dropped.append(ell_eff - m_new)
-    pool.upper_points = np.vstack([pool.upper_points,
-                                   joint_rayleigh(family, pairs.vectors[:, 0])])
-    pool.rows = np.vstack([pool.rows, family.theta_at(mu_new)])
-    pool.rhs = np.append(pool.rhs, float(pairs.values[0]))
     return pool
 
 
@@ -400,8 +387,7 @@ class SweepBounds:
 
     ``rho``, ``eta`` and ``eta_fallback`` belong to the winning Ritz
     dimension ``chosen_r`` (NaN / None where r = 0 wins); ``residual`` is
-    the r = 1 residual norm.  ``lp_seconds`` is the time of the
-    per-parameter LP loop, ``lp_solves`` the number of LPs it solved.
+    the r = 1 residual norm.
     """
 
     lam_slb: np.ndarray
@@ -412,26 +398,16 @@ class SweepBounds:
     rho: np.ndarray
     eta: np.ndarray
     eta_fallback: np.ndarray
-    sols: list
-    lp_seconds: float
-    lp_solves: int
 
 
-_SWEEP_FIELDS = ("lam_slb", "lam_lb", "chosen_r", "lam_sub", "residual",
-                 "rho", "eta", "eta_fallback")
-
-
-def sweep_bounds(pool, box, points, theta, sols=None, r_max=None,
-                 lp_tol=1e-8, workers=1):
+def sweep_bounds(pool, theta, sols, r_max=None):
     """Subspace bounds at many parameters at once.
 
-    ``points`` (m, P) are the parameters and ``theta`` (m, Q) their
-    coefficient rows.  ``sols[k]``, where not None, must be an LP solution
-    that is still optimal for the pool's constraints (a warm-start hit);
-    the LP of every other row is solved from scratch, on ``workers``
-    threads.  Each row then gets the same bounds as
-    :func:`subspace_lower_bound`, from array code run in chunks of at most
-    about SWEEP_CHUNK_BYTES.
+    ``theta`` (m, Q) holds the parameters' coefficient rows and ``sols``
+    their LP solutions (from :func:`~eigenbounds.scm.lower_bound`), which
+    must be optimal for the pool's constraints.  Each row gets the same
+    bounds as :func:`subspace_lower_bound`, from array code run in chunks
+    of at most about SWEEP_CHUNK_BYTES.
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
@@ -439,27 +415,15 @@ def sweep_bounds(pool, box, points, theta, sols=None, r_max=None,
         r_max = pool.family.q
     theta = np.asarray(theta, dtype=float)
     m = len(theta)
-    sols = [None] * m if sols is None else list(sols)
-    todo = [k for k in range(m) if sols[k] is None]
-
-    def solve(j):
-        k = todo[j]
-        sols[k] = lower_bound(pool, box, points[k], lp_tol=lp_tol)[1]
-
-    t = time.perf_counter()
-    _fan_out(len(todo), solve, workers)
-    lp_seconds = time.perf_counter() - t
-
     d, j = pool.dim, pool.j
     row_bytes = 16 * (3 * d * d + pool.family.q ** 2
                       + 4 * j * min(r_max, d) * pool.ell ** 2)
     step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
     parts = [_sweep_rows(pool, theta[lo:lo + step], sols[lo:lo + step], r_max)
              for lo in range(0, m, step)]
-    cat = {key: np.concatenate([p[key] for p in parts]) if parts else
-           np.zeros(0) for key in _SWEEP_FIELDS}
-    return SweepBounds(**cat, sols=sols, lp_seconds=lp_seconds,
-                       lp_solves=len(todo))
+    return SweepBounds(**{
+        f.name: np.concatenate([p[f.name] for p in parts]) if parts else
+        np.zeros(0) for f in fields(SweepBounds)})
 
 
 def subspace_lower_bound(pool, box, mu, r_max=None, warm=None, lp_tol=1e-8):
@@ -513,129 +477,23 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     subspace bounds of a parameter are only recomputed when its LP warm
     start is invalidated, trading tightness for time.  Each iteration
     sweeps the training set with :func:`sweep_bounds`; ``workers`` runs
-    that sweep's per-parameter LP solves on a thread pool (the array work
-    is not split) without changing any result.
+    the per-parameter LP solves on a thread pool (the array work is not
+    split) without changing any result.
 
     Returns a GreedyResult whose tables also include the classical bounds
     for comparison.
     """
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    pts = train.points
-    m = len(pts)
-    if m == 0:
-        raise ArgumentError("training set is empty")
-    if r_max is None:
-        r_max = family.q
-    t0 = time.perf_counter()
-    eig_seconds = lp_seconds = reduced_seconds = 0.0
-    t = time.perf_counter()
-    if box is None:
-        box = compute_bounding_box(family, tol=tol, seed=seed)
-    eig_seconds += time.perf_counter() - t
-    eig_count = 2 * family.q
-    lp_count = 0
-
-    theta_all = family.theta_table(pts)
     pool = SubspacePool(family, ell=ell)
-    sols = [None] * m
-    sol_y = np.zeros((m, family.q))    # sols[i].y, for the warm-start test
-    lam_lb = np.full(m, -math.inf)
-    lam_slb = np.full(m, -math.inf)
-    lam_sub = np.full(m, math.inf)
-    heur = np.full(m, math.inf)
-    resid = np.full(m, math.inf)
-    chosen_r = np.zeros(m, dtype=np.int64)
-    records = []
-    converged = False
-    reason = ""
-    selected = 0
 
-    def tables_now(ub):
-        tabs = {"lam_lb": lam_lb.copy(), "lam_slb": lam_slb.copy(),
-                "lam_sub": lam_sub.copy(), "lam_ub": ub.copy(),
-                "heuristic": heur.copy(), "residual": resid.copy(),
-                "chosen_r": chosen_r.copy(),
-                "ratio": _ratio_array(lam_slb, lam_sub),
-                "ratio_fallback": np.abs(lam_sub) < 1e-14}
-        if oracle is not None:
-            tabs["oracle"] = np.asarray(oracle, dtype=float)
-        return tabs
+    def sweep(tables, idx, theta, sols):
+        out = sweep_bounds(pool, theta, sols, r_max=r_max)
+        for key in ("lam_slb", "lam_sub", "residual", "chosen_r"):
+            tables[key][idx] = getattr(out, key)
+        tables["heuristic"][idx] = out.lam_sub - out.residual
 
-    ub = np.full(m, math.inf)
-    for it in range(1, j_max + 1):
-        mu_new = pts[selected]
-        t = time.perf_counter()
-        try:
-            append_sample(pool, mu_new, tol=tol, seed=seed)
-        except EigensolverError as exc:
-            reason = f"eigensolver failed at sample {it}: {exc}"
-            raise GreedyError(reason, partial=GreedyResult(
-                converged=False, reason=reason, model=pool, box=box,
-                records=records, tables=tables_now(ub),
-                training=train)) from exc
-        eig_seconds += time.perf_counter() - t
-        eig_count += 1
-        lam_new = pool.rhs[-1]
-        th_new = pool.rows[-1]
-
-        ub = np.min(theta_all @ pool.upper_points.T, axis=1)
-        t = time.perf_counter()
-        # warm start: a cached minimizer stays optimal as long as it
-        # satisfies the one constraint this iteration added
-        cache_ok = np.zeros(m, dtype=bool)
-        if warm_start and it > 1:
-            cache_ok = sol_y @ th_new >= lam_new - lp_tol
-        # lazy: the stale subspace bounds of a warm hit remain valid, just
-        # looser, so only the other parameters are swept again
-        idx = np.flatnonzero(~cache_ok) if lazy_sweep else np.arange(m)
-        sweep_lp = 0.0
-        if idx.size:
-            out = sweep_bounds(pool, box, pts[idx], theta_all[idx],
-                               [sols[i] if cache_ok[i] else None for i in idx],
-                               r_max=r_max, lp_tol=lp_tol, workers=workers)
-            lam_slb[idx] = out.lam_slb
-            lam_lb[idx] = out.lam_lb
-            chosen_r[idx] = out.chosen_r
-            lam_sub[idx] = out.lam_sub
-            resid[idx] = out.residual
-            heur[idx] = out.lam_sub - out.residual
-            for k, i in enumerate(idx):
-                sols[i] = out.sols[k]
-            sol_y[idx] = [sol.y for sol in out.sols]
-            sweep_lp = out.lp_seconds
-            lp_count += out.lp_solves
-        lp_seconds += sweep_lp
-        reduced_seconds += time.perf_counter() - t - sweep_lp
-
-        if mode == "certified":
-            ratios = _ratio_array(lam_slb, lam_sub)
-        else:
-            denom = np.maximum(np.abs(lam_sub), 1e-14)
-            ratios = resid / denom
-        max_ratio = float(ratios.max())
-        rec = GreedyRecord(
-            iteration=it, selected_index=int(selected),
-            selected_mu=mu_new.copy(), max_ratio=max_ratio,
-            wall_seconds=time.perf_counter() - t0,
-            eig_seconds=eig_seconds, lp_seconds=lp_seconds,
-            reduced_seconds=reduced_seconds,
-            lp_count=lp_count, eig_count=eig_count)
-        if oracle is not None:
-            rec.max_abs_ub_error = float(np.max(np.abs(lam_sub - oracle)))
-            rec.max_abs_lb_error = float(np.max(np.abs(lam_slb - oracle)))
-            rec.heuristic_valid = bool(np.all(heur <= oracle + 1e-9))
-        records.append(rec)
-
-        if max_ratio <= eps:
-            converged = True
-            reason = (f"relative {'gap' if mode == 'certified' else 'residual'} "
-                      f"{max_ratio:.3e} <= {eps:.1e} after J={it}")
-            break
-        selected = int(np.argmax(ratios))
-    else:
-        reason = f"iteration cap J_max={j_max} reached (not converged)"
-
-    return GreedyResult(converged=converged, reason=reason, model=pool,
-                        box=box, records=records, tables=tables_now(ub),
-                        training=train)
+    return _greedy(pool, train, eps, j_max, tol, box=box,
+                   warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
+                   seed=seed, workers=workers, sweep=sweep,
+                   lazy_sweep=lazy_sweep, mode=mode)

@@ -3,6 +3,7 @@ import os
 
 import jsonschema
 import numpy as np
+import pytest
 
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
@@ -131,13 +132,14 @@ class TestRunPipeline:
         for line in lines[1:]:
             assert line.split(",")[col] == ""
 
-    def test_workers_do_not_change_results(self, tmp_path):
+    @pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+    def test_workers_do_not_change_results(self, tmp_path, pipeline):
         family, meta = load_problem(
             generator={"kind": "random", "Q": 2, "N": 40, "delta": 0.3,
                        "seed": 12})
         outs = []
         for workers, name in ((1, "w1"), (3, "w3")):
-            config = RunConfig(pipeline="subspace", eps=1e-3, j_max=6,
+            config = RunConfig(pipeline=pipeline, eps=1e-3, j_max=6,
                                n_train=25, train_seed=13, oracle=True,
                                workers=workers)
             out = tmp_path / name

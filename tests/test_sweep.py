@@ -175,19 +175,16 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
                              float(th_new @ sols[i].y) >= lam_new - 1e-8
                              for i in range(m)])
         idx = np.flatnonzero(~cache_ok) if lazy else np.arange(m)
-        new = sweep_bounds(pool, box, pts[idx], theta[idx],
-                           [sols[i] if cache_ok[i] else None for i in idx],
-                           r_max=r_max)
-        assert new.lp_solves == int(np.sum(~cache_ok[idx]))
-        for k, i in enumerate(idx):
+        for i in idx:
             _, sol = lower_bound(pool, box, pts[i],
                                  warm=sols[i] if cache_ok[i] else None)
             assert sol.cache_hit == bool(cache_ok[i])
-            assert new.sols[k].value == sol.value
-            assert new.sols[k].active == sol.active
-            refs[i] = _reference_bounds(pool, pts[i], sol, r_max)
+            sols[i] = sol
+        new = sweep_bounds(pool, theta[idx], [sols[i] for i in idx],
+                           r_max=r_max)
+        for k, i in enumerate(idx):
+            refs[i] = _reference_bounds(pool, pts[i], sols[i], r_max)
             _check_row(new, k, refs[i], _rho2_tol(pool, box, theta[i]))
-            sols[i] = new.sols[k]
             lam_slb[i] = new.lam_slb[k]
         # rows a lazy sweep skipped keep bounds that are still valid
         for i in range(m):
@@ -216,8 +213,7 @@ def test_eta_fallbacks_match_reference():
     assert box_only.all_box
     sols[0] = box_only
     sols[1] = dataclasses.replace(sols[1], condition=2 * _CONDITION_CAP)
-    new = sweep_bounds(pool, box, pts, theta, sols, r_max=fam.q)
-    assert new.lp_solves == 0
+    new = sweep_bounds(pool, theta, sols, r_max=fam.q)
     for k, (mu, sol) in enumerate(zip(pts, sols)):
         ref = _reference_bounds(pool, mu, sol, fam.q)
         _check_row(new, k, ref, _rho2_tol(pool, box, theta[k]))
@@ -239,9 +235,10 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
     pool = SubspacePool(fam, ell=2)
     for mu in pts[[0, 4, 8]]:
         append_sample(pool, mu, tol=1e-10)
-    whole = sweep_bounds(pool, box, pts, theta)
+    sols = [lower_bound(pool, box, mu)[1] for mu in pts]
+    whole = sweep_bounds(pool, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
-    chunked = sweep_bounds(pool, box, pts, theta)
+    chunked = sweep_bounds(pool, theta, sols)
     for k in range(len(pts)):
         ref = {"lam_lb": whole.lam_lb[k], "lam_sub": whole.lam_sub[k],
                "residual": whole.residual[k], "r": int(whole.chosen_r[k]),
@@ -261,7 +258,8 @@ def test_one_row_call_matches_batched_row():
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
         append_sample(pool, mu, tol=1e-10)
-    batch = sweep_bounds(pool, box, pts, fam.theta_table(pts))
+    batch = sweep_bounds(pool, fam.theta_table(pts),
+                         [lower_bound(pool, box, mu)[1] for mu in pts])
     for k, mu in enumerate(pts):
         slb, data, sol = subspace_lower_bound(pool, box, mu)
         assert abs(slb - batch.lam_slb[k]) <= 1e-9
