@@ -17,9 +17,9 @@ train = random_training_set(family.domain, 150, seed=11)
 oracle = np.array([np.linalg.eigvalsh(family.assemble_dense(mu))[0]
                    for mu in train.points])
 
-sub = subspace_greedy(family, train, eps=1e-4, j_max=40, tol=1e-8,
+sub = subspace_greedy(family, train, eps=1e-4, j_max=40,
                       oracle=oracle)
-scm = scm_greedy(family, train, eps=1e-4, j_max=len(sub.records), tol=1e-8,
+scm = scm_greedy(family, train, eps=1e-4, j_max=len(sub.records),
                  oracle=oracle)
 
 print(f"{'iter':>4} {'scm ratio':>12} {'subspace ratio':>15} "

@@ -29,7 +29,7 @@ problem = GeneralizedProblem.build(stiff, X)
 family = coercivity_transform(problem)
 
 train = random_training_set(family.domain, 200, seed=3)
-result = subspace_greedy(family, train, eps=1e-4, j_max=30, tol=1e-8)
+result = subspace_greedy(family, train, eps=1e-4, j_max=30)
 print(result.reason)
 
 print(f"\n{'mu':>8} {'lam_SLB':>12} {'generalized eig':>16} {'lam_SUB':>12}")

@@ -24,7 +24,7 @@ print(f"expanded family: {family.q} Hermitian terms from 2 raw terms")
 print(f"coefficients: {family.theta_source}")
 
 train = random_training_set(family.domain, 120, seed=6)
-result = subspace_greedy(family, train, eps=1e-6, j_max=40, tol=1e-9)
+result = subspace_greedy(family, train, eps=1e-6, j_max=40)
 print(result.reason)
 
 L = np.linalg.cholesky(X)

@@ -56,7 +56,6 @@ def _build_parser():
     run.add_argument("--train-seed", type=int, default=0)
     run.add_argument("--ell", type=int, default=1)
     run.add_argument("--r-max", type=int, default=None)
-    run.add_argument("--eig-tol", type=float, default=1e-6)
     run.add_argument("--lp-tol", type=float, default=1e-8)
     run.add_argument("--no-warm-start", action="store_true")
     run.add_argument("--lazy-sweep", action="store_true")
@@ -64,7 +63,7 @@ def _build_parser():
                      help="dense cross-validation columns (n <= oracle cap)")
     run.add_argument("--oracle-cap", type=int, default=800)
     run.add_argument("--seed", type=int, default=0,
-                     help="eigensolver starting-block seed")
+                     help="seed of the eigensolver starting vector")
     run.add_argument("--workers", type=int, default=default_workers)
 
     cmp_ = sub.add_parser("compare", help="diff two run directories")
@@ -94,7 +93,7 @@ def _config_from_args(args):
     config = RunConfig(
         pipeline=args.pipeline, eps=args.eps, j_max=args.j_max,
         n_train=args.train_size, train_seed=args.train_seed, ell=args.ell,
-        r_max=args.r_max, eig_tol=args.eig_tol, lp_tol=args.lp_tol,
+        r_max=args.r_max, lp_tol=args.lp_tol,
         warm_start=not args.no_warm_start, lazy_sweep=args.lazy_sweep,
         oracle=args.oracle, oracle_cap=args.oracle_cap, seed=args.seed,
         workers=args.workers)

@@ -57,7 +57,6 @@ class RunConfig:
     train_seed: int = 0
     ell: int = 1
     r_max: int | None = None      # defaults to the family's term count
-    eig_tol: float = 1e-6
     lp_tol: float = 1e-8
     warm_start: bool = True
     lazy_sweep: bool = False
@@ -73,8 +72,8 @@ class RunConfig:
             raise ArgumentError("eps, j_max and n_train must be positive")
         if self.ell < 1:
             raise ArgumentError("ell must be at least 1")
-        if self.eig_tol <= 0 or self.lp_tol <= 0:
-            raise ArgumentError("tolerances must be positive")
+        if self.lp_tol <= 0:
+            raise ArgumentError("lp_tol must be positive")
         if self.workers < 1:
             raise ArgumentError("workers must be at least 1")
         return self
@@ -208,18 +207,18 @@ def run_pipeline(config, family, outdir, problem_meta=None):
 
     if config.pipeline == "scm":
         result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
-                            tol=config.eig_tol, warm_start=config.warm_start,
-                            oracle=oracle, lp_tol=config.lp_tol,
-                            seed=config.seed, workers=config.workers)
+                            warm_start=config.warm_start, oracle=oracle,
+                            lp_tol=config.lp_tol, seed=config.seed,
+                            workers=config.workers)
     else:
         mode = "heuristic" if config.pipeline == "subspace-heuristic" \
             else "certified"
         result = subspace_greedy(
             family, train, eps=config.eps, j_max=config.j_max,
-            ell=config.ell, r_max=config.r_max, tol=config.eig_tol,
-            mode=mode, warm_start=config.warm_start,
-            lazy_sweep=config.lazy_sweep, oracle=oracle,
-            lp_tol=config.lp_tol, seed=config.seed, workers=config.workers)
+            ell=config.ell, r_max=config.r_max, mode=mode,
+            warm_start=config.warm_start, lazy_sweep=config.lazy_sweep,
+            oracle=oracle, lp_tol=config.lp_tol, seed=config.seed,
+            workers=config.workers)
 
     p = family.p
     mu_cols = [f"mu_{k + 1}" for k in range(p)]

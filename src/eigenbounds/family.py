@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (ArgumentError, EigensolverError, HermitianOperator,
-                        extreme_eigs, hermitian)
+from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
+                        HermitianOperator, ProductHermitian, SandwichHermitian,
+                        SparseHermitian, extreme_eigs, hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -102,17 +103,26 @@ class AffineFamily:
         """A(mu) as a HermitianOperator.
 
         Assembles a concrete matrix when all terms are stored dense (below
-        ``dense_cap``) or all sparse; otherwise applies the terms one by one.
+        ``dense_cap``) or all sparse.  When every term is a sandwich over the
+        same Cholesky factor with sparse middles, assembles the middle and
+        returns one sandwich, so each product costs one pair of triangular
+        solves.  Otherwise applies the terms one by one.
         """
-        from .hermitian import DenseHermitian, ProductHermitian, SparseHermitian
         th = self.theta_at(mu)
         if all(isinstance(t, DenseHermitian) for t in self.terms) and self.n <= dense_cap:
             return DenseHermitian(self.assemble_dense(mu, max_n=dense_cap))
-        if all(isinstance(t, SparseHermitian) for t in self.terms):
-            acc = th[0] * self.terms[0].matrix
-            for c, term in zip(th[1:], self.terms[1:]):
+        terms = self.terms
+        factor = getattr(terms[0], "factor", None)
+        sandwich = all(isinstance(t, SandwichHermitian) and t.factor is factor
+                       for t in terms)
+        if sandwich:
+            terms = tuple(t.middle for t in terms)
+        if all(isinstance(t, SparseHermitian) for t in terms):
+            acc = th[0] * terms[0].matrix
+            for c, term in zip(th[1:], terms[1:]):
                 acc = acc + c * term.matrix
-            return SparseHermitian(acc)
+            op = SparseHermitian(acc)
+            return SandwichHermitian(factor, op) if sandwich else op
         return ProductHermitian(lambda X, _mu=np.array(mu, dtype=float):
                                 self.apply(_mu, X),
                                 n=self.n,
@@ -165,13 +175,13 @@ class BoundingBox:
                     and np.all(point <= self.upper + slack))
 
 
-def compute_bounding_box(family, tol=1e-6, seed=0):
+def compute_bounding_box(family, seed=0):
     """Extreme eigenvalues of every term, stacked into a BoundingBox."""
     lows = np.empty(family.q)
     highs = np.empty(family.q)
     for qi, term in enumerate(family.terms):
         try:
-            lows[qi], highs[qi] = extreme_eigs(term, tol=tol, seed=seed)
+            lows[qi], highs[qi] = extreme_eigs(term, seed=seed)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",

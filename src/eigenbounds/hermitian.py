@@ -1,22 +1,26 @@
 """Hermitian operators and the eigensolvers used throughout the package.
 
 Every bound computation in this package reduces to three primitives: the k
-smallest eigenpairs of a large Hermitian operator (restarted block Lanczos),
-the extreme eigenvalues of a single term (for the bounding box), and full
-eigendecompositions of small projected matrices.  Operators come in three
-storage flavours: dense arrays, sparse matrices, and "sandwich" products
-L^{-1} M L^{-T} that are applied through triangular solves and never formed.
+smallest eigenpairs of a large Hermitian operator (ARPACK's implicitly
+restarted Lanczos, run to working precision), the extreme eigenvalues of a
+single term (for the bounding box), and full eigendecompositions of small
+projected matrices.  The iterative eigenpairs carry explicitly computed
+residual norms: each Ritz value lies within ||r|| of an eigenvalue, and it
+is the wanted one provided ARPACK missed no eigenvalue below it.  Operators
+come in three storage flavours: dense arrays, sparse matrices, and
+"sandwich" products L^{-1} M L^{-T} that are applied through triangular
+solves and never formed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 __all__ = [
     "ArgumentError",
@@ -57,8 +61,9 @@ class NotPositiveDefiniteError(ValueError):
 class EigensolverError(RuntimeError):
     """Iterative eigensolver ran out of restarts.
 
-    Carries the best iterate so far in ``best`` (an :class:`EigenPairs`)
-    so the caller can inspect residuals or retry with a different seed.
+    Carries the pairs that did converge in ``best`` (an :class:`EigenPairs`
+    with fewer than the requested count, possibly none) so the caller can
+    inspect residuals or retry with a different seed.
     """
 
     def __init__(self, message, best=None):
@@ -287,136 +292,77 @@ def orthonormal_columns(X, against=None, drop_tol=1e-10):
     return np.column_stack(cols), kept
 
 
-def _dense_eigpairs(op, k):
-    """Exact smallest eigenpairs through a full dense eigendecomposition."""
-    A = op.dense()
-    w, S = np.linalg.eigh(A)
-    V = S[:, :k]
-    R = A @ V - V * w[:k]
-    return EigenPairs(values=w[:k].copy(),
-                      vectors=np.ascontiguousarray(V),
+def _ritz_pairs(op, values, vectors):
+    """EigenPairs in ascending order, with residuals computed explicitly."""
+    order = np.argsort(values)
+    w = np.asarray(values, dtype=float)[order]
+    V = np.ascontiguousarray(vectors[:, order])
+    R = op.matmat(V) - V * w
+    return EigenPairs(values=w, vectors=V,
                       residuals=np.linalg.norm(R, axis=0))
 
 
-def _random_block(rng, n, b, iscomplex):
-    X = rng.standard_normal((n, b))
-    if iscomplex:
-        X = X + 1j * rng.standard_normal((n, b))
-    return X
-
-
-def smallest_eigpairs(A, k, tol=1e-6, seed=0, restart_cap=None):
+def smallest_eigpairs(A, k, seed=0, restart_cap=None):
     """The k smallest eigenpairs of a Hermitian operator.
 
-    Restarted block Lanczos with thick restart: each cycle extends a block
-    Krylov basis (block size k+2, two-pass reorthogonalization against the
-    whole basis), performs a Rayleigh-Ritz extraction and restarts from the
-    leading Ritz block.  Converged when every requested pair has residual
-    norm at most ``tol`` times a running spectral-radius estimate.
+    Implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``)
+    run to working precision, applied to the operator one vector at a time;
+    problems of dimension at most ``DENSE_FALLBACK_SIZE`` take a full dense
+    eigendecomposition instead.  The returned residual norms are computed
+    explicitly as ||A v - lambda v||, so each returned value lies within its
+    residual of an eigenvalue of A.  That the values are the k *smallest*
+    eigenvalues assumes ARPACK missed none below them.
 
     Parameters
     ----------
     A : HermitianOperator or array-like
     k : number of smallest eigenpairs, 1 <= k < n
-    tol : relative residual tolerance
-    seed : seed for the random starting block (determinism)
-    restart_cap : maximum restart cycles; defaults to 50*k
+    seed : seed for the random starting vector (determinism)
+    restart_cap : maximum ARPACK restart iterations; defaults to 10*n
 
     Raises
     ------
-    ArgumentError if k is out of range, EigensolverError (carrying the best
-    iterate) on non-convergence.
+    ArgumentError if k is out of range, EigensolverError on
+    non-convergence; its ``best`` holds only the pairs that converged
+    (fewer than k, possibly none).
     """
     op = hermitian(A)
     n = op.n
     if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
         raise ArgumentError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if not tol > 0:
-        raise ArgumentError("tol must be positive")
     if n <= DENSE_FALLBACK_SIZE:
-        return _dense_eigpairs(op, k)
+        return dense_smallest(op.dense(), k)
 
     rng = np.random.default_rng(seed)
-    b = min(k + 2, n - 1)
-    m_max = min(n, max(48, 6 * b))
-    m_cap = min(n, max(256, 12 * b))
-    cap = restart_cap if restart_cap is not None else 50 * k
-
-    V, _ = orthonormal_columns(_random_block(rng, n, b, op.iscomplex))
-    scale = 0.0
-    best = None
-    prev_res = math.inf
-    stall = 0
-    for _cycle in range(cap):
-        V = _expand_basis(op, V, b, m_max, rng)
-        AV = op.matmat(V)
-        H = V.conj().T @ AV
-        H = 0.5 * (H + H.conj().T)
-        w, S = np.linalg.eigh(H)
-        scale = max(scale, abs(w[0]), abs(w[-1]))
-        Y = V @ S[:, :k]
-        R = AV @ S[:, :k] - Y * w[:k]
-        res = np.linalg.norm(R, axis=0)
-        if best is None or res.max() < best.residuals.max():
-            best = EigenPairs(values=w[:k].real.copy(), vectors=Y,
-                              residuals=res)
-        if np.all(res <= tol * max(scale, np.finfo(float).tiny)):
-            return EigenPairs(values=w[:k].real.copy(), vectors=Y,
-                              residuals=res)
-        # clustered spectra stall restarted iterations; widen the basis
-        if res.max() > 0.5 * prev_res:
-            stall += 1
-            if stall >= 2 and m_max < m_cap:
-                m_max = min(m_cap, 2 * m_max)
-                stall = 0
-        else:
-            stall = 0
-        prev_res = min(prev_res, res.max())
-        keep = min(V.shape[1], k + b)
-        V = V @ S[:, :keep]
-    raise EigensolverError(
-        f"no convergence within {cap} restarts (best residual "
-        f"{best.residuals.max():.3e}, tol {tol:.1e}, scale {scale:.3e})",
-        best=best)
+    v0 = rng.standard_normal(n)
+    if op.iscomplex:
+        v0 = v0 + 1j * rng.standard_normal(n)
+    lin = LinearOperator((n, n), matvec=op.matvec, matmat=op.matmat,
+                         dtype=v0.dtype)
+    try:
+        w, V = eigsh(lin, k=k, which="SA", tol=0, v0=v0, maxiter=restart_cap)
+    except ArpackNoConvergence as exc:
+        raise EigensolverError(
+            f"no convergence: {exc}",
+            best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors)) from exc
+    return _ritz_pairs(op, w, V)
 
 
-def _expand_basis(op, V, b, m_max, rng):
-    """Grow an orthonormal basis by block Krylov steps until m_max columns.
-
-    The chain is seeded with the leading block (after a restart these are
-    the best Ritz vectors, so the first expansion adds their residual
-    directions).
-    """
-    X = V[:, :min(b, V.shape[1])]
-    while V.shape[1] < m_max:
-        width = min(b, m_max - V.shape[1])
-        W = op.matmat(X[:, :width] if X.shape[1] >= width else X)
-        Qn, _ = orthonormal_columns(W, against=V)
-        if Qn.shape[1] == 0:
-            # Krylov space exhausted; enrich with random directions.
-            W = _random_block(rng, op.n, width, op.iscomplex)
-            Qn, _ = orthonormal_columns(W, against=V)
-            if Qn.shape[1] == 0:
-                break
-        Qn = Qn[:, :m_max - V.shape[1]]
-        V = np.hstack([V, Qn])
-        X = Qn
-    return V
-
-
-def extreme_eigs(A, tol=1e-6, seed=0):
+def extreme_eigs(A, seed=0):
     """Smallest and largest eigenvalue of a Hermitian operator.
 
-    The largest eigenvalue is obtained by running the smallest-eigenvalue
-    solver on -A, so extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds
-    exactly by construction.
+    Both come from :func:`smallest_eigpairs` at working precision, so each
+    lies within its residual norm of an eigenvalue, assuming ARPACK missed
+    none beyond it.  The largest eigenvalue is obtained by running the
+    smallest-eigenvalue solver on -A, so extreme_eigs(-A) ==
+    -reversed(extreme_eigs(A)) holds exactly by construction.
     """
     op = hermitian(A)
     if op.n == 1:
         d = float(np.real(op.matvec(np.ones(1))[0]))
         return d, d
-    lo = smallest_eigpairs(op, 1, tol=tol, seed=seed).values[0]
-    hi = -smallest_eigpairs(-op, 1, tol=tol, seed=seed).values[0]
+    lo = smallest_eigpairs(op, 1, seed=seed).values[0]
+    hi = -smallest_eigpairs(-op, 1, seed=seed).values[0]
     return float(lo), float(hi)
 
 

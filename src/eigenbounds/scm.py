@@ -19,9 +19,8 @@ import numpy as np
 
 from .family import (AffineFamily, BoundingBox, compute_bounding_box,
                      joint_rayleigh)
-from .hermitian import (DENSE_FALLBACK_SIZE, ArgumentError, DenseHermitian,
-                        EigensolverError, dense_smallest,
-                        orthonormal_columns, smallest_eigpairs)
+from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
+                        dense_smallest, orthonormal_columns, smallest_eigpairs)
 from .lp import LPProblem, lp_minimize
 
 __all__ = [
@@ -78,17 +77,18 @@ class GreedyResult:
     training: object
 
 
-def solve_at_sample(family, mu, k, tol=1e-6, seed=0):
-    """Smallest k eigenpairs of A(mu), choosing dense/iterative per size.
+def solve_at_sample(family, mu, k, seed=0):
+    """Smallest k eigenpairs of A(mu).
 
-    Takes the dense path when the problem is small or k reaches the full
-    dimension (the iterative solver requires k < n).
+    Takes the dense path when k reaches the full dimension (the iterative
+    solver requires k < n); :func:`smallest_eigpairs` picks dense or
+    iterative by size otherwise.
     """
     n = family.n
     k = min(k, n)
-    if k >= n or n <= DENSE_FALLBACK_SIZE:
+    if k >= n:
         return dense_smallest(family.assemble_dense(mu), k, size_cap=max(n, 2000))
-    return smallest_eigpairs(family.operator_at(mu), k, tol=tol, seed=seed)
+    return smallest_eigpairs(family.operator_at(mu), k, seed=seed)
 
 
 class ScmState:
@@ -122,9 +122,9 @@ class ScmState:
         self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
         self.rhs = np.append(self.rhs, float(value))
 
-    def add_sample(self, mu, tol=1e-6, seed=0):
+    def add_sample(self, mu, seed=0):
         """Solve for the smallest eigenpair at ``mu`` and append it."""
-        pairs = solve_at_sample(self.family, mu, 1, tol=tol, seed=seed)
+        pairs = solve_at_sample(self.family, mu, 1, seed=seed)
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
 
 
@@ -188,7 +188,7 @@ def _fan_out(count, work, workers):
         list(pool.map(work, range(count)))
 
 
-def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
+def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
             lp_tol, seed, workers, sweep=None, lazy_sweep=False,
             mode="certified"):
     """The greedy loop of both pipelines.
@@ -204,7 +204,8 @@ def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
     of ``tables`` from their LP solutions: every row, or with
     ``lazy_sweep`` only the rows whose LP was solved again.  The ratio is
     then the relative gap between ``lam_slb`` and ``lam_sub``, or with
-    ``mode='heuristic'`` the relative Ritz residual.
+    ``mode='heuristic'`` the relative Ritz residual.  The loop stops, not
+    converged, when the worst ratio sits at a parameter already sampled.
     """
     family = model.family
     pts = train.points
@@ -215,7 +216,7 @@ def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
     eig_seconds = lp_seconds = reduced_seconds = 0.0
     t = time.perf_counter()
     if box is None:
-        box = compute_bounding_box(family, tol=tol, seed=seed)
+        box = compute_bounding_box(family, seed=seed)
     eig_seconds += time.perf_counter() - t
     eig_count = 2 * family.q
     lp_count = 0
@@ -250,9 +251,14 @@ def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
 
     for it in range(1, j_max + 1):
         mu_new = pts[selected]
+        if model.has_sample(mu_new):
+            # a second solve there adds no constraint, so no bound can move
+            reason = (f"worst ratio at training point {selected}, which is "
+                      f"already sampled, after J={it - 1} (not converged)")
+            break
         t = time.perf_counter()
         try:
-            model.add_sample(mu_new, tol=tol, seed=seed)
+            model.add_sample(mu_new, seed=seed)
         except EigensolverError as exc:
             reason = f"eigensolver failed at sample {it}: {exc}"
             raise GreedyError(reason, partial=result()) from exc
@@ -324,7 +330,7 @@ def _greedy(model, train, eps, j_max, tol, *, box, warm_start, oracle,
     return result()
 
 
-def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
+def scm_greedy(family, train, eps=1e-4, j_max=200, *, box=None,
                warm_start=True, oracle=None, lp_tol=1e-8, seed=0, workers=1):
     """Greedy SCM loop.
 
@@ -333,7 +339,6 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
     family, train : problem and training set
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
-    tol : eigensolver tolerance for the sampled eigenpairs
     box : precomputed BoundingBox (computed here when omitted)
     warm_start : reuse a parameter's LP minimizer while it stays feasible
     oracle : optional per-training-point exact smallest eigenvalues, used
@@ -341,7 +346,7 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, tol=1e-6, *, box=None,
     workers : thread fan-out for the per-parameter LP solves (results are
         independent of the worker count)
     """
-    return _greedy(ScmState(family), train, eps, j_max, tol, box=box,
+    return _greedy(ScmState(family), train, eps, j_max, box=box,
                    warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
                    seed=seed, workers=workers)
 

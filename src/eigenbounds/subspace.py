@@ -83,8 +83,8 @@ class SubspacePool(ScmState):
     def dim(self):
         return self.basis.shape[1]
 
-    def add_sample(self, mu, tol=1e-6, seed=0):
-        append_sample(self, mu, tol=tol, seed=seed)
+    def add_sample(self, mu, seed=0):
+        append_sample(self, mu, seed=seed)
 
     def sample_coeffs(self, i):
         """Basis coefficients of sample i's eigenvectors, zero-padded."""
@@ -95,7 +95,7 @@ class SubspacePool(ScmState):
         return C
 
 
-def append_sample(pool, mu_new, tol=1e-6, seed=0):
+def append_sample(pool, mu_new, seed=0):
     """Solve at a new sample and extend the pool incrementally.
 
     Requests ell+1 eigenvalues (one more than the number of vectors kept:
@@ -109,7 +109,7 @@ def append_sample(pool, mu_new, tol=1e-6, seed=0):
     if pool.has_sample(mu_new):
         raise ArgumentError("sample already present in the pool")
     k = min(pool.ell + 1, family.n)
-    pairs = solve_at_sample(family, mu_new, k, tol=tol, seed=seed)
+    pairs = solve_at_sample(family, mu_new, k, seed=seed)
     ell_eff = min(pool.ell, pairs.vectors.shape[1])
     vectors = pairs.vectors[:, :ell_eff]
 
@@ -466,7 +466,7 @@ def residual_heuristic_bound(pool, mu):
 
 
 def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
-                    tol=1e-6, mode="certified", *, box=None, warm_start=True,
+                    mode="certified", *, box=None, warm_start=True,
                     lazy_sweep=False, oracle=None, lp_tol=1e-8, seed=0,
                     workers=1):
     """Greedy loop driven by the subspace bounds.
@@ -493,7 +493,7 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
             tables[key][idx] = getattr(out, key)
         tables["heuristic"][idx] = out.lam_sub - out.residual
 
-    return _greedy(pool, train, eps, j_max, tol, box=box,
+    return _greedy(pool, train, eps, j_max, box=box,
                    warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
                    seed=seed, workers=workers, sweep=sweep,
                    lazy_sweep=lazy_sweep, mode=mode)

@@ -8,18 +8,18 @@ from eigenbounds import AffineFamily, ScmState, SubspacePool, append_sample, \
     solve_at_sample
 
 
-def build_state(family, sample_points, tol=1e-10):
+def build_state(family, sample_points):
     state = ScmState(family)
     for mu in sample_points:
-        pairs = solve_at_sample(family, mu, 1, tol=tol)
+        pairs = solve_at_sample(family, mu, 1)
         state.append(mu, pairs.values[0], pairs.vectors[:, 0])
     return state
 
 
-def build_pool(family, sample_points, ell=1, tol=1e-10):
+def build_pool(family, sample_points, ell=1):
     pool = SubspacePool(family, ell=ell)
     for mu in sample_points:
-        append_sample(pool, mu, tol=tol)
+        append_sample(pool, mu)
     return pool
 
 

@@ -62,7 +62,7 @@ def cascade_runs():
     for seed, (q, n) in enumerate(CASCADE_CASES):
         fam = random_family(q, n, delta=0.2, seed=seed)
         train = random_training_set(fam.domain, 200, seed=100 + seed)
-        res = subspace_greedy(fam, train, eps=1e-14, j_max=10, tol=1e-9)
+        res = subspace_greedy(fam, train, eps=1e-14, j_max=10)
         oracle = dense_oracle(fam, train.points)
         runs.append((fam, res, oracle))
     return runs, time.perf_counter() - t0
@@ -75,12 +75,12 @@ def desk_scale_runs(tmp_path_factory):
     fam = random_family(4, 300, delta=0.2, seed=0)
     sub_dir = str(base / "subspace")
     sub_cfg = RunConfig(pipeline="subspace", eps=1e-4, j_max=200, n_train=500,
-                        train_seed=1, eig_tol=1e-6, oracle=True)
+                        train_seed=1, oracle=True)
     sub_summary = run_pipeline(sub_cfg, fam, sub_dir)
     j_term = sub_summary["termination"]["iterations"]
     scm_dir = str(base / "scm")
     scm_cfg = RunConfig(pipeline="scm", eps=1e-4, j_max=j_term, n_train=500,
-                        train_seed=1, eig_tol=1e-6, oracle=True)
+                        train_seed=1, oracle=True)
     scm_summary = run_pipeline(scm_cfg, fam, scm_dir)
     return {"sub_dir": sub_dir, "scm_dir": scm_dir,
             "sub_summary": sub_summary, "scm_summary": scm_summary}
@@ -90,8 +90,8 @@ def desk_scale_runs(tmp_path_factory):
 def test_criterion_01_example_exactness():
     t0 = time.perf_counter()
     fam = unit_circle_family()
-    box = compute_bounding_box(fam, tol=1e-12)
-    state = build_state(fam, [[0.0], [np.pi / 2], [np.pi]], tol=1e-12)
+    box = compute_bounding_box(fam)
+    state = build_state(fam, [[0.0], [np.pi / 2], [np.pi]])
 
     def lam_lb(mu):
         return lower_bound(state, box, [mu])[0]
@@ -155,14 +155,14 @@ def test_criterion_03_interpolation(cascade_runs):
 @criterion(4, "Hermite gradient interpolation windows")
 def test_criterion_04_gradients():
     fam, theta_grad = make_smooth_family(seed=8)
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     samples = [[-0.5, -0.4], [0.0, 0.3], [0.45, -0.2], [-0.2, 0.5],
                [0.3, 0.1]]
     for mu in samples:  # verified simple smallest eigenvalue
         w = np.linalg.eigvalsh(fam.assemble_dense(mu))
         assert w[1] - w[0] > 1e-3
-    pool = build_pool(fam, samples, tol=1e-12)
-    state = build_state(fam, samples, tol=1e-12)
+    pool = build_pool(fam, samples)
+    state = build_state(fam, samples)
 
     def fd_grad(fn, mu, h):
         out = np.empty(2)
@@ -199,7 +199,7 @@ def test_criterion_05_worst_case_family():
     for seed in range(5):
         fam = random_family(2, 20, delta=0.4, seed=seed)
         train = random_training_set(fam.domain, 40, seed=50 + seed)
-        res = scm_greedy(fam, train, eps=1e-14, j_max=3, tol=1e-11)
+        res = scm_greedy(fam, train, eps=1e-14, j_max=3)
         state, box = res.model, res.box
         rng = np.random.default_rng(seed)
         mu_t = rng.uniform(0.0, 0.4, size=1)
@@ -245,7 +245,7 @@ def test_criterion_07_beta_validity():
         fam = random_family(3, 30, delta=0.3, seed=seed)
         rng = np.random.default_rng(200 + seed)
         mu0 = rng.uniform(0.0, 0.3, size=2)
-        pool = build_pool(fam, [mu0], ell=ell, tol=1e-11)
+        pool = build_pool(fam, [mu0], ell=ell)
         lam0 = pool.sample_values[0][0]
         A0 = fam.assemble_dense(mu0)
         w = rng.standard_normal(pool.dim)
@@ -264,14 +264,14 @@ def test_criterion_07_beta_validity():
 def test_criterion_08_exponential_convergence():
     t0 = time.perf_counter()
     fam = one_parameter_analytic_family(n=40, gap=1.0, seed=0)
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     grid = np.linspace(-1.0, 1.0, 150)
     oracle = dense_oracle(fam, grid.reshape(-1, 1))
     js = list(range(2, 15))
     errs_sub, errs_slb = [], []
     for J in js:
         nodes = np.cos((2 * np.arange(1, J + 1) - 1) / (2 * J) * np.pi)
-        pool = build_pool(fam, [[mu] for mu in nodes], tol=1e-10)
+        pool = build_pool(fam, [[mu] for mu in nodes])
         e_sub = e_slb = 0.0
         for k, mu in enumerate(grid):
             sub = float(ritz_upper_bound(pool, [mu], r=1).values[0])
@@ -344,18 +344,18 @@ def test_criterion_12_warm_start_equivalence():
     fam = random_family(3, 80, delta=0.25, seed=12)
     train = random_training_set(fam.domain, 60, seed=13)
     worst = 0.0
-    res_on = scm_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+    res_on = scm_greedy(fam, train, eps=1e-6, j_max=12,
                         warm_start=True)
-    res_off = scm_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+    res_off = scm_greedy(fam, train, eps=1e-6, j_max=12,
                          warm_start=False)
     assert res_on.records[-1].lp_count < res_off.records[-1].lp_count
     for key in ("lam_lb", "lam_ub"):
         diff = np.max(np.abs(res_on.tables[key] - res_off.tables[key]))
         worst = max(worst, diff)
         assert diff <= 1e-12
-    sub_on = subspace_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+    sub_on = subspace_greedy(fam, train, eps=1e-6, j_max=12,
                              warm_start=True)
-    sub_off = subspace_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+    sub_off = subspace_greedy(fam, train, eps=1e-6, j_max=12,
                               warm_start=False)
     for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub"):
         diff = np.max(np.abs(sub_on.tables[key] - sub_off.tables[key]))

@@ -65,8 +65,7 @@ class TestRunPipeline:
             generator={"kind": "random", "Q": 3, "N": 60, "delta": 0.3,
                        "seed": 2})
         config = RunConfig(pipeline="subspace", eps=1e-3, j_max=15,
-                           n_train=40, train_seed=3, oracle=True,
-                           eig_tol=1e-9)
+                           n_train=40, train_seed=3, oracle=True)
         out = tmp_path / "r"
         run_pipeline(config, family, str(out), problem_meta=meta)
         rows = (out / "bounds.csv").read_text().splitlines()[1:]

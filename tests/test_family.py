@@ -79,7 +79,7 @@ def test_bounding_box_matches_dense_oracle_per_term():
     fam = AffineFamily(terms=tuple(terms),
                        theta=lambda mu: np.array([1.0, mu[0], mu[1], mu[2]]),
                        domain=((0, 1),) * 3)
-    box = compute_bounding_box(fam, tol=1e-9)
+    box = compute_bounding_box(fam)
     for qi, term in enumerate(terms):
         w = np.linalg.eigvalsh(term)
         assert abs(box.lower[qi] - w[0]) <= 1e-8

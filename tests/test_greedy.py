@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from eigenbounds import (EigensolverError, GreedyError, ScmState,
-                         SubspacePool, random_family, random_training_set,
-                         scm_greedy, subspace_greedy)
+from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
+                         ScmState, SubspacePool, random_family,
+                         random_training_set, scm_greedy, subspace_greedy)
 from eigenbounds import scm, subspace
 
 PIPELINES = {
@@ -26,7 +26,7 @@ def problem():
 def test_cold_loop_solves_every_lp(problem, pipeline):
     fam, train = problem
     greedy = PIPELINES[pipeline][0]
-    res = greedy(fam, train, eps=1e-12, j_max=4, tol=1e-9, warm_start=False)
+    res = greedy(fam, train, eps=1e-12, j_max=4, warm_start=False)
     m = len(train)
     assert len(res.records) == 4
     for rec in res.records:
@@ -52,7 +52,7 @@ def test_eigensolver_failure_keeps_partial_result(problem, monkeypatch,
         monkeypatch.setattr(module, "solve_at_sample",
                             failing(module.solve_at_sample))
     with pytest.raises(GreedyError) as err:
-        greedy(fam, train, eps=1e-12, j_max=6, tol=1e-9)
+        greedy(fam, train, eps=1e-12, j_max=6)
     partial = err.value.partial
     assert len(calls) == 3
     assert len(partial.records) == 2
@@ -66,3 +66,43 @@ def test_eigensolver_failure_keeps_partial_result(problem, monkeypatch,
         assert len(col) == len(train)
     assert np.all(np.isfinite(partial.tables["ratio"]))
 
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_worst_ratio_at_a_sample_stops_the_loop(pipeline):
+    # one term: every ratio sits at roundoff, and after the second sample
+    # the worst one lands on a parameter that is already sampled
+    g = np.random.default_rng(11).standard_normal((20, 20))
+    fam = AffineFamily(terms=(0.5 * (g + g.T),),
+                       theta=lambda mu: np.array([1.0 + mu[0]]),
+                       domain=((0.0, 1.0),))
+    train = random_training_set(fam.domain, 6, seed=11)
+    greedy, model_type, _ = PIPELINES[pipeline]
+    res = greedy(fam, train, eps=1e-300, j_max=8)
+    assert res.converged is False
+    assert type(res.model) is model_type
+    assert res.model.j == len(res.records) < 8
+    index = int(np.argmax(res.tables["ratio"]))
+    assert res.model.has_sample(train.points[index])
+    assert f"training point {index}," in res.reason
+    assert "not converged" in res.reason
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_bounds_certified_at_roundoff_allowance(pipeline, seed):
+    # the allowance the benchmark's correctness gate uses: gamma_n times
+    # the bound sum_q |theta_q| max(|lo_q|, |hi_q|) on ||A(mu)||
+    fam = random_family(q=4, n=120, delta=0.2, seed=seed)
+    train = random_training_set(fam.domain, 40, seed=5)
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12)
+    oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
+                       for mu in train.points])
+    nu = fam.n * 2.0 ** -53
+    scale = np.maximum(np.abs(res.box.lower), np.abs(res.box.upper))
+    allowance = nu / (1.0 - nu) * (np.abs(fam.theta_table(train.points))
+                                   @ scale)
+    lower, upper = (("lam_lb", "lam_ub") if pipeline == "scm"
+                    else ("lam_slb", "lam_sub"))
+    assert np.all(res.tables[lower] <= oracle + allowance)
+    assert np.all(res.tables[upper] >= oracle - allowance)

@@ -70,7 +70,7 @@ class TestHermitianOperator:
 
 class TestSmallestEigpairs:
     def test_diagonal(self):
-        ep = smallest_eigpairs(np.diag(np.arange(1.0, 11.0)), 2, tol=1e-10)
+        ep = smallest_eigpairs(np.diag(np.arange(1.0, 11.0)), 2)
         assert_allclose(ep.values, [1.0, 2.0], atol=1e-12)
         assert_allclose(np.abs(ep.vectors[0, 0]), 1.0, atol=1e-10)
         assert_allclose(np.abs(ep.vectors[1, 1]), 1.0, atol=1e-10)
@@ -79,7 +79,7 @@ class TestSmallestEigpairs:
         n = 50
         T = sparse.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                          [-1, 0, 1])
-        ep = smallest_eigpairs(T, 1, tol=1e-9)
+        ep = smallest_eigpairs(T, 1)
         exact = 2.0 - 2.0 * np.cos(np.pi / (n + 1))
         assert_allclose(ep.values[0], exact, atol=1e-10)
 
@@ -88,7 +88,7 @@ class TestSmallestEigpairs:
         A = rng.standard_normal((200, 200))
         A = 0.5 * (A + A.T)
         expected = np.linalg.eigvalsh(A)[:3]
-        ep = smallest_eigpairs(A, 3, tol=1e-8)
+        ep = smallest_eigpairs(A, 3)
         assert_allclose(ep.values, expected, atol=1e-8)
         # orthonormality of the eigenvector block
         gram = ep.vectors.T @ ep.vectors
@@ -99,7 +99,7 @@ class TestSmallestEigpairs:
         A = rng.standard_normal((90, 90)) + 1j * rng.standard_normal((90, 90))
         A = 0.5 * (A + A.conj().T)
         expected = np.linalg.eigvalsh(A)[:2]
-        ep = smallest_eigpairs(A, 2, tol=1e-8)
+        ep = smallest_eigpairs(A, 2)
         assert_allclose(ep.values, expected, atol=1e-7)
 
     def test_monotone_in_k(self):
@@ -107,42 +107,46 @@ class TestSmallestEigpairs:
         A = rng.standard_normal((120, 120))
         A = 0.5 * (A + A.T)
         tol = 1e-8
-        v2 = smallest_eigpairs(A, 2, tol=tol).values
-        v5 = smallest_eigpairs(A, 5, tol=tol).values
+        v2 = smallest_eigpairs(A, 2).values
+        v5 = smallest_eigpairs(A, 5).values
         assert np.all(np.abs(v2 - v5[:2]) <= 10 * tol)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((150, 150))
         A = 0.5 * (A + A.T)
-        a = smallest_eigpairs(A, 2, tol=1e-8, seed=3)
-        b = smallest_eigpairs(A, 2, tol=1e-8, seed=3)
+        a = smallest_eigpairs(A, 2, seed=3)
+        b = smallest_eigpairs(A, 2, seed=3)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.vectors, b.vectors)
 
     def test_k_out_of_range(self):
         A = np.eye(4)
         with pytest.raises(ArgumentError):
-            smallest_eigpairs(A, 4, tol=1e-6)
+            smallest_eigpairs(A, 4)
         with pytest.raises(ArgumentError):
-            smallest_eigpairs(A, 0, tol=1e-6)
+            smallest_eigpairs(A, 0)
 
     def test_nonconvergence_carries_best_iterate(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((300, 300))
         A = 0.5 * (A + A.T)
         with pytest.raises(EigensolverError) as err:
-            smallest_eigpairs(A, 2, tol=1e-14, restart_cap=1)
-        assert err.value.best is not None
-        assert err.value.best.values.shape == (2,)
-        assert np.all(err.value.best.residuals >= 0)
+            smallest_eigpairs(A, 2, restart_cap=1)
+        best = err.value.best
+        assert best is not None
+        # ARPACK hands back only the pairs that converged
+        assert best.count < 2
+        assert best.vectors.shape == (300, best.count)
+        assert np.all(np.isfinite(best.residuals))
+        assert np.all(best.residuals >= 0)
 
     def test_residual_tolerance_honored(self):
         rng = np.random.default_rng(21)
         A = rng.standard_normal((160, 160))
         A = 0.5 * (A + A.T)
         tol = 1e-7
-        ep = smallest_eigpairs(A, 2, tol=tol)
+        ep = smallest_eigpairs(A, 2)
         norm_est = np.abs(np.linalg.eigvalsh(A)).max()
         assert np.all(ep.residuals <= tol * norm_est * 1.01)
 
@@ -161,7 +165,7 @@ class TestExtremeEigs:
         A = sparse.random(n, n, density=0.02, random_state=17,
                           data_rvs=rng.standard_normal)
         A = 0.5 * (A + A.T)
-        lo, hi = extreme_eigs(A, tol=1e-9)
+        lo, hi = extreme_eigs(A)
         w = np.linalg.eigvalsh(A.toarray())
         assert_allclose([lo, hi], [w[0], w[-1]], atol=1e-8)
 
@@ -170,8 +174,8 @@ class TestExtremeEigs:
         A = rng.standard_normal((130, 130))
         A = 0.5 * (A + A.T)
         op = hermitian(A)
-        lo, hi = extreme_eigs(op, tol=1e-8)
-        lo2, hi2 = extreme_eigs(-op, tol=1e-8)
+        lo, hi = extreme_eigs(op)
+        lo2, hi2 = extreme_eigs(-op)
         assert lo2 == -hi and hi2 == -lo
 
 

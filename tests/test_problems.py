@@ -9,9 +9,9 @@ from eigenbounds import (GeneralizedProblem, ManifestError,
                          block_grid_family, coercivity_transform,
                          joint_rayleigh, load_family,
                          one_parameter_analytic_family, random_family,
-                         singular_value_expansion, unit_circle_family,
-                         write_matrix_market)
-from eigenbounds.hermitian import ArgumentError
+                         singular_value_expansion, solve_at_sample,
+                         unit_circle_family, write_matrix_market)
+from eigenbounds.hermitian import ArgumentError, SandwichHermitian
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
 GOLDEN_A1 = np.array([
@@ -151,6 +151,32 @@ class TestCoercivityTransform:
         x = np.random.default_rng(8).standard_normal(30)
         assert_allclose(out.apply(mu, x.reshape(-1, 1)).ravel(), dense @ x,
                         atol=1e-10)
+
+
+    def test_sandwich_family_solves_as_one_sandwich(self):
+        # n = 100 is above the dense fallback, so the iterative solver runs
+        # on the operator form; gamma_n * ||M|| is the roundoff allowance
+        fam = block_grid_family(nx=10, ny=10, blocks=(2, 1))
+        n = fam.n
+        gen = GeneralizedProblem.build(fam, make_spd(n, 3))
+        out = coercivity_transform(gen, dense_cap=50)
+        L = gen.factor.L
+        rng = np.random.default_rng(4)
+        for mu in ([0.15, 0.4], [0.5, 0.1]):
+            op = out.operator_at(mu)
+            assert isinstance(op, SandwichHermitian)
+            B = scipy.linalg.solve_triangular(L, fam.assemble_dense(mu),
+                                              lower=True)
+            M = scipy.linalg.solve_triangular(L, B.T, lower=True).T
+            M = 0.5 * (M + M.T)
+            allowance = n * 2.0 ** -53 * np.linalg.norm(M, 2)
+            Y = rng.standard_normal((n, 3))
+            assert np.abs(op.matmat(Y) - out.apply(mu, Y)).max() \
+                <= allowance * np.abs(Y).max()
+            pairs = solve_at_sample(out, mu, 2)
+            w = np.linalg.eigvalsh(M)
+            assert np.all(np.abs(pairs.values - w[:2]) <= allowance)
+            assert np.all(pairs.residuals <= allowance)
 
 
 class TestSingularValueExpansion:

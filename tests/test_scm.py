@@ -59,7 +59,7 @@ class TestLowerBound:
 
     def test_below_oracle_on_random_family(self):
         fam = random_family(3, 60, delta=0.3, seed=2)
-        box = compute_bounding_box(fam, tol=1e-9)
+        box = compute_bounding_box(fam)
         state = build_state(fam, [[0.05, 0.2], [0.25, 0.1]])
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -121,7 +121,7 @@ class TestGreedy:
                            theta=lambda mu: np.array([1.0 + mu[0]]),
                            domain=((0.0, 1.0),))
         train = random_training_set(fam.domain, 40, seed=4)
-        res = scm_greedy(fam, train, eps=1e-12, j_max=10, tol=1e-10)
+        res = scm_greedy(fam, train, eps=1e-12, j_max=10)
         assert res.converged
         assert res.model.j == 1
         assert res.records[-1].max_ratio <= 1e-12
@@ -129,7 +129,7 @@ class TestGreedy:
     def test_unit_circle_grid(self):
         fam = unit_circle_family()
         train = TrainingSet(points=np.linspace(0, np.pi, 64).reshape(-1, 1))
-        res = scm_greedy(fam, train, eps=1e-3, j_max=20, tol=1e-10)
+        res = scm_greedy(fam, train, eps=1e-3, j_max=20)
         ratios = [r.max_ratio for r in res.records]
         assert all(ratios[i + 1] <= ratios[i] + 1e-12
                    for i in range(len(ratios) - 1))
@@ -142,7 +142,7 @@ class TestGreedy:
     def test_random_family_flattens_above_tolerance(self):
         fam = random_family(4, 120, delta=0.2, seed=1)
         train = random_training_set(fam.domain, 120, seed=2)
-        res = scm_greedy(fam, train, eps=1e-4, j_max=40, tol=1e-8)
+        res = scm_greedy(fam, train, eps=1e-4, j_max=40)
         assert not res.converged
         assert "not converged" in res.reason
         assert res.records[-1].max_ratio > 1e-4
@@ -150,9 +150,9 @@ class TestGreedy:
     def test_warm_start_equivalence(self):
         fam = random_family(3, 60, delta=0.3, seed=6)
         train = random_training_set(fam.domain, 60, seed=7)
-        res_on = scm_greedy(fam, train, eps=1e-3, j_max=12, tol=1e-8,
+        res_on = scm_greedy(fam, train, eps=1e-3, j_max=12,
                             warm_start=True)
-        res_off = scm_greedy(fam, train, eps=1e-3, j_max=12, tol=1e-8,
+        res_off = scm_greedy(fam, train, eps=1e-3, j_max=12,
                              warm_start=False)
         assert len(res_on.records) == len(res_off.records)
         for a, b in zip(res_on.records, res_off.records):
@@ -169,7 +169,7 @@ class TestInvariantsAgainstOracle:
     def test_cascade_and_interpolation(self, q, n, seed):
         fam = random_family(q, n, delta=0.25, seed=seed)
         train = random_training_set(fam.domain, 60, seed=seed + 10)
-        res = scm_greedy(fam, train, eps=1e-12, j_max=6, tol=1e-9)
+        res = scm_greedy(fam, train, eps=1e-12, j_max=6)
         state, box = res.model, res.box
         rng = np.random.default_rng(seed)
         for _ in range(50):
@@ -189,14 +189,14 @@ class TestInvariantsAgainstOracle:
 
     def test_monotone_in_j(self):
         fam = random_family(3, 50, delta=0.3, seed=3)
-        box = compute_bounding_box(fam, tol=1e-9)
+        box = compute_bounding_box(fam)
         samples = [[0.05, 0.25], [0.2, 0.1], [0.28, 0.22], [0.12, 0.02]]
         probes = np.random.default_rng(4).uniform(0, 0.3, size=(10, 2))
         state = ScmState(fam)
         prev_lb = np.full(10, -np.inf)
         prev_ub = np.full(10, np.inf)
         for mu in samples:
-            pairs = solve_at_sample(fam, mu, 1, tol=1e-10)
+            pairs = solve_at_sample(fam, mu, 1)
             state.append(mu, pairs.values[0], pairs.vectors[:, 0])
             for k, p in enumerate(probes):
                 lb, _ = lower_bound(state, box, p)
@@ -211,7 +211,7 @@ class TestGradientInterpolation:
         fam, theta_grad = make_smooth_family(seed=8)
         sample_points = [[-0.5, -0.4], [0.0, 0.3], [0.45, -0.2],
                          [-0.2, 0.5], [0.3, 0.1]]
-        state = build_state(fam, sample_points, tol=1e-12)
+        state = build_state(fam, sample_points)
         errors = {h: [] for h in (1e-3, 1e-4)}
         for i, mu in enumerate(state.samples):
             v = state.vectors[i]
@@ -246,7 +246,7 @@ class TestWorstCaseFamily:
     def test_attains_lower_bound_and_keeps_samples(self, seed):
         fam = random_family(2, 20, delta=0.4, seed=seed)
         train = random_training_set(fam.domain, 30, seed=seed + 5)
-        res = scm_greedy(fam, train, eps=1e-12, j_max=3, tol=1e-11)
+        res = scm_greedy(fam, train, eps=1e-12, j_max=3)
         state, box = res.model, res.box
         rng = np.random.default_rng(seed)
         for trial in range(2):

@@ -119,7 +119,7 @@ class TestRitzUpperBound:
 class TestResidualNorm:
     def test_invariant_subspace(self):
         fam = random_family(2, 90, delta=0.3, seed=5)
-        pool = build_pool(fam, [[0.12]], tol=1e-9)
+        pool = build_pool(fam, [[0.12]])
         rd = ritz_upper_bound(pool, [0.12], r=1)
         rho = residual_norm(pool, [0.12], rd)
         assert rho <= 1e-6 * np.linalg.norm(fam.assemble_dense([0.12]))
@@ -209,7 +209,7 @@ class TestEtaEstimate:
 
     def test_eta_below_complement_minimum(self):
         fam = random_family(3, 40, delta=0.3, seed=12)
-        box = compute_bounding_box(fam, tol=1e-9)
+        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.1, 0.1], [0.25, 0.05], [0.02, 0.22]])
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -267,7 +267,7 @@ class TestSubspaceLowerBound:
 
     def test_sample_interpolation(self):
         fam = random_family(3, 60, delta=0.3, seed=13)
-        box = compute_bounding_box(fam, tol=1e-9)
+        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.1, 0.2], [0.25, 0.02]])
         for i, mu in enumerate(pool.samples):
             slb, _, _ = subspace_lower_bound(pool, box, mu, r_max=3)
@@ -276,7 +276,7 @@ class TestSubspaceLowerBound:
     def test_cascade_against_oracle(self):
         fam = random_family(4, 200, delta=0.2, seed=14)
         train = random_training_set(fam.domain, 60, seed=15)
-        res = subspace_greedy(fam, train, eps=1e-12, j_max=10, tol=1e-9)
+        res = subspace_greedy(fam, train, eps=1e-12, j_max=10)
         pool, box = res.model, res.box
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -304,7 +304,7 @@ class TestSubspaceLowerBound:
 class TestResidualHeuristic:
     def test_invariant_subspace_exact(self):
         fam = random_family(2, 80, delta=0.3, seed=16)
-        pool = build_pool(fam, [[0.07]], tol=1e-10)
+        pool = build_pool(fam, [[0.07]])
         mu = [0.07]
         val, rho = residual_heuristic_bound(pool, mu)
         oracle = np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
@@ -326,7 +326,7 @@ class TestSubspaceGreedy:
     def test_unit_circle_converges_in_three(self):
         fam = unit_circle_family()
         train = TrainingSet(points=np.linspace(0, np.pi, 64).reshape(-1, 1))
-        res = subspace_greedy(fam, train, eps=1e-4, j_max=10, tol=1e-10)
+        res = subspace_greedy(fam, train, eps=1e-4, j_max=10)
         assert res.converged
         assert len(res.records) <= 3
 
@@ -338,7 +338,7 @@ class TestSubspaceGreedy:
                            theta=lambda mu: np.array([1.0 + mu[0]]),
                            domain=((0.0, 1.0),))
         train = random_training_set(fam.domain, 30, seed=19)
-        res = subspace_greedy(fam, train, eps=1e-10, j_max=5, tol=1e-10)
+        res = subspace_greedy(fam, train, eps=1e-10, j_max=5)
         assert res.converged
         assert res.model.j == 1
 
@@ -348,7 +348,7 @@ class TestSubspaceGreedy:
         probes = np.random.default_rng(7).uniform(0, 0.3, size=(8, 2))
         prev = np.full(8, np.inf)
         for mu in ([0.02, 0.2], [0.25, 0.05], [0.15, 0.28], [0.29, 0.17]):
-            append_sample(pool, mu, tol=1e-10)
+            append_sample(pool, mu)
             for k, p in enumerate(probes):
                 rd = ritz_upper_bound(pool, p, r=1)
                 assert rd.values[0] <= prev[k] + 1e-10
@@ -359,7 +359,7 @@ class TestSubspaceGreedy:
         train = random_training_set(fam.domain, 40, seed=22)
         oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
                            for mu in train.points])
-        res = subspace_greedy(fam, train, eps=1e-5, j_max=25, tol=1e-9,
+        res = subspace_greedy(fam, train, eps=1e-5, j_max=25,
                               mode="heuristic", oracle=oracle)
         assert res.converged
         flags = [r.heuristic_valid for r in res.records]
@@ -369,9 +369,9 @@ class TestSubspaceGreedy:
     def test_warm_start_equivalence(self):
         fam = random_family(3, 60, delta=0.3, seed=23)
         train = random_training_set(fam.domain, 40, seed=24)
-        res_on = subspace_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+        res_on = subspace_greedy(fam, train, eps=1e-6, j_max=12,
                                  warm_start=True)
-        res_off = subspace_greedy(fam, train, eps=1e-6, j_max=12, tol=1e-9,
+        res_off = subspace_greedy(fam, train, eps=1e-6, j_max=12,
                                   warm_start=False)
         assert len(res_on.records) == len(res_off.records)
         for a, b in zip(res_on.records, res_off.records):
@@ -383,9 +383,9 @@ class TestSubspaceGreedy:
     def test_worker_fanout_identical_results(self):
         fam = random_family(3, 50, delta=0.3, seed=27)
         train = random_training_set(fam.domain, 30, seed=28)
-        r1 = subspace_greedy(fam, train, eps=1e-5, j_max=8, tol=1e-9,
+        r1 = subspace_greedy(fam, train, eps=1e-5, j_max=8,
                              workers=1)
-        r3 = subspace_greedy(fam, train, eps=1e-5, j_max=8, tol=1e-9,
+        r3 = subspace_greedy(fam, train, eps=1e-5, j_max=8,
                              workers=3)
         for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic"):
             assert np.array_equal(r1.tables[key], r3.tables[key])
@@ -396,7 +396,7 @@ class TestSubspaceGreedy:
         train = random_training_set(fam.domain, 40, seed=26)
         oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
                            for mu in train.points])
-        res = subspace_greedy(fam, train, eps=1e-6, j_max=15, tol=1e-9,
+        res = subspace_greedy(fam, train, eps=1e-6, j_max=15,
                               lazy_sweep=True, oracle=oracle)
         tabs = res.tables
         slack = 1e-8 * (1 + np.abs(oracle))
@@ -415,8 +415,8 @@ class TestComplexHermitianFamily:
         fam = AffineFamily(terms=tuple(terms),
                            theta=lambda mu: np.array([1.0, mu[0]]),
                            domain=((0.0, 0.5),))
-        box = compute_bounding_box(fam, tol=1e-9)
-        pool = build_pool(fam, [[0.1], [0.4]], tol=1e-10)
+        box = compute_bounding_box(fam)
+        pool = build_pool(fam, [[0.1], [0.4]])
         assert np.iscomplexobj(pool.basis)
         for mu in rng.uniform(0.0, 0.5, 10):
             oracle = np.linalg.eigvalsh(fam.assemble_dense([mu]))[0]
@@ -438,10 +438,10 @@ class TestComplexHermitianFamily:
 class TestGradientInterpolation:
     def test_subspace_bounds_gradient_order2(self):
         fam, theta_grad = make_smooth_family(seed=30)
-        box = compute_bounding_box(fam, tol=1e-10)
+        box = compute_bounding_box(fam)
         sample_points = [[-0.5, -0.4], [0.0, 0.3], [0.45, -0.2],
                          [-0.2, 0.5], [0.3, 0.1]]
-        pool = build_pool(fam, sample_points, tol=1e-12)
+        pool = build_pool(fam, sample_points)
         from eigenbounds import joint_rayleigh
 
         def fd_gradient(fn, mu, h):

@@ -149,7 +149,7 @@ FAMILIES = {
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def problem(request):
     fam = FAMILIES[request.param]()
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     train = random_training_set(fam.domain, 16, seed=43)
     return fam, box, train.points
 
@@ -169,7 +169,7 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
     refs = [None] * m
     lam_slb = np.full(m, -math.inf)
     for it, s in enumerate([0, 7, 11, 3, 14]):
-        append_sample(pool, pts[s], tol=1e-10)
+        append_sample(pool, pts[s])
         lam_new, th_new = pool.rhs[-1], pool.rows[-1]
         cache_ok = np.array([warm and it > 0 and
                              float(th_new @ sols[i].y) >= lam_new - 1e-8
@@ -194,10 +194,10 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
 
 def test_eta_fallbacks_match_reference():
     fam = FAMILIES["random-q3"]()
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     pool = SubspacePool(fam)
     for mu in ([0.05, 0.2], [0.25, 0.1], [0.15, 0.28]):
-        append_sample(pool, mu, tol=1e-10)
+        append_sample(pool, mu)
     pts = np.array([[0.1, 0.1], [0.2, 0.25], [0.02, 0.05]])
     theta = fam.theta_table(pts)
     sols = []
@@ -229,12 +229,12 @@ def test_eta_fallbacks_match_reference():
 
 def test_chunked_sweep_matches_one_chunk(monkeypatch):
     fam = FAMILIES["random-q4"]()
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     pts = random_training_set(fam.domain, 9, seed=44).points
     theta = fam.theta_table(pts)
     pool = SubspacePool(fam, ell=2)
     for mu in pts[[0, 4, 8]]:
-        append_sample(pool, mu, tol=1e-10)
+        append_sample(pool, mu)
     sols = [lower_bound(pool, box, mu)[1] for mu in pts]
     whole = sweep_bounds(pool, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
@@ -253,11 +253,11 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
 
 def test_one_row_call_matches_batched_row():
     fam = FAMILIES["random-q3"]()
-    box = compute_bounding_box(fam, tol=1e-10)
+    box = compute_bounding_box(fam)
     pts = random_training_set(fam.domain, 6, seed=45).points
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
-        append_sample(pool, mu, tol=1e-10)
+        append_sample(pool, mu)
     batch = sweep_bounds(pool, fam.theta_table(pts),
                          [lower_bound(pool, box, mu)[1] for mu in pts])
     for k, mu in enumerate(pts):
@@ -272,7 +272,7 @@ def test_one_row_call_matches_batched_row():
 def test_subspace_run_fills_lp_seconds():
     fam = random_family(3, 60, delta=0.3, seed=46)
     train = random_training_set(fam.domain, 30, seed=47)
-    res = subspace_greedy(fam, train, eps=1e-8, j_max=6, tol=1e-9)
+    res = subspace_greedy(fam, train, eps=1e-8, j_max=6)
     last = res.records[-1]
     assert last.lp_count > 0
     assert last.lp_seconds > 0.0
