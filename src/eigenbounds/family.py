@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        HermitianOperator, ProductHermitian, SandwichHermitian,
-                        SparseHermitian, extreme_eigs, hermitian)
+                        ProductHermitian, SandwichHermitian, SparseHermitian,
+                        extreme_eigs, hermitian)
 
 __all__ = [
     "AffineFamily",
