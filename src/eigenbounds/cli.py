@@ -3,14 +3,12 @@
 Failures exit nonzero and print a single machine-readable JSON object to
 stderr; exit code 2 marks configuration/manifest errors, 1 anything else.
 A JSON config file passed with --config overrides the command-line flags.
-The EIGENBOUNDS_WORKERS environment variable sets the default worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .driver import (CompareError, RunConfig, compare_runs,
@@ -39,8 +37,6 @@ def _build_parser():
                     "(SCM and subspace-accelerated SCM).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_workers = int(os.environ.get("EIGENBOUNDS_WORKERS", "1"))
-
     run = sub.add_parser("run", help="run a pipeline and write artifacts")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--manifest", help="path to a problem manifest JSON")
@@ -58,13 +54,11 @@ def _build_parser():
     run.add_argument("--r-max", type=int, default=None)
     run.add_argument("--lp-tol", type=float, default=1e-8)
     run.add_argument("--no-warm-start", action="store_true")
-    run.add_argument("--lazy-sweep", action="store_true")
     run.add_argument("--oracle", action="store_true",
                      help="dense cross-validation columns (n <= oracle cap)")
     run.add_argument("--oracle-cap", type=int, default=800)
     run.add_argument("--seed", type=int, default=0,
                      help="seed of the eigensolver starting vector")
-    run.add_argument("--workers", type=int, default=default_workers)
 
     cmp_ = sub.add_parser("compare", help="diff two run directories")
     cmp_.add_argument("run_a")
@@ -94,9 +88,8 @@ def _config_from_args(args):
         pipeline=args.pipeline, eps=args.eps, j_max=args.j_max,
         n_train=args.train_size, train_seed=args.train_seed, ell=args.ell,
         r_max=args.r_max, lp_tol=args.lp_tol,
-        warm_start=not args.no_warm_start, lazy_sweep=args.lazy_sweep,
-        oracle=args.oracle, oracle_cap=args.oracle_cap, seed=args.seed,
-        workers=args.workers)
+        warm_start=not args.no_warm_start, oracle=args.oracle,
+        oracle_cap=args.oracle_cap, seed=args.seed)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)

@@ -19,7 +19,7 @@ from .mmio import write_matrix_market
 from .problems import (ManifestError, block_grid_family, load_family,
                        one_parameter_analytic_family, random_family,
                        unit_circle_family)
-from .scm import _fan_out, scm_greedy
+from .scm import scm_greedy
 from .subspace import subspace_greedy
 
 __all__ = [
@@ -59,11 +59,10 @@ class RunConfig:
     r_max: int | None = None      # defaults to the family's term count
     lp_tol: float = 1e-8
     warm_start: bool = True
-    lazy_sweep: bool = False
     oracle: bool = False
     oracle_cap: int = 800
     seed: int = 0
-    workers: int = 1
+    workers: int = 1              # runs are single-threaded; only 1 is valid
 
     def validate(self):
         if self.pipeline not in PIPELINES:
@@ -74,8 +73,10 @@ class RunConfig:
             raise ArgumentError("ell must be at least 1")
         if self.lp_tol <= 0:
             raise ArgumentError("lp_tol must be positive")
-        if self.workers < 1:
-            raise ArgumentError("workers must be at least 1")
+        if self.r_max is not None and self.r_max < 0:
+            raise ArgumentError("r_max must be non-negative")
+        if self.workers != 1:
+            raise ArgumentError("workers must be 1")
         return self
 
 
@@ -109,14 +110,9 @@ def load_problem(manifest=None, generator=None):
     return family, {"source": "generator", "generator": dict(generator)}
 
 
-def _oracle_values(family, points, workers=1):
-    out = np.empty(len(points))
-
-    def solve(i):
-        out[i] = np.linalg.eigvalsh(family.assemble_dense(points[i]))[0]
-
-    _fan_out(len(points), solve, workers)
-    return out
+def _oracle_values(family, points):
+    return np.array([np.linalg.eigvalsh(family.assemble_dense(mu))[0]
+                     for mu in points])
 
 
 def _fmt(value):
@@ -202,23 +198,21 @@ def run_pipeline(config, family, outdir, problem_meta=None):
     oracle = None
     oracle_active = False
     if config.oracle and family.n <= config.oracle_cap:
-        oracle = _oracle_values(family, train.points, workers=config.workers)
+        oracle = _oracle_values(family, train.points)
         oracle_active = True
 
     if config.pipeline == "scm":
         result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
                             warm_start=config.warm_start, oracle=oracle,
-                            lp_tol=config.lp_tol, seed=config.seed,
-                            workers=config.workers)
+                            lp_tol=config.lp_tol, seed=config.seed)
     else:
         mode = "heuristic" if config.pipeline == "subspace-heuristic" \
             else "certified"
         result = subspace_greedy(
             family, train, eps=config.eps, j_max=config.j_max,
             ell=config.ell, r_max=config.r_max, mode=mode,
-            warm_start=config.warm_start, lazy_sweep=config.lazy_sweep,
-            oracle=oracle, lp_tol=config.lp_tol, seed=config.seed,
-            workers=config.workers)
+            warm_start=config.warm_start, oracle=oracle,
+            lp_tol=config.lp_tol, seed=config.seed)
 
     p = family.p
     mu_cols = [f"mu_{k + 1}" for k in range(p)]

@@ -173,24 +173,8 @@ def _ratio_array(lb, ub):
     return out
 
 
-def _fan_out(count, work, workers):
-    """Run work(i) for i in range(count), optionally on a thread pool.
-
-    Each call writes only its own slots of preallocated arrays, so the
-    results are identical regardless of scheduling.
-    """
-    if workers <= 1:
-        for i in range(count):
-            work(i)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(work, range(count)))
-
-
 def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
-            lp_tol, seed, workers, sweep=None, lazy_sweep=False,
-            mode="certified"):
+            lp_tol, seed, sweep=None, mode="certified"):
     """The greedy loop of both pipelines.
 
     Each iteration solves at the selected parameter (``model.add_sample``),
@@ -199,11 +183,10 @@ def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
     new constraint (all of them without ``warm_start``), then picks the
     point with the worst ratio.  Classical SCM ranks points by the relative
     gap between ``lam_lb`` and ``lam_ub``.  With ``sweep`` (the subspace
-    pipeline), ``sweep(tables, idx, theta, sols)`` fills the ``lam_slb``,
-    ``lam_sub``, ``residual``, ``chosen_r`` and ``heuristic`` rows ``idx``
-    of ``tables`` from their LP solutions: every row, or with
-    ``lazy_sweep`` only the rows whose LP was solved again.  The ratio is
-    then the relative gap between ``lam_slb`` and ``lam_sub``, or with
+    pipeline), ``sweep(tables, theta, sols)`` then fills the ``lam_slb``,
+    ``lam_sub``, ``residual``, ``chosen_r`` and ``heuristic`` columns of
+    ``tables`` at every training point from the LP solutions.  The ratio
+    is then the relative gap between ``lam_slb`` and ``lam_sub``, or with
     ``mode='heuristic'`` the relative Ritz residual.  The loop stops, not
     converged, when the worst ratio sits at a parameter already sampled.
     """
@@ -275,23 +258,15 @@ def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
             cache_ok = sol_y @ th_new >= lam_new - lp_tol
         todo = np.flatnonzero(~cache_ok)
         lam_lb = tables["lam_lb"]
-
-        def solve(k):
-            i = todo[k]
+        for i in todo:
             lam_lb[i], sols[i] = lower_bound(model, box, pts[i], lp_tol=lp_tol)
             sol_y[i] = sols[i].y
-
-        _fan_out(len(todo), solve, workers)
         lp_count += len(todo)
         lp_seconds += time.perf_counter() - t
 
         if sweep is not None:
             t = time.perf_counter()
-            # lazy: the stale subspace bounds of a warm hit remain valid,
-            # just looser, so only the other parameters are swept again
-            idx = todo if lazy_sweep else np.arange(m)
-            if idx.size:
-                sweep(tables, idx, theta_all[idx], [sols[i] for i in idx])
+            sweep(tables, theta_all, sols)
             reduced_seconds += time.perf_counter() - t
 
         if mode == "heuristic":
@@ -331,7 +306,7 @@ def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
 
 
 def scm_greedy(family, train, eps=1e-4, j_max=200, *, box=None,
-               warm_start=True, oracle=None, lp_tol=1e-8, seed=0, workers=1):
+               warm_start=True, oracle=None, lp_tol=1e-8, seed=0):
     """Greedy SCM loop.
 
     Parameters
@@ -343,12 +318,10 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, box=None,
     warm_start : reuse a parameter's LP minimizer while it stays feasible
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
-    workers : thread fan-out for the per-parameter LP solves (results are
-        independent of the worker count)
     """
     return _greedy(ScmState(family), train, eps, j_max, box=box,
                    warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
-                   seed=seed, workers=workers)
+                   seed=seed)
 
 
 def worst_case_family(state, mu_tilde, y_tilde, max_n=4096):

@@ -467,33 +467,29 @@ def residual_heuristic_bound(pool, mu):
 
 def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
                     mode="certified", *, box=None, warm_start=True,
-                    lazy_sweep=False, oracle=None, lp_tol=1e-8, seed=0,
-                    workers=1):
+                    oracle=None, lp_tol=1e-8, seed=0):
     """Greedy loop driven by the subspace bounds.
 
     ``mode='certified'`` selects/stops on the relative gap between the
     subspace bounds; ``mode='heuristic'`` uses the relative Ritz residual
-    instead (cheaper to trust, not guaranteed).  With ``lazy_sweep`` the
-    subspace bounds of a parameter are only recomputed when its LP warm
-    start is invalidated, trading tightness for time.  Each iteration
-    sweeps the training set with :func:`sweep_bounds`; ``workers`` runs
-    the per-parameter LP solves on a thread pool (the array work is not
-    split) without changing any result.
+    instead (cheaper to trust, not guaranteed).  Each iteration sweeps the
+    whole training set with :func:`sweep_bounds`.
 
     Returns a GreedyResult whose tables also include the classical bounds
     for comparison.
     """
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
+    if r_max is not None and r_max < 0:
+        raise ArgumentError("r_max must be non-negative")
     pool = SubspacePool(family, ell=ell)
 
-    def sweep(tables, idx, theta, sols):
+    def sweep(tables, theta, sols):
         out = sweep_bounds(pool, theta, sols, r_max=r_max)
         for key in ("lam_slb", "lam_sub", "residual", "chosen_r"):
-            tables[key][idx] = getattr(out, key)
-        tables["heuristic"][idx] = out.lam_sub - out.residual
+            tables[key][:] = getattr(out, key)
+        tables["heuristic"][:] = out.lam_sub - out.residual
 
     return _greedy(pool, train, eps, j_max, box=box,
                    warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
-                   seed=seed, workers=workers, sweep=sweep,
-                   lazy_sweep=lazy_sweep, mode=mode)
+                   seed=seed, sweep=sweep, mode=mode)

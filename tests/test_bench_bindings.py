@@ -1,7 +1,9 @@
-"""The names the benchmark's tracer patches must stay where it finds them.
+"""What the benchmark relies on must stay where it finds it.
 
 bench/tracer.py wraps functions by ``owner.__dict__[attr]`` in the modules
 that call them; a name that moves makes the traced benchmark fail.
+bench/measure.py builds a RunConfig from each workload's settings; a field
+that goes away makes every benchmark run fail.
 """
 
 import importlib
@@ -20,3 +22,12 @@ def test_tracer_bindings_exist(monkeypatch):
     assert not missing
     for attr in ("scm_greedy", "subspace_greedy"):
         assert attr in tracer.driver.__dict__
+
+
+def test_benchmark_run_configs_validate(monkeypatch):
+    """Every RunConfig the benchmark builds must stay constructible."""
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    workloads = importlib.import_module("workloads")
+    from eigenbounds.driver import RunConfig
+    for w in workloads.WORKLOADS.values():
+        RunConfig(**w.config, train_seed=0, workers=1, oracle=False).validate()

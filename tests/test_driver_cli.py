@@ -8,6 +8,7 @@ import pytest
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
+from eigenbounds.hermitian import ArgumentError
 from eigenbounds.scm import GreedyRecord
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
@@ -131,22 +132,6 @@ class TestRunPipeline:
         for line in lines[1:]:
             assert line.split(",")[col] == ""
 
-    @pytest.mark.parametrize("pipeline", ["scm", "subspace"])
-    def test_workers_do_not_change_results(self, tmp_path, pipeline):
-        family, meta = load_problem(
-            generator={"kind": "random", "Q": 2, "N": 40, "delta": 0.3,
-                       "seed": 12})
-        outs = []
-        for workers, name in ((1, "w1"), (3, "w3")):
-            config = RunConfig(pipeline=pipeline, eps=1e-3, j_max=6,
-                               n_train=25, train_seed=13, oracle=True,
-                               workers=workers)
-            out = tmp_path / name
-            run_pipeline(config, family, str(out), problem_meta=meta)
-            outs.append(out)
-        assert (outs[0] / "bounds.csv").read_bytes() == \
-            (outs[1] / "bounds.csv").read_bytes()
-
     def test_heuristic_first_valid_logic(self):
         def rec(it, valid):
             return GreedyRecord(iteration=it, selected_index=0,
@@ -269,20 +254,40 @@ class TestCli:
         assert summary["config"]["n_train"] == 16
         assert summary["config"]["pipeline"] == "scm"
 
-    def test_workers_env_variable_default(self, tmp_path, monkeypatch, capsys):
-        manifest = circle_manifest(tmp_path)
-        monkeypatch.setenv("EIGENBOUNDS_WORKERS", "2")
-        out = str(tmp_path / "envrun")
-        assert main(["run", "--manifest", manifest, "--out", out,
-                     "--train-size", "16", "--oracle"]) == 0
-        assert read_summary(out)["config"]["workers"] == 2
-
-    def test_unknown_config_field_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["nonsense", "lazy_sweep"])
+    def test_unknown_config_field_rejected(self, tmp_path, capsys, field):
         manifest = circle_manifest(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
+        cfg.write_text(json.dumps({field: 1}))
         code = main(["run", "--manifest", manifest, "--out",
                      str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["field"] == "nonsense"
+        assert payload["field"] == field
+
+    def test_config_file_workers_other_than_one_rejected(self, tmp_path,
+                                                         capsys):
+        manifest = circle_manifest(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": 2}))
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", manifest, "--out", str(out),
+                     "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ArgumentError"
+        assert "workers" in payload["message"]
+        assert not out.exists()
+
+    def test_negative_r_max_rejected_before_any_work(self, tmp_path, capsys):
+        manifest = circle_manifest(tmp_path)
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", manifest, "--out", str(out),
+                     "--r-max", "-1"])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "ArgumentError",
+                           "message": "r_max must be non-negative"}
+        assert not out.exists()
+        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
+            RunConfig(r_max=-1).validate()

@@ -380,29 +380,18 @@ class TestSubspaceGreedy:
             assert np.allclose(res_on.tables[key], res_off.tables[key],
                                atol=1e-12)
 
-    def test_worker_fanout_identical_results(self):
-        fam = random_family(3, 50, delta=0.3, seed=27)
-        train = random_training_set(fam.domain, 30, seed=28)
-        r1 = subspace_greedy(fam, train, eps=1e-5, j_max=8,
-                             workers=1)
-        r3 = subspace_greedy(fam, train, eps=1e-5, j_max=8,
-                             workers=3)
-        for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic"):
-            assert np.array_equal(r1.tables[key], r3.tables[key])
-        assert r1.records[-1].lp_count == r3.records[-1].lp_count
+    def test_negative_r_max_rejected_before_any_solve(self, monkeypatch):
+        import eigenbounds.scm as scm
 
-    def test_lazy_sweep_bounds_remain_valid(self):
-        fam = random_family(3, 60, delta=0.3, seed=25)
-        train = random_training_set(fam.domain, 40, seed=26)
-        oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
-                           for mu in train.points])
-        res = subspace_greedy(fam, train, eps=1e-6, j_max=15,
-                              lazy_sweep=True, oracle=oracle)
-        tabs = res.tables
-        slack = 1e-8 * (1 + np.abs(oracle))
-        assert np.all(tabs["lam_slb"] <= oracle + slack)
-        assert np.all(tabs["lam_sub"] >= oracle - slack)
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking r_max")
 
+        monkeypatch.setattr(scm, "compute_bounding_box", no_solve)
+        monkeypatch.setattr(scm, "solve_at_sample", no_solve)
+        fam = unit_circle_family()
+        train = TrainingSet(points=np.linspace(0, np.pi, 8).reshape(-1, 1))
+        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
+            subspace_greedy(fam, train, r_max=-1)
 
 class TestComplexHermitianFamily:
     def test_full_stack_cascade(self):
