@@ -254,8 +254,7 @@ class TestCli:
         assert summary["config"]["n_train"] == 16
         assert summary["config"]["pipeline"] == "scm"
 
-    @pytest.mark.parametrize("field", ["nonsense", "lazy_sweep"])
-    def test_unknown_config_field_rejected(self, tmp_path, capsys, field):
+    def _assert_config_field_rejected(self, tmp_path, capsys, field):
         manifest = circle_manifest(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: 1}))
@@ -264,6 +263,12 @@ class TestCli:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == field
+
+    def test_unknown_config_field_rejected(self, tmp_path, capsys):
+        self._assert_config_field_rejected(tmp_path, capsys, "nonsense")
+
+    def test_deleted_lazy_sweep_field_rejected(self, tmp_path, capsys):
+        self._assert_config_field_rejected(tmp_path, capsys, "lazy_sweep")
 
     def test_config_file_workers_other_than_one_rejected(self, tmp_path,
                                                          capsys):
