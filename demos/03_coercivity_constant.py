@@ -1,10 +1,10 @@
 """Coercivity constants as parametric smallest eigenvalues.
 
-A stiffness family A(mu) measured in an energy inner product X turns into
-a standard Hermitian family L^{-1} A(mu) L^{-T} through one Cholesky
-factorization X = L L^T.  The smallest eigenvalue of the transformed
-family is the discrete coercivity constant; the bound machinery then
-certifies it over the whole parameter domain.
+A stiffness family A(mu) measured in an energy inner product X defines
+the pencil (A(mu), X), whose smallest eigenvalue is the discrete
+coercivity constant.  X is factored once (sparse, SuperLU) and attached
+to the family; every eigensolve then runs on the pencil, and the bound
+machinery certifies the constant over the whole parameter domain.
 """
 
 import numpy as np

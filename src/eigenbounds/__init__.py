@@ -12,12 +12,11 @@ from .expressions import EvaluationError, ParseError, ThetaExpression, parse_the
 from .family import (AffineFamily, BoundingBox, TrainingSet,
                      compute_bounding_box, joint_rayleigh,
                      random_training_set)
-from .hermitian import (ArgumentError, CholeskyFactor, DenseHermitian,
-                        EigenPairs, EigensolverError, HermitianOperator,
+from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
+                        EigensolverError, HermitianOperator,
                         NotPositiveDefiniteError, ProductHermitian,
-                        SandwichHermitian, SparseHermitian, cholesky,
-                        dense_smallest, extreme_eigs, hermitian,
-                        smallest_eigpairs)
+                        SparseHermitian, SpdFactor, cholesky, dense_smallest,
+                        extreme_eigs, hermitian, smallest_eigpairs)
 from .lp import (InfeasibleError, LPError, LPProblem, LPSolution,
                  TightenedBound, lp_minimize, tighten_and_resolve)
 from .mmio import MMFormatError, MMHeader, read_matrix_market, write_matrix_market

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 
 from .driver import (CompareError, RunConfig, compare_runs,
                      generate_problem_files, load_problem, run_pipeline)
@@ -83,6 +84,15 @@ def _load_json_arg(text):
     return json.loads(text)
 
 
+def _fits(value, hint):
+    """Whether a JSON value fits a RunConfig annotation: only a bool fits
+    bool, and an int also fits float."""
+    if typing.get_args(hint):       # a union such as int | None
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    return (isinstance(value, (int, float) if hint is float else hint)
+            and isinstance(value, bool) == (hint is bool))
+
+
 def _config_from_args(args):
     config = RunConfig(
         pipeline=args.pipeline, eps=args.eps, j_max=args.j_max,
@@ -93,11 +103,14 @@ def _config_from_args(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
-        known = set(RunConfig.__dataclass_fields__)
+        hints = typing.get_type_hints(RunConfig)
         for key, value in overrides.items():
-            if key not in known:
+            if key not in hints:
                 raise ManifestError(key, "unknown config field")
-            setattr(config, key, value)
+            if not _fits(value, hints[key]):
+                raise ManifestError(key, f"wrong type: {value!r}")
+            setattr(config, key, float(value) if hints[key] is float
+                    else value)
     return config.validate()
 
 

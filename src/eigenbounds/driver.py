@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .family import random_training_set
-from .hermitian import ArgumentError
+from .hermitian import ArgumentError, dense_smallest
 from .mmio import write_matrix_market
 from .problems import (ManifestError, block_grid_family, load_family,
                        one_parameter_analytic_family, random_family,
@@ -111,8 +111,12 @@ def load_problem(manifest=None, generator=None):
 
 
 def _oracle_values(family, points):
-    return np.array([np.linalg.eigvalsh(family.assemble_dense(mu))[0]
-                     for mu in points])
+    X = family.inner_product
+    mats = (family.assemble_dense(mu) for mu in points)
+    if X is None:
+        return np.array([np.linalg.eigvalsh(A)[0] for A in mats])
+    return np.array([dense_smallest(A, 1, size_cap=family.n, M=X).values[0]
+                     for A in mats])
 
 
 def _fmt(value):

@@ -3,7 +3,8 @@
 The family object separates the parameter dependence (scalar coefficient
 functions theta_q on a box domain D) from the fixed Hermitian terms A_q.
 Everything downstream (bounding box, sampled Rayleigh-quotient constraints,
-reduced matrices) is phrased in terms of this decomposition.
+reduced matrices) is phrased in terms of this decomposition.  With an SPD
+inner product X, every eigenproblem is the pencil (A(mu), X).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        ProductHermitian, SandwichHermitian, SparseHermitian,
-                        extreme_eigs, hermitian)
+                        ProductHermitian, SparseHermitian, extreme_eigs,
+                        hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -33,7 +34,8 @@ class AffineFamily:
     ``theta`` maps a parameter point (array of length P) to the Q
     coefficients.  ``domain`` lists the per-coordinate intervals of the
     parameter box D.  ``theta_source`` optionally carries expression strings
-    for the coefficients, used for manifest emission.
+    for the coefficients, used for manifest emission.  ``inner_product``
+    optionally holds the SpdFactor of the inner-product matrix X.
     """
 
     terms: tuple
@@ -41,6 +43,7 @@ class AffineFamily:
     domain: tuple
     theta_source: tuple | None = None
     name: str = ""
+    inner_product: object = None
 
     def __post_init__(self):
         terms = tuple(hermitian(t) for t in self.terms)
@@ -50,6 +53,8 @@ class AffineFamily:
         n = terms[0].n
         if any(t.n != n for t in terms):
             raise ArgumentError("all terms must share the matrix dimension")
+        if self.inner_product is not None and self.inner_product.n != n:
+            raise ArgumentError("inner-product dimension mismatch")
         dom = tuple((float(lo), float(hi)) for lo, hi in self.domain)
         if any(lo > hi for lo, hi in dom):
             raise ArgumentError("empty domain interval")
@@ -103,47 +108,32 @@ class AffineFamily:
         """A(mu) as a HermitianOperator.
 
         Assembles a concrete matrix when all terms are stored dense (below
-        ``dense_cap``) or all sparse.  When every term is a sandwich over the
-        same Cholesky factor with sparse middles, assembles the middle and
-        returns one sandwich, so each product costs one pair of triangular
-        solves.  Otherwise applies the terms one by one.
+        ``dense_cap``) or all sparse; otherwise applies the terms one by one.
         """
         th = self.theta_at(mu)
         if all(isinstance(t, DenseHermitian) for t in self.terms) and self.n <= dense_cap:
             return DenseHermitian(self.assemble_dense(mu, max_n=dense_cap))
-        terms = self.terms
-        factor = getattr(terms[0], "factor", None)
-        sandwich = all(isinstance(t, SandwichHermitian) and t.factor is factor
-                       for t in terms)
-        if sandwich:
-            terms = tuple(t.middle for t in terms)
-        if all(isinstance(t, SparseHermitian) for t in terms):
-            acc = th[0] * terms[0].matrix
-            for c, term in zip(th[1:], terms[1:]):
+        if all(isinstance(t, SparseHermitian) for t in self.terms):
+            acc = th[0] * self.terms[0].matrix
+            for c, term in zip(th[1:], self.terms[1:]):
                 acc = acc + c * term.matrix
-            op = SparseHermitian(acc)
-            return SandwichHermitian(factor, op) if sandwich else op
+            return SparseHermitian(acc)
         return ProductHermitian(lambda X, _mu=np.array(mu, dtype=float):
                                 self.apply(_mu, X),
                                 n=self.n,
                                 iscomplex=any(t.iscomplex for t in self.terms))
 
-    def contains(self, mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        return mu.size == self.p and all(
-            lo - 1e-12 <= x <= hi + 1e-12
-            for x, (lo, hi) in zip(mu, self.domain))
-
 
 def joint_rayleigh(family, u):
-    """The vector of per-term Rayleigh quotients (u*A_q u / u*u)_q.
+    """The vector of per-term Rayleigh quotients (u*A_q u / u*Xu)_q.
 
     The image of this map over all nonzero u is the joint numerical range of
     the terms; theta(mu)^T joint_rayleigh(u) equals the Rayleigh quotient of
-    A(mu) at u for every mu.
+    A(mu) at u for every mu.  X is the inner product, or the identity.
     """
     u = np.asarray(u)
-    nrm2 = np.real(np.vdot(u, u))
+    X = family.inner_product
+    nrm2 = np.real(np.vdot(u, u if X is None else X.matrix.matvec(u)))
     if nrm2 == 0.0:
         raise ArgumentError("joint Rayleigh map is undefined at the zero vector")
     return np.array([np.real(np.vdot(u, t.matvec(u))) / nrm2
@@ -165,10 +155,6 @@ class BoundingBox:
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ArgumentError("invalid bounding box intervals")
 
-    @property
-    def q(self):
-        return self.lower.size
-
     def contains(self, point, slack=1e-9):
         point = np.asarray(point, dtype=float)
         return bool(np.all(point >= self.lower - slack)
@@ -176,12 +162,13 @@ class BoundingBox:
 
 
 def compute_bounding_box(family, seed=0):
-    """Extreme eigenvalues of every term, stacked into a BoundingBox."""
+    """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox."""
     lows = np.empty(family.q)
     highs = np.empty(family.q)
     for qi, term in enumerate(family.terms):
         try:
-            lows[qi], highs[qi] = extreme_eigs(term, seed=seed)
+            lows[qi], highs[qi] = extreme_eigs(term, seed=seed,
+                                               M=family.inner_product)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",

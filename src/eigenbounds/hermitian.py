@@ -7,9 +7,9 @@ single term (for the bounding box), and full eigendecompositions of small
 projected matrices.  The iterative eigenpairs carry explicitly computed
 residual norms: each Ritz value lies within ||r|| of an eigenvalue, and it
 is the wanted one provided ARPACK missed no eigenvalue below it.  Operators
-come in three storage flavours: dense arrays, sparse matrices, and
-"sandwich" products L^{-1} M L^{-T} that are applied through triangular
-solves and never formed.
+are dense arrays, sparse matrices or callable block products.  Given the
+sparse factor of an SPD X (:func:`cholesky`), the eigensolvers solve the
+pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
-from scipy.linalg import get_lapack_funcs, solve_triangular
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 __all__ = [
     "ArgumentError",
@@ -29,10 +29,9 @@ __all__ = [
     "HermitianOperator",
     "DenseHermitian",
     "SparseHermitian",
-    "SandwichHermitian",
     "ProductHermitian",
     "EigenPairs",
-    "CholeskyFactor",
+    "SpdFactor",
     "hermitian",
     "orthonormal_columns",
     "smallest_eigpairs",
@@ -51,10 +50,11 @@ class ArgumentError(ValueError):
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky failure; ``pivot`` is the 1-based index of the bad pivot."""
+    """Factorization failure at 1-based ``pivot`` (None: exactly singular)."""
 
     def __init__(self, pivot):
-        super().__init__(f"matrix is not positive definite (pivot {pivot})")
+        where = "exactly singular" if pivot is None else f"pivot {pivot}"
+        super().__init__(f"matrix is not positive definite ({where})")
         self.pivot = pivot
 
 
@@ -76,8 +76,8 @@ class EigenPairs:
     """Ascending eigenvalues with an orthonormal block of eigenvectors."""
 
     values: np.ndarray    # (k,) real, ascending
-    vectors: np.ndarray   # (n, k) orthonormal columns
-    residuals: np.ndarray # (k,) two-norms of A v - lambda v
+    vectors: np.ndarray   # (n, k) orthonormal (X-orthonormal) columns
+    residuals: np.ndarray # (k,) norms of A v - lambda v (or - lambda X v)
 
     @property
     def count(self):
@@ -177,26 +177,6 @@ class SparseHermitian(HermitianOperator):
         return self.matrix.toarray()
 
 
-class SandwichHermitian(HermitianOperator):
-    """The operator L^{-1} M L^{-T} applied through triangular solves.
-
-    Hermitian by construction whenever ``middle`` is Hermitian; nothing of
-    size n x n is ever formed beyond the stored factor.
-    """
-
-    def __init__(self, factor, middle):
-        self.factor = factor
-        self.middle = middle
-        self.n = middle.n
-        self.iscomplex = middle.iscomplex or np.iscomplexobj(factor.L)
-        self.symmetrization_defect = middle.symmetrization_defect
-
-    def matmat(self, X):
-        T = self.factor.solve_upper(X)        # L^{-T} X  (L^{-*} in the complex case)
-        U = self.middle.matmat(T)
-        return self.factor.solve_lower(U)     # L^{-1} (...)
-
-
 class ProductHermitian(HermitianOperator):
     """Operator given by a callable block product, Hermitian by construction."""
 
@@ -220,57 +200,65 @@ def hermitian(matrix):
 
 
 @dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor L with L L* = X."""
+class SpdFactor:
+    """An SPD matrix X with its sparse factor; made by :func:`cholesky`."""
 
-    L: np.ndarray
-    permutation: object = None  # dense factorization uses no pivoting
+    matrix: SparseHermitian    # X
+    lu: object                 # SuperLU factor of X
 
     @property
     def n(self):
-        return self.L.shape[0]
+        return self.matrix.n
 
-    def solve_lower(self, B):
-        """L^{-1} B."""
-        return solve_triangular(self.L, B, lower=True, check_finite=False)
-
-    def solve_upper(self, B):
-        """L^{-*} B."""
-        return solve_triangular(self.L, B, lower=True, trans='C',
-                                check_finite=False)
-
-    def reconstruct(self):
-        return self.L @ self.L.conj().T
+    def solve(self, B):
+        """X^{-1} B for a vector or a block of columns."""
+        if np.iscomplexobj(B) and not self.matrix.iscomplex:
+            return self.lu.solve(B.real) + 1j * self.lu.solve(B.imag)
+        return self.lu.solve(B)
 
 
-def cholesky(X, max_n=DENSIFY_CAP):
-    """Cholesky factorization X = L L* of a symmetric positive definite X.
+def cholesky(X):
+    """Sparse factorization of a symmetric positive definite X, never dense.
 
-    Sparse input is densified up to ``max_n``; a non-positive pivot raises
-    :class:`NotPositiveDefiniteError` with the 1-based pivot index.
+    SuperLU in symmetric mode pivots on the diagonal only: P X P^T = L D L^T,
+    and X is positive definite iff every pivot is positive.  A non-positive
+    or skipped pivot raises NotPositiveDefiniteError with its index in X.
     """
-    op = hermitian(X)
-    A = op.dense(max_n=max_n)
-    potrf, = get_lapack_funcs(("potrf",), (A,))
-    L, info = potrf(A, lower=1, clean=1, overwrite_a=0)
-    if info > 0:
-        raise NotPositiveDefiniteError(pivot=int(info))
-    if info < 0:
-        raise ArgumentError(f"illegal argument {-info} to potrf")
-    return CholeskyFactor(L=L)
+    op = SparseHermitian(X)
+    try:
+        lu = splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:          # "Factor is exactly singular"
+        raise NotPositiveDefiniteError(pivot=None) from exc
+    # pivot k sits at row order_r[k] and column order_c[k] of X
+    order_r, order_c = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
+    bad = np.flatnonzero((order_r != order_c)
+                         | ~(np.real(lu.U.diagonal()) > 0.0))
+    if bad.size:
+        raise NotPositiveDefiniteError(pivot=int(order_c[bad[0]]) + 1)
+    return SpdFactor(op, lu)
 
 
-def orthonormal_columns(X, against=None, drop_tol=1e-10):
+def _norms(V, apply):
+    """Column norms sqrt(v* apply(v)); two-norms when ``apply`` is None."""
+    if apply is None:
+        return np.linalg.norm(V, axis=0)
+    return np.sqrt(np.maximum(np.real(np.sum(V.conj() * apply(V), axis=0)), 0))
+
+
+def orthonormal_columns(X, against=None, drop_tol=1e-10, M=None):
     """Two-pass Gram-Schmidt orthonormalization with near-dependence dropping.
 
     Orthogonalizes the columns of ``X`` against ``against`` (if given) and
     against each other; columns whose norm falls below ``drop_tol`` times the
-    original column norm are dropped.  Returns (Q, kept_indices).
+    original column norm are dropped.  With the factor ``M`` of an SPD X,
+    in the X inner product.  Returns (Q, kept_indices).
     """
+    gram = (lambda v: v) if M is None else M.matrix.matmat    # v -> X v
     X = np.array(X, dtype=complex if np.iscomplexobj(X) else float, copy=True)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
-    orig = np.linalg.norm(X, axis=0)
+    orig = _norms(X, M and gram)
     orig[orig == 0.0] = 1.0
     cols = []
     kept = []
@@ -278,10 +266,10 @@ def orthonormal_columns(X, against=None, drop_tol=1e-10):
         v = X[:, j]
         for _ in range(2):
             if against is not None and against.shape[1]:
-                v = v - against @ (against.conj().T @ v)
+                v = v - against @ (against.conj().T @ gram(v))
             for q in cols:
-                v = v - q * np.vdot(q, v)
-        nrm = np.linalg.norm(v)
+                v = v - q * np.vdot(q, gram(v))
+        nrm = np.linalg.norm(v) if M is None else _norms(v, gram)
         if nrm <= drop_tol * orig[j]:
             continue
         cols.append(v / nrm)
@@ -292,18 +280,17 @@ def orthonormal_columns(X, against=None, drop_tol=1e-10):
     return np.column_stack(cols), kept
 
 
-def _ritz_pairs(op, values, vectors):
+def _ritz_pairs(op, values, vectors, M):
     """EigenPairs in ascending order, with residuals computed explicitly."""
     order = np.argsort(values)
     w = np.asarray(values, dtype=float)[order]
     V = np.ascontiguousarray(vectors[:, order])
-    R = op.matmat(V) - V * w
-    return EigenPairs(values=w, vectors=V,
-                      residuals=np.linalg.norm(R, axis=0))
+    R = op.matmat(V) - (V if M is None else M.matrix.matmat(V)) * w
+    return EigenPairs(values=w, vectors=V, residuals=_norms(R, M and M.solve))
 
 
-def smallest_eigpairs(A, k, seed=0, restart_cap=None):
-    """The k smallest eigenpairs of a Hermitian operator.
+def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None):
+    """The k smallest eigenpairs of a Hermitian operator, or of a pencil.
 
     Implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``)
     run to working precision, applied to the operator one vector at a time;
@@ -312,6 +299,10 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None):
     explicitly as ||A v - lambda v||, so each returned value lies within its
     residual of an eigenvalue of A.  That the values are the k *smallest*
     eigenvalues assumes ARPACK missed none below them.
+
+    With ``M`` (the :class:`SpdFactor` of X) ARPACK's generalized mode
+    solves the pencil (A, X), applying X^{-1} through the factor; residuals
+    are then ||A v - lambda X v|| in the X^{-1} norm.
 
     Parameters
     ----------
@@ -331,7 +322,7 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None):
     if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
         raise ArgumentError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     if n <= DENSE_FALLBACK_SIZE:
-        return dense_smallest(op.dense(), k)
+        return dense_smallest(op.dense(), k, M=M)
 
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(n)
@@ -339,17 +330,20 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None):
         v0 = v0 + 1j * rng.standard_normal(n)
     lin = LinearOperator((n, n), matvec=op.matvec, matmat=op.matmat,
                          dtype=v0.dtype)
+    Xinv = M and LinearOperator((n, n), matvec=M.solve, matmat=M.solve,
+                                dtype=v0.dtype)
     try:
-        w, V = eigsh(lin, k=k, which="SA", tol=0, v0=v0, maxiter=restart_cap)
+        w, V = eigsh(lin, k=k, M=M and M.matrix.matrix, Minv=Xinv, which="SA",
+                     tol=0, v0=v0, maxiter=restart_cap)
     except ArpackNoConvergence as exc:
         raise EigensolverError(
             f"no convergence: {exc}",
-            best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors)) from exc
-    return _ritz_pairs(op, w, V)
+            best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors, M)) from exc
+    return _ritz_pairs(op, w, V, M)
 
 
-def extreme_eigs(A, seed=0):
-    """Smallest and largest eigenvalue of a Hermitian operator.
+def extreme_eigs(A, seed=0, M=None):
+    """Smallest and largest eigenvalue of a Hermitian operator (or pencil).
 
     Both come from :func:`smallest_eigpairs` at working precision, so each
     lies within its residual norm of an eigenvalue, assuming ARPACK missed
@@ -359,18 +353,19 @@ def extreme_eigs(A, seed=0):
     """
     op = hermitian(A)
     if op.n == 1:
-        d = float(np.real(op.matvec(np.ones(1))[0]))
+        d = float(dense_smallest(op.dense(), 1, M=M).values[0])
         return d, d
-    lo = smallest_eigpairs(op, 1, seed=seed).values[0]
-    hi = -smallest_eigpairs(-op, 1, seed=seed).values[0]
+    lo = smallest_eigpairs(op, 1, seed=seed, M=M).values[0]
+    hi = -smallest_eigpairs(-op, 1, seed=seed, M=M).values[0]
     return float(lo), float(hi)
 
 
-def dense_smallest(H, r, size_cap=REDUCED_SIZE_CAP):
+def dense_smallest(H, r, size_cap=REDUCED_SIZE_CAP, M=None):
     """The r smallest eigenpairs of a small dense Hermitian matrix.
 
     Full symmetric eigendecomposition; ``size_cap`` guards against reduced
-    problems growing unexpectedly large.
+    problems growing unexpectedly large.  With ``M`` as in
+    :func:`smallest_eigpairs`, the dense pencil (H, X) instead.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -381,8 +376,9 @@ def dense_smallest(H, r, size_cap=REDUCED_SIZE_CAP):
     if not 1 <= r <= m:
         raise ArgumentError(f"r must satisfy 1 <= r <= {m}, got {r}")
     Hs = 0.5 * (H + H.conj().T)
-    w, S = np.linalg.eigh(Hs)
+    X = None if M is None else M.matrix.dense()
+    w, S = np.linalg.eigh(Hs) if X is None else scipy.linalg.eigh(Hs, X)
     V = S[:, :r]
-    R = Hs @ V - V * w[:r]
+    R = Hs @ V - (V if X is None else X @ V) * w[:r]
     return EigenPairs(values=w[:r].copy(), vectors=np.ascontiguousarray(V),
-                      residuals=np.linalg.norm(R, axis=0))
+                      residuals=_norms(R, M and M.solve))

@@ -2,25 +2,27 @@
 
 Synthetic generators (rotation family, random perturbation family,
 one-parameter analytic family, subdomain-weighted stencil family), the
-Cholesky transform turning generalized eigenproblems into standard ones,
-the squared-singular-value expansion, and the JSON-manifest loader backed
-by Matrix Market term files.
+coercivity transform attaching a sparse-factored inner product to a
+stiffness family (its eigenproblems become pencils (A(mu), X)), the
+squared-singular-value expansion, and the JSON-manifest loader backed by
+Matrix Market term files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 
 from .expressions import (EvaluationError, ParseError, parse_theta,
                           probe_expressions)
 from .family import AffineFamily
-from .hermitian import (ArgumentError, CholeskyFactor, DenseHermitian,
-                        HermitianOperator, SandwichHermitian, cholesky,
+from .hermitian import (ArgumentError, DenseHermitian, SpdFactor, cholesky,
                         hermitian)
 from .mmio import read_matrix_market
 
@@ -38,6 +40,7 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
+SINGULAR_DENSE_CAP = 2048   # the singular-value expansion is dense
 PIPELINES = ("eig", "coercivity", "singular")
 
 
@@ -201,53 +204,39 @@ def block_grid_family(nx=32, ny=33, blocks=(3, 3), coeff_range=(0.1, 0.5)):
 
 @dataclass(frozen=True)
 class GeneralizedProblem:
-    """Stiffness family with an SPD inner-product matrix and its factor."""
+    """Stiffness family with the sparse factor of its SPD inner product."""
 
     family: AffineFamily
-    inner_product: HermitianOperator
-    factor: CholeskyFactor
+    factor: SpdFactor
 
     @classmethod
-    def build(cls, family, inner_product, max_n=4096):
-        op = hermitian(inner_product)
-        if op.n != family.n:
-            raise ArgumentError("inner-product dimension mismatch")
-        return cls(family=family, inner_product=op,
-                   factor=cholesky(op, max_n=max_n))
+    def build(cls, family, inner_product):
+        # the pencil family made by coercivity_transform checks dimensions
+        return cls(family=family, factor=cholesky(inner_product))
 
 
-def coercivity_transform(problem, dense_cap=2048):
-    """Replace every term A_q by L^{-1} A_q L^{-T} with X = L L^T.
+def coercivity_transform(problem):
+    """The stiffness family with the inner product X attached.
 
-    The transformed family's smallest eigenvalue at mu equals the smallest
-    generalized eigenvalue of (A(mu), X), i.e. the discrete coercivity
-    constant.  Terms stay in operator form above ``dense_cap``.
+    Every eigenproblem of the result is the pencil (A(mu), X), so its
+    smallest eigenvalue at mu is the discrete coercivity constant.  The
+    terms are kept as they are; X enters through its sparse factor.
     """
     fam = problem.family
-    L = problem.factor
-    terms = []
-    for term in fam.terms:
-        if fam.n <= dense_cap:
-            A = term.dense(max_n=dense_cap)
-            B = L.solve_lower(A)                      # L^{-1} A
-            terms.append(DenseHermitian(
-                L.solve_lower(B.conj().T).conj().T))  # (L^{-1} B*)* = B L^{-*}
-        else:
-            terms.append(SandwichHermitian(L, term))
-    return AffineFamily(terms=tuple(terms), theta=fam.theta, domain=fam.domain,
+    return AffineFamily(terms=fam.terms, theta=fam.theta, domain=fam.domain,
                         theta_source=fam.theta_source,
-                        name=fam.name + ":coercivity")
+                        name=fam.name + ":coercivity",
+                        inner_product=problem.factor)
 
 
-def singular_value_expansion(raw_terms, theta_sources, domain, inner_product,
-                             dense_cap=2048):
+def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
     """Family whose smallest eigenvalue is the squared smallest singular value.
 
     Given possibly nonsymmetric terms B_q with coefficients theta_q and an
     SPD matrix X = L L^T, builds the Hermitian family equal to
     L^{-1} A(mu)^T X^{-1} A(mu) L^{-T}: q*(q+1)/2 stored Hermitian terms
     (the i=j products plus symmetrized i<j pairs) with coefficients
-    theta_i * theta_j.  X^{-1} is applied through the Cholesky factor.
+    theta_i * theta_j.  Dense, so n <= SINGULAR_DENSE_CAP.
     """
     if any(np.iscomplexobj(t.data if sparse.issparse(t) else t)
            for t in raw_terms):
@@ -260,12 +249,13 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product,
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise ArgumentError("terms must be square with a common dimension")
-    if n > dense_cap:
+    if n > SINGULAR_DENSE_CAP:
         raise ArgumentError(
-            f"singular-value expansion is dense-only up to {dense_cap}")
-    L = cholesky(inner_product, max_n=dense_cap)
+            f"singular-value expansion is dense-only up to {SINGULAR_DENSE_CAP}")
+    L = scipy.linalg.cholesky(hermitian(inner_product).dense(), lower=True)
+    solve = functools.partial(scipy.linalg.solve_triangular, L, lower=True)
     # C_q = L^{-1} B_q L^{-T}; the expansion terms are C_i^T C_j products.
-    C = [L.solve_lower(L.solve_lower(B.T).T) for B in mats]
+    C = [solve(solve(B.T).T) for B in mats]
     terms = []
     pair_sources = []
     p = len(domain)
@@ -402,6 +392,5 @@ def load_family(path):
         if inner is None:
             raise ManifestError("inner_product",
                                 "required for the coercivity pipeline")
-        gen = GeneralizedProblem.build(fam, inner)
-        return coercivity_transform(gen), meta
+        return coercivity_transform(GeneralizedProblem.build(fam, inner)), meta
     return fam, meta

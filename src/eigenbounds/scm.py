@@ -78,7 +78,7 @@ class GreedyResult:
 
 
 def solve_at_sample(family, mu, k, seed=0):
-    """Smallest k eigenpairs of A(mu).
+    """Smallest k eigenpairs of A(mu) (of the pencil with an inner product).
 
     Takes the dense path when k reaches the full dimension (the iterative
     solver requires k < n); :func:`smallest_eigpairs` picks dense or
@@ -87,8 +87,10 @@ def solve_at_sample(family, mu, k, seed=0):
     n = family.n
     k = min(k, n)
     if k >= n:
-        return dense_smallest(family.assemble_dense(mu), k, size_cap=max(n, 2000))
-    return smallest_eigpairs(family.operator_at(mu), k, seed=seed)
+        return dense_smallest(family.assemble_dense(mu), k,
+                              size_cap=max(n, 2000), M=family.inner_product)
+    return smallest_eigpairs(family.operator_at(mu), k, seed=seed,
+                             M=family.inner_product)
 
 
 class ScmState:
@@ -173,10 +175,11 @@ def _ratio_array(lb, ub):
     return out
 
 
-def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
-            lp_tol, seed, sweep=None, mode="certified"):
+def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
+            sweep=None, mode="certified"):
     """The greedy loop of both pipelines.
 
+    The loop starts with the bounding box (2Q extreme-eigenvalue solves).
     Each iteration solves at the selected parameter (``model.add_sample``),
     updates the sampled upper bounds ``lam_ub``, solves the LP lower bound
     ``lam_lb`` of every training point whose cached minimizer violates the
@@ -198,8 +201,7 @@ def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
     t0 = time.perf_counter()
     eig_seconds = lp_seconds = reduced_seconds = 0.0
     t = time.perf_counter()
-    if box is None:
-        box = compute_bounding_box(family, seed=seed)
+    box = compute_bounding_box(family, seed=seed)
     eig_seconds += time.perf_counter() - t
     eig_count = 2 * family.q
     lp_count = 0
@@ -305,8 +307,8 @@ def _greedy(model, train, eps, j_max, *, box, warm_start, oracle,
     return result()
 
 
-def scm_greedy(family, train, eps=1e-4, j_max=200, *, box=None,
-               warm_start=True, oracle=None, lp_tol=1e-8, seed=0):
+def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
+               oracle=None, lp_tol=1e-8, seed=0):
     """Greedy SCM loop.
 
     Parameters
@@ -314,12 +316,11 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, box=None,
     family, train : problem and training set
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
-    box : precomputed BoundingBox (computed here when omitted)
     warm_start : reuse a parameter's LP minimizer while it stays feasible
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """
-    return _greedy(ScmState(family), train, eps, j_max, box=box,
+    return _greedy(ScmState(family), train, eps, j_max,
                    warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
                    seed=seed)
 
@@ -332,9 +333,11 @@ def worst_case_family(state, mu_tilde, y_tilde, max_n=4096):
     the rebuilt family keeps the sampled smallest eigenvalues and its
     smallest eigenvalue at ``mu_tilde`` drops exactly to the lower bound.
     Used by tests to certify that no better lower bound can be extracted
-    from eigenvalue samples alone.
+    from eigenvalue samples alone.  Standard families only.
     """
     family = state.family
+    if family.inner_product is not None:
+        raise ArgumentError("worst-case family of a pencil family")
     n = family.n
     if state.j >= n:
         raise ArgumentError("need fewer samples than the matrix dimension")

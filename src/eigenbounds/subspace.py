@@ -10,6 +10,8 @@ lower bound all come from small dense problems:
   leading Ritz block, with the unknown complementary-subspace eigenvalue
   replaced by eta from the tightened active-set LP system.
 
+With an inner product X, V is X-orthonormal; A_q A_q' reads A_q X^{-1} A_q'.
+
 :func:`sweep_bounds` evaluates these bounds for a whole batch of
 parameters with array code, given their LP solutions: one GEMM builds
 every projected matrix and one every projected A(mu)^2, a stacked
@@ -77,7 +79,7 @@ class SubspacePool(ScmState):
         self.basis = np.zeros((n, 0))
         self.applied = [np.zeros((n, 0)) for _ in range(q)]   # A_q V
         self.reduced = np.zeros((q, 0, 0))                    # V* A_q V
-        self.cross = np.zeros((q, q, 0, 0))                   # V* A_q A_q' V
+        self.cross = np.zeros((q, q, 0, 0))           # V* A_q X^{-1} A_q' V
 
     @property
     def dim(self):
@@ -102,9 +104,11 @@ def append_sample(pool, mu_new, seed=0):
     the extra value feeds the gap lemma) and ell eigenvectors, orthogonalizes
     the new vectors against the basis with a drop tolerance for
     near-dependence, and extends the reduced and cross matrices with only
-    the new rows/columns.
+    the new rows/columns (with an inner product X, one solve with X per new
+    column and term).
     """
     family = pool.family
+    X = family.inner_product
     mu_new = np.atleast_1d(np.asarray(mu_new, dtype=float))
     if pool.has_sample(mu_new):
         raise ArgumentError("sample already present in the pool")
@@ -114,7 +118,7 @@ def append_sample(pool, mu_new, seed=0):
     vectors = pairs.vectors[:, :ell_eff]
 
     new_block, kept = orthonormal_columns(vectors, against=pool.basis,
-                                          drop_tol=DROP_TOL)
+                                          drop_tol=DROP_TOL, M=X)
     if pool.basis.shape[1] == 0 and new_block.shape[1] == 0:
         raise ArgumentError("cannot start a pool with an empty block")
     basis = np.hstack([pool.basis, new_block]) if new_block.shape[1] else pool.basis
@@ -124,6 +128,7 @@ def append_sample(pool, mu_new, seed=0):
     m_new = new_block.shape[1]
     if m_new:
         applied_new = [family.terms[qi].matmat(new_block) for qi in range(q)]
+        solved_new = [a if X is None else X.solve(a) for a in applied_new]
         m = m_old + m_new
         reduced = np.zeros((q, m, m), dtype=np.result_type(basis, float))
         cross = np.zeros((q, q, m, m), dtype=reduced.dtype)
@@ -140,11 +145,11 @@ def append_sample(pool, mu_new, seed=0):
                 cross[qi, qj, :m_old, :m_old] = pool.cross[qi, qj]
                 if m_old:
                     cross[qi, qj, :m_old, m_old:] = \
-                        pool.applied[qi].conj().T @ applied_new[qj]
+                        pool.applied[qi].conj().T @ solved_new[qj]
                     cross[qi, qj, m_old:, :m_old] = \
-                        applied_new[qi].conj().T @ pool.applied[qj]
+                        solved_new[qi].conj().T @ pool.applied[qj]
                 cross[qi, qj, m_old:, m_old:] = \
-                    applied_new[qi].conj().T @ applied_new[qj]
+                    applied_new[qi].conj().T @ solved_new[qj]
         pool.applied = [np.hstack([pool.applied[qi], applied_new[qi]])
                         for qi in range(q)]
         pool.reduced = reduced
@@ -153,7 +158,8 @@ def append_sample(pool, mu_new, seed=0):
 
     pool.append(mu_new, pairs.values[0], pairs.vectors[:, 0])
     pool.sample_values.append(pairs.values.copy())
-    pool.coeffs.append(pool.basis.conj().T @ vectors if pool.dim else
+    X_vectors = vectors if X is None else X.matrix.matmat(vectors)
+    pool.coeffs.append(pool.basis.conj().T @ X_vectors if pool.dim else
                        np.zeros((0, ell_eff)))
     pool.dropped.append(ell_eff - m_new)
     return pool
@@ -466,8 +472,8 @@ def residual_heuristic_bound(pool, mu):
 
 
 def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
-                    mode="certified", *, box=None, warm_start=True,
-                    oracle=None, lp_tol=1e-8, seed=0):
+                    mode="certified", *, warm_start=True, oracle=None,
+                    lp_tol=1e-8, seed=0):
     """Greedy loop driven by the subspace bounds.
 
     ``mode='certified'`` selects/stops on the relative gap between the
@@ -490,6 +496,6 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
             tables[key][:] = getattr(out, key)
         tables["heuristic"][:] = out.lam_sub - out.residual
 
-    return _greedy(pool, train, eps, j_max, box=box,
-                   warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
-                   seed=seed, sweep=sweep, mode=mode)
+    return _greedy(pool, train, eps, j_max, warm_start=warm_start,
+                   oracle=oracle, lp_tol=lp_tol, seed=seed, sweep=sweep,
+                   mode=mode)

@@ -254,15 +254,36 @@ class TestCli:
         assert summary["config"]["n_train"] == 16
         assert summary["config"]["pipeline"] == "scm"
 
-    def _assert_config_field_rejected(self, tmp_path, capsys, field):
+    def _assert_config_field_rejected(self, tmp_path, capsys, field,
+                                      value=1):
         manifest = circle_manifest(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({field: 1}))
-        code = main(["run", "--manifest", manifest, "--out",
-                     str(tmp_path / "o"), "--config", str(cfg)])
+        cfg.write_text(json.dumps({field: value}))
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", manifest, "--out", str(out),
+                     "--config", str(cfg)])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == field
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("r_max", "2"),
+                                              ("eps", "1e-3"),
+                                              ("warm_start", 1),
+                                              ("j_max", True)])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
+                                                 field, value):
+        self._assert_config_field_rejected(tmp_path, capsys, field, value)
+
+    def test_config_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 1, "r_max": None, "j_max": 3}))
+        out = str(tmp_path / "o")
+        assert main(["run", "--manifest", circle_manifest(tmp_path), "--out",
+                     out, "--train-size", "8", "--config", str(cfg)]) == 0
+        config = read_summary(out)["config"]
+        assert config["eps"] == 1.0 and isinstance(config["eps"], float)
+        assert config["r_max"] is None and config["j_max"] == 3
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         self._assert_config_field_rejected(tmp_path, capsys, "nonsense")

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as sparse_linalg
 
-from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
-                         ScmState, SubspacePool, random_family,
-                         random_training_set, scm_greedy, subspace_greedy)
+from eigenbounds import (AffineFamily, EigensolverError, GeneralizedProblem,
+                         GreedyError, ScmState, SubspacePool,
+                         block_grid_family, coercivity_transform,
+                         random_family, random_training_set, scm_greedy,
+                         subspace_greedy)
 from eigenbounds import scm, subspace
 
 PIPELINES = {
@@ -106,3 +110,43 @@ def test_bounds_certified_at_roundoff_allowance(pipeline, seed):
                     else ("lam_slb", "lam_sub"))
     assert np.all(res.tables[lower] <= oracle + allowance)
     assert np.all(res.tables[upper] >= oracle - allowance)
+
+
+def _below_spectrum(A, X):
+    """A shift strictly below every eigenvalue of the pencil (A, X), from
+    the Gershgorin discs of A and of the SPD X."""
+    def discs(M):
+        radius = np.asarray(abs(M).sum(axis=1)).ravel() - np.abs(M.diagonal())
+        return M.diagonal() - radius, M.diagonal() + radius
+    a_lo = discs(A)[0].min()
+    x_lo, x_hi = discs(X)[0].min(), discs(X)[1].max()
+    assert x_lo > 0
+    sigma = a_lo / x_lo if a_lo < 0 else a_lo / x_hi
+    return sigma - 1e-3 * max(abs(sigma), 1.0)
+
+
+def test_coercivity_bounds_certified_at_n_4225():
+    # the grid workload's stencil and inner product at n = 4225, a size
+    # no dense factor of X could reach; the reference is shift-invert
+    # ARPACK on the pencil, independent of the package
+    fam = block_grid_family(nx=65, ny=65, blocks=(2, 1))
+    lap = fam.terms[0].matrix
+    X = (lap + 0.3 * lap.diagonal().mean()
+         * sparse.identity(fam.n, format="csr")).tocsr()
+    pencil = coercivity_transform(GeneralizedProblem.build(fam, X))
+    train = random_training_set(pencil.domain, 8, seed=0)
+    res = subspace_greedy(pencil, train, j_max=2)
+    ref = []
+    for mu in train.points:
+        A = sum(c * t.matrix for c, t in
+                zip(fam.theta_at(mu), fam.terms)).tocsc()
+        ref.append(sparse_linalg.eigsh(
+            A, k=1, M=X, sigma=_below_spectrum(A, X), which="LM",
+            v0=np.ones(fam.n), tol=0, return_eigenvectors=False)[0])
+    nu = fam.n * 2.0 ** -53
+    scale = np.maximum(np.abs(res.box.lower), np.abs(res.box.upper))
+    allowance = nu / (1.0 - nu) * (np.abs(fam.theta_table(train.points))
+                                   @ scale)
+    assert len(res.records) == 2
+    assert np.all(res.tables["lam_slb"] <= np.array(ref) + allowance)
+    assert np.all(res.tables["lam_sub"] >= np.array(ref) - allowance)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -204,29 +206,32 @@ class TestDenseSmallest:
 
 class TestCholesky:
     def test_identity(self):
-        fac = cholesky(np.eye(4))
-        assert_allclose(fac.L, np.eye(4))
+        v = np.random.default_rng(1).standard_normal(4)
+        assert_allclose(cholesky(np.eye(4)).solve(v), v)
 
     def test_diagonal(self):
-        fac = cholesky(np.diag([4.0, 9.0]))
-        assert_allclose(fac.L, np.diag([2.0, 3.0]))
+        X = np.diag([4.0, 9.0])
+        v = np.array([1.0, -2.0])
+        assert_allclose(cholesky(X).solve(X @ v), v)
 
     def test_random_spd_reconstruction(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((100, 100))
         X = G @ G.T + 100 * np.eye(100)
         fac = cholesky(X)
-        rel = np.linalg.norm(fac.reconstruct() - X) / np.linalg.norm(X)
+        V = rng.standard_normal((100, 3))
+        rel = np.linalg.norm(fac.solve(X @ V) - V) / np.linalg.norm(V)
         assert rel <= 1e-12
 
-    def test_triangular_solves(self):
+    def test_vector_and_block_solves(self):
         rng = np.random.default_rng(4)
         G = rng.standard_normal((30, 30))
         X = G @ G.T + 30 * np.eye(30)
-        fac = cholesky(X)
+        fac = cholesky(sparse.csr_matrix(X))
         v = rng.standard_normal(30)
-        assert_allclose(fac.L @ fac.solve_lower(v), v, atol=1e-10)
-        assert_allclose(fac.L.T @ fac.solve_upper(v), v, atol=1e-10)
+        B = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+        assert_allclose(X @ fac.solve(v), v, atol=1e-10)
+        assert_allclose(X @ fac.solve(B), B, atol=1e-10)
 
     def test_not_positive_definite_reports_pivot(self):
         X = np.diag([1.0, -1.0, 2.0])
@@ -234,12 +239,47 @@ class TestCholesky:
             cholesky(X)
         assert err.value.pivot == 2
 
+    def test_pivot_index_in_own_numbering(self):
+        # a diagonally dominant X with one negative diagonal entry: every
+        # pivot eliminated before it is positive, and its own is negative
+        n = 400
+        X = sparse.diags([-np.ones(n - 1), 3.0 * np.ones(n),
+                          -np.ones(n - 1)], [-1, 0, 1]).tolil()
+        X[237, 237] = -5.0
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(X.tocsr())
+        assert err.value.pivot == 238
+
+    def test_exactly_singular_raises(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(np.ones((2, 2)))
+        assert err.value.pivot is None
+
+    def test_indefinite_sparse_raises_without_densifying(self):
+        # the n = 4225 grid Laplacian shifted into indefiniteness; a dense
+        # copy would take 143 MB, the sparse factor a few
+        nx = 65
+        T = sparse.diags([-np.ones(nx - 1), 2.0 * np.ones(nx),
+                          -np.ones(nx - 1)], [-1, 0, 1])
+        lap = sparse.kronsum(T, T).tocsr()
+        X = lap - 0.3 * lap.diagonal().mean() * sparse.identity(nx * nx)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                cholesky(X.tocsr())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 <= err.value.pivot <= nx * nx
+        assert peak < 8 * (nx * nx) ** 2 / 16
+
     def test_complex_hermitian_spd(self):
         rng = np.random.default_rng(8)
         G = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         X = G @ G.conj().T + 40 * np.eye(20)
         fac = cholesky(X)
-        rel = np.linalg.norm(fac.reconstruct() - X) / np.linalg.norm(X)
+        v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        rel = np.linalg.norm(fac.solve(X @ v) - v) / np.linalg.norm(v)
         assert rel <= 1e-12
 
 

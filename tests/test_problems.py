@@ -11,7 +11,7 @@ from eigenbounds import (GeneralizedProblem, ManifestError,
                          one_parameter_analytic_family, random_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family, write_matrix_market)
-from eigenbounds.hermitian import ArgumentError, SandwichHermitian
+from eigenbounds.hermitian import ArgumentError
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
 GOLDEN_A1 = np.array([
@@ -117,7 +117,8 @@ class TestCoercivityTransform:
         rng = np.random.default_rng(0)
         for _ in range(5):
             mu = rng.uniform(0, 0.3, 1)
-            assert_allclose(out.assemble_dense(mu), fam.assemble_dense(mu),
+            assert_allclose(solve_at_sample(out, mu, 30).values,
+                            np.linalg.eigvalsh(fam.assemble_dense(mu)),
                             atol=1e-12)
 
     def test_scaled_identity_scales_quotients(self):
@@ -125,7 +126,8 @@ class TestCoercivityTransform:
         gen = GeneralizedProblem.build(fam, 4.0 * np.eye(20))
         out = coercivity_transform(gen)
         mu = [0.2]
-        assert_allclose(out.assemble_dense(mu), fam.assemble_dense(mu) / 4.0,
+        assert_allclose(solve_at_sample(out, mu, 20).values,
+                        np.linalg.eigvalsh(fam.assemble_dense(mu)) / 4.0,
                         atol=1e-12)
 
     def test_matches_generalized_eig_oracle(self):
@@ -136,47 +138,31 @@ class TestCoercivityTransform:
         rng = np.random.default_rng(5)
         for _ in range(10):
             mu = rng.uniform(0, 0.3, 2)
-            ours = np.linalg.eigvalsh(out.assemble_dense(mu))[0]
+            ours = solve_at_sample(out, mu, 1).values[0]
             oracle = scipy.linalg.eigh(fam.assemble_dense(mu), X,
                                        eigvals_only=True)[0]
             assert abs(ours - oracle) <= 1e-9 * (1 + abs(oracle))
 
-    def test_operator_form_above_cap(self):
-        fam = random_family(2, 30, delta=0.3, seed=6)
-        X = make_spd(30, 7)
-        gen = GeneralizedProblem.build(fam, X)
-        out = coercivity_transform(gen, dense_cap=10)  # force operator path
-        mu = [0.1]
-        dense = coercivity_transform(gen).assemble_dense(mu)
-        x = np.random.default_rng(8).standard_normal(30)
-        assert_allclose(out.apply(mu, x.reshape(-1, 1)).ravel(), dense @ x,
-                        atol=1e-10)
-
-
-    def test_sandwich_family_solves_as_one_sandwich(self):
-        # n = 100 is above the dense fallback, so the iterative solver runs
-        # on the operator form; gamma_n * ||M|| is the roundoff allowance
+    def test_pencil_solve_matches_dense_eigh(self):
+        # n = 100 is above the dense fallback, so ARPACK solves the pencil
+        # (A(mu), X); gamma_n * ||M|| bounds the roundoff, with M the
+        # standard form L^{-1} A(mu) L^{-T} of the pencil
         fam = block_grid_family(nx=10, ny=10, blocks=(2, 1))
         n = fam.n
-        gen = GeneralizedProblem.build(fam, make_spd(n, 3))
-        out = coercivity_transform(gen, dense_cap=50)
-        L = gen.factor.L
-        rng = np.random.default_rng(4)
+        X = make_spd(n, 3)
+        out = coercivity_transform(GeneralizedProblem.build(fam, X))
+        L = np.linalg.cholesky(X)
         for mu in ([0.15, 0.4], [0.5, 0.1]):
-            op = out.operator_at(mu)
-            assert isinstance(op, SandwichHermitian)
-            B = scipy.linalg.solve_triangular(L, fam.assemble_dense(mu),
-                                              lower=True)
+            A = fam.assemble_dense(mu)
+            B = scipy.linalg.solve_triangular(L, A, lower=True)
             M = scipy.linalg.solve_triangular(L, B.T, lower=True).T
-            M = 0.5 * (M + M.T)
-            allowance = n * 2.0 ** -53 * np.linalg.norm(M, 2)
-            Y = rng.standard_normal((n, 3))
-            assert np.abs(op.matmat(Y) - out.apply(mu, Y)).max() \
-                <= allowance * np.abs(Y).max()
+            allowance = n * 2.0 ** -53 * np.linalg.norm(0.5 * (M + M.T), 2)
             pairs = solve_at_sample(out, mu, 2)
-            w = np.linalg.eigvalsh(M)
+            w = scipy.linalg.eigh(A, X, eigvals_only=True)
             assert np.all(np.abs(pairs.values - w[:2]) <= allowance)
             assert np.all(pairs.residuals <= allowance)
+            V = pairs.vectors
+            assert_allclose(V.T @ X @ V, np.eye(2), atol=1e-12)
 
 
 class TestSingularValueExpansion:

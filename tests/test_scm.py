@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (AffineFamily, ScmState, compute_bounding_box,
+from eigenbounds import (AffineFamily, GeneralizedProblem, ScmState,
+                         coercivity_transform, compute_bounding_box,
                          error_ratio, joint_rayleigh, lower_bound,
                          random_family, random_training_set, scm_greedy,
                          solve_at_sample, unit_circle_family, upper_bound,
@@ -263,4 +264,11 @@ class TestWorstCaseFamily:
         fam = unit_circle_family()
         state = build_state(fam, [[0.0], [np.pi / 2]])
         with pytest.raises(ArgumentError):
+            worst_case_family(state, [0.3], np.zeros(2))
+
+    def test_pencil_family_rejected(self):
+        fam = coercivity_transform(GeneralizedProblem.build(
+            unit_circle_family(), 2.0 * np.eye(2)))
+        state = ScmState(fam)
+        with pytest.raises(ArgumentError, match="pencil"):
             worst_case_family(state, [0.3], np.zeros(2))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (AffineFamily, RitzData, SubspacePool, append_sample,
-                         beta_gap, compute_bounding_box,
+from eigenbounds import (AffineFamily, GeneralizedProblem, RitzData,
+                         SubspacePool, append_sample, beta_gap,
+                         coercivity_transform, compute_bounding_box,
                          f_bound, lower_bound,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
@@ -150,6 +151,47 @@ class TestResidualNorm:
             A = fam.assemble_dense(mu)
             explicit = np.linalg.norm(A @ U - U @ (U.T @ A @ U), ord=2)
             assert abs(rho - explicit) <= 1e-9
+
+
+class TestPencilPool:
+    """The pool of a family with an inner product X, against dense oracles."""
+
+    @pytest.fixture(scope="class")
+    def pencil(self):
+        fam = random_family(3, 90, delta=0.25, seed=16)
+        g = np.random.default_rng(17).standard_normal((90, 90))
+        X = g @ g.T / 90 + np.eye(90)
+        out = coercivity_transform(GeneralizedProblem.build(fam, X))
+        return fam, X, build_pool(out, [[0.0, 0.1], [0.2, 0.2], [0.1, 0.0]],
+                                  ell=2)
+
+    def test_basis_x_orthonormal_and_reduced_terms(self, pencil):
+        fam, X, pool = pencil
+        V = pool.basis
+        assert_allclose(V.T @ X @ V, np.eye(pool.dim), atol=1e-12)
+        for qi, term in enumerate(fam.terms):
+            assert_allclose(pool.reduced[qi], V.T @ term.dense() @ V,
+                            atol=1e-12)
+
+    def test_sample_coefficients_rebuild_sample_vectors(self, pencil):
+        _, _, pool = pencil
+        for i, v in enumerate(pool.vectors):
+            assert_allclose(pool.basis @ pool.sample_coeffs(i)[:, 0], v,
+                            atol=1e-10)
+            assert_allclose(pool.rows[i] @ pool.upper_points[i],
+                            pool.values[i], atol=1e-12)
+
+    def test_residual_matches_explicit_x_inverse_norm(self, pencil):
+        fam, X, pool = pencil
+        rng = np.random.default_rng(18)
+        for _ in range(3):
+            mu = rng.uniform(0, 0.25, size=2)
+            rd = ritz_upper_bound(pool, mu, r=2)
+            U = pool.basis @ rd.coeffs
+            R = fam.assemble_dense(mu) @ U - X @ U * rd.values
+            explicit = np.sqrt(np.linalg.eigvalsh(R.T @ np.linalg.solve(X, R))
+                               [-1])
+            assert abs(residual_norm(pool, mu, rd) - explicit) <= 1e-9
 
 
 class TestBetaGap:
