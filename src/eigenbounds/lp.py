@@ -6,6 +6,11 @@ simplex (Bland's rule, two phases) finds the optimum; the basis bookkeeping
 then yields exactly Q linearly independent active constraints, reported as
 an invertible Q x Q system (Theta, psi) with per-row provenance.  That
 system is what the gap-tightening step perturbs and re-solves.
+
+Programs that share one polytope and differ only in the objective need not
+all be solved: :func:`first_certified_vertex` tests, for many objectives at
+once, which known optimal vertices stay optimal (the sign test on the
+multipliers ``Theta^{-T} c``, the critical regions of parametric LP).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ __all__ = [
     "LPProblem",
     "LPSolution",
     "TightenedBound",
+    "first_certified_vertex",
     "lp_minimize",
     "tighten_and_resolve",
 ]
@@ -210,7 +216,8 @@ def lp_minimize(problem, warm=None, tol=1e-8):
     # Variables: y (box bounds), s (slacks >= 0), artificials on violated rows.
     y0 = np.where(problem.c >= 0.0, problem.lower, problem.upper)
     s0 = problem.rows @ y0 - problem.rhs
-    violated = np.where(s0 < -tol * feas_scale)[0]
+    is_violated = s0 < -tol * feas_scale
+    violated = np.flatnonzero(is_violated)
     n_art = len(violated)
     nvar = q + J + n_art
 
@@ -225,7 +232,7 @@ def lp_minimize(problem, warm=None, tol=1e-8):
     status = np.zeros(nvar, dtype=np.int8)  # 0 at lower, 1 at upper, 2 basic
     status[:q] = np.where(problem.c >= 0.0, 0, 1)
     basis = np.empty(J, dtype=np.int64)
-    ok = np.setdiff1d(np.arange(J), violated, assume_unique=False)
+    ok = np.flatnonzero(~is_violated)
     basis[ok] = q + ok
     basis[violated] = q + J + np.arange(n_art)
     status[basis] = 2
@@ -324,6 +331,29 @@ def lp_minimize(problem, warm=None, tol=1e-8):
     return LPSolution(y=y, value=value, active=tags, theta_mat=theta, psi=psi,
                       condition=condition, degenerate=degen,
                       all_box=all(t[0] != "sample" for t in tags))
+
+
+def first_certified_vertex(c, inv_t, signs, tol=1e-8):
+    """Index of the first vertex certified optimal for each objective.
+
+    ``c`` (m, Q) stacks objectives.  Vertex k is a feasible vertex of the
+    shared polytope with active system ``Theta_k``: ``inv_t[k]`` holds
+    ``Theta_k^{-T}`` and ``signs[k]`` is +1 on sample and lower-box rows,
+    -1 on upper-box rows.  The vertex is optimal for ``c`` when the
+    multipliers ``z = Theta_k^{-T} c`` satisfy ``signs[k] * z >= -slack``
+    with ``slack = tol * (1 + max|c|)``, the reduced-cost slack of
+    :func:`lp_minimize`'s phase 2.  Returns an (m,) integer array holding
+    the smallest passing k, or -1 where no vertex passes.  A degenerate
+    vertex whose stored active set fails the test is a miss, never a wrong
+    hit.
+    """
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    if len(inv_t) == 0:
+        return np.full(len(c), -1, dtype=np.int64)
+    z = np.einsum("kqr,ir->ikq", inv_t, c)
+    slack = tol * (1.0 + np.max(np.abs(c), axis=1))
+    ok = np.all(signs[None] * z >= -slack[:, None, None], axis=2)
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
 
 
 def tighten_and_resolve(solution, bumps, c):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .family import (AffineFamily, BoundingBox, compute_bounding_box,
                      joint_rayleigh)
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
                         dense_smallest, orthonormal_columns, smallest_eigpairs)
-from .lp import LPProblem, lp_minimize
+from .lp import (_CONDITION_CAP, LPProblem, first_certified_vertex,
+                 lp_minimize)
 
 __all__ = [
     "GreedyError",
@@ -61,6 +62,7 @@ class GreedyRecord:
     reduced_seconds: float
     lp_count: int
     eig_count: int
+    lp_cached: int = 0
     max_abs_ub_error: float | None = None
     max_abs_lb_error: float | None = None
     heuristic_valid: bool | None = None
@@ -141,9 +143,14 @@ def upper_bound(state, mu):
     return float(np.min(state.upper_points @ th))
 
 
-def lower_bound(state, box, mu, warm=None, lp_tol=1e-8):
-    """LP lower bound over the box cut by the sampled constraints."""
-    problem = LPProblem(c=state.family.theta_at(mu), lower=box.lower,
+def lower_bound(state, box, mu, warm=None, lp_tol=1e-8, c=None):
+    """LP lower bound over the box cut by the sampled constraints.
+
+    ``c`` is the objective row theta(mu) when the caller already holds it.
+    """
+    if c is None:
+        c = state.family.theta_at(mu)
+    problem = LPProblem(c=c, lower=box.lower,
                         upper=box.upper, rows=state.rows, rhs=state.rhs)
     sol = lp_minimize(problem, warm=warm, tol=lp_tol)
     return sol.value, sol
@@ -175,20 +182,69 @@ def _ratio_array(lb, ub):
     return out
 
 
+class _VertexCache:
+    """Distinct optimal vertices of the greedy's LP polytope.
+
+    Every training point's LP shares the polytope (the box cut by the
+    sampled rows); only the objective changes.  Each vertex keeps its
+    ``LPSolution`` and, for :func:`~eigenbounds.lp.first_certified_vertex`,
+    the inverse transpose of its active system and the multiplier signs.
+    """
+
+    def __init__(self, q):
+        self.sols = []
+        self.inv_t = np.zeros((0, q, q))
+        self.signs = np.zeros((0, q))
+
+    def restrict(self, row, rhs, tol):
+        """Drop the vertices that violate the new row ``row @ y >= rhs``."""
+        keep = [k for k, sol in enumerate(self.sols)
+                if sol.y @ row >= rhs - tol]
+        self.sols = [self.sols[k] for k in keep]
+        self.inv_t = self.inv_t[keep]
+        self.signs = self.signs[keep]
+
+    def add(self, sol):
+        """Add a cold-solved vertex; False if its active set is known or
+        its system is past the condition cap the sweep also uses."""
+        if (sol.condition > _CONDITION_CAP
+                or any(v.active == sol.active for v in self.sols)):
+            return False
+        self.sols.append(sol)
+        self.inv_t = np.concatenate(
+            [self.inv_t, np.linalg.inv(sol.theta_mat.T)[None]])
+        sign = [-1.0 if kind == "upper" else 1.0 for kind, _ in sol.active]
+        self.signs = np.vstack([self.signs, sign])
+        return True
+
+    def match(self, c, tol, last_only=False):
+        """Per objective row, the first certified vertex or -1."""
+        lo = len(self.sols) - 1 if last_only else 0
+        hit = first_certified_vertex(c, self.inv_t[lo:], self.signs[lo:], tol)
+        return np.where(hit >= 0, hit + lo, -1)
+
+
 def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             sweep=None, mode="certified"):
     """The greedy loop of both pipelines.
 
     The loop starts with the bounding box (2Q extreme-eigenvalue solves).
     Each iteration solves at the selected parameter (``model.add_sample``),
-    updates the sampled upper bounds ``lam_ub``, solves the LP lower bound
-    ``lam_lb`` of every training point whose cached minimizer violates the
-    new constraint (all of them without ``warm_start``), then picks the
-    point with the worst ratio.  Classical SCM ranks points by the relative
-    gap between ``lam_lb`` and ``lam_ub``.  With ``sweep`` (the subspace
-    pipeline), ``sweep(tables, theta, sols)`` then fills the ``lam_slb``,
-    ``lam_sub``, ``residual``, ``chosen_r`` and ``heuristic`` columns of
-    ``tables`` at every training point from the LP solutions.  The ratio
+    updates the sampled upper bounds ``lam_ub``, finds the LP lower bound
+    ``lam_lb`` of every training point, then picks the point with the worst
+    ratio.  Without ``warm_start`` every LP is solved cold, every
+    iteration.  With it, a point keeps its minimizer while that satisfies
+    the new constraint; the other points are tested against a cache of
+    distinct optimal vertices (those that still satisfy every row), and
+    only the points no vertex certifies are solved cold, in index order.
+    Each cold solve with a new active set joins the cache and is tested at
+    once against the points still waiting.  A certified point takes the
+    vertex's solution with its own objective value.  Classical SCM ranks
+    points by the relative gap between ``lam_lb`` and ``lam_ub``.  With
+    ``sweep`` (the subspace pipeline), ``sweep(tables, theta, sols)`` then
+    fills the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
+    ``heuristic`` columns of ``tables`` at every training point from the
+    LP solutions.  The ratio
     is then the relative gap between ``lam_slb`` and ``lam_sub``, or with
     ``mode='heuristic'`` the relative Ritz residual.  The loop stops, not
     converged, when the worst ratio sits at a parameter already sampled.
@@ -204,11 +260,12 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     box = compute_bounding_box(family, seed=seed)
     eig_seconds += time.perf_counter() - t
     eig_count = 2 * family.q
-    lp_count = 0
+    lp_count = lp_cached = 0
 
     theta_all = family.theta_table(pts)
     sols = [None] * m
     sol_y = np.zeros((m, family.q))    # sols[i].y, for the warm-start test
+    cache = _VertexCache(family.q)
     tables = {"lam_lb": np.full(m, -math.inf), "lam_ub": np.full(m, math.inf)}
     lower, upper = "lam_lb", "lam_ub"
     if sweep is not None:
@@ -222,6 +279,18 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     converged = False
     reason = ""
     selected = 0  # all ratios are +inf while C_J is empty: first index wins
+
+    def settle(points, hits):
+        """Give each point its certified vertex; return the uncovered ones."""
+        nonlocal lp_cached
+        found = hits >= 0
+        for i, k in zip(points[found], hits[found]):
+            vertex = cache.sols[k]
+            sols[i] = replace(vertex, value=float(theta_all[i] @ vertex.y))
+            tables["lam_lb"][i] = sols[i].value
+            sol_y[i] = vertex.y
+        lp_cached += int(np.count_nonzero(found))
+        return points[~found]
 
     def result():
         tabs = {key: col.copy() for key, col in tables.items()}
@@ -253,17 +322,24 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
         tables["lam_ub"] = np.min(theta_all @ model.upper_points.T, axis=1)
 
         t = time.perf_counter()
-        # warm start: a cached minimizer stays optimal as long as it
-        # satisfies the one constraint this iteration added
-        cache_ok = np.zeros(m, dtype=bool)
-        if warm_start and it > 1:
-            cache_ok = sol_y @ th_new >= lam_new - lp_tol
-        todo = np.flatnonzero(~cache_ok)
         lam_lb = tables["lam_lb"]
-        for i in todo:
-            lam_lb[i], sols[i] = lower_bound(model, box, pts[i], lp_tol=lp_tol)
+        todo = np.arange(m)
+        if warm_start:
+            if it > 1:
+                # a point's minimizer stays optimal as long as it
+                # satisfies the one constraint this iteration added
+                todo = np.flatnonzero(~(sol_y @ th_new >= lam_new - lp_tol))
+            cache.restrict(th_new, lam_new, lp_tol)
+            todo = settle(todo, cache.match(theta_all[todo], lp_tol))
+        while todo.size:
+            i, todo = todo[0], todo[1:]
+            lam_lb[i], sols[i] = lower_bound(model, box, pts[i],
+                                             lp_tol=lp_tol, c=theta_all[i])
             sol_y[i] = sols[i].y
-        lp_count += len(todo)
+            lp_count += 1
+            if warm_start and cache.add(sols[i]):
+                todo = settle(todo, cache.match(theta_all[todo], lp_tol,
+                                                last_only=True))
         lp_seconds += time.perf_counter() - t
 
         if sweep is not None:
@@ -283,7 +359,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             wall_seconds=time.perf_counter() - t0,
             eig_seconds=eig_seconds, lp_seconds=lp_seconds,
             reduced_seconds=reduced_seconds,
-            lp_count=lp_count, eig_count=eig_count)
+            lp_count=lp_count, eig_count=eig_count, lp_cached=lp_cached)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
                                                        - oracle)))
@@ -316,7 +392,9 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     family, train : problem and training set
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
-    warm_start : reuse a parameter's LP minimizer while it stays feasible
+    warm_start : reuse a parameter's LP minimizer while it stays feasible,
+        and answer the other LPs from a cache of optimal vertices where
+        their multiplier signs certify one (see :func:`_greedy`)
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """

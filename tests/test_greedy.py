@@ -11,6 +11,7 @@ from eigenbounds import (AffineFamily, EigensolverError, GeneralizedProblem,
                          random_family, random_training_set, scm_greedy,
                          subspace_greedy)
 from eigenbounds import scm, subspace
+from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 
 PIPELINES = {
     "scm": (scm_greedy, ScmState, {"lam_lb", "lam_ub"}),
@@ -35,6 +36,54 @@ def test_cold_loop_solves_every_lp(problem, pipeline):
     assert len(res.records) == 4
     for rec in res.records:
         assert rec.lp_count == m * rec.iteration
+        assert rec.lp_cached == 0
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_vertex_cache_answers_some_lps(problem, pipeline):
+    fam, train = problem
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-12, j_max=4)
+    m = len(train)
+    last = res.records[-1]
+    assert last.lp_cached > 0
+    assert last.lp_count + last.lp_cached <= m * last.iteration
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_warm_start_changes_nothing_at_q_10(ell):
+    fam = block_grid_family(nx=10, ny=10, blocks=(3, 3))
+    assert (fam.n, fam.q) == (100, 10)
+    train = random_training_set(fam.domain, 30, seed=7)
+    on, off = (subspace_greedy(fam, train, eps=1e-12, j_max=6, ell=ell,
+                               warm_start=warm) for warm in (True, False))
+    assert ([r.selected_index for r in on.records]
+            == [r.selected_index for r in off.records])
+    assert on.records[-1].lp_cached > 0
+    assert on.records[-1].lp_count < off.records[-1].lp_count
+    for key in ("lam_lb", "lam_slb", "lam_sub"):
+        a, b = on.tables[key], off.tables[key]
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+def test_every_cold_solve_goes_through_lower_bound(tmp_path, monkeypatch,
+                                                   pipeline):
+    # the benchmark times cold solves by wrapping scm.lower_bound, so the
+    # vertex cache must never solve an LP past it
+    calls = []
+    original = scm.lower_bound
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scm, "lower_bound", counted)
+    fam, _ = load_problem(generator={"kind": "random", "Q": 3, "N": 40,
+                                     "seed": 60})
+    config = RunConfig(pipeline=pipeline, n_train=20, j_max=5, eps=1e-12)
+    summary = run_pipeline(config, fam, str(tmp_path))
+    assert summary["counts"]["lp_cached"] > 0
+    assert len(calls) == summary["counts"]["lp"]
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (InfeasibleError, LPProblem, lp_minimize,
-                         tighten_and_resolve)
+from eigenbounds import (InfeasibleError, LPProblem, first_certified_vertex,
+                         lp_minimize, tighten_and_resolve)
 
 SQ2 = math.sqrt(2.0)
 
@@ -187,6 +187,90 @@ class TestLpMinimize:
         sol = lp_minimize(p)
         assert_allclose(sol.y[0], 2.0)
         assert_allclose(sol.value, 2.0 - 1.0, atol=1e-10)
+
+
+def certificate(theta_mat, active):
+    """(Theta^{-T}, multiplier signs) of one vertex, stacked as a cache of 1."""
+    signs = [-1.0 if kind == "upper" else 1.0 for kind, _ in active]
+    return (np.linalg.inv(np.asarray(theta_mat, dtype=float).T)[None],
+            np.array([signs]))
+
+
+class TestFirstCertifiedVertex:
+    @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (3, 2), (3, 3),
+                                        (4, 4), (4, 5)])
+    def test_hits_match_vertex_enumeration(self, q, seed):
+        rng = np.random.default_rng(seed)
+        lo = -1.0 - rng.random(q)
+        hi = 1.0 + rng.random(q)
+        rows = rng.standard_normal((q + 2, q))
+        rhs = rows @ ((lo + hi) / 2) - rng.random(q + 2) - 0.2
+        base = rng.standard_normal((6, q))
+        sols = [lp_minimize(LPProblem(c=c, lower=lo, upper=hi, rows=rows,
+                                      rhs=rhs)) for c in base]
+        inv_t, signs = (np.concatenate(parts) for parts in zip(
+            *(certificate(s.theta_mat, s.active) for s in sols)))
+        # objectives near the solved ones, so that many are certified
+        objectives = (np.repeat(base, 8, axis=0)
+                      + 0.3 * rng.standard_normal((48, q)))
+        hits = first_certified_vertex(objectives, inv_t, signs)
+        assert np.count_nonzero(hits >= 0) >= 6
+        for c, k in zip(objectives, hits):
+            if k < 0:
+                continue
+            problem = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
+            best, _ = enumerate_vertices(problem)
+            v = float(c @ sols[k].y)
+            assert abs(v - best) <= 1e-9 * (1.0 + abs(v))
+            # the first passing vertex in cache order
+            for j in range(k):
+                assert first_certified_vertex(c, inv_t[j:j + 1],
+                                              signs[j:j + 1])[0] == -1
+
+    def test_degenerate_vertex_with_failing_active_set_is_a_miss(self):
+        # (-1, -1) is the unique minimizer of y1 and four constraints are
+        # tight there: y1 + y2 >= -2, y1 - y2 >= 0 and both lower bounds
+        c = np.array([1.0, 0.0])
+        rows = np.array([[1.0, 1.0], [1.0, -1.0]])
+        p = LPProblem(c=c, lower=[-1, -1], upper=[1, 1], rows=rows,
+                      rhs=[-2.0, 0.0])
+        best, y_best = enumerate_vertices(p)
+        assert best == -1.0
+        assert_allclose(y_best, [-1.0, -1.0])
+        # {row 0, lower 1}: z = (1, -1) has the wrong sign on the box row
+        inv_t, signs = certificate([[1.0, 1.0], [0.0, 1.0]],
+                                   (("sample", 0), ("lower", 1)))
+        assert first_certified_vertex(c, inv_t, signs)[0] == -1
+        # {row 0, row 1}: z = (1/2, 1/2) certifies the same vertex
+        inv_t, signs = certificate(rows, (("sample", 0), ("sample", 1)))
+        assert first_certified_vertex(c, inv_t, signs)[0] == 0
+
+    def test_upper_box_row_needs_a_nonpositive_multiplier(self):
+        p = LPProblem(c=[-1.0, 1.0], lower=[0, 0], upper=[1, 1],
+                      rows=[[1.0, 1.0]], rhs=[-5.0])
+        sol = lp_minimize(p)
+        assert sol.active == (("lower", 1), ("upper", 0))
+        inv_t, signs = certificate(sol.theta_mat, sol.active)
+        assert_allclose(signs, [[1.0, -1.0]])
+        assert first_certified_vertex(p.c, inv_t, signs)[0] == 0
+        # minimizing y1 + y2 moves to (0, 0): the upper row's z is +1
+        assert first_certified_vertex([1.0, 1.0], inv_t, signs)[0] == -1
+        # a lower-row sign on the upper row would wrongly certify it
+        assert first_certified_vertex([1.0, 1.0], inv_t,
+                                      np.ones_like(signs))[0] == 0
+
+    def test_slack_matches_the_phase_two_reduced_cost_tolerance(self):
+        inv_t, signs = certificate(np.eye(2), (("lower", 0), ("lower", 1)))
+        tol = 1e-8
+        inside = [-0.9 * tol * 3.0, 2.0]    # slack = tol * (1 + 2)
+        outside = [-1.1 * tol * 3.0, 2.0]
+        hits = first_certified_vertex([inside, outside], inv_t, signs, tol)
+        assert hits.tolist() == [0, -1]
+
+    def test_empty_cache_misses_every_row(self):
+        hits = first_certified_vertex(np.ones((3, 2)), np.zeros((0, 2, 2)),
+                                      np.zeros((0, 2)))
+        assert hits.tolist() == [-1, -1, -1]
 
 
 class TestTightenAndResolve:
