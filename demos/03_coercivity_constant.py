@@ -10,8 +10,8 @@ machinery certifies the constant over the whole parameter domain.
 import numpy as np
 import scipy.linalg
 
-from eigenbounds import (GeneralizedProblem, coercivity_transform,
-                         random_training_set, subspace_greedy)
+from eigenbounds import (coercivity_transform, random_training_set,
+                         subspace_greedy)
 from eigenbounds.family import AffineFamily
 
 # 1-D diffusion stiffness with a parametrized reaction block
@@ -25,8 +25,7 @@ stiff = AffineFamily(terms=(main * (n + 1), react),
 
 # energy inner product: the stiffness at the domain center plus a mass shift
 X = main * (n + 1) + 25.0 * react + 0.5 * np.eye(n)
-problem = GeneralizedProblem.build(stiff, X)
-family = coercivity_transform(problem)
+family = coercivity_transform(stiff, X)
 
 train = random_training_set(family.domain, 200, seed=3)
 result = subspace_greedy(family, train, eps=1e-4, j_max=30)

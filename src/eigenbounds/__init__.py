@@ -21,10 +21,10 @@ from .lp import (InfeasibleError, LPError, LPProblem, LPSolution,
                  TightenedBound, first_certified_vertex, lp_minimize,
                  tighten_and_resolve)
 from .mmio import MMFormatError, MMHeader, read_matrix_market, write_matrix_market
-from .problems import (GeneralizedProblem, ManifestError, block_grid_family,
-                       coercivity_transform, load_family,
-                       one_parameter_analytic_family, random_family,
-                       singular_value_expansion, unit_circle_family)
+from .problems import (ManifestError, block_grid_family, coercivity_transform,
+                       load_family, one_parameter_analytic_family,
+                       random_family, singular_value_expansion,
+                       unit_circle_family)
 from .scm import (GreedyError, GreedyRecord, GreedyResult, ScmState,
                   error_ratio, lower_bound, scm_greedy, solve_at_sample,
                   upper_bound, worst_case_family)

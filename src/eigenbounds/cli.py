@@ -54,7 +54,6 @@ def _build_parser():
     run.add_argument("--ell", type=int, default=1)
     run.add_argument("--r-max", type=int, default=None)
     run.add_argument("--lp-tol", type=float, default=1e-8)
-    run.add_argument("--no-warm-start", action="store_true")
     run.add_argument("--oracle", action="store_true",
                      help="dense cross-validation columns (n <= oracle cap)")
     run.add_argument("--oracle-cap", type=int, default=800)
@@ -97,8 +96,7 @@ def _config_from_args(args):
     config = RunConfig(
         pipeline=args.pipeline, eps=args.eps, j_max=args.j_max,
         n_train=args.train_size, train_seed=args.train_seed, ell=args.ell,
-        r_max=args.r_max, lp_tol=args.lp_tol,
-        warm_start=not args.no_warm_start, oracle=args.oracle,
+        r_max=args.r_max, lp_tol=args.lp_tol, oracle=args.oracle,
         oracle_cap=args.oracle_cap, seed=args.seed)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:

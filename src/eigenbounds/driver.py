@@ -58,7 +58,6 @@ class RunConfig:
     ell: int = 1
     r_max: int | None = None      # defaults to the family's term count
     lp_tol: float = 1e-8
-    warm_start: bool = True
     oracle: bool = False
     oracle_cap: int = 800
     seed: int = 0
@@ -115,8 +114,7 @@ def _oracle_values(family, points):
     mats = (family.assemble_dense(mu) for mu in points)
     if X is None:
         return np.array([np.linalg.eigvalsh(A)[0] for A in mats])
-    return np.array([dense_smallest(A, 1, size_cap=family.n, M=X).values[0]
-                     for A in mats])
+    return np.array([dense_smallest(A, 1, M=X).values[0] for A in mats])
 
 
 def _fmt(value):
@@ -207,15 +205,14 @@ def run_pipeline(config, family, outdir, problem_meta=None):
 
     if config.pipeline == "scm":
         result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
-                            warm_start=config.warm_start, oracle=oracle,
-                            lp_tol=config.lp_tol, seed=config.seed)
+                            oracle=oracle, lp_tol=config.lp_tol,
+                            seed=config.seed)
     else:
         mode = "heuristic" if config.pipeline == "subspace-heuristic" \
             else "certified"
         result = subspace_greedy(
             family, train, eps=config.eps, j_max=config.j_max,
-            ell=config.ell, r_max=config.r_max, mode=mode,
-            warm_start=config.warm_start, oracle=oracle,
+            ell=config.ell, r_max=config.r_max, mode=mode, oracle=oracle,
             lp_tol=config.lp_tol, seed=config.seed)
 
     p = family.p

@@ -26,6 +26,9 @@ __all__ = [
     "random_training_set",
 ]
 
+# operator_at assembles an all-dense family up to this dimension
+DENSE_ASSEMBLY_CAP = 2048
+
 
 @dataclass(frozen=True)
 class AffineFamily:
@@ -97,22 +100,24 @@ class AffineFamily:
                 out += c * term.matmat(X)
         return out
 
-    def assemble_dense(self, mu, max_n=4096):
+    def assemble_dense(self, mu):
         th = self.theta_at(mu)
-        A = th[0] * self.terms[0].dense(max_n=max_n)
+        A = th[0] * self.terms[0].dense()
         for c, term in zip(th[1:], self.terms[1:]):
-            A = A + c * term.dense(max_n=max_n)
+            A = A + c * term.dense()
         return A
 
-    def operator_at(self, mu, dense_cap=2048):
+    def operator_at(self, mu):
         """A(mu) as a HermitianOperator.
 
-        Assembles a concrete matrix when all terms are stored dense (below
-        ``dense_cap``) or all sparse; otherwise applies the terms one by one.
+        Assembles a concrete matrix when all terms are stored dense (up to
+        DENSE_ASSEMBLY_CAP) or all sparse; otherwise applies the terms one
+        by one.
         """
         th = self.theta_at(mu)
-        if all(isinstance(t, DenseHermitian) for t in self.terms) and self.n <= dense_cap:
-            return DenseHermitian(self.assemble_dense(mu, max_n=dense_cap))
+        if (all(isinstance(t, DenseHermitian) for t in self.terms)
+                and self.n <= DENSE_ASSEMBLY_CAP):
+            return DenseHermitian(self.assemble_dense(mu))
         if all(isinstance(t, SparseHermitian) for t in self.terms):
             acc = th[0] * self.terms[0].matrix
             for c, term in zip(th[1:], self.terms[1:]):

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 DENSE_FALLBACK_SIZE = 72
-REDUCED_SIZE_CAP = 2000
 DENSIFY_CAP = 4096
 
 
@@ -84,6 +83,12 @@ class EigenPairs:
         return len(self.values)
 
 
+def _check_densify(n):
+    if n > DENSIFY_CAP:
+        raise ArgumentError(
+            f"refusing to densify operator of dimension {n} > {DENSIFY_CAP}")
+
+
 class HermitianOperator:
     """A self-adjoint linear operator on R^n or C^n.
 
@@ -101,11 +106,9 @@ class HermitianOperator:
     def matvec(self, x):
         return self.matmat(np.asarray(x).reshape(-1, 1))[:, 0]
 
-    def dense(self, max_n=DENSIFY_CAP):
-        """Materialize the operator as a dense array (guarded by ``max_n``)."""
-        if self.n > max_n:
-            raise ArgumentError(
-                f"refusing to densify operator of dimension {self.n} > {max_n}")
+    def dense(self):
+        """Materialize the operator as a dense array (n <= DENSIFY_CAP)."""
+        _check_densify(self.n)
         eye = np.eye(self.n, dtype=complex if self.iscomplex else float)
         return self.matmat(eye)
 
@@ -148,7 +151,7 @@ class DenseHermitian(HermitianOperator):
     def matmat(self, X):
         return self.array @ X
 
-    def dense(self, max_n=DENSIFY_CAP):
+    def dense(self):
         return self.array
 
 
@@ -170,10 +173,8 @@ class SparseHermitian(HermitianOperator):
     def matmat(self, X):
         return self.matrix @ X
 
-    def dense(self, max_n=DENSIFY_CAP):
-        if self.n > max_n:
-            raise ArgumentError(
-                f"refusing to densify operator of dimension {self.n} > {max_n}")
+    def dense(self):
+        _check_densify(self.n)
         return self.matrix.toarray()
 
 
@@ -246,11 +247,11 @@ def _norms(V, apply):
     return np.sqrt(np.maximum(np.real(np.sum(V.conj() * apply(V), axis=0)), 0))
 
 
-def orthonormal_columns(X, against=None, drop_tol=1e-10, M=None):
+def orthonormal_columns(X, against=None, M=None):
     """Two-pass Gram-Schmidt orthonormalization with near-dependence dropping.
 
     Orthogonalizes the columns of ``X`` against ``against`` (if given) and
-    against each other; columns whose norm falls below ``drop_tol`` times the
+    against each other; columns whose norm falls below 1e-10 times the
     original column norm are dropped.  With the factor ``M`` of an SPD X,
     in the X inner product.  Returns (Q, kept_indices).
     """
@@ -270,7 +271,7 @@ def orthonormal_columns(X, against=None, drop_tol=1e-10, M=None):
             for q in cols:
                 v = v - q * np.vdot(q, gram(v))
         nrm = np.linalg.norm(v) if M is None else _norms(v, gram)
-        if nrm <= drop_tol * orig[j]:
+        if nrm <= 1e-10 * orig[j]:
             continue
         cols.append(v / nrm)
         kept.append(j)
@@ -360,19 +361,16 @@ def extreme_eigs(A, seed=0, M=None):
     return float(lo), float(hi)
 
 
-def dense_smallest(H, r, size_cap=REDUCED_SIZE_CAP, M=None):
+def dense_smallest(H, r, M=None):
     """The r smallest eigenpairs of a small dense Hermitian matrix.
 
-    Full symmetric eigendecomposition; ``size_cap`` guards against reduced
-    problems growing unexpectedly large.  With ``M`` as in
+    Full symmetric eigendecomposition.  With ``M`` as in
     :func:`smallest_eigpairs`, the dense pencil (H, X) instead.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ArgumentError("expected a square matrix")
     m = H.shape[0]
-    if m > size_cap:
-        raise ArgumentError(f"reduced problem of size {m} exceeds cap {size_cap}")
     if not 1 <= r <= m:
         raise ArgumentError(f"r must satisfy 1 <= r <= {m}, got {r}")
     Hs = 0.5 * (H + H.conj().T)

@@ -15,7 +15,7 @@ multipliers ``Theta^{-T} c``, the critical regions of parametric LP).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class LPSolution:
     condition: float
     degenerate: bool
     all_box: bool
-    cache_hit: bool = False
+    cache_hit: bool = False     # always False; read by the benchmark tracer
 
     def sample_indices(self):
         return [tag[1] for tag in self.active if tag[0] == "sample"]
@@ -180,7 +180,7 @@ def _box_only_solution(problem, tol):
                       degenerate=degen, all_box=True)
 
 
-def _warm_feasible(problem, y, tol, feas_scale):
+def _feasible(problem, y, tol, feas_scale):
     if y.shape != (problem.q,):
         return False
     if np.any(y < problem.lower - tol * feas_scale):
@@ -192,22 +192,13 @@ def _warm_feasible(problem, y, tol, feas_scale):
     return True
 
 
-def lp_minimize(problem, warm=None, tol=1e-8):
-    """Solve the LP and report the optimal active-constraint system.
-
-    ``warm`` may carry the solution of a previous problem whose feasible
-    region contained this one (the greedy loops only ever append constraint
-    rows); if that minimizer is still feasible it is returned unchanged with
-    ``cache_hit`` set, since a shrinking feasible region cannot improve it.
-    """
+def lp_minimize(problem, tol=1e-8):
+    """Solve the LP and report the optimal active-constraint system."""
     q = problem.q
     feas_scale = 1.0 + max(
         float(np.max(np.abs(problem.rhs))) if problem.n_rows else 0.0,
         float(np.max(np.abs(problem.lower))),
         float(np.max(np.abs(problem.upper))))
-
-    if warm is not None and _warm_feasible(problem, warm.y, tol, feas_scale):
-        return replace(warm, cache_hit=True)
 
     if problem.n_rows == 0:
         return _box_only_solution(problem, tol)
@@ -325,7 +316,7 @@ def lp_minimize(problem, warm=None, tol=1e-8):
     # polish the vertex through the active-set system; keep the simplex
     # iterate if the refined point leaves the feasible region
     y_ref = np.linalg.solve(theta, psi)
-    if _warm_feasible(problem, y_ref, 1e-9, feas_scale):
+    if _feasible(problem, y_ref, 1e-9, feas_scale):
         y = y_ref
     value = float(problem.c @ y)
     return LPSolution(y=y, value=value, active=tags, theta_mat=theta, psi=psi,

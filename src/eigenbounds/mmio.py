@@ -94,6 +94,11 @@ def read_matrix_market(path):
         count += 1
     if count != nnz:
         raise MMFormatError(f"declared {nnz} entries, found {count}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        # entries sit on the non-blank lines after the size line
+        k = [k for k in range(idx, len(lines)) if lines[k].strip()][bad[0]]
+        raise MMFormatError(f"non-finite value on line {k + 1}: {lines[k]!r}")
 
     A = sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
     if symmetry in ("symmetric", "hermitian"):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,13 +21,11 @@ import scipy.sparse as sparse
 from .expressions import (EvaluationError, ParseError, parse_theta,
                           probe_expressions)
 from .family import AffineFamily
-from .hermitian import (ArgumentError, DenseHermitian, SpdFactor, cholesky,
-                        hermitian)
+from .hermitian import ArgumentError, DenseHermitian, cholesky, hermitian
 from .mmio import read_matrix_market
 
 __all__ = [
     "ManifestError",
-    "GeneralizedProblem",
     "theta_from_expressions",
     "unit_circle_family",
     "random_family",
@@ -52,14 +49,19 @@ class ManifestError(ValueError):
         self.field = field
 
 
+def _theta_of(exprs):
+    """The coefficient map mu -> R^Q of parsed expressions."""
+    exprs = tuple(exprs)
+
+    def theta(mu):
+        return np.array([e.evaluate(mu) for e in exprs])
+
+    return theta
+
+
 def theta_from_expressions(sources, n_params):
     """Compile expression strings into a coefficient map mu -> R^Q."""
-    exprs = tuple(parse_theta(s, n_params=n_params) for s in sources)
-
-    def theta(mu, _exprs=exprs):
-        return np.array([e.evaluate(mu) for e in _exprs])
-
-    return theta, exprs
+    return _theta_of(parse_theta(s, n_params=n_params) for s in sources)
 
 
 def unit_circle_family():
@@ -72,7 +74,7 @@ def unit_circle_family():
     a1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     a2 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     sources = ("cos(mu1)", "sin(mu1)")
-    theta, _ = theta_from_expressions(sources, n_params=1)
+    theta = theta_from_expressions(sources, n_params=1)
     return AffineFamily(terms=(a1, a2), theta=theta,
                         domain=((0.0, np.pi),), theta_source=sources,
                         name="unit-circle")
@@ -92,7 +94,7 @@ def random_family(q, n, delta=0.2, seed=0):
         g = rng.standard_normal((n, n))
         terms.append(0.5 * (g + g.T))
     sources = ("1",) + tuple(f"mu{k}" for k in range(1, q))
-    theta, _ = theta_from_expressions(sources, n_params=q - 1)
+    theta = theta_from_expressions(sources, n_params=q - 1)
     domain = tuple((0.0, float(delta)) for _ in range(q - 1))
     return AffineFamily(terms=tuple(terms), theta=theta, domain=domain,
                         theta_source=sources, name=f"random-q{q}-n{n}")
@@ -113,7 +115,7 @@ def one_parameter_analytic_family(n=40, gap=1.0, seed=0, grid=200,
         raise ArgumentError("gap must be positive")
     rng = np.random.default_rng(seed)
     sources = ("1", "mu1", "mu1*mu1/2")
-    theta, _ = theta_from_expressions(sources, n_params=1)
+    theta = theta_from_expressions(sources, n_params=1)
     mus = np.linspace(-1.0, 1.0, grid)
     for _ in range(max_attempts):
         base = np.concatenate([[0.0, 1.5 * gap],
@@ -194,7 +196,7 @@ def block_grid_family(nx=32, ny=33, blocks=(3, 3), coeff_range=(0.1, 0.5)):
         terms.append(term)
     q = gx * gy + 1
     sources = ("1",) + tuple(f"mu{k}" for k in range(1, q))
-    theta, _ = theta_from_expressions(sources, n_params=q - 1)
+    theta = theta_from_expressions(sources, n_params=q - 1)
     domain = tuple((float(coeff_range[0]), float(coeff_range[1]))
                    for _ in range(q - 1))
     return AffineFamily(terms=tuple(terms), theta=theta, domain=domain,
@@ -202,31 +204,19 @@ def block_grid_family(nx=32, ny=33, blocks=(3, 3), coeff_range=(0.1, 0.5)):
                         name=f"block-grid-{nx}x{ny}-{gx}x{gy}")
 
 
-@dataclass(frozen=True)
-class GeneralizedProblem:
-    """Stiffness family with the sparse factor of its SPD inner product."""
-
-    family: AffineFamily
-    factor: SpdFactor
-
-    @classmethod
-    def build(cls, family, inner_product):
-        # the pencil family made by coercivity_transform checks dimensions
-        return cls(family=family, factor=cholesky(inner_product))
-
-
-def coercivity_transform(problem):
-    """The stiffness family with the inner product X attached.
+def coercivity_transform(family, X):
+    """The stiffness family with the SPD inner product X attached.
 
     Every eigenproblem of the result is the pencil (A(mu), X), so its
     smallest eigenvalue at mu is the discrete coercivity constant.  The
-    terms are kept as they are; X enters through its sparse factor.
+    terms are kept as they are; X enters through its sparse factor
+    (:func:`~eigenbounds.hermitian.cholesky`).
     """
-    fam = problem.family
-    return AffineFamily(terms=fam.terms, theta=fam.theta, domain=fam.domain,
-                        theta_source=fam.theta_source,
-                        name=fam.name + ":coercivity",
-                        inner_product=problem.factor)
+    return AffineFamily(terms=family.terms, theta=family.theta,
+                        domain=family.domain,
+                        theta_source=family.theta_source,
+                        name=family.name + ":coercivity",
+                        inner_product=cholesky(X))
 
 
 def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
@@ -268,7 +258,7 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
             else:
                 terms.append(DenseHermitian(C[i].T @ C[j] + C[j].T @ C[i]))
                 pair_sources.append(f"({src[i]})*({src[j]})")
-    theta, _ = theta_from_expressions(tuple(pair_sources), n_params=p)
+    theta = theta_from_expressions(tuple(pair_sources), n_params=p)
     return AffineFamily(terms=tuple(terms), theta=theta, domain=tuple(domain),
                         theta_source=tuple(pair_sources),
                         name="singular-value-expansion")
@@ -278,7 +268,7 @@ def _require(manifest, field, kind, length=None):
     if field not in manifest:
         raise ManifestError(field, "missing")
     value = manifest[field]
-    if kind is int and not isinstance(value, int):
+    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
         raise ManifestError(field, f"expected integer, got {value!r}")
     if kind is list and not isinstance(value, list):
         raise ManifestError(field, f"expected list, got {type(value).__name__}")
@@ -312,7 +302,8 @@ def load_family(path):
     domain = []
     for k, pair in enumerate(domain_raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(isinstance(v, (int, float))
+                           and not isinstance(v, bool) for v in pair)
                 or pair[0] > pair[1]):
             raise ManifestError("domain", f"entry {k} is not a valid interval")
         domain.append((float(pair[0]), float(pair[1])))
@@ -384,13 +375,13 @@ def load_family(path):
                 "terms", f"{rel} is not Hermitian (relative defect "
                 f"{op.symmetrization_defect:.2e} > {SYMMETRY_TOL})")
         wrapped.append(op)
-    theta, _ = theta_from_expressions([e.source for e in exprs], n_params=p)
-    fam = AffineFamily(terms=tuple(wrapped), theta=theta, domain=tuple(domain),
+    fam = AffineFamily(terms=tuple(wrapped), theta=_theta_of(exprs),
+                       domain=tuple(domain),
                        theta_source=tuple(e.source for e in exprs),
                        name=os.path.basename(path))
     if pipeline == "coercivity":
         if inner is None:
             raise ManifestError("inner_product",
                                 "required for the coercivity pipeline")
-        return coercivity_transform(GeneralizedProblem.build(fam, inner)), meta
+        return coercivity_transform(fam, inner), meta
     return fam, meta

@@ -90,7 +90,7 @@ def solve_at_sample(family, mu, k, seed=0):
     k = min(k, n)
     if k >= n:
         return dense_smallest(family.assemble_dense(mu), k,
-                              size_cap=max(n, 2000), M=family.inner_product)
+                              M=family.inner_product)
     return smallest_eigpairs(family.operator_at(mu), k, seed=seed,
                              M=family.inner_product)
 
@@ -143,7 +143,7 @@ def upper_bound(state, mu):
     return float(np.min(state.upper_points @ th))
 
 
-def lower_bound(state, box, mu, warm=None, lp_tol=1e-8, c=None):
+def lower_bound(state, box, mu, lp_tol=1e-8, c=None):
     """LP lower bound over the box cut by the sampled constraints.
 
     ``c`` is the objective row theta(mu) when the caller already holds it.
@@ -152,7 +152,7 @@ def lower_bound(state, box, mu, warm=None, lp_tol=1e-8, c=None):
         c = state.family.theta_at(mu)
     problem = LPProblem(c=c, lower=box.lower,
                         upper=box.upper, rows=state.rows, rhs=state.rhs)
-    sol = lp_minimize(problem, warm=warm, tol=lp_tol)
+    sol = lp_minimize(problem, tol=lp_tol)
     return sol.value, sol
 
 
@@ -403,7 +403,7 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
                    seed=seed)
 
 
-def worst_case_family(state, mu_tilde, y_tilde, max_n=4096):
+def worst_case_family(state, mu_tilde, y_tilde):
     """Family that attains the SCM lower bound at ``mu_tilde``.
 
     Projects every term onto the span of the sampled eigenvectors and fills
@@ -431,7 +431,7 @@ def worst_case_family(state, mu_tilde, y_tilde, max_n=4096):
     perp = eye - proj
     terms = []
     for qi, term in enumerate(family.terms):
-        A = term.dense(max_n=max_n)
+        A = term.dense()
         terms.append(DenseHermitian(proj @ A @ proj + y[qi] * perp))
     return AffineFamily(terms=tuple(terms), theta=family.theta,
                         domain=family.domain,

@@ -58,7 +58,6 @@ __all__ = [
     "subspace_greedy",
 ]
 
-DROP_TOL = 1e-10
 RHO_SQ_FLOOR = -1e-10
 # Bytes of stacked per-parameter arrays one chunk of a sweep may hold.
 SWEEP_CHUNK_BYTES = 1 << 22
@@ -117,8 +116,7 @@ def append_sample(pool, mu_new, seed=0):
     ell_eff = min(pool.ell, pairs.vectors.shape[1])
     vectors = pairs.vectors[:, :ell_eff]
 
-    new_block, kept = orthonormal_columns(vectors, against=pool.basis,
-                                          drop_tol=DROP_TOL, M=X)
+    new_block, _ = orthonormal_columns(vectors, against=pool.basis, M=X)
     if pool.basis.shape[1] == 0 and new_block.shape[1] == 0:
         raise ArgumentError("cannot start a pool with an empty block")
     basis = np.hstack([pool.basis, new_block]) if new_block.shape[1] else pool.basis
@@ -432,21 +430,21 @@ def sweep_bounds(pool, theta, sols, r_max=None):
         np.zeros(0) for f in fields(SweepBounds)})
 
 
-def subspace_lower_bound(pool, box, mu, r_max=None, warm=None, lp_tol=1e-8):
+def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
     """Best certified lower bound over Ritz-space dimensions r = 0..r_max.
 
     r = 0 reproduces the classical LP lower bound; each r >= 1 combines the
     Ritz residual with the gap-tightened eta.  Returns the maximum over r
     (ties broken toward the smallest r) together with the Ritz data of the
     winning r and the LP solution.  This is the one-row case of
-    :func:`sweep_bounds`, with ``warm`` offered to the LP solver.
+    :func:`sweep_bounds`.
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
     if r_max is None:
         r_max = pool.family.q
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    _, sol = lower_bound(pool, box, mu, warm=warm, lp_tol=lp_tol)
+    _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
     out = _sweep_rows(pool, pool.family.theta_at(mu)[None], [sol], r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]

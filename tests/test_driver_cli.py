@@ -212,6 +212,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == "theta"
 
+    def test_non_finite_term_entry_exit_2(self, tmp_path, capsys):
+        manifest = circle_manifest(tmp_path)
+        term = tmp_path / "circle" / "a1.mtx"
+        lines = term.read_text().splitlines()
+        lines[-1] = " ".join(lines[-1].split()[:2] + ["nan"])
+        term.write_text("\n".join(lines) + "\n")
+        code = main(["run", "--manifest", manifest, "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MMFormatError"
+        assert "non-finite" in payload["message"]
+
     def test_gen_then_run(self, tmp_path, capsys):
         gen_dir = str(tmp_path / "gen")
         assert main(["gen", "--kind", "unit-circle", "--out", gen_dir]) == 0
@@ -266,10 +279,11 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == field
         assert not out.exists()
+        return payload
 
     @pytest.mark.parametrize("field, value", [("r_max", "2"),
                                               ("eps", "1e-3"),
-                                              ("warm_start", 1),
+                                              ("oracle", 1),
                                               ("j_max", True)])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys,
                                                  field, value):
@@ -290,6 +304,11 @@ class TestCli:
 
     def test_deleted_lazy_sweep_field_rejected(self, tmp_path, capsys):
         self._assert_config_field_rejected(tmp_path, capsys, "lazy_sweep")
+
+    def test_deleted_warm_start_field_rejected(self, tmp_path, capsys):
+        payload = self._assert_config_field_rejected(tmp_path, capsys,
+                                                     "warm_start", False)
+        assert "unknown config field" in payload["message"]
 
     def test_config_file_workers_other_than_one_rejected(self, tmp_path,
                                                          capsys):

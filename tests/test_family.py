@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from eigenbounds import (ArgumentError, compute_bounding_box, joint_rayleigh,
-                         random_training_set, unit_circle_family)
+from eigenbounds import (ArgumentError, ProductHermitian,
+                         compute_bounding_box, joint_rayleigh,
+                         random_training_set, solve_at_sample,
+                         unit_circle_family)
 from eigenbounds.family import AffineFamily, BoundingBox, TrainingSet
 
 
@@ -129,3 +132,21 @@ def test_theta_length_mismatch_raises(circle):
                        domain=circle.domain)
     with pytest.raises(ArgumentError):
         bad.theta_at([0.5])
+
+
+def test_mixed_dense_and_sparse_terms_apply_one_by_one():
+    # a dense term next to a sparse one: operator_at neither assembles nor
+    # sums sparse matrices, it applies the terms in turn
+    n = 120
+    g = np.random.default_rng(5).standard_normal((n, n))
+    tri = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                       [-1, 0, 1], format="csr")
+    fam = AffineFamily(terms=(0.5 * (g + g.T), tri),
+                       theta=lambda mu: np.array([1.0, mu[0]]),
+                       domain=((0.0, 2.0),))
+    mu = np.array([0.7])
+    assert isinstance(fam.operator_at(mu), ProductHermitian)
+    A = fam.assemble_dense(mu)
+    assert_allclose(solve_at_sample(fam, mu, 2).values,
+                    np.linalg.eigvalsh(A)[:2],
+                    atol=1e-10 * np.linalg.norm(A, 2))

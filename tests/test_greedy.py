@@ -5,11 +5,10 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from eigenbounds import (AffineFamily, EigensolverError, GeneralizedProblem,
-                         GreedyError, ScmState, SubspacePool,
-                         block_grid_family, coercivity_transform,
-                         random_family, random_training_set, scm_greedy,
-                         subspace_greedy)
+from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
+                         ScmState, SubspacePool, block_grid_family,
+                         coercivity_transform, random_family,
+                         random_training_set, scm_greedy, subspace_greedy)
 from eigenbounds import scm, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 
@@ -182,7 +181,7 @@ def test_coercivity_bounds_certified_at_n_4225():
     lap = fam.terms[0].matrix
     X = (lap + 0.3 * lap.diagonal().mean()
          * sparse.identity(fam.n, format="csr")).tocsr()
-    pencil = coercivity_transform(GeneralizedProblem.build(fam, X))
+    pencil = coercivity_transform(fam, X)
     train = random_training_set(pencil.domain, 8, seed=0)
     res = subspace_greedy(pencil, train, j_max=2)
     ref = []

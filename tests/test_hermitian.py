@@ -199,10 +199,6 @@ class TestDenseSmallest:
         ep = dense_smallest(A, 40)
         assert_allclose(ep.values, expected, atol=1e-12)
 
-    def test_size_cap(self):
-        with pytest.raises(ArgumentError):
-            dense_smallest(np.eye(10), 2, size_cap=5)
-
 
 class TestCholesky:
     def test_identity(self):

@@ -163,23 +163,6 @@ class TestLpMinimize:
         assert sol.degenerate
         assert sol.active == (("sample", 0), ("sample", 1))
 
-    def test_warm_start_reuse(self):
-        p1 = LPProblem(c=[1.0, 1.0], lower=[-1, -1], upper=[1, 1],
-                       rows=[[1.0, 0.0]], rhs=[-0.5])
-        sol1 = lp_minimize(p1)
-        p2 = LPProblem(c=p1.c, lower=p1.lower, upper=p1.upper,
-                       rows=np.vstack([p1.rows, [[0.0, 1.0]]]),
-                       rhs=np.append(p1.rhs, -2.0))  # satisfied by sol1
-        sol2 = lp_minimize(p2, warm=sol1)
-        assert sol2.cache_hit
-        assert_allclose(sol2.y, sol1.y, atol=0)
-        p3 = LPProblem(c=p1.c, lower=p1.lower, upper=p1.upper,
-                       rows=np.vstack([p1.rows, [[0.0, 1.0]]]),
-                       rhs=np.append(p1.rhs, -0.3))  # cuts off sol1
-        sol3 = lp_minimize(p3, warm=sol1)
-        assert not sol3.cache_hit
-        assert_allclose(sol3.y, [-0.5, -0.3], atol=1e-10)
-
     def test_fixed_coordinate_box(self):
         # degenerate box interval lower == upper
         p = LPProblem(c=[1.0, -1.0], lower=[2.0, 0.0], upper=[2.0, 1.0],

@@ -77,3 +77,17 @@ def test_integer_field_reads_as_float(tmp_path):
     A, header = read_matrix_market(path)
     assert header.field == "integer"
     assert_allclose(A.toarray(), [[3.0, -1.0], [-1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind, entry", [
+    ("real symmetric", "2 2 nan"),
+    ("real symmetric", "2 2 inf"),
+    ("real general", "2 2 -inf"),
+    ("complex hermitian", "2 2 1.0 nan"),
+])
+def test_non_finite_value_names_line(tmp_path, kind, entry):
+    path = tmp_path / "nan.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate {kind}\n"
+                    f"% a comment\n2 2 1\n{entry}\n")
+    with pytest.raises(MMFormatError, match=f"line 4: '{entry}'"):
+        read_matrix_market(path)

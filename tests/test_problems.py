@@ -5,9 +5,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from eigenbounds import (GeneralizedProblem, ManifestError,
-                         block_grid_family, coercivity_transform,
-                         joint_rayleigh, load_family,
+from eigenbounds import (ManifestError, block_grid_family,
+                         coercivity_transform, joint_rayleigh, load_family,
                          one_parameter_analytic_family, random_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family, write_matrix_market)
@@ -112,8 +111,7 @@ class TestGenerators:
 class TestCoercivityTransform:
     def test_identity_inner_product_is_noop(self):
         fam = random_family(2, 30, delta=0.3, seed=1)
-        gen = GeneralizedProblem.build(fam, np.eye(30))
-        out = coercivity_transform(gen)
+        out = coercivity_transform(fam, np.eye(30))
         rng = np.random.default_rng(0)
         for _ in range(5):
             mu = rng.uniform(0, 0.3, 1)
@@ -123,8 +121,7 @@ class TestCoercivityTransform:
 
     def test_scaled_identity_scales_quotients(self):
         fam = random_family(2, 20, delta=0.3, seed=2)
-        gen = GeneralizedProblem.build(fam, 4.0 * np.eye(20))
-        out = coercivity_transform(gen)
+        out = coercivity_transform(fam, 4.0 * np.eye(20))
         mu = [0.2]
         assert_allclose(solve_at_sample(out, mu, 20).values,
                         np.linalg.eigvalsh(fam.assemble_dense(mu)) / 4.0,
@@ -133,8 +130,7 @@ class TestCoercivityTransform:
     def test_matches_generalized_eig_oracle(self):
         fam = random_family(3, 60, delta=0.3, seed=3)
         X = make_spd(60, 4)
-        gen = GeneralizedProblem.build(fam, X)
-        out = coercivity_transform(gen)
+        out = coercivity_transform(fam, X)
         rng = np.random.default_rng(5)
         for _ in range(10):
             mu = rng.uniform(0, 0.3, 2)
@@ -150,7 +146,7 @@ class TestCoercivityTransform:
         fam = block_grid_family(nx=10, ny=10, blocks=(2, 1))
         n = fam.n
         X = make_spd(n, 3)
-        out = coercivity_transform(GeneralizedProblem.build(fam, X))
+        out = coercivity_transform(fam, X)
         L = np.linalg.cholesky(X)
         for mu in ([0.15, 0.4], [0.5, 0.1]):
             A = fam.assemble_dense(mu)
@@ -240,6 +236,18 @@ class TestManifest:
             load_family(path)
         assert err.value.field == "theta"
         assert "offset 0" in str(err.value)
+
+    @pytest.mark.parametrize("override, field", [
+        ({"Q": True, "P": True}, "Q"),
+        ({"domain": [[False, True]]}, "domain"),
+    ], ids=["Q-and-P", "domain"])
+    def test_boolean_where_number_expected(self, tmp_path, override, field):
+        path = self.write_circle_manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, **override}))
+        with pytest.raises(ManifestError) as err:
+            load_family(path)
+        assert err.value.field == field
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "manifest.json"

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (AffineFamily, GeneralizedProblem, ScmState,
-                         coercivity_transform, compute_bounding_box,
-                         error_ratio, joint_rayleigh, lower_bound,
-                         random_family, random_training_set, scm_greedy,
-                         solve_at_sample, unit_circle_family, upper_bound,
-                         worst_case_family)
+from eigenbounds import (AffineFamily, ScmState, coercivity_transform,
+                         compute_bounding_box, error_ratio, joint_rayleigh,
+                         lower_bound, random_family, random_training_set,
+                         scm_greedy, solve_at_sample, unit_circle_family,
+                         upper_bound, worst_case_family)
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
 from eigenbounds.scm import _ratio_array
@@ -267,8 +266,7 @@ class TestWorstCaseFamily:
             worst_case_family(state, [0.3], np.zeros(2))
 
     def test_pencil_family_rejected(self):
-        fam = coercivity_transform(GeneralizedProblem.build(
-            unit_circle_family(), 2.0 * np.eye(2)))
+        fam = coercivity_transform(unit_circle_family(), 2.0 * np.eye(2))
         state = ScmState(fam)
         with pytest.raises(ArgumentError, match="pencil"):
             worst_case_family(state, [0.3], np.zeros(2))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (AffineFamily, GeneralizedProblem, RitzData,
-                         SubspacePool, append_sample, beta_gap,
+from eigenbounds import (AffineFamily, RitzData, SubspacePool,
+                         append_sample, beta_gap,
                          coercivity_transform, compute_bounding_box,
                          f_bound, lower_bound,
                          random_family, random_training_set,
@@ -161,7 +161,7 @@ class TestPencilPool:
         fam = random_family(3, 90, delta=0.25, seed=16)
         g = np.random.default_rng(17).standard_normal((90, 90))
         X = g @ g.T / 90 + np.eye(90)
-        out = coercivity_transform(GeneralizedProblem.build(fam, X))
+        out = coercivity_transform(fam, X)
         return fam, X, build_pool(out, [[0.0, 0.1], [0.2, 0.2], [0.1, 0.0]],
                                   ell=2)
 

