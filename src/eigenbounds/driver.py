@@ -248,6 +248,8 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             "eig": result.records[-1].eig_count if result.records else 0,
             "lp_cached": result.records[-1].lp_cached
                 if result.records else 0,
+            "shift_fallbacks": result.records[-1].shift_fallbacks
+                if result.records else 0,
         },
         "final_max_ratio": result.records[-1].max_ratio
             if result.records else None,

@@ -9,7 +9,11 @@ residual norms: each Ritz value lies within ||r|| of an eigenvalue, and it
 is the wanted one provided ARPACK missed no eigenvalue below it.  Operators
 are dense arrays, sparse matrices or callable block products.  Given the
 sparse factor of an SPD X (:func:`cholesky`), the eigensolvers solve the
-pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.
+pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given
+a shift below the spectrum, a sparse eigensolve runs ARPACK in shift-invert
+mode on the factor of A - sigma X (spectral-transformation Lanczos,
+Ericsson & Ruhe, Math. Comp. 35, 1980); the factor's pivots certify the
+shift by Sylvester's law of inertia.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ class EigenPairs:
     values: np.ndarray    # (k,) real, ascending
     vectors: np.ndarray   # (n, k) orthonormal (X-orthonormal) columns
     residuals: np.ndarray # (k,) norms of A v - lambda v (or - lambda X v)
+    shift_fallback: bool = False  # a shift failed the factor test (unshifted)
 
     @property
     def count(self):
@@ -281,16 +286,36 @@ def orthonormal_columns(X, against=None, M=None):
     return np.column_stack(cols), kept
 
 
-def _ritz_pairs(op, values, vectors, M):
+def _ritz_pairs(op, values, vectors, M, shift_fallback=False):
     """EigenPairs in ascending order, with residuals computed explicitly."""
     order = np.argsort(values)
     w = np.asarray(values, dtype=float)[order]
     V = np.ascontiguousarray(vectors[:, order])
     R = op.matmat(V) - (V if M is None else M.matrix.matmat(V)) * w
-    return EigenPairs(values=w, vectors=V, residuals=_norms(R, M and M.solve))
+    return EigenPairs(values=w, vectors=V, residuals=_norms(R, M and M.solve),
+                      shift_fallback=shift_fallback)
 
 
-def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None):
+def _shifted_factor(op, sigma, M):
+    """The factor of A - sigma X (X = I without ``M``), or None.
+
+    None when the factor has a non-positive pivot, that is when sigma is
+    not below every eigenvalue of the pencil.
+    """
+    X = sparse.identity(op.n, format="csr") if M is None else M.matrix.matrix
+    try:
+        return cholesky(op.matrix - sigma * X)
+    except NotPositiveDefiniteError:
+        return None
+
+
+def _inverse(factor, n, dtype):
+    """The solve of an :class:`SpdFactor` as a LinearOperator."""
+    return LinearOperator((n, n), matvec=factor.solve, matmat=factor.solve,
+                          dtype=dtype)
+
+
+def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     """The k smallest eigenpairs of a Hermitian operator, or of a pencil.
 
     Implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``)
@@ -305,12 +330,20 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None):
     solves the pencil (A, X), applying X^{-1} through the factor; residuals
     are then ||A v - lambda X v|| in the X^{-1} norm.
 
+    With ``below`` = sigma and a sparse operator, A - sigma X is factored
+    first.  If every pivot is positive, sigma lies below the spectrum and
+    ARPACK runs in shift-invert mode on that factor, where the wanted
+    eigenvalues are the best separated; otherwise the solve runs unshifted
+    and the result has ``shift_fallback`` set.  Dense and product
+    operators ignore ``below``.
+
     Parameters
     ----------
     A : HermitianOperator or array-like
     k : number of smallest eigenpairs, 1 <= k < n
     seed : seed for the random starting vector (determinism)
     restart_cap : maximum ARPACK restart iterations; defaults to 10*n
+    below : optional shift sigma, expected below the smallest eigenvalue
 
     Raises
     ------
@@ -322,6 +355,8 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None):
     n = op.n
     if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
         raise ArgumentError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if below is not None and not np.isfinite(below):
+        raise ArgumentError(f"the shift must be finite, got {below}")
     if n <= DENSE_FALLBACK_SIZE:
         return dense_smallest(op.dense(), k, M=M)
 
@@ -331,16 +366,23 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None):
         v0 = v0 + 1j * rng.standard_normal(n)
     lin = LinearOperator((n, n), matvec=op.matvec, matmat=op.matmat,
                          dtype=v0.dtype)
-    Xinv = M and LinearOperator((n, n), matvec=M.solve, matmat=M.solve,
-                                dtype=v0.dtype)
+    arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
+    fallback = False
+    if below is not None and isinstance(op, SparseHermitian):
+        shifted = _shifted_factor(op, below, M)
+        fallback = shifted is None
+        if shifted is not None:
+            arpack = {"sigma": below, "which": "LM",
+                      "OPinv": _inverse(shifted, n, v0.dtype)}
     try:
-        w, V = eigsh(lin, k=k, M=M and M.matrix.matrix, Minv=Xinv, which="SA",
-                     tol=0, v0=v0, maxiter=restart_cap)
+        w, V = eigsh(lin, k=k, M=M and M.matrix.matrix, tol=0, v0=v0,
+                     maxiter=restart_cap, **arpack)
     except ArpackNoConvergence as exc:
         raise EigensolverError(
             f"no convergence: {exc}",
-            best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors, M)) from exc
-    return _ritz_pairs(op, w, V, M)
+            best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors, M,
+                             fallback)) from exc
+    return _ritz_pairs(op, w, V, M, fallback)
 
 
 def extreme_eigs(A, seed=0, M=None):

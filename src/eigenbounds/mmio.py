@@ -66,32 +66,37 @@ def read_matrix_market(path):
     size_parts = lines[idx].split()
     if len(size_parts) != 3:
         raise MMFormatError(f"bad size line: {lines[idx]!r}")
-    nrows, ncols, nnz = (int(p) for p in size_parts)
+    k, line = idx, lines[idx]    # the line being parsed, for the message
+    try:
+        nrows, ncols, nnz = (int(p) for p in size_parts)
+        rows = np.empty(nnz, dtype=np.int64)
+        cols = np.empty(nnz, dtype=np.int64)
+        vals = np.empty(nnz, dtype=complex if field == "complex" else float)
+        count = 0
+        for k, line in enumerate(lines[idx + 1:], idx + 1):
+            if not line.strip():
+                continue
+            if count >= nnz:
+                raise MMFormatError("more entries than declared")
+            parts = line.split()
+            want = 4 if field == "complex" else 3
+            if len(parts) != want:
+                raise MMFormatError(f"bad entry line: {line!r}")
+            i, j = int(parts[0]) - 1, int(parts[1]) - 1
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise MMFormatError(f"index out of range: {line!r}")
+            rows[count] = i
+            cols[count] = j
+            if field == "complex":
+                vals[count] = float(parts[2]) + 1j * float(parts[3])
+            else:
+                vals[count] = float(parts[2])
+            count += 1
+    except MMFormatError:
+        raise
+    except ValueError as exc:    # int() / float() of a malformed field
+        raise MMFormatError(f"cannot parse line {k + 1}: {line!r}") from exc
     idx += 1
-
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=complex if field == "complex" else float)
-    count = 0
-    for line in lines[idx:]:
-        if not line.strip():
-            continue
-        if count >= nnz:
-            raise MMFormatError("more entries than declared")
-        parts = line.split()
-        want = 4 if field == "complex" else 3
-        if len(parts) != want:
-            raise MMFormatError(f"bad entry line: {line!r}")
-        i, j = int(parts[0]) - 1, int(parts[1]) - 1
-        if not (0 <= i < nrows and 0 <= j < ncols):
-            raise MMFormatError(f"index out of range: {line!r}")
-        rows[count] = i
-        cols[count] = j
-        if field == "complex":
-            vals[count] = float(parts[2]) + 1j * float(parts[3])
-        else:
-            vals[count] = float(parts[2])
-        count += 1
     if count != nnz:
         raise MMFormatError(f"declared {nnz} entries, found {count}")
     bad = np.flatnonzero(~np.isfinite(vals))

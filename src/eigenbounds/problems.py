@@ -346,6 +346,9 @@ def load_family(path):
 
     inner = None
     if "inner_product" in manifest and manifest["inner_product"] is not None:
+        if pipeline == "eig":
+            raise ManifestError("inner_product", "the eig pipeline takes "
+                                "none; use coercivity or singular")
         rel = manifest["inner_product"]
         if not isinstance(rel, str):
             raise ManifestError("inner_product", "not a string")

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 RATIO_DENOMINATOR_FLOOR = 1e-14
+# The sample shift sits this far below the loop's bound at the selected
+# point, relative to the box's bound sum_q |theta_q| max(|lo_q|, |hi_q|) on
+# |A(mu)|, so that a tight bound never gives an exactly singular A - sigma X.
+SHIFT_MARGIN = 1e-8
 
 
 class GreedyError(RuntimeError):
@@ -63,6 +67,7 @@ class GreedyRecord:
     lp_count: int
     eig_count: int
     lp_cached: int = 0
+    shift_fallbacks: int = 0
     max_abs_ub_error: float | None = None
     max_abs_lb_error: float | None = None
     heuristic_valid: bool | None = None
@@ -79,12 +84,13 @@ class GreedyResult:
     training: object
 
 
-def solve_at_sample(family, mu, k, seed=0):
+def solve_at_sample(family, mu, k, seed=0, below=None):
     """Smallest k eigenpairs of A(mu) (of the pencil with an inner product).
 
     Takes the dense path when k reaches the full dimension (the iterative
     solver requires k < n); :func:`smallest_eigpairs` picks dense or
-    iterative by size otherwise.
+    iterative by size otherwise, and shift-inverts a sparse A(mu) at
+    ``below`` when that shift passes its positive-definite test.
     """
     n = family.n
     k = min(k, n)
@@ -92,12 +98,13 @@ def solve_at_sample(family, mu, k, seed=0):
         return dense_smallest(family.assemble_dense(mu), k,
                               M=family.inner_product)
     return smallest_eigpairs(family.operator_at(mu), k, seed=seed,
-                             M=family.inner_product)
+                             M=family.inner_product, below=below)
 
 
 class ScmState:
     """Greedy sample set: samples, their smallest eigenpairs, joint-Rayleigh
-    points and the LP constraints ``rows @ y >= rhs``."""
+    points and the LP constraints ``rows @ y >= rhs``.  ``shift_fallbacks``
+    counts the sample solves whose shift failed its positive-definite test."""
 
     def __init__(self, family):
         self.family = family
@@ -107,6 +114,7 @@ class ScmState:
         self.upper_points = np.zeros((0, family.q))
         self.rows = np.zeros((0, family.q))
         self.rhs = np.zeros(0)
+        self.shift_fallbacks = 0
 
     @property
     def j(self):
@@ -126,9 +134,10 @@ class ScmState:
         self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
         self.rhs = np.append(self.rhs, float(value))
 
-    def add_sample(self, mu, seed=0):
+    def add_sample(self, mu, seed=0, below=None):
         """Solve for the smallest eigenpair at ``mu`` and append it."""
-        pairs = solve_at_sample(self.family, mu, 1, seed=seed)
+        pairs = solve_at_sample(self.family, mu, 1, seed=seed, below=below)
+        self.shift_fallbacks += pairs.shift_fallback
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
 
 
@@ -230,6 +239,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
 
     The loop starts with the bounding box (2Q extreme-eigenvalue solves).
     Each iteration solves at the selected parameter (``model.add_sample``),
+    shifted below the selected point's lower bound (``sample_shift``),
     updates the sampled upper bounds ``lam_ub``, finds the LP lower bound
     ``lam_lb`` of every training point, then picks the point with the worst
     ratio.  Without ``warm_start`` every LP is solved cold, every
@@ -292,6 +302,25 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
         lp_cached += int(np.count_nonzero(found))
         return points[~found]
 
+    def sample_shift(i):
+        """A shift for the sample solve at training point ``i``.
+
+        The point's LP lower bound ``lam_lb``; in the subspace pipeline the
+        larger of that and the residual heuristic, which the shifted
+        factor's positive-definite test may still reject.  Before the first
+        sample, the box alone: sum_q min(theta_q lo_q, theta_q hi_q).
+        Lowered by SHIFT_MARGIN.
+        """
+        th = theta_all[i]
+        if model.j == 0:
+            s = float(np.sum(np.minimum(th * box.lower, th * box.upper)))
+        else:
+            s = tables["lam_lb"][i]
+            if sweep is not None:
+                s = max(s, tables["heuristic"][i])
+        scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
+        return float(s - SHIFT_MARGIN * scale)
+
     def result():
         tabs = {key: col.copy() for key, col in tables.items()}
         tabs["ratio"] = _ratio_array(tables[lower], tables[upper])
@@ -312,7 +341,8 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             break
         t = time.perf_counter()
         try:
-            model.add_sample(mu_new, seed=seed)
+            model.add_sample(mu_new, seed=seed,
+                             below=sample_shift(selected))
         except EigensolverError as exc:
             reason = f"eigensolver failed at sample {it}: {exc}"
             raise GreedyError(reason, partial=result()) from exc
@@ -359,7 +389,8 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             wall_seconds=time.perf_counter() - t0,
             eig_seconds=eig_seconds, lp_seconds=lp_seconds,
             reduced_seconds=reduced_seconds,
-            lp_count=lp_count, eig_count=eig_count, lp_cached=lp_cached)
+            lp_count=lp_count, eig_count=eig_count, lp_cached=lp_cached,
+            shift_fallbacks=model.shift_fallbacks)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
                                                        - oracle)))
@@ -403,13 +434,14 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
                    seed=seed)
 
 
-def worst_case_family(state, mu_tilde, y_tilde):
-    """Family that attains the SCM lower bound at ``mu_tilde``.
+def worst_case_family(state, y_tilde):
+    """Family that attains the SCM lower bound where ``y_tilde`` is optimal.
 
     Projects every term onto the span of the sampled eigenvectors and fills
-    the orthogonal complement with the LP minimizer's coordinates:
-    the rebuilt family keeps the sampled smallest eigenvalues and its
-    smallest eigenvalue at ``mu_tilde`` drops exactly to the lower bound.
+    the orthogonal complement with the coordinates of ``y_tilde``, the LP
+    minimizer at some parameter mu: the rebuilt family keeps the sampled
+    smallest eigenvalues and its smallest eigenvalue at mu drops exactly
+    to the lower bound.
     Used by tests to certify that no better lower bound can be extracted
     from eigenvalue samples alone.  Standard families only.
     """

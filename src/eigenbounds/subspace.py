@@ -84,8 +84,8 @@ class SubspacePool(ScmState):
     def dim(self):
         return self.basis.shape[1]
 
-    def add_sample(self, mu, seed=0):
-        append_sample(self, mu, seed=seed)
+    def add_sample(self, mu, seed=0, below=None):
+        append_sample(self, mu, seed=seed, below=below)
 
     def sample_coeffs(self, i):
         """Basis coefficients of sample i's eigenvectors, zero-padded."""
@@ -96,7 +96,7 @@ class SubspacePool(ScmState):
         return C
 
 
-def append_sample(pool, mu_new, seed=0):
+def append_sample(pool, mu_new, seed=0, below=None):
     """Solve at a new sample and extend the pool incrementally.
 
     Requests ell+1 eigenvalues (one more than the number of vectors kept:
@@ -104,7 +104,7 @@ def append_sample(pool, mu_new, seed=0):
     the new vectors against the basis with a drop tolerance for
     near-dependence, and extends the reduced and cross matrices with only
     the new rows/columns (with an inner product X, one solve with X per new
-    column and term).
+    column and term).  ``below`` is the shift of :func:`solve_at_sample`.
     """
     family = pool.family
     X = family.inner_product
@@ -112,7 +112,8 @@ def append_sample(pool, mu_new, seed=0):
     if pool.has_sample(mu_new):
         raise ArgumentError("sample already present in the pool")
     k = min(pool.ell + 1, family.n)
-    pairs = solve_at_sample(family, mu_new, k, seed=seed)
+    pairs = solve_at_sample(family, mu_new, k, seed=seed, below=below)
+    pool.shift_fallbacks += pairs.shift_fallback
     ell_eff = min(pool.ell, pairs.vectors.shape[1])
     vectors = pairs.vectors[:, :ell_eff]
 

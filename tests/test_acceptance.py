@@ -204,7 +204,7 @@ def test_criterion_05_worst_case_family():
         rng = np.random.default_rng(seed)
         mu_t = rng.uniform(0.0, 0.4, size=1)
         val, sol = lower_bound(state, box, mu_t)
-        bar = worst_case_family(state, mu_t, sol.y)
+        bar = worst_case_family(state, sol.y)
         err_t = abs(np.linalg.eigvalsh(bar.assemble_dense(mu_t))[0] - val)
         assert err_t <= 1e-8
         worst = max(worst, err_t)

@@ -225,6 +225,23 @@ class TestCli:
         assert payload["error"] == "MMFormatError"
         assert "non-finite" in payload["message"]
 
+    def test_inner_product_with_eig_pipeline_exit_2(self, tmp_path, capsys):
+        from eigenbounds import write_matrix_market
+        manifest = circle_manifest(tmp_path)
+        write_matrix_market(tmp_path / "circle" / "x.mtx",
+                            np.diag([1.0, -5.0]))
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data["inner_product"] = "x.mtx"
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        code = main(["run", "--manifest", manifest, "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "inner_product"
+
     def test_gen_then_run(self, tmp_path, capsys):
         gen_dir = str(tmp_path / "gen")
         assert main(["gen", "--kind", "unit-circle", "--out", gen_dir]) == 0

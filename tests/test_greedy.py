@@ -9,7 +9,7 @@ from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
                          ScmState, SubspacePool, block_grid_family,
                          coercivity_transform, random_family,
                          random_training_set, scm_greedy, subspace_greedy)
-from eigenbounds import scm, subspace
+from eigenbounds import scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 
 PIPELINES = {
@@ -62,6 +62,47 @@ def test_warm_start_changes_nothing_at_q_10(ell):
     for key in ("lam_lb", "lam_slb", "lam_sub"):
         a, b = on.tables[key], off.tables[key]
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("pencil", [False, True])
+def test_shifted_samples_change_no_selection(monkeypatch, pencil):
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    if pencil:
+        lap = fam.terms[0].matrix
+        fam = coercivity_transform(fam, (lap + 0.3 * lap.diagonal().mean()
+                                         * sparse.identity(fam.n)).tocsr())
+    train = random_training_set(fam.domain, 30, seed=3)
+    shifted = subspace_greedy(fam, train, eps=1e-12, j_max=6)
+    shifts = []
+
+    def unshifted(*args, below=None, **kwargs):
+        shifts.append(below)
+        return smallest_eigpairs(*args, **kwargs)
+
+    monkeypatch.setattr(scm, "smallest_eigpairs", unshifted)
+    plain = subspace_greedy(fam, train, eps=1e-12, j_max=6)
+    assert len(shifts) == 6 and all(np.isfinite(shifts))
+    assert shifted.records[-1].shift_fallbacks == 0
+    assert ([r.selected_index for r in shifted.records]
+            == [r.selected_index for r in plain.records])
+    for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub"):
+        a, b = shifted.tables[key], plain.tables[key]
+        assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+def test_shift_above_the_spectrum_is_counted(tmp_path, monkeypatch,
+                                            pipeline):
+    # the loop's bound is at least minus the box's bound on |A(mu)|, so a
+    # margin of -3 puts every shift above the whole spectrum: no shifted
+    # factor is positive definite and every sample is solved unshifted
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    config = RunConfig(pipeline=pipeline, n_train=20, j_max=4, eps=1e-12)
+    normal = run_pipeline(config, fam, str(tmp_path / "normal"))
+    monkeypatch.setattr(scm, "SHIFT_MARGIN", -3.0)
+    forced = run_pipeline(config, fam, str(tmp_path / "forced"))
+    assert normal["counts"]["shift_fallbacks"] == 0
+    assert forced["counts"]["shift_fallbacks"] == 4
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 
 from eigenbounds import (ArgumentError, DenseHermitian,
                          EigensolverError, NotPositiveDefiniteError,
-                         SparseHermitian, cholesky, dense_smallest,
+                         SparseHermitian, block_grid_family, cholesky,
+                         coercivity_transform, dense_smallest,
                          extreme_eigs, hermitian, smallest_eigpairs)
 from eigenbounds.hermitian import orthonormal_columns
 
@@ -151,6 +152,64 @@ class TestSmallestEigpairs:
         ep = smallest_eigpairs(A, 2)
         norm_est = np.abs(np.linalg.eigvalsh(A)).max()
         assert np.all(ep.residuals <= tol * norm_est * 1.01)
+
+
+def _grid_families():
+    """A small sparse block-grid family (n = 120) and its pencil form."""
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    lap = fam.terms[0].matrix
+    X = (lap + 0.3 * lap.diagonal().mean()
+         * sparse.identity(fam.n, format="csr")).tocsr()
+    return {"standard": fam, "pencil": coercivity_transform(fam, X)}
+
+
+class TestShiftInvert:
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    @pytest.mark.parametrize("gap", [1e-8, 0.5])
+    def test_shift_below_gives_the_smallest_pairs(self, kind, gap):
+        fam = _grid_families()[kind]
+        mu = [0.2, 0.45, 0.1, 0.3]
+        op, M = fam.operator_at(mu), fam.inner_product
+        plain = smallest_eigpairs(op, 3, M=M)
+        sigma = plain.values[0] - gap * abs(plain.values[0])
+        shifted = smallest_eigpairs(op, 3, M=M, below=sigma)
+        assert not plain.shift_fallback and not shifted.shift_fallback
+        assert np.all(np.abs(shifted.values - plain.values)
+                      <= shifted.residuals + plain.residuals)
+        gram = shifted.vectors.T @ (shifted.vectors if M is None
+                                    else M.matrix.matmat(shifted.vectors))
+        assert_allclose(gram, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    def test_shift_above_falls_back_to_the_unshifted_solve(self, kind):
+        fam = _grid_families()[kind]
+        mu = [0.4, 0.1, 0.25, 0.35]
+        op, M = fam.operator_at(mu), fam.inner_product
+        plain = smallest_eigpairs(op, 2, M=M)
+        above = smallest_eigpairs(op, 2, M=M,
+                                  below=0.5 * (plain.values[0]
+                                               + plain.values[1]))
+        assert above.shift_fallback
+        assert np.array_equal(above.values, plain.values)
+        assert np.array_equal(above.vectors, plain.vectors)
+
+    def test_dense_operator_ignores_the_shift(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((100, 100))
+        A = DenseHermitian(A + A.T)
+        plain = smallest_eigpairs(A, 2)
+        for sigma in (plain.values[0] - 1.0, plain.values[1] + 1.0):
+            shifted = smallest_eigpairs(A, 2, below=sigma)
+            assert not shifted.shift_fallback
+            for field in ("values", "vectors", "residuals"):
+                assert np.array_equal(getattr(shifted, field),
+                                      getattr(plain, field))
+
+    @pytest.mark.parametrize("sigma", [np.nan, -np.inf])
+    def test_non_finite_shift_rejected(self, sigma):
+        with pytest.raises(ArgumentError, match="finite"):
+            smallest_eigpairs(sparse.identity(80, format="csr"), 1,
+                              below=sigma)
 
 
 class TestExtremeEigs:

@@ -91,3 +91,19 @@ def test_non_finite_value_names_line(tmp_path, kind, entry):
                     f"% a comment\n2 2 1\n{entry}\n")
     with pytest.raises(MMFormatError, match=f"line 4: '{entry}'"):
         read_matrix_market(path)
+
+
+@pytest.mark.parametrize("kind, size, entry, bad_line", [
+    ("real general", "2 2 1", "2 2 abc", 4),
+    ("real general", "2 2 1", "2 x 1.0", 4),
+    ("complex hermitian", "2 2 1", "2 2 1.0 1j", 4),
+    ("real general", "2 2.5 1", "2 2 1.0", 3),
+    ("real general", "2 2 -1", "2 2 1.0", 3),
+])
+def test_unparsable_field_names_line(tmp_path, kind, size, entry, bad_line):
+    path = tmp_path / "bad.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate {kind}\n"
+                    f"% a comment\n{size}\n{entry}\n")
+    text = size if bad_line == 3 else entry
+    with pytest.raises(MMFormatError, match=f"line {bad_line}: '{text}'"):
+        read_matrix_market(path)

@@ -289,6 +289,16 @@ class TestManifest:
         sigma = np.linalg.svd(M, compute_uv=False)[-1]
         assert abs(np.sqrt(max(w, 0)) - sigma) <= 1e-9
 
+    def test_eig_pipeline_rejects_inner_product(self, tmp_path):
+        path = self.write_circle_manifest(tmp_path)
+        write_matrix_market(tmp_path / "x.mtx", make_spd(2, 3))
+        manifest = json.loads(path.read_text())
+        manifest["inner_product"] = "x.mtx"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="eig pipeline") as err:
+            load_family(path)
+        assert err.value.field == "inner_product"
+
     def test_coercivity_pipeline_requires_inner_product(self, tmp_path):
         fam = unit_circle_family()
         write_matrix_market(tmp_path / "a1.mtx", fam.terms[0].dense())

@@ -235,7 +235,7 @@ class TestWorstCaseFamily:
         fam = unit_circle_family()
         state = ScmState(fam)
         y = np.array([0.25, -0.5])
-        bar = worst_case_family(state, [0.7], y)
+        bar = worst_case_family(state, y)
         mu = [0.7]
         th = fam.theta_at(mu)
         expected = float(th @ y)
@@ -252,7 +252,7 @@ class TestWorstCaseFamily:
         for trial in range(2):
             mu_t = rng.uniform(0.0, 0.4, size=1)
             val, sol = lower_bound(state, box, mu_t)
-            bar = worst_case_family(state, mu_t, sol.y)
+            bar = worst_case_family(state, sol.y)
             w_t = np.linalg.eigvalsh(bar.assemble_dense(mu_t))[0]
             assert abs(w_t - val) <= 1e-8
             for i, mu_i in enumerate(state.samples):
@@ -263,10 +263,10 @@ class TestWorstCaseFamily:
         fam = unit_circle_family()
         state = build_state(fam, [[0.0], [np.pi / 2]])
         with pytest.raises(ArgumentError):
-            worst_case_family(state, [0.3], np.zeros(2))
+            worst_case_family(state, np.zeros(2))
 
     def test_pencil_family_rejected(self):
         fam = coercivity_transform(unit_circle_family(), 2.0 * np.eye(2))
         state = ScmState(fam)
         with pytest.raises(ArgumentError, match="pencil"):
-            worst_case_family(state, [0.3], np.zeros(2))
+            worst_case_family(state, np.zeros(2))
