@@ -11,10 +11,13 @@ import argparse
 import json
 import sys
 import typing
+from dataclasses import asdict, fields
 
-from .driver import (CompareError, RunConfig, compare_runs,
-                     generate_problem_files, load_problem, run_pipeline)
+from .driver import (_GENERATORS, PIPELINES, CompareError, RunConfig,
+                     compare_runs, generate_problem_files, load_problem,
+                     run_pipeline)
 from .hermitian import ArgumentError
+from .problems import PIPELINES as PROBLEM_PIPELINES
 from .problems import ManifestError
 
 __all__ = ["main"]
@@ -45,19 +48,20 @@ def _build_parser():
                      help="generator spec as JSON text or @file")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--config", help="JSON config file; overrides flags")
-    run.add_argument("--pipeline", default="subspace",
-                     choices=["scm", "subspace", "subspace-heuristic"])
-    run.add_argument("--eps", type=float, default=1e-4)
-    run.add_argument("--j-max", type=int, default=200)
-    run.add_argument("--train-size", type=int, default=1000)
-    run.add_argument("--train-seed", type=int, default=0)
-    run.add_argument("--ell", type=int, default=1)
-    run.add_argument("--r-max", type=int, default=None)
-    run.add_argument("--lp-tol", type=float, default=1e-8)
+    # every RunConfig field takes its default from RunConfig itself
+    run.set_defaults(**asdict(RunConfig()))
+    run.add_argument("--pipeline", choices=PIPELINES)
+    run.add_argument("--eps", type=float)
+    run.add_argument("--j-max", type=int)
+    run.add_argument("--train-size", dest="n_train", type=int)
+    run.add_argument("--train-seed", type=int)
+    run.add_argument("--ell", type=int)
+    run.add_argument("--r-max", type=int)
+    run.add_argument("--lp-tol", type=float)
     run.add_argument("--oracle", action="store_true",
                      help="dense cross-validation columns (n <= oracle cap)")
-    run.add_argument("--oracle-cap", type=int, default=800)
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--oracle-cap", type=int)
+    run.add_argument("--seed", type=int,
                      help="seed of the eigensolver starting vector")
 
     cmp_ = sub.add_parser("compare", help="diff two run directories")
@@ -66,11 +70,9 @@ def _build_parser():
     cmp_.add_argument("--out", help="write the per-iteration table as CSV")
 
     gen = sub.add_parser("gen", help="emit a generator's matrices + manifest")
-    gen.add_argument("--kind", required=True,
-                     choices=["unit-circle", "random", "one-param", "blocks"])
+    gen.add_argument("--kind", required=True, choices=sorted(_GENERATORS))
     gen.add_argument("--out", required=True)
-    gen.add_argument("--pipeline", default="eig",
-                     choices=["eig", "coercivity", "singular"])
+    gen.add_argument("--pipeline", default="eig", choices=PROBLEM_PIPELINES)
     gen.add_argument("--spec", default=None,
                      help="generator parameters as JSON text or @file")
     return parser
@@ -93,11 +95,8 @@ def _fits(value, hint):
 
 
 def _config_from_args(args):
-    config = RunConfig(
-        pipeline=args.pipeline, eps=args.eps, j_max=args.j_max,
-        n_train=args.train_size, train_seed=args.train_seed, ell=args.ell,
-        r_max=args.r_max, lp_tol=args.lp_tol, oracle=args.oracle,
-        oracle_cap=args.oracle_cap, seed=args.seed)
+    config = RunConfig(**{f.name: getattr(args, f.name)
+                          for f in fields(RunConfig)})
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)

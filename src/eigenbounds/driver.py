@@ -72,8 +72,10 @@ class RunConfig:
             raise ArgumentError("ell must be at least 1")
         if self.lp_tol <= 0:
             raise ArgumentError("lp_tol must be positive")
-        if self.r_max is not None and self.r_max < 0:
-            raise ArgumentError("r_max must be non-negative")
+        for name in ("r_max", "train_seed", "seed"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ArgumentError(f"{name} must be non-negative")
         if self.workers != 1:
             raise ArgumentError("workers must be 1")
         return self

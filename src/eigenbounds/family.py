@@ -100,6 +100,10 @@ class AffineFamily:
                 out += c * term.matmat(X)
         return out
 
+    def apply_terms(self, X):
+        """Every term applied to the block X, stacked as (Q, n, k)."""
+        return np.stack([term.matmat(X) for term in self.terms])
+
     def assemble_dense(self, mu):
         th = self.theta_at(mu)
         A = th[0] * self.terms[0].dense()

@@ -81,7 +81,6 @@ class GreedyResult:
     box: BoundingBox
     records: list
     tables: dict                # per-training-point arrays from the final sweep
-    training: object
 
 
 def solve_at_sample(family, mu, k, seed=0, below=None):
@@ -109,7 +108,6 @@ class ScmState:
     def __init__(self, family):
         self.family = family
         self.samples = []
-        self.values = []
         self.vectors = []
         self.upper_points = np.zeros((0, family.q))
         self.rows = np.zeros((0, family.q))
@@ -120,6 +118,13 @@ class ScmState:
     def j(self):
         return len(self.samples)
 
+    @property
+    def values(self):
+        """The sampled smallest eigenvalues: a read-only view of ``rhs``."""
+        view = self.rhs.view()
+        view.flags.writeable = False
+        return view
+
     def has_sample(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         return any(np.array_equal(mu, s) for s in self.samples)
@@ -127,7 +132,6 @@ class ScmState:
     def append(self, mu, value, vector):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         self.samples.append(mu)
-        self.values.append(float(value))
         self.vectors.append(np.asarray(vector).reshape(-1))
         point = joint_rayleigh(self.family, vector)
         self.upper_points = np.vstack([self.upper_points, point])
@@ -329,8 +333,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
         if oracle is not None:
             tabs["oracle"] = np.asarray(oracle, dtype=float)
         return GreedyResult(converged=converged, reason=reason, model=model,
-                            box=box, records=records, tables=tabs,
-                            training=train)
+                            box=box, records=records, tables=tabs)
 
     for it in range(1, j_max + 1):
         mu_new = pts[selected]

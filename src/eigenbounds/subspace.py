@@ -1,16 +1,15 @@
 """Subspace-accelerated bounds for the parametric smallest eigenvalue.
 
 Sampled eigenvectors are accumulated in an orthonormal basis V with
-precomputed reduced matrices V*A_q V and V*A_q A_q' V, so that for every
-parameter the Ritz upper bound, the Ritz residual and the gap-tightened
-lower bound all come from small dense problems:
+precomputed reduced matrices V*A_q V and V*A_q X^{-1} A_p V (X = I
+without an inner product; with one, V is X-orthonormal), so that for
+every parameter the Ritz upper bound, the Ritz residual and the
+gap-tightened lower bound all come from small dense problems:
 
 * upper bound: smallest eigenvalue of the projected matrix V*A(mu)V;
 * lower bound: a quadratic residual perturbation bound applied to the
   leading Ritz block, with the unknown complementary-subspace eigenvalue
   replaced by eta from the tightened active-set LP system.
-
-With an inner product X, V is X-orthonormal; A_q A_q' reads A_q X^{-1} A_q'.
 
 :func:`sweep_bounds` evaluates these bounds for a whole batch of
 parameters with array code, given their LP solutions: one GEMM builds
@@ -64,7 +63,13 @@ SWEEP_CHUNK_BYTES = 1 << 22
 
 
 class SubspacePool(ScmState):
-    """Samples, their eigen-data, the joint basis and its reduced matrices."""
+    """Samples, their eigen-data, the joint basis V and its reduced matrices.
+
+    :func:`append_sample` grows one array per quantity: ``applied`` A_q V
+    (Q, n, dim), ``reduced`` V*A_q V (Q, dim, dim), ``cross`` V*A_q X^{-1}
+    A_p V (Q, Q, dim, dim), ``sample_values`` (J, min(ell + 1, n)) and the
+    zero-padded basis coefficients ``coeffs`` (J, dim, ell) of each sample.
+    """
 
     def __init__(self, family, ell=1):
         if ell < 1:
@@ -72,13 +77,13 @@ class SubspacePool(ScmState):
         super().__init__(family)
         self.ell = int(min(ell, family.n))
         n, q = family.n, family.q
-        self.sample_values = []   # per sample: ascending, up to ell+1 values
-        self.coeffs = []          # per sample: basis coefficients of its vectors
+        self.sample_values = np.zeros((0, min(self.ell + 1, n)))
+        self.coeffs = np.zeros((0, 0, self.ell))
         self.dropped = []         # per sample: number of near-dependent vectors
         self.basis = np.zeros((n, 0))
-        self.applied = [np.zeros((n, 0)) for _ in range(q)]   # A_q V
-        self.reduced = np.zeros((q, 0, 0))                    # V* A_q V
-        self.cross = np.zeros((q, q, 0, 0))           # V* A_q X^{-1} A_q' V
+        self.applied = np.zeros((q, n, 0))
+        self.reduced = np.zeros((q, 0, 0))
+        self.cross = np.zeros((q, q, 0, 0))
 
     @property
     def dim(self):
@@ -89,11 +94,27 @@ class SubspacePool(ScmState):
 
     def sample_coeffs(self, i):
         """Basis coefficients of sample i's eigenvectors, zero-padded."""
-        C = self.coeffs[i]
-        if C.shape[0] < self.dim:
-            pad = np.zeros((self.dim - C.shape[0], C.shape[1]), dtype=C.dtype)
-            C = np.vstack([C, pad])
-        return C
+        return self.coeffs[i]
+
+
+def _bordered(old, cols):
+    """``old`` (..., m_old, m_old) bordered by the new columns ``cols``.
+
+    ``cols`` (..., m, m - m_old) are the new columns of a tensor equal to
+    its adjoint: conjugated, last two axes swapped, leading (term) axes
+    reversed.  The new rows mirror them, and the new diagonal block is
+    averaged with its mirror, so the result equals its adjoint exactly.
+    """
+    m_old, m = old.shape[-1], cols.shape[-2]
+    lead = cols.ndim - 2
+    axes = (*reversed(range(lead)), lead + 1, lead)
+    out = np.zeros(cols.shape[:-1] + (m,), dtype=np.result_type(old, cols))
+    out[..., :m_old, :m_old] = old
+    out[..., m_old:] = cols
+    out[..., m_old:, :m_old] = cols[..., :m_old, :].transpose(axes).conj()
+    new = cols[..., m_old:, :]
+    out[..., m_old:, m_old:] = 0.5 * (new + new.transpose(axes).conj())
+    return out
 
 
 def append_sample(pool, mu_new, seed=0, below=None):
@@ -101,10 +122,11 @@ def append_sample(pool, mu_new, seed=0, below=None):
 
     Requests ell+1 eigenvalues (one more than the number of vectors kept:
     the extra value feeds the gap lemma) and ell eigenvectors, orthogonalizes
-    the new vectors against the basis with a drop tolerance for
-    near-dependence, and extends the reduced and cross matrices with only
-    the new rows/columns (with an inner product X, one solve with X per new
-    column and term).  ``below`` is the shift of :func:`solve_at_sample`.
+    the new vectors N against the basis V with a drop tolerance for
+    near-dependence, and borders the reduced and cross matrices with the
+    new columns only: V*(A_q N) and (A_q V)* X^{-1} (A_p N) for all terms
+    at once, with one solve with X for all new columns and terms.
+    ``below`` is the shift of :func:`solve_at_sample`.
     """
     family = pool.family
     X = family.inner_product
@@ -114,53 +136,34 @@ def append_sample(pool, mu_new, seed=0, below=None):
     k = min(pool.ell + 1, family.n)
     pairs = solve_at_sample(family, mu_new, k, seed=seed, below=below)
     pool.shift_fallbacks += pairs.shift_fallback
-    ell_eff = min(pool.ell, pairs.vectors.shape[1])
-    vectors = pairs.vectors[:, :ell_eff]
+    vectors = pairs.vectors[:, :pool.ell]
 
     new_block, _ = orthonormal_columns(vectors, against=pool.basis, M=X)
-    if pool.basis.shape[1] == 0 and new_block.shape[1] == 0:
-        raise ArgumentError("cannot start a pool with an empty block")
-    basis = np.hstack([pool.basis, new_block]) if new_block.shape[1] else pool.basis
-
-    q = family.q
-    m_old = pool.dim
     m_new = new_block.shape[1]
+    if pool.dim == 0 and m_new == 0:
+        raise ArgumentError("cannot start a pool with an empty block")
     if m_new:
-        applied_new = [family.terms[qi].matmat(new_block) for qi in range(q)]
-        solved_new = [a if X is None else X.solve(a) for a in applied_new]
-        m = m_old + m_new
-        reduced = np.zeros((q, m, m), dtype=np.result_type(basis, float))
-        cross = np.zeros((q, q, m, m), dtype=reduced.dtype)
-        for qi in range(q):
-            reduced[qi, :m_old, :m_old] = pool.reduced[qi]
-            tr = pool.basis.conj().T @ applied_new[qi] if m_old else \
-                np.zeros((0, m_new))
-            reduced[qi, :m_old, m_old:] = tr
-            reduced[qi, m_old:, :m_old] = tr.conj().T
-            br = new_block.conj().T @ applied_new[qi]
-            reduced[qi, m_old:, m_old:] = 0.5 * (br + br.conj().T)
-        for qi in range(q):
-            for qj in range(q):
-                cross[qi, qj, :m_old, :m_old] = pool.cross[qi, qj]
-                if m_old:
-                    cross[qi, qj, :m_old, m_old:] = \
-                        pool.applied[qi].conj().T @ solved_new[qj]
-                    cross[qi, qj, m_old:, :m_old] = \
-                        solved_new[qi].conj().T @ pool.applied[qj]
-                cross[qi, qj, m_old:, m_old:] = \
-                    applied_new[qi].conj().T @ solved_new[qj]
-        pool.applied = [np.hstack([pool.applied[qi], applied_new[qi]])
-                        for qi in range(q)]
-        pool.reduced = reduced
-        pool.cross = cross
-        pool.basis = basis
+        n, q = family.n, family.q
+        pool.basis = np.hstack([pool.basis, new_block])
+        applied_new = family.apply_terms(new_block)           # (Q, n, m_new)
+        pool.applied = np.concatenate([pool.applied, applied_new], axis=2)
+        stacked = np.hstack(applied_new)                      # (n, Q m_new)
+        solved = (stacked if X is None else X.solve(stacked)).reshape(
+            n, q, m_new)
+        pool.reduced = _bordered(pool.reduced,
+                                 pool.basis.conj().T @ applied_new)
+        pool.cross = _bordered(pool.cross, np.tensordot(
+            pool.applied.conj(), solved, axes=(1, 0)).transpose(0, 2, 1, 3))
 
     pool.append(mu_new, pairs.values[0], pairs.vectors[:, 0])
-    pool.sample_values.append(pairs.values.copy())
+    pool.sample_values = np.vstack([pool.sample_values, pairs.values])
     X_vectors = vectors if X is None else X.matrix.matmat(vectors)
-    pool.coeffs.append(pool.basis.conj().T @ X_vectors if pool.dim else
-                       np.zeros((0, ell_eff)))
-    pool.dropped.append(ell_eff - m_new)
+    new = pool.basis.conj().T @ X_vectors
+    coeffs = np.zeros((pool.j,) + new.shape, np.result_type(pool.coeffs, new))
+    coeffs[:-1, :pool.dim - m_new] = pool.coeffs
+    coeffs[-1] = new
+    pool.coeffs = coeffs
+    pool.dropped.append(pool.ell - m_new)
     return pool
 
 
@@ -177,14 +180,6 @@ class RitzData:
     eta_fallback: str | None = None
     clamped: bool = False     # r was clamped to the pool dimension
     chosen: bool = False      # selected by the r-sweep
-
-
-def _reduced_matrix(pool, th):
-    return np.tensordot(th, pool.reduced, axes=1)
-
-
-def _cross_matrix(pool, th):
-    return np.einsum("q,p,qpij->ij", th, th, pool.cross, optimize=True)
 
 
 def _hermitian_part(B):
@@ -204,7 +199,7 @@ def ritz_upper_bound(pool, mu, r=1):
     if r < 1:
         raise ArgumentError("r must be at least 1")
     th = pool.family.theta_at(mu)
-    H = _reduced_matrix(pool, th)
+    H = np.tensordot(th, pool.reduced, axes=1)
     vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
     return RitzData(mu=np.atleast_1d(np.asarray(mu, dtype=float)), r=r,
                     values=vals[:r].copy(), coeffs=vecs[:, :r].copy(),
@@ -235,7 +230,7 @@ def residual_norm(pool, mu, ritz):
     W*(V*A(mu)^2 V)W - Lambda^2.
     """
     th = pool.family.theta_at(mu)
-    S = _cross_matrix(pool, th)
+    S = np.einsum("q,p,qpij->ij", th, th, pool.cross, optimize=True)
     W = ritz.coeffs
     return float(_rho_from_parts(W.conj().T @ S @ W, ritz.values))
 
@@ -255,11 +250,10 @@ def beta_gap(pool, i, u_coeffs):
     n = pool.family.n
     if n - r < r:
         raise ArgumentError("gap lemma requires n - r >= r")
-    lam = pool.sample_values[i]
-    ell = pool.coeffs[i].shape[1]
+    lam, ell = pool.sample_values[i], pool.ell
     lam_head = lam[:ell]
-    lam_top = lam[ell] if len(lam) > ell else lam[-1]
-    C = pool.sample_coeffs(i)                     # (dim, ell)
+    lam_top = lam[min(ell, len(lam) - 1)]
+    C = pool.coeffs[i]                            # (dim, ell)
     M = C.conj().T @ U                            # V_i* U
     P = np.eye(ell) - M @ M.conj().T
     # spec(P S) = spec(P^{1/2} S P^{1/2}); the symmetric square root keeps
@@ -282,11 +276,9 @@ def _gap_shifts(pool, W):
     clip of P = 1 - ||M||^2 at zero.  The caller keeps r_hi <= n / 2, the
     lemma's domain.
     """
-    C = np.stack([pool.sample_coeffs(i) for i in range(pool.j)])
-    ell = C.shape[2]                                 # C is (J, dim, ell)
-    head = np.array([lam[:ell] for lam in pool.sample_values])
-    top = np.array([lam[ell] if len(lam) > ell else lam[-1]
-                    for lam in pool.sample_values])
+    C, ell, lam = pool.coeffs, pool.ell, pool.sample_values
+    head = lam[:, :ell]
+    top = lam[:, min(ell, lam.shape[1] - 1)]
     gap = top - head[:, 0]
     G = np.swapaxes(C, 1, 2).conj() @ W[:, None]     # (m, J, ell, r_hi)
     if ell == 1:

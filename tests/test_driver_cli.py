@@ -5,6 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from eigenbounds import cli
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
@@ -341,15 +342,36 @@ class TestCli:
         assert "workers" in payload["message"]
         assert not out.exists()
 
-    def test_negative_r_max_rejected_before_any_work(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field", ["r_max", "train_seed", "seed"])
+    def test_negative_value_rejected_before_any_work(self, tmp_path, capsys,
+                                                     field):
         manifest = circle_manifest(tmp_path)
         out = tmp_path / "o"
         code = main(["run", "--manifest", manifest, "--out", str(out),
-                     "--r-max", "-1"])
+                     "--" + field.replace("_", "-"), "-1"])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload == {"error": "ArgumentError",
-                           "message": "r_max must be non-negative"}
+                           "message": f"{field} must be non-negative"}
         assert not out.exists()
-        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
-            RunConfig(r_max=-1).validate()
+        with pytest.raises(ArgumentError,
+                           match=f"{field} must be non-negative"):
+            RunConfig(**{field: -1}).validate()
+
+    def test_bare_run_takes_run_config_defaults(self, tmp_path,
+                                                monkeypatch):
+        seen = []
+
+        def record(config, family, outdir, problem_meta=None):
+            seen.append(config)
+            return {"termination": {"iterations": 0, "converged": False},
+                    "final_max_ratio": 0.0}
+
+        monkeypatch.setattr(cli, "run_pipeline", record)
+        run = ["run", "--generator", '{"kind": "unit-circle"}', "--out",
+               str(tmp_path / "o")]
+        assert main(run) == 0
+        assert main(run + ["--eps", "1e-3", "--train-size", "7",
+                           "--oracle"]) == 0
+        assert seen == [RunConfig(),
+                        RunConfig(eps=1e-3, n_train=7, oracle=True)]

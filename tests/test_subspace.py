@@ -20,6 +20,18 @@ from helpers import build_pool, make_smooth_family
 SQ2 = math.sqrt(2.0)
 
 
+def complex_family(n, seed):
+    """Two complex Hermitian terms, theta = (1, mu) on [0, 0.5]."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(2):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        terms.append(0.5 * (g + g.conj().T))
+    return AffineFamily(terms=tuple(terms),
+                        theta=lambda mu: np.array([1.0, mu[0]]),
+                        domain=((0.0, 0.5),))
+
+
 def diag_family(values):
     d = np.diag(np.asarray(values, dtype=float))
     return AffineFamily(terms=(d,), theta=lambda mu: np.array([1.0]),
@@ -46,16 +58,24 @@ class TestAppendSample:
             rd = ritz_upper_bound(pool, [mu], r=1)
             assert_allclose(rd.values[0], -1.0, atol=1e-10)
 
-    def test_reduced_matrices_match_direct_recomputation(self):
-        fam = random_family(2, 50, delta=0.4, seed=0)
-        pool = build_pool(fam, [[0.1], [0.25], [0.33]])
+    @pytest.mark.parametrize("kind, ell", [("real", 1), ("complex", 2)])
+    def test_reduced_matrices_match_direct_recomputation(self, kind, ell):
+        if kind == "real":
+            fam = random_family(2, 50, delta=0.4, seed=0)
+        else:
+            fam = complex_family(30, seed=5)
+        pool = build_pool(fam, [[0.1], [0.25], [0.33]], ell=ell)
+        assert pool.dim == 3 * ell
         V = pool.basis
         for qi, term in enumerate(fam.terms):
-            direct = V.T @ term.dense() @ V
+            direct = V.conj().T @ term.dense() @ V
             assert_allclose(pool.reduced[qi], direct, atol=1e-12)
+            assert np.array_equal(pool.reduced[qi], pool.reduced[qi].conj().T)
             for qj, term2 in enumerate(fam.terms):
-                cross = V.T @ term.dense() @ term2.dense() @ V
+                cross = V.conj().T @ term.dense() @ term2.dense() @ V
                 assert_allclose(pool.cross[qi, qj], cross, atol=1e-10)
+                assert np.array_equal(pool.cross[qi, qj],
+                                      pool.cross[qj, qi].conj().T)
 
     def test_duplicate_sample_rejected(self):
         fam = unit_circle_family()
