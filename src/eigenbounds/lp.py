@@ -1,16 +1,23 @@
 """Dense linear programs with box constraints and an exposed active set.
 
 The programs solved here are tiny but structured: minimize c^T y over a box
-intersected with J half-spaces a_i^T y >= b_i.  A bounded-variable primal
-simplex (Bland's rule, two phases) finds the optimum; the basis bookkeeping
-then yields exactly Q linearly independent active constraints, reported as
-an invertible Q x Q system (Theta, psi) with per-row provenance.  That
-system is what the gap-tightening step perturbs and re-solves.
+intersected with J half-spaces a_i^T y >= b_i.  Every constraint is one row
+of ``G y >= h`` with
+
+    G = [rows; I; -I],    h = [rhs; lower; -upper],
+
+so rows 0..J-1 are the sample rows, the next Q the lower and the last Q the
+upper box bounds.  A bounded-variable primal simplex (Bland's rule, two
+phases) finds the optimum; the basis bookkeeping then yields Q linearly
+independent rows of G tight at the vertex, reported as an invertible Q x Q
+system (Theta, psi) = (G[S], h[S]) whose multipliers ``Theta^{-T} c`` are
+nonnegative.  That system is what the gap-tightening step perturbs and
+re-solves.
 
 Programs that share one polytope and differ only in the objective need not
 all be solved: :func:`first_certified_vertex` tests, for many objectives at
-once, which known optimal vertices stay optimal (the sign test on the
-multipliers ``Theta^{-T} c``, the critical regions of parametric LP).
+once, which known optimal vertices stay optimal (nonnegative multipliers,
+the critical regions of parametric LP).
 """
 
 from __future__ import annotations
@@ -57,8 +64,14 @@ class LPProblem:
         c = np.asarray(self.c, dtype=float)
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        rows = np.asarray(self.rows, dtype=float).reshape(-1, c.size)
+        rows = np.asarray(self.rows, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        if rows.size == 0:
+            rows = rows.reshape(0, c.size)
+        if rows.ndim != 2 or rows.shape[1] != c.size:
+            raise ValueError(f"rows must have shape (J, {c.size})")
+        if lo.shape != (c.size,) or hi.shape != (c.size,):
+            raise ValueError(f"box bounds must have shape ({c.size},)")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -86,9 +99,13 @@ class LPProblem:
 class LPSolution:
     """Optimal vertex with its active-constraint system.
 
-    ``active`` holds Q tags, each ('sample', i), ('lower', q) or
-    ('upper', q); ``theta_mat`` stacks the corresponding constraint rows and
-    ``psi`` their right-hand sides, so theta_mat @ y == psi at the vertex.
+    ``theta_mat`` stacks Q linearly independent rows of G (see the module
+    docstring) tight at ``y`` and ``psi`` their entries of h, so
+    theta_mat @ y == psi, and the multipliers theta_mat^{-T} c are
+    nonnegative.  ``active`` tags the rows in G's order: ('sample', i),
+    ('lower', q) or ('upper', q), an upper row being -e_q with right-hand
+    side -upper[q].  ``degenerate`` flags more than Q tight rows, and
+    ``all_box`` an active set without a sample row.
     """
 
     y: np.ndarray
@@ -114,96 +131,52 @@ class TightenedBound:
     fallback: str | None = None  # None, 'all_box' or 'ill_conditioned'
 
 
-def _tag_row(tag, problem):
-    kind, idx = tag
-    if kind == "sample":
-        return problem.rows[idx], problem.rhs[idx]
-    e = np.zeros(problem.q)
-    e[idx] = 1.0
-    return e, (problem.lower[idx] if kind == "lower" else problem.upper[idx])
+def _tag(g, j, q):
+    """The ('sample' | 'lower' | 'upper', index) tag of row ``g`` of G."""
+    if g < j:
+        return ("sample", g)
+    return ("lower", g - j) if g < j + q else ("upper", g - j - q)
 
 
-def _select_active(problem, y, basis_tags, feas_scale, tol):
-    """Pick Q linearly independent tight constraints.
+def _select_active(G, h, y, nonbasic, feas_scale, tol):
+    """Pick Q linearly independent rows of G tight at ``y``.
 
-    Candidates are all constraints tight at ``y`` plus the basis-derived set
-    (always independent); selection is greedy in tag order, which yields the
-    lexicographically smallest independent active set.
+    Candidates are the rows tight at ``y`` plus the final basis's nonbasic
+    rows (always independent), in index order; Gram-Schmidt keeps each
+    candidate independent of those before it, which yields the
+    lexicographically smallest independent active set.  Returns its row
+    indices and whether more than Q rows were candidates.
     """
-    q = problem.q
-    tight = []
-    resid = problem.rows @ y - problem.rhs if problem.n_rows else np.zeros(0)
-    for i in range(problem.n_rows):
-        if abs(resid[i]) <= tol * feas_scale:
-            tight.append(("sample", i))
-    for k in range(q):
-        if abs(y[k] - problem.lower[k]) <= tol * feas_scale:
-            tight.append(("lower", k))
-        if abs(problem.upper[k] - y[k]) <= tol * feas_scale:
-            tight.append(("upper", k))
-    candidates = sorted(set(tight) | set(basis_tags),
-                        key=lambda t: ({"sample": 0, "lower": 1, "upper": 2}[t[0]], t[1]))
-    degenerate = len(candidates) > q
-
+    q = G.shape[1]
+    tight = np.abs(G @ y - h) <= tol * feas_scale
+    tight[nonbasic] = True
+    candidates = np.flatnonzero(tight)
     chosen = []
     ortho = []
-    for tag in candidates:
-        row, _ = _tag_row(tag, problem)
-        v = row.astype(float).copy()
+    for g in candidates:
+        v = G[g].copy()
         for u in ortho:
             v -= u * (u @ v)
         for u in ortho:
             v -= u * (u @ v)
         nrm = np.linalg.norm(v)
-        if nrm > 1e-9 * max(np.linalg.norm(row), 1.0):
+        if nrm > 1e-9 * max(np.linalg.norm(G[g]), 1.0):
             ortho.append(v / nrm)
-            chosen.append(tag)
+            chosen.append(g)
             if len(chosen) == q:
                 break
     if len(chosen) < q:
         raise LPError("active set has deficient rank; vertex is corrupted")
-    theta = np.vstack([_tag_row(t, problem)[0] for t in chosen])
-    psi = np.array([_tag_row(t, problem)[1] for t in chosen])
-    return tuple(chosen), theta, psi, degenerate
-
-
-def _box_only_solution(problem, tol):
-    y = np.where(problem.c >= 0.0, problem.lower, problem.upper)
-    tags = tuple(("lower", k) if problem.c[k] >= 0.0 else ("upper", k)
-                 for k in range(problem.q))
-    feas_scale = 1.0 + max(np.max(np.abs(problem.lower)),
-                           np.max(np.abs(problem.upper)), 0.0)
-    tags, theta, psi, degen = _select_active(problem, y, tags, feas_scale, tol)
-    return LPSolution(y=y, value=float(problem.c @ y), active=tags,
-                      theta_mat=theta, psi=psi,
-                      condition=float(np.linalg.cond(theta)),
-                      degenerate=degen, all_box=True)
-
-
-def _feasible(problem, y, tol, feas_scale):
-    if y.shape != (problem.q,):
-        return False
-    if np.any(y < problem.lower - tol * feas_scale):
-        return False
-    if np.any(y > problem.upper + tol * feas_scale):
-        return False
-    if problem.n_rows and np.any(problem.rows @ y < problem.rhs - tol * feas_scale):
-        return False
-    return True
+    return np.array(chosen), candidates.size > q
 
 
 def lp_minimize(problem, tol=1e-8):
     """Solve the LP and report the optimal active-constraint system."""
-    q = problem.q
-    feas_scale = 1.0 + max(
-        float(np.max(np.abs(problem.rhs))) if problem.n_rows else 0.0,
-        float(np.max(np.abs(problem.lower))),
-        float(np.max(np.abs(problem.upper))))
+    q, J = problem.q, problem.n_rows
+    G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
+    h = np.concatenate([problem.rhs, problem.lower, -problem.upper])
+    feas_scale = 1.0 + float(np.max(np.abs(h)))
 
-    if problem.n_rows == 0:
-        return _box_only_solution(problem, tol)
-
-    J = problem.n_rows
     # Variables: y (box bounds), s (slacks >= 0), artificials on violated rows.
     y0 = np.where(problem.c >= 0.0, problem.lower, problem.upper)
     s0 = problem.rows @ y0 - problem.rhs
@@ -243,8 +216,18 @@ def lp_minimize(problem, tol=1e-8):
         xN[basis] = 0.0
         return Binv @ (problem.rhs - E @ xN)
 
-    def run_simplex(cost, opt_tol):
+    def pivot(pos, e, w, to_upper=False):
+        """Variable ``e`` (with column ``w = Binv E[:, e]``) enters the basis
+        at position ``pos``; the variable there leaves to a bound."""
         nonlocal Binv
+        status[basis[pos]] = 1 if to_upper else 0
+        status[e] = 2
+        basis[pos] = e
+        piv_row = Binv[pos] / w[pos]
+        Binv -= np.outer(w, piv_row)
+        Binv[pos] = piv_row
+
+    def run_simplex(cost, opt_tol):
         for _ in range(_MAX_ITERATIONS):
             xB = basic_values()
             dual = Binv.T @ cost[basis]
@@ -277,24 +260,22 @@ def lp_minimize(problem, tol=1e-8):
                 continue
             ties = np.where(deltas <= dmin + _PIVOT_TOL)[0]
             leave_pos = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-            leaving = basis[leave_pos]
-            status[leaving] = 0 if dec[leave_pos] else 1
-            status[e] = 2
-            basis[leave_pos] = e
-            piv_row = Binv[leave_pos] / w[leave_pos]
-            Binv -= np.outer(w, piv_row)
-            Binv[leave_pos] = piv_row
+            pivot(leave_pos, e, w, to_upper=not dec[leave_pos])
         raise LPError("simplex iteration cap exceeded")
 
     if n_art:
         run_simplex(c_phase1, tol * cost_scale)
-        xB = basic_values()
-        art_total = float(sum(max(xB[t], 0.0) for t in range(J)
-                              if basis[t] >= q + J))
+        art = basis >= q + J
+        art_total = float(np.sum(np.maximum(basic_values()[art], 0.0)))
         if art_total > tol * feas_scale * max(1.0, n_art):
             raise InfeasibleError(
                 f"LP infeasible (phase-1 objective {art_total:.3e})")
-        ub[q + J:] = 0.0  # pin artificials; degenerate pivots push them out
+        # an artificial still basic sits at 0: its row's slack replaces it,
+        # so that exactly Q rows of G are nonbasic
+        for pos in np.flatnonzero(art):
+            s = q + violated[basis[pos] - q - J]
+            pivot(pos, s, Binv @ E[:, s])
+        ub[q + J:] = 0.0  # pin artificials; they never enter again
     run_simplex(c_phase2, tol * cost_scale)
 
     xB = basic_values()
@@ -302,48 +283,49 @@ def lp_minimize(problem, tol=1e-8):
     x[basis] = xB
     y = x[:q].copy()
 
-    basis_tags = []
-    for v in range(q):
-        if status[v] != 2:
-            basis_tags.append(("lower", v) if status[v] == 0 else ("upper", v))
-    for i in range(J):
-        if status[q + i] != 2:
-            basis_tags.append(("sample", i))
-    tags, theta, psi, degen = _select_active(problem, y, basis_tags,
-                                             feas_scale, max(tol, 1e-9))
+    # the rows of G whose slack or variable the final basis holds at 0 or a bound
+    nonbasic = np.flatnonzero(np.concatenate(
+        [status[q:q + J] != 2, status[:q] == 0, status[:q] == 1]))
+    chosen, degen = _select_active(G, h, y, nonbasic, feas_scale,
+                                   max(tol, 1e-9))
+    if degen and first_certified_vertex(
+            problem.c, np.linalg.inv(G[chosen].T)[None], tol)[0] < 0:
+        # at a degenerate vertex the first independent tight set need not
+        # be optimal; the nonbasic set is: its multipliers are the phase-2
+        # reduced costs
+        chosen = nonbasic
+    theta, psi = G[chosen], h[chosen]
 
     condition = float(np.linalg.cond(theta))
     # polish the vertex through the active-set system; keep the simplex
     # iterate if the refined point leaves the feasible region
     y_ref = np.linalg.solve(theta, psi)
-    if _feasible(problem, y_ref, 1e-9, feas_scale):
+    if np.all(G @ y_ref >= h - 1e-9 * feas_scale):
         y = y_ref
     value = float(problem.c @ y)
-    return LPSolution(y=y, value=value, active=tags, theta_mat=theta, psi=psi,
-                      condition=condition, degenerate=degen,
-                      all_box=all(t[0] != "sample" for t in tags))
+    return LPSolution(y=y, value=value,
+                      active=tuple(_tag(g, J, q) for g in chosen.tolist()),
+                      theta_mat=theta, psi=psi, condition=condition,
+                      degenerate=degen, all_box=bool(np.all(chosen >= J)))
 
 
-def first_certified_vertex(c, inv_t, signs, tol=1e-8):
+def first_certified_vertex(c, inv_t, tol=1e-8):
     """Index of the first vertex certified optimal for each objective.
 
     ``c`` (m, Q) stacks objectives.  Vertex k is a feasible vertex of the
-    shared polytope with active system ``Theta_k``: ``inv_t[k]`` holds
-    ``Theta_k^{-T}`` and ``signs[k]`` is +1 on sample and lower-box rows,
-    -1 on upper-box rows.  The vertex is optimal for ``c`` when the
-    multipliers ``z = Theta_k^{-T} c`` satisfy ``signs[k] * z >= -slack``
-    with ``slack = tol * (1 + max|c|)``, the reduced-cost slack of
-    :func:`lp_minimize`'s phase 2.  Returns an (m,) integer array holding
-    the smallest passing k, or -1 where no vertex passes.  A degenerate
-    vertex whose stored active set fails the test is a miss, never a wrong
-    hit.
+    shared polytope ``G y >= h`` whose active system ``Theta_k`` holds Q
+    rows of G: ``inv_t[k]`` is ``Theta_k^{-T}``.  The vertex is optimal for
+    ``c`` when the multipliers ``z = Theta_k^{-T} c`` satisfy
+    ``z >= -slack`` with ``slack = tol * (1 + max|c|)``, the reduced-cost
+    slack of :func:`lp_minimize`'s phase 2.  Returns an (m,) integer array
+    holding the smallest passing k, or -1 where no vertex passes.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if len(inv_t) == 0:
         return np.full(len(c), -1, dtype=np.int64)
     z = np.einsum("kqr,ir->ikq", inv_t, c)
     slack = tol * (1.0 + np.max(np.abs(c), axis=1))
-    ok = np.all(signs[None] * z >= -slack[:, None, None], axis=2)
+    ok = np.all(z >= -slack[:, None, None], axis=2)
     return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
 
 
@@ -356,8 +338,7 @@ def tighten_and_resolve(solution, bumps, c):
     active set is all-box or Theta is numerically singular.
     """
     c = np.asarray(c, dtype=float)
-    sample_idx = solution.sample_indices()
-    if not sample_idx:
+    if solution.all_box:
         return TightenedBound(y=solution.y.copy(), eta=solution.value,
                               fallback="all_box")
     if solution.condition > _CONDITION_CAP:

@@ -201,13 +201,12 @@ class _VertexCache:
     Every training point's LP shares the polytope (the box cut by the
     sampled rows); only the objective changes.  Each vertex keeps its
     ``LPSolution`` and, for :func:`~eigenbounds.lp.first_certified_vertex`,
-    the inverse transpose of its active system and the multiplier signs.
+    the inverse transpose of its active system.
     """
 
     def __init__(self, q):
         self.sols = []
         self.inv_t = np.zeros((0, q, q))
-        self.signs = np.zeros((0, q))
 
     def restrict(self, row, rhs, tol):
         """Drop the vertices that violate the new row ``row @ y >= rhs``."""
@@ -215,7 +214,6 @@ class _VertexCache:
                 if sol.y @ row >= rhs - tol]
         self.sols = [self.sols[k] for k in keep]
         self.inv_t = self.inv_t[keep]
-        self.signs = self.signs[keep]
 
     def add(self, sol):
         """Add a cold-solved vertex; False if its active set is known or
@@ -226,14 +224,12 @@ class _VertexCache:
         self.sols.append(sol)
         self.inv_t = np.concatenate(
             [self.inv_t, np.linalg.inv(sol.theta_mat.T)[None]])
-        sign = [-1.0 if kind == "upper" else 1.0 for kind, _ in sol.active]
-        self.signs = np.vstack([self.signs, sign])
         return True
 
     def match(self, c, tol, last_only=False):
         """Per objective row, the first certified vertex or -1."""
         lo = len(self.sols) - 1 if last_only else 0
-        hit = first_certified_vertex(c, self.inv_t[lo:], self.signs[lo:], tol)
+        hit = first_certified_vertex(c, self.inv_t[lo:], tol)
         return np.where(hit >= 0, hit + lo, -1)
 
 
@@ -427,8 +423,9 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
     warm_start : reuse a parameter's LP minimizer while it stays feasible,
-        and answer the other LPs from a cache of optimal vertices where
-        their multiplier signs certify one (see :func:`_greedy`)
+        and answer the other LPs from a cache of optimal vertices: a vertex
+        answers a point when its active system's multipliers for the
+        point's objective are nonnegative (see :func:`_greedy`)
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """

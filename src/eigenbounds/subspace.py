@@ -341,18 +341,17 @@ def _sweep_rows(pool, theta, sols, r_max):
         beta = _gap_shifts(pool, vecs[:, :, :r_hi])
         solve_rows, mats, rhs = [], [], []
         for k, sol in enumerate(sols):
-            active = [(pos, tag[1]) for pos, tag in enumerate(sol.active)
-                      if tag[0] == "sample"]
-            if not active:
+            if sol.all_box:
                 fallback[k] = "all_box"
             elif sol.condition > _CONDITION_CAP:
                 fallback[k] = "ill_conditioned"
             if fallback[k]:
                 eta[k] = sol.value
                 continue
-            pos, idx = (list(v) for v in zip(*active))
+            # active rows are in G's order, so the sample rows come first
+            idx = sol.sample_indices()
             bumps = np.zeros((q, r_hi))
-            bumps[pos] = beta[k, idx]
+            bumps[:len(idx)] = beta[k, idx]
             solve_rows.append(k)
             mats.append(sol.theta_mat)
             rhs.append(sol.psi[:, None] + bumps)

@@ -59,6 +59,26 @@ def gauss_solve(A, b):
     return x
 
 
+class TestLpProblem:
+    @pytest.mark.parametrize("bad", [
+        {"rows": [[1.0], [2.0], [3.0], [4.0]], "rhs": [0.0, 0.0]},
+        {"rows": [1.0, 2.0], "rhs": [0.0]},
+        {"lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+        {"lower": [[0.0, 0.0]], "upper": [[1.0, 1.0]]},
+    ])
+    def test_misshaped_input_rejected(self, bad):
+        data = {"c": [1.0, 1.0], "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                "rows": [[1.0, 1.0]], "rhs": [0.5]}
+        with pytest.raises(ValueError, match="must have shape"):
+            LPProblem(**{**data, **bad})
+
+    @pytest.mark.parametrize("rows", [[], np.zeros((0, 2))])
+    def test_empty_rows_accepted(self, rows):
+        p = LPProblem(c=[1.0, 1.0], lower=[0, 0], upper=[1, 1], rows=rows,
+                      rhs=[])
+        assert p.rows.shape == (0, 2)
+
+
 class TestLpMinimize:
     def test_two_sample_vertex(self):
         # objective along the diagonal over the half-open box with three cuts
@@ -163,6 +183,49 @@ class TestLpMinimize:
         assert sol.degenerate
         assert sol.active == (("sample", 0), ("sample", 1))
 
+    def test_degenerate_vertex_reports_an_optimal_active_set(self):
+        # (-1, -1) minimizes y1 + 2 y2; four constraints are tight there.
+        # {row 0, row 1} is independent but has multipliers (1.5, -0.5):
+        # bumping row 0 by 0.5 would then give eta = -2.25, above the
+        # bumped LP's minimum -2.5
+        c = np.array([1.0, 2.0])
+        p = LPProblem(c=c, lower=[-1, -1], upper=[1, 1],
+                      rows=[[1.0, 1.0], [1.0, -1.0]], rhs=[-2.0, 0.0])
+        sol = lp_minimize(p)
+        assert sol.degenerate
+        assert_allclose(sol.value, -3.0, atol=1e-12)
+        assert np.all(np.linalg.solve(sol.theta_mat.T, c) >= 0.0)
+        bumped = LPProblem(c=c, lower=p.lower, upper=p.upper, rows=p.rows,
+                           rhs=p.rhs + [0.5, 0.0])
+        best, _ = enumerate_vertices(bumped)
+        assert_allclose(best, -2.5, atol=1e-12)
+        bumps = {i: 0.5 * (i == 0) for i in sol.sample_indices()}
+        assert tighten_and_resolve(sol, bumps, c).eta <= best + 1e-12
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_every_solution_certifies_itself(self, seed):
+        # half the LPs get extra rows through their optimal vertex, so that
+        # more than Q constraints are tight there
+        rng = np.random.default_rng(100 + seed)
+        q = 2 + seed % 3
+        lo = -1.0 - rng.random(q)
+        hi = 1.0 + rng.random(q)
+        rows = rng.standard_normal((q + 1, q))
+        rhs = rows @ ((lo + hi) / 2) - rng.random(q + 1) - 0.2
+        c = rng.standard_normal(q)
+        if seed % 2:
+            corner = lp_minimize(LPProblem(c=c, lower=lo, upper=hi,
+                                           rows=rows, rhs=rhs)).y
+            extra = rng.standard_normal((2, q))
+            rows = np.vstack([extra, rows])
+            rhs = np.concatenate([extra @ corner, rhs])
+        p = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
+        sol = lp_minimize(p)
+        assert sol.degenerate == bool(seed % 2)
+        assert first_certified_vertex(c, certificate(sol.theta_mat))[0] == 0
+        best, _ = enumerate_vertices(p)
+        assert_allclose(sol.value, best, atol=1e-9)
+
     def test_fixed_coordinate_box(self):
         # degenerate box interval lower == upper
         p = LPProblem(c=[1.0, -1.0], lower=[2.0, 0.0], upper=[2.0, 1.0],
@@ -172,11 +235,10 @@ class TestLpMinimize:
         assert_allclose(sol.value, 2.0 - 1.0, atol=1e-10)
 
 
-def certificate(theta_mat, active):
-    """(Theta^{-T}, multiplier signs) of one vertex, stacked as a cache of 1."""
-    signs = [-1.0 if kind == "upper" else 1.0 for kind, _ in active]
-    return (np.linalg.inv(np.asarray(theta_mat, dtype=float).T)[None],
-            np.array([signs]))
+def certificate(theta_mat):
+    """Theta^{-T} of one vertex whose active rows are rows of G (an upper
+    box row is -e_k), stacked as a cache of 1."""
+    return np.linalg.inv(np.asarray(theta_mat, dtype=float).T)[None]
 
 
 class TestFirstCertifiedVertex:
@@ -191,12 +253,11 @@ class TestFirstCertifiedVertex:
         base = rng.standard_normal((6, q))
         sols = [lp_minimize(LPProblem(c=c, lower=lo, upper=hi, rows=rows,
                                       rhs=rhs)) for c in base]
-        inv_t, signs = (np.concatenate(parts) for parts in zip(
-            *(certificate(s.theta_mat, s.active) for s in sols)))
+        inv_t = np.concatenate([certificate(s.theta_mat) for s in sols])
         # objectives near the solved ones, so that many are certified
         objectives = (np.repeat(base, 8, axis=0)
                       + 0.3 * rng.standard_normal((48, q)))
-        hits = first_certified_vertex(objectives, inv_t, signs)
+        hits = first_certified_vertex(objectives, inv_t)
         assert np.count_nonzero(hits >= 0) >= 6
         for c, k in zip(objectives, hits):
             if k < 0:
@@ -207,8 +268,7 @@ class TestFirstCertifiedVertex:
             assert abs(v - best) <= 1e-9 * (1.0 + abs(v))
             # the first passing vertex in cache order
             for j in range(k):
-                assert first_certified_vertex(c, inv_t[j:j + 1],
-                                              signs[j:j + 1])[0] == -1
+                assert first_certified_vertex(c, inv_t[j:j + 1])[0] == -1
 
     def test_degenerate_vertex_with_failing_active_set_is_a_miss(self):
         # (-1, -1) is the unique minimizer of y1 and four constraints are
@@ -221,38 +281,37 @@ class TestFirstCertifiedVertex:
         assert best == -1.0
         assert_allclose(y_best, [-1.0, -1.0])
         # {row 0, lower 1}: z = (1, -1) has the wrong sign on the box row
-        inv_t, signs = certificate([[1.0, 1.0], [0.0, 1.0]],
-                                   (("sample", 0), ("lower", 1)))
-        assert first_certified_vertex(c, inv_t, signs)[0] == -1
+        assert first_certified_vertex(
+            c, certificate([[1.0, 1.0], [0.0, 1.0]]))[0] == -1
         # {row 0, row 1}: z = (1/2, 1/2) certifies the same vertex
-        inv_t, signs = certificate(rows, (("sample", 0), ("sample", 1)))
-        assert first_certified_vertex(c, inv_t, signs)[0] == 0
+        assert first_certified_vertex(c, certificate(rows))[0] == 0
 
     def test_upper_box_row_needs_a_nonpositive_multiplier(self):
         p = LPProblem(c=[-1.0, 1.0], lower=[0, 0], upper=[1, 1],
                       rows=[[1.0, 1.0]], rhs=[-5.0])
         sol = lp_minimize(p)
         assert sol.active == (("lower", 1), ("upper", 0))
-        inv_t, signs = certificate(sol.theta_mat, sol.active)
-        assert_allclose(signs, [[1.0, -1.0]])
-        assert first_certified_vertex(p.c, inv_t, signs)[0] == 0
-        # minimizing y1 + y2 moves to (0, 0): the upper row's z is +1
-        assert first_certified_vertex([1.0, 1.0], inv_t, signs)[0] == -1
-        # a lower-row sign on the upper row would wrongly certify it
-        assert first_certified_vertex([1.0, 1.0], inv_t,
-                                      np.ones_like(signs))[0] == 0
+        # the upper row is -e_1 >= -1, so its multiplier for c is -c_1 = 1
+        assert_allclose(sol.theta_mat, [[0.0, 1.0], [-1.0, 0.0]])
+        assert_allclose(sol.psi, [0.0, -1.0])
+        inv_t = certificate(sol.theta_mat)
+        assert first_certified_vertex(p.c, inv_t)[0] == 0
+        # minimizing y1 + y2 moves to (0, 0): the upper row's z is -1
+        assert first_certified_vertex([1.0, 1.0], inv_t)[0] == -1
+        # a +e_1 row for the upper bound would wrongly certify it
+        plus = sol.theta_mat * [[1.0], [-1.0]]
+        assert first_certified_vertex([1.0, 1.0], certificate(plus))[0] == 0
 
     def test_slack_matches_the_phase_two_reduced_cost_tolerance(self):
-        inv_t, signs = certificate(np.eye(2), (("lower", 0), ("lower", 1)))
         tol = 1e-8
         inside = [-0.9 * tol * 3.0, 2.0]    # slack = tol * (1 + 2)
         outside = [-1.1 * tol * 3.0, 2.0]
-        hits = first_certified_vertex([inside, outside], inv_t, signs, tol)
+        hits = first_certified_vertex([inside, outside],
+                                      certificate(np.eye(2)), tol)
         assert hits.tolist() == [0, -1]
 
     def test_empty_cache_misses_every_row(self):
-        hits = first_certified_vertex(np.ones((3, 2)), np.zeros((0, 2, 2)),
-                                      np.zeros((0, 2)))
+        hits = first_certified_vertex(np.ones((3, 2)), np.zeros((0, 2, 2)))
         assert hits.tolist() == [-1, -1, -1]
 
 
