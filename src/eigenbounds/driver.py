@@ -252,6 +252,10 @@ def run_pipeline(config, family, outdir, problem_meta=None):
                 if result.records else 0,
             "shift_fallbacks": result.records[-1].shift_fallbacks
                 if result.records else 0,
+            "lp_pivots": result.records[-1].lp_pivots
+                if result.records else 0,
+            "lp_degenerate": result.records[-1].lp_degenerate
+                if result.records else 0,
         },
         "final_max_ratio": result.records[-1].max_ratio
             if result.records else None,

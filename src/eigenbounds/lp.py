@@ -7,12 +7,13 @@ of ``G y >= h`` with
     G = [rows; I; -I],    h = [rhs; lower; -upper],
 
 so rows 0..J-1 are the sample rows, the next Q the lower and the last Q the
-upper box bounds.  A bounded-variable primal simplex (Bland's rule, two
-phases) finds the optimum; the basis bookkeeping then yields Q linearly
-independent rows of G tight at the vertex, reported as an invertible Q x Q
-system (Theta, psi) = (G[S], h[S]) whose multipliers ``Theta^{-T} c`` are
-nonnegative.  That system is what the gap-tightening step perturbs and
-re-solves.
+upper box bounds.  A bounded-variable dual simplex (dual Bland rule) finds
+the optimum from the box corner the costs pick, or from the optimal basis
+of an earlier solve over fewer rows; the basis bookkeeping then yields Q
+linearly independent rows of G tight at the vertex, reported as an
+invertible Q x Q system (Theta, psi) = (G[S], h[S]) whose multipliers
+``Theta^{-T} c`` are nonnegative.  That system is what the gap-tightening
+step perturbs and re-solves.
 
 Programs that share one polytope and differ only in the objective need not
 all be solved: :func:`first_certified_vertex` tests, for many objectives at
@@ -43,7 +44,7 @@ _CONDITION_CAP = 1e12
 
 
 class LPError(RuntimeError):
-    """Internal solver failure (unbounded ray, iteration blow-up)."""
+    """Internal solver failure (iteration blow-up, rank-deficient vertex)."""
 
 
 class InfeasibleError(LPError):
@@ -117,6 +118,7 @@ class LPSolution:
     degenerate: bool
     all_box: bool
     cache_hit: bool = False     # always False; read by the benchmark tracer
+    pivots: int = 0             # dual simplex pivots of the solve
 
     def sample_indices(self):
         return [tag[1] for tag in self.active if tag[0] == "sample"]
@@ -170,129 +172,111 @@ def _select_active(G, h, y, nonbasic, feas_scale, tol):
     return np.array(chosen), candidates.size > q
 
 
-def lp_minimize(problem, tol=1e-8):
-    """Solve the LP and report the optimal active-constraint system."""
+def lp_minimize(problem, tol=1e-8, start=None):
+    """Solve the LP and report the optimal active-constraint system.
+
+    The variables are y and the row slacks s = rows @ y - rhs >= 0.  A
+    bounded-variable dual simplex starts from a dual-feasible basis: by
+    default the slacks, with every y_q at the box end its cost favours
+    (the box-only optimum); with ``start``, the basis of an earlier
+    solution over the same box and a prefix of these rows whose active set
+    is optimal for this objective (its Q active rows nonbasic, every other
+    slack basic, so a newly added row's slack is the infeasible one).  A
+    nonbasic y_q of that start whose reduced cost has the wrong sign moves
+    to its other box end; a start with a wrong-signed sample-row multiplier
+    is dropped for the default.  Each pivot takes the lowest-index
+    infeasible basic variable to its violated bound, by the ratio test
+    that keeps every reduced cost's sign (ties to the lowest index, which
+    terminates).  The loop stops once every basic variable is within
+    ``1e-9 * (1 + max|h|)`` of its bounds.  The basis is dual feasible
+    throughout, so stopping short of primal feasibility could only report
+    a value at or below the LP minimum, never above it.  An infeasible row
+    with no entering candidate proves the polytope empty: it raises
+    :class:`InfeasibleError` unless its violation is within
+    ``tol * (1 + max|h|)``, which is accepted.
+    """
     q, J = problem.q, problem.n_rows
     G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
     h = np.concatenate([problem.rhs, problem.lower, -problem.upper])
     feas_scale = 1.0 + float(np.max(np.abs(h)))
-
-    # Variables: y (box bounds), s (slacks >= 0), artificials on violated rows.
-    y0 = np.where(problem.c >= 0.0, problem.lower, problem.upper)
-    s0 = problem.rows @ y0 - problem.rhs
-    is_violated = s0 < -tol * feas_scale
-    violated = np.flatnonzero(is_violated)
-    n_art = len(violated)
-    nvar = q + J + n_art
-
-    E = np.zeros((J, nvar))
-    E[:, :q] = problem.rows
-    E[np.arange(J), q + np.arange(J)] = -1.0
-    E[violated, q + J + np.arange(n_art)] = 1.0
-
-    lb = np.concatenate([problem.lower, np.zeros(J), np.zeros(n_art)])
-    ub = np.concatenate([problem.upper, np.full(J, np.inf), np.full(n_art, np.inf)])
-
-    status = np.zeros(nvar, dtype=np.int8)  # 0 at lower, 1 at upper, 2 basic
-    status[:q] = np.where(problem.c >= 0.0, 0, 1)
-    basis = np.empty(J, dtype=np.int64)
-    ok = np.flatnonzero(~is_violated)
-    basis[ok] = q + ok
-    basis[violated] = q + J + np.arange(n_art)
-    status[basis] = 2
-
-    Binv = np.eye(J)
-    Binv[ok, ok] = -1.0  # slack columns are -e_i
-
-    c_phase1 = np.zeros(nvar)
-    c_phase1[q + J:] = 1.0
-    c_phase2 = np.zeros(nvar)
-    c_phase2[:q] = problem.c
-
     cost_scale = 1.0 + float(np.max(np.abs(problem.c)))
 
-    def basic_values():
-        xN = np.where(status == 1, np.where(np.isfinite(ub), ub, 0.0), lb)
-        xN[basis] = 0.0
-        return Binv @ (problem.rhs - E @ xN)
+    # x = (y, s) with E x = rhs; slacks have no upper bound
+    E = np.hstack([problem.rows, -np.eye(J)])
+    lb = np.concatenate([problem.lower, np.zeros(J)])
+    ub = np.concatenate([problem.upper, np.full(J, np.inf)])
+    cost = np.concatenate([problem.c, np.zeros(J)])
 
-    def pivot(pos, e, w, to_upper=False):
-        """Variable ``e`` (with column ``w = Binv E[:, e]``) enters the basis
-        at position ``pos``; the variable there leaves to a bound."""
-        nonlocal Binv
-        status[basis[pos]] = 1 if to_upper else 0
+    def reduced_costs(basis, Binv):
+        return cost - E.T @ (Binv.T @ cost[basis])
+
+    status = np.full(q + J, 2, dtype=np.int8)  # 0 at lower, 1 upper, 2 basic
+    status[:q] = problem.c < 0.0
+    basis = q + np.arange(J)
+    Binv = -np.eye(J)
+    if start is not None:
+        warm = np.full(q + J, 2, dtype=np.int8)
+        for kind, k in start.active:
+            warm[q + k if kind == "sample" else k] = kind == "upper"
+        warm_basis = np.flatnonzero(warm == 2)
+        warm_Binv = np.linalg.inv(E[:, warm_basis])
+        d = reduced_costs(warm_basis, warm_Binv)
+        wrong = (warm != 2) & (np.where(warm == 1, -d, d)
+                               < -_PIVOT_TOL * cost_scale)
+        if not wrong[q:].any():
+            warm[:q][wrong[:q]] ^= 1
+            status, basis, Binv = warm, warm_basis, warm_Binv
+
+    waived = np.zeros(q + J, dtype=bool)
+    pivots = 0
+    for _ in range(_MAX_ITERATIONS):
+        x = np.where(status == 1, ub, lb)
+        x[basis] = 0.0
+        xB = Binv @ (problem.rhs - E @ x)
+        x[basis] = xB
+        viol = np.maximum(lb[basis] - xB, xB - ub[basis])
+        bad = np.flatnonzero((viol > 1e-9 * feas_scale) & ~waived[basis])
+        if bad.size == 0:
+            break
+        r = bad[np.argmin(basis[bad])]  # dual Bland: lowest index leaves
+        below = xB[r] < lb[basis[r]]
+        alpha = Binv[r] @ E
+        # moving a nonbasic x_j off its bound shifts x_r by -alpha_j per unit
+        step = np.where(status == 0, 1.0, -1.0) * (-alpha if below else alpha)
+        cand = np.flatnonzero((status != 2) & (ub > lb) & (step > _PIVOT_TOL))
+        if cand.size == 0:
+            # x_r cannot move toward its bound: row r is a Farkas certificate
+            if viol[r] > tol * feas_scale:
+                raise InfeasibleError(
+                    f"LP infeasible (row violation {viol[r]:.3e})")
+            waived[basis[r]] = True
+            continue
+        d = reduced_costs(basis, Binv)[cand]
+        ratio = np.maximum(np.where(status[cand] == 1, -d, d), 0.0) \
+            / np.abs(alpha[cand])
+        e = int(cand[np.flatnonzero(ratio <= ratio.min() + _PIVOT_TOL)[0]])
+        w = Binv @ E[:, e]
+        status[basis[r]] = 0 if below else 1
         status[e] = 2
-        basis[pos] = e
-        piv_row = Binv[pos] / w[pos]
+        basis[r] = e
+        piv_row = Binv[r] / w[r]
         Binv -= np.outer(w, piv_row)
-        Binv[pos] = piv_row
-
-    def run_simplex(cost, opt_tol):
-        for _ in range(_MAX_ITERATIONS):
-            xB = basic_values()
-            dual = Binv.T @ cost[basis]
-            red = cost - E.T @ dual
-            movable = (ub - lb) > 0
-            cand_lo = (status == 0) & movable & (red < -opt_tol)
-            cand_hi = (status == 1) & movable & (red > opt_tol)
-            cand = np.where(cand_lo | cand_hi)[0]
-            if cand.size == 0:
-                return
-            e = int(cand[0])  # Bland: smallest index
-            sigma = 1.0 if status[e] == 0 else -1.0
-            w = Binv @ E[:, e]
-
-            sw = sigma * w
-            v_lb = lb[basis]
-            v_ub = ub[basis]
-            deltas = np.full(J, np.inf)
-            dec = sw > _PIVOT_TOL
-            inc = (sw < -_PIVOT_TOL) & np.isfinite(v_ub)
-            deltas[dec] = (xB[dec] - v_lb[dec]) / sw[dec]
-            deltas[inc] = (v_ub[inc] - xB[inc]) / (-sw[inc])
-            np.maximum(deltas, 0.0, out=deltas)
-            dmin = deltas.min()
-            flip_delta = ub[e] - lb[e]
-            if not np.isfinite(dmin) and not np.isfinite(flip_delta):
-                raise LPError("LP is unbounded; box constraints are corrupted")
-            if flip_delta <= dmin + _PIVOT_TOL:
-                status[e] = 1 - status[e]  # bound flip
-                continue
-            ties = np.where(deltas <= dmin + _PIVOT_TOL)[0]
-            leave_pos = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-            pivot(leave_pos, e, w, to_upper=not dec[leave_pos])
+        Binv[r] = piv_row
+        pivots += 1
+    else:
         raise LPError("simplex iteration cap exceeded")
-
-    if n_art:
-        run_simplex(c_phase1, tol * cost_scale)
-        art = basis >= q + J
-        art_total = float(np.sum(np.maximum(basic_values()[art], 0.0)))
-        if art_total > tol * feas_scale * max(1.0, n_art):
-            raise InfeasibleError(
-                f"LP infeasible (phase-1 objective {art_total:.3e})")
-        # an artificial still basic sits at 0: its row's slack replaces it,
-        # so that exactly Q rows of G are nonbasic
-        for pos in np.flatnonzero(art):
-            s = q + violated[basis[pos] - q - J]
-            pivot(pos, s, Binv @ E[:, s])
-        ub[q + J:] = 0.0  # pin artificials; they never enter again
-    run_simplex(c_phase2, tol * cost_scale)
-
-    xB = basic_values()
-    x = np.where(status == 1, np.where(np.isfinite(ub), ub, 0.0), lb)
-    x[basis] = xB
     y = x[:q].copy()
 
     # the rows of G whose slack or variable the final basis holds at 0 or a bound
     nonbasic = np.flatnonzero(np.concatenate(
-        [status[q:q + J] != 2, status[:q] == 0, status[:q] == 1]))
+        [status[q:] != 2, status[:q] == 0, status[:q] == 1]))
     chosen, degen = _select_active(G, h, y, nonbasic, feas_scale,
                                    max(tol, 1e-9))
     if degen and first_certified_vertex(
             problem.c, np.linalg.inv(G[chosen].T)[None], tol)[0] < 0:
         # at a degenerate vertex the first independent tight set need not
-        # be optimal; the nonbasic set is: its multipliers are the phase-2
-        # reduced costs
+        # be optimal; the nonbasic set is: its multipliers are the final
+        # basis's reduced costs, which the dual simplex keeps nonnegative
         chosen = nonbasic
     theta, psi = G[chosen], h[chosen]
 
@@ -306,7 +290,8 @@ def lp_minimize(problem, tol=1e-8):
     return LPSolution(y=y, value=value,
                       active=tuple(_tag(g, J, q) for g in chosen.tolist()),
                       theta_mat=theta, psi=psi, condition=condition,
-                      degenerate=degen, all_box=bool(np.all(chosen >= J)))
+                      degenerate=degen, all_box=bool(np.all(chosen >= J)),
+                      pivots=pivots)
 
 
 def first_certified_vertex(c, inv_t, tol=1e-8):
@@ -316,8 +301,8 @@ def first_certified_vertex(c, inv_t, tol=1e-8):
     shared polytope ``G y >= h`` whose active system ``Theta_k`` holds Q
     rows of G: ``inv_t[k]`` is ``Theta_k^{-T}``.  The vertex is optimal for
     ``c`` when the multipliers ``z = Theta_k^{-T} c`` satisfy
-    ``z >= -slack`` with ``slack = tol * (1 + max|c|)``, the reduced-cost
-    slack of :func:`lp_minimize`'s phase 2.  Returns an (m,) integer array
+    ``z >= -slack`` with ``slack = tol * (1 + max|c|)``, an allowance for
+    the roundoff in z.  Returns an (m,) integer array
     holding the smallest passing k, or -1 where no vertex passes.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))

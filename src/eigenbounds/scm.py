@@ -67,6 +67,8 @@ class GreedyRecord:
     lp_count: int
     eig_count: int
     lp_cached: int = 0
+    lp_pivots: int = 0
+    lp_degenerate: int = 0
     shift_fallbacks: int = 0
     max_abs_ub_error: float | None = None
     max_abs_lb_error: float | None = None
@@ -156,16 +158,18 @@ def upper_bound(state, mu):
     return float(np.min(state.upper_points @ th))
 
 
-def lower_bound(state, box, mu, lp_tol=1e-8, c=None):
+def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
     """LP lower bound over the box cut by the sampled constraints.
 
-    ``c`` is the objective row theta(mu) when the caller already holds it.
+    ``c`` is the objective row theta(mu) when the caller already holds it;
+    ``start`` an earlier solution optimal for it to restart the dual
+    simplex from (see :func:`~eigenbounds.lp.lp_minimize`).
     """
     if c is None:
         c = state.family.theta_at(mu)
     problem = LPProblem(c=c, lower=box.lower,
                         upper=box.upper, rows=state.rows, rhs=state.rhs)
-    sol = lp_minimize(problem, tol=lp_tol)
+    sol = lp_minimize(problem, tol=lp_tol, start=start)
     return sol.value, sol
 
 
@@ -242,22 +246,24 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     shifted below the selected point's lower bound (``sample_shift``),
     updates the sampled upper bounds ``lam_ub``, finds the LP lower bound
     ``lam_lb`` of every training point, then picks the point with the worst
-    ratio.  Without ``warm_start`` every LP is solved cold, every
-    iteration.  With it, a point keeps its minimizer while that satisfies
-    the new constraint; the other points are tested against a cache of
-    distinct optimal vertices (those that still satisfy every row), and
-    only the points no vertex certifies are solved cold, in index order.
-    Each cold solve with a new active set joins the cache and is tested at
-    once against the points still waiting.  A certified point takes the
-    vertex's solution with its own objective value.  Classical SCM ranks
-    points by the relative gap between ``lam_lb`` and ``lam_ub``.  With
-    ``sweep`` (the subspace pipeline), ``sweep(tables, theta, sols)`` then
-    fills the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
-    ``heuristic`` columns of ``tables`` at every training point from the
-    LP solutions.  The ratio
-    is then the relative gap between ``lam_slb`` and ``lam_sub``, or with
-    ``mode='heuristic'`` the relative Ritz residual.  The loop stops, not
-    converged, when the worst ratio sits at a parameter already sampled.
+    ratio.  Without ``warm_start`` every LP is solved cold (from the box
+    corner), every iteration.  With it, a point keeps its minimizer while
+    that satisfies the new constraint; the other points are tested against
+    a cache of distinct optimal vertices (those that still satisfy every
+    row), and only the points no vertex certifies are solved, in index
+    order, each by a dual simplex restarted from its own previous solution,
+    which is optimal for its objective whether it was solved or taken from
+    the cache.  Each solve with a new active set joins the cache and is
+    tested at once against the points still waiting.  A certified point
+    takes the vertex's solution with its own objective value.  Classical
+    SCM ranks points by the relative gap between ``lam_lb`` and ``lam_ub``.
+    With ``sweep`` (the subspace pipeline), ``sweep(tables, theta, sols)``
+    then fills the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
+    ``heuristic`` columns of ``tables`` at every training point from the LP
+    solutions.  The ratio is then the relative gap between ``lam_slb`` and
+    ``lam_sub``, or with ``mode='heuristic'`` the relative Ritz residual.
+    The loop stops, not converged, when the worst ratio sits at a parameter
+    already sampled.
     """
     family = model.family
     pts = train.points
@@ -270,7 +276,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     box = compute_bounding_box(family, seed=seed)
     eig_seconds += time.perf_counter() - t
     eig_count = 2 * family.q
-    lp_count = lp_cached = 0
+    lp_count = lp_cached = lp_pivots = lp_degenerate = 0
 
     theta_all = family.theta_table(pts)
     sols = [None] * m
@@ -362,10 +368,13 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             todo = settle(todo, cache.match(theta_all[todo], lp_tol))
         while todo.size:
             i, todo = todo[0], todo[1:]
-            lam_lb[i], sols[i] = lower_bound(model, box, pts[i],
-                                             lp_tol=lp_tol, c=theta_all[i])
+            lam_lb[i], sols[i] = lower_bound(
+                model, box, pts[i], lp_tol=lp_tol, c=theta_all[i],
+                start=sols[i] if warm_start else None)
             sol_y[i] = sols[i].y
             lp_count += 1
+            lp_pivots += sols[i].pivots
+            lp_degenerate += sols[i].degenerate
             if warm_start and cache.add(sols[i]):
                 todo = settle(todo, cache.match(theta_all[todo], lp_tol,
                                                 last_only=True))
@@ -389,6 +398,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             eig_seconds=eig_seconds, lp_seconds=lp_seconds,
             reduced_seconds=reduced_seconds,
             lp_count=lp_count, eig_count=eig_count, lp_cached=lp_cached,
+            lp_pivots=lp_pivots, lp_degenerate=lp_degenerate,
             shift_fallbacks=model.shift_fallbacks)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
@@ -423,9 +433,11 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
     warm_start : reuse a parameter's LP minimizer while it stays feasible,
-        and answer the other LPs from a cache of optimal vertices: a vertex
+        answer the other LPs from a cache of optimal vertices (a vertex
         answers a point when its active system's multipliers for the
-        point's objective are nonnegative (see :func:`_greedy`)
+        point's objective are nonnegative) and restart the dual simplex of
+        the rest from their previous solutions (see :func:`_greedy`);
+        without it every LP is solved from the box corner
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """

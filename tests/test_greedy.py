@@ -64,6 +64,36 @@ def test_warm_start_changes_nothing_at_q_10(ell):
         assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b)))
 
 
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_restarts_halve_the_pivots_per_lp(pipeline):
+    # the family of acceptance criterion 12.  Pivots per LP, not in all:
+    # the vertex cache alone already cuts the number of LPs solved
+    fam = random_family(3, 80, delta=0.25, seed=12)
+    train = random_training_set(fam.domain, 60, seed=13)
+    on, off = (PIPELINES[pipeline][0](fam, train, eps=1e-6, j_max=12,
+                                      warm_start=warm).records[-1]
+               for warm in (True, False))
+    assert on.lp_pivots / on.lp_count < 0.5 * off.lp_pivots / off.lp_count
+
+
+@pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+def test_summary_counts_pivots_and_degenerate_lps(tmp_path, monkeypatch,
+                                                  pipeline):
+    solved = []
+    original = scm.lower_bound
+
+    def kept(*args, **kwargs):
+        solved.append(original(*args, **kwargs)[1])
+        return solved[-1].value, solved[-1]
+
+    monkeypatch.setattr(scm, "lower_bound", kept)
+    fam = random_family(3, 40, delta=0.3, seed=60)
+    config = RunConfig(pipeline=pipeline, n_train=20, j_max=5, eps=1e-12)
+    counts = run_pipeline(config, fam, str(tmp_path))["counts"]
+    assert counts["lp_pivots"] == sum(s.pivots for s in solved) > 0
+    assert counts["lp_degenerate"] == sum(s.degenerate for s in solved)
+
+
 @pytest.mark.parametrize("pencil", [False, True])
 def test_shifted_samples_change_no_selection(monkeypatch, pencil):
     fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))

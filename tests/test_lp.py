@@ -175,6 +175,14 @@ class TestLpMinimize:
         with pytest.raises(InfeasibleError):
             lp_minimize(p)
 
+    def test_emptiness_within_tolerance_accepted(self):
+        # y >= 0.5 and y <= 0.5 - 1e-7: empty, but only by 1e-7
+        p = LPProblem(c=[1.0], lower=[0.0], upper=[1.0],
+                      rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + 1e-7])
+        with pytest.raises(InfeasibleError):
+            lp_minimize(p, tol=1e-8)
+        assert_allclose(lp_minimize(p, tol=1e-6).value, 0.5, atol=1e-6)
+
     def test_degenerate_vertex_flagged_and_lexicographic(self):
         # four constraints tight at the optimal corner
         p = LPProblem(c=[SQ2 / 2, SQ2 / 2], lower=[-1, -1], upper=[1, 1],
@@ -367,3 +375,113 @@ class TestTightenAndResolve:
         sol = lp_minimize(p)
         with pytest.raises(ValueError):
             tighten_and_resolve(sol, {}, p.c)
+
+
+def grown_lps(q, seed, n_rows):
+    """LPs over one box and objective, each with one row more than the
+    last; every row cuts near an interior point, so each stays feasible
+    and most new rows cut off the previous optimum."""
+    rng = np.random.default_rng(seed)
+    lo = -1.0 - rng.random(q)
+    hi = 1.0 + rng.random(q)
+    c = rng.standard_normal(q)
+    inner = lo + (hi - lo) * rng.uniform(0.3, 0.7, q)
+    rows = rng.standard_normal((n_rows, q))
+    rhs = rows @ inner - 0.3 * rng.random(n_rows)
+    return [LPProblem(c=c, lower=lo, upper=hi, rows=rows[:j], rhs=rhs[:j])
+            for j in range(n_rows + 1)]
+
+
+class TestDualSimplexRestart:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (4, 2), (4, 3),
+                                        (10, 4), (10, 5)])
+    def test_restart_matches_cold_solve(self, q, seed, tol):
+        problems = grown_lps(q, seed, 3 * q if q < 10 else 16)
+        prev = None
+        for p in problems:
+            cold = lp_minimize(p, tol=tol)
+            warm = lp_minimize(p, tol=tol, start=prev)
+            prev = warm
+            for sol in (cold, warm):
+                v = sol.value
+                assert abs(v - cold.value) <= 1e-12 * (1.0 + abs(v))
+                z = np.linalg.solve(sol.theta_mat.T, p.c)
+                assert np.all(z >= -tol * (1.0 + np.max(np.abs(p.c))))
+                assert abs(sol.psi @ z - v) <= 1e-12 * max(1.0, abs(v))
+            if q <= 4 and p.n_rows <= 8:
+                best, _ = enumerate_vertices(p)
+                assert abs(cold.value - best) <= 1e-9 * (1.0 + abs(best))
+        # the restarts need fewer pivots than the cold solves
+        assert (sum(lp_minimize(p, start=s).pivots for p, s in zip(
+            problems[1:], map(lp_minimize, problems)))
+                < sum(lp_minimize(p).pivots for p in problems[1:]))
+
+    def test_row_that_empties_the_polytope_raises(self):
+        c = [1.0, 1.0]
+        first = LPProblem(c=c, lower=[0, 0], upper=[1, 1],
+                          rows=[[1.0, 1.0]], rhs=[1.0])
+        sol = lp_minimize(first)
+        assert_allclose(sol.value, 1.0, atol=1e-12)
+        # y1 + y2 <= 0.5 against y1 + y2 >= 1
+        empty = LPProblem(c=c, lower=[0, 0], upper=[1, 1],
+                          rows=[[1.0, 1.0], [-1.0, -1.0]], rhs=[1.0, -0.5])
+        with pytest.raises(InfeasibleError):
+            lp_minimize(empty)
+        with pytest.raises(InfeasibleError):
+            lp_minimize(empty, start=sol)
+
+    def test_objective_parallel_to_duplicated_facet(self):
+        # every point of y1 + y2 = -1 in the box is optimal; the facet's row
+        # appears three times and a fourth row passes through (0, -1)
+        c = np.array([1.0, 1.0])
+        rows = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        rhs = np.array([-1.0, -1.0, -1.0, 1.0])
+        prev = None
+        for j in range(1, 5):
+            p = LPProblem(c=c, lower=[-1, -1], upper=[1, 1], rows=rows[:j],
+                          rhs=rhs[:j])
+            best, _ = enumerate_vertices(p)
+            for start in (None, prev):
+                sol = lp_minimize(p, start=start)
+                assert_allclose(sol.value, best, atol=1e-12)
+                assert np.all(p.rows @ sol.y >= p.rhs - 1e-12)
+            prev = sol
+        assert best == -1.0
+
+    def test_no_rows_is_the_box_corner_in_no_pivots(self):
+        p = LPProblem(c=[1.0, -2.0, 0.0], lower=[-1, -2, -3],
+                      upper=[1, 2, 3], rows=np.zeros((0, 3)), rhs=[])
+        sol = lp_minimize(p)
+        assert sol.pivots == 0
+        assert_allclose(sol.y, [-1.0, 2.0, -3.0])
+        assert sol.active == (("lower", 0), ("lower", 2), ("upper", 1))
+
+    def test_restart_from_an_all_box_active_set(self):
+        c = np.array([1.0, 2.0, -1.0])
+        box = {"lower": -np.ones(3), "upper": np.ones(3)}
+        corner = lp_minimize(LPProblem(c=c, rows=np.zeros((0, 3)), rhs=[],
+                                       **box))
+        assert corner.all_box
+        # the new row cuts off the corner (-1, -1, 1)
+        p = LPProblem(c=c, rows=[[1.0, 1.0, -1.0]], rhs=[-2.0], **box)
+        warm = lp_minimize(p, start=corner)
+        best, _ = enumerate_vertices(p)
+        assert_allclose(warm.value, best, atol=1e-12)
+        assert_allclose(warm.value, lp_minimize(p).value, atol=1e-12)
+        assert 1 <= warm.pivots <= 2
+        assert warm.sample_indices() == [0]
+
+    def test_start_optimal_for_another_objective(self):
+        # a box bound with the wrong reduced cost moves to its other end; a
+        # sample row with a wrong-signed multiplier sends the solve back to
+        # the box corner
+        box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        p = LPProblem(c=[1.0, 1.0], rows=[[1.0, 1.0]], rhs=[1.0], **box)
+        sol = lp_minimize(p)
+        assert sol.sample_indices() == [0]
+        for c, best in (([-1.0, -1.0], -2.0), ([1.0, -1.0], -1.0),
+                        ([1.0, 2.0], 1.0)):
+            q = LPProblem(c=c, rows=p.rows, rhs=p.rhs, **box)
+            assert_allclose(lp_minimize(q, start=sol).value, best,
+                            atol=1e-12)
