@@ -44,6 +44,12 @@ BOUND_FIXED_COLUMNS = [
     "lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic", "residual",
     "chosen_r", "error_ratio", "oracle_lambda_min",
 ]
+# summary.json "counts": (key, GreedyRecord attribute of the last record)
+SUMMARY_COUNTS = (
+    ("lp", "lp_count"), ("eig", "eig_count"), ("lp_cached", "lp_cached"),
+    ("shift_fallbacks", "shift_fallbacks"), ("lp_pivots", "lp_pivots"),
+    ("lp_degenerate", "lp_degenerate"),
+)
 
 
 @dataclass
@@ -245,18 +251,9 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             "reason": result.reason,
             "iterations": len(result.records),
         },
-        "counts": {
-            "lp": result.records[-1].lp_count if result.records else 0,
-            "eig": result.records[-1].eig_count if result.records else 0,
-            "lp_cached": result.records[-1].lp_cached
-                if result.records else 0,
-            "shift_fallbacks": result.records[-1].shift_fallbacks
-                if result.records else 0,
-            "lp_pivots": result.records[-1].lp_pivots
-                if result.records else 0,
-            "lp_degenerate": result.records[-1].lp_degenerate
-                if result.records else 0,
-        },
+        "counts": {key: getattr(result.records[-1], attr)
+                   if result.records else 0
+                   for key, attr in SUMMARY_COUNTS},
         "final_max_ratio": result.records[-1].max_ratio
             if result.records else None,
         "oracle_active": oracle_active,

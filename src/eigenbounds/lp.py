@@ -7,13 +7,13 @@ of ``G y >= h`` with
     G = [rows; I; -I],    h = [rhs; lower; -upper],
 
 so rows 0..J-1 are the sample rows, the next Q the lower and the last Q the
-upper box bounds.  A bounded-variable dual simplex (dual Bland rule) finds
-the optimum from the box corner the costs pick, or from the optimal basis
-of an earlier solve over fewer rows; the basis bookkeeping then yields Q
-linearly independent rows of G tight at the vertex, reported as an
-invertible Q x Q system (Theta, psi) = (G[S], h[S]) whose multipliers
-``Theta^{-T} c`` are nonnegative.  That system is what the gap-tightening
-step perturbs and re-solves.
+upper box bounds.  Each vertex is Q linearly independent rows of G tight
+there, and the solver works in that form: a dual simplex (dual Bland rule)
+on the active set, holding the Q rows and the inverse of their Q x Q
+system, from the box corner the costs pick or from the active set of an
+earlier solve over fewer rows.  The optimum is reported as that system,
+(Theta, psi) = (G[S], h[S]), whose multipliers ``Theta^{-T} c`` are
+nonnegative.  It is what the gap-tightening step perturbs and re-solves.
 
 Programs that share one polytope and differ only in the objective need not
 all be solved: :func:`first_certified_vertex` tests, for many objectives at
@@ -44,7 +44,7 @@ _CONDITION_CAP = 1e12
 
 
 class LPError(RuntimeError):
-    """Internal solver failure (iteration blow-up, rank-deficient vertex)."""
+    """Internal solver failure (iteration blow-up)."""
 
 
 class InfeasibleError(LPError):
@@ -140,19 +140,13 @@ def _tag(g, j, q):
     return ("lower", g - j) if g < j + q else ("upper", g - j - q)
 
 
-def _select_active(G, h, y, nonbasic, feas_scale, tol):
-    """Pick Q linearly independent rows of G tight at ``y``.
+def _select_active(G, candidates, q):
+    """The lexicographically smallest independent set among ``candidates``.
 
-    Candidates are the rows tight at ``y`` plus the final basis's nonbasic
-    rows (always independent), in index order; Gram-Schmidt keeps each
-    candidate independent of those before it, which yields the
-    lexicographically smallest independent active set.  Returns its row
-    indices and whether more than Q rows were candidates.
+    Gram-Schmidt, in index order, keeps each candidate row of G that is
+    independent of those kept before it, until Q are kept.  Returns their
+    row indices, fewer than Q if the candidates do not span.
     """
-    q = G.shape[1]
-    tight = np.abs(G @ y - h) <= tol * feas_scale
-    tight[nonbasic] = True
-    candidates = np.flatnonzero(tight)
     chosen = []
     ortho = []
     for g in candidates:
@@ -167,117 +161,101 @@ def _select_active(G, h, y, nonbasic, feas_scale, tol):
             chosen.append(g)
             if len(chosen) == q:
                 break
-    if len(chosen) < q:
-        raise LPError("active set has deficient rank; vertex is corrupted")
-    return np.array(chosen), candidates.size > q
+    return np.array(chosen)
 
 
 def lp_minimize(problem, tol=1e-8, start=None):
     """Solve the LP and report the optimal active-constraint system.
 
-    The variables are y and the row slacks s = rows @ y - rhs >= 0.  A
-    bounded-variable dual simplex starts from a dual-feasible basis: by
-    default the slacks, with every y_q at the box end its cost favours
-    (the box-only optimum); with ``start``, the basis of an earlier
-    solution over the same box and a prefix of these rows whose active set
-    is optimal for this objective (its Q active rows nonbasic, every other
-    slack basic, so a newly added row's slack is the infeasible one).  A
-    nonbasic y_q of that start whose reduced cost has the wrong sign moves
-    to its other box end; a start with a wrong-signed sample-row multiplier
-    is dropped for the default.  Each pivot takes the lowest-index
-    infeasible basic variable to its violated bound, by the ratio test
-    that keeps every reduced cost's sign (ties to the lowest index, which
-    terminates).  The loop stops once every basic variable is within
-    ``1e-9 * (1 + max|h|)`` of its bounds.  The basis is dual feasible
-    throughout, so stopping short of primal feasibility could only report
-    a value at or below the LP minimum, never above it.  An infeasible row
-    with no entering candidate proves the polytope empty: it raises
-    :class:`InfeasibleError` unless its violation is within
-    ``tol * (1 + max|h|)``, which is accepted.
+    A dual simplex on the active set: the state is Q rows S of G, taken as
+    equalities, and ``Theta^{-1} = inv(G[S])``, so the iterate is
+    ``y = Theta^{-1} h[S]`` and the multipliers are ``z = c^T Theta^{-1}``.
+    Every z_k stays nonnegative (dual feasible).  The start is the box
+    corner the signs of c pick, or with ``start`` the active set of an
+    earlier solution over the same box and a prefix of these rows; a box
+    row of that start with a negative multiplier moves to its coordinate's
+    other end, and a sample row with one sends the solve back to the box
+    corner.  Each pivot brings in the violated row g of lowest dual Bland
+    rank (coordinate q's box rows rank q, sample row i ranks Q + i) and
+    drops the position k with the least ``max(z_k, 0) / a_k`` over
+    ``a = G[g] Theta^{-1}``, ``a_k > 0``, ties to the lowest rank; a box
+    row of a fixed coordinate (lower == upper) never leaves.  The loop
+    stops once no row is violated by more than ``1e-9 * (1 + max|h|)``.
+    The iterate is dual feasible throughout, so stopping short of primal
+    feasibility could only report a value at or below the LP minimum,
+    never above it.  A violated row with no leaving candidate proves the
+    polytope empty: it raises :class:`InfeasibleError` unless its violation
+    is within ``tol * (1 + max|h|)``, which is accepted.  The reported
+    active set is S, except where more than Q rows are tight: there the
+    lexicographically smallest independent tight set is reported if its
+    multipliers certify the vertex.
     """
     q, J = problem.q, problem.n_rows
     G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
     h = np.concatenate([problem.rhs, problem.lower, -problem.upper])
     feas_scale = 1.0 + float(np.max(np.abs(h)))
     cost_scale = 1.0 + float(np.max(np.abs(problem.c)))
+    rank = np.concatenate([q + np.arange(J), np.arange(q), np.arange(q)])
+    fixed = np.concatenate([np.zeros(J, dtype=bool),
+                            np.tile(problem.lower == problem.upper, 2)])
 
-    # x = (y, s) with E x = rhs; slacks have no upper bound
-    E = np.hstack([problem.rows, -np.eye(J)])
-    lb = np.concatenate([problem.lower, np.zeros(J)])
-    ub = np.concatenate([problem.upper, np.full(J, np.inf)])
-    cost = np.concatenate([problem.c, np.zeros(J)])
-
-    def reduced_costs(basis, Binv):
-        return cost - E.T @ (Binv.T @ cost[basis])
-
-    status = np.full(q + J, 2, dtype=np.int8)  # 0 at lower, 1 upper, 2 basic
-    status[:q] = problem.c < 0.0
-    basis = q + np.arange(J)
-    Binv = -np.eye(J)
+    flip = problem.c < 0.0
+    S = J + np.arange(q) + q * flip
+    Tinv = np.diag(np.where(flip, -1.0, 1.0))
     if start is not None:
-        warm = np.full(q + J, 2, dtype=np.int8)
-        for kind, k in start.active:
-            warm[q + k if kind == "sample" else k] = kind == "upper"
-        warm_basis = np.flatnonzero(warm == 2)
-        warm_Binv = np.linalg.inv(E[:, warm_basis])
-        d = reduced_costs(warm_basis, warm_Binv)
-        wrong = (warm != 2) & (np.where(warm == 1, -d, d)
-                               < -_PIVOT_TOL * cost_scale)
-        if not wrong[q:].any():
-            warm[:q][wrong[:q]] ^= 1
-            status, basis, Binv = warm, warm_basis, warm_Binv
+        offset = {"sample": 0, "lower": J, "upper": J + q}
+        warm = np.array([offset[kind] + k for kind, k in start.active])
+        warm_inv = np.linalg.inv(G[warm])
+        wrong = problem.c @ warm_inv < -_PIVOT_TOL * cost_scale
+        if not np.any(wrong & (warm < J)):
+            warm[wrong] += np.where(warm[wrong] < J + q, q, -q)
+            warm_inv[:, wrong] *= -1.0
+            S, Tinv = warm, warm_inv
 
-    waived = np.zeros(q + J, dtype=bool)
+    # ranks held by S or waived as within tolerance of a Farkas row
+    skip = np.zeros(q + J, dtype=bool)
+    skip[rank[S]] = True
     pivots = 0
     for _ in range(_MAX_ITERATIONS):
-        x = np.where(status == 1, ub, lb)
-        x[basis] = 0.0
-        xB = Binv @ (problem.rhs - E @ x)
-        x[basis] = xB
-        viol = np.maximum(lb[basis] - xB, xB - ub[basis])
-        bad = np.flatnonzero((viol > 1e-9 * feas_scale) & ~waived[basis])
+        y = Tinv @ h[S]
+        slack = G @ y - h
+        bad = np.flatnonzero((slack < -1e-9 * feas_scale) & ~skip[rank])
         if bad.size == 0:
             break
-        r = bad[np.argmin(basis[bad])]  # dual Bland: lowest index leaves
-        below = xB[r] < lb[basis[r]]
-        alpha = Binv[r] @ E
-        # moving a nonbasic x_j off its bound shifts x_r by -alpha_j per unit
-        step = np.where(status == 0, 1.0, -1.0) * (-alpha if below else alpha)
-        cand = np.flatnonzero((status != 2) & (ub > lb) & (step > _PIVOT_TOL))
+        g = bad[np.argmin(rank[bad])]
+        a = G[g] @ Tinv
+        cand = np.flatnonzero((a > _PIVOT_TOL) & ~fixed[S])
         if cand.size == 0:
-            # x_r cannot move toward its bound: row r is a Farkas certificate
-            if viol[r] > tol * feas_scale:
+            # no active row can relax toward row g: it is a Farkas certificate
+            if -slack[g] > tol * feas_scale:
                 raise InfeasibleError(
-                    f"LP infeasible (row violation {viol[r]:.3e})")
-            waived[basis[r]] = True
+                    f"LP infeasible (row violation {-slack[g]:.3e})")
+            skip[rank[g]] = True
             continue
-        d = reduced_costs(basis, Binv)[cand]
-        ratio = np.maximum(np.where(status[cand] == 1, -d, d), 0.0) \
-            / np.abs(alpha[cand])
-        e = int(cand[np.flatnonzero(ratio <= ratio.min() + _PIVOT_TOL)[0]])
-        w = Binv @ E[:, e]
-        status[basis[r]] = 0 if below else 1
-        status[e] = 2
-        basis[r] = e
-        piv_row = Binv[r] / w[r]
-        Binv -= np.outer(w, piv_row)
-        Binv[r] = piv_row
+        ratio = np.maximum(problem.c @ Tinv[:, cand], 0.0) / a[cand]
+        ties = cand[ratio <= ratio.min() + _PIVOT_TOL]
+        k = ties[np.argmin(rank[S[ties]])]
+        skip[rank[S[k]]] = False
+        skip[rank[g]] = True
+        S[k] = g
+        col = Tinv[:, k] / a[k]
+        Tinv -= np.outer(col, a)
+        Tinv[:, k] = col
         pivots += 1
     else:
         raise LPError("simplex iteration cap exceeded")
-    y = x[:q].copy()
 
-    # the rows of G whose slack or variable the final basis holds at 0 or a bound
-    nonbasic = np.flatnonzero(np.concatenate(
-        [status[q:] != 2, status[:q] == 0, status[:q] == 1]))
-    chosen, degen = _select_active(G, h, y, nonbasic, feas_scale,
-                                   max(tol, 1e-9))
-    if degen and first_certified_vertex(
-            problem.c, np.linalg.inv(G[chosen].T)[None], tol)[0] < 0:
-        # at a degenerate vertex the first independent tight set need not
-        # be optimal; the nonbasic set is: its multipliers are the final
-        # basis's reduced costs, which the dual simplex keeps nonnegative
-        chosen = nonbasic
+    chosen = np.sort(S)
+    tight = np.abs(slack) <= max(tol, 1e-9) * feas_scale
+    tight[S] = True
+    degen = bool(np.count_nonzero(tight) > q)
+    if degen:
+        # at a degenerate vertex report the first independent tight set if
+        # it is optimal too; S always is
+        pick = _select_active(G, np.flatnonzero(tight), q)
+        if pick.size == q and first_certified_vertex(
+                problem.c, np.linalg.inv(G[pick].T)[None], tol)[0] >= 0:
+            chosen = pick
     theta, psi = G[chosen], h[chosen]
 
     condition = float(np.linalg.cond(theta))

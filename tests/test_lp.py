@@ -485,3 +485,34 @@ class TestDualSimplexRestart:
             q = LPProblem(c=c, rows=p.rows, rhs=p.rhs, **box)
             assert_allclose(lp_minimize(q, start=sol).value, best,
                             atol=1e-12)
+
+    def test_dual_bland_order_picks_the_entering_row(self):
+        # the objective is parallel to sample row 1.  Entering rows by dual
+        # Bland rank (box rows first, then sample rows) reach (0.5, 0) on
+        # rows 0 and 1; entering them in G's row order would stop at
+        # (5/6, -2/3) on rows 1 and 2 after three pivots
+        p = LPProblem(c=[-2.0, -1.0], lower=[-1, -1], upper=[1, 1],
+                      rows=[[2.0, -2.0], [-2.0, -1.0], [-2.0, 2.0]],
+                      rhs=[1.0, -1.0, -3.0])
+        sol = lp_minimize(p)
+        assert sol.active == (("sample", 0), ("sample", 1))
+        assert_allclose(sol.y, [0.5, 0.0], atol=1e-12)
+        assert sol.pivots == 2
+
+    def test_fixed_coordinate_across_a_restart(self):
+        # y_0 is fixed at 2: its box row must never leave the active set
+        box = {"lower": [2.0, 0.0, -1.0], "upper": [2.0, 1.0, 1.0]}
+        c = [1.0, -1.0, 1.0]
+        corner = lp_minimize(LPProblem(c=c, rows=np.zeros((0, 3)), rhs=[],
+                                       **box))
+        p = LPProblem(c=c, rows=[[1.0, -1.0, 1.0]], rhs=[1.5], **box)
+        for start in (None, corner):
+            sol = lp_minimize(p, start=start)
+            assert_allclose(sol.y, [2.0, 0.0, -0.5], atol=1e-12)
+            assert sol.active == (("sample", 0), ("lower", 0), ("lower", 1))
+            assert sol.pivots == 2
+        # y_0 >= 2.5 cannot hold with y_0 fixed at 2
+        empty = LPProblem(c=c, rows=[[1.0, 0.0, 0.0]], rhs=[2.5], **box)
+        for start in (None, corner):
+            with pytest.raises(InfeasibleError):
+                lp_minimize(empty, start=start)
