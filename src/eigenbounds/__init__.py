@@ -18,8 +18,8 @@ from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
                         SparseHermitian, SpdFactor, cholesky, dense_smallest,
                         extreme_eigs, hermitian, smallest_eigpairs)
 from .lp import (InfeasibleError, LPError, LPProblem, LPSolution,
-                 TightenedBound, first_certified_vertex, lp_minimize,
-                 tighten_and_resolve)
+                 TightenedBound, dual_bound, first_certified_vertex,
+                 lp_minimize, tighten_and_resolve)
 from .mmio import MMFormatError, MMHeader, read_matrix_market, write_matrix_market
 from .problems import (ManifestError, block_grid_family, coercivity_transform,
                        load_family, one_parameter_analytic_family,

@@ -72,12 +72,10 @@ class RunConfig:
     def validate(self):
         if self.pipeline not in PIPELINES:
             raise ArgumentError(f"pipeline must be one of {PIPELINES}")
-        if self.eps <= 0 or self.j_max < 1 or self.n_train < 1:
-            raise ArgumentError("eps, j_max and n_train must be positive")
-        if self.ell < 1:
-            raise ArgumentError("ell must be at least 1")
-        if self.lp_tol <= 0:
-            raise ArgumentError("lp_tol must be positive")
+        if not (0 < self.eps < math.inf and 0 < self.lp_tol < math.inf):
+            raise ArgumentError("eps and lp_tol must be positive and finite")
+        if self.j_max < 1 or self.n_train < 1 or self.ell < 1:
+            raise ArgumentError("j_max, n_train and ell must be at least 1")
         for name in ("r_max", "train_seed", "seed"):
             value = getattr(self, name)
             if value is not None and value < 0:

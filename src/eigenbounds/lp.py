@@ -12,8 +12,8 @@ there, and the solver works in that form: a dual simplex (dual Bland rule)
 on the active set, holding the Q rows and the inverse of their Q x Q
 system, from the box corner the costs pick or from the active set of an
 earlier solve over fewer rows.  The optimum is reported as that system,
-(Theta, psi) = (G[S], h[S]), whose multipliers ``Theta^{-T} c`` are
-nonnegative.  It is what the gap-tightening step perturbs and re-solves.
+(Theta, psi) = (G[S], h[S]), with multipliers ``Theta^{-T} c >= 0`` whose
+weak-duality bound (:func:`dual_bound`) is the reported value.
 
 Programs that share one polytope and differ only in the objective need not
 all be solved: :func:`first_certified_vertex` tests, for many objectives at
@@ -33,6 +33,7 @@ __all__ = [
     "LPProblem",
     "LPSolution",
     "TightenedBound",
+    "dual_bound",
     "first_certified_vertex",
     "lp_minimize",
     "tighten_and_resolve",
@@ -40,7 +41,6 @@ __all__ = [
 
 _PIVOT_TOL = 1e-11
 _MAX_ITERATIONS = 50_000
-_CONDITION_CAP = 1e12
 
 
 class LPError(RuntimeError):
@@ -102,11 +102,12 @@ class LPSolution:
 
     ``theta_mat`` stacks Q linearly independent rows of G (see the module
     docstring) tight at ``y`` and ``psi`` their entries of h, so
-    theta_mat @ y == psi, and the multipliers theta_mat^{-T} c are
-    nonnegative.  ``active`` tags the rows in G's order: ('sample', i),
-    ('lower', q) or ('upper', q), an upper row being -e_q with right-hand
-    side -upper[q].  ``degenerate`` flags more than Q tight rows, and
-    ``all_box`` an active set without a sample row.
+    theta_mat @ y == psi; ``z`` holds the sample rows' multipliers
+    theta_mat^{-T} c (zero at box rows) and ``value`` their
+    :func:`dual_bound`.  ``active`` tags the rows in G's order: ('sample',
+    i), ('lower', q) or ('upper', q), an upper row being -e_q with
+    right-hand side -upper[q].  ``degenerate`` flags more than Q tight
+    rows, and ``all_box`` an active set without a sample row.
     """
 
     y: np.ndarray
@@ -114,7 +115,7 @@ class LPSolution:
     active: tuple
     theta_mat: np.ndarray
     psi: np.ndarray
-    condition: float
+    z: np.ndarray
     degenerate: bool
     all_box: bool
     cache_hit: bool = False     # always False; read by the benchmark tracer
@@ -130,7 +131,7 @@ class TightenedBound:
 
     y: np.ndarray
     eta: float
-    fallback: str | None = None  # None, 'all_box' or 'ill_conditioned'
+    fallback: str | None = None  # why eta fell back to the LP value
 
 
 def _tag(g, j, q):
@@ -180,15 +181,14 @@ def lp_minimize(problem, tol=1e-8, start=None):
     drops the position k with the least ``max(z_k, 0) / a_k`` over
     ``a = G[g] Theta^{-1}``, ``a_k > 0``, ties to the lowest rank; a box
     row of a fixed coordinate (lower == upper) never leaves.  The loop
-    stops once no row is violated by more than ``1e-9 * (1 + max|h|)``.
-    The iterate is dual feasible throughout, so stopping short of primal
-    feasibility could only report a value at or below the LP minimum,
-    never above it.  A violated row with no leaving candidate proves the
-    polytope empty: it raises :class:`InfeasibleError` unless its violation
-    is within ``tol * (1 + max|h|)``, which is accepted.  The reported
-    active set is S, except where more than Q rows are tight: there the
-    lexicographically smallest independent tight set is reported if its
-    multipliers certify the vertex.
+    stops once no row is violated by more than ``1e-9 * (1 + max|h|)``;
+    the value is :func:`dual_bound` of the final multipliers.  A violated
+    row with no leaving candidate proves the polytope empty: it raises
+    :class:`InfeasibleError` unless its violation is within
+    ``tol * (1 + max|h|)``, which is accepted.  The reported active set is
+    S, except where more than Q rows are tight: there the lexicographically
+    smallest independent tight set is reported if its multipliers certify
+    the vertex.
     """
     q, J = problem.q, problem.n_rows
     G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
@@ -254,42 +254,59 @@ def lp_minimize(problem, tol=1e-8, start=None):
         # it is optimal too; S always is
         pick = _select_active(G, np.flatnonzero(tight), q)
         if pick.size == q and first_certified_vertex(
-                problem.c, np.linalg.inv(G[pick].T)[None], tol)[0] >= 0:
+                problem.c, np.linalg.inv(G[pick].T)[None], tol)[0][0] >= 0:
             chosen = pick
     theta, psi = G[chosen], h[chosen]
-
-    condition = float(np.linalg.cond(theta))
-    # polish the vertex through the active-set system; keep the simplex
-    # iterate if the refined point leaves the feasible region
-    y_ref = np.linalg.solve(theta, psi)
-    if np.all(G @ y_ref >= h - 1e-9 * feas_scale):
-        y = y_ref
-    value = float(problem.c @ y)
+    z = np.where(chosen < J, np.linalg.solve(theta.T, problem.c), 0.0)
+    value = float(dual_bound(problem.c, z, theta, psi, problem.lower,
+                             problem.upper))
     return LPSolution(y=y, value=value,
                       active=tuple(_tag(g, J, q) for g in chosen.tolist()),
-                      theta_mat=theta, psi=psi, condition=condition,
-                      degenerate=degen, all_box=bool(np.all(chosen >= J)),
-                      pivots=pivots)
+                      theta_mat=theta, psi=psi, z=z, degenerate=degen,
+                      all_box=bool(np.all(chosen >= J)), pivots=pivots)
+
+
+def dual_bound(c, z, rows, rhs, lower, upper):
+    """Weak-duality lower bound on ``min c^T y`` over the LP's polytope.
+
+    ``z`` (..., k) are multipliers of rows ``rows @ y >= rhs`` (..., k, Q)
+    (a zero drops a row); leading axes broadcast.  For z+ = max(z, 0) and
+    ``r = c - rows^T z+``, any feasible y has ``c^T y = z+ . rows y + r . y
+    >= rhs . z+ + sum_q min(r_q lower_q, r_q upper_q)``, whatever z is
+    (Neumaier & Shcherbina, Math. Program. 99, 2004).  A multiplier that is
+    zero in exact arithmetic comes out of a solve as noise of either sign,
+    which the box's width magnifies in r, so this returns the larger of the
+    bounds at z+ and at z+ with entries below _PIVOT_TOL * (1 + max|c|)
+    zeroed.
+    """
+    z = np.maximum(z, 0.0)
+    zero = _PIVOT_TOL * (1.0 + np.abs(c).max(axis=-1, keepdims=True))
+    z = np.array([z, np.where(z > zero, z, 0.0)])
+    r = c - (z[..., None, :] @ rows)[..., 0, :]
+    return ((z * rhs).sum(axis=-1)
+            + np.minimum(r * lower, r * upper).sum(axis=-1)).max(axis=0)
 
 
 def first_certified_vertex(c, inv_t, tol=1e-8):
-    """Index of the first vertex certified optimal for each objective.
+    """The first vertex certified optimal for each objective, and the
+    objective's multipliers there.
 
     ``c`` (m, Q) stacks objectives.  Vertex k is a feasible vertex of the
     shared polytope ``G y >= h`` whose active system ``Theta_k`` holds Q
     rows of G: ``inv_t[k]`` is ``Theta_k^{-T}``.  The vertex is optimal for
     ``c`` when the multipliers ``z = Theta_k^{-T} c`` satisfy
     ``z >= -slack`` with ``slack = tol * (1 + max|c|)``, an allowance for
-    the roundoff in z.  Returns an (m,) integer array
-    holding the smallest passing k, or -1 where no vertex passes.
+    the roundoff in z.  Returns the smallest passing k per objective (-1
+    where none passes) and the (m, Q) multipliers there.
     """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if len(inv_t) == 0:
-        return np.full(len(c), -1, dtype=np.int64)
+        return np.full(len(c), -1, dtype=np.int64), np.zeros_like(c)
     z = np.einsum("kqr,ir->ikq", inv_t, c)
     slack = tol * (1.0 + np.max(np.abs(c), axis=1))
     ok = np.all(z >= -slack[:, None, None], axis=2)
-    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    hit = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    return hit, z[np.arange(len(c)), hit]
 
 
 def tighten_and_resolve(solution, bumps, c):
@@ -297,14 +314,15 @@ def tighten_and_resolve(solution, bumps, c):
 
     ``bumps`` maps sample index -> beta_i for every active sample constraint.
     Box rows keep their right-hand side.  Returns the perturbed vertex and
-    eta = c^T y_check.  Falls back to eta = solution.value (flagged) when the
-    active set is all-box or Theta is numerically singular.
+    eta = c^T y_check: the solve-based reference for the weak-duality eta
+    of the sweep.  Falls back to eta = solution.value (flagged) when the
+    active set is all-box or cond(Theta) exceeds 1e12.
     """
     c = np.asarray(c, dtype=float)
     if solution.all_box:
         return TightenedBound(y=solution.y.copy(), eta=solution.value,
                               fallback="all_box")
-    if solution.condition > _CONDITION_CAP:
+    if np.linalg.cond(solution.theta_mat) > 1e12:
         return TightenedBound(y=solution.y.copy(), eta=solution.value,
                               fallback="ill_conditioned")
     psi = solution.psi.copy()

@@ -21,8 +21,7 @@ from .family import (AffineFamily, BoundingBox, compute_bounding_box,
                      joint_rayleigh)
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
                         dense_smallest, orthonormal_columns, smallest_eigpairs)
-from .lp import (_CONDITION_CAP, LPProblem, first_certified_vertex,
-                 lp_minimize)
+from .lp import LPProblem, dual_bound, first_certified_vertex, lp_minimize
 
 __all__ = [
     "GreedyError",
@@ -220,10 +219,8 @@ class _VertexCache:
         self.inv_t = self.inv_t[keep]
 
     def add(self, sol):
-        """Add a cold-solved vertex; False if its active set is known or
-        its system is past the condition cap the sweep also uses."""
-        if (sol.condition > _CONDITION_CAP
-                or any(v.active == sol.active for v in self.sols)):
+        """Add a solved vertex; False if its active set is known."""
+        if any(v.active == sol.active for v in self.sols):
             return False
         self.sols.append(sol)
         self.inv_t = np.concatenate(
@@ -231,10 +228,10 @@ class _VertexCache:
         return True
 
     def match(self, c, tol, last_only=False):
-        """Per objective row, the first certified vertex or -1."""
+        """Per objective row, the first certified vertex (or -1) and z."""
         lo = len(self.sols) - 1 if last_only else 0
-        hit = first_certified_vertex(c, self.inv_t[lo:], tol)
-        return np.where(hit >= 0, hit + lo, -1)
+        hit, z = first_certified_vertex(c, self.inv_t[lo:], tol)
+        return np.where(hit >= 0, hit + lo, -1), z
 
 
 def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
@@ -255,10 +252,13 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     which is optimal for its objective whether it was solved or taken from
     the cache.  Each solve with a new active set joins the cache and is
     tested at once against the points still waiting.  A certified point
-    takes the vertex's solution with its own objective value.  Classical
-    SCM ranks points by the relative gap between ``lam_lb`` and ``lam_ub``.
-    With ``sweep`` (the subspace pipeline), ``sweep(tables, theta, sols)``
-    then fills the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
+    takes the vertex's solution with its own multipliers there.  Every
+    ``lam_lb`` is the weak-duality value (:func:`~eigenbounds.lp.dual_bound`)
+    of its solution's multipliers, so these shortcuts decide how much LP
+    work is done, never whether a bound holds.  Classical SCM ranks points
+    by the relative gap between ``lam_lb`` and ``lam_ub``.  With ``sweep``
+    (the subspace pipeline), ``sweep(tables, box, theta, sols)`` then fills
+    the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
     ``heuristic`` columns of ``tables`` at every training point from the LP
     solutions.  The ratio is then the relative gap between ``lam_slb`` and
     ``lam_sub``, or with ``mode='heuristic'`` the relative Ritz residual.
@@ -296,16 +296,23 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     reason = ""
     selected = 0  # all ratios are +inf while C_J is empty: first index wins
 
-    def settle(points, hits):
-        """Give each point its certified vertex; return the uncovered ones."""
+    def settle(points, hits, z):
+        """Give each point its certified vertex; return the others."""
         nonlocal lp_cached
         found = hits >= 0
-        for i, k in zip(points[found], hits[found]):
-            vertex = cache.sols[k]
-            sols[i] = replace(vertex, value=float(theta_all[i] @ vertex.y))
-            tables["lam_lb"][i] = sols[i].value
-            sol_y[i] = vertex.y
-        lp_cached += int(np.count_nonzero(found))
+        if found.any():
+            idx, verts = points[found], [cache.sols[k] for k in hits[found]]
+            z = np.where([[t[0] == "sample" for t in v.active] for v in verts],
+                         z[found], 0.0)
+            values = dual_bound(theta_all[idx], z,
+                                np.array([v.theta_mat for v in verts]),
+                                np.array([v.psi for v in verts]),
+                                box.lower, box.upper)
+            for i, vertex, zi, value in zip(idx, verts, z, values):
+                sols[i] = replace(vertex, value=float(value), z=zi)
+                sol_y[i] = vertex.y
+            tables["lam_lb"][idx] = values
+            lp_cached += idx.size
         return points[~found]
 
     def sample_shift(i):
@@ -365,7 +372,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
                 # satisfies the one constraint this iteration added
                 todo = np.flatnonzero(~(sol_y @ th_new >= lam_new - lp_tol))
             cache.restrict(th_new, lam_new, lp_tol)
-            todo = settle(todo, cache.match(theta_all[todo], lp_tol))
+            todo = settle(todo, *cache.match(theta_all[todo], lp_tol))
         while todo.size:
             i, todo = todo[0], todo[1:]
             lam_lb[i], sols[i] = lower_bound(
@@ -376,13 +383,13 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             lp_pivots += sols[i].pivots
             lp_degenerate += sols[i].degenerate
             if warm_start and cache.add(sols[i]):
-                todo = settle(todo, cache.match(theta_all[todo], lp_tol,
-                                                last_only=True))
+                todo = settle(todo, *cache.match(theta_all[todo], lp_tol,
+                                                 last_only=True))
         lp_seconds += time.perf_counter() - t
 
         if sweep is not None:
             t = time.perf_counter()
-            sweep(tables, theta_all, sols)
+            sweep(tables, box, theta_all, sols)
             reduced_seconds += time.perf_counter() - t
 
         if mode == "heuristic":

@@ -9,7 +9,7 @@ gap-tightened lower bound all come from small dense problems:
 * upper bound: smallest eigenvalue of the projected matrix V*A(mu)V;
 * lower bound: a quadratic residual perturbation bound applied to the
   leading Ritz block, with the unknown complementary-subspace eigenvalue
-  replaced by eta from the tightened active-set LP system.
+  replaced by eta, the LP's weak-duality bound with gap-shifted rows.
 
 :func:`sweep_bounds` evaluates these bounds for a whole batch of
 parameters with array code, given their LP solutions: one GEMM builds
@@ -17,10 +17,10 @@ every projected matrix and one every projected A(mu)^2, a stacked
 eigensolve gives all Ritz pairs, the residuals of every Ritz dimension r
 come from one stacked eigensolve per r, the gap-lemma shifts of every
 sample and every r from the sample-to-Ritz overlaps, and eta for every r
-from one stacked active-set solve.  The per-parameter functions
-(:func:`ritz_upper_bound`, :func:`residual_norm`, :func:`beta_gap`)
-compute the same quantities one point at a time and serve as the
-reference.
+from one :func:`~eigenbounds.lp.dual_bound` call.  The per-parameter
+functions (:func:`ritz_upper_bound`, :func:`residual_norm`,
+:func:`beta_gap`) compute the same quantities one point at a time and
+serve as the reference.
 
 :class:`SubspacePool` extends the classical SCM sample set, and
 :func:`subspace_greedy` runs the SCM greedy loop with :func:`sweep_bounds`
@@ -35,11 +35,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 # bench/tracer.py patches these names in this module, so they stay bound
-# here: compute_bounding_box is called by the greedy loop in scm, and
-# tighten_and_resolve is the per-point form of the eta step in _sweep_rows.
+# here: the greedy loop in scm calls compute_bounding_box, and nothing
+# calls tighten_and_resolve, the solve-based reference for the sweep's eta.
 from .family import compute_bounding_box  # noqa: F401
 from .hermitian import ArgumentError, orthonormal_columns
-from .lp import _CONDITION_CAP, tighten_and_resolve  # noqa: F401
+from .lp import dual_bound, tighten_and_resolve  # noqa: F401
 from .scm import ScmState, _greedy, lower_bound, solve_at_sample
 
 __all__ = [
@@ -91,10 +91,6 @@ class SubspacePool(ScmState):
 
     def add_sample(self, mu, seed=0, below=None):
         append_sample(self, mu, seed=seed, below=below)
-
-    def sample_coeffs(self, i):
-        """Basis coefficients of sample i's eigenvectors, zero-padded."""
-        return self.coeffs[i]
 
 
 def _bordered(old, cols):
@@ -177,7 +173,6 @@ class RitzData:
     coeffs: np.ndarray        # (dim, r) block: Ritz basis = V @ coeffs
     rho: float | None = None
     eta: float | None = None
-    eta_fallback: str | None = None
     clamped: bool = False     # r was clamped to the pool dimension
     chosen: bool = False      # selected by the r-sweep
 
@@ -313,7 +308,7 @@ def f_bound(lam_v1, eta, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _sweep_rows(pool, theta, sols, r_max):
+def _sweep_rows(pool, box, theta, sols, r_max):
     """Subspace bounds for coefficient rows whose LP solutions are known.
 
     The array core of :func:`sweep_bounds`, for one chunk of rows.
@@ -334,56 +329,38 @@ def _sweep_rows(pool, theta, sols, r_max):
                     for r in range(1, W.shape[2] + 1)], axis=1)
 
     lam_lb = np.array([sol.value for sol in sols], dtype=float)
-    eta = np.full((m, r_hi), math.nan)
-    fallback = np.full(m, None, dtype=object)
-    cands = lam_lb[:, None]
-    if r_hi:
-        beta = _gap_shifts(pool, vecs[:, :, :r_hi])
-        solve_rows, mats, rhs = [], [], []
-        for k, sol in enumerate(sols):
-            if sol.all_box:
-                fallback[k] = "all_box"
-            elif sol.condition > _CONDITION_CAP:
-                fallback[k] = "ill_conditioned"
-            if fallback[k]:
-                eta[k] = sol.value
-                continue
-            # active rows are in G's order, so the sample rows come first
-            idx = sol.sample_indices()
-            bumps = np.zeros((q, r_hi))
-            bumps[:len(idx)] = beta[k, idx]
-            solve_rows.append(k)
-            mats.append(sol.theta_mat)
-            rhs.append(sol.psi[:, None] + bumps)
-        if solve_rows:
-            # one stacked solve of every row's active-set system, with one
-            # right-hand side per r
-            Y = np.linalg.solve(np.stack(mats), np.stack(rhs))
-            eta[solve_rows] = (theta[solve_rows, None, :] @ Y)[:, 0, :]
-        cands = np.hstack([cands, f_bound(vals[:, :1], eta, rho[:, :r_hi])])
+    beta = _gap_shifts(pool, vecs[:, :, :r_hi])           # (m, J, r_hi)
+    # active rows' sample indices; a box row (-1) has zero multiplier
+    idx = np.array([[i if kind == "sample" else -1
+                     for kind, i in sol.active] for sol in sols])
+    psi = (np.array([sol.psi for sol in sols])[:, None]
+           + np.swapaxes(beta[rows[:, None], idx], 1, 2))  # (m, r_hi, Q)
+    z = np.array([sol.z for sol in sols])
+    eta = dual_bound(theta[:, None], z[:, None],
+                     np.array([sol.theta_mat for sol in sols])[:, None],
+                     psi, box.lower, box.upper)
+    cands = np.hstack([lam_lb[:, None],
+                       f_bound(vals[:, :1], eta, rho[:, :r_hi])])
 
     # first maximum: ties go to the smallest r
     chosen = np.argmax(cands, axis=1)
     won = chosen > 0
     rho_c = np.full(m, math.nan)
     eta_c = np.full(m, math.nan)
-    fallback_c = np.full(m, None, dtype=object)
     rho_c[won] = rho[won, chosen[won] - 1]
     eta_c[won] = eta[won, chosen[won] - 1]
-    fallback_c[won] = fallback[won]
     return {"lam_slb": cands[rows, chosen], "lam_lb": lam_lb,
             "chosen_r": chosen.astype(np.int64), "lam_sub": vals[:, 0].copy(),
             "residual": rho[:, 0].copy(), "rho": rho_c, "eta": eta_c,
-            "eta_fallback": fallback_c, "vals": vals, "vecs": vecs}
+            "vals": vals, "vecs": vecs}
 
 
 @dataclass
 class SweepBounds:
     """Bounds from one batched sweep, one entry per swept parameter.
 
-    ``rho``, ``eta`` and ``eta_fallback`` belong to the winning Ritz
-    dimension ``chosen_r`` (NaN / None where r = 0 wins); ``residual`` is
-    the r = 1 residual norm.
+    ``rho`` and ``eta`` belong to the winning Ritz dimension ``chosen_r``
+    (NaN where r = 0 wins); ``residual`` is the r = 1 residual norm.
     """
 
     lam_slb: np.ndarray
@@ -393,17 +370,16 @@ class SweepBounds:
     residual: np.ndarray
     rho: np.ndarray
     eta: np.ndarray
-    eta_fallback: np.ndarray
 
 
-def sweep_bounds(pool, theta, sols, r_max=None):
+def sweep_bounds(pool, box, theta, sols, r_max=None):
     """Subspace bounds at many parameters at once.
 
     ``theta`` (m, Q) holds the parameters' coefficient rows and ``sols``
-    their LP solutions (from :func:`~eigenbounds.scm.lower_bound`), which
-    must be optimal for the pool's constraints.  Each row gets the same
-    bounds as :func:`subspace_lower_bound`, from array code run in chunks
-    of at most about SWEEP_CHUNK_BYTES.
+    their LP solutions over ``box`` (from
+    :func:`~eigenbounds.scm.lower_bound`).  Each row gets the same bounds
+    as :func:`subspace_lower_bound`, from array code run in chunks of at
+    most about SWEEP_CHUNK_BYTES.
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
@@ -415,8 +391,8 @@ def sweep_bounds(pool, theta, sols, r_max=None):
     row_bytes = 16 * (3 * d * d + pool.family.q ** 2
                       + 4 * j * min(r_max, d) * pool.ell ** 2)
     step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
-    parts = [_sweep_rows(pool, theta[lo:lo + step], sols[lo:lo + step], r_max)
-             for lo in range(0, m, step)]
+    parts = [_sweep_rows(pool, box, theta[at], sols[at], r_max)
+             for at in (slice(lo, lo + step) for lo in range(0, m, step))]
     return SweepBounds(**{
         f.name: np.concatenate([p[f.name] for p in parts]) if parts else
         np.zeros(0) for f in fields(SweepBounds)})
@@ -437,7 +413,8 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
         r_max = pool.family.q
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
-    out = _sweep_rows(pool, pool.family.theta_at(mu)[None], [sol], r_max)
+    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], [sol],
+                      r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
     data = RitzData(mu=mu, r=r, values=vals[:r].copy(),
@@ -445,7 +422,6 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
     if r:
         data.rho = float(out["rho"][0])
         data.eta = float(out["eta"][0])
-        data.eta_fallback = out["eta_fallback"][0]
     return float(out["lam_slb"][0]), data, sol
 
 
@@ -480,8 +456,8 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
         raise ArgumentError("r_max must be non-negative")
     pool = SubspacePool(family, ell=ell)
 
-    def sweep(tables, theta, sols):
-        out = sweep_bounds(pool, theta, sols, r_max=r_max)
+    def sweep(tables, box, theta, sols):
+        out = sweep_bounds(pool, box, theta, sols, r_max=r_max)
         for key in ("lam_slb", "lam_sub", "residual", "chosen_r"):
             tables[key][:] = getattr(out, key)
         tables["heuristic"][:] = out.lam_sub - out.residual

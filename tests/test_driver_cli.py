@@ -358,6 +358,33 @@ class TestCli:
                            match=f"{field} must be non-negative"):
             RunConfig(**{field: -1}).validate()
 
+    def _assert_run_rejected(self, tmp_path, capsys, args, name):
+        out = tmp_path / "o"
+        code = main(["run", "--manifest", circle_manifest(tmp_path), "--out",
+                     str(out), *args])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ArgumentError"
+        assert name in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "nan"),
+                                             ("--eps", "inf"),
+                                             ("--lp-tol", "nan"),
+                                             ("--lp-tol", "inf")])
+    def test_non_finite_tolerance_flag_rejected(self, tmp_path, capsys, flag,
+                                                value):
+        self._assert_run_rejected(tmp_path, capsys, [flag, value],
+                                  flag[2:].replace("-", "_"))
+
+    @pytest.mark.parametrize("field", ["eps", "lp_tol"])
+    def test_config_nan_tolerance_rejected(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: float("nan")}))
+        assert "NaN" in cfg.read_text()
+        self._assert_run_rejected(tmp_path, capsys, ["--config", str(cfg)],
+                                  field)
+
     def test_bare_run_takes_run_config_defaults(self, tmp_path,
                                                 monkeypatch):
         seen = []

@@ -211,14 +211,19 @@ def test_worst_ratio_at_a_sample_stops_the_loop(pipeline):
     assert "not converged" in res.reason
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
-def test_bounds_certified_at_roundoff_allowance(pipeline, seed):
+@pytest.mark.parametrize("pipeline, seed, lp_tol", [
+    pytest.param(pipeline, seed, lp_tol, id=f"{pipeline}-{seed}"
+                 + ("" if lp_tol == 1e-8 else f"-lp_tol={lp_tol:g}"))
+    for lp_tol in (1e-8, 1e-6, 1e-4) for pipeline in sorted(PIPELINES)
+    for seed in (0, 1)])
+def test_bounds_certified_at_roundoff_allowance(pipeline, seed, lp_tol):
     # the allowance the benchmark's correctness gate uses: gamma_n times
-    # the bound sum_q |theta_q| max(|lo_q|, |hi_q|) on ||A(mu)||
+    # the bound sum_q |theta_q| max(|lo_q|, |hi_q|) on ||A(mu)||; it does
+    # not grow with lp_tol, which decides only how much LP work is done
     fam = random_family(q=4, n=120, delta=0.2, seed=seed)
     train = random_training_set(fam.domain, 40, seed=5)
-    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12)
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12,
+                                 lp_tol=lp_tol)
     oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
                        for mu in train.points])
     nu = fam.n * 2.0 ** -53

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (InfeasibleError, LPProblem, first_certified_vertex,
-                         lp_minimize, tighten_and_resolve)
+from eigenbounds import (InfeasibleError, LPProblem, dual_bound,
+                         first_certified_vertex, lp_minimize,
+                         tighten_and_resolve)
 
 SQ2 = math.sqrt(2.0)
+U = 2.0 ** -53
 
 
 def enumerate_vertices(problem):
@@ -230,7 +232,8 @@ class TestLpMinimize:
         p = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
         sol = lp_minimize(p)
         assert sol.degenerate == bool(seed % 2)
-        assert first_certified_vertex(c, certificate(sol.theta_mat))[0] == 0
+        hit, _ = first_certified_vertex(c, certificate(sol.theta_mat))
+        assert hit[0] == 0
         best, _ = enumerate_vertices(p)
         assert_allclose(sol.value, best, atol=1e-9)
 
@@ -265,18 +268,20 @@ class TestFirstCertifiedVertex:
         # objectives near the solved ones, so that many are certified
         objectives = (np.repeat(base, 8, axis=0)
                       + 0.3 * rng.standard_normal((48, q)))
-        hits = first_certified_vertex(objectives, inv_t)
+        hits, zs = first_certified_vertex(objectives, inv_t)
         assert np.count_nonzero(hits >= 0) >= 6
-        for c, k in zip(objectives, hits):
+        for c, k, z in zip(objectives, hits, zs):
             if k < 0:
                 continue
+            # the multipliers the test passed, reported with the hit
+            assert_allclose(sols[k].theta_mat.T @ z, c, atol=1e-12)
             problem = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
             best, _ = enumerate_vertices(problem)
             v = float(c @ sols[k].y)
             assert abs(v - best) <= 1e-9 * (1.0 + abs(v))
             # the first passing vertex in cache order
             for j in range(k):
-                assert first_certified_vertex(c, inv_t[j:j + 1])[0] == -1
+                assert first_certified_vertex(c, inv_t[j:j + 1])[0][0] == -1
 
     def test_degenerate_vertex_with_failing_active_set_is_a_miss(self):
         # (-1, -1) is the unique minimizer of y1 and four constraints are
@@ -290,9 +295,9 @@ class TestFirstCertifiedVertex:
         assert_allclose(y_best, [-1.0, -1.0])
         # {row 0, lower 1}: z = (1, -1) has the wrong sign on the box row
         assert first_certified_vertex(
-            c, certificate([[1.0, 1.0], [0.0, 1.0]]))[0] == -1
+            c, certificate([[1.0, 1.0], [0.0, 1.0]]))[0][0] == -1
         # {row 0, row 1}: z = (1/2, 1/2) certifies the same vertex
-        assert first_certified_vertex(c, certificate(rows))[0] == 0
+        assert first_certified_vertex(c, certificate(rows))[0][0] == 0
 
     def test_upper_box_row_needs_a_nonpositive_multiplier(self):
         p = LPProblem(c=[-1.0, 1.0], lower=[0, 0], upper=[1, 1],
@@ -303,23 +308,24 @@ class TestFirstCertifiedVertex:
         assert_allclose(sol.theta_mat, [[0.0, 1.0], [-1.0, 0.0]])
         assert_allclose(sol.psi, [0.0, -1.0])
         inv_t = certificate(sol.theta_mat)
-        assert first_certified_vertex(p.c, inv_t)[0] == 0
+        assert first_certified_vertex(p.c, inv_t)[0][0] == 0
         # minimizing y1 + y2 moves to (0, 0): the upper row's z is -1
-        assert first_certified_vertex([1.0, 1.0], inv_t)[0] == -1
+        assert first_certified_vertex([1.0, 1.0], inv_t)[0][0] == -1
         # a +e_1 row for the upper bound would wrongly certify it
         plus = sol.theta_mat * [[1.0], [-1.0]]
-        assert first_certified_vertex([1.0, 1.0], certificate(plus))[0] == 0
+        assert first_certified_vertex([1.0, 1.0], certificate(plus))[0][0] == 0
 
     def test_slack_matches_the_phase_two_reduced_cost_tolerance(self):
         tol = 1e-8
         inside = [-0.9 * tol * 3.0, 2.0]    # slack = tol * (1 + 2)
         outside = [-1.1 * tol * 3.0, 2.0]
-        hits = first_certified_vertex([inside, outside],
-                                      certificate(np.eye(2)), tol)
+        hits, _ = first_certified_vertex([inside, outside],
+                                         certificate(np.eye(2)), tol)
         assert hits.tolist() == [0, -1]
 
     def test_empty_cache_misses_every_row(self):
-        hits = first_certified_vertex(np.ones((3, 2)), np.zeros((0, 2, 2)))
+        hits, _ = first_certified_vertex(np.ones((3, 2)),
+                                         np.zeros((0, 2, 2)))
         assert hits.tolist() == [-1, -1, -1]
 
 
@@ -390,6 +396,41 @@ def grown_lps(q, seed, n_rows):
     rhs = rows @ inner - 0.3 * rng.random(n_rows)
     return [LPProblem(c=c, lower=lo, upper=hi, rows=rows[:j], rhs=rhs[:j])
             for j in range(n_rows + 1)]
+
+
+class TestWeakDuality:
+    @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (4, 2), (4, 3),
+                                        (10, 4), (10, 5)])
+    def test_value_bounds_the_minimum_for_any_multipliers(self, q, seed):
+        rng = np.random.default_rng(50 + seed)
+        for p in grown_lps(q, seed, 2 * q)[1:]:
+            sol = lp_minimize(p)
+            best = float(p.c @ sol.y)
+            assert abs(sol.value - best) <= 1e-12 * max(1.0, abs(best))
+            if q <= 4 and p.n_rows <= 6:
+                exact, _ = enumerate_vertices(p)
+                assert abs(best - exact) <= 1e-9 * (1.0 + abs(exact))
+            reach = np.maximum(np.abs(p.lower), np.abs(p.upper))
+            for rows, rhs in ((sol.theta_mat, sol.psi), (p.rows, p.rhs)):
+                k = len(rhs)
+                for z in (rng.exponential(size=k) * rng.integers(0, 2, k),
+                          sol.z * rng.uniform(0.999, 1.001, q)
+                          if k == q else rng.exponential(size=k),
+                          10.0 * rng.exponential(size=k)):
+                    value = dual_bound(p.c, z, rows, rhs, p.lower, p.upper)
+                    scale = (np.abs(z) @ np.abs(rhs) + np.abs(p.c) @ reach
+                             + np.abs(z) @ np.abs(rows) @ reach
+                             + np.abs(p.c) @ np.abs(sol.y))
+                    assert value <= best + (k + q) * U * scale
+
+    def test_negative_multipliers_count_as_zero(self):
+        # min y over the box [-1, 2] cut by -y >= -1.5 is -1.  Taken as it
+        # is, z = -1 on the row would give 1.5 (psi z = 1.5 and r = 0),
+        # above the minimum; weak duality admits only z >= 0, so it counts
+        # as zero and leaves the box's bound
+        c, rows, rhs, lo, hi = [1.0], [[-1.0]], [-1.5], [-1.0], [2.0]
+        assert dual_bound(c, [-1.0], rows, rhs, lo, hi) == -1.0
+        assert dual_bound(c, [0.0], rows, rhs, lo, hi) == -1.0
 
 
 class TestDualSimplexRestart:

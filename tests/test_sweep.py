@@ -3,8 +3,10 @@
 ``_reference_bounds`` is the per-point body of ``subspace_lower_bound`` and
 of the greedy sweep as they were before the sweep was batched: one Ritz
 eigensolve, the cross matrix from ``einsum``, ``beta_gap`` per active sample
-and ``tighten_and_resolve`` per Ritz dimension r.  The batched code sums in
-another order, so it is compared within tolerances fixed beforehand:
+and ``tighten_and_resolve`` per Ritz dimension r, which re-solves the
+active system where the batched code takes eta by weak duality from the LP
+multipliers.  The batched code sums in another order, so it is compared
+within tolerances fixed beforehand:
 
 * ``lam_lb``, ``lam_sub`` and ``eta``: 1e-10 * max(1, |value|);
 * ``rho**2``: 16 * dim * u * ||A(mu)||**2 with u = 2**-53 and ||A(mu)||
@@ -16,8 +18,8 @@ another order, so it is compared within tolerances fixed beforehand:
   ``lam_slb`` tolerance.
 """
 
-import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from eigenbounds import (AffineFamily, LPProblem, SubspacePool, append_sample,
                          subspace_greedy, subspace_lower_bound, sweep_bounds,
                          tighten_and_resolve)
 from eigenbounds import subspace
-from eigenbounds.lp import _CONDITION_CAP
 
 U = 2.0 ** -53
 REL = 1e-10
@@ -46,8 +47,8 @@ def _reference_bounds(pool, mu, sol, r_max):
     """Per-point bounds from a known LP solution, as the old loop did them.
 
     Returns the best bound, the candidates for r = 0..r_hi, and the
-    chosen r with its rho, eta and fallback, the r = 1 residual and the
-    smallest Ritz value.
+    chosen r with its rho and eta, the r = 1 residual and the smallest
+    Ritz value.
     """
     th = pool.family.theta_at(mu)
     H = np.tensordot(th, pool.reduced, axes=1)
@@ -57,7 +58,7 @@ def _reference_bounds(pool, mu, sol, r_max):
     W1 = vecs[:, :1]
     out = {"lam_lb": sol.value, "lam_sub": float(vals[0]),
            "residual": _rho_reference(W1.conj().T @ S @ W1, vals[:1]),
-           "r": 0, "rho": None, "eta": None, "fallback": None,
+           "r": 0, "rho": None, "eta": None,
            "cands": [sol.value]}
     best_val = sol.value
     if r_hi >= 1:
@@ -72,8 +73,7 @@ def _reference_bounds(pool, mu, sol, r_max):
             out["cands"].append(cand)
             if cand > best_val:
                 best_val = cand
-                out.update(r=r, rho=rho, eta=tight.eta,
-                           fallback=tight.fallback)
+                out.update(r=r, rho=rho, eta=tight.eta)
     out["lam_slb"] = float(best_val)
     return out
 
@@ -92,7 +92,6 @@ def _check_row(new, k, ref, rho2_tol):
         if r:
             assert abs(new.rho[k] ** 2 - ref["rho"] ** 2) <= rho2_tol
             assert abs(new.eta[k] - ref["eta"]) <= _tol(ref["eta"])
-            assert new.eta_fallback[k] == ref["fallback"]
             d_rho = abs(new.rho[k] - ref["rho"])
         else:
             d_rho = 0.0
@@ -181,7 +180,7 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
         idx = np.flatnonzero(~cache_ok) if subset else np.arange(m)
         for i in np.flatnonzero(~cache_ok):
             _, sols[i] = lower_bound(pool, box, pts[i])
-        new = sweep_bounds(pool, theta[idx], [sols[i] for i in idx],
+        new = sweep_bounds(pool, box, theta[idx], [sols[i] for i in idx],
                            r_max=r_max)
         for k, i in enumerate(idx):
             ref = _reference_bounds(pool, pts[i], sols[i], r_max)
@@ -192,16 +191,16 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
             assert lam_slb[i] <= sub + _tol(sub)
 
 
-def test_eta_fallbacks_match_reference():
+def test_all_box_vertex_gives_the_lp_value():
     fam = FAMILIES["random-q3"]()
     box = compute_bounding_box(fam)
     pool = SubspacePool(fam)
     for mu in ([0.05, 0.2], [0.25, 0.1], [0.15, 0.28]):
         append_sample(pool, mu)
-    pts = np.array([[0.1, 0.1], [0.2, 0.25], [0.02, 0.05]])
+    pts = np.array([[0.1, 0.1], [0.2, 0.25]])
     theta = fam.theta_table(pts)
     sols = []
-    for mu, th in zip(pts, theta):
+    for mu in pts:
         _, sol = lower_bound(pool, box, mu)
         assert sol.sample_indices()
         sols.append(sol)
@@ -212,19 +211,58 @@ def test_eta_fallbacks_match_reference():
                                      rhs=np.zeros(0)))
     assert box_only.all_box
     sols[0] = box_only
-    sols[1] = dataclasses.replace(sols[1], condition=2 * _CONDITION_CAP)
-    new = sweep_bounds(pool, theta, sols, r_max=fam.q)
+    new = sweep_bounds(pool, box, theta, sols, r_max=fam.q)
     for k, (mu, sol) in enumerate(zip(pts, sols)):
         ref = _reference_bounds(pool, mu, sol, fam.q)
         _check_row(new, k, ref, _rho2_tol(pool, box, theta[k]))
-        tight = tighten_and_resolve(sol, {i: 1.0 for i in
-                                          sol.sample_indices()}, theta[k])
-        assert tight.fallback == {0: "all_box", 1: "ill_conditioned",
-                                  2: None}[k]
-        if tight.fallback:
-            # eta = the LP value: no r > 0 can beat the LP bound
-            assert new.chosen_r[k] == 0
-            assert new.lam_slb[k] == sol.value
+    # no sample row to shift: eta is the LP value, so r = 0 wins
+    assert new.chosen_r[0] == 0
+    assert new.lam_slb[0] == box_only.value
+
+
+def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
+    """Samples 1e-13 apart give two nearly parallel sample rows.  Their
+    intersection, the tangent point of the sampled eigenvalue curve, is an
+    optimal vertex for a parameter between them, with cond >= 1e12 (a
+    restart from that active set keeps it; a cold solve steps around it
+    within its tolerance).  Every swept eta is at most the minimum of the
+    LP with every sample row bumped by beta_r, as weak duality promises
+    for any nonnegative multipliers."""
+    fam = random_family(2, 40, delta=0.3, seed=40)
+    box = compute_bounding_box(fam)
+    pool = SubspacePool(fam)
+    gap = 1e-13
+    for mu in ([0.0], [0.1], [0.1 + gap], [0.3]):
+        append_sample(pool, mu)
+    mu = np.array([0.1 + gap / 2])
+    c = fam.theta_at(mu)
+    lp = dict(c=c, lower=box.lower, upper=box.upper, rows=pool.rows)
+    pair = types.SimpleNamespace(active=(("sample", 1), ("sample", 2)))
+    sol = lp_minimize(LPProblem(rhs=pool.rhs, **lp), start=pair)
+    assert sol.active == pair.active
+    assert np.linalg.cond(sol.theta_mat) >= 1e12
+    assert tighten_and_resolve(sol, {1: 1.0, 2: 1.0},
+                               c).fallback == "ill_conditioned"
+
+    swept = []
+
+    def spy(lam_v1, eta, rho):
+        swept.append(np.array(eta))
+        return f_bound(lam_v1, eta, rho)
+
+    monkeypatch.setattr(subspace, "f_bound", spy)
+    sweep_bounds(pool, box, c[None], [sol], r_max=fam.q)
+    (eta,) = swept[0]
+    assert eta.size == 2
+    vals, vecs = np.linalg.eigh(np.tensordot(c, pool.reduced, axes=1))
+    for r, eta_r in enumerate(eta, start=1):
+        beta = np.array([beta_gap(pool, i, vecs[:, :r])
+                         for i in range(pool.j)])
+        cold = lp_minimize(LPProblem(rhs=pool.rhs + beta, **lp))
+        best = float(c @ cold.y)
+        assert eta_r <= best + 16 * U * max(1.0, abs(best))
+        # and it beats the LP value the old fallback would have kept
+        assert eta_r > sol.value
 
 
 def test_chunked_sweep_matches_one_chunk(monkeypatch):
@@ -236,15 +274,14 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
     for mu in pts[[0, 4, 8]]:
         append_sample(pool, mu)
     sols = [lower_bound(pool, box, mu)[1] for mu in pts]
-    whole = sweep_bounds(pool, theta, sols)
+    whole = sweep_bounds(pool, box, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
-    chunked = sweep_bounds(pool, theta, sols)
+    chunked = sweep_bounds(pool, box, theta, sols)
     for k in range(len(pts)):
         ref = {"lam_lb": whole.lam_lb[k], "lam_sub": whole.lam_sub[k],
                "residual": whole.residual[k], "r": int(whole.chosen_r[k]),
                "rho": whole.rho[k], "eta": whole.eta[k],
-               "fallback": whole.eta_fallback[k], "lam_slb": whole.lam_slb[k],
-               "cands": None}
+               "lam_slb": whole.lam_slb[k], "cands": None}
         if chunked.chosen_r[k] == ref["r"]:
             _check_row(chunked, k, ref, _rho2_tol(pool, box, theta[k]))
         else:
@@ -258,7 +295,7 @@ def test_one_row_call_matches_batched_row():
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
         append_sample(pool, mu)
-    batch = sweep_bounds(pool, fam.theta_table(pts),
+    batch = sweep_bounds(pool, box, fam.theta_table(pts),
                          [lower_bound(pool, box, mu)[1] for mu in pts])
     for k, mu in enumerate(pts):
         slb, data, sol = subspace_lower_bound(pool, box, mu)
