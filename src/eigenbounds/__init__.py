@@ -14,9 +14,9 @@ from .family import (AffineFamily, BoundingBox, TrainingSet,
                      random_training_set)
 from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
                         EigensolverError, HermitianOperator,
-                        NotPositiveDefiniteError, ProductHermitian,
-                        SparseHermitian, SpdFactor, cholesky, dense_smallest,
-                        extreme_eigs, hermitian, smallest_eigpairs)
+                        NotPositiveDefiniteError, SparseHermitian, SpdFactor,
+                        cholesky, dense_smallest, extreme_eigs, hermitian,
+                        smallest_eigpairs)
 from .lp import (InfeasibleError, LPError, LPProblem, LPSolution,
                  TightenedBound, dual_bound, first_certified_vertex,
                  lp_minimize, tighten_and_resolve)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        ProductHermitian, SparseHermitian, extreme_eigs,
-                        hermitian)
+                        SparseHermitian, extreme_eigs, hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -25,9 +24,6 @@ __all__ = [
     "compute_bounding_box",
     "random_training_set",
 ]
-
-# operator_at assembles an all-dense family up to this dimension
-DENSE_ASSEMBLY_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -91,15 +87,6 @@ class AffineFamily:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return np.vstack([self.theta_at(mu) for mu in points])
 
-    def apply(self, mu, X):
-        """A(mu) @ X without assembling A(mu)."""
-        th = self.theta_at(mu)
-        out = th[0] * self.terms[0].matmat(X)
-        for c, term in zip(th[1:], self.terms[1:]):
-            if c != 0.0:
-                out += c * term.matmat(X)
-        return out
-
     def apply_terms(self, X):
         """Every term applied to the block X, stacked as (Q, n, k)."""
         return np.stack([term.matmat(X) for term in self.terms])
@@ -112,25 +99,15 @@ class AffineFamily:
         return A
 
     def operator_at(self, mu):
-        """A(mu) as a HermitianOperator.
-
-        Assembles a concrete matrix when all terms are stored dense (up to
-        DENSE_ASSEMBLY_CAP) or all sparse; otherwise applies the terms one
-        by one.
-        """
-        th = self.theta_at(mu)
-        if (all(isinstance(t, DenseHermitian) for t in self.terms)
-                and self.n <= DENSE_ASSEMBLY_CAP):
+        """A(mu) as a stored matrix: a SparseHermitian when every term is
+        sparse, otherwise a DenseHermitian."""
+        if not all(isinstance(t, SparseHermitian) for t in self.terms):
             return DenseHermitian(self.assemble_dense(mu))
-        if all(isinstance(t, SparseHermitian) for t in self.terms):
-            acc = th[0] * self.terms[0].matrix
-            for c, term in zip(th[1:], self.terms[1:]):
-                acc = acc + c * term.matrix
-            return SparseHermitian(acc)
-        return ProductHermitian(lambda X, _mu=np.array(mu, dtype=float):
-                                self.apply(_mu, X),
-                                n=self.n,
-                                iscomplex=any(t.iscomplex for t in self.terms))
+        th = self.theta_at(mu)
+        acc = th[0] * self.terms[0].matrix
+        for c, term in zip(th[1:], self.terms[1:]):
+            acc = acc + c * term.matrix
+        return SparseHermitian(acc)
 
 
 def joint_rayleigh(family, u):

@@ -7,7 +7,7 @@ single term (for the bounding box), and full eigendecompositions of small
 projected matrices.  The iterative eigenpairs carry explicitly computed
 residual norms: each Ritz value lies within ||r|| of an eigenvalue, and it
 is the wanted one provided ARPACK missed no eigenvalue below it.  Operators
-are dense arrays, sparse matrices or callable block products.  Given the
+are stored matrices, dense or sparse, and each negates exactly.  Given the
 sparse factor of an SPD X (:func:`cholesky`), the eigensolvers solve the
 pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given
 a shift below the spectrum, a sparse eigensolve runs ARPACK in shift-invert
@@ -33,7 +33,6 @@ __all__ = [
     "HermitianOperator",
     "DenseHermitian",
     "SparseHermitian",
-    "ProductHermitian",
     "EigenPairs",
     "SpdFactor",
     "hermitian",
@@ -88,51 +87,22 @@ class EigenPairs:
         return len(self.values)
 
 
-def _check_densify(n):
-    if n > DENSIFY_CAP:
-        raise ArgumentError(
-            f"refusing to densify operator of dimension {n} > {DENSIFY_CAP}")
-
-
 class HermitianOperator:
-    """A self-adjoint linear operator on R^n or C^n.
+    """A self-adjoint matrix on R^n or C^n, stored dense or sparse.
 
-    Subclasses implement :meth:`matmat`.  Instances are immutable after
-    construction and safe to share across threads.
+    Subclasses implement :meth:`matmat`, :meth:`dense` and negation.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     n: int
     iscomplex: bool
-    symmetrization_defect: float
 
     def matmat(self, X):
         raise NotImplementedError
 
     def matvec(self, x):
         return self.matmat(np.asarray(x).reshape(-1, 1))[:, 0]
-
-    def dense(self):
-        """Materialize the operator as a dense array (n <= DENSIFY_CAP)."""
-        _check_densify(self.n)
-        eye = np.eye(self.n, dtype=complex if self.iscomplex else float)
-        return self.matmat(eye)
-
-    def __neg__(self):
-        return _Negated(self)
-
-
-class _Negated(HermitianOperator):
-    def __init__(self, inner):
-        self.inner = inner
-        self.n = inner.n
-        self.iscomplex = inner.iscomplex
-        self.symmetrization_defect = inner.symmetrization_defect
-
-    def matmat(self, X):
-        return -self.inner.matmat(X)
-
-    def __neg__(self):
-        return self.inner
 
 
 class DenseHermitian(HermitianOperator):
@@ -146,18 +116,17 @@ class DenseHermitian(HermitianOperator):
             raise ArgumentError("dimension must be positive")
         self.iscomplex = np.iscomplexobj(A)
         A = A.astype(complex if self.iscomplex else float)
-        H = 0.5 * (A + A.conj().T)
-        defect = np.linalg.norm(A - H)
-        scale = max(np.linalg.norm(H), 1.0)
-        self.array = H
+        self.array = 0.5 * (A + A.conj().T)
         self.n = A.shape[0]
-        self.symmetrization_defect = float(defect / scale)
 
     def matmat(self, X):
         return self.array @ X
 
     def dense(self):
         return self.array
+
+    def __neg__(self):
+        return DenseHermitian(-self.array)
 
 
 class SparseHermitian(HermitianOperator):
@@ -168,32 +137,21 @@ class SparseHermitian(HermitianOperator):
         if A.shape[0] != A.shape[1]:
             raise ArgumentError("expected a square matrix")
         self.iscomplex = np.iscomplexobj(A.data) if A.nnz else False
-        H = 0.5 * (A + A.conj().T)
-        defect = sparse.linalg.norm(A - H) if A.nnz else 0.0
-        scale = max(sparse.linalg.norm(H), 1.0) if H.nnz else 1.0
-        self.matrix = H.tocsr()
+        self.matrix = (0.5 * (A + A.conj().T)).tocsr()
         self.n = A.shape[0]
-        self.symmetrization_defect = float(defect / scale)
 
     def matmat(self, X):
         return self.matrix @ X
 
     def dense(self):
-        _check_densify(self.n)
+        """The matrix as a dense array (n <= DENSIFY_CAP)."""
+        if self.n > DENSIFY_CAP:
+            raise ArgumentError(f"refusing to densify operator of dimension "
+                                f"{self.n} > {DENSIFY_CAP}")
         return self.matrix.toarray()
 
-
-class ProductHermitian(HermitianOperator):
-    """Operator given by a callable block product, Hermitian by construction."""
-
-    def __init__(self, apply_fn, n, iscomplex=False):
-        self._apply = apply_fn
-        self.n = n
-        self.iscomplex = iscomplex
-        self.symmetrization_defect = 0.0
-
-    def matmat(self, X):
-        return self._apply(X)
+    def __neg__(self):
+        return SparseHermitian(-self.matrix)
 
 
 def hermitian(matrix):
@@ -320,8 +278,10 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
 
     Implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``)
     run to working precision, applied to the operator one vector at a time;
-    problems of dimension at most ``DENSE_FALLBACK_SIZE`` take a full dense
-    eigendecomposition instead.  The returned residual norms are computed
+    problems of dimension at most ``DENSE_FALLBACK_SIZE``, and every k = n,
+    take a full dense eigendecomposition (:func:`dense_smallest`) instead.
+    This is the one place that chooses between the two.  The returned
+    residual norms are computed
     explicitly as ||A v - lambda v||, so each returned value lies within its
     residual of an eigenvalue of A.  That the values are the k *smallest*
     eigenvalues assumes ARPACK missed none below them.
@@ -334,13 +294,13 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     first.  If every pivot is positive, sigma lies below the spectrum and
     ARPACK runs in shift-invert mode on that factor, where the wanted
     eigenvalues are the best separated; otherwise the solve runs unshifted
-    and the result has ``shift_fallback`` set.  Dense and product
-    operators ignore ``below``.
+    and the result has ``shift_fallback`` set.  Dense operators and the
+    dense eigendecomposition ignore ``below``.
 
     Parameters
     ----------
     A : HermitianOperator or array-like
-    k : number of smallest eigenpairs, 1 <= k < n
+    k : number of smallest eigenpairs, 1 <= k <= n
     seed : seed for the random starting vector (determinism)
     restart_cap : maximum ARPACK restart iterations; defaults to 10*n
     below : optional shift sigma, expected below the smallest eigenvalue
@@ -353,11 +313,11 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     """
     op = hermitian(A)
     n = op.n
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
-        raise ArgumentError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if below is not None and not np.isfinite(below):
         raise ArgumentError(f"the shift must be finite, got {below}")
-    if n <= DENSE_FALLBACK_SIZE:
+    if n <= DENSE_FALLBACK_SIZE or k == n:     # ARPACK needs k < n
         return dense_smallest(op.dense(), k, M=M)
 
     rng = np.random.default_rng(seed)
@@ -395,9 +355,6 @@ def extreme_eigs(A, seed=0, M=None):
     -reversed(extreme_eigs(A)) holds exactly by construction.
     """
     op = hermitian(A)
-    if op.n == 1:
-        d = float(dense_smallest(op.dense(), 1, M=M).values[0])
-        return d, d
     lo = smallest_eigpairs(op, 1, seed=seed, M=M).values[0]
     hi = -smallest_eigpairs(-op, 1, seed=seed, M=M).values[0]
     return float(lo), float(hi)

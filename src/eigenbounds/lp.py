@@ -188,7 +188,7 @@ def lp_minimize(problem, tol=1e-8, start=None):
     ``tol * (1 + max|h|)``, which is accepted.  The reported active set is
     S, except where more than Q rows are tight: there the lexicographically
     smallest independent tight set is reported if its multipliers certify
-    the vertex.
+    the vertex.  The reported ``y`` is solved from the reported system.
     """
     q, J = problem.q, problem.n_rows
     G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
@@ -257,6 +257,9 @@ def lp_minimize(problem, tol=1e-8, start=None):
                 problem.c, np.linalg.inv(G[pick].T)[None], tol)[0][0] >= 0:
             chosen = pick
     theta, psi = G[chosen], h[chosen]
+    # not the iterate: at an ill-conditioned vertex the running inverse
+    # leaves it off its own active rows
+    y = np.linalg.solve(theta, psi)
     z = np.where(chosen < J, np.linalg.solve(theta.T, problem.c), 0.0)
     value = float(dual_bound(problem.c, z, theta, psi, problem.lower,
                              problem.upper))

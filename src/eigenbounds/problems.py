@@ -17,6 +17,7 @@ import os
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg
 
 from .expressions import (EvaluationError, ParseError, parse_theta,
                           probe_expressions)
@@ -277,6 +278,21 @@ def _require(manifest, field, kind, length=None):
     return value
 
 
+def _checked_hermitian(mat, field, rel):
+    """``hermitian(mat)``, refused unless ||A - H||_F / max(||H||_F, 1) is
+    at most SYMMETRY_TOL for A = ``mat`` and its Hermitian part H."""
+    op = hermitian(mat)
+    if sparse.issparse(mat):
+        H, norm = op.matrix, scipy.sparse.linalg.norm
+    else:
+        H, norm = op.array, np.linalg.norm
+    defect = norm(mat - H) / max(norm(H), 1.0)
+    if defect > SYMMETRY_TOL:
+        raise ManifestError(field, f"{rel} is not Hermitian (relative defect "
+                            f"{defect:.2e} > {SYMMETRY_TOL})")
+    return op
+
+
 def load_family(path):
     """Load an affine family from a JSON manifest.
 
@@ -359,6 +375,7 @@ def load_family(path):
         if inner.shape != (n, n):
             raise ManifestError("inner_product",
                                 f"dimension {inner.shape[0]}, expected {n}")
+        _checked_hermitian(inner, "inner_product", rel)
 
     meta = {"pipeline": pipeline, "Q": q, "P": p, "path": os.path.abspath(path)}
 
@@ -370,14 +387,8 @@ def load_family(path):
                                        domain, inner)
         return fam, meta
 
-    wrapped = []
-    for mat, header, rel in matrices:
-        op = hermitian(mat)
-        if op.symmetrization_defect > SYMMETRY_TOL:
-            raise ManifestError(
-                "terms", f"{rel} is not Hermitian (relative defect "
-                f"{op.symmetrization_defect:.2e} > {SYMMETRY_TOL})")
-        wrapped.append(op)
+    wrapped = [_checked_hermitian(mat, "terms", rel)
+               for mat, _, rel in matrices]
     fam = AffineFamily(terms=tuple(wrapped), theta=_theta_of(exprs),
                        domain=tuple(domain),
                        theta_source=tuple(e.source for e in exprs),

@@ -1,5 +1,5 @@
-"""Smoke runs of the demos that exercise the inner-product and the
-singular-value transforms."""
+"""Smoke runs of every demo that writes no files: 01-04.  Demo 05
+writes a work directory and is left out."""
 
 import os
 import runpy
@@ -23,6 +23,24 @@ def float_rows(text, width):
         if len(row) == width:
             rows.append(row)
     return rows
+
+
+def test_rotation_demo_brackets_and_subspace_is_exact(capsys):
+    rows = float_rows(run_demo("01_rotation_family_kink.py", capsys), 6)
+    assert len(rows) == 13
+    for _, exact, lb, ub, slb, sub in rows:
+        assert lb <= exact <= ub
+        assert slb == sub == exact == -1.0
+
+
+def test_scm_vs_subspace_demo_converges_by_j_12():
+    names = runpy.run_path(os.path.join(DEMOS, "02_scm_vs_subspace.py"),
+                           run_name="__main__")
+    sub, scm = names["sub"], names["scm"]
+    assert sub.converged and len(sub.records) <= 12
+    assert sub.records[-1].max_ratio <= 1e-4
+    assert not scm.converged and "iteration cap" in scm.reason
+    assert len(scm.records) == len(sub.records)
 
 
 def test_coercivity_demo_brackets_generalized_eigenvalue(capsys):

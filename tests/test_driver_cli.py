@@ -243,6 +243,24 @@ class TestCli:
         assert payload["error"] == "ManifestError"
         assert payload["field"] == "inner_product"
 
+    def test_non_symmetric_inner_product_exit_2(self, tmp_path, capsys):
+        from eigenbounds import write_matrix_market
+        manifest = circle_manifest(tmp_path)
+        write_matrix_market(tmp_path / "circle" / "x.mtx",
+                            np.array([[2.0, 3.0], [0.0, 2.0]]),
+                            symmetry="general")
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data.update(inner_product="x.mtx", pipeline="coercivity")
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        code = main(["run", "--manifest", manifest, "--out",
+                     str(tmp_path / "o")])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "inner_product"
+
     def test_gen_then_run(self, tmp_path, capsys):
         gen_dir = str(tmp_path / "gen")
         assert main(["gen", "--kind", "unit-circle", "--out", gen_dir]) == 0

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from eigenbounds import (ArgumentError, ProductHermitian,
+from eigenbounds import (ArgumentError, DenseHermitian,
                          compute_bounding_box, joint_rayleigh,
                          random_training_set, solve_at_sample,
                          unit_circle_family)
@@ -134,9 +134,8 @@ def test_theta_length_mismatch_raises(circle):
         bad.theta_at([0.5])
 
 
-def test_mixed_dense_and_sparse_terms_apply_one_by_one():
-    # a dense term next to a sparse one: operator_at neither assembles nor
-    # sums sparse matrices, it applies the terms in turn
+def test_mixed_dense_and_sparse_terms_assemble_dense():
+    # a dense term next to a sparse one: operator_at assembles A(mu) dense
     n = 120
     g = np.random.default_rng(5).standard_normal((n, n))
     tri = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
@@ -145,7 +144,7 @@ def test_mixed_dense_and_sparse_terms_apply_one_by_one():
                        theta=lambda mu: np.array([1.0, mu[0]]),
                        domain=((0.0, 2.0),))
     mu = np.array([0.7])
-    assert isinstance(fam.operator_at(mu), ProductHermitian)
+    assert isinstance(fam.operator_at(mu), DenseHermitian)
     A = fam.assemble_dense(mu)
     assert_allclose(solve_at_sample(fam, mu, 2).values,
                     np.linalg.eigvalsh(A)[:2],

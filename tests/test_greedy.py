@@ -211,6 +211,23 @@ def test_worst_ratio_at_a_sample_stops_the_loop(pipeline):
     assert "not converged" in res.reason
 
 
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_one_by_one_family(pipeline):
+    # lambda(mu) = 2 - mu: the box is a point, so one sample closes the
+    # gap everywhere; every eigensolve has k == n == 1
+    fam = AffineFamily(terms=(np.array([[2.0]]), np.array([[-1.0]])),
+                       theta=lambda mu: np.array([1.0, mu[0]]),
+                       domain=((-1.0, 1.0),))
+    train = random_training_set(fam.domain, 6, seed=3)
+    greedy, _, columns = PIPELINES[pipeline]
+    res = greedy(fam, train, eps=1e-10, j_max=5)
+    assert res.converged and len(res.records) == 1
+    assert res.box.lower.tolist() == res.box.upper.tolist() == [2.0, -1.0]
+    exact = 2.0 - train.points[:, 0]
+    for key in columns & {"lam_lb", "lam_ub", "lam_slb", "lam_sub"}:
+        np.testing.assert_allclose(res.tables[key], exact, rtol=1e-14)
+
+
 @pytest.mark.parametrize("pipeline, seed, lp_tol", [
     pytest.param(pipeline, seed, lp_tol, id=f"{pipeline}-{seed}"
                  + ("" if lp_tol == 1e-8 else f"-lp_tol={lp_tol:g}"))

@@ -44,7 +44,6 @@ class TestHermitianOperator:
         A = rng.standard_normal((8, 8))
         op = DenseHermitian(A)
         assert_allclose(op.array, 0.5 * (A + A.T), atol=0)
-        assert op.symmetrization_defect > 0
 
     @pytest.mark.parametrize("n", [3, 17, 64])
     def test_matvec_matches_dense(self, n):
@@ -67,8 +66,10 @@ class TestHermitianOperator:
             assert abs(quad.imag) <= 1e-12 * max(abs(quad), 1.0)
 
     def test_negation_is_involutive(self):
-        A = hermitian(np.diag([1.0, 2.0]))
-        assert (-(-A)) is A
+        for A in (hermitian(np.diag([1.0, 2.0])),
+                  hermitian(sparse.diags([1.0, 2.0]))):
+            assert type(-A) is type(A)
+            assert np.array_equal((-(-A)).dense(), A.dense())
 
 
 class TestSmallestEigpairs:
@@ -126,9 +127,25 @@ class TestSmallestEigpairs:
     def test_k_out_of_range(self):
         A = np.eye(4)
         with pytest.raises(ArgumentError):
-            smallest_eigpairs(A, 4)
+            smallest_eigpairs(A, 5)
         with pytest.raises(ArgumentError):
             smallest_eigpairs(A, 0)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_k_equal_n_is_the_dense_decomposition(self, kind):
+        # n above DENSE_FALLBACK_SIZE: only k == n takes the dense path
+        rng = np.random.default_rng(31)
+        n = 90
+        A = rng.standard_normal((n, n))
+        A = 0.5 * (A + A.T)
+        op = hermitian(sparse.csr_matrix(A) if kind == "sparse" else A)
+        ep = smallest_eigpairs(op, n)
+        ref = dense_smallest(op.dense(), n)
+        assert ep.count == n
+        for name in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(ep, name), getattr(ref, name))
+        with pytest.raises(ArgumentError):
+            smallest_eigpairs(op, n + 1)
 
     def test_nonconvergence_carries_best_iterate(self):
         rng = np.random.default_rng(2)
@@ -238,6 +255,16 @@ class TestExtremeEigs:
         lo, hi = extreme_eigs(op)
         lo2, hi2 = extreme_eigs(-op)
         assert lo2 == -hi and hi2 == -lo
+
+    def test_negation_symmetry_exact_sparse(self):
+        A = sparse.random(300, 300, density=0.03, random_state=29)
+        op = hermitian(A + A.T)
+        assert isinstance(-op, SparseHermitian)
+        lo, hi = extreme_eigs(op)
+        assert extreme_eigs(-op) == (-hi, -lo)
+
+    def test_one_by_one(self):
+        assert extreme_eigs(np.array([[-2.5]])) == (-2.5, -2.5)
 
 
 class TestDenseSmallest:

@@ -299,6 +299,24 @@ class TestManifest:
             load_family(path)
         assert err.value.field == "inner_product"
 
+    @pytest.mark.parametrize("pipeline", ["coercivity", "singular"])
+    @pytest.mark.parametrize("off", [0.0, 3.0])
+    def test_inner_product_must_be_symmetric(self, tmp_path, pipeline, off):
+        X = make_spd(2, 3)
+        X[0, 1] += off
+        write_matrix_market(tmp_path / "x.mtx", X, symmetry="general")
+        path = self.write_circle_manifest(tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest.update(inner_product="x.mtx", pipeline=pipeline)
+        path.write_text(json.dumps(manifest))
+        if not off:
+            assert load_family(path)[1]["pipeline"] == pipeline
+            return
+        with pytest.raises(ManifestError, match="x.mtx is not Hermitian") \
+                as err:
+            load_family(path)
+        assert err.value.field == "inner_product"
+
     def test_coercivity_pipeline_requires_inner_product(self, tmp_path):
         fam = unit_circle_family()
         write_matrix_market(tmp_path / "a1.mtx", fam.terms[0].dense())

@@ -220,25 +220,39 @@ def test_all_box_vertex_gives_the_lp_value():
     assert new.lam_slb[0] == box_only.value
 
 
-def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
+def _ill_conditioned_vertex():
     """Samples 1e-13 apart give two nearly parallel sample rows.  Their
     intersection, the tangent point of the sampled eigenvalue curve, is an
     optimal vertex for a parameter between them, with cond >= 1e12 (a
     restart from that active set keeps it; a cold solve steps around it
-    within its tolerance).  Every swept eta is at most the minimum of the
-    LP with every sample row bumped by beta_r, as weak duality promises
-    for any nonnegative multipliers."""
+    within its tolerance).  Returns the family, box, pool, objective, LP
+    data without the right-hand side, the restart's active set and the
+    solution there."""
     fam = random_family(2, 40, delta=0.3, seed=40)
     box = compute_bounding_box(fam)
     pool = SubspacePool(fam)
     gap = 1e-13
     for mu in ([0.0], [0.1], [0.1 + gap], [0.3]):
         append_sample(pool, mu)
-    mu = np.array([0.1 + gap / 2])
-    c = fam.theta_at(mu)
+    c = fam.theta_at(np.array([0.1 + gap / 2]))
     lp = dict(c=c, lower=box.lower, upper=box.upper, rows=pool.rows)
     pair = types.SimpleNamespace(active=(("sample", 1), ("sample", 2)))
     sol = lp_minimize(LPProblem(rhs=pool.rhs, **lp), start=pair)
+    return fam, box, pool, c, lp, pair, sol
+
+
+def test_ill_conditioned_vertex_y_on_its_active_rows():
+    *_, sol = _ill_conditioned_vertex()
+    assert np.linalg.cond(sol.theta_mat) >= 1e12
+    scale = np.abs(sol.theta_mat) @ np.abs(sol.y) + np.abs(sol.psi)
+    assert np.all(np.abs(sol.theta_mat @ sol.y - sol.psi) <= 4 * U * scale)
+
+
+def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
+    """At the vertex of :func:`_ill_conditioned_vertex`, every swept eta is
+    at most the minimum of the LP with every sample row bumped by beta_r,
+    as weak duality promises for any nonnegative multipliers."""
+    fam, box, pool, c, lp, pair, sol = _ill_conditioned_vertex()
     assert sol.active == pair.active
     assert np.linalg.cond(sol.theta_mat) >= 1e12
     assert tighten_and_resolve(sol, {1: 1.0, 2: 1.0},
