@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        SparseHermitian, extreme_eigs, hermitian)
+                        SparseHermitian, _extreme_pairs, hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -128,10 +128,15 @@ def joint_rayleigh(family, u):
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Per-term spectral intervals [lambda_min(A_q), lambda_max(A_q)]."""
+    """Per-term spectral intervals [lambda_min(A_q), lambda_max(A_q)].
+
+    ``shift_fallbacks`` counts the interval ends whose shifted solve fell
+    back to the unshifted one (see :func:`~eigenbounds.extreme_eigs`).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
+    shift_fallbacks: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -151,15 +156,18 @@ def compute_bounding_box(family, seed=0):
     """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox."""
     lows = np.empty(family.q)
     highs = np.empty(family.q)
+    fallbacks = 0
     for qi, term in enumerate(family.terms):
         try:
-            lows[qi], highs[qi] = extreme_eigs(term, seed=seed,
-                                               M=family.inner_product)
+            lo, neg_hi = _extreme_pairs(term, seed=seed,
+                                        M=family.inner_product)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",
                 best=exc.best) from exc
-    return BoundingBox(lower=lows, upper=highs)
+        lows[qi], highs[qi] = lo.values[0], -neg_hi.values[0]
+        fallbacks += lo.shift_fallback + neg_hi.shift_fallback
+    return BoundingBox(lower=lows, upper=highs, shift_fallbacks=fallbacks)
 
 
 @dataclass(frozen=True)

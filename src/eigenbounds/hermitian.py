@@ -13,12 +13,14 @@ pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given
 a shift below the spectrum, a sparse eigensolve runs ARPACK in shift-invert
 mode on the factor of A - sigma X (spectral-transformation Lanczos,
 Ericsson & Ruhe, Math. Comp. 35, 1980); the factor's pivots certify the
-shift by Sylvester's law of inertia.
+shift by Sylvester's law of inertia.  The extreme eigenvalues of a sparse
+pencil are solved that way, at shifts placed just below loose estimates
+of both ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +47,9 @@ __all__ = [
 
 DENSE_FALLBACK_SIZE = 72
 DENSIFY_CAP = 4096
+# relative accuracy of the loose pass that places a sparse pencil's box
+# shifts, and their distance below its estimates as a fraction of the scale
+ESTIMATE_TOL = 1e-2
 
 
 class ArgumentError(ValueError):
@@ -140,6 +145,14 @@ class SparseHermitian(HermitianOperator):
         self.matrix = (0.5 * (A + A.conj().T)).tocsr()
         self.n = A.shape[0]
 
+    @classmethod
+    def _exact(cls, matrix):
+        """Wrap a CSR matrix that is exactly Hermitian, as it stands."""
+        op = cls.__new__(cls)
+        op.matrix, op.n = matrix, matrix.shape[0]
+        op.iscomplex = np.iscomplexobj(matrix.data) if matrix.nnz else False
+        return op
+
     def matmat(self, X):
         return self.matrix @ X
 
@@ -151,7 +164,7 @@ class SparseHermitian(HermitianOperator):
         return self.matrix.toarray()
 
     def __neg__(self):
-        return SparseHermitian(-self.matrix)
+        return SparseHermitian._exact(-self.matrix)
 
 
 def hermitian(matrix):
@@ -187,8 +200,10 @@ def cholesky(X):
     SuperLU in symmetric mode pivots on the diagonal only: P X P^T = L D L^T,
     and X is positive definite iff every pivot is positive.  A non-positive
     or skipped pivot raises NotPositiveDefiniteError with its index in X.
+    A :class:`SparseHermitian` is taken as it stands; anything else is
+    wrapped (and symmetrized) first.
     """
-    op = SparseHermitian(X)
+    op = X if isinstance(X, SparseHermitian) else SparseHermitian(X)
     try:
         lu = splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
                   diag_pivot_thresh=0, options={"SymmetricMode": True})
@@ -258,11 +273,13 @@ def _shifted_factor(op, sigma, M):
     """The factor of A - sigma X (X = I without ``M``), or None.
 
     None when the factor has a non-positive pivot, that is when sigma is
-    not below every eigenvalue of the pencil.
+    not below every eigenvalue of the pencil.  The difference of two
+    exactly Hermitian matrices is exactly Hermitian, so it is factored as
+    it stands.
     """
     X = sparse.identity(op.n, format="csr") if M is None else M.matrix.matrix
     try:
-        return cholesky(op.matrix - sigma * X)
+        return cholesky(SparseHermitian._exact(op.matrix - sigma * X))
     except NotPositiveDefiniteError:
         return None
 
@@ -271,6 +288,17 @@ def _inverse(factor, n, dtype):
     """The solve of an :class:`SpdFactor` as a LinearOperator."""
     return LinearOperator((n, n), matvec=factor.solve, matmat=factor.solve,
                           dtype=dtype)
+
+
+def _arpack_start(op, seed):
+    """``op`` as a LinearOperator, with the seeded random start vector."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(op.n)
+    if op.iscomplex:
+        v0 = v0 + 1j * rng.standard_normal(op.n)
+    lin = LinearOperator((op.n, op.n), matvec=op.matvec, matmat=op.matmat,
+                         dtype=v0.dtype)
+    return lin, v0
 
 
 def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
@@ -320,12 +348,7 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     if n <= DENSE_FALLBACK_SIZE or k == n:     # ARPACK needs k < n
         return dense_smallest(op.dense(), k, M=M)
 
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if op.iscomplex:
-        v0 = v0 + 1j * rng.standard_normal(n)
-    lin = LinearOperator((n, n), matvec=op.matvec, matmat=op.matmat,
-                         dtype=v0.dtype)
+    lin, v0 = _arpack_start(op, seed)
     arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
     fallback = False
     if below is not None and isinstance(op, SparseHermitian):
@@ -345,6 +368,42 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     return _ritz_pairs(op, w, V, M, fallback)
 
 
+def _estimate(op, seed, M):
+    """The smallest eigenvalue of the sparse pencil (A, X) to relative
+    accuracy ESTIMATE_TOL, from one regular-mode pass; None if ARPACK
+    gives up."""
+    lin, v0 = _arpack_start(op, seed)
+    try:
+        w = eigsh(lin, k=1, M=M.matrix.matrix, which="SA", tol=ESTIMATE_TOL,
+                  Minv=_inverse(M, op.n, v0.dtype), v0=v0,
+                  return_eigenvectors=False)
+    except ArpackNoConvergence:
+        return None
+    return float(w[0])
+
+
+def _extreme_pairs(op, seed, M):
+    """The smallest eigenpair of ``op`` and of ``-op`` (see extreme_eigs).
+
+    A pair has ``shift_fallback`` set when its shift failed the factor
+    test or its loose pass did not converge.
+    """
+    ends = (op, -op)
+    below, missed = (None, None), (False, False)
+    if (M is not None and isinstance(op, SparseHermitian)
+            and op.n > DENSE_FALLBACK_SIZE):
+        estimates = [_estimate(end, seed, M) for end in ends]
+        missed = [e is None for e in estimates]
+        if not any(missed):
+            delta = ESTIMATE_TOL * max(abs(e) for e in estimates)
+            if delta > 0:
+                below = [e - delta for e in estimates]
+    pairs = [smallest_eigpairs(end, 1, seed=seed, M=M, below=sigma)
+             for end, sigma in zip(ends, below)]
+    return [replace(p, shift_fallback=True) if m else p
+            for p, m in zip(pairs, missed)]
+
+
 def extreme_eigs(A, seed=0, M=None):
     """Smallest and largest eigenvalue of a Hermitian operator (or pencil).
 
@@ -353,11 +412,21 @@ def extreme_eigs(A, seed=0, M=None):
     none beyond it.  The largest eigenvalue is obtained by running the
     smallest-eigenvalue solver on -A, so extreme_eigs(-A) ==
     -reversed(extreme_eigs(A)) holds exactly by construction.
+
+    A sparse pencil (``M`` given, n > DENSE_FALLBACK_SIZE) first takes one
+    loose regular-mode pass per end (ARPACK at ``tol=ESTIMATE_TOL``, no
+    vectors), giving estimates t of the smallest eigenvalues of A and -A.
+    Each end is then solved in shift-invert mode at sigma = t - delta,
+    delta = ESTIMATE_TOL * max|t|; the shifted factor's positive pivots
+    prove sigma below the spectrum, so the eigenvalue nearest sigma is the
+    extreme one.  An end whose shift fails that test, or whose loose pass
+    does not converge, is solved unshifted, as are both ends when delta is
+    0.  Every other operator is solved unshifted: a standard sparse
+    Lanczos step is one product, while a pencil's already solves with a
+    factor, so only the pencil gains from the shift.
     """
-    op = hermitian(A)
-    lo = smallest_eigpairs(op, 1, seed=seed, M=M).values[0]
-    hi = -smallest_eigpairs(-op, 1, seed=seed, M=M).values[0]
-    return float(lo), float(hi)
+    lo, neg_hi = _extreme_pairs(hermitian(A), seed=seed, M=M)
+    return float(lo.values[0]), float(-neg_hi.values[0])
 
 
 def dense_smallest(H, r, M=None):

@@ -375,7 +375,7 @@ def load_family(path):
         if inner.shape != (n, n):
             raise ManifestError("inner_product",
                                 f"dimension {inner.shape[0]}, expected {n}")
-        _checked_hermitian(inner, "inner_product", rel)
+        inner = _checked_hermitian(inner, "inner_product", rel)
 
     meta = {"pipeline": pipeline, "Q": q, "P": p, "path": os.path.abspath(path)}
 

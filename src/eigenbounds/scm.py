@@ -101,7 +101,8 @@ def solve_at_sample(family, mu, k, seed=0, below=None):
 class ScmState:
     """Greedy sample set: samples, their smallest eigenpairs, joint-Rayleigh
     points and the LP constraints ``rows @ y >= rhs``.  ``shift_fallbacks``
-    counts the sample solves whose shift failed its positive-definite test."""
+    counts the sample solves whose shift failed its positive-definite test;
+    the greedy loop adds the bounding box's fallbacks to it."""
 
     def __init__(self, family):
         self.family = family
@@ -268,6 +269,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     t = time.perf_counter()
     box = compute_bounding_box(family, seed=seed)
     eig_seconds += time.perf_counter() - t
+    model.shift_fallbacks += box.shift_fallbacks
     eig_count = 2 * family.q
     lp_count = lp_cached = lp_pivots = lp_degenerate = 0
 

@@ -1,5 +1,7 @@
 """The greedy loop that classical SCM and the subspace pipeline share."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -11,6 +13,9 @@ from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
                          random_training_set, scm_greedy, subspace_greedy)
 from eigenbounds import scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
+
+# the package re-exports a function named ``hermitian`` over the module
+hermitian_module = importlib.import_module("eigenbounds.hermitian")
 
 PIPELINES = {
     "scm": (scm_greedy, ScmState, {"lam_lb", "lam_ub"}),
@@ -94,13 +99,18 @@ def test_summary_counts_pivots_and_degenerate_lps(tmp_path, monkeypatch,
     assert counts["lp_degenerate"] == sum(s.degenerate for s in solved)
 
 
+def _grid_pencil():
+    """The n = 120 block-grid family with X = Laplacian + 0.3 mean(diag) I."""
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    lap = fam.terms[0].matrix
+    return coercivity_transform(fam, (lap + 0.3 * lap.diagonal().mean()
+                                      * sparse.identity(fam.n)).tocsr())
+
+
 @pytest.mark.parametrize("pencil", [False, True])
 def test_shifted_samples_change_no_selection(monkeypatch, pencil):
-    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
-    if pencil:
-        lap = fam.terms[0].matrix
-        fam = coercivity_transform(fam, (lap + 0.3 * lap.diagonal().mean()
-                                         * sparse.identity(fam.n)).tocsr())
+    fam = (_grid_pencil() if pencil
+           else block_grid_family(nx=12, ny=10, blocks=(2, 2)))
     train = random_training_set(fam.domain, 30, seed=3)
     shifted = subspace_greedy(fam, train, eps=1e-12, j_max=6)
     shifts = []
@@ -118,6 +128,38 @@ def test_shifted_samples_change_no_selection(monkeypatch, pencil):
     for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub"):
         a, b = shifted.tables[key], plain.tables[key]
         assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+
+
+def test_shifted_box_changes_no_selection(monkeypatch):
+    fam = _grid_pencil()
+    train = random_training_set(fam.domain, 30, seed=3)
+    shifted = subspace_greedy(fam, train, eps=1e-12, j_max=6)
+    shifts = []
+    original = hermitian_module.smallest_eigpairs
+
+    def unshifted(*args, below=None, **kwargs):
+        shifts.append(below)
+        return original(*args, **kwargs)
+
+    # the box's solves only: the sample solves are bound in scm
+    monkeypatch.setattr(hermitian_module, "smallest_eigpairs", unshifted)
+    plain = subspace_greedy(fam, train, eps=1e-12, j_max=6)
+    assert len(shifts) == 2 * fam.q and all(np.isfinite(shifts))
+    assert shifted.records[-1].shift_fallbacks == 0
+    assert ([r.selected_index for r in shifted.records]
+            == [r.selected_index for r in plain.records])
+    for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub"):
+        a, b = shifted.tables[key], plain.tables[key]
+        assert np.all(np.abs(a - b) <= 1e-10 * np.maximum(1.0, np.abs(b)))
+
+
+def test_unplaced_box_shifts_are_counted(tmp_path, monkeypatch):
+    # no loose estimate converges: every box end is solved unshifted
+    fam = _grid_pencil()
+    monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+    config = RunConfig(pipeline="scm", n_train=20, j_max=3, eps=1e-12)
+    counts = run_pipeline(config, fam, str(tmp_path))["counts"]
+    assert counts["shift_fallbacks"] == 2 * fam.q
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

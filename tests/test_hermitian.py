@@ -1,16 +1,22 @@
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
 from eigenbounds import (ArgumentError, DenseHermitian,
                          EigensolverError, NotPositiveDefiniteError,
                          SparseHermitian, block_grid_family, cholesky,
-                         coercivity_transform, dense_smallest,
-                         extreme_eigs, hermitian, smallest_eigpairs)
+                         coercivity_transform, compute_bounding_box,
+                         dense_smallest, extreme_eigs, hermitian,
+                         smallest_eigpairs)
 from eigenbounds.hermitian import orthonormal_columns
+
+# the package re-exports a function named ``hermitian`` over the module
+hermitian_module = importlib.import_module("eigenbounds.hermitian")
 
 
 def jacobi_eigenvalues(A, tol=1e-14, max_sweeps=60):
@@ -265,6 +271,82 @@ class TestExtremeEigs:
 
     def test_one_by_one(self):
         assert extreme_eigs(np.array([[-2.5]])) == (-2.5, -2.5)
+
+
+def _pencil(nx, ny, blocks):
+    """A block-grid family with X = Laplacian + 0.3 mean(diag) I attached."""
+    fam = block_grid_family(nx=nx, ny=ny, blocks=blocks)
+    lap = fam.terms[0].matrix
+    X = (lap + 0.3 * lap.diagonal().mean()
+         * sparse.identity(fam.n, format="csr")).tocsr()
+    return coercivity_transform(fam, X), X.toarray()
+
+
+def _record_shifted_factors(monkeypatch):
+    calls = []
+    original = hermitian_module._shifted_factor
+
+    def recorded(op, sigma, M):
+        calls.append(sigma)
+        return original(op, sigma, M)
+
+    monkeypatch.setattr(hermitian_module, "_shifted_factor", recorded)
+    return calls
+
+
+class TestPencilBox:
+    @pytest.mark.parametrize("shape", [(12, 10, (2, 2)), (20, 18, (3, 2))])
+    def test_ends_match_the_dense_pencil(self, monkeypatch, shape):
+        # every term but the Laplacian is masked to one block: singular
+        fam, X = _pencil(*shape)
+        calls = _record_shifted_factors(monkeypatch)
+        box = compute_bounding_box(fam)
+        assert len(calls) == 2 * fam.q and box.shift_fallbacks == 0
+        for q, term in enumerate(fam.terms):
+            w = scipy.linalg.eigh(term.dense(), X, eigvals_only=True)
+            scale = max(abs(w[0]), abs(w[-1]))
+            assert abs(box.lower[q] - w[0]) <= 1e-13 * scale
+            assert abs(box.upper[q] - w[-1]) <= 1e-13 * scale
+        assert np.sum(np.abs(fam.terms[1].dense()).sum(axis=0) == 0) > 0
+
+    def test_negation_symmetry_exact(self):
+        fam, _ = _pencil(12, 10, (2, 2))
+        for term in fam.terms[:2]:
+            lo, hi = extreme_eigs(term, M=fam.inner_product)
+            assert extreme_eigs(-term, M=fam.inner_product) == (-hi, -lo)
+
+    @pytest.mark.parametrize("failure", ["above", "unconverged"])
+    def test_failed_shift_is_solved_unshifted_and_counted(self, monkeypatch,
+                                                          failure):
+        fam, _ = _pencil(12, 10, (2, 2))
+        M = fam.inner_product
+        plain = [(smallest_eigpairs(t, 1, M=M).values[0],
+                  -smallest_eigpairs(-t, 1, M=M).values[0])
+                 for t in fam.terms]
+        original = hermitian_module._estimate
+
+        def estimate(op, seed, M):
+            # the other end's estimate puts sigma near the top of the
+            # spectrum, far above its smallest eigenvalue
+            return None if failure == "unconverged" else -original(-op, seed,
+                                                                   M)
+
+        monkeypatch.setattr(hermitian_module, "_estimate", estimate)
+        box = compute_bounding_box(fam)
+        assert box.shift_fallbacks == 2 * fam.q
+        assert np.array_equal(box.lower, [lo for lo, _ in plain])
+        assert np.array_equal(box.upper, [hi for _, hi in plain])
+
+    def test_other_operators_are_never_shifted(self, monkeypatch):
+        fam, X = _pencil(12, 10, (2, 2))
+        calls = _record_shifted_factors(monkeypatch)
+        term = fam.terms[1]
+        extreme_eigs(term)                                  # standard sparse
+        extreme_eigs(DenseHermitian(term.dense()))          # dense
+        extreme_eigs(DenseHermitian(term.dense()), M=fam.inner_product)
+        small, _ = _pencil(8, 8, (2, 2))                    # n = 64: LAPACK
+        extreme_eigs(small.terms[0], M=small.inner_product)
+        assert calls == []
 
 
 class TestDenseSmallest:
