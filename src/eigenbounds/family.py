@@ -100,14 +100,16 @@ class AffineFamily:
 
     def operator_at(self, mu):
         """A(mu) as a stored matrix: a SparseHermitian when every term is
-        sparse, otherwise a DenseHermitian."""
+        sparse, otherwise a DenseHermitian.  A real combination of exactly
+        Hermitian terms is exactly Hermitian, so it is wrapped as it
+        stands."""
         if not all(isinstance(t, SparseHermitian) for t in self.terms):
-            return DenseHermitian(self.assemble_dense(mu))
+            return DenseHermitian._exact(self.assemble_dense(mu))
         th = self.theta_at(mu)
         acc = th[0] * self.terms[0].matrix
         for c, term in zip(th[1:], self.terms[1:]):
             acc = acc + c * term.matrix
-        return SparseHermitian(acc)
+        return SparseHermitian._exact(acc)
 
 
 def joint_rayleigh(family, u):

@@ -1,21 +1,25 @@
 """Hermitian operators and the eigensolvers used throughout the package.
 
 Every bound computation in this package reduces to three primitives: the k
-smallest eigenpairs of a large Hermitian operator (ARPACK's implicitly
-restarted Lanczos, run to working precision), the extreme eigenvalues of a
-single term (for the bounding box), and full eigendecompositions of small
-projected matrices.  The iterative eigenpairs carry explicitly computed
-residual norms: each Ritz value lies within ||r|| of an eigenvalue, and it
-is the wanted one provided ARPACK missed no eigenvalue below it.  Operators
-are stored matrices, dense or sparse, and each negates exactly.  Given the
-sparse factor of an SPD X (:func:`cholesky`), the eigensolvers solve the
-pencil (A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given
-a shift below the spectrum, a sparse eigensolve runs ARPACK in shift-invert
-mode on the factor of A - sigma X (spectral-transformation Lanczos,
-Ericsson & Ruhe, Math. Comp. 35, 1980); the factor's pivots certify the
-shift by Sylvester's law of inertia.  The extreme eigenvalues of a sparse
-pencil are solved that way, at shifts placed just below loose estimates
-of both ends.
+smallest eigenpairs of a large Hermitian operator, the extreme eigenvalues
+of a single term (for the bounding box), and full eigendecompositions of
+small projected matrices.  The k smallest eigenpairs of a dense operator up
+to ``DENSE_PARTIAL_CAP`` (a dense pencil: ``DENSE_PENCIL_CAP``) come from
+LAPACK's partial solver (``dsyevr``, MRRR; Dhillon, Parlett & Voemel, ACM
+TOMS 32, 2006); those of a sparse operator, or of a larger dense one, from
+ARPACK's implicitly restarted Lanczos run to working precision.  The
+returned eigenpairs carry explicitly computed residual norms: each value
+lies within ||r|| of an eigenvalue.  LAPACK's tridiagonal solve cannot skip
+an eigenvalue below the ones it returns; from ARPACK they are the wanted
+ones provided it missed no eigenvalue below them.  Operators are stored
+matrices, dense or sparse, and each negates exactly.  Given the sparse
+factor of an SPD X (:func:`cholesky`), the eigensolvers solve the pencil
+(A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given a shift
+below the spectrum, a sparse eigensolve runs ARPACK in shift-invert mode on
+the factor of A - sigma X (spectral-transformation Lanczos, Ericsson &
+Ruhe, Math. Comp. 35, 1980); the factor's pivots certify the shift by
+Sylvester's law of inertia.  The extreme eigenvalues of a sparse pencil are
+solved that way, at shifts placed just below loose estimates of both ends.
 """
 
 from __future__ import annotations
@@ -46,6 +50,11 @@ __all__ = [
 ]
 
 DENSE_FALLBACK_SIZE = 72
+# largest dense operator (standard problem, pencil) whose k < n smallest
+# pairs LAPACK's partial solver takes; above it ARPACK is faster at k = 1
+# (measured crossovers in README)
+DENSE_PARTIAL_CAP = 800
+DENSE_PENCIL_CAP = 350
 DENSIFY_CAP = 4096
 # relative accuracy of the loose pass that places a sparse pencil's box
 # shifts, and their distance below its estimates as a fraction of the scale
@@ -124,6 +133,15 @@ class DenseHermitian(HermitianOperator):
         self.array = 0.5 * (A + A.conj().T)
         self.n = A.shape[0]
 
+    @classmethod
+    def _exact(cls, array):
+        """Wrap a float or complex array that is exactly Hermitian, as it
+        stands."""
+        op = cls.__new__(cls)
+        op.array, op.n = array, array.shape[0]
+        op.iscomplex = np.iscomplexobj(array)
+        return op
+
     def matmat(self, X):
         return self.array @ X
 
@@ -131,7 +149,7 @@ class DenseHermitian(HermitianOperator):
         return self.array
 
     def __neg__(self):
-        return DenseHermitian(-self.array)
+        return DenseHermitian._exact(-self.array)
 
 
 class SparseHermitian(HermitianOperator):
@@ -304,40 +322,49 @@ def _arpack_start(op, seed):
 def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     """The k smallest eigenpairs of a Hermitian operator, or of a pencil.
 
-    Implicitly restarted Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``)
-    run to working precision, applied to the operator one vector at a time;
-    problems of dimension at most ``DENSE_FALLBACK_SIZE``, and every k = n,
-    take a full dense eigendecomposition (:func:`dense_smallest`) instead.
-    This is the one place that chooses between the two.  The returned
-    residual norms are computed
-    explicitly as ||A v - lambda v||, so each returned value lies within its
-    residual of an eigenvalue of A.  That the values are the k *smallest*
-    eigenvalues assumes ARPACK missed none below them.
+    This is the one place that chooses the solver, by a three-way rule:
 
-    With ``M`` (the :class:`SpdFactor` of X) ARPACK's generalized mode
-    solves the pencil (A, X), applying X^{-1} through the factor; residuals
-    are then ||A v - lambda X v|| in the X^{-1} norm.
+    * n <= ``DENSE_FALLBACK_SIZE``, or k = n: a full dense
+      eigendecomposition (:func:`dense_smallest`);
+    * a dense operator with n <= ``DENSE_PARTIAL_CAP`` (a dense pencil:
+      n <= ``DENSE_PENCIL_CAP``): LAPACK's partial solver
+      (``scipy.linalg.eigh`` with ``subset_by_index``), which reduces to
+      tridiagonal form and returns only the k smallest pairs;
+    * otherwise (sparse operators, larger dense ones): implicitly restarted
+      Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) run to working
+      precision, applied to the operator one vector at a time.
+
+    The caps are the measured crossovers at k = 1 (README).  The returned
+    residual norms are computed explicitly as ||A v - lambda v||, so each
+    returned value lies within its residual of an eigenvalue of A.  From
+    the two LAPACK routes the values are the k smallest; from ARPACK, that
+    assumes it missed none below them.
+
+    With ``M`` (the :class:`SpdFactor` of X) the pencil (A, X) is solved:
+    LAPACK (``dsygvx``) takes X densified, ARPACK's generalized mode
+    applies X^{-1} through the factor; residuals are then
+    ||A v - lambda X v|| in the X^{-1} norm.
 
     With ``below`` = sigma and a sparse operator, A - sigma X is factored
     first.  If every pivot is positive, sigma lies below the spectrum and
     ARPACK runs in shift-invert mode on that factor, where the wanted
     eigenvalues are the best separated; otherwise the solve runs unshifted
-    and the result has ``shift_fallback`` set.  Dense operators and the
-    dense eigendecomposition ignore ``below``.
+    and the result has ``shift_fallback`` set.  Dense operators ignore
+    ``below``, and the LAPACK routes ignore ``restart_cap`` and ``seed``.
 
     Parameters
     ----------
     A : HermitianOperator or array-like
     k : number of smallest eigenpairs, 1 <= k <= n
-    seed : seed for the random starting vector (determinism)
+    seed : seed for ARPACK's random starting vector (determinism)
     restart_cap : maximum ARPACK restart iterations; defaults to 10*n
     below : optional shift sigma, expected below the smallest eigenvalue
 
     Raises
     ------
-    ArgumentError if k is out of range, EigensolverError on
-    non-convergence; its ``best`` holds only the pairs that converged
-    (fewer than k, possibly none).
+    ArgumentError if k is out of range, EigensolverError on ARPACK
+    non-convergence (its ``best`` holds only the pairs that converged,
+    fewer than k, possibly none) or on a LAPACK failure (``best`` None).
     """
     op = hermitian(A)
     n = op.n
@@ -347,6 +374,15 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
         raise ArgumentError(f"the shift must be finite, got {below}")
     if n <= DENSE_FALLBACK_SIZE or k == n:     # ARPACK needs k < n
         return dense_smallest(op.dense(), k, M=M)
+    cap = DENSE_PARTIAL_CAP if M is None else DENSE_PENCIL_CAP
+    if isinstance(op, DenseHermitian) and n <= cap:
+        try:
+            w, V = scipy.linalg.eigh(op.array, None if M is None
+                                     else M.matrix.dense(),
+                                     subset_by_index=[0, k - 1])
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"LAPACK failed: {exc}") from exc
+        return _ritz_pairs(op, w, V, M)
 
     lin, v0 = _arpack_start(op, seed)
     arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
@@ -408,10 +444,12 @@ def extreme_eigs(A, seed=0, M=None):
     """Smallest and largest eigenvalue of a Hermitian operator (or pencil).
 
     Both come from :func:`smallest_eigpairs` at working precision, so each
-    lies within its residual norm of an eigenvalue, assuming ARPACK missed
-    none beyond it.  The largest eigenvalue is obtained by running the
-    smallest-eigenvalue solver on -A, so extreme_eigs(-A) ==
-    -reversed(extreme_eigs(A)) holds exactly by construction.
+    lies within its residual norm of an eigenvalue; from LAPACK (dense
+    operators up to the caps there) it is the extreme one, from ARPACK
+    that assumes it missed none beyond it.  The largest eigenvalue
+    is obtained by running the smallest-eigenvalue solver on -A, so
+    extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
+    construction.
 
     A sparse pencil (``M`` given, n > DENSE_FALLBACK_SIZE) first takes one
     loose regular-mode pass per end (ARPACK at ``tol=ESTIMATE_TOL``, no

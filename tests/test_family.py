@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from eigenbounds import (ArgumentError, DenseHermitian,
-                         compute_bounding_box, joint_rayleigh,
-                         random_training_set, solve_at_sample,
-                         unit_circle_family)
+from eigenbounds import (ArgumentError, DenseHermitian, SparseHermitian,
+                         block_grid_family, compute_bounding_box,
+                         joint_rayleigh, random_training_set,
+                         solve_at_sample, unit_circle_family)
 from eigenbounds.family import AffineFamily, BoundingBox, TrainingSet
 
 
@@ -149,3 +149,32 @@ def test_mixed_dense_and_sparse_terms_assemble_dense():
     assert_allclose(solve_at_sample(fam, mu, 2).values,
                     np.linalg.eigvalsh(A)[:2],
                     atol=1e-10 * np.linalg.norm(A, 2))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "sparse"])
+def test_operator_at_is_exactly_hermitian_as_assembled(kind):
+    # a real combination of exactly Hermitian terms needs no symmetrizing:
+    # the wrapped A(mu) is bit for bit what symmetrizing would give
+    rng = np.random.default_rng(12)
+    if kind == "sparse":
+        fam = block_grid_family(nx=8, ny=6, blocks=(2, 2))
+    else:
+        shape = (3, 60, 60)
+        g = rng.standard_normal(shape)
+        if kind == "complex":
+            g = g + 1j * rng.standard_normal(shape)
+        fam = AffineFamily(terms=tuple(g),
+                           theta=lambda mu: np.array([1.0, mu[0], mu[1]]),
+                           domain=((-1.0, 2.0), (0.0, 0.5)))
+    for mu in rng.uniform(0.0, 0.5, size=(5, fam.p)):
+        op = fam.operator_at(mu)
+        if kind == "sparse":
+            again = SparseHermitian(op.matrix).matrix
+            assert np.array_equal(again.indptr, op.matrix.indptr)
+            assert np.array_equal(again.indices, op.matrix.indices)
+            assert again.data.tobytes() == op.matrix.data.tobytes()
+        else:
+            assert op.iscomplex == (kind == "complex")
+            assert (DenseHermitian(op.array).array.tobytes()
+                    == op.array.tobytes())
+            assert np.array_equal((-op).array, -op.array)

@@ -78,6 +78,12 @@ class TestHermitianOperator:
             assert np.array_equal((-(-A)).dense(), A.dense())
 
 
+def _dense_and_sparse(A):
+    """A as a dense array (LAPACK's partial solver for 72 < n <= 800) and
+    as CSR (ARPACK)."""
+    return A, sparse.csr_matrix(A)
+
+
 class TestSmallestEigpairs:
     def test_diagonal(self):
         ep = smallest_eigpairs(np.diag(np.arange(1.0, 11.0)), 2)
@@ -98,37 +104,41 @@ class TestSmallestEigpairs:
         A = rng.standard_normal((200, 200))
         A = 0.5 * (A + A.T)
         expected = np.linalg.eigvalsh(A)[:3]
-        ep = smallest_eigpairs(A, 3)
-        assert_allclose(ep.values, expected, atol=1e-8)
-        # orthonormality of the eigenvector block
-        gram = ep.vectors.T @ ep.vectors
-        assert_allclose(gram, np.eye(3), atol=1e-10)
+        for stored in _dense_and_sparse(A):
+            ep = smallest_eigpairs(stored, 3)
+            assert_allclose(ep.values, expected, atol=1e-8)
+            # orthonormality of the eigenvector block
+            gram = ep.vectors.T @ ep.vectors
+            assert_allclose(gram, np.eye(3), atol=1e-10)
 
     def test_complex_hermitian(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((90, 90)) + 1j * rng.standard_normal((90, 90))
         A = 0.5 * (A + A.conj().T)
         expected = np.linalg.eigvalsh(A)[:2]
-        ep = smallest_eigpairs(A, 2)
-        assert_allclose(ep.values, expected, atol=1e-7)
+        for stored in _dense_and_sparse(A):
+            ep = smallest_eigpairs(stored, 2)
+            assert_allclose(ep.values, expected, atol=1e-7)
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(9)
         A = rng.standard_normal((120, 120))
         A = 0.5 * (A + A.T)
         tol = 1e-8
-        v2 = smallest_eigpairs(A, 2).values
-        v5 = smallest_eigpairs(A, 5).values
-        assert np.all(np.abs(v2 - v5[:2]) <= 10 * tol)
+        for stored in _dense_and_sparse(A):
+            v2 = smallest_eigpairs(stored, 2).values
+            v5 = smallest_eigpairs(stored, 5).values
+            assert np.all(np.abs(v2 - v5[:2]) <= 10 * tol)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((150, 150))
         A = 0.5 * (A + A.T)
-        a = smallest_eigpairs(A, 2, seed=3)
-        b = smallest_eigpairs(A, 2, seed=3)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.vectors, b.vectors)
+        for stored in _dense_and_sparse(A):
+            a = smallest_eigpairs(stored, 2, seed=3)
+            b = smallest_eigpairs(stored, 2, seed=3)
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.vectors, b.vectors)
 
     def test_k_out_of_range(self):
         A = np.eye(4)
@@ -139,7 +149,8 @@ class TestSmallestEigpairs:
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_k_equal_n_is_the_dense_decomposition(self, kind):
-        # n above DENSE_FALLBACK_SIZE: only k == n takes the dense path
+        # n above DENSE_FALLBACK_SIZE: only k == n takes the full dense
+        # decomposition (a dense k < n takes LAPACK's partial solver)
         rng = np.random.default_rng(31)
         n = 90
         A = rng.standard_normal((n, n))
@@ -156,7 +167,7 @@ class TestSmallestEigpairs:
     def test_nonconvergence_carries_best_iterate(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((300, 300))
-        A = 0.5 * (A + A.T)
+        A = sparse.csr_matrix(0.5 * (A + A.T))       # sparse: ARPACK
         with pytest.raises(EigensolverError) as err:
             smallest_eigpairs(A, 2, restart_cap=1)
         best = err.value.best
@@ -347,6 +358,108 @@ class TestPencilBox:
         small, _ = _pencil(8, 8, (2, 2))                    # n = 64: LAPACK
         extreme_eigs(small.terms[0], M=small.inner_product)
         assert calls == []
+
+
+def _no_arpack(monkeypatch):
+    """Make every ARPACK call raise, so a test can see which solver runs."""
+    class ArpackCalled(Exception):
+        pass
+
+    def eigsh(*args, **kwargs):
+        raise ArpackCalled
+
+    monkeypatch.setattr(hermitian_module, "eigsh", eigsh)
+    return ArpackCalled
+
+
+def _random_symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return 0.5 * (g + g.T)
+
+
+class TestDensePartialSolver:
+    """Dense operators with DENSE_FALLBACK_SIZE < n <= DENSE_PARTIAL_CAP
+    (pencils: n <= DENSE_PENCIL_CAP) take LAPACK's partial solver; sparse
+    and larger dense ones, ARPACK."""
+
+    @pytest.mark.parametrize("n", [hermitian_module.DENSE_FALLBACK_SIZE + 1,
+                                   300, hermitian_module.DENSE_PARTIAL_CAP])
+    def test_dense_solves_without_arpack(self, monkeypatch, n):
+        _no_arpack(monkeypatch)
+        A = _random_symmetric(n, n)
+        w = np.linalg.eigvalsh(A)
+        allowance = n * np.finfo(float).eps * np.abs(w).max()
+        op = DenseHermitian(A)
+        for k in (1, 2):
+            ep = smallest_eigpairs(op, k)
+            assert np.all(np.abs(ep.values - w[:k]) <= allowance)
+            assert np.all(ep.residuals <= allowance)
+            assert_allclose(ep.vectors.T @ ep.vectors, np.eye(k),
+                            rtol=0, atol=n * np.finfo(float).eps)
+        lo, hi = extreme_eigs(op)
+        assert abs(lo - w[0]) <= allowance and abs(hi - w[-1]) <= allowance
+        assert extreme_eigs(-op) == (-hi, -lo)
+
+    def test_sparse_and_larger_dense_reach_arpack(self, monkeypatch):
+        arpack_called = _no_arpack(monkeypatch)
+        cap = hermitian_module.DENSE_PARTIAL_CAP
+        for op in (SparseHermitian(sparse.diags(np.arange(1.0, cap + 1))),
+                   DenseHermitian(np.diag(np.arange(1.0, cap + 2)))):
+            for solve in (lambda: smallest_eigpairs(op, 1),
+                          lambda: smallest_eigpairs(op, 2),
+                          lambda: extreme_eigs(op)):
+                with pytest.raises(arpack_called):
+                    solve()
+
+    def test_dense_pencil_matches_scipy(self, monkeypatch):
+        _no_arpack(monkeypatch)
+        n = 150
+        A = _random_symmetric(n, 3)
+        lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n),
+                            -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        X = (lap + 0.1 * sparse.identity(n, format="csr")).tocsr()
+        M = cholesky(X)
+        w = scipy.linalg.eigh(A, X.toarray(), eigvals_only=True)
+        allowance = n * np.finfo(float).eps * np.abs(w).max()
+        ep = smallest_eigpairs(DenseHermitian(A), 2, M=M)
+        assert np.all(np.abs(ep.values - w[:2]) <= allowance)
+        assert_allclose(ep.vectors.T @ (X @ ep.vectors), np.eye(2),
+                        rtol=0, atol=1e-12)
+        lo, hi = extreme_eigs(DenseHermitian(A), M=M)
+        assert abs(lo - w[0]) <= allowance and abs(hi - w[-1]) <= allowance
+
+    def test_larger_dense_pencil_reaches_arpack(self, monkeypatch):
+        arpack_called = _no_arpack(monkeypatch)
+        n = hermitian_module.DENSE_PENCIL_CAP + 1
+        op = DenseHermitian(np.diag(np.arange(1.0, n + 1)))
+        M = cholesky(sparse.identity(n, format="csr"))
+        for solve in (lambda: smallest_eigpairs(op, 1, M=M),
+                      lambda: extreme_eigs(op, M=M)):
+            with pytest.raises(arpack_called):
+                solve()
+
+    def test_lapack_failure_is_an_eigensolver_error(self, monkeypatch):
+        def eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        with pytest.raises(EigensolverError) as err:
+            smallest_eigpairs(DenseHermitian(_random_symmetric(100, 4)), 1)
+        assert err.value.best is None
+
+    def test_double_smallest_eigenvalue_returns_both_copies(self, monkeypatch):
+        _no_arpack(monkeypatch)
+        n = 100
+        Q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((n, n)))
+        lam = np.concatenate([[-1.0, -1.0], np.linspace(0.5, 5.0, n - 2)])
+        ep = smallest_eigpairs(DenseHermitian((Q * lam) @ Q.T), 2)
+        allowance = n * np.finfo(float).eps * 5.0
+        assert np.all(np.abs(ep.values + 1.0) <= allowance)
+        # both vectors lie in the eigenspace spanned by Q's first two columns
+        assert_allclose(Q[:, :2] @ (Q[:, :2].T @ ep.vectors), ep.vectors,
+                        rtol=0, atol=1e-12)
+        assert_allclose(ep.vectors.T @ ep.vectors, np.eye(2),
+                        rtol=0, atol=1e-13)
 
 
 class TestDenseSmallest:
