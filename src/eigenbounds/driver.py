@@ -32,7 +32,7 @@ __all__ = [
     "generate_problem_files",
 ]
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
 PIPELINES = ("scm", "subspace", "subspace-heuristic")
 
 CONVERGENCE_FIXED_COLUMNS = [
@@ -46,7 +46,7 @@ BOUND_FIXED_COLUMNS = [
 ]
 # summary.json "counts": (key, GreedyRecord attribute of the last record)
 SUMMARY_COUNTS = (
-    ("lp", "lp_count"), ("eig", "eig_count"), ("lp_cached", "lp_cached"),
+    ("lp", "lp_count"), ("eig", "eig_count"),
     ("shift_fallbacks", "shift_fallbacks"), ("lp_pivots", "lp_pivots"),
     ("lp_degenerate", "lp_degenerate"),
 )

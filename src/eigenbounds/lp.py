@@ -15,26 +15,24 @@ earlier solve over fewer rows.  The optimum is reported as that system,
 (Theta, psi) = (G[S], h[S]), with multipliers ``Theta^{-T} c >= 0`` whose
 weak-duality bound (:func:`dual_bound`) is the reported value.
 
-Programs that share one polytope and differ only in the objective need not
-all be solved: :func:`first_certified_vertex` tests, for many objectives at
-once, which known optimal vertices stay optimal (nonnegative multipliers,
-the critical regions of parametric LP).
+Programs over one polytope that differ only in the objective are solved
+together: an (m, Q) stack of objectives gives an :class:`LPBatch`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 __all__ = [
     "LPError",
     "InfeasibleError",
+    "LPBatch",
     "LPProblem",
     "LPSolution",
     "TightenedBound",
     "dual_bound",
-    "first_certified_vertex",
     "lp_minimize",
     "tighten_and_resolve",
 ]
@@ -55,7 +53,7 @@ class InfeasibleError(LPError):
 class LPProblem:
     """min c^T y  s.t.  lower <= y <= upper  and  rows @ y >= rhs."""
 
-    c: np.ndarray      # (Q,)
+    c: np.ndarray      # (Q,), or (m, Q) objectives over the one polytope
     lower: np.ndarray  # (Q,)
     upper: np.ndarray  # (Q,)
     rows: np.ndarray   # (J, Q)
@@ -67,20 +65,19 @@ class LPProblem:
         hi = np.asarray(self.upper, dtype=float)
         rows = np.asarray(self.rows, dtype=float)
         rhs = np.asarray(self.rhs, dtype=float).reshape(-1)
+        if c.ndim not in (1, 2):
+            raise ValueError("c must have shape (Q,) or (m, Q)")
+        q = c.shape[-1]
         if rows.size == 0:
-            rows = rows.reshape(0, c.size)
-        if rows.ndim != 2 or rows.shape[1] != c.size:
-            raise ValueError(f"rows must have shape (J, {c.size})")
-        if lo.shape != (c.size,) or hi.shape != (c.size,):
-            raise ValueError(f"box bounds must have shape ({c.size},)")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(lo))
-                and np.all(np.isfinite(hi)) and np.all(np.isfinite(rows))
-                and np.all(np.isfinite(rhs))):
+            rows = rows.reshape(0, q)
+        if rows.ndim != 2 or rows.shape[1] != q:
+            raise ValueError(f"rows must have shape (J, {q})")
+        if lo.shape != (q,) or hi.shape != (q,):
+            raise ValueError(f"box bounds must have shape ({q},)")
+        data = {"c": c, "lower": lo, "upper": hi, "rows": rows, "rhs": rhs}
+        for name, value in data.items():
+            object.__setattr__(self, name, value)
+        if not all(np.all(np.isfinite(v)) for v in data.values()):
             raise ValueError("all LP data must be finite")
         if np.any(lo > hi):
             raise ValueError("box lower bound exceeds upper bound")
@@ -89,7 +86,7 @@ class LPProblem:
 
     @property
     def q(self):
-        return self.c.size
+        return self.c.shape[-1]
 
     @property
     def n_rows(self):
@@ -126,6 +123,59 @@ class LPSolution:
 
 
 @dataclass(frozen=True)
+class LPBatch:
+    """Optimal vertices of LPs over one polytope, one row per objective.
+
+    The fields of :class:`LPSolution` stacked, each active set as its Q
+    ascending row indices into the G of ``n_rows`` sample rows (a row of
+    -1 starts cold), and the per-row ``pivots`` and ``degenerate`` as
+    ``row_pivots`` and ``row_degenerate``, which the properties total.
+    """
+
+    y: np.ndarray               # (m, Q)
+    value: np.ndarray           # (m,)
+    active: np.ndarray          # (m, Q) int
+    theta_mat: np.ndarray       # (m, Q, Q)
+    psi: np.ndarray             # (m, Q)
+    z: np.ndarray               # (m, Q)
+    row_pivots: np.ndarray      # (m,) int
+    row_degenerate: np.ndarray  # (m,) bool
+    n_rows: int
+    cache_hit = False           # not a field; read by the benchmark tracer
+
+    @classmethod
+    def stack(cls, solutions, n_rows):
+        """The batch of :class:`LPSolution` s over ``n_rows`` sample rows."""
+        sols = list(solutions)
+        out = {f: np.array([getattr(s, f) for s in sols], dtype=float)
+               for f in ("y", "value", "theta_mat", "psi", "z")}
+        return cls(**out, active=np.array(
+            [_rows_of(s.active, n_rows) for s in sols], dtype=int),
+            row_pivots=np.array([s.pivots for s in sols], dtype=int),
+            row_degenerate=np.array([s.degenerate for s in sols], dtype=bool),
+            n_rows=n_rows)
+
+    pivots = property(lambda self: int(self.row_pivots.sum()))
+    degenerate = property(lambda self: int(self.row_degenerate.sum()))
+
+    def take(self, idx):
+        """The batch of rows ``idx``."""
+        return replace(self, **{f: getattr(self, f)[idx] for f in _ROW_FIELDS})
+
+    def merged(self, idx, new):
+        """This batch with rows ``idx`` replaced by the batch ``new``, whose
+        G adds sample rows after this one's (box rows are renumbered)."""
+        out = {f: getattr(self, f).copy() for f in _ROW_FIELDS}
+        out["active"][out["active"] >= self.n_rows] += new.n_rows - self.n_rows
+        for f in _ROW_FIELDS:
+            out[f][idx] = getattr(new, f)
+        return replace(self, n_rows=new.n_rows, **out)
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(LPBatch) if f.name != "n_rows")
+
+
+@dataclass(frozen=True)
 class TightenedBound:
     """Result of re-solving the active-set system with bumped right-hand sides."""
 
@@ -139,6 +189,12 @@ def _tag(g, j, q):
     if g < j:
         return ("sample", g)
     return ("lower", g - j) if g < j + q else ("upper", g - j - q)
+
+
+def _rows_of(active, j):
+    """The row indices into G of the tags ``active`` (see :func:`_tag`)."""
+    offset = {"sample": 0, "lower": j, "upper": j + len(active)}
+    return [offset[kind] + k for kind, k in active]
 
 
 def _select_active(G, candidates, q):
@@ -187,86 +243,121 @@ def lp_minimize(problem, tol=1e-8, start=None):
     :class:`InfeasibleError` unless its violation is within
     ``tol * (1 + max|h|)``, which is accepted.  The reported active set is
     S, except where more than Q rows are tight: there the lexicographically
-    smallest independent tight set is reported if its multipliers certify
-    the vertex.  The reported ``y`` is solved from the reported system.
+    smallest independent tight set is reported if its multipliers are at
+    least ``-tol * (1 + max|c|)``.  The reported ``y`` is solved from the
+    reported system.
+
+    A (Q,) ``problem.c`` gives an :class:`LPSolution`.  An (m, Q) stack
+    runs m such solves in lockstep, each from its row of the
+    :class:`LPBatch` ``start``, and gives an :class:`LPBatch`.
     """
-    q, J = problem.q, problem.n_rows
+    c = np.atleast_2d(problem.c)
+    m, q, J = len(c), problem.q, problem.n_rows
     G = np.vstack([problem.rows, np.eye(q), -np.eye(q)])
     h = np.concatenate([problem.rhs, problem.lower, -problem.upper])
     feas_scale = 1.0 + float(np.max(np.abs(h)))
-    cost_scale = 1.0 + float(np.max(np.abs(problem.c)))
+    cost_scale = 1.0 + np.abs(c).max(axis=1)
     rank = np.concatenate([q + np.arange(J), np.arange(q), np.arange(q)])
-    fixed = np.concatenate([np.zeros(J, dtype=bool),
-                            np.tile(problem.lower == problem.upper, 2)])
+    movable = np.concatenate([np.ones(J, dtype=bool),
+                              np.tile(problem.lower != problem.upper, 2)])
+    top = q + J     # above every rank
+    ids = np.arange(m)
 
-    flip = problem.c < 0.0
+    flip = c < 0.0
     S = J + np.arange(q) + q * flip
-    Tinv = np.diag(np.where(flip, -1.0, 1.0))
+    Tinv = np.eye(q) * np.where(flip, -1.0, 1.0)[:, None, :]
     if start is not None:
-        offset = {"sample": 0, "lower": J, "upper": J + q}
-        warm = np.array([offset[kind] + k for kind, k in start.active])
+        # the start's rows in this G; a batch's -1 rows start cold
+        if isinstance(start, LPBatch):
+            a, j0 = start.active, start.n_rows
+            warm = np.where(a >= j0, a + J - j0, a)
+        else:
+            warm = np.array([_rows_of(start.active, J)])
+        cold = np.any(warm < 0, axis=1)
+        warm[cold] = S[cold]
         warm_inv = np.linalg.inv(G[warm])
-        wrong = problem.c @ warm_inv < -_PIVOT_TOL * cost_scale
-        if not np.any(wrong & (warm < J)):
-            warm[wrong] += np.where(warm[wrong] < J + q, q, -q)
-            warm_inv[:, wrong] *= -1.0
-            S, Tinv = warm, warm_inv
+        wrong = ((c[:, None] @ warm_inv)[:, 0]
+                 < -_PIVOT_TOL * cost_scale[:, None])
+        ok = ~cold & ~np.any(wrong & (warm < J), axis=1)
+        wrong &= ok[:, None]
+        warm[wrong] += np.where(warm[wrong] < J + q, q, -q)
+        warm_inv *= np.where(wrong, -1.0, 1.0)[:, None, :]
+        S = np.where(ok[:, None], warm, S)
+        Tinv = np.where(ok[:, None, None], warm_inv, Tinv)
 
     # ranks held by S or waived as within tolerance of a Farkas row
-    skip = np.zeros(q + J, dtype=bool)
-    skip[rank[S]] = True
-    pivots = 0
+    skip = np.zeros((m, top), dtype=bool)
+    skip[ids[:, None], rank[S]] = True
+    pivots = np.zeros(m, dtype=int)
+    # the unfinished rows' state, written back to S, Tinv and pivots as
+    # each row finishes
+    live, Sl, Tl, skl, cl, pl = ids, S, Tinv, skip, c, pivots
     for _ in range(_MAX_ITERATIONS):
-        y = Tinv @ h[S]
-        slack = G @ y - h
-        bad = np.flatnonzero((slack < -1e-9 * feas_scale) & ~skip[rank])
-        if bad.size == 0:
+        slack = (Tl @ h[Sl, None])[..., 0] @ G.T - h
+        bad = (slack < -1e-9 * feas_scale) & ~skl[:, rank]
+        go = bad.any(axis=1)
+        if not go.all():
+            done = live[~go]
+            S[done], Tinv[done], pivots[done] = Sl[~go], Tl[~go], pl[~go]
+            live, Sl, Tl, skl, cl, pl, bad, slack = (
+                x[go] for x in (live, Sl, Tl, skl, cl, pl, bad, slack))
+        if live.size == 0:
             break
-        g = bad[np.argmin(rank[bad])]
-        a = G[g] @ Tinv
-        cand = np.flatnonzero((a > _PIVOT_TOL) & ~fixed[S])
-        if cand.size == 0:
-            # no active row can relax toward row g: it is a Farkas certificate
-            if -slack[g] > tol * feas_scale:
+        g = np.where(bad, rank, top).argmin(axis=1)
+        a = (G[g, None] @ Tl)[:, 0]
+        cand = (a > _PIVOT_TOL) & movable[Sl]
+        stuck = ~cand.any(axis=1)
+        if stuck.any():
+            # a Farkas certificate; the other rows pivot next round
+            worst = float(np.max(-slack[stuck, g[stuck]]))
+            if worst > tol * feas_scale:
                 raise InfeasibleError(
-                    f"LP infeasible (row violation {-slack[g]:.3e})")
-            skip[rank[g]] = True
+                    f"LP infeasible (row violation {worst:.3e})")
+            skl[stuck, rank[g[stuck]]] = True
             continue
-        ratio = np.maximum(problem.c @ Tinv[:, cand], 0.0) / a[cand]
-        ties = cand[ratio <= ratio.min() + _PIVOT_TOL]
-        k = ties[np.argmin(rank[S[ties]])]
-        skip[rank[S[k]]] = False
-        skip[rank[g]] = True
-        S[k] = g
-        col = Tinv[:, k] / a[k]
-        Tinv -= np.outer(col, a)
-        Tinv[:, k] = col
-        pivots += 1
+        ratio = np.divide(np.maximum((cl[:, None] @ Tl)[:, 0], 0.0), a,
+                          out=np.full(a.shape, np.inf), where=cand)
+        ties = cand & (ratio <= ratio.min(axis=1, keepdims=True) + _PIVOT_TOL)
+        k = np.where(ties, rank[Sl], top).argmin(axis=1)
+        at = np.arange(live.size)
+        skl[at, rank[Sl[at, k]]] = False
+        skl[at, rank[g]] = True
+        Sl[at, k] = g
+        col = Tl[at, :, k] / a[at, k, None]
+        Tl -= col[:, :, None] * a[:, None, :]
+        Tl[at, :, k] = col
+        pl += 1
     else:
         raise LPError("simplex iteration cap exceeded")
 
-    chosen = np.sort(S)
-    tight = np.abs(slack) <= max(tol, 1e-9) * feas_scale
-    tight[S] = True
-    degen = bool(np.count_nonzero(tight) > q)
-    if degen:
+    y = (Tinv @ h[S, None])[..., 0]
+    tight = np.abs(y @ G.T - h) <= max(tol, 1e-9) * feas_scale
+    tight[ids[:, None], S] = True
+    degen = np.count_nonzero(tight, axis=1) > q
+    chosen = np.sort(S, axis=1)
+    for i in np.flatnonzero(degen):
         # at a degenerate vertex report the first independent tight set if
         # it is optimal too; S always is
-        pick = _select_active(G, np.flatnonzero(tight), q)
-        if pick.size == q and first_certified_vertex(
-                problem.c, np.linalg.inv(G[pick].T)[None], tol)[0][0] >= 0:
-            chosen = pick
+        pick = _select_active(G, np.flatnonzero(tight[i]), q)
+        if pick.size == q and np.all(np.linalg.solve(G[pick].T, c[i])
+                                     >= -tol * cost_scale[i]):
+            chosen[i] = pick
     theta, psi = G[chosen], h[chosen]
     # not the iterate: at an ill-conditioned vertex the running inverse
     # leaves it off its own active rows
-    y = np.linalg.solve(theta, psi)
-    z = np.where(chosen < J, np.linalg.solve(theta.T, problem.c), 0.0)
-    value = float(dual_bound(problem.c, z, theta, psi, problem.lower,
-                             problem.upper))
-    return LPSolution(y=y, value=value,
-                      active=tuple(_tag(g, J, q) for g in chosen.tolist()),
-                      theta_mat=theta, psi=psi, z=z, degenerate=degen,
-                      all_box=bool(np.all(chosen >= J)), pivots=pivots)
+    y = np.linalg.solve(theta, psi[..., None])[..., 0]
+    z = np.where(chosen < J, np.linalg.solve(np.swapaxes(theta, 1, 2),
+                                             c[..., None])[..., 0], 0.0)
+    value = dual_bound(c, z, theta, psi, problem.lower, problem.upper)
+    if problem.c.ndim == 2:
+        return LPBatch(y=y, value=value, active=chosen, theta_mat=theta,
+                       psi=psi, z=z, row_pivots=pivots, row_degenerate=degen,
+                       n_rows=J)
+    return LPSolution(y=y[0], value=float(value[0]),
+                      active=tuple(_tag(g, J, q) for g in chosen[0].tolist()),
+                      theta_mat=theta[0], psi=psi[0], z=z[0],
+                      degenerate=bool(degen[0]), all_box=bool(chosen[0, 0] >= J),
+                      pivots=int(pivots[0]))
 
 
 def dual_bound(c, z, rows, rhs, lower, upper):
@@ -288,28 +379,6 @@ def dual_bound(c, z, rows, rhs, lower, upper):
     r = c - (z[..., None, :] @ rows)[..., 0, :]
     return ((z * rhs).sum(axis=-1)
             + np.minimum(r * lower, r * upper).sum(axis=-1)).max(axis=0)
-
-
-def first_certified_vertex(c, inv_t, tol=1e-8):
-    """The first vertex certified optimal for each objective, and the
-    objective's multipliers there.
-
-    ``c`` (m, Q) stacks objectives.  Vertex k is a feasible vertex of the
-    shared polytope ``G y >= h`` whose active system ``Theta_k`` holds Q
-    rows of G: ``inv_t[k]`` is ``Theta_k^{-T}``.  The vertex is optimal for
-    ``c`` when the multipliers ``z = Theta_k^{-T} c`` satisfy
-    ``z >= -slack`` with ``slack = tol * (1 + max|c|)``, an allowance for
-    the roundoff in z.  Returns the smallest passing k per objective (-1
-    where none passes) and the (m, Q) multipliers there.
-    """
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    if len(inv_t) == 0:
-        return np.full(len(c), -1, dtype=np.int64), np.zeros_like(c)
-    z = np.einsum("kqr,ir->ikq", inv_t, c)
-    slack = tol * (1.0 + np.max(np.abs(c), axis=1))
-    ok = np.all(z >= -slack[:, None, None], axis=2)
-    hit = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
-    return hit, z[np.arange(len(c)), hit]
 
 
 def tighten_and_resolve(solution, bumps, c):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .family import (AffineFamily, BoundingBox, compute_bounding_box,
 # (tests/test_bench_bindings.py checks that both names exist).
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
                         dense_smallest, orthonormal_columns, smallest_eigpairs)
-from .lp import LPProblem, dual_bound, first_certified_vertex, lp_minimize
+from .lp import LPProblem, lp_minimize
 
 __all__ = [
     "GreedyError",
@@ -68,7 +68,6 @@ class GreedyRecord:
     reduced_seconds: float
     lp_count: int
     eig_count: int
-    lp_cached: int = 0
     lp_pivots: int = 0
     lp_degenerate: int = 0
     shift_fallbacks: int = 0
@@ -158,9 +157,11 @@ def upper_bound(state, mu):
 def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
     """LP lower bound over the box cut by the sampled constraints.
 
-    ``c`` is the objective row theta(mu) when the caller already holds it;
-    ``start`` an earlier solution optimal for it to restart the dual
-    simplex from (see :func:`~eigenbounds.lp.lp_minimize`).
+    ``c`` is the objective row theta(mu) when the caller already holds it,
+    or an (m, Q) stack of such rows, which gives an array of bounds and an
+    :class:`~eigenbounds.lp.LPBatch`; ``start`` an earlier solution optimal
+    for it (a batch for a stack) to restart the dual simplex from (see
+    :func:`~eigenbounds.lp.lp_minimize`).
     """
     if c is None:
         c = state.family.theta_at(mu)
@@ -192,42 +193,6 @@ def _ratio_array(lb, ub):
     return out
 
 
-class _VertexCache:
-    """Distinct optimal vertices of the greedy's LP polytope.
-
-    Every training point's LP shares the polytope (the box cut by the
-    sampled rows); only the objective changes.  Each vertex keeps its
-    ``LPSolution`` and, for :func:`~eigenbounds.lp.first_certified_vertex`,
-    the inverse transpose of its active system.
-    """
-
-    def __init__(self, q):
-        self.sols = []
-        self.inv_t = np.zeros((0, q, q))
-
-    def restrict(self, row, rhs, tol):
-        """Drop the vertices that violate the new row ``row @ y >= rhs``."""
-        keep = [k for k, sol in enumerate(self.sols)
-                if sol.y @ row >= rhs - tol]
-        self.sols = [self.sols[k] for k in keep]
-        self.inv_t = self.inv_t[keep]
-
-    def add(self, sol):
-        """Add a solved vertex; False if its active set is known."""
-        if any(v.active == sol.active for v in self.sols):
-            return False
-        self.sols.append(sol)
-        self.inv_t = np.concatenate(
-            [self.inv_t, np.linalg.inv(sol.theta_mat.T)[None]])
-        return True
-
-    def match(self, c, tol, last_only=False):
-        """Per objective row, the first certified vertex (or -1) and z."""
-        lo = len(self.sols) - 1 if last_only else 0
-        hit, z = first_certified_vertex(c, self.inv_t[lo:], tol)
-        return np.where(hit >= 0, hit + lo, -1), z
-
-
 def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             sweep=None, mode="certified"):
     """The greedy loop of both pipelines.
@@ -237,25 +202,22 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     shifted below the selected point's lower bound (``sample_shift``),
     updates the sampled upper bounds ``lam_ub``, finds the LP lower bound
     ``lam_lb`` of every training point, then picks the point with the worst
-    ratio.  Without ``warm_start`` every LP is solved cold (from the box
-    corner), every iteration.  With it, a point keeps its minimizer while
-    that satisfies the new constraint; the other points are tested against
-    a cache of distinct optimal vertices (those that still satisfy every
-    row), and only the points no vertex certifies are solved, in index
-    order, each by a dual simplex restarted from its own previous solution,
-    which is optimal for its objective whether it was solved or taken from
-    the cache.  Each solve with a new active set joins the cache and is
-    tested at once against the points still waiting.  A certified point
-    takes the vertex's solution with its own multipliers there.  Every
-    ``lam_lb`` is the weak-duality value (:func:`~eigenbounds.lp.dual_bound`)
-    of its solution's multipliers, so these shortcuts decide how much LP
-    work is done, never whether a bound holds.  Classical SCM ranks points
+    ratio.  Every iteration makes one :func:`lower_bound` call, for the
+    stack of points it re-solves.  Without ``warm_start`` (and at J = 1)
+    those are all points, each solved cold from the box corner.  With it, a
+    point keeps its minimizer while that satisfies the new constraint, and
+    only the points the new row cuts off are re-solved, each by a dual
+    simplex restarted from its own previous solution.  Every ``lam_lb`` is
+    the weak-duality value (:func:`~eigenbounds.lp.dual_bound`) of its
+    solution's multipliers, so the restarts decide how much LP work is
+    done, never whether a bound holds.  Classical SCM ranks points
     by the relative gap between ``lam_lb`` and ``lam_ub``.  With ``sweep``
     (the subspace pipeline), ``sweep(tables, box, theta, sols)`` then fills
     the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
-    ``heuristic`` columns of ``tables`` at every training point from the LP
-    solutions.  The ratio is then the relative gap between ``lam_slb`` and
-    ``lam_sub``, or with ``mode='heuristic'`` the relative Ritz residual.
+    ``heuristic`` columns of ``tables`` at every training point from the
+    :class:`~eigenbounds.lp.LPBatch` of their LP solutions.  The ratio is
+    then the relative gap between ``lam_slb`` and ``lam_sub``, or with
+    ``mode='heuristic'`` the relative Ritz residual.
     The loop stops, not converged, when the worst ratio sits at a parameter
     already sampled.
     """
@@ -271,12 +233,10 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     eig_seconds += time.perf_counter() - t
     model.shift_fallbacks += box.shift_fallbacks
     eig_count = 2 * family.q
-    lp_count = lp_cached = lp_pivots = lp_degenerate = 0
+    lp_count = lp_pivots = lp_degenerate = 0
 
     theta_all = family.theta_table(pts)
-    sols = [None] * m
-    sol_y = np.zeros((m, family.q))    # sols[i].y, for the warm-start test
-    cache = _VertexCache(family.q)
+    sols = None     # LPBatch of every point's LP solution
     tables = {"lam_lb": np.full(m, -math.inf), "lam_ub": np.full(m, math.inf)}
     lower, upper = "lam_lb", "lam_ub"
     if sweep is not None:
@@ -290,25 +250,6 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     converged = False
     reason = ""
     selected = 0  # all ratios are +inf while C_J is empty: first index wins
-
-    def settle(points, hits, z):
-        """Give each point its certified vertex; return the others."""
-        nonlocal lp_cached
-        found = hits >= 0
-        if found.any():
-            idx, verts = points[found], [cache.sols[k] for k in hits[found]]
-            z = np.where([[t[0] == "sample" for t in v.active] for v in verts],
-                         z[found], 0.0)
-            values = dual_bound(theta_all[idx], z,
-                                np.array([v.theta_mat for v in verts]),
-                                np.array([v.psi for v in verts]),
-                                box.lower, box.upper)
-            for i, vertex, zi, value in zip(idx, verts, z, values):
-                sols[i] = replace(vertex, value=float(value), z=zi)
-                sol_y[i] = vertex.y
-            tables["lam_lb"][idx] = values
-            lp_cached += idx.size
-        return points[~found]
 
     def sample_shift(i):
         """A shift for the sample solve at training point ``i``.
@@ -359,27 +300,19 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
         tables["lam_ub"] = np.min(theta_all @ model.upper_points.T, axis=1)
 
         t = time.perf_counter()
-        lam_lb = tables["lam_lb"]
-        todo = np.arange(m)
-        if warm_start:
-            if it > 1:
-                # a point's minimizer stays optimal as long as it
-                # satisfies the one constraint this iteration added
-                todo = np.flatnonzero(~(sol_y @ th_new >= lam_new - lp_tol))
-            cache.restrict(th_new, lam_new, lp_tol)
-            todo = settle(todo, *cache.match(theta_all[todo], lp_tol))
-        while todo.size:
-            i, todo = todo[0], todo[1:]
-            lam_lb[i], sols[i] = lower_bound(
-                model, box, pts[i], lp_tol=lp_tol, c=theta_all[i],
-                start=sols[i] if warm_start else None)
-            sol_y[i] = sols[i].y
-            lp_count += 1
-            lp_pivots += sols[i].pivots
-            lp_degenerate += sols[i].degenerate
-            if warm_start and cache.add(sols[i]):
-                todo = settle(todo, *cache.match(theta_all[todo], lp_tol,
-                                                 last_only=True))
+        todo, start = np.arange(m), None
+        if warm_start and sols is not None:
+            # a point's minimizer stays optimal as long as it satisfies
+            # the one constraint this iteration added
+            todo = np.flatnonzero(~(sols.y @ th_new >= lam_new - lp_tol))
+            start = sols.take(todo)
+        lam, new = lower_bound(model, box, pts[todo], lp_tol=lp_tol,
+                               c=theta_all[todo], start=start)
+        sols = new if todo.size == m else sols.merged(todo, new)
+        tables["lam_lb"][todo] = lam
+        lp_count += todo.size
+        lp_pivots += new.pivots
+        lp_degenerate += new.degenerate
         lp_seconds += time.perf_counter() - t
 
         if sweep is not None:
@@ -399,7 +332,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             wall_seconds=time.perf_counter() - t0,
             eig_seconds=eig_seconds, lp_seconds=lp_seconds,
             reduced_seconds=reduced_seconds,
-            lp_count=lp_count, eig_count=eig_count, lp_cached=lp_cached,
+            lp_count=lp_count, eig_count=eig_count,
             lp_pivots=lp_pivots, lp_degenerate=lp_degenerate,
             shift_fallbacks=model.shift_fallbacks)
         if oracle is not None:
@@ -434,12 +367,10 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     family, train : problem and training set
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
-    warm_start : reuse a parameter's LP minimizer while it stays feasible,
-        answer the other LPs from a cache of optimal vertices (a vertex
-        answers a point when its active system's multipliers for the
-        point's objective are nonnegative) and restart the dual simplex of
-        the rest from their previous solutions (see :func:`_greedy`);
-        without it every LP is solved from the box corner
+    warm_start : reuse a parameter's LP minimizer while it stays feasible
+        and restart the dual simplex of the rest from their previous
+        solutions, all in one stacked solve per iteration (see
+        :func:`_greedy`); without it every LP is solved from the box corner
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """

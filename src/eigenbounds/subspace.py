@@ -39,7 +39,7 @@ import numpy as np
 # calls tighten_and_resolve, the solve-based reference for the sweep's eta.
 from .family import compute_bounding_box  # noqa: F401
 from .hermitian import ArgumentError, orthonormal_columns
-from .lp import dual_bound, tighten_and_resolve  # noqa: F401
+from .lp import LPBatch, dual_bound, tighten_and_resolve  # noqa: F401
 from .scm import ScmState, _greedy, lower_bound, solve_at_sample
 
 __all__ = [
@@ -311,7 +311,8 @@ def f_bound(lam_v1, eta, rho):
 def _sweep_rows(pool, box, theta, sols, r_max):
     """Subspace bounds for coefficient rows whose LP solutions are known.
 
-    The array core of :func:`sweep_bounds`, for one chunk of rows.
+    The array core of :func:`sweep_bounds`, for one chunk of rows and the
+    :class:`~eigenbounds.lp.LPBatch` ``sols`` of their solutions.
     Returns a dict of per-row arrays (see :class:`SweepBounds`) plus the
     Ritz values ``vals`` (m, dim) and vectors ``vecs`` (m, dim, dim).
     """
@@ -328,16 +329,12 @@ def _sweep_rows(pool, box, theta, sols, r_max):
     rho = np.stack([_rho_from_parts(P[:, :r, :r], vals[:, :r])
                     for r in range(1, W.shape[2] + 1)], axis=1)
 
-    lam_lb = np.array([sol.value for sol in sols], dtype=float)
+    lam_lb = sols.value
     beta = _gap_shifts(pool, vecs[:, :, :r_hi])           # (m, J, r_hi)
-    # active rows' sample indices; a box row (-1) has zero multiplier
-    idx = np.array([[i if kind == "sample" else -1
-                     for kind, i in sol.active] for sol in sols])
-    psi = (np.array([sol.psi for sol in sols])[:, None]
-           + np.swapaxes(beta[rows[:, None], idx], 1, 2))  # (m, r_hi, Q)
-    z = np.array([sol.z for sol in sols])
-    eta = dual_bound(theta[:, None], z[:, None],
-                     np.array([sol.theta_mat for sol in sols])[:, None],
+    # a box row (sample index -1) has zero multiplier
+    idx = np.where(sols.active < sols.n_rows, sols.active, -1)
+    psi = sols.psi[:, None] + np.swapaxes(beta[rows[:, None], idx], 1, 2)
+    eta = dual_bound(theta[:, None], sols.z[:, None], sols.theta_mat[:, None],
                      psi, box.lower, box.upper)
     cands = np.hstack([lam_lb[:, None],
                        f_bound(vals[:, :1], eta, rho[:, :r_hi])])
@@ -377,7 +374,9 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
 
     ``theta`` (m, Q) holds the parameters' coefficient rows and ``sols``
     their LP solutions over ``box`` (from
-    :func:`~eigenbounds.scm.lower_bound`).  Each row gets the same bounds
+    :func:`~eigenbounds.scm.lower_bound`): an
+    :class:`~eigenbounds.lp.LPBatch` or a list of
+    :class:`~eigenbounds.lp.LPSolution`.  Each row gets the same bounds
     as :func:`subspace_lower_bound`, from array code run in chunks of at
     most about SWEEP_CHUNK_BYTES.
     """
@@ -386,12 +385,14 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
     if r_max is None:
         r_max = pool.family.q
     theta = np.asarray(theta, dtype=float)
+    if not isinstance(sols, LPBatch):
+        sols = LPBatch.stack(sols, pool.j)
     m = len(theta)
     d, j = pool.dim, pool.j
     row_bytes = 16 * (3 * d * d + pool.family.q ** 2
                       + 4 * j * min(r_max, d) * pool.ell ** 2)
     step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
-    parts = [_sweep_rows(pool, box, theta[at], sols[at], r_max)
+    parts = [_sweep_rows(pool, box, theta[at], sols.take(at), r_max)
              for at in (slice(lo, lo + step) for lo in range(0, m, step))]
     return SweepBounds(**{
         f.name: np.concatenate([p[f.name] for p in parts]) if parts else
@@ -413,8 +414,8 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
         r_max = pool.family.q
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
-    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], [sol],
-                      r_max)
+    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None],
+                      LPBatch.stack([sol], pool.j), r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
     data = RitzData(mu=mu, r=r, values=vals[:r].copy(),

@@ -1,13 +1,13 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from eigenbounds import (InfeasibleError, LPProblem, dual_bound,
-                         first_certified_vertex, lp_minimize,
-                         tighten_and_resolve)
+                         lp_minimize, tighten_and_resolve)
 
 SQ2 = math.sqrt(2.0)
 U = 2.0 ** -53
@@ -232,8 +232,8 @@ class TestLpMinimize:
         p = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
         sol = lp_minimize(p)
         assert sol.degenerate == bool(seed % 2)
-        hit, _ = first_certified_vertex(c, certificate(sol.theta_mat))
-        assert hit[0] == 0
+        z = np.linalg.solve(sol.theta_mat.T, c)
+        assert np.all(z >= -1e-8 * (1.0 + np.max(np.abs(c))))
         best, _ = enumerate_vertices(p)
         assert_allclose(sol.value, best, atol=1e-9)
 
@@ -244,89 +244,6 @@ class TestLpMinimize:
         sol = lp_minimize(p)
         assert_allclose(sol.y[0], 2.0)
         assert_allclose(sol.value, 2.0 - 1.0, atol=1e-10)
-
-
-def certificate(theta_mat):
-    """Theta^{-T} of one vertex whose active rows are rows of G (an upper
-    box row is -e_k), stacked as a cache of 1."""
-    return np.linalg.inv(np.asarray(theta_mat, dtype=float).T)[None]
-
-
-class TestFirstCertifiedVertex:
-    @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (3, 2), (3, 3),
-                                        (4, 4), (4, 5)])
-    def test_hits_match_vertex_enumeration(self, q, seed):
-        rng = np.random.default_rng(seed)
-        lo = -1.0 - rng.random(q)
-        hi = 1.0 + rng.random(q)
-        rows = rng.standard_normal((q + 2, q))
-        rhs = rows @ ((lo + hi) / 2) - rng.random(q + 2) - 0.2
-        base = rng.standard_normal((6, q))
-        sols = [lp_minimize(LPProblem(c=c, lower=lo, upper=hi, rows=rows,
-                                      rhs=rhs)) for c in base]
-        inv_t = np.concatenate([certificate(s.theta_mat) for s in sols])
-        # objectives near the solved ones, so that many are certified
-        objectives = (np.repeat(base, 8, axis=0)
-                      + 0.3 * rng.standard_normal((48, q)))
-        hits, zs = first_certified_vertex(objectives, inv_t)
-        assert np.count_nonzero(hits >= 0) >= 6
-        for c, k, z in zip(objectives, hits, zs):
-            if k < 0:
-                continue
-            # the multipliers the test passed, reported with the hit
-            assert_allclose(sols[k].theta_mat.T @ z, c, atol=1e-12)
-            problem = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
-            best, _ = enumerate_vertices(problem)
-            v = float(c @ sols[k].y)
-            assert abs(v - best) <= 1e-9 * (1.0 + abs(v))
-            # the first passing vertex in cache order
-            for j in range(k):
-                assert first_certified_vertex(c, inv_t[j:j + 1])[0][0] == -1
-
-    def test_degenerate_vertex_with_failing_active_set_is_a_miss(self):
-        # (-1, -1) is the unique minimizer of y1 and four constraints are
-        # tight there: y1 + y2 >= -2, y1 - y2 >= 0 and both lower bounds
-        c = np.array([1.0, 0.0])
-        rows = np.array([[1.0, 1.0], [1.0, -1.0]])
-        p = LPProblem(c=c, lower=[-1, -1], upper=[1, 1], rows=rows,
-                      rhs=[-2.0, 0.0])
-        best, y_best = enumerate_vertices(p)
-        assert best == -1.0
-        assert_allclose(y_best, [-1.0, -1.0])
-        # {row 0, lower 1}: z = (1, -1) has the wrong sign on the box row
-        assert first_certified_vertex(
-            c, certificate([[1.0, 1.0], [0.0, 1.0]]))[0][0] == -1
-        # {row 0, row 1}: z = (1/2, 1/2) certifies the same vertex
-        assert first_certified_vertex(c, certificate(rows))[0][0] == 0
-
-    def test_upper_box_row_needs_a_nonpositive_multiplier(self):
-        p = LPProblem(c=[-1.0, 1.0], lower=[0, 0], upper=[1, 1],
-                      rows=[[1.0, 1.0]], rhs=[-5.0])
-        sol = lp_minimize(p)
-        assert sol.active == (("lower", 1), ("upper", 0))
-        # the upper row is -e_1 >= -1, so its multiplier for c is -c_1 = 1
-        assert_allclose(sol.theta_mat, [[0.0, 1.0], [-1.0, 0.0]])
-        assert_allclose(sol.psi, [0.0, -1.0])
-        inv_t = certificate(sol.theta_mat)
-        assert first_certified_vertex(p.c, inv_t)[0][0] == 0
-        # minimizing y1 + y2 moves to (0, 0): the upper row's z is -1
-        assert first_certified_vertex([1.0, 1.0], inv_t)[0][0] == -1
-        # a +e_1 row for the upper bound would wrongly certify it
-        plus = sol.theta_mat * [[1.0], [-1.0]]
-        assert first_certified_vertex([1.0, 1.0], certificate(plus))[0][0] == 0
-
-    def test_slack_matches_the_phase_two_reduced_cost_tolerance(self):
-        tol = 1e-8
-        inside = [-0.9 * tol * 3.0, 2.0]    # slack = tol * (1 + 2)
-        outside = [-1.1 * tol * 3.0, 2.0]
-        hits, _ = first_certified_vertex([inside, outside],
-                                         certificate(np.eye(2)), tol)
-        assert hits.tolist() == [0, -1]
-
-    def test_empty_cache_misses_every_row(self):
-        hits, _ = first_certified_vertex(np.ones((3, 2)),
-                                         np.zeros((0, 2, 2)))
-        assert hits.tolist() == [-1, -1, -1]
 
 
 class TestTightenAndResolve:
@@ -557,3 +474,140 @@ class TestDualSimplexRestart:
         for start in (None, corner):
             with pytest.raises(InfeasibleError):
                 lp_minimize(empty, start=start)
+
+
+def _row_by_row(p, start=None, tol=1e-8):
+    """One-objective solves of each row of the stacked ``p``, each from its
+    row of the batch ``start`` (None where that row is -1)."""
+    out = []
+    for i, c in enumerate(p.c):
+        row = None
+        if start is not None and np.all(start.active[i] >= 0):
+            row = start.take([i])
+        out.append(lp_minimize(LPProblem(c=c, lower=p.lower, upper=p.upper,
+                                         rows=p.rows, rhs=p.rhs),
+                               tol=tol, start=row))
+    return out
+
+
+def _assert_rows_match(batch, sols, q):
+    """The stacked solve's rows equal the one-objective solves."""
+    assert len(batch.value) == len(sols)
+    for i, sol in enumerate(sols):
+        offset = {"sample": 0, "lower": batch.n_rows,
+                  "upper": batch.n_rows + q}
+        assert batch.active[i].tolist() == [offset[kind] + k
+                                            for kind, k in sol.active]
+        v = sol.value
+        assert abs(batch.value[i] - v) <= 1e-12 * max(1.0, abs(v))
+        assert np.all(np.abs(batch.y[i] - sol.y)
+                      <= 1e-12 * np.maximum(1.0, np.abs(sol.y)))
+        assert batch.row_pivots[i] == sol.pivots
+        assert batch.row_degenerate[i] == sol.degenerate
+    assert batch.pivots == sum(s.pivots for s in sols)
+    assert batch.degenerate == sum(s.degenerate for s in sols)
+
+
+class TestStackedLpMinimize:
+    @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (4, 2), (4, 3),
+                                        (10, 4), (10, 5)])
+    def test_matches_row_by_row_cold_warm_and_mixed(self, q, seed):
+        rng = np.random.default_rng(200 + seed)
+        lo = -1.0 - rng.random(q)
+        hi = 1.0 + rng.random(q)
+        inner = lo + (hi - lo) * rng.uniform(0.3, 0.7, q)
+        n_rows = 2 * q + 4
+        rows = rng.standard_normal((n_rows, q))
+        rhs = rows @ inner - 0.3 * rng.random(n_rows)
+        objectives = rng.standard_normal((12, q))
+        first = LPProblem(c=objectives, lower=lo, upper=hi,
+                          rows=rows[:q], rhs=rhs[:q])
+        cold = lp_minimize(first)
+        assert cold.cache_hit is False
+        _assert_rows_match(cold, _row_by_row(first), q)
+        full = LPProblem(c=objectives, lower=lo, upper=hi, rows=rows,
+                         rhs=rhs)
+        # every third row of the start is cold
+        start = replace(cold, active=np.where(
+            (np.arange(12) % 3 == 0)[:, None], -1, cold.active))
+        for begin in (cold, start):
+            warm = lp_minimize(full, start=begin)
+            _assert_rows_match(warm, _row_by_row(full, begin), q)
+            assert np.all(rows @ warm.y.T >= rhs[:, None] - 1e-9)
+        assert warm.pivots < lp_minimize(full).pivots
+
+    def test_fixed_coordinate(self):
+        box = {"lower": [2.0, 0.0, -1.0], "upper": [2.0, 1.0, 1.0]}
+        objectives = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0],
+                               [1.0, 1.0, -1.0], [-3.0, -1.0, -1.0]])
+        corner = lp_minimize(LPProblem(c=objectives, rows=np.zeros((0, 3)),
+                                       rhs=[], **box))
+        p = LPProblem(c=objectives, rows=[[1.0, -1.0, 1.0], [0.0, 1.0, 1.0]],
+                      rhs=[1.5, -0.5], **box)
+        for start in (None, corner):
+            sols = lp_minimize(p, start=start)
+            _assert_rows_match(sols, _row_by_row(p, start), 3)
+            assert np.all(sols.y[:, 0] == 2.0)
+            # a box row of coordinate 0 stays in every active set
+            assert np.all(np.any((sols.active == 2) | (sols.active == 5),
+                                 axis=1))
+
+    def test_objective_parallel_to_a_duplicated_facet(self):
+        # y1 + y2 >= -1 three times over, and a row through (0, -1): the
+        # first objective is parallel to the facet
+        objectives = np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0],
+                               [-1.0, 1.0]])
+        p = LPProblem(c=objectives, lower=[-1, -1], upper=[1, 1],
+                      rows=[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
+                      rhs=[-1.0, -1.0, -1.0, 1.0])
+        sols = lp_minimize(p)
+        _assert_rows_match(sols, _row_by_row(p), 2)
+        assert sols.degenerate > 0
+        for c, value in zip(objectives, sols.value):
+            best, _ = enumerate_vertices(LPProblem(
+                c=c, lower=p.lower, upper=p.upper, rows=p.rows, rhs=p.rhs))
+            assert_allclose(value, best, atol=1e-12)
+
+    def test_emptying_row_within_and_beyond_tolerance(self):
+        # y >= 0.5 and y <= 0.5 - 1e-7: empty, but only by 1e-7
+        objectives = np.array([[1.0], [-1.0], [2.0]])
+        first = LPProblem(c=objectives, lower=[0.0], upper=[1.0],
+                          rows=[[1.0]], rhs=[0.5])
+        start = lp_minimize(first)
+        p = LPProblem(c=objectives, lower=[0.0], upper=[1.0],
+                      rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + 1e-7])
+        for begin in (None, start):
+            with pytest.raises(InfeasibleError):
+                lp_minimize(p, tol=1e-8, start=begin)
+            sols = lp_minimize(p, tol=1e-6, start=begin)
+            _assert_rows_match(sols, _row_by_row(p, begin, tol=1e-6), 1)
+            assert_allclose(sols.y[:, 0], 0.5, atol=1e-6)
+
+    def test_empty_stack(self):
+        p = LPProblem(c=np.zeros((0, 2)), lower=[0, 0], upper=[1, 1],
+                      rows=[[1.0, 1.0]], rhs=[0.5])
+        for start in (None, lp_minimize(p)):
+            sols = lp_minimize(p, start=start)
+            assert sols.value.shape == (0,) and sols.active.shape == (0, 2)
+            assert sols.pivots == 0
+
+    def test_merged_renumbers_the_kept_rows(self):
+        # the greedy's step: restart some rows over one more sample row
+        # and merge them into the batch of all rows
+        objectives = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 2.0]])
+        box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        rows, rhs = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.5, 0.2])
+        first = lp_minimize(LPProblem(c=objectives, rows=rows[:1],
+                                      rhs=rhs[:1], **box))
+        grown = LPProblem(c=objectives, rows=rows, rhs=rhs, **box)
+        idx = np.array([0, 1])
+        new = lp_minimize(LPProblem(c=objectives[idx], rows=rows, rhs=rhs,
+                                    **box), start=first.take(idx))
+        held = first.merged(idx, new)
+        assert held.n_rows == 2
+        assert np.array_equal(held.active[idx], new.active)
+        # the kept row's box rows move up by the one new sample row
+        kept = first.active[2]
+        assert held.active[2].tolist() == np.where(kept >= 1, kept + 1,
+                                                   kept).tolist()
+        _assert_rows_match(held.take([2]), _row_by_row(grown)[2:], 2)
