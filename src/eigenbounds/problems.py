@@ -318,8 +318,8 @@ def load_family(path):
     domain = []
     for k, pair in enumerate(domain_raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float))
-                           and not isinstance(v, bool) for v in pair)
+                or not all(type(v) in (int, float) and abs(v) < np.inf
+                           for v in pair)
                 or pair[0] > pair[1]):
             raise ManifestError("domain", f"entry {k} is not a valid interval")
         domain.append((float(pair[0]), float(pair[1])))

@@ -4,9 +4,9 @@ Given a training set, the greedy loop alternates between sweeping the
 current lower/upper bounds over all training parameters and appending the
 parameter with the worst relative gap.  Upper bounds come from sampled
 joint-Rayleigh points, lower bounds from a small LP over the bounding box
-cut by the sampled spectral constraints.  The subspace pipeline
-(:mod:`eigenbounds.subspace`) runs the same loop with a richer sample set
-and one more bound step.
+cut by the sampled spectral constraints (:meth:`ScmState.bounds_at`).  The
+subspace pipeline (:mod:`eigenbounds.subspace`) runs the same loop with a
+model whose ``bounds_at`` adds the subspace bounds.
 """
 
 from __future__ import annotations
@@ -100,8 +100,14 @@ def solve_at_sample(family, mu, k, seed=0, below=None):
 class ScmState:
     """Greedy sample set: samples, their smallest eigenpairs, joint-Rayleigh
     points and the LP constraints ``rows @ y >= rhs``.  ``shift_fallbacks``
-    counts the sample solves whose shift failed its positive-definite test;
-    the greedy loop adds the bounding box's fallbacks to it."""
+    counts the sample solves (and box solves) whose shift failed its
+    positive-definite test; the ``lp_*`` counters and ``sweep_seconds``
+    total the work of :meth:`bounds_at`."""
+
+    # the (lower, upper) bound columns the greedy loop ranks points by
+    ranked = ("lam_lb", "lam_ub")
+    # every bound column of bounds_at and its value before the first sample
+    unsampled = {"lam_lb": -math.inf, "lam_ub": math.inf}
 
     def __init__(self, family):
         self.family = family
@@ -111,6 +117,8 @@ class ScmState:
         self.rows = np.zeros((0, family.q))
         self.rhs = np.zeros(0)
         self.shift_fallbacks = 0
+        self.lp_count = self.lp_pivots = self.lp_degenerate = 0
+        self.lp_seconds = self.sweep_seconds = 0.0
 
     @property
     def j(self):
@@ -141,6 +149,42 @@ class ScmState:
         pairs = solve_at_sample(self.family, mu, 1, seed=seed, below=below)
         self.shift_fallbacks += pairs.shift_fallback
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
+
+    def bounds_at(self, box, theta, start=None, lp_tol=1e-8):
+        """Bounds at the coefficient rows ``theta`` (m, Q).
+
+        Returns a dict of per-row arrays (here ``lam_ub`` and the LP bound
+        ``lam_lb``) and the :class:`~eigenbounds.lp.LPBatch` of the rows'
+        LP solutions, from one :func:`lower_bound` call.  With ``start``,
+        the batch returned for the same rows one sample ago, a row keeps its
+        minimizer while that satisfies the newest row, and the rest restart
+        the dual simplex from theirs.  ``lam_lb`` is each solution's
+        weak-duality value, so restarts never decide whether a bound holds.
+        With no sample yet, the ``unsampled`` values and no batch.
+        """
+        m = len(theta)
+        if start is not None and (start.n_rows != self.j - 1
+                                  or len(start.y) != m):
+            raise ArgumentError("start must be the batch of the same rows "
+                                "one sample ago")
+        if self.j == 0:
+            return {k: np.full(m, v) for k, v in self.unsampled.items()}, None
+        lam_ub = np.min(theta @ self.upper_points.T, axis=1)
+        t = time.perf_counter()
+        todo, restart = np.arange(m), None
+        if start is not None:
+            # a minimizer stays optimal while it satisfies the new row
+            todo = np.flatnonzero(~(start.y @ self.rows[-1]
+                                    >= self.rhs[-1] - lp_tol))
+            restart = start.take(todo)
+        _, new = lower_bound(self, box, None, lp_tol=lp_tol, c=theta[todo],
+                             start=restart)
+        sols = new if todo.size == m else start.merged(todo, new)
+        self.lp_count += todo.size
+        self.lp_pivots += new.pivots
+        self.lp_degenerate += new.degenerate
+        self.lp_seconds += time.perf_counter() - t
+        return {"lam_lb": sols.value.copy(), "lam_ub": lam_ub}, sols
 
 
 def upper_bound(state, mu):
@@ -194,32 +238,18 @@ def _ratio_array(lb, ub):
 
 
 def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
-            sweep=None, mode="certified"):
+            mode="certified"):
     """The greedy loop of both pipelines.
 
     The loop starts with the bounding box (2Q extreme-eigenvalue solves).
     Each iteration solves at the selected parameter (``model.add_sample``),
     shifted below the selected point's lower bound (``sample_shift``),
-    updates the sampled upper bounds ``lam_ub``, finds the LP lower bound
-    ``lam_lb`` of every training point, then picks the point with the worst
-    ratio.  Every iteration makes one :func:`lower_bound` call, for the
-    stack of points it re-solves.  Without ``warm_start`` (and at J = 1)
-    those are all points, each solved cold from the box corner.  With it, a
-    point keeps its minimizer while that satisfies the new constraint, and
-    only the points the new row cuts off are re-solved, each by a dual
-    simplex restarted from its own previous solution.  Every ``lam_lb`` is
-    the weak-duality value (:func:`~eigenbounds.lp.dual_bound`) of its
-    solution's multipliers, so the restarts decide how much LP work is
-    done, never whether a bound holds.  Classical SCM ranks points
-    by the relative gap between ``lam_lb`` and ``lam_ub``.  With ``sweep``
-    (the subspace pipeline), ``sweep(tables, box, theta, sols)`` then fills
-    the ``lam_slb``, ``lam_sub``, ``residual``, ``chosen_r`` and
-    ``heuristic`` columns of ``tables`` at every training point from the
-    :class:`~eigenbounds.lp.LPBatch` of their LP solutions.  The ratio is
-    then the relative gap between ``lam_slb`` and ``lam_sub``, or with
-    ``mode='heuristic'`` the relative Ritz residual.
-    The loop stops, not converged, when the worst ratio sits at a parameter
-    already sampled.
+    bounds every training point with ``model.bounds_at``, restarted from
+    the previous iteration's LP solutions with ``warm_start``, and picks
+    the point with the worst ratio: the relative gap between the bound
+    columns ``model.ranked``, or with ``mode='heuristic'`` the relative
+    Ritz residual.  The loop stops, not converged, when the worst ratio
+    sits at a parameter already sampled.
     """
     family = model.family
     pts = train.points
@@ -227,25 +257,14 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     if m == 0:
         raise ArgumentError("training set is empty")
     t0 = time.perf_counter()
-    eig_seconds = lp_seconds = reduced_seconds = 0.0
-    t = time.perf_counter()
     box = compute_bounding_box(family, seed=seed)
-    eig_seconds += time.perf_counter() - t
+    eig_seconds = time.perf_counter() - t0
     model.shift_fallbacks += box.shift_fallbacks
     eig_count = 2 * family.q
-    lp_count = lp_pivots = lp_degenerate = 0
 
     theta_all = family.theta_table(pts)
-    sols = None     # LPBatch of every point's LP solution
-    tables = {"lam_lb": np.full(m, -math.inf), "lam_ub": np.full(m, math.inf)}
-    lower, upper = "lam_lb", "lam_ub"
-    if sweep is not None:
-        tables.update(lam_slb=np.full(m, -math.inf),
-                      lam_sub=np.full(m, math.inf),
-                      heuristic=np.full(m, math.inf),
-                      residual=np.full(m, math.inf),
-                      chosen_r=np.zeros(m, dtype=np.int64))
-        lower, upper = "lam_slb", "lam_sub"
+    tables, sols = model.bounds_at(box, theta_all)
+    lower, upper = model.ranked
     records = []
     converged = False
     reason = ""
@@ -254,8 +273,8 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     def sample_shift(i):
         """A shift for the sample solve at training point ``i``.
 
-        The point's LP lower bound ``lam_lb``; in the subspace pipeline the
-        larger of that and the residual heuristic, which the shifted
+        The point's LP lower bound ``lam_lb``, or the larger of that and
+        the residual heuristic where the model gives one, which the shifted
         factor's positive-definite test may still reject.  Before the first
         sample, the box alone: sum_q min(theta_q lo_q, theta_q hi_q).
         Lowered by SHIFT_MARGIN.
@@ -265,7 +284,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             s = float(np.sum(np.minimum(th * box.lower, th * box.upper)))
         else:
             s = tables["lam_lb"][i]
-            if sweep is not None:
+            if "heuristic" in tables:
                 s = max(s, tables["heuristic"][i])
         scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
         return float(s - SHIFT_MARGIN * scale)
@@ -296,29 +315,8 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             raise GreedyError(reason, partial=result()) from exc
         eig_seconds += time.perf_counter() - t
         eig_count += 1
-        lam_new, th_new = model.rhs[-1], model.rows[-1]
-        tables["lam_ub"] = np.min(theta_all @ model.upper_points.T, axis=1)
-
-        t = time.perf_counter()
-        todo, start = np.arange(m), None
-        if warm_start and sols is not None:
-            # a point's minimizer stays optimal as long as it satisfies
-            # the one constraint this iteration added
-            todo = np.flatnonzero(~(sols.y @ th_new >= lam_new - lp_tol))
-            start = sols.take(todo)
-        lam, new = lower_bound(model, box, pts[todo], lp_tol=lp_tol,
-                               c=theta_all[todo], start=start)
-        sols = new if todo.size == m else sols.merged(todo, new)
-        tables["lam_lb"][todo] = lam
-        lp_count += todo.size
-        lp_pivots += new.pivots
-        lp_degenerate += new.degenerate
-        lp_seconds += time.perf_counter() - t
-
-        if sweep is not None:
-            t = time.perf_counter()
-            sweep(tables, box, theta_all, sols)
-            reduced_seconds += time.perf_counter() - t
+        tables, sols = model.bounds_at(box, theta_all, lp_tol=lp_tol,
+                                       start=sols if warm_start else None)
 
         if mode == "heuristic":
             ratios = tables["residual"] / np.maximum(
@@ -330,17 +328,17 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             iteration=it, selected_index=int(selected),
             selected_mu=mu_new.copy(), max_ratio=max_ratio,
             wall_seconds=time.perf_counter() - t0,
-            eig_seconds=eig_seconds, lp_seconds=lp_seconds,
-            reduced_seconds=reduced_seconds,
-            lp_count=lp_count, eig_count=eig_count,
-            lp_pivots=lp_pivots, lp_degenerate=lp_degenerate,
+            eig_seconds=eig_seconds, lp_seconds=model.lp_seconds,
+            reduced_seconds=model.sweep_seconds,
+            lp_count=model.lp_count, eig_count=eig_count,
+            lp_pivots=model.lp_pivots, lp_degenerate=model.lp_degenerate,
             shift_fallbacks=model.shift_fallbacks)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
                                                        - oracle)))
             rec.max_abs_lb_error = float(np.max(np.abs(tables[lower]
                                                        - oracle)))
-            if sweep is not None:
+            if "heuristic" in tables:
                 rec.heuristic_valid = bool(np.all(tables["heuristic"]
                                                   <= oracle + 1e-9))
         records.append(rec)
@@ -370,7 +368,7 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     warm_start : reuse a parameter's LP minimizer while it stays feasible
         and restart the dual simplex of the rest from their previous
         solutions, all in one stacked solve per iteration (see
-        :func:`_greedy`); without it every LP is solved from the box corner
+        :meth:`ScmState.bounds_at`); without it every LP starts cold
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """

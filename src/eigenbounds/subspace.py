@@ -22,15 +22,16 @@ functions (:func:`ritz_upper_bound`, :func:`residual_norm`,
 :func:`beta_gap`) compute the same quantities one point at a time and
 serve as the reference.
 
-:class:`SubspacePool` extends the classical SCM sample set, and
-:func:`subspace_greedy` runs the SCM greedy loop with :func:`sweep_bounds`
-as its bound step.
+:class:`SubspacePool` extends the classical SCM sample set, and its
+``bounds_at`` adds these bounds to the classical ones at any parameters;
+:func:`subspace_greedy` runs the SCM greedy loop with a pool.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .scm import ScmState, _greedy, lower_bound, solve_at_sample
 __all__ = [
     "SubspacePool",
     "RitzData",
-    "SweepBounds",
     "append_sample",
     "ritz_upper_bound",
     "residual_norm",
@@ -68,14 +68,21 @@ class SubspacePool(ScmState):
     :func:`append_sample` grows one array per quantity: ``applied`` A_q V
     (Q, n, dim), ``reduced`` V*A_q V (Q, dim, dim), ``cross`` V*A_q X^{-1}
     A_p V (Q, Q, dim, dim), ``sample_values`` (J, min(ell + 1, n)) and the
-    zero-padded basis coefficients ``coeffs`` (J, dim, ell) of each sample.
+    zero-padded basis coefficients ``coeffs`` (J, dim, ell) of each sample;
+    bounds take the best Ritz dimension r <= ``r_max`` (default Q).
     """
 
-    def __init__(self, family, ell=1):
+    ranked = ("lam_slb", "lam_sub")
+    unsampled = {**ScmState.unsampled, "lam_slb": -math.inf,
+                 "lam_sub": math.inf, "heuristic": math.inf,
+                 "residual": math.inf, "chosen_r": 0}
+
+    def __init__(self, family, ell=1, r_max=None):
         if ell < 1:
             raise ArgumentError("ell must be at least 1")
         super().__init__(family)
         self.ell = int(min(ell, family.n))
+        self.r_max = _valid_r_max(r_max, family.q)
         n, q = family.n, family.q
         self.sample_values = np.zeros((0, min(self.ell + 1, n)))
         self.coeffs = np.zeros((0, 0, self.ell))
@@ -91,6 +98,27 @@ class SubspacePool(ScmState):
 
     def add_sample(self, mu, seed=0, below=None):
         append_sample(self, mu, seed=seed, below=below)
+
+    def bounds_at(self, box, theta, start=None, lp_tol=1e-8):
+        """:meth:`ScmState.bounds_at` plus the :func:`sweep_bounds` columns
+        ``lam_slb``, ``lam_sub``, ``residual`` and ``chosen_r``, and the
+        residual heuristic ``heuristic`` = ``lam_sub - residual``."""
+        cols, sols = super().bounds_at(box, theta, start=start, lp_tol=lp_tol)
+        if sols is not None:
+            t = time.perf_counter()
+            out = sweep_bounds(self, box, theta, sols)
+            cols.update({key: out[key] for key in ("lam_slb", "lam_sub",
+                                                   "residual", "chosen_r")},
+                        heuristic=out["lam_sub"] - out["residual"])
+            self.sweep_seconds += time.perf_counter() - t
+        return cols, sols
+
+
+def _valid_r_max(r_max, default):
+    """``r_max``, or ``default`` when it is None; never negative."""
+    if r_max is not None and r_max < 0:
+        raise ArgumentError("r_max must be non-negative")
+    return default if r_max is None else r_max
 
 
 def _bordered(old, cols):
@@ -313,7 +341,7 @@ def _sweep_rows(pool, box, theta, sols, r_max):
 
     The array core of :func:`sweep_bounds`, for one chunk of rows and the
     :class:`~eigenbounds.lp.LPBatch` ``sols`` of their solutions.
-    Returns a dict of per-row arrays (see :class:`SweepBounds`) plus the
+    Returns the dict of per-row arrays of :func:`sweep_bounds` plus the
     Ritz values ``vals`` (m, dim) and vectors ``vecs`` (m, dim, dim).
     """
     q, d, m = pool.family.q, pool.dim, len(theta)
@@ -352,23 +380,6 @@ def _sweep_rows(pool, box, theta, sols, r_max):
             "vals": vals, "vecs": vecs}
 
 
-@dataclass
-class SweepBounds:
-    """Bounds from one batched sweep, one entry per swept parameter.
-
-    ``rho`` and ``eta`` belong to the winning Ritz dimension ``chosen_r``
-    (NaN where r = 0 wins); ``residual`` is the r = 1 residual norm.
-    """
-
-    lam_slb: np.ndarray
-    lam_lb: np.ndarray
-    chosen_r: np.ndarray
-    lam_sub: np.ndarray
-    residual: np.ndarray
-    rho: np.ndarray
-    eta: np.ndarray
-
-
 def sweep_bounds(pool, box, theta, sols, r_max=None):
     """Subspace bounds at many parameters at once.
 
@@ -378,12 +389,14 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
     :class:`~eigenbounds.lp.LPBatch` or a list of
     :class:`~eigenbounds.lp.LPSolution`.  Each row gets the same bounds
     as :func:`subspace_lower_bound`, from array code run in chunks of at
-    most about SWEEP_CHUNK_BYTES.
+    most about SWEEP_CHUNK_BYTES, with the pool's ``r_max`` by default.
+    Returns a dict of per-row arrays ``lam_slb``, ``lam_lb``, ``chosen_r``,
+    ``lam_sub``, the r = 1 residual norm ``residual``, and the ``rho`` and
+    ``eta`` of ``chosen_r`` (NaN where r = 0 wins).
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
-    if r_max is None:
-        r_max = pool.family.q
+    r_max = _valid_r_max(r_max, pool.r_max)
     theta = np.asarray(theta, dtype=float)
     if not isinstance(sols, LPBatch):
         sols = LPBatch.stack(sols, pool.j)
@@ -394,9 +407,9 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
     step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
     parts = [_sweep_rows(pool, box, theta[at], sols.take(at), r_max)
              for at in (slice(lo, lo + step) for lo in range(0, m, step))]
-    return SweepBounds(**{
-        f.name: np.concatenate([p[f.name] for p in parts]) if parts else
-        np.zeros(0) for f in fields(SweepBounds)})
+    return {key: np.concatenate([p[key] for p in parts]) if parts else
+            np.zeros(0) for key in ("lam_slb", "lam_lb", "chosen_r",
+                                    "lam_sub", "residual", "rho", "eta")}
 
 
 def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
@@ -410,8 +423,7 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
-    if r_max is None:
-        r_max = pool.family.q
+    r_max = _valid_r_max(r_max, pool.r_max)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
     out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None],
@@ -446,23 +458,13 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     ``mode='certified'`` selects/stops on the relative gap between the
     subspace bounds; ``mode='heuristic'`` uses the relative Ritz residual
     instead (cheaper to trust, not guaranteed).  Each iteration sweeps the
-    whole training set with :func:`sweep_bounds`.
+    whole training set with :meth:`SubspacePool.bounds_at`.
 
     Returns a GreedyResult whose tables also include the classical bounds
     for comparison.
     """
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    if r_max is not None and r_max < 0:
-        raise ArgumentError("r_max must be non-negative")
-    pool = SubspacePool(family, ell=ell)
-
-    def sweep(tables, box, theta, sols):
-        out = sweep_bounds(pool, box, theta, sols, r_max=r_max)
-        for key in ("lam_slb", "lam_sub", "residual", "chosen_r"):
-            tables[key][:] = getattr(out, key)
-        tables["heuristic"][:] = out.lam_sub - out.residual
-
-    return _greedy(pool, train, eps, j_max, warm_start=warm_start,
-                   oracle=oracle, lp_tol=lp_tol, seed=seed, sweep=sweep,
-                   mode=mode)
+    return _greedy(SubspacePool(family, ell=ell, r_max=r_max), train, eps,
+                   j_max, warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
+                   seed=seed, mode=mode)

@@ -7,9 +7,10 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
-from eigenbounds import (AffineFamily, EigensolverError, GreedyError,
-                         ScmState, SubspacePool, block_grid_family,
-                         coercivity_transform, random_family,
+from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
+                         GreedyError, ScmState, SubspacePool,
+                         block_grid_family, coercivity_transform,
+                         compute_bounding_box, random_family,
                          random_training_set, scm_greedy, subspace_greedy)
 from eigenbounds import scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
@@ -289,6 +290,69 @@ def test_bounds_certified_at_roundoff_allowance(pipeline, seed, lp_tol):
                     else ("lam_slb", "lam_sub"))
     assert np.all(res.tables[lower] <= oracle + allowance)
     assert np.all(res.tables[upper] >= oracle - allowance)
+
+
+@pytest.fixture(scope="module", params=[
+    (pipeline, seed) for pipeline in sorted(PIPELINES) for seed in (0, 1)],
+    ids=lambda param: f"{param[0]}-{param[1]}")
+def finished_run(request):
+    """The runs of test_bounds_certified_at_roundoff_allowance at lp_tol
+    1e-8, with the allowance of their bounds at any parameter points."""
+    pipeline, seed = request.param
+    fam = random_family(q=4, n=120, delta=0.2, seed=seed)
+    train = random_training_set(fam.domain, 40, seed=5)
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12)
+    nu = fam.n * 2.0 ** -53
+    scale = np.maximum(np.abs(res.box.lower), np.abs(res.box.upper))
+
+    def allowance(points):
+        return nu / (1.0 - nu) * (np.abs(fam.theta_table(points)) @ scale)
+
+    return pipeline, fam, train, res, allowance
+
+
+def test_held_out_bounds_certified_at_roundoff_allowance(finished_run):
+    pipeline, fam, _, res, allowance = finished_run
+    held_out = random_training_set(fam.domain, 100, seed=99).points
+    cols, _ = res.model.bounds_at(res.box, fam.theta_table(held_out))
+    oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
+                       for mu in held_out])
+    lower, upper = (("lam_lb", "lam_ub") if pipeline == "scm"
+                    else ("lam_slb", "lam_sub"))
+    assert res.model.ranked == (lower, upper)
+    assert np.all(cols[lower] <= oracle + allowance(held_out))
+    assert np.all(cols[upper] >= oracle - allowance(held_out))
+
+
+def test_cold_bounds_at_training_points_match_the_tables(finished_run):
+    # the tables come from restarted LPs, these from cold ones
+    pipeline, fam, train, res, _ = finished_run
+    cols, sols = res.model.bounds_at(res.box, fam.theta_table(train.points))
+    assert set(cols) == PIPELINES[pipeline][2]
+    assert sols.n_rows == res.model.j
+    for key, col in cols.items():
+        ref = res.tables[key]
+        assert np.all(np.abs(col - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_bounds_at_rejects_a_start_of_another_sample_count():
+    fam = random_family(3, 40, delta=0.3, seed=60)
+    box = compute_bounding_box(fam)
+    theta = fam.theta_table(random_training_set(fam.domain, 5, seed=61).points)
+    model = ScmState(fam)
+    cols, sols = model.bounds_at(box, theta)
+    assert sols is None and np.all(np.isinf(cols["lam_lb"]))
+    model.add_sample([0.1, 0.1])
+    _, sols = model.bounds_at(box, theta)
+    with pytest.raises(ArgumentError, match="one sample ago"):
+        model.bounds_at(box, theta, start=sols)     # no new sample since
+    model.add_sample([0.2, 0.05])
+    with pytest.raises(ArgumentError, match="one sample ago"):
+        model.bounds_at(box, theta, start=sols.take([0, 1]))
+    warm, _ = model.bounds_at(box, theta, start=sols)
+    cold, _ = model.bounds_at(box, theta)
+    assert np.all(np.abs(warm["lam_lb"] - cold["lam_lb"])
+                  <= 1e-12 * np.maximum(1.0, np.abs(cold["lam_lb"])))
 
 
 def _below_spectrum(A, X):

@@ -240,7 +240,9 @@ class TestManifest:
     @pytest.mark.parametrize("override, field", [
         ({"Q": True, "P": True}, "Q"),
         ({"domain": [[False, True]]}, "domain"),
-    ], ids=["Q-and-P", "domain"])
+        ({"domain": [[0.0, float("inf")]]}, "domain"),
+        ({"domain": [[float("nan"), 1.0]]}, "domain"),
+    ], ids=["Q-and-P", "domain", "domain-infinite", "domain-nan"])
     def test_boolean_where_number_expected(self, tmp_path, override, field):
         path = self.write_circle_manifest(tmp_path)
         manifest = json.loads(path.read_text())

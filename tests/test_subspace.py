@@ -11,8 +11,8 @@ from eigenbounds import (AffineFamily, RitzData, SubspacePool,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
                          ritz_upper_bound, subspace_greedy,
-                         subspace_lower_bound, tighten_and_resolve,
-                         unit_circle_family)
+                         subspace_lower_bound, sweep_bounds,
+                         tighten_and_resolve, unit_circle_family)
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
 from helpers import build_pool, make_smooth_family
@@ -361,6 +361,26 @@ class TestSubspaceLowerBound:
         slb, data, _ = subspace_lower_bound(pool, box, [1.0], r_max=2)
         assert data.r in (0, 1, 2)
         assert data.chosen
+
+    @pytest.mark.parametrize("r_max", [-1, -2])
+    def test_negative_r_max_rejected(self, r_max):
+        fam = unit_circle_family()
+        box = compute_bounding_box(fam)
+        pool = build_pool(fam, [[0.0], [np.pi / 2]])
+        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
+            subspace_lower_bound(pool, box, [1.0], r_max=r_max)
+
+    @pytest.mark.parametrize("r_max", [-1, -2])
+    def test_sweep_rejects_negative_r_max(self, r_max):
+        fam = unit_circle_family()
+        box = compute_bounding_box(fam)
+        pool = build_pool(fam, [[0.0], [np.pi / 2]])
+        _, sol = lower_bound(pool, box, [1.0])
+        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
+            sweep_bounds(pool, box, fam.theta_at([1.0])[None], [sol],
+                         r_max=r_max)
+        with pytest.raises(ArgumentError, match="r_max must be non-negative"):
+            SubspacePool(fam, r_max=r_max)
 
 
 class TestResidualHeuristic:

@@ -83,16 +83,16 @@ def _tol(value):
 
 
 def _check_row(new, k, ref, rho2_tol):
-    """Compare row k of a SweepBounds with one reference row."""
-    assert abs(new.lam_lb[k] - ref["lam_lb"]) <= _tol(ref["lam_lb"])
-    assert abs(new.lam_sub[k] - ref["lam_sub"]) <= _tol(ref["lam_sub"])
-    assert abs(new.residual[k] ** 2 - ref["residual"] ** 2) <= rho2_tol
-    r = int(new.chosen_r[k])
+    """Compare row k of a sweep_bounds result with one reference row."""
+    assert abs(new["lam_lb"][k] - ref["lam_lb"]) <= _tol(ref["lam_lb"])
+    assert abs(new["lam_sub"][k] - ref["lam_sub"]) <= _tol(ref["lam_sub"])
+    assert abs(new["residual"][k] ** 2 - ref["residual"] ** 2) <= rho2_tol
+    r = int(new["chosen_r"][k])
     if r == ref["r"]:
         if r:
-            assert abs(new.rho[k] ** 2 - ref["rho"] ** 2) <= rho2_tol
-            assert abs(new.eta[k] - ref["eta"]) <= _tol(ref["eta"])
-            d_rho = abs(new.rho[k] - ref["rho"])
+            assert abs(new["rho"][k] ** 2 - ref["rho"] ** 2) <= rho2_tol
+            assert abs(new["eta"][k] - ref["eta"]) <= _tol(ref["eta"])
+            d_rho = abs(new["rho"][k] - ref["rho"])
         else:
             d_rho = 0.0
     else:
@@ -100,7 +100,7 @@ def _check_row(new, k, ref, rho2_tol):
         d_rho = math.sqrt(rho2_tol)
         gap = abs(ref["cands"][r] - ref["lam_slb"])
         assert gap <= d_rho + _tol(ref["lam_slb"])
-    assert abs(new.lam_slb[k] - ref["lam_slb"]) <= d_rho + _tol(ref["lam_slb"])
+    assert abs(new["lam_slb"][k] - ref["lam_slb"]) <= d_rho + _tol(ref["lam_slb"])
 
 
 def _rho2_tol(pool, box, th):
@@ -185,7 +185,7 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
         for k, i in enumerate(idx):
             ref = _reference_bounds(pool, pts[i], sols[i], r_max)
             _check_row(new, k, ref, _rho2_tol(pool, box, theta[i]))
-            lam_slb[i] = new.lam_slb[k]
+            lam_slb[i] = new["lam_slb"][k]
         for i in range(m):
             sub = ritz_upper_bound(pool, pts[i]).values[0]
             assert lam_slb[i] <= sub + _tol(sub)
@@ -216,8 +216,8 @@ def test_all_box_vertex_gives_the_lp_value():
         ref = _reference_bounds(pool, mu, sol, fam.q)
         _check_row(new, k, ref, _rho2_tol(pool, box, theta[k]))
     # no sample row to shift: eta is the LP value, so r = 0 wins
-    assert new.chosen_r[0] == 0
-    assert new.lam_slb[0] == box_only.value
+    assert new["chosen_r"][0] == 0
+    assert new["lam_slb"][0] == box_only.value
 
 
 def _ill_conditioned_vertex():
@@ -292,14 +292,14 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
     chunked = sweep_bounds(pool, box, theta, sols)
     for k in range(len(pts)):
-        ref = {"lam_lb": whole.lam_lb[k], "lam_sub": whole.lam_sub[k],
-               "residual": whole.residual[k], "r": int(whole.chosen_r[k]),
-               "rho": whole.rho[k], "eta": whole.eta[k],
-               "lam_slb": whole.lam_slb[k], "cands": None}
-        if chunked.chosen_r[k] == ref["r"]:
+        ref = {"lam_lb": whole["lam_lb"][k], "lam_sub": whole["lam_sub"][k],
+               "residual": whole["residual"][k], "r": int(whole["chosen_r"][k]),
+               "rho": whole["rho"][k], "eta": whole["eta"][k],
+               "lam_slb": whole["lam_slb"][k], "cands": None}
+        if chunked["chosen_r"][k] == ref["r"]:
             _check_row(chunked, k, ref, _rho2_tol(pool, box, theta[k]))
         else:
-            assert abs(chunked.lam_slb[k] - whole.lam_slb[k]) <= 1e-7
+            assert abs(chunked["lam_slb"][k] - whole["lam_slb"][k]) <= 1e-7
 
 
 def test_one_row_call_matches_batched_row():
@@ -313,11 +313,11 @@ def test_one_row_call_matches_batched_row():
                          [lower_bound(pool, box, mu)[1] for mu in pts])
     for k, mu in enumerate(pts):
         slb, data, sol = subspace_lower_bound(pool, box, mu)
-        assert abs(slb - batch.lam_slb[k]) <= 1e-9
-        assert data.r == batch.chosen_r[k]
-        assert sol.value == batch.lam_lb[k]
+        assert abs(slb - batch["lam_slb"][k]) <= 1e-9
+        assert data.r == batch["chosen_r"][k]
+        assert sol.value == batch["lam_lb"][k]
         rd = ritz_upper_bound(pool, mu, r=max(data.r, 1))
-        assert abs(rd.values[0] - batch.lam_sub[k]) <= _tol(rd.values[0])
+        assert abs(rd.values[0] - batch["lam_sub"][k]) <= _tol(rd.values[0])
 
 
 def test_subspace_run_fills_lp_seconds():
