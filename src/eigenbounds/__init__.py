@@ -17,8 +17,8 @@ from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
                         NotPositiveDefiniteError, SparseHermitian, SpdFactor,
                         cholesky, dense_smallest, extreme_eigs, hermitian,
                         smallest_eigpairs)
-from .lp import (InfeasibleError, LPBatch, LPError, LPProblem, LPSolution,
-                 TightenedBound, dual_bound, lp_minimize, tighten_and_resolve)
+from .lp import (InfeasibleError, LPBatch, LPError, LPProblem, TightenedBound,
+                 dual_bound, lp_minimize, tighten_and_resolve)
 from .mmio import MMFormatError, MMHeader, read_matrix_market, write_matrix_market
 from .problems import (ManifestError, block_grid_family, coercivity_transform,
                        load_family, one_parameter_analytic_family,

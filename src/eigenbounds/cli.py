@@ -18,7 +18,7 @@ from .driver import (_GENERATORS, PIPELINES, CompareError, RunConfig,
                      run_pipeline)
 from .hermitian import ArgumentError
 from .problems import PIPELINES as PROBLEM_PIPELINES
-from .problems import ManifestError
+from .problems import ManifestError, _json_object
 
 __all__ = ["main"]
 
@@ -79,10 +79,11 @@ def _build_parser():
 
 
 def _load_json_arg(text):
+    """The JSON object in ``text``, or in the file ``@path``."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(text)
+            return _json_object(json.load(fh))
+    return _json_object(json.loads(text))
 
 
 def _fits(value, hint):
@@ -98,8 +99,7 @@ def _config_from_args(args):
     config = RunConfig(**{f.name: getattr(args, f.name)
                           for f in fields(RunConfig)})
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        overrides = _load_json_arg("@" + args.config)
         hints = typing.get_type_hints(RunConfig)
         for key, value in overrides.items():
             if key not in hints:

@@ -16,7 +16,8 @@ earlier solve over fewer rows.  The optimum is reported as that system,
 weak-duality bound (:func:`dual_bound`) is the reported value.
 
 Programs over one polytope that differ only in the objective are solved
-together: an (m, Q) stack of objectives gives an :class:`LPBatch`.
+together: an (m, Q) stack of objectives gives an :class:`LPBatch` with one
+row per objective, and a (Q,) objective a batch of one row.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "InfeasibleError",
     "LPBatch",
     "LPProblem",
-    "LPSolution",
     "TightenedBound",
     "dual_bound",
     "lp_minimize",
@@ -94,42 +94,19 @@ class LPProblem:
 
 
 @dataclass(frozen=True)
-class LPSolution:
-    """Optimal vertex with its active-constraint system.
-
-    ``theta_mat`` stacks Q linearly independent rows of G (see the module
-    docstring) tight at ``y`` and ``psi`` their entries of h, so
-    theta_mat @ y == psi; ``z`` holds the sample rows' multipliers
-    theta_mat^{-T} c (zero at box rows) and ``value`` their
-    :func:`dual_bound`.  ``active`` tags the rows in G's order: ('sample',
-    i), ('lower', q) or ('upper', q), an upper row being -e_q with
-    right-hand side -upper[q].  ``degenerate`` flags more than Q tight
-    rows, and ``all_box`` an active set without a sample row.
-    """
-
-    y: np.ndarray
-    value: float
-    active: tuple
-    theta_mat: np.ndarray
-    psi: np.ndarray
-    z: np.ndarray
-    degenerate: bool
-    all_box: bool
-    cache_hit: bool = False     # always False; read by the benchmark tracer
-    pivots: int = 0             # dual simplex pivots of the solve
-
-    def sample_indices(self):
-        return [tag[1] for tag in self.active if tag[0] == "sample"]
-
-
-@dataclass(frozen=True)
 class LPBatch:
     """Optimal vertices of LPs over one polytope, one row per objective.
 
-    The fields of :class:`LPSolution` stacked, each active set as its Q
-    ascending row indices into the G of ``n_rows`` sample rows (a row of
-    -1 starts cold), and the per-row ``pivots`` and ``degenerate`` as
-    ``row_pivots`` and ``row_degenerate``, which the properties total.
+    Row i holds the active set ``active[i]``: Q linearly independent rows
+    of G (see the module docstring) tight at ``y[i]``, as ascending row
+    indices into the G of ``n_rows`` sample rows, so a sample row is an
+    index below ``n_rows`` (a row of -1 starts cold).  ``theta_mat[i]``
+    stacks those rows and ``psi[i]`` their entries of h, so theta_mat[i] @
+    y[i] == psi[i]; ``z[i]`` holds the sample rows' multipliers
+    theta_mat[i]^{-T} c_i (zero at box rows) and ``value[i]`` their
+    :func:`dual_bound`.  ``row_pivots`` counts each row's dual simplex
+    pivots and ``row_degenerate`` flags more than Q tight rows; the
+    properties ``pivots`` and ``degenerate`` total them.
     """
 
     y: np.ndarray               # (m, Q)
@@ -142,18 +119,6 @@ class LPBatch:
     row_degenerate: np.ndarray  # (m,) bool
     n_rows: int
     cache_hit = False           # not a field; read by the benchmark tracer
-
-    @classmethod
-    def stack(cls, solutions, n_rows):
-        """The batch of :class:`LPSolution` s over ``n_rows`` sample rows."""
-        sols = list(solutions)
-        out = {f: np.array([getattr(s, f) for s in sols], dtype=float)
-               for f in ("y", "value", "theta_mat", "psi", "z")}
-        return cls(**out, active=np.array(
-            [_rows_of(s.active, n_rows) for s in sols], dtype=int),
-            row_pivots=np.array([s.pivots for s in sols], dtype=int),
-            row_degenerate=np.array([s.degenerate for s in sols], dtype=bool),
-            n_rows=n_rows)
 
     pivots = property(lambda self: int(self.row_pivots.sum()))
     degenerate = property(lambda self: int(self.row_degenerate.sum()))
@@ -182,19 +147,6 @@ class TightenedBound:
     y: np.ndarray
     eta: float
     fallback: str | None = None  # why eta fell back to the LP value
-
-
-def _tag(g, j, q):
-    """The ('sample' | 'lower' | 'upper', index) tag of row ``g`` of G."""
-    if g < j:
-        return ("sample", g)
-    return ("lower", g - j) if g < j + q else ("upper", g - j - q)
-
-
-def _rows_of(active, j):
-    """The row indices into G of the tags ``active`` (see :func:`_tag`)."""
-    offset = {"sample": 0, "lower": j, "upper": j + len(active)}
-    return [offset[kind] + k for kind, k in active]
 
 
 def _select_active(G, candidates, q):
@@ -247,9 +199,9 @@ def lp_minimize(problem, tol=1e-8, start=None):
     least ``-tol * (1 + max|c|)``.  The reported ``y`` is solved from the
     reported system.
 
-    A (Q,) ``problem.c`` gives an :class:`LPSolution`.  An (m, Q) stack
-    runs m such solves in lockstep, each from its row of the
-    :class:`LPBatch` ``start``, and gives an :class:`LPBatch`.
+    Returns an :class:`LPBatch`.  An (m, Q) stack of objectives runs m
+    such solves in lockstep, each from its row of the batch ``start``, and
+    a (Q,) objective is a stack of one.
     """
     c = np.atleast_2d(problem.c)
     m, q, J = len(c), problem.q, problem.n_rows
@@ -267,12 +219,9 @@ def lp_minimize(problem, tol=1e-8, start=None):
     S = J + np.arange(q) + q * flip
     Tinv = np.eye(q) * np.where(flip, -1.0, 1.0)[:, None, :]
     if start is not None:
-        # the start's rows in this G; a batch's -1 rows start cold
-        if isinstance(start, LPBatch):
-            a, j0 = start.active, start.n_rows
-            warm = np.where(a >= j0, a + J - j0, a)
-        else:
-            warm = np.array([_rows_of(start.active, J)])
+        # the start's rows in this G; its -1 rows start cold
+        a, j0 = start.active, start.n_rows
+        warm = np.where(a >= j0, a + J - j0, a)
         cold = np.any(warm < 0, axis=1)
         warm[cold] = S[cold]
         warm_inv = np.linalg.inv(G[warm])
@@ -349,15 +298,8 @@ def lp_minimize(problem, tol=1e-8, start=None):
     z = np.where(chosen < J, np.linalg.solve(np.swapaxes(theta, 1, 2),
                                              c[..., None])[..., 0], 0.0)
     value = dual_bound(c, z, theta, psi, problem.lower, problem.upper)
-    if problem.c.ndim == 2:
-        return LPBatch(y=y, value=value, active=chosen, theta_mat=theta,
-                       psi=psi, z=z, row_pivots=pivots, row_degenerate=degen,
-                       n_rows=J)
-    return LPSolution(y=y[0], value=float(value[0]),
-                      active=tuple(_tag(g, J, q) for g in chosen[0].tolist()),
-                      theta_mat=theta[0], psi=psi[0], z=z[0],
-                      degenerate=bool(degen[0]), all_box=bool(chosen[0, 0] >= J),
-                      pivots=int(pivots[0]))
+    return LPBatch(y=y, value=value, active=chosen, theta_mat=theta, psi=psi,
+                   z=z, row_pivots=pivots, row_degenerate=degen, n_rows=J)
 
 
 def dual_bound(c, z, rows, rhs, lower, upper):
@@ -384,25 +326,27 @@ def dual_bound(c, z, rows, rhs, lower, upper):
 def tighten_and_resolve(solution, bumps, c):
     """Re-solve the active-set system with sample rows shifted by ``bumps``.
 
-    ``bumps`` maps sample index -> beta_i for every active sample constraint.
-    Box rows keep their right-hand side.  Returns the perturbed vertex and
-    eta = c^T y_check: the solve-based reference for the weak-duality eta
-    of the sweep.  Falls back to eta = solution.value (flagged) when the
-    active set is all-box or cond(Theta) exceeds 1e12.
+    ``solution`` is a one-row :class:`LPBatch`.  ``bumps`` maps sample
+    index -> beta_i for every active sample constraint.  Box rows keep
+    their right-hand side.  Returns the perturbed vertex and eta = c^T
+    y_check: the solve-based reference for the weak-duality eta of the
+    sweep.  Falls back to eta = the LP value (flagged) when the active set
+    holds no sample row or cond(Theta) exceeds 1e12.
     """
     c = np.asarray(c, dtype=float)
-    if solution.all_box:
-        return TightenedBound(y=solution.y.copy(), eta=solution.value,
-                              fallback="all_box")
-    if np.linalg.cond(solution.theta_mat) > 1e12:
-        return TightenedBound(y=solution.y.copy(), eta=solution.value,
+    (y,), (value,), (active,) = solution.y, solution.value, solution.active
+    (theta,), (psi,) = solution.theta_mat, solution.psi
+    sample = np.flatnonzero(active < solution.n_rows)
+    if sample.size == 0:
+        return TightenedBound(y=y.copy(), eta=float(value), fallback="box_only")
+    if np.linalg.cond(theta) > 1e12:
+        return TightenedBound(y=y.copy(), eta=float(value),
                               fallback="ill_conditioned")
-    psi = solution.psi.copy()
-    for k, tag in enumerate(solution.active):
-        if tag[0] == "sample":
-            i = tag[1]
-            if i not in bumps:
-                raise ValueError(f"missing bump for active sample constraint {i}")
-            psi[k] += bumps[i]
-    y_check = np.linalg.solve(solution.theta_mat, psi)
+    psi = psi.copy()
+    for k in sample:
+        i = int(active[k])
+        if i not in bumps:
+            raise ValueError(f"missing bump for active sample constraint {i}")
+        psi[k] += bumps[i]
+    y_check = np.linalg.solve(theta, psi)
     return TightenedBound(y=y_check, eta=float(c @ y_check))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -265,6 +266,14 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
                         name="singular-value-expansion")
 
 
+def _json_object(value):
+    """``value``, the top level of a JSON document, if it is an object."""
+    if not isinstance(value, dict):
+        raise ManifestError("<json>", "top level is not an object but "
+                            f"{type(value).__name__}")
+    return value
+
+
 def _require(manifest, field, kind, length=None):
     if field not in manifest:
         raise ManifestError(field, "missing")
@@ -303,7 +312,7 @@ def load_family(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            manifest = json.load(fh)
+            manifest = _json_object(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ManifestError("<json>", f"not valid JSON: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
@@ -318,8 +327,8 @@ def load_family(path):
     domain = []
     for k, pair in enumerate(domain_raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(type(v) in (int, float) and abs(v) < np.inf
-                           for v in pair)
+                or not all(type(v) in (int, float)
+                           and abs(v) <= sys.float_info.max for v in pair)
                 or pair[0] > pair[1]):
             raise ManifestError("domain", f"entry {k} is not a valid interval")
         domain.append((float(pair[0]), float(pair[1])))

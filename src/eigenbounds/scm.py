@@ -201,10 +201,11 @@ def upper_bound(state, mu):
 def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
     """LP lower bound over the box cut by the sampled constraints.
 
-    ``c`` is the objective row theta(mu) when the caller already holds it,
-    or an (m, Q) stack of such rows, which gives an array of bounds and an
-    :class:`~eigenbounds.lp.LPBatch`; ``start`` an earlier solution optimal
-    for it (a batch for a stack) to restart the dual simplex from (see
+    Returns the bound and the one-row :class:`~eigenbounds.lp.LPBatch` of
+    its LP solution.  ``c`` is the objective row theta(mu) when the caller
+    already holds it, or an (m, Q) stack of such rows, which gives an array
+    of bounds and a batch of m rows; ``start`` an earlier batch optimal for
+    the same objectives to restart the dual simplex from (see
     :func:`~eigenbounds.lp.lp_minimize`).
     """
     if c is None:
@@ -212,7 +213,7 @@ def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
     problem = LPProblem(c=c, lower=box.lower,
                         upper=box.upper, rows=state.rows, rhs=state.rhs)
     sol = lp_minimize(problem, tol=lp_tol, start=start)
-    return sol.value, sol
+    return (sol.value if problem.c.ndim == 2 else float(sol.value[0])), sol
 
 
 def error_ratio(lb, ub):

@@ -40,7 +40,7 @@ import numpy as np
 # calls tighten_and_resolve, the solve-based reference for the sweep's eta.
 from .family import compute_bounding_box  # noqa: F401
 from .hermitian import ArgumentError, orthonormal_columns
-from .lp import LPBatch, dual_bound, tighten_and_resolve  # noqa: F401
+from .lp import dual_bound, tighten_and_resolve  # noqa: F401
 from .scm import ScmState, _greedy, lower_bound, solve_at_sample
 
 __all__ = [
@@ -384,10 +384,9 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
     """Subspace bounds at many parameters at once.
 
     ``theta`` (m, Q) holds the parameters' coefficient rows and ``sols``
-    their LP solutions over ``box`` (from
-    :func:`~eigenbounds.scm.lower_bound`): an
-    :class:`~eigenbounds.lp.LPBatch` or a list of
-    :class:`~eigenbounds.lp.LPSolution`.  Each row gets the same bounds
+    the :class:`~eigenbounds.lp.LPBatch` of their LP solutions over
+    ``box``, one row each (from :func:`~eigenbounds.scm.lower_bound` with
+    ``theta`` as the objective stack).  Each row gets the same bounds
     as :func:`subspace_lower_bound`, from array code run in chunks of at
     most about SWEEP_CHUNK_BYTES, with the pool's ``r_max`` by default.
     Returns a dict of per-row arrays ``lam_slb``, ``lam_lb``, ``chosen_r``,
@@ -398,8 +397,6 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
         raise ArgumentError("subspace pool is empty")
     r_max = _valid_r_max(r_max, pool.r_max)
     theta = np.asarray(theta, dtype=float)
-    if not isinstance(sols, LPBatch):
-        sols = LPBatch.stack(sols, pool.j)
     m = len(theta)
     d, j = pool.dim, pool.j
     row_bytes = 16 * (3 * d * d + pool.family.q ** 2
@@ -418,16 +415,15 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
     r = 0 reproduces the classical LP lower bound; each r >= 1 combines the
     Ritz residual with the gap-tightened eta.  Returns the maximum over r
     (ties broken toward the smallest r) together with the Ritz data of the
-    winning r and the LP solution.  This is the one-row case of
-    :func:`sweep_bounds`.
+    winning r and the one-row :class:`~eigenbounds.lp.LPBatch` of the LP
+    solution.  This is the one-row case of :func:`sweep_bounds`.
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
     r_max = _valid_r_max(r_max, pool.r_max)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
-    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None],
-                      LPBatch.stack([sol], pool.j), r_max)
+    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], sol, r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
     data = RitzData(mu=mu, r=r, values=vals[:r].copy(),

@@ -4,7 +4,7 @@ bench/tracer.py wraps functions by ``owner.__dict__[attr]`` in the modules
 that call them; a name that moves makes the traced benchmark fail.
 bench/measure.py builds a RunConfig from each workload's settings; a field
 that goes away makes every benchmark run fail.  The tracer also reads
-attributes off what the package returns (``LPSolution.cache_hit`` after
+attributes off what the package returns (``LPBatch.cache_hit`` after
 every ``lp_minimize``, the pool arrays in ``pool_stats``); a traced run
 of each pipeline reaches every one of those reads.
 """

@@ -167,7 +167,8 @@ class TestCli:
         text = capsys.readouterr().out
         assert "run B ratio <= run A ratio at every common iteration: yes" \
             in text
-        lines = open(csv_out).read().splitlines()
+        with open(csv_out) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "iter,max_ratio_a,max_ratio_b"
         for line in lines[1:]:
             it, ra, rb = line.split(",")
@@ -212,6 +213,28 @@ class TestCli:
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == "theta"
+
+    @pytest.mark.parametrize("where, text", [
+        ("manifest", "42"), ("manifest", "null"), ("manifest", "[1, 2]"),
+        ("config", "[1]"), ("generator", "42"), ("spec", "[1]")],
+        ids=["manifest-int", "manifest-null", "manifest-list", "config-list",
+             "generator-int", "spec-list"])
+    def test_json_input_not_an_object_exit_2(self, tmp_path, capsys, where,
+                                             text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        out = str(tmp_path / "o")
+        argv = {"manifest": ["run", "--manifest", str(path), "--out", out],
+                "config": ["run", "--generator", '{"kind": "random"}',
+                           "--config", str(path), "--out", out],
+                "generator": ["run", "--generator", text, "--out", out],
+                "spec": ["gen", "--kind", "random", "--spec", text,
+                         "--out", out]}[where]
+        assert main(argv) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "<json>"
+        assert not os.path.exists(out)
 
     def test_non_finite_term_entry_exit_2(self, tmp_path, capsys):
         manifest = circle_manifest(tmp_path)

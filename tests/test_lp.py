@@ -1,12 +1,12 @@
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (InfeasibleError, LPProblem, dual_bound,
+from eigenbounds import (InfeasibleError, LPBatch, LPProblem, dual_bound,
                          lp_minimize, tighten_and_resolve)
 
 SQ2 = math.sqrt(2.0)
@@ -40,6 +40,12 @@ def enumerate_vertices(problem):
             if best is None or val < best:
                 best, best_y = val, y
     return best, best_y
+
+
+def sample_rows(sol):
+    """The sample rows in the active set of a one-row batch."""
+    (active,) = sol.active
+    return active[active < sol.n_rows].tolist()
 
 
 def gauss_solve(A, b):
@@ -87,19 +93,19 @@ class TestLpMinimize:
         p = LPProblem(c=[SQ2 / 2, SQ2 / 2], lower=[-1, -1], upper=[1, 1],
                       rows=[[1, 0], [0, 1], [-1, 0]], rhs=[-1, -1, -1])
         sol = lp_minimize(p)
-        assert_allclose(sol.y, [-1.0, -1.0], atol=1e-12)
-        assert_allclose(sol.value, -SQ2, atol=1e-12)
-        assert sol.active == (("sample", 0), ("sample", 1))
-        assert not sol.all_box
+        assert_allclose(sol.y[0], [-1.0, -1.0], atol=1e-12)
+        assert_allclose(sol.value[0], -SQ2, atol=1e-12)
+        assert sol.active.tolist() == [[0, 1]]    # sample rows 0 and 1
+        assert sample_rows(sol)
 
     def test_box_only(self):
         p = LPProblem(c=[1.0, 0.0], lower=[0, 0], upper=[1, 1],
                       rows=np.zeros((0, 2)), rhs=[])
         sol = lp_minimize(p)
-        assert sol.value == 0.0
-        assert sol.y[0] == 0.0
-        assert sol.all_box
-        assert len(sol.active) == 2
+        assert sol.value[0] == 0.0
+        assert sol.y[0, 0] == 0.0
+        assert not sample_rows(sol)
+        assert sol.active.shape == (1, 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_vertex_enumeration(self, seed):
@@ -115,7 +121,7 @@ class TestLpMinimize:
         sol = lp_minimize(p)
         best, _ = enumerate_vertices(p)
         assert best is not None
-        assert_allclose(sol.value, best, atol=1e-9)
+        assert_allclose(sol.value[0], best, atol=1e-9)
 
     def test_active_set_reconstructs_optimum(self):
         rng = np.random.default_rng(3)
@@ -123,10 +129,11 @@ class TestLpMinimize:
                       upper=np.ones(4), rows=rng.standard_normal((6, 4)),
                       rhs=-np.abs(rng.standard_normal(6)) - 2.0)
         sol = lp_minimize(p)
-        y = np.linalg.solve(sol.theta_mat, sol.psi)
-        assert_allclose(y, sol.y, atol=1e-10)
-        assert np.linalg.norm(sol.theta_mat @ sol.y - sol.psi) <= \
-            1e-10 * max(np.linalg.norm(sol.psi), 1.0)
+        (theta,), (psi,), (y_opt,) = sol.theta_mat, sol.psi, sol.y
+        y = np.linalg.solve(theta, psi)
+        assert_allclose(y, y_opt, atol=1e-10)
+        assert np.linalg.norm(theta @ y_opt - psi) <= \
+            1e-10 * max(np.linalg.norm(psi), 1.0)
 
     def test_optimum_below_random_feasible_points(self):
         rng = np.random.default_rng(4)
@@ -141,7 +148,7 @@ class TestLpMinimize:
             y = rng.uniform(-1.0, 1.0, size=q)
             if np.all(rows @ y >= rhs):
                 count += 1
-                assert sol.value <= p.c @ y + 1e-9
+                assert sol.value[0] <= p.c @ y + 1e-9
 
     def test_redundant_row_does_not_change_value(self):
         rng = np.random.default_rng(5)
@@ -156,7 +163,7 @@ class TestLpMinimize:
         p2 = LPProblem(c=p1.c, lower=p1.lower, upper=p1.upper,
                        rows=rows2, rhs=rhs2)
         sol2 = lp_minimize(p2)
-        assert_allclose(sol2.value, sol1.value, atol=1e-10)
+        assert_allclose(sol2.value[0], sol1.value[0], atol=1e-10)
 
     def test_feasibility_of_reported_minimizer(self):
         rng = np.random.default_rng(6)
@@ -166,10 +173,10 @@ class TestLpMinimize:
             rhs = -np.abs(rng.standard_normal(6)) - 2.5
             p = LPProblem(c=rng.standard_normal(3), lower=-np.ones(3),
                           upper=np.ones(3), rows=rows, rhs=rhs)
-            sol = lp_minimize(p)
-            assert np.all(sol.y >= p.lower - 1e-9)
-            assert np.all(sol.y <= p.upper + 1e-9)
-            assert np.all(rows @ sol.y >= rhs - 1e-9)
+            (y,) = lp_minimize(p).y
+            assert np.all(y >= p.lower - 1e-9)
+            assert np.all(y <= p.upper + 1e-9)
+            assert np.all(rows @ y >= rhs - 1e-9)
 
     def test_infeasible_raises(self):
         p = LPProblem(c=[1.0], lower=[0.0], upper=[1.0],
@@ -183,7 +190,7 @@ class TestLpMinimize:
                       rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + 1e-7])
         with pytest.raises(InfeasibleError):
             lp_minimize(p, tol=1e-8)
-        assert_allclose(lp_minimize(p, tol=1e-6).value, 0.5, atol=1e-6)
+        assert_allclose(lp_minimize(p, tol=1e-6).value[0], 0.5, atol=1e-6)
 
     def test_degenerate_vertex_flagged_and_lexicographic(self):
         # four constraints tight at the optimal corner
@@ -191,7 +198,7 @@ class TestLpMinimize:
                       rows=[[1, 0], [0, 1]], rhs=[-1, -1])
         sol = lp_minimize(p)
         assert sol.degenerate
-        assert sol.active == (("sample", 0), ("sample", 1))
+        assert sol.active.tolist() == [[0, 1]]    # sample rows 0 and 1
 
     def test_degenerate_vertex_reports_an_optimal_active_set(self):
         # (-1, -1) minimizes y1 + 2 y2; four constraints are tight there.
@@ -203,13 +210,13 @@ class TestLpMinimize:
                       rows=[[1.0, 1.0], [1.0, -1.0]], rhs=[-2.0, 0.0])
         sol = lp_minimize(p)
         assert sol.degenerate
-        assert_allclose(sol.value, -3.0, atol=1e-12)
-        assert np.all(np.linalg.solve(sol.theta_mat.T, c) >= 0.0)
+        assert_allclose(sol.value[0], -3.0, atol=1e-12)
+        assert np.all(np.linalg.solve(sol.theta_mat[0].T, c) >= 0.0)
         bumped = LPProblem(c=c, lower=p.lower, upper=p.upper, rows=p.rows,
                            rhs=p.rhs + [0.5, 0.0])
         best, _ = enumerate_vertices(bumped)
         assert_allclose(best, -2.5, atol=1e-12)
-        bumps = {i: 0.5 * (i == 0) for i in sol.sample_indices()}
+        bumps = {i: 0.5 * (i == 0) for i in sample_rows(sol)}
         assert tighten_and_resolve(sol, bumps, c).eta <= best + 1e-12
 
     @pytest.mark.parametrize("seed", range(24))
@@ -224,26 +231,26 @@ class TestLpMinimize:
         rhs = rows @ ((lo + hi) / 2) - rng.random(q + 1) - 0.2
         c = rng.standard_normal(q)
         if seed % 2:
-            corner = lp_minimize(LPProblem(c=c, lower=lo, upper=hi,
-                                           rows=rows, rhs=rhs)).y
+            (corner,) = lp_minimize(LPProblem(c=c, lower=lo, upper=hi,
+                                              rows=rows, rhs=rhs)).y
             extra = rng.standard_normal((2, q))
             rows = np.vstack([extra, rows])
             rhs = np.concatenate([extra @ corner, rhs])
         p = LPProblem(c=c, lower=lo, upper=hi, rows=rows, rhs=rhs)
         sol = lp_minimize(p)
         assert sol.degenerate == bool(seed % 2)
-        z = np.linalg.solve(sol.theta_mat.T, c)
+        z = np.linalg.solve(sol.theta_mat[0].T, c)
         assert np.all(z >= -1e-8 * (1.0 + np.max(np.abs(c))))
         best, _ = enumerate_vertices(p)
-        assert_allclose(sol.value, best, atol=1e-9)
+        assert_allclose(sol.value[0], best, atol=1e-9)
 
     def test_fixed_coordinate_box(self):
         # degenerate box interval lower == upper
         p = LPProblem(c=[1.0, -1.0], lower=[2.0, 0.0], upper=[2.0, 1.0],
                       rows=[[1.0, 1.0]], rhs=[2.1])
         sol = lp_minimize(p)
-        assert_allclose(sol.y[0], 2.0)
-        assert_allclose(sol.value, 2.0 - 1.0, atol=1e-10)
+        assert_allclose(sol.y[0, 0], 2.0)
+        assert_allclose(sol.value[0], 2.0 - 1.0, atol=1e-10)
 
 
 class TestTightenAndResolve:
@@ -262,10 +269,10 @@ class TestTightenAndResolve:
                       upper=np.ones(3), rows=rng.standard_normal((5, 3)),
                       rhs=-np.abs(rng.standard_normal(5)) - 2.0)
         sol = lp_minimize(p)
-        bumps = {i: 0.0 for i in sol.sample_indices()}
+        bumps = {i: 0.0 for i in sample_rows(sol)}
         out = tighten_and_resolve(sol, bumps, p.c)
-        assert_allclose(out.y, sol.y, atol=1e-10)
-        assert_allclose(out.eta, sol.value, atol=1e-10)
+        assert_allclose(out.y, sol.y[0], atol=1e-10)
+        assert_allclose(out.eta, sol.value[0], atol=1e-10)
 
     def test_matches_independent_gaussian_elimination(self):
         rng = np.random.default_rng(9)
@@ -274,14 +281,14 @@ class TestTightenAndResolve:
         p = LPProblem(c=rng.standard_normal(3), lower=-np.ones(3),
                       upper=np.ones(3), rows=rows, rhs=rhs)
         sol = lp_minimize(p)
-        bumps = {i: float(abs(np.sin(i + 1))) for i in sol.sample_indices()}
+        bumps = {i: float(abs(np.sin(i + 1))) for i in sample_rows(sol)}
         assert bumps
         out = tighten_and_resolve(sol, bumps, p.c)
-        psi = sol.psi.copy()
-        for k, tag in enumerate(sol.active):
-            if tag[0] == "sample":
-                psi[k] += bumps[tag[1]]
-        expected = gauss_solve(sol.theta_mat, psi)
+        psi = sol.psi[0].copy()
+        for k, g in enumerate(sol.active[0]):
+            if g < sol.n_rows:
+                psi[k] += bumps[g]
+        expected = gauss_solve(sol.theta_mat[0], psi)
         assert_allclose(out.y, expected, atol=1e-12)
 
     def test_all_box_fallback(self):
@@ -289,8 +296,8 @@ class TestTightenAndResolve:
                       rows=np.zeros((0, 2)), rhs=[])
         sol = lp_minimize(p)
         out = tighten_and_resolve(sol, {}, p.c)
-        assert out.fallback == "all_box"
-        assert out.eta == sol.value
+        assert out.fallback == "box_only"
+        assert out.eta == sol.value[0]
 
     def test_missing_bump_rejected(self):
         p = LPProblem(c=[1.0, 1.0], lower=[-1, -1], upper=[1, 1],
@@ -322,22 +329,23 @@ class TestWeakDuality:
         rng = np.random.default_rng(50 + seed)
         for p in grown_lps(q, seed, 2 * q)[1:]:
             sol = lp_minimize(p)
-            best = float(p.c @ sol.y)
-            assert abs(sol.value - best) <= 1e-12 * max(1.0, abs(best))
+            (y,), (theta,), (psi,) = sol.y, sol.theta_mat, sol.psi
+            best = float(p.c @ y)
+            assert abs(sol.value[0] - best) <= 1e-12 * max(1.0, abs(best))
             if q <= 4 and p.n_rows <= 6:
                 exact, _ = enumerate_vertices(p)
                 assert abs(best - exact) <= 1e-9 * (1.0 + abs(exact))
             reach = np.maximum(np.abs(p.lower), np.abs(p.upper))
-            for rows, rhs in ((sol.theta_mat, sol.psi), (p.rows, p.rhs)):
+            for rows, rhs in ((theta, psi), (p.rows, p.rhs)):
                 k = len(rhs)
                 for z in (rng.exponential(size=k) * rng.integers(0, 2, k),
-                          sol.z * rng.uniform(0.999, 1.001, q)
+                          sol.z[0] * rng.uniform(0.999, 1.001, q)
                           if k == q else rng.exponential(size=k),
                           10.0 * rng.exponential(size=k)):
                     value = dual_bound(p.c, z, rows, rhs, p.lower, p.upper)
                     scale = (np.abs(z) @ np.abs(rhs) + np.abs(p.c) @ reach
                              + np.abs(z) @ np.abs(rows) @ reach
-                             + np.abs(p.c) @ np.abs(sol.y))
+                             + np.abs(p.c) @ np.abs(y))
                     assert value <= best + (k + q) * U * scale
 
     def test_negative_multipliers_count_as_zero(self):
@@ -362,14 +370,14 @@ class TestDualSimplexRestart:
             warm = lp_minimize(p, tol=tol, start=prev)
             prev = warm
             for sol in (cold, warm):
-                v = sol.value
-                assert abs(v - cold.value) <= 1e-12 * (1.0 + abs(v))
-                z = np.linalg.solve(sol.theta_mat.T, p.c)
+                v = sol.value[0]
+                assert abs(v - cold.value[0]) <= 1e-12 * (1.0 + abs(v))
+                z = np.linalg.solve(sol.theta_mat[0].T, p.c)
                 assert np.all(z >= -tol * (1.0 + np.max(np.abs(p.c))))
-                assert abs(sol.psi @ z - v) <= 1e-12 * max(1.0, abs(v))
+                assert abs(sol.psi[0] @ z - v) <= 1e-12 * max(1.0, abs(v))
             if q <= 4 and p.n_rows <= 8:
                 best, _ = enumerate_vertices(p)
-                assert abs(cold.value - best) <= 1e-9 * (1.0 + abs(best))
+                assert abs(cold.value[0] - best) <= 1e-9 * (1.0 + abs(best))
         # the restarts need fewer pivots than the cold solves
         assert (sum(lp_minimize(p, start=s).pivots for p, s in zip(
             problems[1:], map(lp_minimize, problems)))
@@ -380,7 +388,7 @@ class TestDualSimplexRestart:
         first = LPProblem(c=c, lower=[0, 0], upper=[1, 1],
                           rows=[[1.0, 1.0]], rhs=[1.0])
         sol = lp_minimize(first)
-        assert_allclose(sol.value, 1.0, atol=1e-12)
+        assert_allclose(sol.value[0], 1.0, atol=1e-12)
         # y1 + y2 <= 0.5 against y1 + y2 >= 1
         empty = LPProblem(c=c, lower=[0, 0], upper=[1, 1],
                           rows=[[1.0, 1.0], [-1.0, -1.0]], rhs=[1.0, -0.5])
@@ -402,8 +410,8 @@ class TestDualSimplexRestart:
             best, _ = enumerate_vertices(p)
             for start in (None, prev):
                 sol = lp_minimize(p, start=start)
-                assert_allclose(sol.value, best, atol=1e-12)
-                assert np.all(p.rows @ sol.y >= p.rhs - 1e-12)
+                assert_allclose(sol.value[0], best, atol=1e-12)
+                assert np.all(p.rows @ sol.y[0] >= p.rhs - 1e-12)
             prev = sol
         assert best == -1.0
 
@@ -412,23 +420,24 @@ class TestDualSimplexRestart:
                       upper=[1, 2, 3], rows=np.zeros((0, 3)), rhs=[])
         sol = lp_minimize(p)
         assert sol.pivots == 0
-        assert_allclose(sol.y, [-1.0, 2.0, -3.0])
-        assert sol.active == (("lower", 0), ("lower", 2), ("upper", 1))
+        assert_allclose(sol.y[0], [-1.0, 2.0, -3.0])
+        # lower bounds of y_0 and y_2 and the upper bound of y_1
+        assert sol.active.tolist() == [[0, 2, 4]]
 
     def test_restart_from_an_all_box_active_set(self):
         c = np.array([1.0, 2.0, -1.0])
         box = {"lower": -np.ones(3), "upper": np.ones(3)}
         corner = lp_minimize(LPProblem(c=c, rows=np.zeros((0, 3)), rhs=[],
                                        **box))
-        assert corner.all_box
+        assert not sample_rows(corner)
         # the new row cuts off the corner (-1, -1, 1)
         p = LPProblem(c=c, rows=[[1.0, 1.0, -1.0]], rhs=[-2.0], **box)
         warm = lp_minimize(p, start=corner)
         best, _ = enumerate_vertices(p)
-        assert_allclose(warm.value, best, atol=1e-12)
-        assert_allclose(warm.value, lp_minimize(p).value, atol=1e-12)
+        assert_allclose(warm.value[0], best, atol=1e-12)
+        assert_allclose(warm.value[0], lp_minimize(p).value[0], atol=1e-12)
         assert 1 <= warm.pivots <= 2
-        assert warm.sample_indices() == [0]
+        assert sample_rows(warm) == [0]
 
     def test_start_optimal_for_another_objective(self):
         # a box bound with the wrong reduced cost moves to its other end; a
@@ -437,11 +446,11 @@ class TestDualSimplexRestart:
         box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
         p = LPProblem(c=[1.0, 1.0], rows=[[1.0, 1.0]], rhs=[1.0], **box)
         sol = lp_minimize(p)
-        assert sol.sample_indices() == [0]
+        assert sample_rows(sol) == [0]
         for c, best in (([-1.0, -1.0], -2.0), ([1.0, -1.0], -1.0),
                         ([1.0, 2.0], 1.0)):
             q = LPProblem(c=c, rows=p.rows, rhs=p.rhs, **box)
-            assert_allclose(lp_minimize(q, start=sol).value, best,
+            assert_allclose(lp_minimize(q, start=sol).value[0], best,
                             atol=1e-12)
 
     def test_dual_bland_order_picks_the_entering_row(self):
@@ -453,8 +462,8 @@ class TestDualSimplexRestart:
                       rows=[[2.0, -2.0], [-2.0, -1.0], [-2.0, 2.0]],
                       rhs=[1.0, -1.0, -3.0])
         sol = lp_minimize(p)
-        assert sol.active == (("sample", 0), ("sample", 1))
-        assert_allclose(sol.y, [0.5, 0.0], atol=1e-12)
+        assert sol.active.tolist() == [[0, 1]]    # sample rows 0 and 1
+        assert_allclose(sol.y[0], [0.5, 0.0], atol=1e-12)
         assert sol.pivots == 2
 
     def test_fixed_coordinate_across_a_restart(self):
@@ -466,8 +475,9 @@ class TestDualSimplexRestart:
         p = LPProblem(c=c, rows=[[1.0, -1.0, 1.0]], rhs=[1.5], **box)
         for start in (None, corner):
             sol = lp_minimize(p, start=start)
-            assert_allclose(sol.y, [2.0, 0.0, -0.5], atol=1e-12)
-            assert sol.active == (("sample", 0), ("lower", 0), ("lower", 1))
+            assert_allclose(sol.y[0], [2.0, 0.0, -0.5], atol=1e-12)
+            # sample row 0 and the lower bounds of y_0 and y_1
+            assert sol.active.tolist() == [[0, 1, 2]]
             assert sol.pivots == 2
         # y_0 >= 2.5 cannot hold with y_0 fixed at 2
         empty = LPProblem(c=c, rows=[[1.0, 0.0, 0.0]], rhs=[2.5], **box)
@@ -490,18 +500,16 @@ def _row_by_row(p, start=None, tol=1e-8):
     return out
 
 
-def _assert_rows_match(batch, sols, q):
+def _assert_rows_match(batch, sols):
     """The stacked solve's rows equal the one-objective solves."""
     assert len(batch.value) == len(sols)
     for i, sol in enumerate(sols):
-        offset = {"sample": 0, "lower": batch.n_rows,
-                  "upper": batch.n_rows + q}
-        assert batch.active[i].tolist() == [offset[kind] + k
-                                            for kind, k in sol.active]
-        v = sol.value
+        assert sol.n_rows == batch.n_rows
+        assert batch.active[i].tolist() == sol.active[0].tolist()
+        v = sol.value[0]
         assert abs(batch.value[i] - v) <= 1e-12 * max(1.0, abs(v))
-        assert np.all(np.abs(batch.y[i] - sol.y)
-                      <= 1e-12 * np.maximum(1.0, np.abs(sol.y)))
+        assert np.all(np.abs(batch.y[i] - sol.y[0])
+                      <= 1e-12 * np.maximum(1.0, np.abs(sol.y[0])))
         assert batch.row_pivots[i] == sol.pivots
         assert batch.row_degenerate[i] == sol.degenerate
     assert batch.pivots == sum(s.pivots for s in sols)
@@ -524,7 +532,7 @@ class TestStackedLpMinimize:
                           rows=rows[:q], rhs=rhs[:q])
         cold = lp_minimize(first)
         assert cold.cache_hit is False
-        _assert_rows_match(cold, _row_by_row(first), q)
+        _assert_rows_match(cold, _row_by_row(first))
         full = LPProblem(c=objectives, lower=lo, upper=hi, rows=rows,
                          rhs=rhs)
         # every third row of the start is cold
@@ -532,9 +540,23 @@ class TestStackedLpMinimize:
             (np.arange(12) % 3 == 0)[:, None], -1, cold.active))
         for begin in (cold, start):
             warm = lp_minimize(full, start=begin)
-            _assert_rows_match(warm, _row_by_row(full, begin), q)
+            _assert_rows_match(warm, _row_by_row(full, begin))
             assert np.all(rows @ warm.y.T >= rhs[:, None] - 1e-9)
         assert warm.pivots < lp_minimize(full).pivots
+
+    def test_one_objective_is_a_stack_of_one(self):
+        problems = grown_lps(4, 7, 8)
+        start = lp_minimize(problems[4])
+        for begin in (None, start):
+            one = lp_minimize(problems[-1], start=begin)
+            stacked = lp_minimize(replace(problems[-1],
+                                          c=problems[-1].c[None]),
+                                  start=begin)
+            assert isinstance(one, LPBatch)
+            for f in fields(LPBatch):
+                assert np.array_equal(getattr(one, f.name),
+                                      getattr(stacked, f.name)), f.name
+            assert one.y.shape == (1, 4)
 
     def test_fixed_coordinate(self):
         box = {"lower": [2.0, 0.0, -1.0], "upper": [2.0, 1.0, 1.0]}
@@ -546,7 +568,7 @@ class TestStackedLpMinimize:
                       rhs=[1.5, -0.5], **box)
         for start in (None, corner):
             sols = lp_minimize(p, start=start)
-            _assert_rows_match(sols, _row_by_row(p, start), 3)
+            _assert_rows_match(sols, _row_by_row(p, start))
             assert np.all(sols.y[:, 0] == 2.0)
             # a box row of coordinate 0 stays in every active set
             assert np.all(np.any((sols.active == 2) | (sols.active == 5),
@@ -561,7 +583,7 @@ class TestStackedLpMinimize:
                       rows=[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, -1.0]],
                       rhs=[-1.0, -1.0, -1.0, 1.0])
         sols = lp_minimize(p)
-        _assert_rows_match(sols, _row_by_row(p), 2)
+        _assert_rows_match(sols, _row_by_row(p))
         assert sols.degenerate > 0
         for c, value in zip(objectives, sols.value):
             best, _ = enumerate_vertices(LPProblem(
@@ -580,7 +602,7 @@ class TestStackedLpMinimize:
             with pytest.raises(InfeasibleError):
                 lp_minimize(p, tol=1e-8, start=begin)
             sols = lp_minimize(p, tol=1e-6, start=begin)
-            _assert_rows_match(sols, _row_by_row(p, begin, tol=1e-6), 1)
+            _assert_rows_match(sols, _row_by_row(p, begin, tol=1e-6))
             assert_allclose(sols.y[:, 0], 0.5, atol=1e-6)
 
     def test_empty_stack(self):
@@ -610,4 +632,4 @@ class TestStackedLpMinimize:
         kept = first.active[2]
         assert held.active[2].tolist() == np.where(kept >= 1, kept + 1,
                                                    kept).tolist()
-        _assert_rows_match(held.take([2]), _row_by_row(grown)[2:], 2)
+        _assert_rows_match(held.take([2]), _row_by_row(grown)[2:])

@@ -242,7 +242,9 @@ class TestManifest:
         ({"domain": [[False, True]]}, "domain"),
         ({"domain": [[0.0, float("inf")]]}, "domain"),
         ({"domain": [[float("nan"), 1.0]]}, "domain"),
-    ], ids=["Q-and-P", "domain", "domain-infinite", "domain-nan"])
+        ({"domain": [[0, 10 ** 400]]}, "domain"),
+    ], ids=["Q-and-P", "domain", "domain-infinite", "domain-nan",
+            "domain-huge-int"])
     def test_boolean_where_number_expected(self, tmp_path, override, field):
         path = self.write_circle_manifest(tmp_path)
         manifest = json.loads(path.read_text())

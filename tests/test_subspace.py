@@ -265,7 +265,8 @@ class TestEtaEstimate:
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
         mu = [np.pi / 4]
         val, sol = lower_bound(pool, box, mu)
-        bumps = {i: 0.0 for i in sol.sample_indices()}
+        (active,) = sol.active
+        bumps = {i: 0.0 for i in active[active < sol.n_rows]}
         out = tighten_and_resolve(sol, bumps, fam.theta_at(mu))
         assert_allclose(out.eta, val, atol=1e-12)
 
@@ -377,7 +378,7 @@ class TestSubspaceLowerBound:
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
         _, sol = lower_bound(pool, box, [1.0])
         with pytest.raises(ArgumentError, match="r_max must be non-negative"):
-            sweep_bounds(pool, box, fam.theta_at([1.0])[None], [sol],
+            sweep_bounds(pool, box, fam.theta_at([1.0])[None], sol,
                          r_max=r_max)
         with pytest.raises(ArgumentError, match="r_max must be non-negative"):
             SubspacePool(fam, r_max=r_max)

@@ -24,10 +24,11 @@ import types
 import numpy as np
 import pytest
 
-from eigenbounds import (AffineFamily, LPProblem, SubspacePool, append_sample,
-                         beta_gap, compute_bounding_box, f_bound, lower_bound,
-                         lp_minimize, one_parameter_analytic_family,
-                         random_family, random_training_set, ritz_upper_bound,
+from eigenbounds import (AffineFamily, LPBatch, LPProblem, SubspacePool,
+                         append_sample, beta_gap, compute_bounding_box,
+                         f_bound, lower_bound, lp_minimize,
+                         one_parameter_analytic_family, random_family,
+                         random_training_set, ritz_upper_bound,
                          subspace_greedy, subspace_lower_bound, sweep_bounds,
                          tighten_and_resolve)
 from eigenbounds import subspace
@@ -43,6 +44,17 @@ def _rho_reference(P_block, values):
     return math.sqrt(max(rho2, 0.0))
 
 
+def _stacked(sols, n_rows):
+    """The one-row LP batches ``sols`` as one batch over ``n_rows`` sample
+    rows; a batch over fewer sample rows has its box rows moved up."""
+    active = [np.where(s.active >= s.n_rows, s.active + n_rows - s.n_rows,
+                       s.active) for s in sols]
+    return LPBatch(active=np.concatenate(active), n_rows=n_rows, **{
+        f: np.concatenate([getattr(s, f) for s in sols])
+        for f in ("y", "value", "theta_mat", "psi", "z", "row_pivots",
+                  "row_degenerate")})
+
+
 def _reference_bounds(pool, mu, sol, r_max):
     """Per-point bounds from a known LP solution, as the old loop did them.
 
@@ -56,18 +68,20 @@ def _reference_bounds(pool, mu, sol, r_max):
     S = np.einsum("q,p,qpij->ij", th, th, pool.cross, optimize=True)
     r_hi = int(min(r_max, pool.dim, pool.family.n // 2))
     W1 = vecs[:, :1]
-    out = {"lam_lb": sol.value, "lam_sub": float(vals[0]),
+    (lam_lb,), (active,) = sol.value, sol.active
+    out = {"lam_lb": lam_lb, "lam_sub": float(vals[0]),
            "residual": _rho_reference(W1.conj().T @ S @ W1, vals[:1]),
            "r": 0, "rho": None, "eta": None,
-           "cands": [sol.value]}
-    best_val = sol.value
+           "cands": [lam_lb]}
+    best_val = lam_lb
     if r_hi >= 1:
         W_hi = vecs[:, :r_hi]
         P_full = W_hi.conj().T @ S @ W_hi
         for r in range(1, r_hi + 1):
             W = vecs[:, :r]
             rho = _rho_reference(P_full[:r, :r], vals[:r])
-            betas = {i: beta_gap(pool, i, W) for i in sol.sample_indices()}
+            betas = {i: beta_gap(pool, i, W)
+                     for i in active[active < sol.n_rows]}
             tight = tighten_and_resolve(sol, betas, th)
             cand = f_bound(vals[0], tight.eta, rho)
             out["cands"].append(cand)
@@ -175,12 +189,13 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
         append_sample(pool, pts[s])
         lam_new, th_new = pool.rhs[-1], pool.rows[-1]
         cache_ok = np.array([warm and it > 0 and
-                             float(th_new @ sols[i].y) >= lam_new - 1e-8
+                             float(th_new @ sols[i].y[0]) >= lam_new - 1e-8
                              for i in range(m)])
         idx = np.flatnonzero(~cache_ok) if subset else np.arange(m)
         for i in np.flatnonzero(~cache_ok):
             _, sols[i] = lower_bound(pool, box, pts[i])
-        new = sweep_bounds(pool, box, theta[idx], [sols[i] for i in idx],
+        new = sweep_bounds(pool, box, theta[idx],
+                           _stacked([sols[i] for i in idx], pool.j),
                            r_max=r_max)
         for k, i in enumerate(idx):
             ref = _reference_bounds(pool, pts[i], sols[i], r_max)
@@ -202,22 +217,22 @@ def test_all_box_vertex_gives_the_lp_value():
     sols = []
     for mu in pts:
         _, sol = lower_bound(pool, box, mu)
-        assert sol.sample_indices()
+        assert np.any(sol.active < sol.n_rows)
         sols.append(sol)
     # the LP over the box alone: its active set holds no sample row
     box_only = lp_minimize(LPProblem(c=theta[0], lower=box.lower,
                                      upper=box.upper,
                                      rows=np.zeros((0, fam.q)),
                                      rhs=np.zeros(0)))
-    assert box_only.all_box
+    assert np.all(box_only.active >= box_only.n_rows)
     sols[0] = box_only
-    new = sweep_bounds(pool, box, theta, sols, r_max=fam.q)
+    new = sweep_bounds(pool, box, theta, _stacked(sols, pool.j), r_max=fam.q)
     for k, (mu, sol) in enumerate(zip(pts, sols)):
         ref = _reference_bounds(pool, mu, sol, fam.q)
         _check_row(new, k, ref, _rho2_tol(pool, box, theta[k]))
     # no sample row to shift: eta is the LP value, so r = 0 wins
     assert new["chosen_r"][0] == 0
-    assert new["lam_slb"][0] == box_only.value
+    assert new["lam_slb"][0] == box_only.value[0]
 
 
 def _ill_conditioned_vertex():
@@ -236,16 +251,17 @@ def _ill_conditioned_vertex():
         append_sample(pool, mu)
     c = fam.theta_at(np.array([0.1 + gap / 2]))
     lp = dict(c=c, lower=box.lower, upper=box.upper, rows=pool.rows)
-    pair = types.SimpleNamespace(active=(("sample", 1), ("sample", 2)))
+    pair = types.SimpleNamespace(active=np.array([[1, 2]]), n_rows=pool.j)
     sol = lp_minimize(LPProblem(rhs=pool.rhs, **lp), start=pair)
     return fam, box, pool, c, lp, pair, sol
 
 
 def test_ill_conditioned_vertex_y_on_its_active_rows():
     *_, sol = _ill_conditioned_vertex()
-    assert np.linalg.cond(sol.theta_mat) >= 1e12
-    scale = np.abs(sol.theta_mat) @ np.abs(sol.y) + np.abs(sol.psi)
-    assert np.all(np.abs(sol.theta_mat @ sol.y - sol.psi) <= 4 * U * scale)
+    (theta,), (y,), (psi,) = sol.theta_mat, sol.y, sol.psi
+    assert np.linalg.cond(theta) >= 1e12
+    scale = np.abs(theta) @ np.abs(y) + np.abs(psi)
+    assert np.all(np.abs(theta @ y - psi) <= 4 * U * scale)
 
 
 def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
@@ -253,8 +269,8 @@ def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
     at most the minimum of the LP with every sample row bumped by beta_r,
     as weak duality promises for any nonnegative multipliers."""
     fam, box, pool, c, lp, pair, sol = _ill_conditioned_vertex()
-    assert sol.active == pair.active
-    assert np.linalg.cond(sol.theta_mat) >= 1e12
+    assert np.array_equal(sol.active, pair.active)
+    assert np.linalg.cond(sol.theta_mat[0]) >= 1e12
     assert tighten_and_resolve(sol, {1: 1.0, 2: 1.0},
                                c).fallback == "ill_conditioned"
 
@@ -265,7 +281,7 @@ def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
         return f_bound(lam_v1, eta, rho)
 
     monkeypatch.setattr(subspace, "f_bound", spy)
-    sweep_bounds(pool, box, c[None], [sol], r_max=fam.q)
+    sweep_bounds(pool, box, c[None], sol, r_max=fam.q)
     (eta,) = swept[0]
     assert eta.size == 2
     vals, vecs = np.linalg.eigh(np.tensordot(c, pool.reduced, axes=1))
@@ -273,10 +289,10 @@ def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
         beta = np.array([beta_gap(pool, i, vecs[:, :r])
                          for i in range(pool.j)])
         cold = lp_minimize(LPProblem(rhs=pool.rhs + beta, **lp))
-        best = float(c @ cold.y)
+        best = float(c @ cold.y[0])
         assert eta_r <= best + 16 * U * max(1.0, abs(best))
         # and it beats the LP value the old fallback would have kept
-        assert eta_r > sol.value
+        assert eta_r > sol.value[0]
 
 
 def test_chunked_sweep_matches_one_chunk(monkeypatch):
@@ -287,7 +303,7 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
     pool = SubspacePool(fam, ell=2)
     for mu in pts[[0, 4, 8]]:
         append_sample(pool, mu)
-    sols = [lower_bound(pool, box, mu)[1] for mu in pts]
+    sols = _stacked([lower_bound(pool, box, mu)[1] for mu in pts], pool.j)
     whole = sweep_bounds(pool, box, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
     chunked = sweep_bounds(pool, box, theta, sols)
@@ -309,13 +325,13 @@ def test_one_row_call_matches_batched_row():
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
         append_sample(pool, mu)
-    batch = sweep_bounds(pool, box, fam.theta_table(pts),
-                         [lower_bound(pool, box, mu)[1] for mu in pts])
+    batch = sweep_bounds(pool, box, fam.theta_table(pts), _stacked(
+        [lower_bound(pool, box, mu)[1] for mu in pts], pool.j))
     for k, mu in enumerate(pts):
         slb, data, sol = subspace_lower_bound(pool, box, mu)
         assert abs(slb - batch["lam_slb"][k]) <= 1e-9
         assert data.r == batch["chosen_r"][k]
-        assert sol.value == batch["lam_lb"][k]
+        assert sol.value[0] == batch["lam_lb"][k]
         rd = ritz_upper_bound(pool, mu, r=max(data.r, 1))
         assert abs(rd.values[0] - batch["lam_sub"][k]) <= _tol(rd.values[0])
 
