@@ -256,6 +256,7 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             if result.records else None,
         "oracle_active": oracle_active,
         "heuristic_first_valid_iteration": heuristic_first_valid(result.records),
+        "box_seconds": result.box_seconds,
         "wall_seconds": time.perf_counter() - t0,
     }
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        SparseHermitian, _extreme_pairs, hermitian)
+                        SparseHermitian, _extreme_values, hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -155,20 +155,28 @@ class BoundingBox:
 
 
 def compute_bounding_box(family, seed=0):
-    """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox."""
+    """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox.
+
+    A dense term that LAPACK's partial solver takes gets both ends from
+    one backward-stable reduction to tridiagonal form T, as the exact
+    extreme eigenvalues of T by Sturm-count bisection, with no residual;
+    the terms of a pencil family share one dense Cholesky factor of X.
+    Every other term takes two smallest-eigenvalue solves, of A_q and
+    -A_q (see :func:`~eigenbounds.extreme_eigs`).
+    """
     lows = np.empty(family.q)
     highs = np.empty(family.q)
     fallbacks = 0
+    factors = {}
     for qi, term in enumerate(family.terms):
         try:
-            lo, neg_hi = _extreme_pairs(term, seed=seed,
-                                        M=family.inner_product)
+            lows[qi], highs[qi], unshifted = _extreme_values(
+                term, seed=seed, M=family.inner_product, factors=factors)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",
                 best=exc.best) from exc
-        lows[qi], highs[qi] = lo.values[0], -neg_hi.values[0]
-        fallbacks += lo.shift_fallback + neg_hi.shift_fallback
+        fallbacks += unshifted
     return BoundingBox(lower=lows, upper=highs, shift_fallbacks=fallbacks)
 
 

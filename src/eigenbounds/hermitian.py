@@ -11,20 +11,27 @@ ARPACK's implicitly restarted Lanczos run to working precision.  The
 returned eigenpairs carry explicitly computed residual norms: each value
 lies within ||r|| of an eigenvalue.  LAPACK's tridiagonal solve cannot skip
 an eigenvalue below the ones it returns; from ARPACK they are the wanted
-ones provided it missed no eigenvalue below them.  Operators are stored
-matrices, dense or sparse, and each negates exactly.  Given the sparse
-factor of an SPD X (:func:`cholesky`), the eigensolvers solve the pencil
-(A, X): X-orthonormal vectors, residuals in the X^{-1} norm.  Given a shift
-below the spectrum, a sparse eigensolve runs ARPACK in shift-invert mode on
-the factor of A - sigma X (spectral-transformation Lanczos, Ericsson &
-Ruhe, Math. Comp. 35, 1980); the factor's pivots certify the shift by
-Sylvester's law of inertia.  The extreme eigenvalues of a sparse pencil are
-solved that way, at shifts placed just below loose estimates of both ends.
+ones provided it missed no eigenvalue below them.  The extreme eigenvalues
+of a dense operator up to the same caps (a bounding-box term) take no
+eigenvectors: one backward-stable Householder reduction to tridiagonal
+form T (for a pencil, of the standard form from the dense Cholesky factor
+of X), then both ends as the exact extreme eigenvalues of T by Sturm-count
+bisection to full accuracy (Demmel, Applied Numerical Linear Algebra,
+SIAM 1997, sec. 5.3); the counts, not a residual, make each the extreme
+one.  Operators are stored matrices, dense or sparse, and each negates
+exactly.  Given the sparse factor of an SPD X (:func:`cholesky`), the
+eigensolvers solve the pencil (A, X): X-orthonormal vectors, residuals in
+the X^{-1} norm.  Given a shift below the spectrum, a sparse eigensolve
+runs ARPACK in shift-invert mode on the factor of A - sigma X
+(spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp. 35, 1980);
+the factor's pivots certify the shift by Sylvester's law of inertia.  The
+extreme eigenvalues of a sparse pencil are solved that way, at shifts
+placed just below loose estimates of both ends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -374,8 +381,7 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
         raise ArgumentError(f"the shift must be finite, got {below}")
     if n <= DENSE_FALLBACK_SIZE or k == n:     # ARPACK needs k < n
         return dense_smallest(op.dense(), k, M=M)
-    cap = DENSE_PARTIAL_CAP if M is None else DENSE_PENCIL_CAP
-    if isinstance(op, DenseHermitian) and n <= cap:
+    if _takes_lapack(op, M):
         try:
             w, V = scipy.linalg.eigh(op.array, None if M is None
                                      else M.matrix.dense(),
@@ -418,12 +424,81 @@ def _estimate(op, seed, M):
     return float(w[0])
 
 
-def _extreme_pairs(op, seed, M):
-    """The smallest eigenpair of ``op`` and of ``-op`` (see extreme_eigs).
+def _takes_lapack(op, M):
+    """Whether LAPACK's partial solver takes the dense ``op`` (n above
+    DENSE_FALLBACK_SIZE, up to the cap of its problem kind)."""
+    cap = DENSE_PARTIAL_CAP if M is None else DENSE_PENCIL_CAP
+    return (isinstance(op, DenseHermitian)
+            and DENSE_FALLBACK_SIZE < op.n <= cap)
 
-    A pair has ``shift_fallback`` set when its shift failed the factor
-    test or its loose pass did not converge.
+
+def _lapack_checked(name, info):
+    if info:
+        raise np.linalg.LinAlgError(f"{name} returned info={info}")
+
+
+def _dense_lower(M, dtype):
+    """The lower Cholesky factor (``?potrf``) of X densified to ``dtype``."""
+    X = M.matrix.dense().astype(dtype, copy=False)
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (X,))
+    L, info = potrf(X, lower=1)
+    _lapack_checked("potrf", info)
+    return L
+
+
+def _tridiagonal_ends(A, L=None):
+    """The smallest and largest eigenvalue of a dense Hermitian ``A`` (with
+    the lower Cholesky factor ``L`` of X, of the pencil (A, X)).
+
+    One backward-stable Householder reduction to a real tridiagonal T
+    (``?sytrd``/``?hetrd``, of L^{-1} A L^{-*} from ``?sygst``/``?hegst``
+    for a pencil), then T's smallest eigenvalue and that of -T, each by
+    Sturm-count bisection (``?stebz``) to full accuracy: the extreme
+    eigenvalues of T exactly as ``dsyevr``/``dsygvx`` compute them from
+    the same T, with no vector and no residual.  The reduction of -A is
+    (-d, -e) bitwise, and bisection reads e only through |e| and e^2, so
+    the high end is what a smallest-eigenvalue solve of -A returns.
+    Raises ValueError on a non-finite entry, EigensolverError if LAPACK
+    fails.
     """
+    A = np.asarray_chkfinite(A)
+    pfx = "he" if np.iscomplexobj(A) else "sy"
+    try:
+        if L is not None:
+            gst, = scipy.linalg.get_lapack_funcs((pfx + "gst",), (A,))
+            A, info = gst(A, L, itype=1, lower=1)
+            _lapack_checked(pfx + "gst", info)
+        trd, trd_lwork = scipy.linalg.get_lapack_funcs(
+            (pfx + "trd", pfx + "trd_lwork"), (A,))
+        work, info = trd_lwork(A.shape[0], lower=1)
+        _lapack_checked(pfx + "trd_lwork", info)
+        _, d, e, _, info = trd(A, lower=1, lwork=int(work.real))
+        _lapack_checked(pfx + "trd", info)
+        lo, neg_hi = (scipy.linalg.eigvalsh_tridiagonal(
+            diagonal, e, select="i", select_range=(0, 0))[0]
+            for diagonal in (d, -d))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK failed: {exc}") from exc
+    return float(lo), float(-neg_hi)
+
+
+def _extreme_values(op, seed, M, factors=None):
+    """(lo, hi, fallbacks): the extreme eigenvalues of ``op`` (of the
+    pencil (op, X) with ``M``), and how many of the two ends ran unshifted
+    after a failed shift or loose pass (see extreme_eigs).
+
+    ``factors`` caches the dense Cholesky factor of X by dtype, so that
+    the terms of one bounding box share it.
+    """
+    if _takes_lapack(op, M):
+        A, L = op.array, None
+        if M is not None:
+            dtype = np.result_type(A.dtype, M.matrix.matrix.dtype)
+            factors = {} if factors is None else factors
+            if dtype not in factors:
+                factors[dtype] = _dense_lower(M, dtype)
+            A, L = A.astype(dtype, copy=False), factors[dtype]
+        return (*_tridiagonal_ends(A, L), 0)
     ends = (op, -op)
     below, missed = (None, None), (False, False)
     if (M is not None and isinstance(op, SparseHermitian)
@@ -434,20 +509,28 @@ def _extreme_pairs(op, seed, M):
             delta = ESTIMATE_TOL * max(abs(e) for e in estimates)
             if delta > 0:
                 below = [e - delta for e in estimates]
-    pairs = [smallest_eigpairs(end, 1, seed=seed, M=M, below=sigma)
-             for end, sigma in zip(ends, below)]
-    return [replace(p, shift_fallback=True) if m else p
-            for p, m in zip(pairs, missed)]
+    lo, neg_hi = [smallest_eigpairs(end, 1, seed=seed, M=M, below=sigma)
+                  for end, sigma in zip(ends, below)]
+    fallbacks = sum(p.shift_fallback or m
+                    for p, m in zip((lo, neg_hi), missed))
+    return float(lo.values[0]), float(-neg_hi.values[0]), fallbacks
 
 
 def extreme_eigs(A, seed=0, M=None):
     """Smallest and largest eigenvalue of a Hermitian operator (or pencil).
 
-    Both come from :func:`smallest_eigpairs` at working precision, so each
-    lies within its residual norm of an eigenvalue; from LAPACK (dense
-    operators up to the caps there) it is the extreme one, from ARPACK
-    that assumes it missed none beyond it.  The largest eigenvalue
-    is obtained by running the smallest-eigenvalue solver on -A, so
+    A dense operator that LAPACK's partial solver takes (see
+    :func:`smallest_eigpairs`) is reduced once to tridiagonal form T by a
+    backward-stable Householder reduction (a pencil: after the standard
+    form L^{-1} A L^{-*} from the dense Cholesky factor of X); both ends
+    are then the exact extreme eigenvalues of T by Sturm-count bisection,
+    with no vector and no residual.  They are the values LAPACK's partial
+    solver gives for A and -A.  Every other operator takes
+    :func:`smallest_eigpairs` on A and on -A at working precision, so each
+    end lies within its residual norm of an eigenvalue: from a full dense
+    eigendecomposition (n <= DENSE_FALLBACK_SIZE) the extreme one, from
+    ARPACK that assumes it missed none beyond it.  Either way the largest
+    eigenvalue is the negated smallest of -A, so
     extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
 
@@ -463,8 +546,8 @@ def extreme_eigs(A, seed=0, M=None):
     Lanczos step is one product, while a pencil's already solves with a
     factor, so only the pencil gains from the shift.
     """
-    lo, neg_hi = _extreme_pairs(hermitian(A), seed=seed, M=M)
-    return float(lo.values[0]), float(-neg_hi.values[0])
+    lo, hi, _ = _extreme_values(hermitian(A), seed=seed, M=M)
+    return lo, hi
 
 
 def dense_smallest(H, r, M=None):

@@ -12,7 +12,7 @@ from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
                          block_grid_family, coercivity_transform,
                          compute_bounding_box, random_family,
                          random_training_set, scm_greedy, subspace_greedy)
-from eigenbounds import scm, smallest_eigpairs, subspace
+from eigenbounds import driver, scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 
 # the package re-exports a function named ``hermitian`` over the module
@@ -96,6 +96,26 @@ def test_summary_counts_pivots_and_degenerate_lps(tmp_path, monkeypatch,
     counts = run_pipeline(config, fam, str(tmp_path))["counts"]
     assert counts["lp_pivots"] == sum(s.pivots for s in solved) > 0
     assert counts["lp_degenerate"] == sum(s.degenerate for s in solved)
+
+
+@pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+def test_box_seconds_is_the_first_part_of_eig_seconds(tmp_path, monkeypatch,
+                                                      pipeline):
+    results = []
+    greedy = f"{pipeline}_greedy"
+    original = getattr(driver, greedy)
+
+    def kept(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(driver, greedy, kept)
+    fam = random_family(3, 100, delta=0.3, seed=60)
+    config = RunConfig(pipeline=pipeline, n_train=20, j_max=3, eps=1e-12)
+    summary = run_pipeline(config, fam, str(tmp_path))
+    res, = results
+    assert summary["box_seconds"] == res.box_seconds
+    assert 0.0 <= res.box_seconds <= res.records[0].eig_seconds
 
 
 def _grid_pencil():

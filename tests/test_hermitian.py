@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from eigenbounds import (ArgumentError, DenseHermitian,
+from eigenbounds import (AffineFamily, ArgumentError, DenseHermitian,
                          EigensolverError, NotPositiveDefiniteError,
                          SparseHermitian, block_grid_family, cholesky,
                          coercivity_transform, compute_bounding_box,
@@ -460,6 +460,103 @@ class TestDensePartialSolver:
                         rtol=0, atol=1e-12)
         assert_allclose(ep.vectors.T @ ep.vectors, np.eye(2),
                         rtol=0, atol=1e-13)
+
+
+def _two_partial_solves(op, M=None):
+    """The box ends as one partial solve each of A and -A gives them."""
+    return (smallest_eigpairs(op, 1, M=M).values[0],
+            -smallest_eigpairs(-op, 1, M=M).values[0])
+
+
+def _tridiagonal_pencil(n):
+    """The SPD factor of the 1-D Laplacian plus 0.1 I, sparse."""
+    lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                       [-1, 0, 1], format="csr")
+    return cholesky((lap + 0.1 * sparse.identity(n, format="csr")).tocsr())
+
+
+def _dense_family(q, n, M=None, entry=None):
+    """A dense family of ``q`` random terms; ``entry`` = (i, j, value) is
+    written into the first term at (i, j) and (j, i)."""
+    terms = [_random_symmetric(n, 40 + k) for k in range(q)]
+    if entry is not None:
+        i, j, value = entry
+        terms[0][i, j] = terms[0][j, i] = value
+    return AffineFamily(terms=tuple(terms),
+                        theta=lambda mu: np.concatenate([[1.0], mu]),
+                        domain=((0.0, 1.0),) * (q - 1), inner_product=M)
+
+
+class TestDenseBoxReduction:
+    """A dense term up to the LAPACK caps takes both box ends from one
+    tridiagonal reduction: bit for bit the values of the two partial
+    solves of A and -A it replaces."""
+
+    @pytest.mark.parametrize("n", [hermitian_module.DENSE_FALLBACK_SIZE + 1,
+                                   300, hermitian_module.DENSE_PARTIAL_CAP])
+    def test_real_ends_equal_two_partial_solves(self, n):
+        op = DenseHermitian(_random_symmetric(n, n + 7))
+        lo, hi = extreme_eigs(op)
+        assert (lo, hi) == _two_partial_solves(op)
+        assert extreme_eigs(-op) == (-hi, -lo)
+
+    def test_complex_ends_equal_two_partial_solves(self):
+        rng = np.random.default_rng(90)
+        op = DenseHermitian(rng.standard_normal((90, 90))
+                            + 1j * rng.standard_normal((90, 90)))
+        lo, hi = extreme_eigs(op)
+        assert (lo, hi) == _two_partial_solves(op)
+        assert extreme_eigs(-op) == (-hi, -lo)
+
+    def test_pencil_ends_equal_two_partial_solves(self):
+        M = _tridiagonal_pencil(150)
+        op = DenseHermitian(_random_symmetric(150, 3))
+        lo, hi = extreme_eigs(op, M=M)
+        assert (lo, hi) == _two_partial_solves(op, M)
+        assert extreme_eigs(-op, M=M) == (-hi, -lo)
+
+    def test_box_runs_no_partial_solve(self, monkeypatch):
+        def partial_solve(*args, **kwargs):
+            raise AssertionError("a partial eigensolve ran")
+
+        monkeypatch.setattr(scipy.linalg, "eigh", partial_solve)
+        monkeypatch.setattr(hermitian_module, "eigsh", partial_solve)
+        box = compute_bounding_box(_dense_family(4, 300))
+        assert box.shift_fallbacks == 0 and np.all(box.lower < box.upper)
+
+    def test_pencil_terms_share_one_cholesky_factor(self, monkeypatch):
+        calls = []
+        original = hermitian_module._dense_lower
+
+        def counted(M, dtype):
+            calls.append(dtype)
+            return original(M, dtype)
+
+        monkeypatch.setattr(hermitian_module, "_dense_lower", counted)
+        fam = _dense_family(4, 150, M=_tridiagonal_pencil(150))
+        box = compute_bounding_box(fam)
+        assert len(calls) == 1
+        for q, term in enumerate(fam.terms):
+            assert ((box.lower[q], box.upper[q])
+                    == _two_partial_solves(term, fam.inner_product))
+
+    def test_bisection_failure_is_an_eigensolver_error(self, monkeypatch):
+        def bisection(*args, **kwargs):
+            raise np.linalg.LinAlgError("bisection failed")
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", bisection)
+        with pytest.raises(EigensolverError,
+                           match="bounding box failed on term 1") as err:
+            compute_bounding_box(_dense_family(2, 100))
+        assert err.value.best is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_non_finite_term_raises_value_error(self, value, pencil):
+        M = _tridiagonal_pencil(100) if pencil else None
+        fam = _dense_family(2, 100, M=M, entry=(3, 5, value))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            compute_bounding_box(fam)
 
 
 class TestDenseSmallest:
