@@ -377,6 +377,13 @@ def _random_symmetric(n, seed):
     return 0.5 * (g + g.T)
 
 
+def _tridiagonal_pencil(n):
+    """The SPD factor of the 1-D Laplacian plus 0.1 I, sparse."""
+    lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                       [-1, 0, 1], format="csr")
+    return cholesky((lap + 0.1 * sparse.identity(n, format="csr")).tocsr())
+
+
 class TestDensePartialSolver:
     """Dense operators with DENSE_FALLBACK_SIZE < n <= DENSE_PARTIAL_CAP
     (pencils: n <= DENSE_PENCIL_CAP) take LAPACK's partial solver; sparse
@@ -415,10 +422,8 @@ class TestDensePartialSolver:
         _no_arpack(monkeypatch)
         n = 150
         A = _random_symmetric(n, 3)
-        lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n),
-                            -np.ones(n - 1)], [-1, 0, 1], format="csr")
-        X = (lap + 0.1 * sparse.identity(n, format="csr")).tocsr()
-        M = cholesky(X)
+        M = _tridiagonal_pencil(n)
+        X = M.matrix.matrix
         w = scipy.linalg.eigh(A, X.toarray(), eigvals_only=True)
         allowance = n * np.finfo(float).eps * np.abs(w).max()
         ep = smallest_eigpairs(DenseHermitian(A), 2, M=M)
@@ -466,13 +471,6 @@ def _two_partial_solves(op, M=None):
     """The box ends as one partial solve each of A and -A gives them."""
     return (smallest_eigpairs(op, 1, M=M).values[0],
             -smallest_eigpairs(-op, 1, M=M).values[0])
-
-
-def _tridiagonal_pencil(n):
-    """The SPD factor of the 1-D Laplacian plus 0.1 I, sparse."""
-    lap = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
-                       [-1, 0, 1], format="csr")
-    return cholesky((lap + 0.1 * sparse.identity(n, format="csr")).tocsr())
 
 
 def _dense_family(q, n, M=None, entry=None):
