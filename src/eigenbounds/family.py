@@ -159,19 +159,17 @@ def compute_bounding_box(family, seed=0):
 
     A dense term that LAPACK's partial solver takes gets both ends from
     one backward-stable reduction to tridiagonal form T, as the exact
-    extreme eigenvalues of T by Sturm-count bisection, with no residual;
-    the terms of a pencil family share one dense Cholesky factor of X.
+    extreme eigenvalues of T by Sturm-count bisection, with no residual.
     Every other term takes two smallest-eigenvalue solves, of A_q and
     -A_q (see :func:`~eigenbounds.extreme_eigs`).
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)
     fallbacks = 0
-    factors = {}
     for qi, term in enumerate(family.terms):
         try:
             lows[qi], highs[qi], unshifted = _extreme_values(
-                term, seed=seed, M=family.inner_product, factors=factors)
+                term, seed=seed, M=family.inner_product)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",

@@ -437,35 +437,32 @@ def _lapack_checked(name, info):
         raise np.linalg.LinAlgError(f"{name} returned info={info}")
 
 
-def _dense_lower(M, dtype):
-    """The lower Cholesky factor (``?potrf``) of X densified to ``dtype``."""
-    X = M.matrix.dense().astype(dtype, copy=False)
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (X,))
-    L, info = potrf(X, lower=1)
-    _lapack_checked("potrf", info)
-    return L
-
-
-def _tridiagonal_ends(A, L=None):
-    """The smallest and largest eigenvalue of a dense Hermitian ``A`` (with
-    the lower Cholesky factor ``L`` of X, of the pencil (A, X)).
+def _tridiagonal_ends(A, M=None):
+    """The smallest and largest eigenvalue of a dense Hermitian ``A`` (of
+    the pencil (A, X) with the Cholesky factor ``M`` of X).
 
     One backward-stable Householder reduction to a real tridiagonal T
-    (``?sytrd``/``?hetrd``, of L^{-1} A L^{-*} from ``?sygst``/``?hegst``
-    for a pencil), then T's smallest eigenvalue and that of -T, each by
-    Sturm-count bisection (``?stebz``) to full accuracy: the extreme
-    eigenvalues of T exactly as ``dsyevr``/``dsygvx`` compute them from
-    the same T, with no vector and no residual.  The reduction of -A is
-    (-d, -e) bitwise, and bisection reads e only through |e| and e^2, so
-    the high end is what a smallest-eigenvalue solve of -A returns.
-    Raises ValueError on a non-finite entry, EigensolverError if LAPACK
-    fails.
+    (``?sytrd``/``?hetrd``; for a pencil, of L^{-1} A L^{-*} from
+    ``?sygst``/``?hegst`` with the dense lower factor L = ``?potrf``(X)),
+    then T's smallest eigenvalue and that of -T, each by Sturm-count
+    bisection (``?stebz``) to full accuracy: the extreme eigenvalues of T
+    exactly as ``dsyevr``/``dsygvx`` compute them from the same T, with no
+    vector and no residual.  The reduction of -A is (-d, -e) bitwise, and
+    bisection reads e only through |e| and e^2, so the high end is what a
+    smallest-eigenvalue solve of -A returns.  Raises ValueError on a
+    non-finite entry, EigensolverError if LAPACK fails.
     """
     A = np.asarray_chkfinite(A)
+    if M is not None:
+        X = M.matrix.dense()
+        A = A.astype(np.result_type(A.dtype, X.dtype), copy=False)
     pfx = "he" if np.iscomplexobj(A) else "sy"
     try:
-        if L is not None:
-            gst, = scipy.linalg.get_lapack_funcs((pfx + "gst",), (A,))
+        if M is not None:
+            potrf, gst = scipy.linalg.get_lapack_funcs(
+                ("potrf", pfx + "gst"), (A,))
+            L, info = potrf(X.astype(A.dtype, copy=False), lower=1)
+            _lapack_checked("potrf", info)
             A, info = gst(A, L, itype=1, lower=1)
             _lapack_checked(pfx + "gst", info)
         trd, trd_lwork = scipy.linalg.get_lapack_funcs(
@@ -482,23 +479,13 @@ def _tridiagonal_ends(A, L=None):
     return float(lo), float(-neg_hi)
 
 
-def _extreme_values(op, seed, M, factors=None):
+def _extreme_values(op, seed, M):
     """(lo, hi, fallbacks): the extreme eigenvalues of ``op`` (of the
     pencil (op, X) with ``M``), and how many of the two ends ran unshifted
     after a failed shift or loose pass (see extreme_eigs).
-
-    ``factors`` caches the dense Cholesky factor of X by dtype, so that
-    the terms of one bounding box share it.
     """
     if _takes_lapack(op, M):
-        A, L = op.array, None
-        if M is not None:
-            dtype = np.result_type(A.dtype, M.matrix.matrix.dtype)
-            factors = {} if factors is None else factors
-            if dtype not in factors:
-                factors[dtype] = _dense_lower(M, dtype)
-            A, L = A.astype(dtype, copy=False), factors[dtype]
-        return (*_tridiagonal_ends(A, L), 0)
+        return (*_tridiagonal_ends(op.array, M), 0)
     ends = (op, -op)
     below, missed = (None, None), (False, False)
     if (M is not None and isinstance(op, SparseHermitian)

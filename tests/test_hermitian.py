@@ -522,21 +522,31 @@ class TestDenseBoxReduction:
         box = compute_bounding_box(_dense_family(4, 300))
         assert box.shift_fallbacks == 0 and np.all(box.lower < box.upper)
 
-    def test_pencil_terms_share_one_cholesky_factor(self, monkeypatch):
-        calls = []
-        original = hermitian_module._dense_lower
-
-        def counted(M, dtype):
-            calls.append(dtype)
-            return original(M, dtype)
-
-        monkeypatch.setattr(hermitian_module, "_dense_lower", counted)
+    def test_pencil_box_ends_equal_two_partial_solves(self):
         fam = _dense_family(4, 150, M=_tridiagonal_pencil(150))
         box = compute_bounding_box(fam)
-        assert len(calls) == 1
         for q, term in enumerate(fam.terms):
             assert ((box.lower[q], box.upper[q])
                     == _two_partial_solves(term, fam.inner_product))
+
+    def test_cholesky_failure_is_an_eigensolver_error(self, monkeypatch):
+        # ?potrf of the densified X reports a non-positive leading minor
+        lapack_funcs = scipy.linalg.get_lapack_funcs
+
+        def failing_potrf(X, lower=0):
+            return X, 2
+
+        def patched(names, arrays=()):
+            return [failing_potrf if name == "potrf" else func
+                    for name, func in zip(names, lapack_funcs(names, arrays))]
+
+        fam = _dense_family(2, 100, M=_tridiagonal_pencil(100))
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+        with pytest.raises(EigensolverError,
+                           match="bounding box failed on term 1: LAPACK "
+                                 "failed: potrf returned info=2") as err:
+            compute_bounding_box(fam)
+        assert err.value.best is None
 
     def test_bisection_failure_is_an_eigensolver_error(self, monkeypatch):
         def bisection(*args, **kwargs):
