@@ -18,15 +18,19 @@ form T (for a pencil, of the standard form from the dense Cholesky factor
 of X), then both ends as the exact extreme eigenvalues of T by Sturm-count
 bisection to full accuracy (Demmel, Applied Numerical Linear Algebra,
 SIAM 1997, sec. 5.3); the counts, not a residual, make each the extreme
-one.  Operators are stored matrices, dense or sparse, and each negates
-exactly.  Given the sparse factor of an SPD X (:func:`cholesky`), the
-eigensolvers solve the pencil (A, X): X-orthonormal vectors, residuals in
-the X^{-1} norm.  Given a shift below the spectrum, a sparse eigensolve
-runs ARPACK in shift-invert mode on the factor of A - sigma X
-(spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp. 35, 1980);
-the factor's pivots certify the shift by Sylvester's law of inertia.  The
-extreme eigenvalues of a sparse pencil are solved that way, at shifts
-placed just below loose estimates of both ends.
+one.  A standard sparse term that is zero outside the rows S with stored
+entries is permutation-similar to diag(A[S, S], 0): its ends are those of
+the principal submatrix A[S, S], solved by the same rule at its own size,
+with the zero eigenvalue folded in.  Operators are stored matrices, dense
+or sparse, and each negates exactly.  Given the sparse factor of an SPD X
+(:func:`cholesky`), the eigensolvers solve the pencil (A, X):
+X-orthonormal vectors, residuals in the X^{-1} norm.  Given a shift below
+the spectrum, a sparse eigensolve runs ARPACK in shift-invert mode on the
+factor of A - sigma X (spectral-transformation Lanczos, Ericsson & Ruhe,
+Math. Comp. 35, 1980); the factor's pivots certify the shift by
+Sylvester's law of inertia.  The extreme eigenvalues of a sparse pencil
+are solved that way, at shifts placed just below loose estimates of both
+ends.
 """
 
 from __future__ import annotations
@@ -411,14 +415,15 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
 
 
 def _estimate(op, seed, M):
-    """The smallest eigenvalue of the sparse pencil (A, X) to relative
-    accuracy ESTIMATE_TOL, from one regular-mode pass; None if ARPACK
-    gives up."""
+    """The smallest eigenvalue of the sparse ``op`` (of the pencil (A, X)
+    with ``M``) to relative accuracy ESTIMATE_TOL, from one regular-mode
+    pass; None if ARPACK gives up."""
     lin, v0 = _arpack_start(op, seed)
+    pencil = {} if M is None else {"M": M.matrix.matrix,
+                                   "Minv": _inverse(M, op.n, v0.dtype)}
     try:
-        w = eigsh(lin, k=1, M=M.matrix.matrix, which="SA", tol=ESTIMATE_TOL,
-                  Minv=_inverse(M, op.n, v0.dtype), v0=v0,
-                  return_eigenvectors=False)
+        w = eigsh(lin, k=1, which="SA", tol=ESTIMATE_TOL, v0=v0,
+                  return_eigenvectors=False, **pencil)
     except ArpackNoConvergence:
         return None
     return float(w[0])
@@ -486,6 +491,18 @@ def _extreme_values(op, seed, M):
     """
     if _takes_lapack(op, M):
         return (*_tridiagonal_ends(op.array, M), 0)
+    if isinstance(op, SparseHermitian):
+        support = np.flatnonzero(np.diff(op.matrix.indptr))
+        if support.size == 0:
+            return 0.0, 0.0, 0
+        if M is None and support.size < op.n:
+            # A is permutation-similar to diag(A[S, S], 0)
+            sub = op.matrix[support][:, support]
+            sub = (DenseHermitian._exact(sub.toarray())
+                   if support.size <= DENSE_PARTIAL_CAP
+                   else SparseHermitian._exact(sub.tocsr()))
+            lo, hi, fallbacks = _extreme_values(sub, seed, None)
+            return min(lo, 0.0), max(hi, 0.0), fallbacks
     ends = (op, -op)
     below, missed = (None, None), (False, False)
     if (M is not None and isinstance(op, SparseHermitian)
@@ -520,6 +537,15 @@ def extreme_eigs(A, seed=0, M=None):
     eigenvalue is the negated smallest of -A, so
     extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
+
+    A sparse operator with no stored entry has the ends (0, 0) and takes
+    no solve.  A standard sparse one (no ``M``) whose rows with stored
+    entries, S, are fewer than n is permutation-similar to
+    diag(A[S, S], 0): its ends are those of the principal submatrix A[S, S]
+    with 0 folded in, (min(lo, 0), max(hi, 0)).  The submatrix is solved
+    as above at its own size, densified up to DENSE_PARTIAL_CAP (so from
+    DENSE_FALLBACK_SIZE + 1 rows on by one reduction and Sturm counts) and
+    sparse beyond it.  A pencil keeps its route, since X couples the rows.
 
     A sparse pencil (``M`` given, n > DENSE_FALLBACK_SIZE) first takes one
     loose regular-mode pass per end (ARPACK at ``tol=ESTIMATE_TOL``, no

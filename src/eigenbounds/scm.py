@@ -22,8 +22,10 @@ from .family import (AffineFamily, BoundingBox, compute_bounding_box,
 # dense_smallest is not called here but stays bound: bench/tracer.py counts
 # the sample eigensolves through scm.dense_smallest and scm.smallest_eigpairs
 # (tests/test_bench_bindings.py checks that both names exist).
-from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        dense_smallest, orthonormal_columns, smallest_eigpairs)
+from .hermitian import (DENSE_FALLBACK_SIZE, ESTIMATE_TOL, ArgumentError,
+                        DenseHermitian, EigensolverError, SparseHermitian,
+                        _estimate, dense_smallest, orthonormal_columns,
+                        smallest_eigpairs)
 from .lp import LPProblem, lp_minimize
 
 __all__ = [
@@ -245,12 +247,14 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
 
     The loop starts with the bounding box (:func:`compute_bounding_box`,
     timed in ``box_seconds`` and counted as 2Q eigensolves): a dense term
-    up to LAPACK's caps takes one backward-stable reduction to tridiagonal
-    form T, both ends the exact extreme eigenvalues of T by Sturm-count
-    bisection with no residual, and every other term two
-    smallest-eigenvalue solves.
+    up to LAPACK's caps, or a standard sparse term through its principal
+    submatrix on the rows it is supported on, takes one backward-stable
+    reduction to tridiagonal form T, both ends the exact extreme
+    eigenvalues of T by Sturm-count bisection with no residual, and every
+    other term two smallest-eigenvalue solves.
     Each iteration solves at the selected parameter (``model.add_sample``),
-    shifted below the selected point's lower bound (``sample_shift``),
+    shifted below the selected point's lower bound (``sample_shift``; the
+    first sample of a standard sparse family below a loose estimate),
     bounds every training point with ``model.bounds_at``, restarted from
     the previous iteration's LP solutions with ``warm_start``, and picks
     the point with the worst ratio: the relative gap between the bound
@@ -276,6 +280,11 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     converged = False
     reason = ""
     selected = 0  # all ratios are +inf while C_J is empty: first index wins
+    # a standard sparse A(mu), where a loose pass is one product per step
+    estimate_first = (family.inner_product is None
+                      and family.n > DENSE_FALLBACK_SIZE
+                      and all(isinstance(t, SparseHermitian)
+                              for t in family.terms))
 
     def sample_shift(i):
         """A shift for the sample solve at training point ``i``.
@@ -283,12 +292,17 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
         The point's LP lower bound ``lam_lb``, or the larger of that and
         the residual heuristic where the model gives one, which the shifted
         factor's positive-definite test may still reject.  Before the first
-        sample, the box alone: sum_q min(theta_q lo_q, theta_q hi_q).
-        Lowered by SHIFT_MARGIN.
+        sample of a standard sparse family, e - ESTIMATE_TOL |e| from a
+        loose estimate e of lambda_min(A(mu)); otherwise, or if that pass
+        does not converge, the box alone: sum_q min(theta_q lo_q,
+        theta_q hi_q).  Lowered by SHIFT_MARGIN.
         """
         th = theta_all[i]
         if model.j == 0:
-            s = float(np.sum(np.minimum(th * box.lower, th * box.upper)))
+            e = (_estimate(family.operator_at(pts[i]), seed, None)
+                 if estimate_first else None)
+            s = (float(np.sum(np.minimum(th * box.lower, th * box.upper)))
+                 if e is None else e - ESTIMATE_TOL * abs(e))
         else:
             s = tables["lam_lb"][i]
             if "heuristic" in tables:

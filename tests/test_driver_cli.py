@@ -305,6 +305,26 @@ class TestCli:
                      "--train-size", "20", "--eps", "1e-3",
                      "--j-max", "15"]) == 0
 
+    def test_manifest_with_an_all_zero_term_runs(self, tmp_path):
+        import scipy.sparse as sparse
+        from eigenbounds import write_matrix_market
+        gen_dir = tmp_path / "blocks"
+        spec = json.dumps({"nx": 12, "ny": 10, "blocks_x": 2, "blocks_y": 2})
+        assert main(["gen", "--kind", "blocks", "--out", str(gen_dir),
+                     "--spec", spec]) == 0
+        write_matrix_market(gen_dir / "zero.mtx", sparse.csr_matrix((120, 120)))
+        path = gen_dir / "manifest.json"
+        data = json.loads(path.read_text())
+        data.update(Q=data["Q"] + 1, theta=data["theta"] + ["mu1"],
+                    terms=data["terms"] + ["zero.mtx"])
+        path.write_text(json.dumps(data))
+        out = str(tmp_path / "run")
+        assert main(["run", "--manifest", str(path), "--out", out,
+                     "--train-size", "20", "--j-max", "4"]) == 0
+        summary = read_summary(out)
+        assert summary["termination"]["iterations"] == 4
+        assert summary["counts"]["shift_fallbacks"] == 0
+
     def test_generator_spec_inline(self, tmp_path):
         out = str(tmp_path / "r")
         spec = json.dumps({"kind": "random", "Q": 2, "N": 30,

@@ -196,6 +196,58 @@ def test_shift_above_the_spectrum_is_counted(tmp_path, monkeypatch,
     assert forced["counts"]["shift_fallbacks"] == 4
 
 
+def _first_sample(monkeypatch, fam, train):
+    """The first sample's shift, with the run's shift fallbacks."""
+    shifts = []
+    original = scm.smallest_eigpairs
+
+    def recorded(*args, below=None, **kwargs):
+        shifts.append(below)
+        return original(*args, below=below, **kwargs)
+
+    monkeypatch.setattr(scm, "smallest_eigpairs", recorded)
+    res = subspace_greedy(fam, train, eps=1e-12, j_max=1)
+    return shifts[0], res.records[-1].shift_fallbacks
+
+
+def _box_only_shift(fam, mu):
+    box = compute_bounding_box(fam)
+    th = fam.theta_at(mu)
+    scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
+    return (float(np.sum(np.minimum(th * box.lower, th * box.upper)))
+            - scm.SHIFT_MARGIN * scale)
+
+
+def test_first_shift_of_a_standard_sparse_family_is_estimated(monkeypatch):
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    train = random_training_set(fam.domain, 20, seed=3)
+    below, fallbacks = _first_sample(monkeypatch, fam, train)
+    lam1 = np.linalg.eigvalsh(fam.operator_at(train.points[0]).dense())[0]
+    assert lam1 - 0.021 * abs(lam1) <= below < lam1
+    assert below > _box_only_shift(fam, train.points[0])
+    assert fallbacks == 0
+
+
+def test_first_shift_without_an_estimate_is_the_box_bound(monkeypatch):
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    train = random_training_set(fam.domain, 20, seed=3)
+    monkeypatch.setattr(scm, "_estimate", lambda *args: None)
+    below, fallbacks = _first_sample(monkeypatch, fam, train)
+    assert below == _box_only_shift(fam, train.points[0])
+    assert fallbacks == 0
+
+
+def test_first_shift_of_a_pencil_is_the_box_bound(monkeypatch):
+    fam = _grid_pencil()
+    train = random_training_set(fam.domain, 20, seed=3)
+    estimates = []
+    monkeypatch.setattr(scm, "_estimate",
+                        lambda *args: estimates.append(args))
+    below, fallbacks = _first_sample(monkeypatch, fam, train)
+    assert below == _box_only_shift(fam, train.points[0])
+    assert estimates == [] and fallbacks == 0
+
+
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])
 def test_every_cold_solve_goes_through_lower_bound(tmp_path, monkeypatch,
                                                    pipeline):

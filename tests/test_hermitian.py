@@ -567,6 +567,92 @@ class TestDenseBoxReduction:
             compute_bounding_box(fam)
 
 
+class TestSupportedSparseEnds:
+    """A standard sparse term with zero rows takes its box ends from its
+    principal submatrix on the rows with stored entries, plus the zero
+    eigenvalue of the rest."""
+
+    @staticmethod
+    def _subdomain_family():
+        fam = block_grid_family(nx=24, ny=20, blocks=(2, 2))
+        supports = [np.count_nonzero(np.diff(t.matrix.indptr))
+                    for t in fam.terms[1:]]
+        assert all(hermitian_module.DENSE_FALLBACK_SIZE < s < fam.n
+                   for s in supports)
+        return fam
+
+    def test_box_matches_the_dense_spectrum(self):
+        fam = self._subdomain_family()
+        box = compute_bounding_box(fam)
+        assert box.shift_fallbacks == 0
+        for q, term in enumerate(fam.terms):
+            w = np.linalg.eigvalsh(term.dense())
+            scale = max(abs(w[0]), abs(w[-1]))
+            assert abs(box.lower[q] - w[0]) <= 1e-13 * scale
+            assert abs(box.upper[q] - w[-1]) <= 1e-13 * scale
+
+    def test_negation_symmetry_exact(self):
+        for term in self._subdomain_family().terms[1:]:
+            lo, hi = extreme_eigs(term)
+            assert extreme_eigs(-term) == (-hi, -lo)
+
+    def test_supported_terms_run_no_arpack(self, monkeypatch):
+        terms = self._subdomain_family().terms[1:]
+        _no_arpack(monkeypatch)
+        for term in terms:
+            lo, hi = extreme_eigs(term)
+            assert lo < 0.0 < hi
+
+    def test_psd_term_has_lower_end_exactly_zero(self):
+        diag = np.concatenate([np.arange(1.0, 6.0), np.zeros(95)])
+        assert extreme_eigs(sparse.diags(diag).tocsr()) == (0.0, 5.0)
+
+    def test_large_support_runs_arpack_on_the_submatrix(self, monkeypatch):
+        # the 1-D Laplacian minus I on 900 of 1000 rows: both ends are
+        # eigenvalues of the submatrix, 1 - 2 cos(k pi / 901)
+        m = 900
+        lap = sparse.diags([-np.ones(m - 1), np.ones(m), -np.ones(m - 1)],
+                           [-1, 0, 1])
+        E = sparse.identity(1000, format="csr")[50:50 + m]
+        term = SparseHermitian((E.T @ lap @ E).tocsr())
+        shapes = []
+        original = hermitian_module.eigsh
+
+        def recorded(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(hermitian_module, "eigsh", recorded)
+        lo, hi = extreme_eigs(term)
+        assert shapes == [(m, m)] * 2
+        w = 1.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
+        assert abs(lo - w.min()) <= 1e-13 * 3.0
+        assert abs(hi - w.max()) <= 1e-13 * 3.0
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_zero_term_is_zero_without_a_solve(self, monkeypatch, n):
+        _no_arpack(monkeypatch)
+        assert extreme_eigs(sparse.csr_matrix((n, n))) == (0.0, 0.0)
+
+    def test_zero_pencil_term_is_zero_without_a_solve(self, monkeypatch):
+        fam, _ = _pencil(12, 10, (2, 2))
+        _no_arpack(monkeypatch)
+        zero = sparse.csr_matrix((fam.n, fam.n))
+        assert extreme_eigs(zero, M=fam.inner_product) == (0.0, 0.0)
+
+    def test_box_of_a_family_with_a_zero_term(self):
+        fam, _ = _pencil(12, 10, (2, 2))
+        zero = sparse.csr_matrix((fam.n, fam.n))
+        for M in (None, fam.inner_product):
+            padded = AffineFamily(
+                terms=fam.terms + (zero,),
+                theta=lambda mu: np.concatenate([[1.0], mu, mu[:1]]),
+                domain=fam.domain, inner_product=M)
+            box = compute_bounding_box(padded)
+            assert (box.lower[-1], box.upper[-1]) == (0.0, 0.0)
+            assert box.shift_fallbacks == 0
+
+
 class TestDenseSmallest:
     def test_scalar(self):
         ep = dense_smallest(np.array([[3.5]]), 1)
