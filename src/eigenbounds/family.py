@@ -157,16 +157,16 @@ class BoundingBox:
 def compute_bounding_box(family, seed=0):
     """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox.
 
-    A dense term that LAPACK's partial solver takes gets both ends from
-    one backward-stable reduction to tridiagonal form T, as the exact
-    extreme eigenvalues of T by Sturm-count bisection, with no residual.
-    A standard sparse term that is zero outside the rows S with stored
-    entries (a subdomain term) is solved through its principal submatrix
-    on S, which takes that reduction for 72 < |S| <= DENSE_PARTIAL_CAP,
-    with the zero eigenvalue of the other rows folded in; a term with no
-    stored entry is (0, 0) with no solve.  Every other term takes two
-    smallest-eigenvalue solves, of A_q and -A_q (see
-    :func:`~eigenbounds.extreme_eigs`).
+    A term that LAPACK takes (every term up to n = 72, a dense one up to
+    the caps) gets both ends from one backward-stable reduction to
+    tridiagonal form T, as the exact extreme eigenvalues of T by
+    Sturm-count bisection, with no residual.  A standard sparse term that
+    is zero outside the rows S with stored entries (a subdomain term) is
+    solved through its principal submatrix on S, which takes that
+    reduction for |S| <= DENSE_PARTIAL_CAP, with the zero eigenvalue of
+    the other rows folded in; a term with no stored entry is (0, 0) with
+    no solve.  Every other term takes two ARPACK smallest-eigenvalue
+    solves, of A_q and -A_q (see :func:`~eigenbounds.extreme_eigs`).
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)

@@ -1,36 +1,35 @@
 """Hermitian operators and the eigensolvers used throughout the package.
 
-Every bound computation in this package reduces to three primitives: the k
-smallest eigenpairs of a large Hermitian operator, the extreme eigenvalues
-of a single term (for the bounding box), and full eigendecompositions of
-small projected matrices.  The k smallest eigenpairs of a dense operator up
-to ``DENSE_PARTIAL_CAP`` (a dense pencil: ``DENSE_PENCIL_CAP``) come from
-LAPACK's partial solver (``dsyevr``, MRRR; Dhillon, Parlett & Voemel, ACM
-TOMS 32, 2006); those of a sparse operator, or of a larger dense one, from
-ARPACK's implicitly restarted Lanczos run to working precision.  The
-returned eigenpairs carry explicitly computed residual norms: each value
-lies within ||r|| of an eigenvalue.  LAPACK's tridiagonal solve cannot skip
-an eigenvalue below the ones it returns; from ARPACK they are the wanted
-ones provided it missed no eigenvalue below them.  The extreme eigenvalues
-of a dense operator up to the same caps (a bounding-box term) take no
-eigenvectors: one backward-stable Householder reduction to tridiagonal
-form T (for a pencil, of the standard form from the dense Cholesky factor
-of X), then both ends as the exact extreme eigenvalues of T by Sturm-count
-bisection to full accuracy (Demmel, Applied Numerical Linear Algebra,
-SIAM 1997, sec. 5.3); the counts, not a residual, make each the extreme
-one.  A standard sparse term that is zero outside the rows S with stored
-entries is permutation-similar to diag(A[S, S], 0): its ends are those of
-the principal submatrix A[S, S], solved by the same rule at its own size,
-with the zero eigenvalue folded in.  Operators are stored matrices, dense
-or sparse, and each negates exactly.  Given the sparse factor of an SPD X
-(:func:`cholesky`), the eigensolvers solve the pencil (A, X):
-X-orthonormal vectors, residuals in the X^{-1} norm.  Given a shift below
-the spectrum, a sparse eigensolve runs ARPACK in shift-invert mode on the
-factor of A - sigma X (spectral-transformation Lanczos, Ericsson & Ruhe,
-Math. Comp. 35, 1980); the factor's pivots certify the shift by
-Sylvester's law of inertia.  The extreme eigenvalues of a sparse pencil
-are solved that way, at shifts placed just below loose estimates of both
-ends.
+The eigensolvers give the k smallest eigenpairs of a Hermitian operator
+(the samples) and the extreme eigenvalues of a single term (the bounding
+box).  One two-way rule picks the solver for both: LAPACK takes every
+operator with n <= ``DENSE_FALLBACK_SIZE`` and a dense one up to
+``DENSE_PARTIAL_CAP`` (a dense pencil: ``DENSE_PENCIL_CAP``); ARPACK's
+implicitly restarted Lanczos, run to working precision, takes the rest.
+LAPACK gives the k smallest eigenpairs by its partial solver (``dsyevr``,
+MRRR; Dhillon, Parlett & Voemel, ACM TOMS 32, 2006; a pencil: ``dsygvx``).
+The returned eigenpairs carry explicitly computed residual norms: each
+value lies within ||r|| of an eigenvalue.  LAPACK's tridiagonal solve
+cannot skip an eigenvalue below the ones it returns; from ARPACK they are
+the wanted ones provided it missed no eigenvalue below them.  The extreme
+eigenvalues of an operator that LAPACK takes (a bounding-box term) need no
+eigenvectors: one backward-stable Householder reduction to tridiagonal form
+T (for a pencil, of the standard form from the dense Cholesky factor of X),
+then both ends as the exact extreme eigenvalues of T by Sturm-count
+bisection to full accuracy (Demmel, Applied Numerical Linear Algebra, SIAM
+1997, sec. 5.3); the counts, not a residual, make each the extreme one.  A
+standard sparse term that is zero outside the rows S with stored entries is
+permutation-similar to diag(A[S, S], 0): its ends are those of the
+principal submatrix A[S, S], solved by the same rule at its own size, with
+the zero eigenvalue folded in.  Operators are stored matrices, dense or
+sparse, and each negates exactly.  Given the sparse factor of an SPD X
+(:func:`cholesky`), the eigensolvers solve the pencil (A, X): X-orthonormal
+vectors, residuals in the X^{-1} norm.  Given a shift below the spectrum, a
+sparse eigensolve runs ARPACK in shift-invert mode on the factor of
+A - sigma X (spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp.
+35, 1980); the factor's pivots certify the shift by Sylvester's law of
+inertia.  The extreme eigenvalues of a sparse pencil are solved that way,
+at shifts placed just below loose estimates of both ends.
 """
 
 from __future__ import annotations
@@ -60,10 +59,10 @@ __all__ = [
     "cholesky",
 ]
 
+# LAPACK takes every operator up to DENSE_FALLBACK_SIZE (a sparse one
+# densified), and a dense one (standard problem, pencil) up to its cap;
+# above the caps ARPACK is faster at k = 1 (measured crossovers in README)
 DENSE_FALLBACK_SIZE = 72
-# largest dense operator (standard problem, pencil) whose k < n smallest
-# pairs LAPACK's partial solver takes; above it ARPACK is faster at k = 1
-# (measured crossovers in README)
 DENSE_PARTIAL_CAP = 800
 DENSE_PENCIL_CAP = 350
 DENSIFY_CAP = 4096
@@ -333,14 +332,13 @@ def _arpack_start(op, seed):
 def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     """The k smallest eigenpairs of a Hermitian operator, or of a pencil.
 
-    This is the one place that chooses the solver, by a three-way rule:
+    One two-way rule chooses the solver:
 
-    * n <= ``DENSE_FALLBACK_SIZE``, or k = n: a full dense
-      eigendecomposition (:func:`dense_smallest`);
-    * a dense operator with n <= ``DENSE_PARTIAL_CAP`` (a dense pencil:
-      n <= ``DENSE_PENCIL_CAP``): LAPACK's partial solver
-      (``scipy.linalg.eigh`` with ``subset_by_index``), which reduces to
-      tridiagonal form and returns only the k smallest pairs;
+    * k = n, n <= ``DENSE_FALLBACK_SIZE``, or a dense operator with
+      n <= ``DENSE_PARTIAL_CAP`` (a dense pencil: n <= ``DENSE_PENCIL_CAP``):
+      LAPACK's partial solver on the densified operator
+      (:func:`dense_smallest`), which reduces to tridiagonal form and
+      returns only the k smallest pairs;
     * otherwise (sparse operators, larger dense ones): implicitly restarted
       Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) run to working
       precision, applied to the operator one vector at a time.
@@ -348,20 +346,21 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     The caps are the measured crossovers at k = 1 (README).  The returned
     residual norms are computed explicitly as ||A v - lambda v||, so each
     returned value lies within its residual of an eigenvalue of A.  From
-    the two LAPACK routes the values are the k smallest; from ARPACK, that
-    assumes it missed none below them.
+    LAPACK the values are the k smallest; from ARPACK, that assumes it
+    missed none below them.
 
     With ``M`` (the :class:`SpdFactor` of X) the pencil (A, X) is solved:
     LAPACK (``dsygvx``) takes X densified, ARPACK's generalized mode
     applies X^{-1} through the factor; residuals are then
     ||A v - lambda X v|| in the X^{-1} norm.
 
-    With ``below`` = sigma and a sparse operator, A - sigma X is factored
-    first.  If every pivot is positive, sigma lies below the spectrum and
-    ARPACK runs in shift-invert mode on that factor, where the wanted
-    eigenvalues are the best separated; otherwise the solve runs unshifted
-    and the result has ``shift_fallback`` set.  Dense operators ignore
-    ``below``, and the LAPACK routes ignore ``restart_cap`` and ``seed``.
+    With ``below`` = sigma and a sparse operator that ARPACK takes,
+    A - sigma X is factored first.  If every pivot is positive, sigma lies
+    below the spectrum and ARPACK runs in shift-invert mode on that
+    factor, where the wanted eigenvalues are the best separated; otherwise
+    the solve runs unshifted and the result has ``shift_fallback`` set.
+    Dense operators ignore ``below``, and LAPACK ignores it with
+    ``restart_cap`` and ``seed``.
 
     Parameters
     ----------
@@ -373,9 +372,10 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
 
     Raises
     ------
-    ArgumentError if k is out of range, EigensolverError on ARPACK
-    non-convergence (its ``best`` holds only the pairs that converged,
-    fewer than k, possibly none) or on a LAPACK failure (``best`` None).
+    ArgumentError if k is out of range, ValueError if LAPACK meets a
+    non-finite entry, EigensolverError on ARPACK non-convergence (its
+    ``best`` holds only the pairs that converged, fewer than k, possibly
+    none) or on a LAPACK failure (``best`` None).
     """
     op = hermitian(A)
     n = op.n
@@ -383,16 +383,9 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
         raise ArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     if below is not None and not np.isfinite(below):
         raise ArgumentError(f"the shift must be finite, got {below}")
-    if n <= DENSE_FALLBACK_SIZE or k == n:     # ARPACK needs k < n
-        return dense_smallest(op.dense(), k, M=M)
-    if _takes_lapack(op, M):
-        try:
-            w, V = scipy.linalg.eigh(op.array, None if M is None
-                                     else M.matrix.dense(),
-                                     subset_by_index=[0, k - 1])
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"LAPACK failed: {exc}") from exc
-        return _ritz_pairs(op, w, V, M)
+    if k == n or _takes_lapack(op, M):      # ARPACK needs k < n
+        return dense_smallest(op if isinstance(op, DenseHermitian)
+                              else op.dense(), k, M=M)
 
     lin, v0 = _arpack_start(op, seed)
     arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
@@ -430,11 +423,12 @@ def _estimate(op, seed, M):
 
 
 def _takes_lapack(op, M):
-    """Whether LAPACK's partial solver takes the dense ``op`` (n above
-    DENSE_FALLBACK_SIZE, up to the cap of its problem kind)."""
+    """Whether LAPACK solves ``op`` (the pencil (op, X) with ``M``): every
+    operator up to DENSE_FALLBACK_SIZE, a dense one up to the cap of its
+    problem kind."""
     cap = DENSE_PARTIAL_CAP if M is None else DENSE_PENCIL_CAP
-    return (isinstance(op, DenseHermitian)
-            and DENSE_FALLBACK_SIZE < op.n <= cap)
+    return (op.n <= DENSE_FALLBACK_SIZE
+            or isinstance(op, DenseHermitian) and op.n <= cap)
 
 
 def _lapack_checked(name, info):
@@ -489,8 +483,6 @@ def _extreme_values(op, seed, M):
     pencil (op, X) with ``M``), and how many of the two ends ran unshifted
     after a failed shift or loose pass (see extreme_eigs).
     """
-    if _takes_lapack(op, M):
-        return (*_tridiagonal_ends(op.array, M), 0)
     if isinstance(op, SparseHermitian):
         support = np.flatnonzero(np.diff(op.matrix.indptr))
         if support.size == 0:
@@ -503,10 +495,11 @@ def _extreme_values(op, seed, M):
                    else SparseHermitian._exact(sub.tocsr()))
             lo, hi, fallbacks = _extreme_values(sub, seed, None)
             return min(lo, 0.0), max(hi, 0.0), fallbacks
+    if _takes_lapack(op, M):
+        return (*_tridiagonal_ends(op.dense(), M), 0)
     ends = (op, -op)
     below, missed = (None, None), (False, False)
-    if (M is not None and isinstance(op, SparseHermitian)
-            and op.n > DENSE_FALLBACK_SIZE):
+    if M is not None and isinstance(op, SparseHermitian):
         estimates = [_estimate(end, seed, M) for end in ends]
         missed = [e is None for e in estimates]
         if not any(missed):
@@ -523,18 +516,17 @@ def _extreme_values(op, seed, M):
 def extreme_eigs(A, seed=0, M=None):
     """Smallest and largest eigenvalue of a Hermitian operator (or pencil).
 
-    A dense operator that LAPACK's partial solver takes (see
-    :func:`smallest_eigpairs`) is reduced once to tridiagonal form T by a
-    backward-stable Householder reduction (a pencil: after the standard
-    form L^{-1} A L^{-*} from the dense Cholesky factor of X); both ends
-    are then the exact extreme eigenvalues of T by Sturm-count bisection,
-    with no vector and no residual.  They are the values LAPACK's partial
-    solver gives for A and -A.  Every other operator takes
-    :func:`smallest_eigpairs` on A and on -A at working precision, so each
-    end lies within its residual norm of an eigenvalue: from a full dense
-    eigendecomposition (n <= DENSE_FALLBACK_SIZE) the extreme one, from
-    ARPACK that assumes it missed none beyond it.  Either way the largest
-    eigenvalue is the negated smallest of -A, so
+    The rule of :func:`smallest_eigpairs` picks the solver.  An operator
+    that LAPACK takes is densified and reduced once to tridiagonal form T
+    by a backward-stable Householder reduction (a pencil: after the
+    standard form L^{-1} A L^{-*} from the dense Cholesky factor of X);
+    both ends are then the exact extreme eigenvalues of T by Sturm-count
+    bisection, with no vector and no residual.  They are the values
+    LAPACK's partial solver gives for A and -A.  Every other operator
+    takes ARPACK (:func:`smallest_eigpairs`) on A and on -A at working
+    precision, so each end lies within its residual norm of an eigenvalue,
+    the extreme one provided ARPACK missed none beyond it.  Either way the
+    largest eigenvalue is the negated smallest of -A, so
     extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
 
@@ -543,13 +535,14 @@ def extreme_eigs(A, seed=0, M=None):
     entries, S, are fewer than n is permutation-similar to
     diag(A[S, S], 0): its ends are those of the principal submatrix A[S, S]
     with 0 folded in, (min(lo, 0), max(hi, 0)).  The submatrix is solved
-    as above at its own size, densified up to DENSE_PARTIAL_CAP (so from
-    DENSE_FALLBACK_SIZE + 1 rows on by one reduction and Sturm counts) and
-    sparse beyond it.  A pencil keeps its route, since X couples the rows.
+    as above at its own size, densified up to DENSE_PARTIAL_CAP (so by one
+    reduction and Sturm counts) and sparse beyond it.  A pencil keeps its
+    route, since X couples the rows.
 
-    A sparse pencil (``M`` given, n > DENSE_FALLBACK_SIZE) first takes one
-    loose regular-mode pass per end (ARPACK at ``tol=ESTIMATE_TOL``, no
-    vectors), giving estimates t of the smallest eigenvalues of A and -A.
+    A sparse pencil that ARPACK takes (``M`` given, n above
+    DENSE_FALLBACK_SIZE) first takes one loose regular-mode pass per end
+    (ARPACK at ``tol=ESTIMATE_TOL``, no vectors), giving estimates t of
+    the smallest eigenvalues of A and -A.
     Each end is then solved in shift-invert mode at sigma = t - delta,
     delta = ESTIMATE_TOL * max|t|; the shifted factor's positive pivots
     prove sigma below the spectrum, so the eigenvalue nearest sigma is the
@@ -564,21 +557,22 @@ def extreme_eigs(A, seed=0, M=None):
 
 
 def dense_smallest(H, r, M=None):
-    """The r smallest eigenpairs of a small dense Hermitian matrix.
+    """The r smallest eigenpairs of a dense Hermitian matrix.
 
-    Full symmetric eigendecomposition.  With ``M`` as in
-    :func:`smallest_eigpairs`, the dense pencil (H, X) instead.
+    ``H`` is a :class:`DenseHermitian`, taken as it stands, or an array,
+    symmetrized first.  LAPACK's partial solver (``scipy.linalg.eigh``
+    with ``subset_by_index``), with residuals computed explicitly.  With
+    ``M`` as in :func:`smallest_eigpairs`, the dense pencil (H, X)
+    instead.  Raises ValueError on a non-finite entry, EigensolverError
+    (``best`` None) if LAPACK fails.
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ArgumentError("expected a square matrix")
-    m = H.shape[0]
-    if not 1 <= r <= m:
-        raise ArgumentError(f"r must satisfy 1 <= r <= {m}, got {r}")
-    Hs = 0.5 * (H + H.conj().T)
-    X = None if M is None else M.matrix.dense()
-    w, S = np.linalg.eigh(Hs) if X is None else scipy.linalg.eigh(Hs, X)
-    V = S[:, :r]
-    R = Hs @ V - (V if X is None else X @ V) * w[:r]
-    return EigenPairs(values=w[:r].copy(), vectors=np.ascontiguousarray(V),
-                      residuals=_norms(R, M and M.solve))
+    op = H if isinstance(H, DenseHermitian) else DenseHermitian(H)
+    if not 1 <= r <= op.n:
+        raise ArgumentError(f"r must satisfy 1 <= r <= {op.n}, got {r}")
+    try:
+        w, V = scipy.linalg.eigh(op.array, None if M is None
+                                 else M.matrix.dense(),
+                                 subset_by_index=[0, r - 1])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"LAPACK failed: {exc}") from exc
+    return _ritz_pairs(op, w, V, M)

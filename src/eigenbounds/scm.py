@@ -246,12 +246,13 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     """The greedy loop of both pipelines.
 
     The loop starts with the bounding box (:func:`compute_bounding_box`,
-    timed in ``box_seconds`` and counted as 2Q eigensolves): a dense term
-    up to LAPACK's caps, or a standard sparse term through its principal
-    submatrix on the rows it is supported on, takes one backward-stable
-    reduction to tridiagonal form T, both ends the exact extreme
-    eigenvalues of T by Sturm-count bisection with no residual, and every
-    other term two smallest-eigenvalue solves.
+    timed in ``box_seconds`` and counted as 2Q eigensolves): a term that
+    LAPACK takes (every term up to n = 72, a dense one up to the caps), or
+    a standard sparse term through its principal submatrix on the rows it
+    is supported on, takes one backward-stable reduction to tridiagonal
+    form T, both ends the exact extreme eigenvalues of T by Sturm-count
+    bisection with no residual, and every other term two ARPACK
+    smallest-eigenvalue solves.
     Each iteration solves at the selected parameter (``model.add_sample``),
     shifted below the selected point's lower bound (``sample_shift``; the
     first sample of a standard sparse family below a loose estimate),

@@ -304,23 +304,35 @@ def test_eigensolver_failure_keeps_partial_result(problem, monkeypatch,
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
-def test_worst_ratio_at_a_sample_stops_the_loop(pipeline):
-    # one term: every ratio sits at roundoff, and after the second sample
-    # the worst one lands on a parameter that is already sampled
+def test_worst_ratio_at_a_sample_stops_the_loop(pipeline, monkeypatch):
+    # once a sample is taken, the model reports the same positive ratio
+    # everywhere, so argmax picks training point 0, the first one sampled
     g = np.random.default_rng(11).standard_normal((20, 20))
     fam = AffineFamily(terms=(0.5 * (g + g.T),),
                        theta=lambda mu: np.array([1.0 + mu[0]]),
                        domain=((0.0, 1.0),))
     train = random_training_set(fam.domain, 6, seed=11)
     greedy, model_type, _ = PIPELINES[pipeline]
+    bounds_at = model_type.bounds_at
+
+    def equal_ratios(self, *args, **kwargs):
+        tables, sols = bounds_at(self, *args, **kwargs)
+        if self.j:
+            lower, upper = self.ranked
+            tables[lower] = np.ones(len(tables[upper]))
+            tables[upper] = np.full(len(tables[upper]), 2.0)
+        return tables, sols
+
+    monkeypatch.setattr(model_type, "bounds_at", equal_ratios)
     res = greedy(fam, train, eps=1e-300, j_max=8)
+    assert np.all(res.tables["ratio"] == 0.5)
     assert res.converged is False
     assert type(res.model) is model_type
     assert res.model.j == len(res.records) < 8
     index = int(np.argmax(res.tables["ratio"]))
     assert res.model.has_sample(train.points[index])
     assert f"training point {index}," in res.reason
-    assert "not converged" in res.reason
+    assert "already sampled" in res.reason and "not converged" in res.reason
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))

@@ -149,8 +149,9 @@ class TestSmallestEigpairs:
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_k_equal_n_is_the_dense_decomposition(self, kind):
-        # n above DENSE_FALLBACK_SIZE: only k == n takes the full dense
-        # decomposition (a dense k < n takes LAPACK's partial solver)
+        # n above DENSE_FALLBACK_SIZE: k == n goes to LAPACK even for a
+        # sparse operator (ARPACK needs k < n), with the pairs that
+        # dense_smallest gives for the densified matrix
         rng = np.random.default_rng(31)
         n = 90
         A = rng.standard_normal((n, n))
@@ -385,9 +386,9 @@ def _tridiagonal_pencil(n):
 
 
 class TestDensePartialSolver:
-    """Dense operators with DENSE_FALLBACK_SIZE < n <= DENSE_PARTIAL_CAP
-    (pencils: n <= DENSE_PENCIL_CAP) take LAPACK's partial solver; sparse
-    and larger dense ones, ARPACK."""
+    """Every operator with n <= DENSE_FALLBACK_SIZE, and a dense one with
+    n <= DENSE_PARTIAL_CAP (pencils: n <= DENSE_PENCIL_CAP), takes LAPACK's
+    partial solver; larger sparse and dense ones, ARPACK."""
 
     @pytest.mark.parametrize("n", [hermitian_module.DENSE_FALLBACK_SIZE + 1,
                                    300, hermitian_module.DENSE_PARTIAL_CAP])
@@ -448,9 +449,24 @@ class TestDensePartialSolver:
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(scipy.linalg, "eigh", eigh)
-        with pytest.raises(EigensolverError) as err:
-            smallest_eigpairs(DenseHermitian(_random_symmetric(100, 4)), 1)
-        assert err.value.best is None
+        for solve in (
+                lambda: smallest_eigpairs(
+                    DenseHermitian(_random_symmetric(100, 4)), 1),
+                lambda: smallest_eigpairs(
+                    DenseHermitian(_random_symmetric(40, 4)), 1),
+                lambda: dense_smallest(_random_symmetric(40, 4), 1)):
+            with pytest.raises(EigensolverError) as err:
+                solve()
+            assert err.value.best is None
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_non_finite_operator_raises_value_error(self, n):
+        A = np.eye(n)
+        A[3, 3] = np.nan
+        for solve in (lambda: smallest_eigpairs(A, 1),
+                      lambda: extreme_eigs(A)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve()
 
     def test_double_smallest_eigenvalue_returns_both_copies(self, monkeypatch):
         _no_arpack(monkeypatch)
@@ -486,11 +502,14 @@ def _dense_family(q, n, M=None, entry=None):
 
 
 class TestDenseBoxReduction:
-    """A dense term up to the LAPACK caps takes both box ends from one
-    tridiagonal reduction: bit for bit the values of the two partial
-    solves of A and -A it replaces."""
+    """A term that LAPACK takes (every one up to DENSE_FALLBACK_SIZE, a
+    dense one up to the caps) takes both box ends from one tridiagonal
+    reduction: bit for bit the values of the two partial solves of A and
+    -A it replaces."""
 
-    @pytest.mark.parametrize("n", [hermitian_module.DENSE_FALLBACK_SIZE + 1,
+    @pytest.mark.parametrize("n", [1, 2, 40,
+                                   hermitian_module.DENSE_FALLBACK_SIZE,
+                                   hermitian_module.DENSE_FALLBACK_SIZE + 1,
                                    300, hermitian_module.DENSE_PARTIAL_CAP])
     def test_real_ends_equal_two_partial_solves(self, n):
         op = DenseHermitian(_random_symmetric(n, n + 7))
@@ -514,13 +533,18 @@ class TestDenseBoxReduction:
         assert extreme_eigs(-op, M=M) == (-hi, -lo)
 
     def test_box_runs_no_partial_solve(self, monkeypatch):
-        def partial_solve(*args, **kwargs):
-            raise AssertionError("a partial eigensolve ran")
+        def eigensolve(*args, **kwargs):
+            raise AssertionError("an eigensolve with vectors ran")
 
-        monkeypatch.setattr(scipy.linalg, "eigh", partial_solve)
-        monkeypatch.setattr(hermitian_module, "eigsh", partial_solve)
-        box = compute_bounding_box(_dense_family(4, 300))
-        assert box.shift_fallbacks == 0 and np.all(box.lower < box.upper)
+        for owner, name in ((scipy.linalg, "eigh"), (np.linalg, "eigh"),
+                            (hermitian_module, "eigsh")):
+            monkeypatch.setattr(owner, name, eigensolve)
+        small_sparse = block_grid_family(nx=8, ny=8, blocks=(2, 2))
+        assert small_sparse.n <= hermitian_module.DENSE_FALLBACK_SIZE
+        for fam in (_dense_family(4, 300), _dense_family(4, 40),
+                    small_sparse):
+            box = compute_bounding_box(fam)
+            assert box.shift_fallbacks == 0 and np.all(box.lower < box.upper)
 
     def test_pencil_box_ends_equal_two_partial_solves(self):
         fam = _dense_family(4, 150, M=_tridiagonal_pencil(150))
@@ -561,10 +585,11 @@ class TestDenseBoxReduction:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("pencil", [False, True])
     def test_non_finite_term_raises_value_error(self, value, pencil):
-        M = _tridiagonal_pencil(100) if pencil else None
-        fam = _dense_family(2, 100, M=M, entry=(3, 5, value))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            compute_bounding_box(fam)
+        for n in (40, 100):
+            M = _tridiagonal_pencil(n) if pencil else None
+            fam = _dense_family(2, n, M=M, entry=(3, 5, value))
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                compute_bounding_box(fam)
 
 
 class TestSupportedSparseEnds:
