@@ -133,12 +133,14 @@ class BoundingBox:
     """Per-term spectral intervals [lambda_min(A_q), lambda_max(A_q)].
 
     ``shift_fallbacks`` counts the interval ends whose shifted solve fell
-    back to the unshifted one (see :func:`~eigenbounds.extreme_eigs`).
+    back to the unshifted one, ``eig_count`` the eigensolves that ran (see
+    :func:`compute_bounding_box`).
     """
 
     lower: np.ndarray
     upper: np.ndarray
     shift_fallbacks: int = 0
+    eig_count: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -166,21 +168,25 @@ def compute_bounding_box(family, seed=0):
     reduction for |S| <= DENSE_PARTIAL_CAP, with the zero eigenvalue of
     the other rows folded in; a term with no stored entry is (0, 0) with
     no solve.  Every other term takes two ARPACK smallest-eigenvalue
-    solves, of A_q and -A_q (see :func:`~eigenbounds.extreme_eigs`).
+    solves, of A_q and -A_q, under the shift rule of
+    :func:`~eigenbounds.extreme_eigs`.  The box counts its eigensolves:
+    one per reduction, two per ARPACK-solved term.
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)
-    fallbacks = 0
+    fallbacks = solves = 0
     for qi, term in enumerate(family.terms):
         try:
-            lows[qi], highs[qi], unshifted = _extreme_values(
+            lows[qi], highs[qi], unshifted, ran = _extreme_values(
                 term, seed=seed, M=family.inner_product)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",
                 best=exc.best) from exc
         fallbacks += unshifted
-    return BoundingBox(lower=lows, upper=highs, shift_fallbacks=fallbacks)
+        solves += ran
+    return BoundingBox(lower=lows, upper=highs, shift_fallbacks=fallbacks,
+                       eig_count=solves)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ principal submatrix A[S, S], solved by the same rule at its own size, with
 the zero eigenvalue folded in.  Operators are stored matrices, dense or
 sparse, and each negates exactly.  Given the sparse factor of an SPD X
 (:func:`cholesky`), the eigensolvers solve the pencil (A, X): X-orthonormal
-vectors, residuals in the X^{-1} norm.  Given a shift below the spectrum, a
-sparse eigensolve runs ARPACK in shift-invert mode on the factor of
-A - sigma X (spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp.
-35, 1980); the factor's pivots certify the shift by Sylvester's law of
-inertia.  The extreme eigenvalues of a sparse pencil are solved that way,
-at shifts placed just below loose estimates of both ends.
+vectors, residuals in the X^{-1} norm.  Every sparse eigensolve that
+ARPACK takes runs in shift-invert mode on the factor of A - sigma X
+(spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp. 35, 1980)
+when the factor's pivots certify sigma below the spectrum by Sylvester's
+law of inertia: at the caller's shift, or else just below a loose
+estimate of the smallest eigenvalue.  Box ends and samples take that one
+rule alike.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ DENSE_FALLBACK_SIZE = 72
 DENSE_PARTIAL_CAP = 800
 DENSE_PENCIL_CAP = 350
 DENSIFY_CAP = 4096
-# relative accuracy of the loose pass that places a sparse pencil's box
-# shifts, and their distance below its estimates as a fraction of the scale
+# relative accuracy of the loose pass that places a sparse solve's shift
+# when the caller gives none, and the shift's distance below its estimate e
+# as a fraction of |e|
 ESTIMATE_TOL = 1e-2
 
 
@@ -104,7 +106,7 @@ class EigenPairs:
     values: np.ndarray    # (k,) real, ascending
     vectors: np.ndarray   # (n, k) orthonormal (X-orthonormal) columns
     residuals: np.ndarray # (k,) norms of A v - lambda v (or - lambda X v)
-    shift_fallback: bool = False  # a shift failed the factor test (unshifted)
+    shift_fallback: bool = False  # unshifted: no shift passed the factor test
 
     @property
     def count(self):
@@ -329,7 +331,7 @@ def _arpack_start(op, seed):
     return lin, v0
 
 
-def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
+def smallest_eigpairs(A, k, seed=0, M=None, below=None):
     """The k smallest eigenpairs of a Hermitian operator, or of a pencil.
 
     One two-way rule chooses the solver:
@@ -354,20 +356,22 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     applies X^{-1} through the factor; residuals are then
     ||A v - lambda X v|| in the X^{-1} norm.
 
-    With ``below`` = sigma and a sparse operator that ARPACK takes,
-    A - sigma X is factored first.  If every pivot is positive, sigma lies
-    below the spectrum and ARPACK runs in shift-invert mode on that
-    factor, where the wanted eigenvalues are the best separated; otherwise
-    the solve runs unshifted and the result has ``shift_fallback`` set.
-    Dense operators ignore ``below``, and LAPACK ignores it with
-    ``restart_cap`` and ``seed``.
+    A sparse operator that ARPACK takes is solved at a shift sigma: the
+    caller's ``below``, or with none sigma = e - ESTIMATE_TOL |e| from a
+    loose estimate e of the smallest eigenvalue (one regular-mode ARPACK
+    pass at ``tol=ESTIMATE_TOL``, no vectors).  A - sigma X is factored
+    first.  If every pivot is positive, sigma lies below the spectrum and
+    ARPACK runs in shift-invert mode on that factor, where the wanted
+    eigenvalues are the best separated.  If a pivot is not, or the
+    estimate does not converge, the solve runs unshifted and the result
+    has ``shift_fallback`` set.  Dense operators ignore ``below``, and
+    LAPACK ignores it with ``seed``.
 
     Parameters
     ----------
     A : HermitianOperator or array-like
     k : number of smallest eigenpairs, 1 <= k <= n
     seed : seed for ARPACK's random starting vector (determinism)
-    restart_cap : maximum ARPACK restart iterations; defaults to 10*n
     below : optional shift sigma, expected below the smallest eigenvalue
 
     Raises
@@ -390,15 +394,18 @@ def smallest_eigpairs(A, k, seed=0, restart_cap=None, M=None, below=None):
     lin, v0 = _arpack_start(op, seed)
     arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
     fallback = False
-    if below is not None and isinstance(op, SparseHermitian):
-        shifted = _shifted_factor(op, below, M)
+    if isinstance(op, SparseHermitian):
+        if below is None:
+            e = _estimate(op, seed, M)
+            below = None if e is None else e - ESTIMATE_TOL * abs(e)
+        shifted = None if below is None else _shifted_factor(op, below, M)
         fallback = shifted is None
         if shifted is not None:
             arpack = {"sigma": below, "which": "LM",
                       "OPinv": _inverse(shifted, n, v0.dtype)}
     try:
         w, V = eigsh(lin, k=k, M=M and M.matrix.matrix, tol=0, v0=v0,
-                     maxiter=restart_cap, **arpack)
+                     **arpack)
     except ArpackNoConvergence as exc:
         raise EigensolverError(
             f"no convergence: {exc}",
@@ -479,38 +486,30 @@ def _tridiagonal_ends(A, M=None):
 
 
 def _extreme_values(op, seed, M):
-    """(lo, hi, fallbacks): the extreme eigenvalues of ``op`` (of the
-    pencil (op, X) with ``M``), and how many of the two ends ran unshifted
-    after a failed shift or loose pass (see extreme_eigs).
+    """(lo, hi, fallbacks, solves): the extreme eigenvalues of ``op`` (of
+    the pencil (op, X) with ``M``), how many of the two ends ran unshifted
+    after a failed shift, and the eigensolves run: none for a term with no
+    stored entry, one tridiagonal reduction, or two ARPACK solves (see
+    extreme_eigs).
     """
     if isinstance(op, SparseHermitian):
         support = np.flatnonzero(np.diff(op.matrix.indptr))
         if support.size == 0:
-            return 0.0, 0.0, 0
+            return 0.0, 0.0, 0, 0
         if M is None and support.size < op.n:
             # A is permutation-similar to diag(A[S, S], 0)
             sub = op.matrix[support][:, support]
             sub = (DenseHermitian._exact(sub.toarray())
                    if support.size <= DENSE_PARTIAL_CAP
                    else SparseHermitian._exact(sub.tocsr()))
-            lo, hi, fallbacks = _extreme_values(sub, seed, None)
-            return min(lo, 0.0), max(hi, 0.0), fallbacks
+            lo, hi, fallbacks, solves = _extreme_values(sub, seed, None)
+            return min(lo, 0.0), max(hi, 0.0), fallbacks, solves
     if _takes_lapack(op, M):
-        return (*_tridiagonal_ends(op.dense(), M), 0)
-    ends = (op, -op)
-    below, missed = (None, None), (False, False)
-    if M is not None and isinstance(op, SparseHermitian):
-        estimates = [_estimate(end, seed, M) for end in ends]
-        missed = [e is None for e in estimates]
-        if not any(missed):
-            delta = ESTIMATE_TOL * max(abs(e) for e in estimates)
-            if delta > 0:
-                below = [e - delta for e in estimates]
-    lo, neg_hi = [smallest_eigpairs(end, 1, seed=seed, M=M, below=sigma)
-                  for end, sigma in zip(ends, below)]
-    fallbacks = sum(p.shift_fallback or m
-                    for p, m in zip((lo, neg_hi), missed))
-    return float(lo.values[0]), float(-neg_hi.values[0]), fallbacks
+        return (*_tridiagonal_ends(op.dense(), M), 0, 1)
+    lo, neg_hi = [smallest_eigpairs(end, 1, seed=seed, M=M)
+                  for end in (op, -op)]
+    return (float(lo.values[0]), float(-neg_hi.values[0]),
+            lo.shift_fallback + neg_hi.shift_fallback, 2)
 
 
 def extreme_eigs(A, seed=0, M=None):
@@ -523,9 +522,10 @@ def extreme_eigs(A, seed=0, M=None):
     both ends are then the exact extreme eigenvalues of T by Sturm-count
     bisection, with no vector and no residual.  They are the values
     LAPACK's partial solver gives for A and -A.  Every other operator
-    takes ARPACK (:func:`smallest_eigpairs`) on A and on -A at working
-    precision, so each end lies within its residual norm of an eigenvalue,
-    the extreme one provided ARPACK missed none beyond it.  Either way the
+    takes :func:`smallest_eigpairs` on A and on -A at working precision,
+    a sparse one shift-inverted just below a loose estimate of each end,
+    so each end lies within its residual norm of an eigenvalue, the
+    extreme one provided ARPACK missed none beyond it.  Either way the
     largest eigenvalue is the negated smallest of -A, so
     extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
@@ -538,21 +538,8 @@ def extreme_eigs(A, seed=0, M=None):
     as above at its own size, densified up to DENSE_PARTIAL_CAP (so by one
     reduction and Sturm counts) and sparse beyond it.  A pencil keeps its
     route, since X couples the rows.
-
-    A sparse pencil that ARPACK takes (``M`` given, n above
-    DENSE_FALLBACK_SIZE) first takes one loose regular-mode pass per end
-    (ARPACK at ``tol=ESTIMATE_TOL``, no vectors), giving estimates t of
-    the smallest eigenvalues of A and -A.
-    Each end is then solved in shift-invert mode at sigma = t - delta,
-    delta = ESTIMATE_TOL * max|t|; the shifted factor's positive pivots
-    prove sigma below the spectrum, so the eigenvalue nearest sigma is the
-    extreme one.  An end whose shift fails that test, or whose loose pass
-    does not converge, is solved unshifted, as are both ends when delta is
-    0.  Every other operator is solved unshifted: a standard sparse
-    Lanczos step is one product, while a pencil's already solves with a
-    factor, so only the pencil gains from the shift.
     """
-    lo, hi, _ = _extreme_values(hermitian(A), seed=seed, M=M)
+    lo, hi, _, _ = _extreme_values(hermitian(A), seed=seed, M=M)
     return lo, hi
 
 

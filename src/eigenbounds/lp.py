@@ -100,13 +100,13 @@ class LPBatch:
     Row i holds the active set ``active[i]``: Q linearly independent rows
     of G (see the module docstring) tight at ``y[i]``, as ascending row
     indices into the G of ``n_rows`` sample rows, so a sample row is an
-    index below ``n_rows`` (a row of -1 starts cold).  ``theta_mat[i]``
-    stacks those rows and ``psi[i]`` their entries of h, so theta_mat[i] @
-    y[i] == psi[i]; ``z[i]`` holds the sample rows' multipliers
-    theta_mat[i]^{-T} c_i (zero at box rows) and ``value[i]`` their
-    :func:`dual_bound`.  ``row_pivots`` counts each row's dual simplex
-    pivots and ``row_degenerate`` flags more than Q tight rows; the
-    properties ``pivots`` and ``degenerate`` total them.
+    index below ``n_rows``.  ``theta_mat[i]`` stacks those rows and
+    ``psi[i]`` their entries of h, so theta_mat[i] @ y[i] == psi[i];
+    ``z[i]`` holds the sample rows' multipliers theta_mat[i]^{-T} c_i
+    (zero at box rows) and ``value[i]`` their :func:`dual_bound`.
+    ``row_pivots`` counts each row's dual simplex pivots and
+    ``row_degenerate`` flags more than Q tight rows; the properties
+    ``pivots`` and ``degenerate`` total them.
     """
 
     y: np.ndarray               # (m, Q)
@@ -219,15 +219,13 @@ def lp_minimize(problem, tol=1e-8, start=None):
     S = J + np.arange(q) + q * flip
     Tinv = np.eye(q) * np.where(flip, -1.0, 1.0)[:, None, :]
     if start is not None:
-        # the start's rows in this G; its -1 rows start cold
+        # the start's rows in this G
         a, j0 = start.active, start.n_rows
         warm = np.where(a >= j0, a + J - j0, a)
-        cold = np.any(warm < 0, axis=1)
-        warm[cold] = S[cold]
         warm_inv = np.linalg.inv(G[warm])
         wrong = ((c[:, None] @ warm_inv)[:, 0]
                  < -_PIVOT_TOL * cost_scale[:, None])
-        ok = ~cold & ~np.any(wrong & (warm < J), axis=1)
+        ok = ~np.any(wrong & (warm < J), axis=1)
         wrong &= ok[:, None]
         warm[wrong] += np.where(warm[wrong] < J + q, q, -q)
         warm_inv *= np.where(wrong, -1.0, 1.0)[:, None, :]

@@ -22,9 +22,8 @@ from .family import (AffineFamily, BoundingBox, compute_bounding_box,
 # dense_smallest is not called here but stays bound: bench/tracer.py counts
 # the sample eigensolves through scm.dense_smallest and scm.smallest_eigpairs
 # (tests/test_bench_bindings.py checks that both names exist).
-from .hermitian import (DENSE_FALLBACK_SIZE, ESTIMATE_TOL, ArgumentError,
-                        DenseHermitian, EigensolverError, SparseHermitian,
-                        _estimate, dense_smallest, orthonormal_columns,
+from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
+                        dense_smallest, orthonormal_columns,
                         smallest_eigpairs)
 from .lp import LPProblem, lp_minimize
 
@@ -93,8 +92,8 @@ def solve_at_sample(family, mu, k, seed=0, below=None):
     """Smallest k eigenpairs of A(mu) (of the pencil with an inner product).
 
     k is capped at n.  :func:`smallest_eigpairs` picks dense or iterative,
-    and shift-inverts a sparse A(mu) at ``below`` when that shift passes
-    its positive-definite test.
+    and shift-inverts a sparse A(mu) at ``below`` (with none, just below a
+    loose estimate) when that shift passes its positive-definite test.
     """
     return smallest_eigpairs(family.operator_at(mu), min(k, family.n),
                              seed=seed, M=family.inner_product, below=below)
@@ -246,18 +245,14 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     """The greedy loop of both pipelines.
 
     The loop starts with the bounding box (:func:`compute_bounding_box`,
-    timed in ``box_seconds`` and counted as 2Q eigensolves): a term that
-    LAPACK takes (every term up to n = 72, a dense one up to the caps), or
-    a standard sparse term through its principal submatrix on the rows it
-    is supported on, takes one backward-stable reduction to tridiagonal
-    form T, both ends the exact extreme eigenvalues of T by Sturm-count
-    bisection with no residual, and every other term two ARPACK
-    smallest-eigenvalue solves.
+    timed in ``box_seconds``; ``eig_count`` starts at the eigensolves it
+    ran), whose terms :func:`~eigenbounds.extreme_eigs` solves.
     Each iteration solves at the selected parameter (``model.add_sample``),
     shifted below the selected point's lower bound (``sample_shift``; the
-    first sample of a standard sparse family below a loose estimate),
-    bounds every training point with ``model.bounds_at``, restarted from
-    the previous iteration's LP solutions with ``warm_start``, and picks
+    first sample where the eigensolver places its own shift), counts one
+    eigensolve, bounds every training point with ``model.bounds_at``,
+    restarted from the previous iteration's LP solutions with
+    ``warm_start``, and picks
     the point with the worst ratio: the relative gap between the bound
     columns ``model.ranked``, or with ``mode='heuristic'`` the relative
     Ritz residual.  The loop stops, not converged, when the worst ratio
@@ -272,7 +267,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     box = compute_bounding_box(family, seed=seed)
     box_seconds = eig_seconds = time.perf_counter() - t0
     model.shift_fallbacks += box.shift_fallbacks
-    eig_count = 2 * family.q
+    eig_count = box.eig_count
 
     theta_all = family.theta_table(pts)
     tables, sols = model.bounds_at(box, theta_all)
@@ -281,33 +276,22 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
     converged = False
     reason = ""
     selected = 0  # all ratios are +inf while C_J is empty: first index wins
-    # a standard sparse A(mu), where a loose pass is one product per step
-    estimate_first = (family.inner_product is None
-                      and family.n > DENSE_FALLBACK_SIZE
-                      and all(isinstance(t, SparseHermitian)
-                              for t in family.terms))
 
     def sample_shift(i):
         """A shift for the sample solve at training point ``i``.
 
         The point's LP lower bound ``lam_lb``, or the larger of that and
-        the residual heuristic where the model gives one, which the shifted
-        factor's positive-definite test may still reject.  Before the first
-        sample of a standard sparse family, e - ESTIMATE_TOL |e| from a
-        loose estimate e of lambda_min(A(mu)); otherwise, or if that pass
-        does not converge, the box alone: sum_q min(theta_q lo_q,
-        theta_q hi_q).  Lowered by SHIFT_MARGIN.
+        the residual heuristic where the model gives one, lowered by
+        SHIFT_MARGIN; the shifted factor's positive-definite test may still
+        reject it.  None before the first sample, where only the box bounds
+        A(mu): the eigensolver then places the shift itself.
         """
-        th = theta_all[i]
         if model.j == 0:
-            e = (_estimate(family.operator_at(pts[i]), seed, None)
-                 if estimate_first else None)
-            s = (float(np.sum(np.minimum(th * box.lower, th * box.upper)))
-                 if e is None else e - ESTIMATE_TOL * abs(e))
-        else:
-            s = tables["lam_lb"][i]
-            if "heuristic" in tables:
-                s = max(s, tables["heuristic"][i])
+            return None
+        th = theta_all[i]
+        s = tables["lam_lb"][i]
+        if "heuristic" in tables:
+            s = max(s, tables["heuristic"][i])
         scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
         return float(s - SHIFT_MARGIN * scale)
 

@@ -305,7 +305,10 @@ class TestCli:
                      "--train-size", "20", "--eps", "1e-3",
                      "--j-max", "15"]) == 0
 
-    def test_manifest_with_an_all_zero_term_runs(self, tmp_path):
+    @staticmethod
+    def _run_blocks_with_a_zero_term(tmp_path):
+        """The summary of a 12x10 blocks run to J=4 with an all-zero term
+        appended to its manifest."""
         import scipy.sparse as sparse
         from eigenbounds import write_matrix_market
         gen_dir = tmp_path / "blocks"
@@ -321,9 +324,19 @@ class TestCli:
         out = str(tmp_path / "run")
         assert main(["run", "--manifest", str(path), "--out", out,
                      "--train-size", "20", "--j-max", "4"]) == 0
-        summary = read_summary(out)
+        return read_summary(out)
+
+    def test_manifest_with_an_all_zero_term_runs(self, tmp_path):
+        summary = self._run_blocks_with_a_zero_term(tmp_path)
         assert summary["termination"]["iterations"] == 4
         assert summary["counts"]["shift_fallbacks"] == 0
+
+    def test_eig_count_is_the_solves_that_ran(self, tmp_path):
+        # box: two ARPACK solves for the Laplacian, one tridiagonal
+        # reduction for each of the 4 subdomain terms, none for the zero
+        # term; then one per sample
+        summary = self._run_blocks_with_a_zero_term(tmp_path)
+        assert summary["counts"]["eig"] == 2 + 4 + 0 + 4
 
     def test_generator_spec_inline(self, tmp_path):
         out = str(tmp_path / "r")

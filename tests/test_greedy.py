@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
@@ -126,6 +127,17 @@ def _grid_pencil():
                                       * sparse.identity(fam.n)).tocsr())
 
 
+def _unshifted(solve, monkeypatch, shifts):
+    """``solve`` with its shift dropped (appended to ``shifts``) and no
+    estimate to place one: the unshifted solve."""
+    def unshifted(*args, below=None, **kwargs):
+        shifts.append(below)
+        with monkeypatch.context() as patched:
+            patched.setattr(hermitian_module, "_estimate", lambda *a: None)
+            return solve(*args, **kwargs)
+    return unshifted
+
+
 @pytest.mark.parametrize("pencil", [False, True])
 def test_shifted_samples_change_no_selection(monkeypatch, pencil):
     fam = (_grid_pencil() if pencil
@@ -133,14 +145,12 @@ def test_shifted_samples_change_no_selection(monkeypatch, pencil):
     train = random_training_set(fam.domain, 30, seed=3)
     shifted = subspace_greedy(fam, train, eps=1e-12, j_max=6)
     shifts = []
-
-    def unshifted(*args, below=None, **kwargs):
-        shifts.append(below)
-        return smallest_eigpairs(*args, **kwargs)
-
-    monkeypatch.setattr(scm, "smallest_eigpairs", unshifted)
+    monkeypatch.setattr(scm, "smallest_eigpairs",
+                        _unshifted(smallest_eigpairs, monkeypatch, shifts))
     plain = subspace_greedy(fam, train, eps=1e-12, j_max=6)
-    assert len(shifts) == 6 and all(np.isfinite(shifts))
+    # the first sample's shift is placed by the eigensolver
+    assert len(shifts) == 6 and shifts[0] is None
+    assert all(np.isfinite(shifts[1:]))
     assert shifted.records[-1].shift_fallbacks == 0
     assert ([r.selected_index for r in shifted.records]
             == [r.selected_index for r in plain.records])
@@ -154,17 +164,14 @@ def test_shifted_box_changes_no_selection(monkeypatch):
     train = random_training_set(fam.domain, 30, seed=3)
     shifted = subspace_greedy(fam, train, eps=1e-12, j_max=6)
     shifts = []
-    original = hermitian_module.smallest_eigpairs
-
-    def unshifted(*args, below=None, **kwargs):
-        shifts.append(below)
-        return original(*args, **kwargs)
-
     # the box's solves only: the sample solves are bound in scm
-    monkeypatch.setattr(hermitian_module, "smallest_eigpairs", unshifted)
+    monkeypatch.setattr(hermitian_module, "smallest_eigpairs",
+                        _unshifted(hermitian_module.smallest_eigpairs,
+                                   monkeypatch, shifts))
     plain = subspace_greedy(fam, train, eps=1e-12, j_max=6)
-    assert len(shifts) == 2 * fam.q and all(np.isfinite(shifts))
+    assert shifts == [None] * (2 * fam.q)
     assert shifted.records[-1].shift_fallbacks == 0
+    assert plain.box.shift_fallbacks == 2 * fam.q
     assert ([r.selected_index for r in shifted.records]
             == [r.selected_index for r in plain.records])
     for key in ("lam_lb", "lam_slb", "lam_sub", "lam_ub"):
@@ -173,79 +180,102 @@ def test_shifted_box_changes_no_selection(monkeypatch):
 
 
 def test_unplaced_box_shifts_are_counted(tmp_path, monkeypatch):
-    # no loose estimate converges: every box end is solved unshifted
+    # no loose estimate converges: every box end and the first sample are
+    # solved unshifted
     fam = _grid_pencil()
     monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
     config = RunConfig(pipeline="scm", n_train=20, j_max=3, eps=1e-12)
     counts = run_pipeline(config, fam, str(tmp_path))["counts"]
-    assert counts["shift_fallbacks"] == 2 * fam.q
+    assert counts["shift_fallbacks"] == 2 * fam.q + 1
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])
 def test_shift_above_the_spectrum_is_counted(tmp_path, monkeypatch,
                                             pipeline):
     # the loop's bound is at least minus the box's bound on |A(mu)|, so a
-    # margin of -3 puts every shift above the whole spectrum: no shifted
-    # factor is positive definite and every sample is solved unshifted
+    # margin of -3 puts every shift the loop gives above the whole
+    # spectrum: no shifted factor is positive definite and every sample
+    # after the first, whose shift the eigensolver places, is solved
+    # unshifted
     fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
     config = RunConfig(pipeline=pipeline, n_train=20, j_max=4, eps=1e-12)
     normal = run_pipeline(config, fam, str(tmp_path / "normal"))
     monkeypatch.setattr(scm, "SHIFT_MARGIN", -3.0)
     forced = run_pipeline(config, fam, str(tmp_path / "forced"))
     assert normal["counts"]["shift_fallbacks"] == 0
-    assert forced["counts"]["shift_fallbacks"] == 4
+    assert forced["counts"]["shift_fallbacks"] == 3
 
 
 def _first_sample(monkeypatch, fam, train):
-    """The first sample's shift, with the run's shift fallbacks."""
-    shifts = []
+    """The first sample's shift from the loop, the shift the eigensolver
+    factored at for it, and the run's result."""
+    shifts, factored = [], []
     original = scm.smallest_eigpairs
+    shifted_factor = hermitian_module._shifted_factor
 
     def recorded(*args, below=None, **kwargs):
         shifts.append(below)
+        factored.clear()            # drop the box's factors
         return original(*args, below=below, **kwargs)
 
+    def recorded_factor(op, sigma, M):
+        factored.append(sigma)
+        return shifted_factor(op, sigma, M)
+
     monkeypatch.setattr(scm, "smallest_eigpairs", recorded)
+    monkeypatch.setattr(hermitian_module, "_shifted_factor", recorded_factor)
     res = subspace_greedy(fam, train, eps=1e-12, j_max=1)
-    return shifts[0], res.records[-1].shift_fallbacks
+    return shifts[0], factored, res
 
 
-def _box_only_shift(fam, mu):
-    box = compute_bounding_box(fam)
-    th = fam.theta_at(mu)
-    scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
-    return (float(np.sum(np.minimum(th * box.lower, th * box.upper)))
-            - scm.SHIFT_MARGIN * scale)
+def _assert_first_shift_estimated(monkeypatch, fam):
+    """The loop gives the first sample no shift, and the eigensolver
+    factors at one within 2.1% below lambda_min(A(mu))."""
+    train = random_training_set(fam.domain, 20, seed=3)
+    below, factored, res = _first_sample(monkeypatch, fam, train)
+    X = fam.inner_product
+    lam1 = scipy.linalg.eigh(fam.operator_at(train.points[0]).dense(),
+                             None if X is None else X.matrix.dense(),
+                             eigvals_only=True)[0]
+    assert below is None
+    sigma, = factored
+    assert lam1 - 0.021 * abs(lam1) <= sigma < lam1
+    assert res.records[-1].shift_fallbacks == 0
 
 
 def test_first_shift_of_a_standard_sparse_family_is_estimated(monkeypatch):
+    _assert_first_shift_estimated(
+        monkeypatch, block_grid_family(nx=12, ny=10, blocks=(2, 2)))
+
+
+def test_first_shift_of_a_pencil_is_estimated(monkeypatch):
+    _assert_first_shift_estimated(monkeypatch, _grid_pencil())
+
+
+def test_first_sample_without_an_estimate_is_unshifted(monkeypatch):
     fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
     train = random_training_set(fam.domain, 20, seed=3)
-    below, fallbacks = _first_sample(monkeypatch, fam, train)
-    lam1 = np.linalg.eigvalsh(fam.operator_at(train.points[0]).dense())[0]
-    assert lam1 - 0.021 * abs(lam1) <= below < lam1
-    assert below > _box_only_shift(fam, train.points[0])
-    assert fallbacks == 0
+    monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+    below, factored, res = _first_sample(monkeypatch, fam, train)
+    assert below is None and factored == []
+    # the Laplacian's two box ends, then the sample
+    assert res.box.shift_fallbacks == 2
+    assert res.records[-1].shift_fallbacks == 3
 
 
-def test_first_shift_without_an_estimate_is_the_box_bound(monkeypatch):
+def test_operator_at_is_assembled_once_per_sample(monkeypatch):
     fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
     train = random_training_set(fam.domain, 20, seed=3)
-    monkeypatch.setattr(scm, "_estimate", lambda *args: None)
-    below, fallbacks = _first_sample(monkeypatch, fam, train)
-    assert below == _box_only_shift(fam, train.points[0])
-    assert fallbacks == 0
+    calls = []
+    original = AffineFamily.operator_at
 
+    def counted(self, mu):
+        calls.append(1)
+        return original(self, mu)
 
-def test_first_shift_of_a_pencil_is_the_box_bound(monkeypatch):
-    fam = _grid_pencil()
-    train = random_training_set(fam.domain, 20, seed=3)
-    estimates = []
-    monkeypatch.setattr(scm, "_estimate",
-                        lambda *args: estimates.append(args))
-    below, fallbacks = _first_sample(monkeypatch, fam, train)
-    assert below == _box_only_shift(fam, train.points[0])
-    assert estimates == [] and fallbacks == 0
+    monkeypatch.setattr(AffineFamily, "operator_at", counted)
+    res = subspace_greedy(fam, train, eps=1e-12, j_max=3)
+    assert res.model.j == 3 and len(calls) == 3
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

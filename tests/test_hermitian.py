@@ -1,3 +1,4 @@
+import functools
 import importlib
 import tracemalloc
 
@@ -165,12 +166,16 @@ class TestSmallestEigpairs:
         with pytest.raises(ArgumentError):
             smallest_eigpairs(op, n + 1)
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((300, 300))
         A = sparse.csr_matrix(0.5 * (A + A.T))       # sparse: ARPACK
+        # unshifted, with one restart; shift-inverted it would converge
+        monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+        monkeypatch.setattr(hermitian_module, "eigsh", functools.partial(
+            hermitian_module.eigsh, maxiter=1))
         with pytest.raises(EigensolverError) as err:
-            smallest_eigpairs(A, 2, restart_cap=1)
+            smallest_eigpairs(A, 2)
         best = err.value.best
         assert best is not None
         # ARPACK hands back only the pairs that converged
@@ -198,17 +203,27 @@ def _grid_families():
     return {"standard": fam, "pencil": coercivity_transform(fam, X)}
 
 
+def _unshifted(monkeypatch, op, k, M=None):
+    """The unshifted solve: no shift given and no estimate to place one."""
+    with monkeypatch.context() as patched:
+        patched.setattr(hermitian_module, "_estimate", lambda *args: None)
+        pairs = smallest_eigpairs(op, k, M=M)
+    assert pairs.shift_fallback
+    return pairs
+
+
 class TestShiftInvert:
     @pytest.mark.parametrize("kind", ["standard", "pencil"])
     @pytest.mark.parametrize("gap", [1e-8, 0.5])
-    def test_shift_below_gives_the_smallest_pairs(self, kind, gap):
+    def test_shift_below_gives_the_smallest_pairs(self, monkeypatch, kind,
+                                                  gap):
         fam = _grid_families()[kind]
         mu = [0.2, 0.45, 0.1, 0.3]
         op, M = fam.operator_at(mu), fam.inner_product
-        plain = smallest_eigpairs(op, 3, M=M)
+        plain = _unshifted(monkeypatch, op, 3, M=M)
         sigma = plain.values[0] - gap * abs(plain.values[0])
         shifted = smallest_eigpairs(op, 3, M=M, below=sigma)
-        assert not plain.shift_fallback and not shifted.shift_fallback
+        assert not shifted.shift_fallback
         assert np.all(np.abs(shifted.values - plain.values)
                       <= shifted.residuals + plain.residuals)
         gram = shifted.vectors.T @ (shifted.vectors if M is None
@@ -216,17 +231,34 @@ class TestShiftInvert:
         assert_allclose(gram, np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize("kind", ["standard", "pencil"])
-    def test_shift_above_falls_back_to_the_unshifted_solve(self, kind):
+    def test_shift_above_falls_back_to_the_unshifted_solve(self, monkeypatch,
+                                                           kind):
         fam = _grid_families()[kind]
         mu = [0.4, 0.1, 0.25, 0.35]
         op, M = fam.operator_at(mu), fam.inner_product
-        plain = smallest_eigpairs(op, 2, M=M)
+        plain = _unshifted(monkeypatch, op, 2, M=M)
         above = smallest_eigpairs(op, 2, M=M,
                                   below=0.5 * (plain.values[0]
                                                + plain.values[1]))
         assert above.shift_fallback
         assert np.array_equal(above.values, plain.values)
         assert np.array_equal(above.vectors, plain.vectors)
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    def test_no_shift_is_placed_below_a_loose_estimate(self, monkeypatch,
+                                                       kind):
+        fam = _grid_families()[kind]
+        mu = [0.3, 0.2, 0.4, 0.15]
+        op, M = fam.operator_at(mu), fam.inner_product
+        plain = _unshifted(monkeypatch, op, 2, M=M)
+        calls = _record_shifted_factors(monkeypatch)
+        placed = smallest_eigpairs(op, 2, M=M)
+        lam1 = plain.values[0]
+        sigma, = calls
+        assert lam1 - 0.021 * abs(lam1) <= sigma < lam1
+        assert not placed.shift_fallback
+        assert np.all(np.abs(placed.values - plain.values)
+                      <= placed.residuals + plain.residuals)
 
     def test_dense_operator_ignores_the_shift(self):
         rng = np.random.default_rng(13)
@@ -284,6 +316,27 @@ class TestExtremeEigs:
     def test_one_by_one(self):
         assert extreme_eigs(np.array([[-2.5]])) == (-2.5, -2.5)
 
+    @pytest.mark.parametrize("pencil", [False, True])
+    def test_singular_psd_term_matches_dense(self, pencil):
+        # the 1-D Neumann Laplacian: PSD with the constant null vector, so
+        # the loose estimate e of the low end is near 0
+        n = 200
+        main = np.full(n, 2.0)
+        main[[0, -1]] = 1.0
+        A = sparse.diags([-np.ones(n - 1), main, -np.ones(n - 1)],
+                         [-1, 0, 1], format="csr")
+        M = _tridiagonal_pencil(n) if pencil else None
+        lo, hi = extreme_eigs(A, M=M)
+        ends = (smallest_eigpairs(A, 1, M=M), smallest_eigpairs(-A, 1, M=M))
+        assert (lo, hi) == (ends[0].values[0], -ends[1].values[0])
+        w = scipy.linalg.eigh(A.toarray(),
+                              None if M is None else M.matrix.dense(),
+                              eigvals_only=True)
+        # each end within its residual, plus the dense solve's roundoff
+        roundoff = 1e-14 * abs(w[-1])
+        assert abs(lo - w[0]) <= ends[0].residuals[0] + roundoff
+        assert abs(hi - w[-1]) <= ends[1].residuals[0] + roundoff
+
 
 def _pencil(nx, ny, blocks):
     """A block-grid family with X = Laplacian + 0.3 mean(diag) I attached."""
@@ -332,8 +385,8 @@ class TestPencilBox:
                                                           failure):
         fam, _ = _pencil(12, 10, (2, 2))
         M = fam.inner_product
-        plain = [(smallest_eigpairs(t, 1, M=M).values[0],
-                  -smallest_eigpairs(-t, 1, M=M).values[0])
+        plain = [(_unshifted(monkeypatch, t, 1, M=M).values[0],
+                  -_unshifted(monkeypatch, -t, 1, M=M).values[0])
                  for t in fam.terms]
         original = hermitian_module._estimate
 
@@ -353,7 +406,7 @@ class TestPencilBox:
         fam, X = _pencil(12, 10, (2, 2))
         calls = _record_shifted_factors(monkeypatch)
         term = fam.terms[1]
-        extreme_eigs(term)                                  # standard sparse
+        extreme_eigs(term)                  # standard subdomain: LAPACK
         extreme_eigs(DenseHermitian(term.dense()))          # dense
         extreme_eigs(DenseHermitian(term.dense()), M=fam.inner_product)
         small, _ = _pencil(8, 8, (2, 2))                    # n = 64: LAPACK
@@ -649,7 +702,8 @@ class TestSupportedSparseEnds:
 
         monkeypatch.setattr(hermitian_module, "eigsh", recorded)
         lo, hi = extreme_eigs(term)
-        assert shapes == [(m, m)] * 2
+        # per end: the loose estimate, then the shift-invert solve
+        assert shapes == [(m, m)] * 4
         w = 1.0 - 2.0 * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
         assert abs(lo - w.min()) <= 1e-13 * 3.0
         assert abs(hi - w.max()) <= 1e-13 * 3.0
@@ -676,6 +730,9 @@ class TestSupportedSparseEnds:
             box = compute_bounding_box(padded)
             assert (box.lower[-1], box.upper[-1]) == (0.0, 0.0)
             assert box.shift_fallbacks == 0
+            # a standard subdomain term takes one reduction, a pencil term
+            # two ARPACK solves, the zero term none
+            assert box.eig_count == (2 + 4 if M is None else 2 * 5)
 
 
 class TestDenseSmallest:
