@@ -144,7 +144,7 @@ def _write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _convergence_rows(result, p):
+def _convergence_rows(result):
     rows = []
     for rec in result.records:
         row = [rec.iteration]
@@ -225,11 +225,10 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             ell=config.ell, r_max=config.r_max, mode=mode, oracle=oracle,
             lp_tol=config.lp_tol, seed=config.seed)
 
-    p = family.p
-    mu_cols = [f"mu_{k + 1}" for k in range(p)]
+    mu_cols = [f"mu_{k + 1}" for k in range(family.p)]
     conv_cols = ["iter"] + mu_cols + CONVERGENCE_FIXED_COLUMNS[1:]
     _write_csv(os.path.join(outdir, "convergence.csv"), conv_cols,
-               _convergence_rows(result, p))
+               _convergence_rows(result))
     bound_cols = mu_cols + BOUND_FIXED_COLUMNS
     _write_csv(os.path.join(outdir, "bounds.csv"), bound_cols,
                _bound_rows(result, train.points))

@@ -127,15 +127,6 @@ class LPBatch:
         """The batch of rows ``idx``."""
         return replace(self, **{f: getattr(self, f)[idx] for f in _ROW_FIELDS})
 
-    def merged(self, idx, new):
-        """This batch with rows ``idx`` replaced by the batch ``new``, whose
-        G adds sample rows after this one's (box rows are renumbered)."""
-        out = {f: getattr(self, f).copy() for f in _ROW_FIELDS}
-        out["active"][out["active"] >= self.n_rows] += new.n_rows - self.n_rows
-        for f in _ROW_FIELDS:
-            out[f][idx] = getattr(new, f)
-        return replace(self, n_rows=new.n_rows, **out)
-
 
 _ROW_FIELDS = tuple(f.name for f in fields(LPBatch) if f.name != "n_rows")
 

@@ -302,6 +302,15 @@ def _checked_hermitian(mat, field, rel):
     return op
 
 
+def _read_manifest_matrix(base, rel, field):
+    """The matrix of manifest field ``field``'s Matrix Market file ``rel``,
+    a path absolute or relative to the manifest's directory ``base``."""
+    full = os.path.join(base, rel)
+    if not os.path.exists(full):
+        raise ManifestError(field, f"file not found: {rel}")
+    return read_matrix_market(full)[0]
+
+
 def load_family(path):
     """Load an affine family from a JSON manifest.
 
@@ -356,10 +365,7 @@ def load_family(path):
     for k, rel in enumerate(terms_raw):
         if not isinstance(rel, str):
             raise ManifestError("terms", f"entry {k} is not a string")
-        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        if not os.path.exists(full):
-            raise ManifestError("terms", f"file not found: {rel}")
-        mat, header = read_matrix_market(full)
+        mat = _read_manifest_matrix(base, rel, "terms")
         if mat.shape[0] != mat.shape[1]:
             raise ManifestError("terms", f"{rel} is not square")
         if n is None:
@@ -367,7 +373,7 @@ def load_family(path):
         elif mat.shape[0] != n:
             raise ManifestError(
                 "terms", f"{rel} has dimension {mat.shape[0]}, expected {n}")
-        matrices.append((mat, header, rel))
+        matrices.append((mat, rel))
 
     inner = None
     if "inner_product" in manifest and manifest["inner_product"] is not None:
@@ -377,10 +383,7 @@ def load_family(path):
         rel = manifest["inner_product"]
         if not isinstance(rel, str):
             raise ManifestError("inner_product", "not a string")
-        full = rel if os.path.isabs(rel) else os.path.join(base, rel)
-        if not os.path.exists(full):
-            raise ManifestError("inner_product", f"file not found: {rel}")
-        inner, _ = read_matrix_market(full)
+        inner = _read_manifest_matrix(base, rel, "inner_product")
         if inner.shape != (n, n):
             raise ManifestError("inner_product",
                                 f"dimension {inner.shape[0]}, expected {n}")
@@ -391,13 +394,13 @@ def load_family(path):
     if pipeline == "singular":
         if inner is None:
             inner = sparse.eye(n).tocsr()
-        fam = singular_value_expansion([m for m, _, _ in matrices],
+        fam = singular_value_expansion([m for m, _ in matrices],
                                        [e.source for e in exprs],
                                        domain, inner)
         return fam, meta
 
     wrapped = [_checked_hermitian(mat, "terms", rel)
-               for mat, _, rel in matrices]
+               for mat, rel in matrices]
     fam = AffineFamily(terms=tuple(wrapped), theta=_theta_of(exprs),
                        domain=tuple(domain),
                        theta_source=tuple(e.source for e in exprs),

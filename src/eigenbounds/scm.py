@@ -148,6 +148,8 @@ class ScmState:
 
     def add_sample(self, mu, seed=0, below=None):
         """Solve for the smallest eigenpair at ``mu`` and append it."""
+        if self.has_sample(mu):
+            raise ArgumentError("sample already present in the pool")
         pairs = solve_at_sample(self.family, mu, 1, seed=seed, below=below)
         self.shift_fallbacks += pairs.shift_fallback
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
@@ -158,11 +160,13 @@ class ScmState:
         Returns a dict of per-row arrays (here ``lam_ub`` and the LP bound
         ``lam_lb``) and the :class:`~eigenbounds.lp.LPBatch` of the rows'
         LP solutions, from one :func:`lower_bound` call.  With ``start``,
-        the batch returned for the same rows one sample ago, a row keeps its
-        minimizer while that satisfies the newest row, and the rest restart
-        the dual simplex from theirs.  ``lam_lb`` is each solution's
-        weak-duality value, so restarts never decide whether a bound holds.
-        With no sample yet, the ``unsampled`` values and no batch.
+        the batch returned for the same rows one sample ago, every row
+        restarts the dual simplex from its vertex there, and one that the
+        newest row does not violate ends after zero pivots.  ``lam_lb`` is
+        each solution's weak-duality value, so restarts never decide
+        whether a bound holds.  ``lp_count`` grows by every row of a cold
+        call and by the rows of a restarted one that pivot.  With no sample
+        yet, the ``unsampled`` values and no batch.
         """
         m = len(theta)
         if start is not None and (start.n_rows != self.j - 1
@@ -173,20 +177,14 @@ class ScmState:
             return {k: np.full(m, v) for k, v in self.unsampled.items()}, None
         lam_ub = np.min(theta @ self.upper_points.T, axis=1)
         t = time.perf_counter()
-        todo, restart = np.arange(m), None
-        if start is not None:
-            # a minimizer stays optimal while it satisfies the new row
-            todo = np.flatnonzero(~(start.y @ self.rows[-1]
-                                    >= self.rhs[-1] - lp_tol))
-            restart = start.take(todo)
-        _, new = lower_bound(self, box, None, lp_tol=lp_tol, c=theta[todo],
-                             start=restart)
-        sols = new if todo.size == m else start.merged(todo, new)
-        self.lp_count += todo.size
-        self.lp_pivots += new.pivots
-        self.lp_degenerate += new.degenerate
+        lam_lb, sols = lower_bound(self, box, None, lp_tol=lp_tol, c=theta,
+                                   start=start)
+        self.lp_count += (m if start is None
+                          else int(np.count_nonzero(sols.row_pivots)))
+        self.lp_pivots += sols.pivots
+        self.lp_degenerate += sols.degenerate
         self.lp_seconds += time.perf_counter() - t
-        return {"lam_lb": sols.value.copy(), "lam_ub": lam_ub}, sols
+        return {"lam_lb": lam_lb.copy(), "lam_ub": lam_ub}, sols
 
 
 def upper_bound(state, mu):
@@ -372,9 +370,8 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     family, train : problem and training set
     eps : relative-gap stopping tolerance
     j_max : iteration cap; reaching it flags the result as not converged
-    warm_start : reuse a parameter's LP minimizer while it stays feasible
-        and restart the dual simplex of the rest from their previous
-        solutions, all in one stacked solve per iteration (see
+    warm_start : restart every parameter's dual simplex from its previous
+        LP solution, in one stacked solve per iteration (see
         :meth:`ScmState.bounds_at`); without it every LP starts cold
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records

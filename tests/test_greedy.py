@@ -71,8 +71,8 @@ def test_warm_start_changes_nothing_at_q_10(ell):
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
 def test_restarts_halve_the_pivots_per_lp(pipeline):
     # the family of acceptance criterion 12.  Pivots per LP, not in all:
-    # ScmState.bounds_at keeps every minimizer that satisfies the newest
-    # row, and that alone already cuts the number of LPs solved
+    # a restarted LP that the newest row does not cut ends after zero
+    # pivots and is not counted, and that alone already cuts the LP count
     fam = random_family(3, 80, delta=0.25, seed=12)
     train = random_training_set(fam.domain, 60, seed=13)
     on, off = (PIPELINES[pipeline][0](fam, train, eps=1e-6, j_max=12,

@@ -607,23 +607,28 @@ class TestStackedLpMinimize:
             assert sols.value.shape == (0,) and sols.active.shape == (0, 2)
             assert sols.pivots == 0
 
-    def test_merged_renumbers_the_kept_rows(self):
-        # the greedy's step: restart some rows over one more sample row
-        # and merge them into the batch of all rows
+    def test_restart_renumbers_the_kept_rows(self):
+        # the greedy's step: restart every row over one more sample row; a
+        # row the new sample row does not cut keeps its vertex
         objectives = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 2.0]])
         box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
         rows, rhs = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([0.5, 0.2])
         first = lp_minimize(LPProblem(c=objectives, rows=rows[:1],
                                       rhs=rhs[:1], **box))
         grown = LPProblem(c=objectives, rows=rows, rhs=rhs, **box)
-        idx = np.array([0, 1])
-        new = lp_minimize(LPProblem(c=objectives[idx], rows=rows, rhs=rhs,
-                                    **box), start=first.take(idx))
-        held = first.merged(idx, new)
+        held = lp_minimize(grown, start=first)
         assert held.n_rows == 2
-        assert np.array_equal(held.active[idx], new.active)
         # the kept row's box rows move up by the one new sample row
         kept = first.active[2]
         assert held.active[2].tolist() == np.where(kept >= 1, kept + 1,
                                                    kept).tolist()
-        _assert_rows_match(held.take([2]), _row_by_row(grown)[2:])
+        assert held.row_pivots[2] == 0
+        for f in ("y", "z", "value"):
+            assert np.array_equal(getattr(held, f)[2],
+                                  getattr(first, f)[2]), f
+        _assert_rows_match(held, _row_by_row(grown, first))
+        # the same vertices as cold solves, after fewer pivots
+        cold = lp_minimize(grown)
+        assert np.array_equal(held.active, cold.active)
+        assert_allclose(held.value, cold.value, rtol=1e-12, atol=1e-12)
+        assert held.pivots < cold.pivots

@@ -9,6 +9,7 @@ from eigenbounds import (AffineFamily, ScmState, coercivity_transform,
                          lower_bound, random_family, random_training_set,
                          scm_greedy, solve_at_sample, unit_circle_family,
                          upper_bound, worst_case_family)
+from eigenbounds import scm
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
 from eigenbounds.scm import _ratio_array
@@ -78,6 +79,19 @@ class TestLowerBound:
         right, _ = lower_bound(state, box, [np.pi / 2 + h])
         assert_allclose((mid - left) / h, 1.0, atol=1e-6)
         assert_allclose((right - mid) / h, -1.0, atol=1e-6)
+
+
+class TestAddSample:
+    def test_duplicate_sample_refused_before_the_solve(self, monkeypatch):
+        # as append_sample refuses one for the subspace pool
+        state = ScmState(unit_circle_family())
+        state.add_sample([0.3])
+        solves = []
+        monkeypatch.setattr(scm, "solve_at_sample",
+                            lambda *a, **k: solves.append(a))
+        with pytest.raises(ArgumentError, match="already present"):
+            state.add_sample(np.array([0.3]))
+        assert solves == [] and state.j == 1 and state.rows.shape == (1, 2)
 
 
 class TestErrorRatio:
