@@ -13,9 +13,9 @@ import sys
 import typing
 from dataclasses import asdict, fields
 
-from .driver import (_GENERATORS, PIPELINES, CompareError, RunConfig,
-                     compare_runs, generate_problem_files, load_problem,
-                     run_pipeline)
+from .driver import (_GENERATORS, ORACLE_CAP, PIPELINES, CompareError,
+                     RunConfig, compare_runs, generate_problem_files,
+                     load_problem, run_pipeline)
 from .hermitian import ArgumentError
 from .problems import PIPELINES as PROBLEM_PIPELINES
 from .problems import ManifestError, _json_object
@@ -57,10 +57,9 @@ def _build_parser():
     run.add_argument("--train-seed", type=int)
     run.add_argument("--ell", type=int)
     run.add_argument("--r-max", type=int)
-    run.add_argument("--lp-tol", type=float)
     run.add_argument("--oracle", action="store_true",
-                     help="dense cross-validation columns (n <= oracle cap)")
-    run.add_argument("--oracle-cap", type=int)
+                     help="dense cross-validation columns "
+                          f"(n <= {ORACLE_CAP})")
     run.add_argument("--seed", type=int,
                      help="seed of the eigensolver starting vector")
 

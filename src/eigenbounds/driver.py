@@ -35,6 +35,7 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = 2
 PIPELINES = ("scm", "subspace", "subspace-heuristic")
+ORACLE_CAP = 800    # largest n that an oracle run solves densely
 
 CONVERGENCE_FIXED_COLUMNS = [
     "iter", "max_error_ratio", "max_abs_ub_error", "max_abs_lb_error",
@@ -64,17 +65,15 @@ class RunConfig:
     train_seed: int = 0
     ell: int = 1
     r_max: int | None = None      # defaults to the family's term count
-    lp_tol: float = 1e-8
     oracle: bool = False
-    oracle_cap: int = 800
     seed: int = 0
     workers: int = 1              # runs are single-threaded; only 1 is valid
 
     def validate(self):
         if self.pipeline not in PIPELINES:
             raise ArgumentError(f"pipeline must be one of {PIPELINES}")
-        if not (0 < self.eps < math.inf and 0 < self.lp_tol < math.inf):
-            raise ArgumentError("eps and lp_tol must be positive and finite")
+        if not 0 < self.eps < math.inf:
+            raise ArgumentError("eps must be positive and finite")
         if self.j_max < 1 or self.n_train < 1 or self.ell < 1:
             raise ArgumentError("j_max, n_train and ell must be at least 1")
         for name in ("r_max", "train_seed", "seed"):
@@ -209,21 +208,20 @@ def run_pipeline(config, family, outdir, problem_meta=None):
                                 config.train_seed)
     oracle = None
     oracle_active = False
-    if config.oracle and family.n <= config.oracle_cap:
+    if config.oracle and family.n <= ORACLE_CAP:
         oracle = _oracle_values(family, train.points)
         oracle_active = True
 
     if config.pipeline == "scm":
         result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
-                            oracle=oracle, lp_tol=config.lp_tol,
-                            seed=config.seed)
+                            oracle=oracle, seed=config.seed)
     else:
         mode = "heuristic" if config.pipeline == "subspace-heuristic" \
             else "certified"
         result = subspace_greedy(
             family, train, eps=config.eps, j_max=config.j_max,
             ell=config.ell, r_max=config.r_max, mode=mode, oracle=oracle,
-            lp_tol=config.lp_tol, seed=config.seed)
+            seed=config.seed)
 
     mu_cols = [f"mu_{k + 1}" for k in range(family.p)]
     conv_cols = ["iter"] + mu_cols + CONVERGENCE_FIXED_COLUMNS[1:]

@@ -39,6 +39,7 @@ __all__ = [
 
 _PIVOT_TOL = 1e-11
 _MAX_ITERATIONS = 50_000
+_ACCEPT_TOL = 1e-8    # Farkas waiver, tight-row test, degenerate multipliers
 
 
 class LPError(RuntimeError):
@@ -164,7 +165,7 @@ def _select_active(G, candidates, q):
     return np.array(chosen)
 
 
-def lp_minimize(problem, tol=1e-8, start=None):
+def lp_minimize(problem, start=None):
     """Solve the LP and report the optimal active-constraint system.
 
     A dual simplex on the active set: the state is Q rows S of G, taken as
@@ -184,11 +185,12 @@ def lp_minimize(problem, tol=1e-8, start=None):
     the value is :func:`dual_bound` of the final multipliers.  A violated
     row with no leaving candidate proves the polytope empty: it raises
     :class:`InfeasibleError` unless its violation is within
-    ``tol * (1 + max|h|)``, which is accepted.  The reported active set is
-    S, except where more than Q rows are tight: there the lexicographically
-    smallest independent tight set is reported if its multipliers are at
-    least ``-tol * (1 + max|c|)``.  The reported ``y`` is solved from the
-    reported system.
+    ``_ACCEPT_TOL * (1 + max|h|)``, which is accepted.  A row that holds
+    with equality to within that amount is tight.  The reported active set
+    is S, except where more than Q rows are tight: there the
+    lexicographically smallest independent tight set is reported if its
+    multipliers are at least ``-_ACCEPT_TOL * (1 + max|c|)``.  The
+    reported ``y`` is solved from the reported system.
 
     Returns an :class:`LPBatch`.  An (m, Q) stack of objectives runs m
     such solves in lockstep, each from its row of the batch ``start``, and
@@ -248,7 +250,7 @@ def lp_minimize(problem, tol=1e-8, start=None):
         if stuck.any():
             # a Farkas certificate; the other rows pivot next round
             worst = float(np.max(-slack[stuck, g[stuck]]))
-            if worst > tol * feas_scale:
+            if worst > _ACCEPT_TOL * feas_scale:
                 raise InfeasibleError(
                     f"LP infeasible (row violation {worst:.3e})")
             skl[stuck, rank[g[stuck]]] = True
@@ -269,7 +271,7 @@ def lp_minimize(problem, tol=1e-8, start=None):
         raise LPError("simplex iteration cap exceeded")
 
     y = (Tinv @ h[S, None])[..., 0]
-    tight = np.abs(y @ G.T - h) <= max(tol, 1e-9) * feas_scale
+    tight = np.abs(y @ G.T - h) <= _ACCEPT_TOL * feas_scale
     tight[ids[:, None], S] = True
     degen = np.count_nonzero(tight, axis=1) > q
     chosen = np.sort(S, axis=1)
@@ -278,7 +280,7 @@ def lp_minimize(problem, tol=1e-8, start=None):
         # it is optimal too; S always is
         pick = _select_active(G, np.flatnonzero(tight[i]), q)
         if pick.size == q and np.all(np.linalg.solve(G[pick].T, c[i])
-                                     >= -tol * cost_scale[i]):
+                                     >= -_ACCEPT_TOL * cost_scale[i]):
             chosen[i] = pick
     theta, psi = G[chosen], h[chosen]
     # not the iterate: at an ill-conditioned vertex the running inverse

@@ -1,19 +1,16 @@
 """Matrix Market coordinate-format reader/writer.
 
 Supports real/complex matrices with general, symmetric or hermitian
-symmetry.  The banner and comment lines survive a read/write round trip
-verbatim, and values are written with 17 significant digits so float64
+symmetry.  Values are written with 17 significant digits so float64
 entries round-trip exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sparse
 
-__all__ = ["MMFormatError", "MMHeader", "read_matrix_market", "write_matrix_market"]
+__all__ = ["MMFormatError", "read_matrix_market", "write_matrix_market"]
 
 _FIELDS = {"real", "complex", "integer"}
 _SYMMETRIES = {"general", "symmetric", "hermitian"}
@@ -23,20 +20,11 @@ class MMFormatError(ValueError):
     """Malformed Matrix Market file; message carries the offending line."""
 
 
-@dataclass(frozen=True)
-class MMHeader:
-    banner: str
-    comments: tuple
-    field: str
-    symmetry: str
-
-
 def read_matrix_market(path):
     """Read a coordinate-format Matrix Market file.
 
-    Returns ``(matrix, header)`` where ``matrix`` is a CSR sparse matrix with
-    both triangles filled in for symmetric/hermitian files, and ``header``
-    preserves the banner and comment lines for exact round-tripping.
+    Returns a CSR sparse matrix, with both triangles filled in for
+    symmetric/hermitian files.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -55,9 +43,7 @@ def read_matrix_market(path):
         raise MMFormatError(f"unsupported symmetry {symmetry!r}")
 
     idx = 1
-    comments = []
     while idx < len(lines) and lines[idx].startswith("%"):
-        comments.append(lines[idx])
         idx += 1
     while idx < len(lines) and not lines[idx].strip():
         idx += 1
@@ -111,9 +97,7 @@ def read_matrix_market(path):
         mirror = vals[off].conj() if symmetry == "hermitian" else vals[off]
         A = A + sparse.coo_matrix((mirror, (cols[off], rows[off])),
                                   shape=(nrows, ncols))
-    header = MMHeader(banner=banner, comments=tuple(comments),
-                      field=field, symmetry=symmetry)
-    return A.tocsr(), header
+    return A.tocsr()
 
 
 def _format_value(v, field):
@@ -122,13 +106,12 @@ def _format_value(v, field):
     return f"{v:.16e}"
 
 
-def write_matrix_market(path, matrix, symmetry=None, comments=(), banner=None):
+def write_matrix_market(path, matrix, symmetry=None):
     """Write a matrix in coordinate format.
 
     ``symmetry`` defaults to 'symmetric' (real) / 'hermitian' (complex);
     pass 'general' for unsymmetric matrices.  For symmetric/hermitian output
-    only the lower triangle is stored.  ``banner`` overrides the generated
-    banner line (it must be consistent with the data being written).
+    only the lower triangle is stored.
     """
     A = sparse.coo_matrix(matrix)
     iscomplex = np.iscomplexobj(A.data) if A.nnz else False
@@ -137,8 +120,6 @@ def write_matrix_market(path, matrix, symmetry=None, comments=(), banner=None):
         symmetry = "hermitian" if iscomplex else "symmetric"
     if symmetry not in _SYMMETRIES:
         raise MMFormatError(f"unsupported symmetry {symmetry!r}")
-    if banner is None:
-        banner = f"%%MatrixMarket matrix coordinate {field} {symmetry}"
 
     rows, cols, vals = A.row, A.col, A.data
     if symmetry in ("symmetric", "hermitian"):
@@ -147,9 +128,8 @@ def write_matrix_market(path, matrix, symmetry=None, comments=(), banner=None):
     order = np.lexsort((rows, cols))
     rows, cols, vals = rows[order], cols[order], vals[order]
 
-    out = [banner]
-    out.extend(comments)
-    out.append(f"{A.shape[0]} {A.shape[1]} {len(vals)}")
+    out = [f"%%MatrixMarket matrix coordinate {field} {symmetry}",
+           f"{A.shape[0]} {A.shape[1]} {len(vals)}"]
     for i, j, v in zip(rows, cols, vals):
         out.append(f"{i + 1} {j + 1} {_format_value(v, field)}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -303,12 +303,16 @@ def _checked_hermitian(mat, field, rel):
 
 
 def _read_manifest_matrix(base, rel, field):
-    """The matrix of manifest field ``field``'s Matrix Market file ``rel``,
-    a path absolute or relative to the manifest's directory ``base``."""
+    """The square matrix of manifest field ``field``'s Matrix Market file
+    ``rel``, a path absolute or relative to the manifest's directory
+    ``base``."""
     full = os.path.join(base, rel)
     if not os.path.exists(full):
         raise ManifestError(field, f"file not found: {rel}")
-    return read_matrix_market(full)[0]
+    mat = read_matrix_market(full)
+    if mat.shape[0] != mat.shape[1]:
+        raise ManifestError(field, f"{rel} is not square")
+    return mat
 
 
 def load_family(path):
@@ -366,8 +370,6 @@ def load_family(path):
         if not isinstance(rel, str):
             raise ManifestError("terms", f"entry {k} is not a string")
         mat = _read_manifest_matrix(base, rel, "terms")
-        if mat.shape[0] != mat.shape[1]:
-            raise ManifestError("terms", f"{rel} is not square")
         if n is None:
             n = mat.shape[0]
         elif mat.shape[0] != n:
@@ -384,7 +386,7 @@ def load_family(path):
         if not isinstance(rel, str):
             raise ManifestError("inner_product", "not a string")
         inner = _read_manifest_matrix(base, rel, "inner_product")
-        if inner.shape != (n, n):
+        if inner.shape[0] != n:
             raise ManifestError("inner_product",
                                 f"dimension {inner.shape[0]}, expected {n}")
         inner = _checked_hermitian(inner, "inner_product", rel)

@@ -154,7 +154,7 @@ class ScmState:
         self.shift_fallbacks += pairs.shift_fallback
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
 
-    def bounds_at(self, box, theta, start=None, lp_tol=1e-8):
+    def bounds_at(self, box, theta, start=None):
         """Bounds at the coefficient rows ``theta`` (m, Q).
 
         Returns a dict of per-row arrays (here ``lam_ub`` and the LP bound
@@ -177,8 +177,7 @@ class ScmState:
             return {k: np.full(m, v) for k, v in self.unsampled.items()}, None
         lam_ub = np.min(theta @ self.upper_points.T, axis=1)
         t = time.perf_counter()
-        lam_lb, sols = lower_bound(self, box, None, lp_tol=lp_tol, c=theta,
-                                   start=start)
+        lam_lb, sols = lower_bound(self, box, None, c=theta, start=start)
         self.lp_count += (m if start is None
                           else int(np.count_nonzero(sols.row_pivots)))
         self.lp_pivots += sols.pivots
@@ -198,7 +197,7 @@ def upper_bound(state, mu):
     return float(np.min(state.upper_points @ th))
 
 
-def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
+def lower_bound(state, box, mu, c=None, start=None):
     """LP lower bound over the box cut by the sampled constraints.
 
     Returns the bound and the one-row :class:`~eigenbounds.lp.LPBatch` of
@@ -212,7 +211,7 @@ def lower_bound(state, box, mu, lp_tol=1e-8, c=None, start=None):
         c = state.family.theta_at(mu)
     problem = LPProblem(c=c, lower=box.lower,
                         upper=box.upper, rows=state.rows, rhs=state.rhs)
-    sol = lp_minimize(problem, tol=lp_tol, start=start)
+    sol = lp_minimize(problem, start=start)
     return (sol.value if problem.c.ndim == 2 else float(sol.value[0])), sol
 
 
@@ -238,7 +237,7 @@ def _ratio_array(lb, ub):
     return out
 
 
-def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
+def _greedy(model, train, eps, j_max, *, warm_start, oracle, seed,
             mode="certified"):
     """The greedy loop of both pipelines.
 
@@ -320,7 +319,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
             raise GreedyError(reason, partial=result()) from exc
         eig_seconds += time.perf_counter() - t
         eig_count += 1
-        tables, sols = model.bounds_at(box, theta_all, lp_tol=lp_tol,
+        tables, sols = model.bounds_at(box, theta_all,
                                        start=sols if warm_start else None)
 
         if mode == "heuristic":
@@ -362,7 +361,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, lp_tol, seed,
 
 
 def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
-               oracle=None, lp_tol=1e-8, seed=0):
+               oracle=None, seed=0):
     """Greedy SCM loop.
 
     Parameters
@@ -377,8 +376,7 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
         only for the error columns of the iteration records
     """
     return _greedy(ScmState(family), train, eps, j_max,
-                   warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
-                   seed=seed)
+                   warm_start=warm_start, oracle=oracle, seed=seed)
 
 
 def worst_case_family(state, y_tilde):

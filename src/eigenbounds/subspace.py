@@ -99,11 +99,11 @@ class SubspacePool(ScmState):
     def add_sample(self, mu, seed=0, below=None):
         append_sample(self, mu, seed=seed, below=below)
 
-    def bounds_at(self, box, theta, start=None, lp_tol=1e-8):
+    def bounds_at(self, box, theta, start=None):
         """:meth:`ScmState.bounds_at` plus the :func:`sweep_bounds` columns
         ``lam_slb``, ``lam_sub``, ``residual`` and ``chosen_r``, and the
         residual heuristic ``heuristic`` = ``lam_sub - residual``."""
-        cols, sols = super().bounds_at(box, theta, start=start, lp_tol=lp_tol)
+        cols, sols = super().bounds_at(box, theta, start=start)
         if sols is not None:
             t = time.perf_counter()
             out = sweep_bounds(self, box, theta, sols)
@@ -409,7 +409,7 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
                                     "lam_sub", "residual", "rho", "eta")}
 
 
-def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
+def subspace_lower_bound(pool, box, mu, r_max=None):
     """Best certified lower bound over Ritz-space dimensions r = 0..r_max.
 
     r = 0 reproduces the classical LP lower bound; each r >= 1 combines the
@@ -422,7 +422,7 @@ def subspace_lower_bound(pool, box, mu, r_max=None, lp_tol=1e-8):
         raise ArgumentError("subspace pool is empty")
     r_max = _valid_r_max(r_max, pool.r_max)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    _, sol = lower_bound(pool, box, mu, lp_tol=lp_tol)
+    _, sol = lower_bound(pool, box, mu)
     out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], sol, r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
@@ -448,7 +448,7 @@ def residual_heuristic_bound(pool, mu):
 
 def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
                     mode="certified", *, warm_start=True, oracle=None,
-                    lp_tol=1e-8, seed=0):
+                    seed=0):
     """Greedy loop driven by the subspace bounds.
 
     ``mode='certified'`` selects/stops on the relative gap between the
@@ -462,5 +462,5 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
     return _greedy(SubspacePool(family, ell=ell, r_max=r_max), train, eps,
-                   j_max, warm_start=warm_start, oracle=oracle, lp_tol=lp_tol,
-                   seed=seed, mode=mode)
+                   j_max, warm_start=warm_start, oracle=oracle, seed=seed,
+                   mode=mode)

@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import jsonschema
 import numpy as np
 import pytest
 
-from eigenbounds import cli
+from eigenbounds import cli, driver
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
@@ -19,6 +20,16 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
 def read_summary(outdir):
     with open(os.path.join(outdir, "summary.json")) as fh:
         return json.load(fh)
+
+
+def test_schema_config_is_every_run_config_field():
+    # summary.json's config is asdict(RunConfig), so the schema requires
+    # every field and describes no other
+    with open(SCHEMA_PATH) as fh:
+        config = json.load(fh)["properties"]["config"]
+    names = [f.name for f in fields(RunConfig)]
+    assert config["required"] == names
+    assert sorted(config["properties"]) == sorted(names)
 
 
 def circle_manifest(tmp_path):
@@ -116,13 +127,13 @@ class TestRunPipeline:
             pb = [v for k, v in enumerate(rb.split(",")) if k not in timing]
             assert pa == pb
 
-    def test_oracle_cap_omits_columns(self, tmp_path):
+    def test_oracle_cap_omits_columns(self, tmp_path, monkeypatch):
         family, meta = load_problem(
             generator={"kind": "random", "Q": 2, "N": 40, "delta": 0.3,
                        "seed": 10})
+        monkeypatch.setattr(driver, "ORACLE_CAP", 30)  # below N: omitted
         config = RunConfig(pipeline="subspace", eps=1e-3, j_max=5,
-                           n_train=20, train_seed=11, oracle=True,
-                           oracle_cap=30)  # below N: columns must be omitted
+                           n_train=20, train_seed=11, oracle=True)
         out = tmp_path / "capped"
         summary = run_pipeline(config, family, str(out), problem_meta=meta)
         assert not summary["oracle_active"]
@@ -402,6 +413,21 @@ class TestCli:
                                                      "warm_start", False)
         assert "unknown config field" in payload["message"]
 
+    @pytest.mark.parametrize("field, value", [("lp_tol", 1e-8),
+                                              ("oracle_cap", 800)])
+    def test_deleted_run_option_rejected(self, tmp_path, capsys, field,
+                                         value):
+        # the values an older summary.json config holds
+        payload = self._assert_config_field_rejected(tmp_path, capsys,
+                                                     field, value)
+        assert "unknown config field" in payload["message"]
+        flag = "--" + field.replace("_", "-")
+        assert flag not in cli._build_parser().format_help()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--generator", '{"kind": "unit-circle"}', "--out",
+                  str(tmp_path / "o"), flag, str(value)])
+        assert exc.value.code == 2
+
     def test_config_file_workers_other_than_one_rejected(self, tmp_path,
                                                          capsys):
         manifest = circle_manifest(tmp_path)
@@ -443,15 +469,13 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--eps", "nan"),
-                                             ("--eps", "inf"),
-                                             ("--lp-tol", "nan"),
-                                             ("--lp-tol", "inf")])
+                                             ("--eps", "inf")])
     def test_non_finite_tolerance_flag_rejected(self, tmp_path, capsys, flag,
                                                 value):
         self._assert_run_rejected(tmp_path, capsys, [flag, value],
                                   flag[2:].replace("-", "_"))
 
-    @pytest.mark.parametrize("field", ["eps", "lp_tol"])
+    @pytest.mark.parametrize("field", ["eps"])
     def test_config_nan_tolerance_rejected(self, tmp_path, capsys, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: float("nan")}))

@@ -382,19 +382,16 @@ def test_one_by_one_family(pipeline):
         np.testing.assert_allclose(res.tables[key], exact, rtol=1e-14)
 
 
-@pytest.mark.parametrize("pipeline, seed, lp_tol", [
-    pytest.param(pipeline, seed, lp_tol, id=f"{pipeline}-{seed}"
-                 + ("" if lp_tol == 1e-8 else f"-lp_tol={lp_tol:g}"))
-    for lp_tol in (1e-8, 1e-6, 1e-4) for pipeline in sorted(PIPELINES)
-    for seed in (0, 1)])
-def test_bounds_certified_at_roundoff_allowance(pipeline, seed, lp_tol):
+@pytest.mark.parametrize("pipeline, seed", [
+    pytest.param(pipeline, seed, id=f"{pipeline}-{seed}")
+    for pipeline in sorted(PIPELINES) for seed in (0, 1)])
+def test_bounds_certified_at_roundoff_allowance(pipeline, seed):
     # the allowance the benchmark's correctness gate uses: gamma_n times
-    # the bound sum_q |theta_q| max(|lo_q|, |hi_q|) on ||A(mu)||; it does
-    # not grow with lp_tol, which decides only how much LP work is done
+    # the bound sum_q |theta_q| max(|lo_q|, |hi_q|) on ||A(mu)||; it has
+    # no LP term, as each lower bound is the weak-duality value of its LP
     fam = random_family(q=4, n=120, delta=0.2, seed=seed)
     train = random_training_set(fam.domain, 40, seed=5)
-    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12,
-                                 lp_tol=lp_tol)
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-8, j_max=12)
     oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
                        for mu in train.points])
     nu = fam.n * 2.0 ** -53
@@ -411,8 +408,8 @@ def test_bounds_certified_at_roundoff_allowance(pipeline, seed, lp_tol):
     (pipeline, seed) for pipeline in sorted(PIPELINES) for seed in (0, 1)],
     ids=lambda param: f"{param[0]}-{param[1]}")
 def finished_run(request):
-    """The runs of test_bounds_certified_at_roundoff_allowance at lp_tol
-    1e-8, with the allowance of their bounds at any parameter points."""
+    """The runs of test_bounds_certified_at_roundoff_allowance, with the
+    allowance of their bounds at any parameter points."""
     pipeline, seed = request.param
     fam = random_family(q=4, n=120, delta=0.2, seed=seed)
     train = random_training_set(fam.domain, 40, seed=5)

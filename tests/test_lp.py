@@ -185,12 +185,14 @@ class TestLpMinimize:
             lp_minimize(p)
 
     def test_emptiness_within_tolerance_accepted(self):
-        # y >= 0.5 and y <= 0.5 - 1e-7: empty, but only by 1e-7
-        p = LPProblem(c=[1.0], lower=[0.0], upper=[1.0],
-                      rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + 1e-7])
+        # y >= 0.5 and y <= 0.5 - gap: empty, but only by gap; the
+        # acceptance is 1e-8 * (1 + max|h|) = 2e-8
+        def problem(gap):
+            return LPProblem(c=[1.0], lower=[0.0], upper=[1.0],
+                             rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + gap])
         with pytest.raises(InfeasibleError):
-            lp_minimize(p, tol=1e-8)
-        assert_allclose(lp_minimize(p, tol=1e-6).value[0], 0.5, atol=1e-6)
+            lp_minimize(problem(1e-7))
+        assert_allclose(lp_minimize(problem(1e-8)).value[0], 0.5, atol=1e-7)
 
     def test_degenerate_vertex_flagged_and_lexicographic(self):
         # four constraints tight at the optimal corner
@@ -359,21 +361,20 @@ class TestWeakDuality:
 
 
 class TestDualSimplexRestart:
-    @pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-4])
     @pytest.mark.parametrize("q,seed", [(2, 0), (2, 1), (4, 2), (4, 3),
                                         (10, 4), (10, 5)])
-    def test_restart_matches_cold_solve(self, q, seed, tol):
+    def test_restart_matches_cold_solve(self, q, seed):
         problems = grown_lps(q, seed, 3 * q if q < 10 else 16)
         prev = None
         for p in problems:
-            cold = lp_minimize(p, tol=tol)
-            warm = lp_minimize(p, tol=tol, start=prev)
+            cold = lp_minimize(p)
+            warm = lp_minimize(p, start=prev)
             prev = warm
             for sol in (cold, warm):
                 v = sol.value[0]
                 assert abs(v - cold.value[0]) <= 1e-12 * (1.0 + abs(v))
                 z = np.linalg.solve(sol.theta_mat[0].T, p.c)
-                assert np.all(z >= -tol * (1.0 + np.max(np.abs(p.c))))
+                assert np.all(z >= -1e-8 * (1.0 + np.max(np.abs(p.c))))
                 assert abs(sol.psi[0] @ z - v) <= 1e-12 * max(1.0, abs(v))
             if q <= 4 and p.n_rows <= 8:
                 best, _ = enumerate_vertices(p)
@@ -486,7 +487,7 @@ class TestDualSimplexRestart:
                 lp_minimize(empty, start=start)
 
 
-def _row_by_row(p, start=None, tol=1e-8):
+def _row_by_row(p, start=None):
     """One-objective solves of each row of the stacked ``p``, each from its
     row of the batch ``start``."""
     out = []
@@ -494,7 +495,7 @@ def _row_by_row(p, start=None, tol=1e-8):
         row = None if start is None else start.take([i])
         out.append(lp_minimize(LPProblem(c=c, lower=p.lower, upper=p.upper,
                                          rows=p.rows, rhs=p.rhs),
-                               tol=tol, start=row))
+                               start=row))
     return out
 
 
@@ -585,19 +586,22 @@ class TestStackedLpMinimize:
             assert_allclose(value, best, atol=1e-12)
 
     def test_emptying_row_within_and_beyond_tolerance(self):
-        # y >= 0.5 and y <= 0.5 - 1e-7: empty, but only by 1e-7
+        # y >= 0.5 and y <= 0.5 - gap: empty, but only by gap; the
+        # acceptance is 1e-8 * (1 + max|h|) = 2e-8
         objectives = np.array([[1.0], [-1.0], [2.0]])
         first = LPProblem(c=objectives, lower=[0.0], upper=[1.0],
                           rows=[[1.0]], rhs=[0.5])
         start = lp_minimize(first)
-        p = LPProblem(c=objectives, lower=[0.0], upper=[1.0],
-                      rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + 1e-7])
+
+        def problem(gap):
+            return LPProblem(c=objectives, lower=[0.0], upper=[1.0],
+                             rows=[[1.0], [-1.0]], rhs=[0.5, -0.5 + gap])
         for begin in (None, start):
             with pytest.raises(InfeasibleError):
-                lp_minimize(p, tol=1e-8, start=begin)
-            sols = lp_minimize(p, tol=1e-6, start=begin)
-            _assert_rows_match(sols, _row_by_row(p, begin, tol=1e-6))
-            assert_allclose(sols.y[:, 0], 0.5, atol=1e-6)
+                lp_minimize(problem(1e-7), start=begin)
+            sols = lp_minimize(problem(1e-8), start=begin)
+            _assert_rows_match(sols, _row_by_row(problem(1e-8), begin))
+            assert_allclose(sols.y[:, 0], 0.5, atol=1e-7)
 
     def test_empty_stack(self):
         p = LPProblem(c=np.zeros((0, 2)), lower=[0, 0], upper=[1, 1],

@@ -293,6 +293,20 @@ class TestManifest:
         sigma = np.linalg.svd(M, compute_uv=False)[-1]
         assert abs(np.sqrt(max(w, 0)) - sigma) <= 1e-9
 
+    def test_non_square_inner_product_named_as_such(self, tmp_path):
+        write_matrix_market(tmp_path / "a.mtx", make_spd(4, 2))
+        write_matrix_market(tmp_path / "x.mtx", np.ones((4, 3)),
+                            symmetry="general")
+        manifest = {"Q": 1, "P": 1, "domain": [[0.5, 2.0]],
+                    "theta": ["mu1"], "terms": ["a.mtx"],
+                    "inner_product": "x.mtx", "pipeline": "coercivity"}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError) as err:
+            load_family(path)
+        assert err.value.field == "inner_product"
+        assert str(err.value).endswith("x.mtx is not square")
+
     def test_eig_pipeline_rejects_inner_product(self, tmp_path):
         path = self.write_circle_manifest(tmp_path)
         write_matrix_market(tmp_path / "x.mtx", make_spd(2, 3))
