@@ -2,10 +2,13 @@
 
 Supports real/complex matrices with general, symmetric or hermitian
 symmetry.  Values are written with 17 significant digits so float64
-entries round-trip exactly.
+entries round-trip exactly.  The reader parses the entry lines with one
+``numpy.loadtxt`` call and refuses trailing text, digit-group underscores,
+float-formatted or out-of-range indices, non-finite values and an (i, j)
+given twice (in either triangle of a symmetric file), naming the line.
 """
 
-from __future__ import annotations
+import warnings
 
 import numpy as np
 import scipy.sparse as sparse
@@ -21,11 +24,8 @@ class MMFormatError(ValueError):
 
 
 def read_matrix_market(path):
-    """Read a coordinate-format Matrix Market file.
-
-    Returns a CSR sparse matrix, with both triangles filled in for
-    symmetric/hermitian files.
-    """
+    """The CSR matrix of a coordinate-format Matrix Market file, with both
+    triangles filled in for symmetric/hermitian files."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -52,47 +52,40 @@ def read_matrix_market(path):
     size_parts = lines[idx].split()
     if len(size_parts) != 3:
         raise MMFormatError(f"bad size line: {lines[idx]!r}")
-    k, line = idx, lines[idx]    # the line being parsed, for the message
-    try:
-        nrows, ncols, nnz = (int(p) for p in size_parts)
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=complex if field == "complex" else float)
-        count = 0
-        for k, line in enumerate(lines[idx + 1:], idx + 1):
-            if not line.strip():
-                continue
-            if count >= nnz:
-                raise MMFormatError("more entries than declared")
-            parts = line.split()
-            want = 4 if field == "complex" else 3
-            if len(parts) != want:
-                raise MMFormatError(f"bad entry line: {line!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise MMFormatError(f"index out of range: {line!r}")
-            rows[count] = i
-            cols[count] = j
-            if field == "complex":
-                vals[count] = float(parts[2]) + 1j * float(parts[3])
-            else:
-                vals[count] = float(parts[2])
-            count += 1
-    except MMFormatError:
-        raise
-    except ValueError as exc:    # int() / float() of a malformed field
-        raise MMFormatError(f"cannot parse line {k + 1}: {line!r}") from exc
-    idx += 1
-    if count != nnz:
-        raise MMFormatError(f"declared {nnz} entries, found {count}")
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        # entries sit on the non-blank lines after the size line
-        k = [k for k in range(idx, len(lines)) if lines[k].strip()][bad[0]]
-        raise MMFormatError(f"non-finite value on line {k + 1}: {lines[k]!r}")
+    if not all(p.isdecimal() for p in size_parts):
+        raise MMFormatError(f"cannot parse line {idx + 1}: {lines[idx]!r}")
+    nrows, ncols, nnz = (int(p) for p in size_parts)
+
+    body = lines[idx + 1:]
+    def fail(what, pos):    # entry pos sits on the pos-th non-blank line
+        k = [k for k, line in enumerate(body, idx + 1) if line.strip()][pos]
+        return MMFormatError(f"{what} line {k + 1}: {lines[k]!r}")
+    dtype = "i8,i8,f8,f8" if field == "complex" else "i8,i8,f8"
+    entries = _parse(body, dtype)
+    if entries is None:    # name the first line that does not parse alone
+        raise fail("cannot parse", next(
+            p for p, line in enumerate(filter(str.strip, body))
+            if _parse([line], dtype) is None))
+    if len(entries) != nnz:
+        raise MMFormatError(f"declared {nnz} entries, found {len(entries)}")
+    rows, cols = entries["f0"] - 1, entries["f1"] - 1
+    vals = (entries["f2"] + 1j * entries["f3"] if field == "complex"
+            else entries["f2"])
+    # a symmetric file may give an off-diagonal entry in either triangle
+    sym = symmetry in ("symmetric", "hermitian")
+    key = (np.maximum(rows, cols) * ncols + np.minimum(rows, cols) if sym
+           else rows * ncols + cols)
+    first = np.zeros(len(key), bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    for what, ok in (("index out of range on", (0 <= rows) & (rows < nrows)
+                      & (0 <= cols) & (cols < ncols)),
+                     ("non-finite value on", np.isfinite(vals)),
+                     ("duplicate entry on", first)):
+        if not ok.all():
+            raise fail(what, np.argmin(ok))
 
     A = sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    if symmetry in ("symmetric", "hermitian"):
+    if sym:
         off = rows != cols
         mirror = vals[off].conj() if symmetry == "hermitian" else vals[off]
         A = A + sparse.coo_matrix((mirror, (cols[off], rows[off])),
@@ -100,19 +93,22 @@ def read_matrix_market(path):
     return A.tocsr()
 
 
-def _format_value(v, field):
-    if field == "complex":
-        return f"{v.real:.16e} {v.imag:.16e}"
-    return f"{v:.16e}"
+def _parse(lines, dtype):
+    """The entry lines as a structured array, or None if one is malformed."""
+    if not "".join(lines).strip():    # loadtxt warns on empty input
+        return np.zeros(0, dtype)
+    with warnings.catch_warnings():    # NumPy < 2 only deprecates "1.0"
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
 
 
 def write_matrix_market(path, matrix, symmetry=None):
-    """Write a matrix in coordinate format.
-
-    ``symmetry`` defaults to 'symmetric' (real) / 'hermitian' (complex);
-    pass 'general' for unsymmetric matrices.  For symmetric/hermitian output
-    only the lower triangle is stored.
-    """
+    """Write a matrix in coordinate format: only its lower triangle if
+    ``symmetry`` is 'symmetric' (the real default) or 'hermitian' (the
+    complex default); pass 'general' for unsymmetric matrices."""
     A = sparse.coo_matrix(matrix)
     iscomplex = np.iscomplexobj(A.data) if A.nnz else False
     field = "complex" if iscomplex else "real"
@@ -131,6 +127,7 @@ def write_matrix_market(path, matrix, symmetry=None):
     out = [f"%%MatrixMarket matrix coordinate {field} {symmetry}",
            f"{A.shape[0]} {A.shape[1]} {len(vals)}"]
     for i, j, v in zip(rows, cols, vals):
-        out.append(f"{i + 1} {j + 1} {_format_value(v, field)}")
+        v = f"{v.real:.16e} {v.imag:.16e}" if iscomplex else f"{v:.16e}"
+        out.append(f"{i + 1} {j + 1} {v}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -156,20 +156,11 @@ def _laplacian_2d(nx, ny):
 
 
 def _mixed_stencil_2d(nx, ny):
-    # cross-derivative coupling between diagonal grid neighbours
+    # cross-derivative coupling between diagonal grid neighbours: node
+    # (i, j) meets (i+1, j+1) with sign -1 and (i+1, j-1) with sign +1
     h2 = float((nx + 1) * (ny + 1))
-    rows, cols, vals = [], [], []
-    def idx(i, j):
-        return j * nx + i
-    for j in range(ny):
-        for i in range(nx):
-            for di, dj, sgn in ((1, 1, -1.0), (1, -1, 1.0)):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    rows.append(idx(i, j))
-                    cols.append(idx(ii, jj))
-                    vals.append(sgn * 0.5 * h2)
-    M = sparse.coo_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
+    M = 0.5 * h2 * sparse.kron(sparse.eye(ny, k=-1) - sparse.eye(ny, k=1),
+                               sparse.eye(nx, k=1))
     return (M + M.T).tocsr() * 0.5
 
 

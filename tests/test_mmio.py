@@ -85,12 +85,18 @@ def test_integer_field_reads_as_float(tmp_path):
     ("real symmetric", "2 2 inf"),
     ("real general", "2 2 -inf"),
     ("complex hermitian", "2 2 1.0 nan"),
+    pytest.param("real general", "1 1 1.0\n\n2 2 inf", id="after-blank"),
 ])
 def test_non_finite_value_names_line(tmp_path, kind, entry):
+    # the non-finite entry is the last of ``entry``'s lines; blank lines
+    # hold no entry but count in the line number
+    lines = entry.splitlines()
+    nnz = sum(1 for line in lines if line.strip())
     path = tmp_path / "nan.mtx"
     path.write_text(f"%%MatrixMarket matrix coordinate {kind}\n"
-                    f"% a comment\n2 2 1\n{entry}\n")
-    with pytest.raises(MMFormatError, match=f"line 4: '{entry}'"):
+                    f"% a comment\n2 2 {nnz}\n{entry}\n")
+    with pytest.raises(MMFormatError,
+                       match=f"line {3 + len(lines)}: '{lines[-1]}'"):
         read_matrix_market(path)
 
 
@@ -100,11 +106,43 @@ def test_non_finite_value_names_line(tmp_path, kind, entry):
     ("complex hermitian", "2 2 1", "2 2 1.0 1j", 4),
     ("real general", "2 2.5 1", "2 2 1.0", 3),
     ("real general", "2 2 -1", "2 2 1.0", 3),
+    ("real general", "1_0 2 1", "2 2 1.0", 3),
+    # digit-group underscores, which Python's int and float accept
+    ("real general", "20 20 1", "1_0 1 1.0", 4),
+    ("real general", "20 20 1", "1 1 1_0", 4),
+    # trailing text after the value
+    ("real general", "2 2 1", "2 2 1.0 5.0", 4),
+    ("real general", "2 2 1", "2 2 1.0junk", 4),
+    ("real general", "2 2 1", "2 2 1.0 % c", 4),
+    # indices: 0 is out of range (they start at 1), floats are no indices
+    ("real general", "2 2 1", "0 1 1.0", 4),
+    ("real general", "2 2 1", "1.0 1 2.0", 4),
+    pytest.param("real general", "2 2 2", "1 1 1.0\n\n2 2 1.0x", 6,
+                 id="after-blank"),
 ])
 def test_unparsable_field_names_line(tmp_path, kind, size, entry, bad_line):
     path = tmp_path / "bad.mtx"
     path.write_text(f"%%MatrixMarket matrix coordinate {kind}\n"
                     f"% a comment\n{size}\n{entry}\n")
-    text = size if bad_line == 3 else entry
+    text = path.read_text().splitlines()[bad_line - 1]
     with pytest.raises(MMFormatError, match=f"line {bad_line}: '{text}'"):
+        read_matrix_market(path)
+
+
+@pytest.mark.parametrize("kind, entries, bad_line", [
+    pytest.param("real general", "1 2 5.0\n1 2 5.0", 5, id="general"),
+    # one off-diagonal entry given in both triangles
+    pytest.param("real symmetric", "2 1 5.0\n1 2 5.0", 5, id="symmetric"),
+    pytest.param("complex hermitian",
+                 "2 2 1.0 0.0\n\n2 1 5.0 1.0\n1 2 5.0 -1.0", 7,
+                 id="hermitian-after-blank"),
+])
+def test_duplicate_entry_names_line(tmp_path, kind, entries, bad_line):
+    nnz = sum(1 for line in entries.splitlines() if line.strip())
+    path = tmp_path / "dup.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate {kind}\n"
+                    f"% a comment\n2 2 {nnz}\n{entries}\n")
+    text = path.read_text().splitlines()[bad_line - 1]
+    with pytest.raises(MMFormatError,
+                       match=f"duplicate entry on line {bad_line}: '{text}'"):
         read_matrix_market(path)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from eigenbounds import (ManifestError, block_grid_family,
@@ -11,6 +12,7 @@ from eigenbounds import (ManifestError, block_grid_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family, write_matrix_market)
 from eigenbounds.hermitian import ArgumentError
+from eigenbounds.problems import _mixed_stencil_2d
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
 GOLDEN_A1 = np.array([
@@ -106,6 +108,28 @@ class TestGenerators:
         # assembled operator is symmetric positive definite on the domain
         quad = x @ y
         assert quad > 0
+
+    @pytest.mark.parametrize("nx, ny", [(32, 33), (12, 10), (3, 2), (1, 5),
+                                        (5, 1)])
+    def test_mixed_stencil_matches_node_loop(self, nx, ny):
+        # reference: the stencil built node by node; the Kronecker form must
+        # give the same CSR arrays bit for bit
+        h2 = float((nx + 1) * (ny + 1))
+        rows, cols, vals = [], [], []
+        for j in range(ny):
+            for i in range(nx):
+                for di, dj, sgn in ((1, 1, -1.0), (1, -1, 1.0)):
+                    if 0 <= i + di < nx and 0 <= j + dj < ny:
+                        rows.append(j * nx + i)
+                        cols.append((j + dj) * nx + i + di)
+                        vals.append(sgn * 0.5 * h2)
+        M = scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                    shape=(nx * ny, nx * ny))
+        want = (M + M.T).tocsr() * 0.5
+        got = _mixed_stencil_2d(nx, ny)
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestCoercivityTransform:
