@@ -19,7 +19,7 @@ from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
                         smallest_eigpairs)
 from .lp import (InfeasibleError, LPBatch, LPError, LPProblem, TightenedBound,
                  dual_bound, lp_minimize, tighten_and_resolve)
-from .mmio import MMFormatError, read_matrix_market, write_matrix_market
+from .mmio import MMFormatError, read_matrix_market
 from .problems import (ManifestError, block_grid_family, coercivity_transform,
                        load_family, one_parameter_analytic_family,
                        random_family, singular_value_expansion,

@@ -12,11 +12,12 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.io
 import scipy.linalg
+import scipy.sparse as sparse
 
 from .family import random_training_set
 from .hermitian import ArgumentError
-from .mmio import write_matrix_market
 from .problems import (ManifestError, block_grid_family, load_family,
                        one_parameter_analytic_family, random_family,
                        unit_circle_family)
@@ -85,17 +86,25 @@ class RunConfig:
         return self
 
 
+def _size(spec, name, default, least=1):
+    """Generator spec field ``name`` as an integer, refused below ``least``."""
+    value = int(spec.get(name, default))
+    if value < least:
+        raise ManifestError(name, f"must be at least {least}, got {value}")
+    return value
+
+
 _GENERATORS = {
     "unit-circle": lambda spec: unit_circle_family(),
     "random": lambda spec: random_family(
-        q=int(spec.get("Q", 4)), n=int(spec.get("N", 200)),
+        q=int(spec.get("Q", 4)), n=_size(spec, "N", 200),
         delta=float(spec.get("delta", 0.2)), seed=int(spec.get("seed", 0))),
     "one-param": lambda spec: one_parameter_analytic_family(
-        n=int(spec.get("N", 40)), gap=float(spec.get("gap", 1.0)),
+        n=_size(spec, "N", 40, least=2), gap=float(spec.get("gap", 1.0)),
         seed=int(spec.get("seed", 0))),
     "blocks": lambda spec: block_grid_family(
-        nx=int(spec.get("nx", 32)), ny=int(spec.get("ny", 33)),
-        blocks=(int(spec.get("blocks_x", 3)), int(spec.get("blocks_y", 3)))),
+        nx=_size(spec, "nx", 32), ny=_size(spec, "ny", 33),
+        blocks=(_size(spec, "blocks_x", 3), _size(spec, "blocks_y", 3))),
 }
 
 
@@ -334,14 +343,21 @@ def compare_runs(dir_a, dir_b):
     return lines, rows
 
 
-def generate_problem_files(kind, outdir, spec=None, pipeline="eig",
-                           inner_seed=1):
+def generate_problem_files(kind, outdir, spec=None, pipeline="eig"):
     """Write a generator's matrices plus a manifest into ``outdir``.
 
     Emits one Matrix Market file per term (plus an SPD inner-product matrix
     for the coercivity/singular pipelines) and manifest.json referencing
     them, so `run --manifest` reproduces the generated problem.
     """
+    def write(name, matrix):
+        # a COO matrix, as SciPy writes a dense array in the array format;
+        # the lower triangle only, with 17 digits so float64 round-trips
+        A = sparse.coo_matrix(matrix)
+        scipy.io.mmwrite(os.path.join(outdir, name), A, precision=17,
+                         symmetry=("hermitian" if np.iscomplexobj(A)
+                                   else "symmetric"))
+
     spec = dict(spec or {})
     spec["kind"] = kind
     family, _ = load_problem(generator=spec)
@@ -351,8 +367,8 @@ def generate_problem_files(kind, outdir, spec=None, pipeline="eig",
     term_files = []
     for qi, term in enumerate(family.terms):
         name = f"term_{qi + 1}.mtx"
-        write_matrix_market(os.path.join(outdir, name), term.dense()
-                            if not hasattr(term, "matrix") else term.matrix)
+        write(name, term.dense()
+              if not hasattr(term, "matrix") else term.matrix)
         term_files.append(name)
     manifest = {
         "Q": family.q,
@@ -363,10 +379,9 @@ def generate_problem_files(kind, outdir, spec=None, pipeline="eig",
         "pipeline": pipeline,
     }
     if pipeline in ("coercivity", "singular"):
-        rng = np.random.default_rng(inner_seed)
+        rng = np.random.default_rng(1)
         G = rng.standard_normal((family.n, family.n))
-        X = G @ G.T / family.n + np.eye(family.n)
-        write_matrix_market(os.path.join(outdir, "inner_product.mtx"), X)
+        write("inner_product.mtx", G @ G.T / family.n + np.eye(family.n))
         manifest["inner_product"] = "inner_product.mtx"
     path = os.path.join(outdir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:

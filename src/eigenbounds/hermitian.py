@@ -171,6 +171,8 @@ class SparseHermitian(HermitianOperator):
         A = sparse.csr_matrix(matrix)
         if A.shape[0] != A.shape[1]:
             raise ArgumentError("expected a square matrix")
+        if A.shape[0] < 1:
+            raise ArgumentError("dimension must be positive")
         self.iscomplex = np.iscomplexobj(A.data) if A.nnz else False
         self.matrix = (0.5 * (A + A.conj().T)).tocsr()
         self.n = A.shape[0]

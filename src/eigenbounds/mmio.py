@@ -1,11 +1,13 @@
-"""Matrix Market coordinate-format reader/writer.
+"""Strict Matrix Market coordinate-format reader.
 
-Supports real/complex matrices with general, symmetric or hermitian
-symmetry.  Values are written with 17 significant digits so float64
-entries round-trip exactly.  The reader parses the entry lines with one
-``numpy.loadtxt`` call and refuses trailing text, digit-group underscores,
-float-formatted or out-of-range indices, non-finite values and an (i, j)
-given twice (in either triangle of a symmetric file), naming the line.
+Reads real, integer or complex matrices with general, symmetric or
+hermitian symmetry, as ``scipy.io.mmwrite`` writes them from a sparse COO
+matrix (from a dense array it writes the ``array`` format, refused here).
+Comment and blank lines may precede the size line in any order.  One
+``numpy.loadtxt`` call parses the entries; trailing text, digit-group
+underscores, float or out-of-range indices, non-finite values and an
+(i, j) given twice (in either triangle of a symmetric file) are refused,
+naming the line.
 """
 
 import warnings
@@ -13,10 +15,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sparse
 
-__all__ = ["MMFormatError", "read_matrix_market", "write_matrix_market"]
-
-_FIELDS = {"real", "complex", "integer"}
-_SYMMETRIES = {"general", "symmetric", "hermitian"}
+__all__ = ["MMFormatError", "read_matrix_market"]
 
 
 class MMFormatError(ValueError):
@@ -37,15 +36,14 @@ def read_matrix_market(path):
     obj, fmt, field, symmetry = (p.lower() for p in parts[1:])
     if obj != "matrix" or fmt != "coordinate":
         raise MMFormatError(f"unsupported object/format: {banner!r}")
-    if field not in _FIELDS:
+    if field not in ("real", "complex", "integer"):
         raise MMFormatError(f"unsupported field {field!r}")
-    if symmetry not in _SYMMETRIES:
+    if symmetry not in ("general", "symmetric", "hermitian"):
         raise MMFormatError(f"unsupported symmetry {symmetry!r}")
 
-    idx = 1
-    while idx < len(lines) and lines[idx].startswith("%"):
-        idx += 1
-    while idx < len(lines) and not lines[idx].strip():
+    idx = 1    # comment and blank lines, in any order, up to the size line
+    while idx < len(lines) and (lines[idx].startswith("%")
+                                or not lines[idx].strip()):
         idx += 1
     if idx >= len(lines):
         raise MMFormatError("missing size line")
@@ -103,31 +101,3 @@ def _parse(lines, dtype):
             return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
         except (ValueError, DeprecationWarning):
             return None
-
-
-def write_matrix_market(path, matrix, symmetry=None):
-    """Write a matrix in coordinate format: only its lower triangle if
-    ``symmetry`` is 'symmetric' (the real default) or 'hermitian' (the
-    complex default); pass 'general' for unsymmetric matrices."""
-    A = sparse.coo_matrix(matrix)
-    iscomplex = np.iscomplexobj(A.data) if A.nnz else False
-    field = "complex" if iscomplex else "real"
-    if symmetry is None:
-        symmetry = "hermitian" if iscomplex else "symmetric"
-    if symmetry not in _SYMMETRIES:
-        raise MMFormatError(f"unsupported symmetry {symmetry!r}")
-
-    rows, cols, vals = A.row, A.col, A.data
-    if symmetry in ("symmetric", "hermitian"):
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-
-    out = [f"%%MatrixMarket matrix coordinate {field} {symmetry}",
-           f"{A.shape[0]} {A.shape[1]} {len(vals)}"]
-    for i, j, v in zip(rows, cols, vals):
-        v = f"{v.real:.16e} {v.imag:.16e}" if iscomplex else f"{v:.16e}"
-        out.append(f"{i + 1} {j + 1} {v}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")

@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+import scipy.io
+import scipy.sparse as sparse
 
 from eigenbounds import AffineFamily, ScmState, SubspacePool, append_sample, \
     solve_at_sample
@@ -21,6 +23,23 @@ def build_pool(family, sample_points, ell=1):
     for mu in sample_points:
         append_sample(pool, mu)
     return pool
+
+
+def write_mtx(path, matrix, symmetry=None, writer=scipy.io.mmwrite):
+    """Write ``matrix`` as a coordinate Matrix Market file with SciPy's
+    ``writer``: symmetric (hermitian if complex) unless ``symmetry`` says
+    otherwise, with 17 digits so float64 entries round-trip exactly."""
+    A = sparse.coo_matrix(matrix)    # a dense array would be written as array
+    if symmetry is None:
+        symmetry = "hermitian" if np.iscomplexobj(A) else "symmetric"
+    writer(str(path), A, symmetry=symmetry, precision=17)
+
+
+def assert_same_csr(A, B):
+    """A and B are the same CSR matrix, bit for bit."""
+    assert A.shape == B.shape and A.dtype == B.dtype
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(B, name).tobytes(), name
 
 
 def make_smooth_family(n=40, seed=0):

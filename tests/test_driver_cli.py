@@ -12,6 +12,7 @@ from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
 from eigenbounds.hermitian import ArgumentError
 from eigenbounds.scm import GreedyRecord
+from helpers import write_mtx
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src",
                            "eigenbounds", "schemas", "summary.schema.json")
@@ -33,12 +34,12 @@ def test_schema_config_is_every_run_config_field():
 
 
 def circle_manifest(tmp_path):
-    from eigenbounds import unit_circle_family, write_matrix_market
+    from eigenbounds import unit_circle_family
     fam = unit_circle_family()
     d = tmp_path / "circle"
     d.mkdir()
-    write_matrix_market(d / "a1.mtx", fam.terms[0].dense())
-    write_matrix_market(d / "a2.mtx", fam.terms[1].dense())
+    write_mtx(d / "a1.mtx", fam.terms[0].dense())
+    write_mtx(d / "a2.mtx", fam.terms[1].dense())
     manifest = {"Q": 2, "P": 1, "domain": [[0.0, np.pi]],
                 "theta": ["cos(mu1)", "sin(mu1)"],
                 "terms": ["a1.mtx", "a2.mtx"], "pipeline": "eig"}
@@ -247,6 +248,36 @@ class TestCli:
         assert payload["field"] == "<json>"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "blocks", "blocks_x": 0}, "blocks_x"),
+        ({"kind": "blocks", "blocks_y": -2}, "blocks_y"),
+        ({"kind": "blocks", "nx": 0}, "nx"),
+        ({"kind": "blocks", "ny": 0}, "ny"),
+        ({"kind": "one-param", "N": 1}, "N"),
+        ({"kind": "random", "N": -3}, "N"),
+    ], ids=["blocks_x", "blocks_y", "nx", "ny", "one-param-N", "random-N"])
+    def test_generator_size_below_floor_exit_2(self, tmp_path, capsys, spec,
+                                               field):
+        out = str(tmp_path / "o")
+        assert main(["run", "--generator", json.dumps(spec), "--out",
+                     out]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == field
+        assert not os.path.exists(out)
+
+    def test_zero_dimension_terms_exit_2(self, tmp_path, capsys):
+        import scipy.sparse as sparse
+        write_mtx(tmp_path / "a.mtx", sparse.csr_matrix((0, 0)))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "Q": 1, "P": 1, "domain": [[0.0, 1.0]], "theta": ["1"],
+            "terms": ["a.mtx"]}))
+        assert main(["run", "--manifest", str(manifest), "--out",
+                     str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"] == "dimension must be positive"
+
     def test_non_finite_term_entry_exit_2(self, tmp_path, capsys):
         manifest = circle_manifest(tmp_path)
         term = tmp_path / "circle" / "a1.mtx"
@@ -261,10 +292,8 @@ class TestCli:
         assert "non-finite" in payload["message"]
 
     def test_inner_product_with_eig_pipeline_exit_2(self, tmp_path, capsys):
-        from eigenbounds import write_matrix_market
         manifest = circle_manifest(tmp_path)
-        write_matrix_market(tmp_path / "circle" / "x.mtx",
-                            np.diag([1.0, -5.0]))
+        write_mtx(tmp_path / "circle" / "x.mtx", np.diag([1.0, -5.0]))
         with open(manifest) as fh:
             data = json.load(fh)
         data["inner_product"] = "x.mtx"
@@ -278,11 +307,9 @@ class TestCli:
         assert payload["field"] == "inner_product"
 
     def test_non_symmetric_inner_product_exit_2(self, tmp_path, capsys):
-        from eigenbounds import write_matrix_market
         manifest = circle_manifest(tmp_path)
-        write_matrix_market(tmp_path / "circle" / "x.mtx",
-                            np.array([[2.0, 3.0], [0.0, 2.0]]),
-                            symmetry="general")
+        write_mtx(tmp_path / "circle" / "x.mtx",
+                  np.array([[2.0, 3.0], [0.0, 2.0]]), symmetry="general")
         with open(manifest) as fh:
             data = json.load(fh)
         data.update(inner_product="x.mtx", pipeline="coercivity")
@@ -321,12 +348,11 @@ class TestCli:
         """The summary of a 12x10 blocks run to J=4 with an all-zero term
         appended to its manifest."""
         import scipy.sparse as sparse
-        from eigenbounds import write_matrix_market
         gen_dir = tmp_path / "blocks"
         spec = json.dumps({"nx": 12, "ny": 10, "blocks_x": 2, "blocks_y": 2})
         assert main(["gen", "--kind", "blocks", "--out", str(gen_dir),
                      "--spec", spec]) == 0
-        write_matrix_market(gen_dir / "zero.mtx", sparse.csr_matrix((120, 120)))
+        write_mtx(gen_dir / "zero.mtx", sparse.csr_matrix((120, 120)))
         path = gen_dir / "manifest.json"
         data = json.loads(path.read_text())
         data.update(Q=data["Q"] + 1, theta=data["theta"] + ["mu1"],

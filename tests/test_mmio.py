@@ -1,51 +1,85 @@
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sparse
 from numpy.testing import assert_allclose
 
-from eigenbounds import MMFormatError, read_matrix_market, write_matrix_market
+from eigenbounds import MMFormatError, block_grid_family, read_matrix_market
+from helpers import assert_same_csr, write_mtx
+
+try:    # the pure-Python writer, scipy.io.mmwrite before SciPy 1.12
+    from scipy.io._mmio import mmwrite as legacy_mmwrite
+except ImportError:
+    legacy_mmwrite = None
+
+WRITERS = pytest.mark.parametrize("writer", [
+    pytest.param(scipy.io.mmwrite, id="mmwrite"),
+    pytest.param(legacy_mmwrite, id="legacy", marks=pytest.mark.skipif(
+        legacy_mmwrite is None, reason="no scipy.io._mmio.mmwrite")),
+])
 
 
-def test_symmetric_roundtrip_exact(tmp_path):
+@WRITERS
+def test_symmetric_roundtrip_exact(tmp_path, writer):
     rng = np.random.default_rng(0)
     A = sparse.random(25, 25, density=0.2, random_state=0,
                       data_rvs=rng.standard_normal)
     A = (A + A.T).tocsr()
     path = tmp_path / "sym.mtx"
-    write_matrix_market(path, A)
+    write_mtx(path, A, writer=writer)
     B = read_matrix_market(path)
     assert (path.read_text().splitlines()[0]
             == "%%MatrixMarket matrix coordinate real symmetric")
-    assert (A != B).nnz == 0  # bit-exact values via 17 significant digits
+    assert_same_csr(B, A)  # bit-exact values via 17 significant digits
 
     # a second write of what was read is the same file
     path2 = tmp_path / "sym2.mtx"
-    write_matrix_market(path2, B)
+    write_mtx(path2, B, writer=writer)
     assert path.read_text() == path2.read_text()
 
 
-def test_hermitian_complex_roundtrip(tmp_path):
+@WRITERS
+def test_hermitian_complex_roundtrip(tmp_path, writer):
     rng = np.random.default_rng(1)
     A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     A = 0.5 * (A + A.conj().T)
     path = tmp_path / "herm.mtx"
-    write_matrix_market(path, A)
+    write_mtx(path, A, writer=writer)
     B = read_matrix_market(path)
     assert (path.read_text().splitlines()[0]
             == "%%MatrixMarket matrix coordinate complex hermitian")
-    assert B.dtype == complex
-    assert_allclose(B.toarray(), A, atol=0)
+    assert_same_csr(B, sparse.csr_matrix(A))
 
 
-def test_general_matrix(tmp_path):
+@WRITERS
+def test_general_matrix(tmp_path, writer):
     rng = np.random.default_rng(2)
     A = rng.standard_normal((5, 5))
     path = tmp_path / "gen.mtx"
-    write_matrix_market(path, A, symmetry="general")
+    write_mtx(path, A, symmetry="general", writer=writer)
     B = read_matrix_market(path)
     assert (path.read_text().splitlines()[0]
             == "%%MatrixMarket matrix coordinate real general")
-    assert_allclose(B.toarray(), A, atol=0)
+    assert_same_csr(B, sparse.csr_matrix(A))
+
+
+@WRITERS
+def test_zero_matrix_and_block_terms_roundtrip_exact(tmp_path, writer):
+    # an all-zero 120x120 term and the ten sparse blocks family terms
+    mats = [sparse.csr_matrix((120, 120))]
+    mats += [term.matrix for term in block_grid_family().terms]
+    for k, A in enumerate(mats):
+        path = tmp_path / f"m{k}.mtx"
+        write_mtx(path, A, writer=writer)
+        assert_same_csr(read_matrix_market(path), A)
+
+
+def test_comment_and_blank_lines_before_size_line_in_any_order(tmp_path):
+    path = tmp_path / "late.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "\n% late comment\n\n2 2 1\n2 1 5.0\n")
+    assert_same_csr(read_matrix_market(path),
+                    sparse.csr_matrix([[0.0, 0.0], [5.0, 0.0]]))
 
 
 def test_bad_banner(tmp_path):

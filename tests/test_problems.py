@@ -10,9 +10,10 @@ from eigenbounds import (ManifestError, block_grid_family,
                          coercivity_transform, joint_rayleigh, load_family,
                          one_parameter_analytic_family, random_family,
                          singular_value_expansion, solve_at_sample,
-                         unit_circle_family, write_matrix_market)
+                         unit_circle_family)
 from eigenbounds.hermitian import ArgumentError
 from eigenbounds.problems import _mixed_stencil_2d
+from helpers import write_mtx
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
 GOLDEN_A1 = np.array([
@@ -222,11 +223,11 @@ class TestManifest:
         fam = unit_circle_family()
         a1 = fam.terms[0].dense()
         a2 = fam.terms[1].dense()
-        write_matrix_market(tmp_path / "a1.mtx", a1)
+        write_mtx(tmp_path / "a1.mtx", a1)
         if break_dim:
-            write_matrix_market(tmp_path / "a2.mtx", np.eye(3))
+            write_mtx(tmp_path / "a2.mtx", np.eye(3))
         else:
-            write_matrix_market(tmp_path / "a2.mtx", a2)
+            write_mtx(tmp_path / "a2.mtx", a2)
         manifest = {"Q": 2, "P": 1, "domain": [[0.0, np.pi]],
                     "theta": list(theta), "terms": ["a1.mtx", "a2.mtx"],
                     "pipeline": "eig"}
@@ -286,8 +287,8 @@ class TestManifest:
 
     def test_non_hermitian_term_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
-        write_matrix_market(tmp_path / "g.mtx", rng.standard_normal((4, 4)),
-                            symmetry="general")
+        write_mtx(tmp_path / "g.mtx", rng.standard_normal((4, 4)),
+                  symmetry="general")
         manifest = {"Q": 1, "P": 1, "domain": [[0.0, 1.0]],
                     "theta": ["1"], "terms": ["g.mtx"]}
         path = tmp_path / "manifest.json"
@@ -299,8 +300,8 @@ class TestManifest:
     def test_singular_pipeline_allows_general_terms(self, tmp_path):
         rng = np.random.default_rng(4)
         B = rng.standard_normal((5, 5))
-        write_matrix_market(tmp_path / "b.mtx", B, symmetry="general")
-        write_matrix_market(tmp_path / "x.mtx", make_spd(5, 11))
+        write_mtx(tmp_path / "b.mtx", B, symmetry="general")
+        write_mtx(tmp_path / "x.mtx", make_spd(5, 11))
         manifest = {"Q": 1, "P": 1, "domain": [[0.5, 2.0]],
                     "theta": ["mu1"], "terms": ["b.mtx"],
                     "inner_product": "x.mtx", "pipeline": "singular"}
@@ -318,9 +319,8 @@ class TestManifest:
         assert abs(np.sqrt(max(w, 0)) - sigma) <= 1e-9
 
     def test_non_square_inner_product_named_as_such(self, tmp_path):
-        write_matrix_market(tmp_path / "a.mtx", make_spd(4, 2))
-        write_matrix_market(tmp_path / "x.mtx", np.ones((4, 3)),
-                            symmetry="general")
+        write_mtx(tmp_path / "a.mtx", make_spd(4, 2))
+        write_mtx(tmp_path / "x.mtx", np.ones((4, 3)), symmetry="general")
         manifest = {"Q": 1, "P": 1, "domain": [[0.5, 2.0]],
                     "theta": ["mu1"], "terms": ["a.mtx"],
                     "inner_product": "x.mtx", "pipeline": "coercivity"}
@@ -333,7 +333,7 @@ class TestManifest:
 
     def test_eig_pipeline_rejects_inner_product(self, tmp_path):
         path = self.write_circle_manifest(tmp_path)
-        write_matrix_market(tmp_path / "x.mtx", make_spd(2, 3))
+        write_mtx(tmp_path / "x.mtx", make_spd(2, 3))
         manifest = json.loads(path.read_text())
         manifest["inner_product"] = "x.mtx"
         path.write_text(json.dumps(manifest))
@@ -346,7 +346,7 @@ class TestManifest:
     def test_inner_product_must_be_symmetric(self, tmp_path, pipeline, off):
         X = make_spd(2, 3)
         X[0, 1] += off
-        write_matrix_market(tmp_path / "x.mtx", X, symmetry="general")
+        write_mtx(tmp_path / "x.mtx", X, symmetry="general")
         path = self.write_circle_manifest(tmp_path)
         manifest = json.loads(path.read_text())
         manifest.update(inner_product="x.mtx", pipeline=pipeline)
@@ -361,8 +361,8 @@ class TestManifest:
 
     def test_coercivity_pipeline_requires_inner_product(self, tmp_path):
         fam = unit_circle_family()
-        write_matrix_market(tmp_path / "a1.mtx", fam.terms[0].dense())
-        write_matrix_market(tmp_path / "a2.mtx", fam.terms[1].dense())
+        write_mtx(tmp_path / "a1.mtx", fam.terms[0].dense())
+        write_mtx(tmp_path / "a2.mtx", fam.terms[1].dense())
         manifest = {"Q": 2, "P": 1, "domain": [[0.0, 3.14]],
                     "theta": ["cos(mu1)", "sin(mu1)"],
                     "terms": ["a1.mtx", "a2.mtx"], "pipeline": "coercivity"}
@@ -374,8 +374,8 @@ class TestManifest:
 
     def test_theta_domain_error_caught_by_probe(self, tmp_path):
         fam = unit_circle_family()
-        write_matrix_market(tmp_path / "a1.mtx", fam.terms[0].dense())
-        write_matrix_market(tmp_path / "a2.mtx", fam.terms[1].dense())
+        write_mtx(tmp_path / "a1.mtx", fam.terms[0].dense())
+        write_mtx(tmp_path / "a2.mtx", fam.terms[1].dense())
         manifest = {"Q": 2, "P": 1, "domain": [[-1.0, 1.0]],
                     "theta": ["sqrt(mu1)", "1"],
                     "terms": ["a1.mtx", "a2.mtx"]}
