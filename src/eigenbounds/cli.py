@@ -15,7 +15,7 @@ from dataclasses import asdict, fields
 
 from .driver import (_GENERATORS, ORACLE_CAP, PIPELINES, CompareError,
                      RunConfig, compare_runs, generate_problem_files,
-                     load_problem, run_pipeline)
+                     load_problem, run_pipeline, write_csv)
 from .hermitian import ArgumentError
 from .problems import PIPELINES as PROBLEM_PIPELINES
 from .problems import ManifestError, _json_object
@@ -124,21 +124,15 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    lines, rows = compare_runs(args.run_a, args.run_b)
+    lines, columns = compare_runs(args.run_a, args.run_b)
     for line in lines:
         print(line)
-    header = "iter,max_ratio_a,max_ratio_b"
-    csv_lines = [header]
-    for it, ra, rb in rows:
-        fa = "" if ra is None else repr(ra)
-        fb = "" if rb is None else repr(rb)
-        csv_lines.append(f"{it},{fa},{fb}")
-    text = "\n".join(csv_lines) + "\n"
+    header = ["iter", "max_ratio_a", "max_ratio_b"]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, header, columns)
     else:
-        print(text, end="")
+        write_csv(sys.stdout, header, columns)
     return 0
 
 

@@ -5,6 +5,7 @@ JSON) with full reproducibility of seeds and configuration.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -18,9 +19,9 @@ import scipy.sparse as sparse
 
 from .family import random_training_set
 from .hermitian import ArgumentError
-from .problems import (ManifestError, block_grid_family, load_family,
-                       one_parameter_analytic_family, random_family,
-                       unit_circle_family)
+from .problems import (ManifestError, _require, block_grid_family,
+                       load_family, one_parameter_analytic_family,
+                       random_family, unit_circle_family)
 from .scm import scm_greedy
 from .subspace import subspace_greedy
 
@@ -32,21 +33,30 @@ __all__ = [
     "run_pipeline",
     "compare_runs",
     "generate_problem_files",
+    "write_csv",
 ]
 
 CSV_SCHEMA_VERSION = 2
 PIPELINES = ("scm", "subspace", "subspace-heuristic")
 ORACLE_CAP = 800    # largest n that an oracle run solves densely
 
-CONVERGENCE_FIXED_COLUMNS = [
-    "iter", "max_error_ratio", "max_abs_ub_error", "max_abs_lb_error",
-    "heuristic_valid", "wall_seconds_cumulative", "eig_seconds",
-    "lp_seconds", "reduced_seconds", "lp_count", "eig_count",
-]
-BOUND_FIXED_COLUMNS = [
-    "lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic", "residual",
-    "chosen_r", "error_ratio", "oracle_lambda_min",
-]
+# convergence.csv after iter and mu_*: (column, GreedyRecord attribute)
+CONVERGENCE_COLUMNS = (
+    ("max_error_ratio", "max_ratio"), ("max_abs_ub_error", "max_abs_ub_error"),
+    ("max_abs_lb_error", "max_abs_lb_error"),
+    ("heuristic_valid", "heuristic_valid"),
+    ("wall_seconds_cumulative", "wall_seconds"), ("eig_seconds", "eig_seconds"),
+    ("lp_seconds", "lp_seconds"), ("reduced_seconds", "reduced_seconds"),
+    ("lp_count", "lp_count"), ("eig_count", "eig_count"),
+)
+# bounds.csv after mu_*: (column, GreedyResult.tables key); a key the run's
+# tables lack gives an empty column
+BOUND_COLUMNS = (
+    ("lam_lb", "lam_lb"), ("lam_slb", "lam_slb"), ("lam_sub", "lam_sub"),
+    ("lam_ub", "lam_ub"), ("heuristic", "heuristic"), ("residual", "residual"),
+    ("chosen_r", "chosen_r"), ("error_ratio", "ratio"),
+    ("oracle_lambda_min", "oracle"),
+)
 # summary.json "counts": (key, GreedyRecord attribute of the last record)
 SUMMARY_COUNTS = (
     ("lp", "lp_count"), ("eig", "eig_count"),
@@ -86,25 +96,23 @@ class RunConfig:
         return self
 
 
-def _size(spec, name, default, least=1):
-    """Generator spec field ``name`` as an integer, refused below ``least``."""
-    value = int(spec.get(name, default))
-    if value < least:
-        raise ManifestError(name, f"must be at least {least}, got {value}")
-    return value
-
-
+# each generator's spec fields, checked as manifest fields are
 _GENERATORS = {
     "unit-circle": lambda spec: unit_circle_family(),
     "random": lambda spec: random_family(
-        q=int(spec.get("Q", 4)), n=_size(spec, "N", 200),
-        delta=float(spec.get("delta", 0.2)), seed=int(spec.get("seed", 0))),
+        q=_require(spec, "Q", int, default=4, least=2),
+        n=_require(spec, "N", int, default=200, least=1),
+        delta=_require(spec, "delta", float, default=0.2),
+        seed=_require(spec, "seed", int, default=0, least=0)),
     "one-param": lambda spec: one_parameter_analytic_family(
-        n=_size(spec, "N", 40, least=2), gap=float(spec.get("gap", 1.0)),
-        seed=int(spec.get("seed", 0))),
+        n=_require(spec, "N", int, default=40, least=2),
+        gap=_require(spec, "gap", float, default=1.0),
+        seed=_require(spec, "seed", int, default=0, least=0)),
     "blocks": lambda spec: block_grid_family(
-        nx=_size(spec, "nx", 32), ny=_size(spec, "ny", 33),
-        blocks=(_size(spec, "blocks_x", 3), _size(spec, "blocks_y", 3))),
+        nx=_require(spec, "nx", int, default=32, least=1),
+        ny=_require(spec, "ny", int, default=33, least=1),
+        blocks=(_require(spec, "blocks_x", int, default=3, least=1),
+                _require(spec, "blocks_y", int, default=3, least=1))),
 }
 
 
@@ -135,58 +143,14 @@ def _oracle_values(family, points):
     return np.array([scipy.linalg.eigh(A, X)[0][0] for A in mats])
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _write_csv(path, columns, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _convergence_rows(result):
-    rows = []
-    for rec in result.records:
-        row = [rec.iteration]
-        row.extend(float(x) for x in rec.selected_mu)
-        row.extend([rec.max_ratio, rec.max_abs_ub_error, rec.max_abs_lb_error,
-                    rec.heuristic_valid, rec.wall_seconds, rec.eig_seconds,
-                    rec.lp_seconds, rec.reduced_seconds, rec.lp_count,
-                    rec.eig_count])
-        rows.append(row)
-    return rows
-
-
-def _bound_rows(result, points):
-    tabs = result.tables
-    m = len(points)
-    none_col = [None] * m
-    def col(name):
-        arr = tabs.get(name)
-        return none_col if arr is None else arr
-    rows = []
-    ratio = tabs["ratio"]
-    for i in range(m):
-        row = list(float(x) for x in points[i])
-        for name in ("lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic",
-                     "residual"):
-            v = col(name)[i]
-            row.append(None if v is None else float(v))
-        cr = col("chosen_r")[i]
-        row.append(None if cr is None else int(cr))
-        row.append(float(ratio[i]))
-        ov = col("oracle")[i]
-        row.append(None if ov is None else float(ov))
-        rows.append(row)
-    return rows
+def write_csv(fh, header, columns):
+    """Write ``header`` and the rows of ``columns``, one list of Python
+    scalars per header name, to ``fh``: a bool as 1 or 0, None as an empty
+    cell and a float by its repr."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([int(v) if isinstance(v, bool) else v for v in row]
+                     for row in zip(*columns))
 
 
 def heuristic_first_valid(records):
@@ -233,12 +197,20 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             seed=config.seed)
 
     mu_cols = [f"mu_{k + 1}" for k in range(family.p)]
-    conv_cols = ["iter"] + mu_cols + CONVERGENCE_FIXED_COLUMNS[1:]
-    _write_csv(os.path.join(outdir, "convergence.csv"), conv_cols,
-               _convergence_rows(result))
-    bound_cols = mu_cols + BOUND_FIXED_COLUMNS
-    _write_csv(os.path.join(outdir, "bounds.csv"), bound_cols,
-               _bound_rows(result, train.points))
+    recs, tabs = result.records, result.tables
+    mus = np.reshape([rec.selected_mu for rec in recs], (len(recs), family.p))
+    with open(os.path.join(outdir, "convergence.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        write_csv(fh, ["iter", *mu_cols, *(c for c, _ in CONVERGENCE_COLUMNS)],
+                  [[rec.iteration for rec in recs], *mus.T.tolist(),
+                   *([getattr(rec, attr) for rec in recs]
+                     for _, attr in CONVERGENCE_COLUMNS)])
+    with open(os.path.join(outdir, "bounds.csv"), "w", newline="",
+              encoding="utf-8") as fh:
+        write_csv(fh, [*mu_cols, *(c for c, _ in BOUND_COLUMNS)],
+                  [*train.points.T.tolist(),
+                   *(tabs[key].tolist() if key in tabs else [None] * len(train)
+                     for _, key in BOUND_COLUMNS)])
 
     summary = {
         "csv_schema_version": CSV_SCHEMA_VERSION,
@@ -282,21 +254,21 @@ class CompareError(ValueError):
 def _load_run(path):
     with open(os.path.join(path, "summary.json"), "r", encoding="utf-8") as fh:
         summary = json.load(fh)
-    ratios = []
-    with open(os.path.join(path, "convergence.csv"), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        idx = header.index("max_error_ratio")
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            ratios.append(float(parts[idx]))
-    return summary, ratios
+    with open(os.path.join(path, "convergence.csv"), "r", newline="",
+              encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if "max_error_ratio" not in (reader.fieldnames or ()):
+            raise CompareError(f"{path}: convergence.csv has no "
+                               "max_error_ratio column")
+        return summary, [float(row["max_error_ratio"]) for row in reader]
 
 
 def compare_runs(dir_a, dir_b):
     """Diff two run directories' convergence curves.
 
     Refuses runs with different training seeds/sizes or domains.  Returns
-    (text_lines, csv_rows) where rows are (iter, ratio_a, ratio_b).
+    (text_lines, columns): the columns iter, ratio_a and ratio_b, with None
+    where only the other run reached the iteration.
     """
     sum_a, ratios_a = _load_run(dir_a)
     sum_b, ratios_b = _load_run(dir_b)
@@ -310,11 +282,10 @@ def compare_runs(dir_a, dir_b):
     if sum_a["problem"]["domain"] != sum_b["problem"]["domain"]:
         raise CompareError("parameter domains differ")
 
-    rows = []
-    for it in range(max(len(ratios_a), len(ratios_b))):
-        ra = ratios_a[it] if it < len(ratios_a) else None
-        rb = ratios_b[it] if it < len(ratios_b) else None
-        rows.append((it + 1, ra, rb))
+    length = max(len(ratios_a), len(ratios_b))
+    columns = [list(range(1, length + 1)),
+               ratios_a + [None] * (length - len(ratios_a)),
+               ratios_b + [None] * (length - len(ratios_b))]
 
     lines = []
     lines.append(f"run A: {sum_a['config']['pipeline']}, "
@@ -340,7 +311,7 @@ def compare_runs(dir_a, dir_b):
         elif summ.get("oracle_active"):
             lines.append(f"run {label}: residual heuristic never became a "
                          "uniform lower bound (or no heuristic data)")
-    return lines, rows
+    return lines, columns
 
 
 def generate_problem_files(kind, outdir, spec=None, pipeline="eig"):

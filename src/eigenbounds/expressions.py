@@ -17,6 +17,9 @@ import numpy as np
 __all__ = ["ParseError", "EvaluationError", "ThetaExpression", "parse_theta",
            "probe_expressions"]
 
+PROBE_COUNT = 100   # random domain points probe_expressions evaluates at
+PROBE_SEED = 0
+
 _FUNCTIONS = {"cos": math.cos, "sin": math.sin, "exp": math.exp,
               "sqrt": math.sqrt}
 
@@ -246,15 +249,16 @@ def parse_theta(text, n_params=None):
     return ThetaExpression(source=text, ast=parser.parse())
 
 
-def probe_expressions(exprs, domain, count=100, seed=0):
-    """Evaluate expressions at random domain points to surface domain errors.
+def probe_expressions(exprs, domain):
+    """Evaluate expressions at PROBE_COUNT random domain points (drawn with
+    PROBE_SEED) to surface domain errors.
 
     Raises the first EvaluationError encountered, annotated with the
     offending expression index; returns None on success.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     dom = np.asarray(domain, dtype=float)
-    pts = rng.uniform(dom[:, 0], dom[:, 1], size=(count, dom.shape[0]))
+    pts = rng.uniform(dom[:, 0], dom[:, 1], size=(PROBE_COUNT, dom.shape[0]))
     for k, ex in enumerate(exprs):
         for mu in pts:
             try:

@@ -41,6 +41,9 @@ __all__ = [
 SYMMETRY_TOL = 1e-10
 SINGULAR_DENSE_CAP = 2048   # the singular-value expansion is dense
 PIPELINES = ("eig", "coercivity", "singular")
+GAP_GRID = 200              # one-param: points of the gap verification grid
+GAP_ATTEMPTS = 10           # one-param: draws before the gap is given up
+BLOCK_COEFF_RANGE = (0.1, 0.5)   # blocks: every parameter's interval
 
 
 class ManifestError(ValueError):
@@ -102,13 +105,13 @@ def random_family(q, n, delta=0.2, seed=0):
                         theta_source=sources, name=f"random-q{q}-n{n}")
 
 
-def one_parameter_analytic_family(n=40, gap=1.0, seed=0, grid=200,
-                                  max_attempts=10):
+def one_parameter_analytic_family(n=40, gap=1.0, seed=0):
     """Analytic one-parameter family with a certified spectral gap.
 
     A(mu) = A_1 + mu A_2 + (mu^2/2) A_3 on [-1, 1], built so that the two
-    smallest eigenvalues stay at least gap/2 apart on a verification grid
-    (regenerated with fresh randomness up to ``max_attempts`` times).
+    smallest eigenvalues stay at least gap/2 apart on a verification grid of
+    GAP_GRID points (regenerated with fresh randomness up to GAP_ATTEMPTS
+    times).
     The smallest eigenvalue is then simple and analytic across the whole
     interval, the regime in which the subspace bounds converge
     geometrically.
@@ -118,8 +121,8 @@ def one_parameter_analytic_family(n=40, gap=1.0, seed=0, grid=200,
     rng = np.random.default_rng(seed)
     sources = ("1", "mu1", "mu1*mu1/2")
     theta = theta_from_expressions(sources, n_params=1)
-    mus = np.linspace(-1.0, 1.0, grid)
-    for _ in range(max_attempts):
+    mus = np.linspace(-1.0, 1.0, GAP_GRID)
+    for _ in range(GAP_ATTEMPTS):
         base = np.concatenate([[0.0, 1.5 * gap],
                                1.5 * gap + np.sort(rng.uniform(gap, 6.0 * gap,
                                                                n - 2))])
@@ -142,7 +145,7 @@ def one_parameter_analytic_family(n=40, gap=1.0, seed=0, grid=200,
         if ok:
             return fam
     raise ArgumentError(
-        f"could not realize spectral gap {gap} in {max_attempts} attempts")
+        f"could not realize spectral gap {gap} in {GAP_ATTEMPTS} attempts")
 
 
 def _laplacian_2d(nx, ny):
@@ -164,7 +167,7 @@ def _mixed_stencil_2d(nx, ny):
     return (M + M.T).tocsr() * 0.5
 
 
-def block_grid_family(nx=32, ny=33, blocks=(3, 3), coeff_range=(0.1, 0.5)):
+def block_grid_family(nx=32, ny=33, blocks=(3, 3)):
     """Inspired-by stand-in for subdomain-parametrized PDE stiffness families.
 
     Five-point Laplacian on an nx-by-ny interior grid plus one anisotropic
@@ -190,8 +193,7 @@ def block_grid_family(nx=32, ny=33, blocks=(3, 3), coeff_range=(0.1, 0.5)):
     q = gx * gy + 1
     sources = ("1",) + tuple(f"mu{k}" for k in range(1, q))
     theta = theta_from_expressions(sources, n_params=q - 1)
-    domain = tuple((float(coeff_range[0]), float(coeff_range[1]))
-                   for _ in range(q - 1))
+    domain = (BLOCK_COEFF_RANGE,) * (q - 1)
     return AffineFamily(terms=tuple(terms), theta=theta, domain=domain,
                         theta_source=sources,
                         name=f"block-grid-{nx}x{ny}-{gx}x{gy}")
@@ -265,17 +267,32 @@ def _json_object(value):
     return value
 
 
-def _require(manifest, field, kind, length=None):
+def _require(manifest, field, kind, length=None, default=None, least=None):
+    """``manifest[field]`` if it is a ``kind``: an int (never a bool), a
+    finite int or float (``float``, returned as a float) or a list of
+    ``length``; refused below ``least``.  An absent field is ``default``,
+    and refused when that is None."""
     if field not in manifest:
-        raise ManifestError(field, "missing")
+        if default is None:
+            raise ManifestError(field, "missing")
+        return default
     value = manifest[field]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise ManifestError(field, f"expected integer, got {value!r}")
-    if kind is list and not isinstance(value, list):
-        raise ManifestError(field, f"expected list, got {type(value).__name__}")
+    if kind is list:
+        if not isinstance(value, list):
+            raise ManifestError(field,
+                                f"expected list, got {type(value).__name__}")
+    elif (not isinstance(value, (int, float) if kind is float else int)
+          or isinstance(value, bool)):
+        raise ManifestError(field, f"expected "
+                            f"{'number' if kind is float else 'integer'}, "
+                            f"got {value!r}")
+    elif kind is float and not abs(value) <= sys.float_info.max:
+        raise ManifestError(field, f"not finite: {value!r}")
     if length is not None and len(value) != length:
         raise ManifestError(field, f"expected length {length}, got {len(value)}")
-    return value
+    if least is not None and value < least:
+        raise ManifestError(field, f"must be at least {least}, got {value}")
+    return float(value) if kind is float else value
 
 
 def _checked_hermitian(mat, field, rel):
@@ -303,6 +320,8 @@ def _read_manifest_matrix(base, rel, field):
     mat = read_matrix_market(full)
     if mat.shape[0] != mat.shape[1]:
         raise ManifestError(field, f"{rel} is not square")
+    if mat.shape[0] == 0:
+        raise ManifestError(field, f"{rel} is empty (0x0)")
     return mat
 
 
@@ -321,12 +340,8 @@ def load_family(path):
             raise ManifestError("<json>", f"not valid JSON: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
 
-    q = _require(manifest, "Q", int)
-    p = _require(manifest, "P", int)
-    if q < 1:
-        raise ManifestError("Q", "must be at least 1")
-    if p < 1:
-        raise ManifestError("P", "must be at least 1")
+    q = _require(manifest, "Q", int, least=1)
+    p = _require(manifest, "P", int, least=1)
     domain_raw = _require(manifest, "domain", list, length=p)
     domain = []
     for k, pair in enumerate(domain_raw):

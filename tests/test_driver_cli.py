@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import fields
@@ -187,6 +188,54 @@ class TestCli:
             if ra and rb:
                 assert float(rb) <= float(ra) * (1 + 1e-9) + 1e-12
 
+    def test_subspace_heuristic_run_and_compare_unequal_curves(
+            self, tmp_path, capsys):
+        gen = json.dumps({"kind": "random", "Q": 3, "N": 40, "delta": 0.3,
+                          "seed": 2})
+        common = ["run", "--generator", gen, "--train-size", "30",
+                  "--train-seed", "1", "--eps", "1e-12"]
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main([*common, "--pipeline", "subspace-heuristic", "--oracle",
+                     "--j-max", "6", "--out", out_a]) == 0
+        assert main([*common, "--pipeline", "scm", "--j-max", "3",
+                     "--out", out_b]) == 0
+        summary = read_summary(out_a)
+        with open(SCHEMA_PATH) as fh:
+            jsonschema.validate(summary, json.load(fh))
+        assert summary["config"]["pipeline"] == "subspace-heuristic"
+        assert summary["oracle_active"]
+
+        def table(run, name):
+            with open(os.path.join(run, name), newline="") as fh:
+                return list(csv.reader(fh))
+
+        conv = table(out_a, "convergence.csv")
+        assert conv[0] == [
+            "iter", "mu_1", "mu_2", "max_error_ratio", "max_abs_ub_error",
+            "max_abs_lb_error", "heuristic_valid", "wall_seconds_cumulative",
+            "eig_seconds", "lp_seconds", "reduced_seconds", "lp_count",
+            "eig_count"]
+        assert table(out_a, "bounds.csv")[0] == [
+            "mu_1", "mu_2", "lam_lb", "lam_slb", "lam_sub", "lam_ub",
+            "heuristic", "residual", "chosen_r", "error_ratio",
+            "oracle_lambda_min"]
+        valid = conv[0].index("heuristic_valid")
+        assert len(conv) == 7
+        assert all(row[valid] in ("1", "0") for row in conv[1:])
+
+        # the table repeats each run's max_error_ratio cells, and leaves
+        # run B's empty past its last iteration
+        capsys.readouterr()
+        assert main(["compare", out_a, out_b]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("run A: subspace-heuristic, 6 iterations")
+        ratio_a = [row[3] for row in conv[1:]]
+        ratio_b = [row[3] for row in table(out_b, "convergence.csv")[1:]]
+        assert len(ratio_b) == 3
+        assert lines[-7:] == ["iter,max_ratio_a,max_ratio_b"] + [
+            f"{k + 1},{ra},{ratio_b[k] if k < 3 else ''}"
+            for k, ra in enumerate(ratio_a)]
+
     def test_compare_identical_runs_zero_diff(self, tmp_path, capsys):
         manifest = circle_manifest(tmp_path)
         out_a = str(tmp_path / "a")
@@ -255,12 +304,32 @@ class TestCli:
         ({"kind": "blocks", "ny": 0}, "ny"),
         ({"kind": "one-param", "N": 1}, "N"),
         ({"kind": "random", "N": -3}, "N"),
-    ], ids=["blocks_x", "blocks_y", "nx", "ny", "one-param-N", "random-N"])
+        ({"kind": "blocks", "nx": 2.7}, "nx"),
+        ({"kind": "blocks", "ny": True}, "ny"),
+        ({"kind": "random", "Q": 2.9}, "Q"),
+        ({"kind": "random", "Q": 1}, "Q"),
+        ({"kind": "random", "seed": -1}, "seed"),
+        ({"kind": "one-param", "gap": "nan"}, "gap"),
+        ({"kind": "one-param", "gap": float("nan")}, "gap"),
+        ({"kind": "random", "delta": "inf"}, "delta"),
+        ({"kind": "random", "delta": float("inf")}, "delta"),
+    ], ids=["blocks_x", "blocks_y", "nx", "ny", "one-param-N", "random-N",
+            "nx-float", "ny-bool", "random-Q-float", "random-Q-one",
+            "random-seed-negative", "gap-nan-string", "gap-nan",
+            "delta-inf-string", "delta-inf"])
     def test_generator_size_below_floor_exit_2(self, tmp_path, capsys, spec,
                                                field):
         out = str(tmp_path / "o")
         assert main(["run", "--generator", json.dumps(spec), "--out",
                      out]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == field
+        assert not os.path.exists(out)
+        # gen refuses the same spec and writes no manifest
+        rest = {k: v for k, v in spec.items() if k != "kind"}
+        assert main(["gen", "--kind", spec["kind"], "--spec",
+                     json.dumps(rest), "--out", out]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ManifestError"
         assert payload["field"] == field
@@ -276,7 +345,25 @@ class TestCli:
         assert main(["run", "--manifest", str(manifest), "--out",
                      str(tmp_path / "o")]) == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["message"] == "dimension must be positive"
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "terms"
+        assert "a.mtx" in payload["message"]
+
+    def test_zero_dimension_inner_product_exit_2(self, tmp_path, capsys):
+        import scipy.sparse as sparse
+        manifest = circle_manifest(tmp_path)
+        write_mtx(tmp_path / "circle" / "x.mtx", sparse.csr_matrix((0, 0)))
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data.update(inner_product="x.mtx", pipeline="coercivity")
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        assert main(["run", "--manifest", manifest, "--out",
+                     str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "inner_product"
+        assert "x.mtx" in payload["message"]
 
     def test_non_finite_term_entry_exit_2(self, tmp_path, capsys):
         manifest = circle_manifest(tmp_path)
