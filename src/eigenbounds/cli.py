@@ -13,23 +13,20 @@ import sys
 import typing
 from dataclasses import asdict, fields
 
-from .driver import (_GENERATORS, ORACLE_CAP, PIPELINES, CompareError,
-                     RunConfig, compare_runs, generate_problem_files,
-                     load_problem, run_pipeline, write_csv)
+from .driver import (ORACLE_CAP, PIPELINES, CompareError, RunConfig,
+                     compare_runs, load_problem, run_pipeline, write_csv)
 from .hermitian import ArgumentError
-from .problems import PIPELINES as PROBLEM_PIPELINES
-from .problems import ManifestError, _json_object
+from .problems import (GENERATORS, PIPELINES as PROBLEM_PIPELINES,
+                       ManifestError, json_object, write_problem_files)
 
 __all__ = ["main"]
 
 USAGE_ERRORS = (ManifestError, ArgumentError, CompareError, ValueError)
 
 
-def _error_json(exc, field=None):
+def _error_json(exc):
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    if field is not None:
-        payload["field"] = field
-    elif isinstance(exc, ManifestError):
+    if isinstance(exc, ManifestError):
         payload["field"] = exc.field
     print(json.dumps(payload), file=sys.stderr)
 
@@ -69,7 +66,7 @@ def _build_parser():
     cmp_.add_argument("--out", help="write the per-iteration table as CSV")
 
     gen = sub.add_parser("gen", help="emit a generator's matrices + manifest")
-    gen.add_argument("--kind", required=True, choices=sorted(_GENERATORS))
+    gen.add_argument("--kind", required=True, choices=sorted(GENERATORS))
     gen.add_argument("--out", required=True)
     gen.add_argument("--pipeline", default="eig", choices=PROBLEM_PIPELINES)
     gen.add_argument("--spec", default=None,
@@ -81,8 +78,8 @@ def _load_json_arg(text):
     """The JSON object in ``text``, or in the file ``@path``."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return _json_object(json.load(fh))
-    return _json_object(json.loads(text))
+            return json_object(json.load(fh))
+    return json_object(json.loads(text))
 
 
 def _fits(value, hint):
@@ -138,8 +135,8 @@ def _cmd_compare(args):
 
 def _cmd_gen(args):
     spec = _load_json_arg(args.spec) if args.spec else {}
-    path = generate_problem_files(args.kind, args.out, spec=spec,
-                                  pipeline=args.pipeline)
+    path = write_problem_files(args.kind, args.out, spec=spec,
+                               pipeline=args.pipeline)
     print(f"wrote {path}")
     return 0
 

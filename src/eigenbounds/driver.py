@@ -13,15 +13,11 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
-import scipy.sparse as sparse
 
 from .family import random_training_set
 from .hermitian import ArgumentError
-from .problems import (ManifestError, _require, block_grid_family,
-                       load_family, one_parameter_analytic_family,
-                       random_family, unit_circle_family)
+from .problems import generate_family, load_family
 from .scm import scm_greedy
 from .subspace import subspace_greedy
 
@@ -32,7 +28,6 @@ __all__ = [
     "load_problem",
     "run_pipeline",
     "compare_runs",
-    "generate_problem_files",
     "write_csv",
 ]
 
@@ -96,40 +91,15 @@ class RunConfig:
         return self
 
 
-# each generator's spec fields, checked as manifest fields are
-_GENERATORS = {
-    "unit-circle": lambda spec: unit_circle_family(),
-    "random": lambda spec: random_family(
-        q=_require(spec, "Q", int, default=4, least=2),
-        n=_require(spec, "N", int, default=200, least=1),
-        delta=_require(spec, "delta", float, default=0.2),
-        seed=_require(spec, "seed", int, default=0, least=0)),
-    "one-param": lambda spec: one_parameter_analytic_family(
-        n=_require(spec, "N", int, default=40, least=2),
-        gap=_require(spec, "gap", float, default=1.0),
-        seed=_require(spec, "seed", int, default=0, least=0)),
-    "blocks": lambda spec: block_grid_family(
-        nx=_require(spec, "nx", int, default=32, least=1),
-        ny=_require(spec, "ny", int, default=33, least=1),
-        blocks=(_require(spec, "blocks_x", int, default=3, least=1),
-                _require(spec, "blocks_y", int, default=3, least=1))),
-}
-
-
 def load_problem(manifest=None, generator=None):
     """Problem from a manifest path or a generator spec dict (exactly one)."""
     if (manifest is None) == (generator is None):
         raise ArgumentError("provide exactly one of manifest or generator")
     if manifest is not None:
         family, meta = load_family(manifest)
-        meta = {"source": "manifest", **meta}
-        return family, meta
-    kind = generator.get("kind")
-    if kind not in _GENERATORS:
-        raise ManifestError("kind", f"unknown generator {kind!r}; "
-                            f"known: {sorted(_GENERATORS)}")
-    family = _GENERATORS[kind](generator)
-    return family, {"source": "generator", "generator": dict(generator)}
+        return family, {"source": "manifest", **meta}
+    return generate_family(generator), {"source": "generator",
+                                        "generator": dict(generator)}
 
 
 def _oracle_values(family, points):
@@ -313,49 +283,3 @@ def compare_runs(dir_a, dir_b):
                          "uniform lower bound (or no heuristic data)")
     return lines, columns
 
-
-def generate_problem_files(kind, outdir, spec=None, pipeline="eig"):
-    """Write a generator's matrices plus a manifest into ``outdir``.
-
-    Emits one Matrix Market file per term (plus an SPD inner-product matrix
-    for the coercivity/singular pipelines) and manifest.json referencing
-    them, so `run --manifest` reproduces the generated problem.
-    """
-    def write(name, matrix):
-        # a COO matrix, as SciPy writes a dense array in the array format;
-        # the lower triangle only, with 17 digits so float64 round-trips
-        A = sparse.coo_matrix(matrix)
-        scipy.io.mmwrite(os.path.join(outdir, name), A, precision=17,
-                         symmetry=("hermitian" if np.iscomplexobj(A)
-                                   else "symmetric"))
-
-    spec = dict(spec or {})
-    spec["kind"] = kind
-    family, _ = load_problem(generator=spec)
-    if family.theta_source is None:
-        raise ArgumentError(f"generator {kind!r} has no expression form")
-    os.makedirs(outdir, exist_ok=True)
-    term_files = []
-    for qi, term in enumerate(family.terms):
-        name = f"term_{qi + 1}.mtx"
-        write(name, term.dense()
-              if not hasattr(term, "matrix") else term.matrix)
-        term_files.append(name)
-    manifest = {
-        "Q": family.q,
-        "P": family.p,
-        "domain": [[lo, hi] for lo, hi in family.domain],
-        "theta": list(family.theta_source),
-        "terms": term_files,
-        "pipeline": pipeline,
-    }
-    if pipeline in ("coercivity", "singular"):
-        rng = np.random.default_rng(1)
-        G = rng.standard_normal((family.n, family.n))
-        write("inner_product.mtx", G @ G.T / family.n + np.eye(family.n))
-        manifest["inner_product"] = "inner_product.mtx"
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    return path

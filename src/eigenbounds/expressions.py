@@ -43,7 +43,8 @@ class ParseError(ValueError):
 
 
 class EvaluationError(ArithmeticError):
-    """Domain error during evaluation (division by zero, sqrt of negative)."""
+    """Domain error during evaluation (division by zero, sqrt of negative, a
+    function that overflows or is given inf, a result that is not finite)."""
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,11 @@ def _eval(node, mu):
         if node.name == "sqrt" and x < 0.0:
             raise EvaluationError(
                 f"sqrt of negative value {x!r} at offset {node.offset}")
-        return _FUNCTIONS[node.name](x)
+        try:
+            return _FUNCTIONS[node.name](x)
+        except (OverflowError, ValueError) as exc:   # exp(1000), cos(inf)
+            raise EvaluationError(f"{node.name} of {x!r} at offset "
+                                  f"{node.offset}: {exc}") from exc
     left = _eval(node.left, mu)
     right = _eval(node.right, mu)
     if node.op == "+":

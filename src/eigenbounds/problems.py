@@ -1,11 +1,11 @@
 """Problem construction and ingestion.
 
 Synthetic generators (rotation family, random perturbation family,
-one-parameter analytic family, subdomain-weighted stencil family), the
-coercivity transform attaching a sparse-factored inner product to a
-stiffness family (its eigenproblems become pencils (A(mu), X)), the
-squared-singular-value expansion, and the JSON-manifest loader backed by
-Matrix Market term files.
+one-parameter analytic family, subdomain-weighted stencil family) and their
+spec table, the coercivity transform attaching a sparse-factored inner
+product to a stiffness family (its eigenproblems become pencils (A(mu), X)),
+the squared-singular-value expansion, and the JSON manifest format backed by
+Matrix Market term files: its loader and the writer of a generator's files.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 
 import numpy as np
+import scipy.io
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg
@@ -23,7 +24,8 @@ import scipy.sparse.linalg
 from .expressions import (EvaluationError, ParseError, parse_theta,
                           probe_expressions)
 from .family import AffineFamily
-from .hermitian import ArgumentError, DenseHermitian, cholesky, hermitian
+from .hermitian import (ArgumentError, DenseHermitian,
+                        NotPositiveDefiniteError, cholesky, hermitian)
 from .mmio import read_matrix_market
 
 __all__ = [
@@ -35,7 +37,11 @@ __all__ = [
     "block_grid_family",
     "coercivity_transform",
     "singular_value_expansion",
+    "json_object",
+    "GENERATORS",
+    "generate_family",
     "load_family",
+    "write_problem_files",
 ]
 
 SYMMETRY_TOL = 1e-10
@@ -259,7 +265,7 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
                         name="singular-value-expansion")
 
 
-def _json_object(value):
+def json_object(value):
     """``value``, the top level of a JSON document, if it is an object."""
     if not isinstance(value, dict):
         raise ManifestError("<json>", "top level is not an object but "
@@ -267,11 +273,25 @@ def _json_object(value):
     return value
 
 
-def _require(manifest, field, kind, length=None, default=None, least=None):
+def _not_a(kind, value):
+    """Why ``value`` is not a ``kind``, an int (never a bool) or, for
+    ``float``, a finite int or float; None if it is one."""
+    if (not isinstance(value, (int, float) if kind is float else int)
+            or isinstance(value, bool)):
+        return (f"expected {'number' if kind is float else 'integer'}, "
+                f"got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        return f"not finite: {value!r}"
+    return None
+
+
+def _require(manifest, field, kind, length=None, default=None, least=None,
+             positive=False):
     """``manifest[field]`` if it is a ``kind``: an int (never a bool), a
     finite int or float (``float``, returned as a float) or a list of
-    ``length``; refused below ``least``.  An absent field is ``default``,
-    and refused when that is None."""
+    ``length``; refused below ``least``, and at or below 0 when
+    ``positive``.  An absent field is ``default``, and refused when that
+    is None."""
     if field not in manifest:
         if default is None:
             raise ManifestError(field, "missing")
@@ -281,29 +301,52 @@ def _require(manifest, field, kind, length=None, default=None, least=None):
         if not isinstance(value, list):
             raise ManifestError(field,
                                 f"expected list, got {type(value).__name__}")
-    elif (not isinstance(value, (int, float) if kind is float else int)
-          or isinstance(value, bool)):
-        raise ManifestError(field, f"expected "
-                            f"{'number' if kind is float else 'integer'}, "
-                            f"got {value!r}")
-    elif kind is float and not abs(value) <= sys.float_info.max:
-        raise ManifestError(field, f"not finite: {value!r}")
+    elif (why := _not_a(kind, value)) is not None:
+        raise ManifestError(field, why)
     if length is not None and len(value) != length:
         raise ManifestError(field, f"expected length {length}, got {len(value)}")
     if least is not None and value < least:
         raise ManifestError(field, f"must be at least {least}, got {value}")
+    if positive and not value > 0:
+        raise ManifestError(field, f"must be positive, got {value}")
     return float(value) if kind is float else value
 
 
+# each generator's spec fields, checked as manifest fields are
+GENERATORS = {
+    "unit-circle": lambda spec: unit_circle_family(),
+    "random": lambda spec: random_family(
+        q=_require(spec, "Q", int, default=4, least=2),
+        n=_require(spec, "N", int, default=200, least=1),
+        delta=_require(spec, "delta", float, default=0.2, positive=True),
+        seed=_require(spec, "seed", int, default=0, least=0)),
+    "one-param": lambda spec: one_parameter_analytic_family(
+        n=_require(spec, "N", int, default=40, least=2),
+        gap=_require(spec, "gap", float, default=1.0, positive=True),
+        seed=_require(spec, "seed", int, default=0, least=0)),
+    "blocks": lambda spec: block_grid_family(
+        nx=_require(spec, "nx", int, default=32, least=1),
+        ny=_require(spec, "ny", int, default=33, least=1),
+        blocks=(_require(spec, "blocks_x", int, default=3, least=1),
+                _require(spec, "blocks_y", int, default=3, least=1))),
+}
+
+
+def generate_family(spec):
+    """The family of a generator spec, a dict with a "kind" field."""
+    kind = spec.get("kind")
+    if kind not in GENERATORS:
+        raise ManifestError("kind", f"unknown generator {kind!r}; "
+                            f"known: {sorted(GENERATORS)}")
+    return GENERATORS[kind](spec)
+
+
 def _checked_hermitian(mat, field, rel):
-    """``hermitian(mat)``, refused unless ||A - H||_F / max(||H||_F, 1) is
-    at most SYMMETRY_TOL for A = ``mat`` and its Hermitian part H."""
-    op = hermitian(mat)
-    if sparse.issparse(mat):
-        H, norm = op.matrix, scipy.sparse.linalg.norm
-    else:
-        H, norm = op.array, np.linalg.norm
-    defect = norm(mat - H) / max(norm(H), 1.0)
+    """``hermitian(mat)`` of a sparse ``mat``, refused unless
+    ||A - H||_F / max(||H||_F, 1) is at most SYMMETRY_TOL for A = ``mat``
+    and its Hermitian part H."""
+    op, norm = hermitian(mat), scipy.sparse.linalg.norm
+    defect = norm(mat - op.matrix) / max(norm(op.matrix), 1.0)
     if defect > SYMMETRY_TOL:
         raise ManifestError(field, f"{rel} is not Hermitian (relative defect "
                             f"{defect:.2e} > {SYMMETRY_TOL})")
@@ -335,7 +378,7 @@ def load_family(path):
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            manifest = _json_object(json.load(fh))
+            manifest = json_object(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ManifestError("<json>", f"not valid JSON: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
@@ -346,9 +389,7 @@ def load_family(path):
     domain = []
     for k, pair in enumerate(domain_raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(type(v) in (int, float)
-                           and abs(v) <= sys.float_info.max for v in pair)
-                or pair[0] > pair[1]):
+                or any(_not_a(float, v) for v in pair) or pair[0] > pair[1]):
             raise ManifestError("domain", f"entry {k} is not a valid interval")
         domain.append((float(pair[0]), float(pair[1])))
     theta_raw = _require(manifest, "theta", list, length=q)
@@ -384,11 +425,11 @@ def load_family(path):
         matrices.append((mat, rel))
 
     inner = None
-    if "inner_product" in manifest and manifest["inner_product"] is not None:
+    rel = manifest.get("inner_product")
+    if rel is not None:
         if pipeline == "eig":
             raise ManifestError("inner_product", "the eig pipeline takes "
                                 "none; use coercivity or singular")
-        rel = manifest["inner_product"]
         if not isinstance(rel, str):
             raise ManifestError("inner_product", "not a string")
         inner = _read_manifest_matrix(base, rel, "inner_product")
@@ -402,10 +443,13 @@ def load_family(path):
     if pipeline == "singular":
         if inner is None:
             inner = sparse.eye(n).tocsr()
-        fam = singular_value_expansion([m for m, _ in matrices],
-                                       [e.source for e in exprs],
-                                       domain, inner)
-        return fam, meta
+        try:
+            return singular_value_expansion([m for m, _ in matrices],
+                                            [e.source for e in exprs],
+                                            domain, inner), meta
+        except np.linalg.LinAlgError as exc:    # only its Cholesky of X
+            raise ManifestError("inner_product",
+                                f"{rel} is not positive definite") from exc
 
     wrapped = [_checked_hermitian(mat, "terms", rel)
                for mat, rel in matrices]
@@ -417,5 +461,48 @@ def load_family(path):
         if inner is None:
             raise ManifestError("inner_product",
                                 "required for the coercivity pipeline")
-        return coercivity_transform(fam, inner), meta
+        try:
+            return coercivity_transform(fam, inner), meta
+        except NotPositiveDefiniteError as exc:
+            raise ManifestError("inner_product",
+                                f"{rel} is not positive definite") from exc
     return fam, meta
+
+
+def write_problem_files(kind, outdir, spec=None, pipeline="eig"):
+    """Write a generator's matrices plus a manifest into ``outdir``.
+
+    Emits one Matrix Market file per term (plus an SPD inner-product matrix
+    for the coercivity/singular pipelines) and manifest.json referencing
+    them, so that :func:`load_family` reproduces the generated problem.
+    """
+    def write(name, matrix):
+        # a COO matrix, as SciPy writes a dense array in the array format;
+        # the lower triangle only, with 17 digits so float64 round-trips
+        A = sparse.coo_matrix(matrix)
+        scipy.io.mmwrite(os.path.join(outdir, name), A, precision=17,
+                         symmetry=("hermitian" if np.iscomplexobj(A)
+                                   else "symmetric"))
+
+    family = generate_family({**(spec or {}), "kind": kind})
+    os.makedirs(outdir, exist_ok=True)
+    term_files = []
+    for qi, term in enumerate(family.terms):
+        name = f"term_{qi + 1}.mtx"
+        write(name, term.dense()
+              if not hasattr(term, "matrix") else term.matrix)
+        term_files.append(name)
+    manifest = {"Q": family.q, "P": family.p,
+                "domain": [[lo, hi] for lo, hi in family.domain],
+                "theta": list(family.theta_source), "terms": term_files,
+                "pipeline": pipeline}
+    if pipeline in ("coercivity", "singular"):
+        rng = np.random.default_rng(1)
+        G = rng.standard_normal((family.n, family.n))
+        write("inner_product.mtx", G @ G.T / family.n + np.eye(family.n))
+        manifest["inner_product"] = "inner_product.mtx"
+    path = os.path.join(outdir, "manifest.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    return path

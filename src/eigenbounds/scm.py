@@ -100,11 +100,12 @@ def solve_at_sample(family, mu, k, seed=0, below=None):
 
 
 class ScmState:
-    """Greedy sample set: samples, their smallest eigenpairs, joint-Rayleigh
-    points and the LP constraints ``rows @ y >= rhs``.  ``shift_fallbacks``
-    counts the sample solves (and box solves) whose shift failed its
-    positive-definite test; the ``lp_*`` counters and ``sweep_seconds``
-    total the work of :meth:`bounds_at`."""
+    """Greedy sample set: samples, the joint-Rayleigh points of their
+    smallest eigenvectors (no n-vector is kept) and the LP constraints
+    ``rows @ y >= rhs``, whose right-hand sides are the sampled smallest
+    eigenvalues.  ``shift_fallbacks`` counts the sample solves (and box
+    solves) whose shift failed its positive-definite test; the ``lp_*``
+    counters and ``sweep_seconds`` total the work of :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
     ranked = ("lam_lb", "lam_ub")
@@ -114,7 +115,6 @@ class ScmState:
     def __init__(self, family):
         self.family = family
         self.samples = []
-        self.vectors = []
         self.upper_points = np.zeros((0, family.q))
         self.rows = np.zeros((0, family.q))
         self.rhs = np.zeros(0)
@@ -140,7 +140,6 @@ class ScmState:
     def append(self, mu, value, vector):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         self.samples.append(mu)
-        self.vectors.append(np.asarray(vector).reshape(-1))
         point = joint_rayleigh(self.family, vector)
         self.upper_points = np.vstack([self.upper_points, point])
         self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
@@ -382,7 +381,8 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
 def worst_case_family(state, y_tilde):
     """Family that attains the SCM lower bound where ``y_tilde`` is optimal.
 
-    Projects every term onto the span of the sampled eigenvectors and fills
+    Projects every term onto the span of the smallest eigenvectors at the
+    samples, solved again here as :meth:`ScmState.add_sample` does, and fills
     the orthogonal complement with the coordinates of ``y_tilde``, the LP
     minimizer at some parameter mu: the rebuilt family keeps the sampled
     smallest eigenvalues and its smallest eigenvalue at mu drops exactly
@@ -400,7 +400,9 @@ def worst_case_family(state, y_tilde):
     if y.size != family.q:
         raise ArgumentError("minimizer length must equal the term count")
     if state.j:
-        V, _ = orthonormal_columns(np.column_stack(state.vectors))
+        V, _ = orthonormal_columns(np.column_stack(
+            [solve_at_sample(family, mu, 1).vectors[:, 0]
+             for mu in state.samples]))
     else:
         V = np.zeros((n, 0))
     eye = np.eye(n)

@@ -12,6 +12,7 @@ from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
 from eigenbounds.hermitian import ArgumentError
+from eigenbounds.problems import write_problem_files
 from eigenbounds.scm import GreedyRecord
 from helpers import write_mtx
 
@@ -76,23 +77,30 @@ class TestRunPipeline:
             "residual", "chosen_r", "error_ratio", "oracle_lambda_min"]
 
     def test_oracle_cascade_in_bounds_table(self, tmp_path):
-        family, meta = load_problem(
-            generator={"kind": "random", "Q": 3, "N": 60, "delta": 0.3,
-                       "seed": 2})
+        # a standard family, and a pencil whose oracle is scipy's eigh(A, X):
+        # the one-param N=40 coercivity problem as `gen` writes it
+        pencil = write_problem_files("one-param", str(tmp_path / "pencil"),
+                                     spec={"N": 40}, pipeline="coercivity")
+        sources = [{"generator": {"kind": "random", "Q": 3, "N": 60,
+                                  "delta": 0.3, "seed": 2}},
+                   {"manifest": pencil}]
         config = RunConfig(pipeline="subspace", eps=1e-3, j_max=15,
                            n_train=40, train_seed=3, oracle=True)
-        out = tmp_path / "r"
-        run_pipeline(config, family, str(out), problem_meta=meta)
-        rows = (out / "bounds.csv").read_text().splitlines()[1:]
-        p = family.p
-        for row in rows:
-            parts = row.split(",")
-            lb, slb, sub, ub = (float(parts[p + k]) for k in range(4))
-            oracle = float(parts[p + 8])
-            slack = 1e-8 * (1 + abs(oracle))
-            assert lb <= slb + slack <= oracle + 2 * slack
-            assert oracle <= sub + slack
-            assert sub <= ub + slack
+        for i, source in enumerate(sources):
+            family, meta = load_problem(**source)
+            out = tmp_path / f"r{i}"
+            summary = run_pipeline(config, family, str(out), problem_meta=meta)
+            assert summary["oracle_active"]
+            rows = (out / "bounds.csv").read_text().splitlines()[1:]
+            p = family.p
+            for row in rows:
+                parts = row.split(",")
+                lb, slb, sub, ub = (float(parts[p + k]) for k in range(4))
+                oracle = float(parts[p + 8])
+                slack = 1e-8 * (1 + abs(oracle))
+                assert lb <= slb + slack <= oracle + 2 * slack
+                assert oracle <= sub + slack
+                assert sub <= ub + slack
 
     def test_scm_not_converged_flagged(self, tmp_path):
         family, meta = load_problem(
@@ -275,6 +283,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["field"] == "theta"
 
+    @pytest.mark.parametrize("theta", [
+        "exp(1000*mu1)", "cos(mu1*1e308*10)", "mu1*1e308*10"],
+        ids=["exp-overflow", "cos-of-inf", "product-overflow"])
+    def test_theta_overflow_exit_2_names_field(self, tmp_path, capsys,
+                                               theta):
+        manifest = circle_manifest(tmp_path)
+        with open(manifest) as fh:
+            data = json.load(fh)
+        data["theta"] = [theta, "sin(mu1)"]
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        assert main(["run", "--manifest", manifest, "--out",
+                     str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "theta"
+        assert "theta[0]" in payload["message"]
+
     @pytest.mark.parametrize("where, text", [
         ("manifest", "42"), ("manifest", "null"), ("manifest", "[1, 2]"),
         ("config", "[1]"), ("generator", "42"), ("spec", "[1]")],
@@ -313,10 +339,14 @@ class TestCli:
         ({"kind": "one-param", "gap": float("nan")}, "gap"),
         ({"kind": "random", "delta": "inf"}, "delta"),
         ({"kind": "random", "delta": float("inf")}, "delta"),
+        ({"kind": "random", "delta": 0}, "delta"),
+        ({"kind": "random", "delta": -0.2}, "delta"),
+        ({"kind": "one-param", "gap": 0}, "gap"),
     ], ids=["blocks_x", "blocks_y", "nx", "ny", "one-param-N", "random-N",
             "nx-float", "ny-bool", "random-Q-float", "random-Q-one",
             "random-seed-negative", "gap-nan-string", "gap-nan",
-            "delta-inf-string", "delta-inf"])
+            "delta-inf-string", "delta-inf", "delta-zero", "delta-negative",
+            "gap-zero"])
     def test_generator_size_below_floor_exit_2(self, tmp_path, capsys, spec,
                                                field):
         out = str(tmp_path / "o")

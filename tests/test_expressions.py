@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ def test_sqrt_of_negative_is_evaluation_error():
     expr = parse_theta("sqrt(mu1)")
     with pytest.raises(EvaluationError):
         expr.evaluate([-1.0])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exp(1000*mu1)", "exp of 1000.0 at offset 0: math range error"),
+    ("cos(mu1*1e308*10)", "cos of inf at offset 0: math domain error"),
+    ("mu1*1e308*10", "'mu1*1e308*10' is not finite"),
+], ids=["exp-overflow", "cos-of-inf", "product-overflow"])
+def test_overflow_is_evaluation_error(text, message):
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        parse_theta(text).evaluate([1.0])
 
 
 def test_probe_catches_domain_errors():

@@ -12,7 +12,7 @@ from eigenbounds import (ManifestError, block_grid_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family)
 from eigenbounds.hermitian import ArgumentError
-from eigenbounds.problems import _mixed_stencil_2d
+from eigenbounds.problems import _mixed_stencil_2d, write_problem_files
 from helpers import write_mtx
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
@@ -369,6 +369,18 @@ class TestManifest:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         with pytest.raises(ManifestError) as err:
+            load_family(path)
+        assert err.value.field == "inner_product"
+
+    @pytest.mark.parametrize("pipeline", ["coercivity", "singular"])
+    def test_inner_product_must_be_positive_definite(self, tmp_path,
+                                                     pipeline):
+        path = write_problem_files("one-param", str(tmp_path), spec={"N": 8},
+                                   pipeline=pipeline)
+        write_mtx(tmp_path / "inner_product.mtx",
+                  np.diag([-1.0] + [1.0] * 7))
+        with pytest.raises(ManifestError, match="inner_product.mtx is not "
+                           "positive definite") as err:
             load_family(path)
         assert err.value.field == "inner_product"
 

@@ -41,12 +41,14 @@ class TestUpperBound:
 
     def test_matches_brute_force_enumeration(self):
         fam = random_family(3, 40, delta=0.5, seed=5)
-        state = build_state(fam, [[0.1, 0.2], [0.4, 0.1], [0.3, 0.3]])
+        samples = [[0.1, 0.2], [0.4, 0.1], [0.3, 0.3]]
+        state = build_state(fam, samples)
+        vectors = [solve_at_sample(fam, mu, 1).vectors[:, 0] for mu in samples]
         rng = np.random.default_rng(0)
         for _ in range(10):
             mu = rng.uniform(0.0, 0.5, size=2)
             th = fam.theta_at(mu)
-            brute = min(th @ joint_rayleigh(fam, v) for v in state.vectors)
+            brute = min(th @ joint_rayleigh(fam, v) for v in vectors)
             assert_allclose(upper_bound(state, mu), brute, rtol=1e-12)
 
 
@@ -227,8 +229,8 @@ class TestGradientInterpolation:
                          [-0.2, 0.5], [0.3, 0.1]]
         state = build_state(fam, sample_points)
         errors = {h: [] for h in (1e-3, 1e-4)}
-        for i, mu in enumerate(state.samples):
-            v = state.vectors[i]
+        for mu in state.samples:
+            v = solve_at_sample(fam, mu, 1).vectors[:, 0]
             analytic = theta_grad(mu) @ joint_rayleigh(fam, v)
             for h in errors:
                 fd = np.empty(2)

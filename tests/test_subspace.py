@@ -10,7 +10,7 @@ from eigenbounds import (AffineFamily, RitzData, SubspacePool,
                          f_bound, lower_bound,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
-                         ritz_upper_bound, subspace_greedy,
+                         ritz_upper_bound, solve_at_sample, subspace_greedy,
                          subspace_lower_bound, sweep_bounds,
                          tighten_and_resolve, unit_circle_family)
 from eigenbounds.family import TrainingSet
@@ -195,7 +195,9 @@ class TestPencilPool:
 
     def test_sample_coefficients_rebuild_sample_vectors(self, pencil):
         _, _, pool = pencil
-        for i, v in enumerate(pool.vectors):
+        for i, mu in enumerate(pool.samples):
+            # the solve append_sample made: ell + 1 pairs
+            v = solve_at_sample(pool.family, mu, pool.ell + 1).vectors[:, 0]
             assert_allclose(pool.basis @ pool.coeffs[i][:, 0], v,
                             atol=1e-10)
             assert_allclose(pool.rows[i] @ pool.upper_points[i],
