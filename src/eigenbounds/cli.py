@@ -1,8 +1,11 @@
 """Command-line interface: run, compare, gen.
 
 Failures exit nonzero and print a single machine-readable JSON object to
-stderr; exit code 2 marks configuration/manifest errors, 1 anything else.
-A JSON config file passed with --config overrides the command-line flags.
+stderr.  Exit code 2 marks refused input: an unreadable, undecodable or
+malformed file or JSON argument, whose path (or option) the message names,
+and an invalid field or setting, which a ManifestError names as its
+``field``; 1 marks anything else.  A JSON config file passed with --config
+overrides the command-line flags.
 """
 
 from __future__ import annotations
@@ -13,15 +16,12 @@ import sys
 import typing
 from dataclasses import asdict, fields
 
-from .driver import (ORACLE_CAP, PIPELINES, CompareError, RunConfig,
-                     compare_runs, load_problem, run_pipeline, write_csv)
-from .hermitian import ArgumentError
+from .driver import (ORACLE_CAP, PIPELINES, RunConfig, compare_runs,
+                     load_problem, run_pipeline, write_csv)
 from .problems import (GENERATORS, PIPELINES as PROBLEM_PIPELINES,
-                       ManifestError, json_object, write_problem_files)
+                       ManifestError, read_input, write_problem_files)
 
 __all__ = ["main"]
-
-USAGE_ERRORS = (ManifestError, ArgumentError, CompareError, ValueError)
 
 
 def _error_json(exc):
@@ -74,14 +74,6 @@ def _build_parser():
     return parser
 
 
-def _load_json_arg(text):
-    """The JSON object in ``text``, or in the file ``@path``."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return json_object(json.load(fh))
-    return json_object(json.loads(text))
-
-
 def _fits(value, hint):
     """Whether a JSON value fits a RunConfig annotation: only a bool fits
     bool, and an int also fits float."""
@@ -95,7 +87,7 @@ def _config_from_args(args):
     config = RunConfig(**{f.name: getattr(args, f.name)
                           for f in fields(RunConfig)})
     if args.config:
-        overrides = _load_json_arg("@" + args.config)
+        overrides = read_input(args.config)
         hints = typing.get_type_hints(RunConfig)
         for key, value in overrides.items():
             if key not in hints:
@@ -109,7 +101,8 @@ def _config_from_args(args):
 
 def _cmd_run(args):
     config = _config_from_args(args)
-    generator = _load_json_arg(args.generator) if args.generator else None
+    generator = (read_input("--generator", text=args.generator)
+                 if args.generator else None)
     family, meta = load_problem(manifest=args.manifest, generator=generator)
     summary = run_pipeline(config, family, args.out, problem_meta=meta)
     term = summary["termination"]
@@ -134,7 +127,7 @@ def _cmd_compare(args):
 
 
 def _cmd_gen(args):
-    spec = _load_json_arg(args.spec) if args.spec else {}
+    spec = read_input("--spec", text=args.spec) if args.spec else {}
     path = write_problem_files(args.kind, args.out, spec=spec,
                                pipeline=args.pipeline)
     print(f"wrote {path}")
@@ -147,7 +140,7 @@ def main(argv=None):
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
-    except USAGE_ERRORS as exc:
+    except ValueError as exc:   # every refusal of input is a ValueError
         _error_json(exc)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .family import random_training_set
 from .hermitian import ArgumentError
-from .problems import generate_family, load_family
+from .problems import ManifestError, generate_family, load_family, read_input
 from .scm import scm_greedy
 from .subspace import subspace_greedy
 
@@ -222,15 +222,16 @@ class CompareError(ValueError):
 
 
 def _load_run(path):
-    with open(os.path.join(path, "summary.json"), "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    with open(os.path.join(path, "convergence.csv"), "r", newline="",
-              encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if "max_error_ratio" not in (reader.fieldnames or ()):
-            raise CompareError(f"{path}: convergence.csv has no "
-                               "max_error_ratio column")
-        return summary, [float(row["max_error_ratio"]) for row in reader]
+    try:
+        summary = read_input(os.path.join(path, "summary.json"))
+        reader = csv.DictReader(read_input(
+            os.path.join(path, "convergence.csv"), as_json=False).splitlines())
+    except ManifestError as exc:
+        raise CompareError(exc.reason) from exc
+    if "max_error_ratio" not in (reader.fieldnames or ()):
+        raise CompareError(f"{path}: convergence.csv has no "
+                           "max_error_ratio column")
+    return summary, [float(row["max_error_ratio"]) for row in reader]
 
 
 def compare_runs(dir_a, dir_b):

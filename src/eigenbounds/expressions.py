@@ -216,18 +216,6 @@ def _eval(node, mu):
     return left / right
 
 
-def _pretty(node):
-    if isinstance(node, _Num):
-        return repr(node.value)
-    if isinstance(node, _Var):
-        return f"mu{node.index + 1}"
-    if isinstance(node, _Neg):
-        return f"(-{_pretty(node.arg)})"
-    if isinstance(node, _Call):
-        return f"{node.name}({_pretty(node.arg)})"
-    return f"({_pretty(node.left)} {node.op} {_pretty(node.right)})"
-
-
 @dataclass(frozen=True)
 class ThetaExpression:
     """Parsed coefficient expression over parameters mu1..muP."""
@@ -242,10 +230,6 @@ class ThetaExpression:
             raise EvaluationError(
                 f"expression {self.source!r} is not finite at mu={mu}")
         return value
-
-    def pretty(self):
-        """Fully parenthesized canonical form; re-parsing it evaluates identically."""
-        return _pretty(self.ast)
 
 
 def parse_theta(text, n_params=None):

@@ -150,11 +150,6 @@ class BoundingBox:
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ArgumentError("invalid bounding box intervals")
 
-    def contains(self, point, slack=1e-9):
-        point = np.asarray(point, dtype=float)
-        return bool(np.all(point >= self.lower - slack)
-                    and np.all(point <= self.upper + slack))
-
 
 def compute_bounding_box(family, seed=0):
     """Extreme eigenvalues of every term (pencil), stacked into a BoundingBox.

@@ -108,10 +108,6 @@ class EigenPairs:
     residuals: np.ndarray # (k,) norms of A v - lambda v (or - lambda X v)
     shift_fallback: bool = False  # unshifted: no shift passed the factor test
 
-    @property
-    def count(self):
-        return len(self.values)
-
 
 class HermitianOperator:
     """A self-adjoint matrix on R^n or C^n, stored dense or sparse.

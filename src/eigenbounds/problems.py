@@ -6,6 +6,9 @@ spec table, the coercivity transform attaching a sparse-factored inner
 product to a stiffness family (its eigenproblems become pencils (A(mu), X)),
 the squared-singular-value expansion, and the JSON manifest format backed by
 Matrix Market term files: its loader and the writer of a generator's files.
+Every file and JSON argument from outside the program is read by
+:func:`read_input`, which refuses what it cannot open, decode or parse as a
+:class:`ManifestError` naming the input.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .expressions import (EvaluationError, ParseError, parse_theta,
 from .family import AffineFamily
 from .hermitian import (ArgumentError, DenseHermitian,
                         NotPositiveDefiniteError, cholesky, hermitian)
-from .mmio import read_matrix_market
+from .mmio import MMFormatError, read_matrix_market
 
 __all__ = [
     "ManifestError",
@@ -37,7 +40,7 @@ __all__ = [
     "block_grid_family",
     "coercivity_transform",
     "singular_value_expansion",
-    "json_object",
+    "read_input",
     "GENERATORS",
     "generate_family",
     "load_family",
@@ -53,11 +56,13 @@ BLOCK_COEFF_RANGE = (0.1, 0.5)   # blocks: every parameter's interval
 
 
 class ManifestError(ValueError):
-    """Invalid manifest; ``field`` names the offending entry."""
+    """Refused input: ``field`` names the offending manifest or spec entry
+    ('<json>' for a whole JSON document) and ``reason`` says why."""
 
     def __init__(self, field, message):
         super().__init__(f"manifest field '{field}': {message}")
         self.field = field
+        self.reason = message
 
 
 def _theta_of(exprs):
@@ -265,11 +270,39 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
                         name="singular-value-expansion")
 
 
-def json_object(value):
-    """``value``, the top level of a JSON document, if it is an object."""
-    if not isinstance(value, dict):
+def _unreadable(field, where, exc):
+    """The ManifestError of ``field`` for ``exc``, raised opening, decoding
+    or parsing the input ``where``: a path, or the name of JSON text."""
+    if isinstance(exc, FileNotFoundError):
+        return ManifestError(field, f"file not found: {where}")
+    if isinstance(exc, IsADirectoryError):
+        return ManifestError(field, f"a directory, not a file: {where}")
+    if isinstance(exc, UnicodeDecodeError):
+        return ManifestError(field, f"not UTF-8 text: {where}: {exc.reason} "
+                             f"at byte {exc.start}")
+    if isinstance(exc, json.JSONDecodeError):
+        return ManifestError(field, f"not valid JSON: {where}: {exc}")
+    return ManifestError(field, f"cannot read: {where}: {exc.strerror}")
+
+
+def read_input(path, text=None, as_json=True):
+    """The JSON object in the UTF-8 file ``path``, or the file's text when
+    not ``as_json``.  Given JSON ``text``, the object in it instead, with
+    ``path`` only naming it (an option, say); text ``@file`` names the
+    file to read.  Every failure to open, decode or parse the input is a
+    ManifestError of field '<json>' whose message names the input."""
+    if text is not None and text.startswith("@"):
+        path, text = text[1:], None
+    try:
+        if text is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        value = json.loads(text) if as_json else text
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _unreadable("<json>", path, exc) from exc
+    if as_json and not isinstance(value, dict):
         raise ManifestError("<json>", "top level is not an object but "
-                            f"{type(value).__name__}")
+                            f"{type(value).__name__}: {path}")
     return value
 
 
@@ -335,7 +368,7 @@ GENERATORS = {
 def generate_family(spec):
     """The family of a generator spec, a dict with a "kind" field."""
     kind = spec.get("kind")
-    if kind not in GENERATORS:
+    if not isinstance(kind, str) or kind not in GENERATORS:
         raise ManifestError("kind", f"unknown generator {kind!r}; "
                             f"known: {sorted(GENERATORS)}")
     return GENERATORS[kind](spec)
@@ -356,11 +389,13 @@ def _checked_hermitian(mat, field, rel):
 def _read_manifest_matrix(base, rel, field):
     """The square matrix of manifest field ``field``'s Matrix Market file
     ``rel``, a path absolute or relative to the manifest's directory
-    ``base``."""
-    full = os.path.join(base, rel)
-    if not os.path.exists(full):
-        raise ManifestError(field, f"file not found: {rel}")
-    mat = read_matrix_market(full)
+    ``base``; a malformed file's MMFormatError names ``rel``."""
+    try:
+        mat = read_matrix_market(os.path.join(base, rel))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(field, rel, exc) from exc
+    except MMFormatError as exc:
+        raise MMFormatError(f"{rel}: {exc}") from exc
     if mat.shape[0] != mat.shape[1]:
         raise ManifestError(field, f"{rel} is not square")
     if mat.shape[0] == 0:
@@ -376,11 +411,7 @@ def load_family(path):
     "pipeline": "eig"|"coercivity"|"singular"}.  Term paths are resolved
     relative to the manifest.  Returns (family, metadata).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json_object(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ManifestError("<json>", f"not valid JSON: {exc}") from exc
+    manifest = read_input(path)
     base = os.path.dirname(os.path.abspath(path))
 
     q = _require(manifest, "Q", int, least=1)

@@ -195,14 +195,11 @@ def append_sample(pool, mu_new, seed=0, below=None):
 class RitzData:
     """Leading Ritz block of the projected problem at one parameter."""
 
-    mu: np.ndarray
     r: int
     values: np.ndarray        # the r smallest Ritz values, ascending
     coeffs: np.ndarray        # (dim, r) block: Ritz basis = V @ coeffs
     rho: float | None = None
     eta: float | None = None
-    clamped: bool = False     # r was clamped to the pool dimension
-    chosen: bool = False      # selected by the r-sweep
 
 
 def _hermitian_part(B):
@@ -217,16 +214,13 @@ def ritz_upper_bound(pool, mu, r=1):
     """
     if pool.dim == 0:
         raise ArgumentError("subspace pool is empty")
-    clamped = r > pool.dim
     r = min(r, pool.dim)
     if r < 1:
         raise ArgumentError("r must be at least 1")
     th = pool.family.theta_at(mu)
     H = np.tensordot(th, pool.reduced, axes=1)
     vals, vecs = np.linalg.eigh(0.5 * (H + H.conj().T))
-    return RitzData(mu=np.atleast_1d(np.asarray(mu, dtype=float)), r=r,
-                    values=vals[:r].copy(), coeffs=vecs[:, :r].copy(),
-                    clamped=clamped)
+    return RitzData(r=r, values=vals[:r].copy(), coeffs=vecs[:, :r].copy())
 
 
 def _rho_from_parts(P_block, values):
@@ -426,8 +420,7 @@ def subspace_lower_bound(pool, box, mu, r_max=None):
     out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], sol, r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
-    data = RitzData(mu=mu, r=r, values=vals[:r].copy(),
-                    coeffs=vecs[:, :r].copy(), chosen=True)
+    data = RitzData(r=r, values=vals[:r].copy(), coeffs=vecs[:, :r].copy())
     if r:
         data.rho = float(out["rho"][0])
         data.eta = float(out["eta"][0])

@@ -323,6 +323,87 @@ class TestCli:
         assert payload["field"] == "<json>"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("case", [
+        "manifest-missing", "manifest-directory", "manifest-not-utf8",
+        "manifest-malformed", "term-missing", "term-directory",
+        "generator-malformed", "generator-file-missing", "spec-malformed",
+        "config-missing", "config-malformed", "compare-missing-run",
+        "compare-corrupt-summary"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, case):
+        # every input that cannot be opened, decoded or parsed is refused
+        # with exit 2 and one JSON line naming it, before --out is made
+        out = str(tmp_path / "o")
+        gone = str(tmp_path / "gone.json")
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{bad")
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"Q": "\xe9"}')
+        manifest = circle_manifest(tmp_path)
+        (tmp_path / "circle" / "sub").mkdir()
+        term = {"term-missing": "gone.mtx", "term-directory": "sub"}.get(case)
+        if term:
+            with open(manifest) as fh:
+                data = json.load(fh)
+            data["terms"][1] = term
+            with open(manifest, "w") as fh:
+                json.dump(data, fh)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text("{bad")
+        (run_dir / "convergence.csv").write_text("iter,max_error_ratio\n")
+        run = ["run", "--out", out]
+        gen = ["run", "--generator", '{"kind": "random"}', "--out", out]
+        argv, where, field = {
+            "manifest-missing": (run + ["--manifest", gone], gone, "<json>"),
+            "manifest-directory": (run + ["--manifest", str(run_dir)],
+                                   str(run_dir), "<json>"),
+            "manifest-not-utf8": (run + ["--manifest", str(latin1)],
+                                  str(latin1), "<json>"),
+            "manifest-malformed": (run + ["--manifest", str(malformed)],
+                                   str(malformed), "<json>"),
+            "term-missing": (run + ["--manifest", manifest], term, "terms"),
+            "term-directory": (run + ["--manifest", manifest], term,
+                               "terms"),
+            "generator-malformed": (run + ["--generator", "{bad"],
+                                    "--generator", "<json>"),
+            "generator-file-missing": (run + ["--generator", "@" + gone],
+                                       gone, "<json>"),
+            "spec-malformed": (["gen", "--kind", "random", "--spec", "{bad",
+                                "--out", out], "--spec", "<json>"),
+            "config-missing": (gen + ["--config", gone], gone, "<json>"),
+            "config-malformed": (gen + ["--config", str(malformed)],
+                                 str(malformed), "<json>"),
+            "compare-missing-run": (
+                ["compare", str(tmp_path / "norun"), str(run_dir)],
+                str(tmp_path / "norun"), None),
+            "compare-corrupt-summary": (
+                ["compare", str(run_dir), str(run_dir)],
+                str(run_dir / "summary.json"), None),
+        }[case]
+        assert main(argv) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert where in payload["message"]
+        if field is None:
+            assert payload["error"] == "CompareError"
+        else:
+            assert payload["error"] == "ManifestError"
+            assert payload["field"] == field
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", [["random"], {}, 3],
+                             ids=["list", "object", "number"])
+    def test_generator_kind_not_a_string_exit_2(self, tmp_path, capsys,
+                                                kind):
+        out = str(tmp_path / "o")
+        assert main(["run", "--generator", json.dumps({"kind": kind}),
+                     "--out", out]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "kind"
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("spec, field", [
         ({"kind": "blocks", "blocks_x": 0}, "blocks_x"),
         ({"kind": "blocks", "blocks_y": -2}, "blocks_y"),
@@ -407,6 +488,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "MMFormatError"
         assert "non-finite" in payload["message"]
+        assert "a1.mtx" in payload["message"]
 
     def test_inner_product_with_eig_pipeline_exit_2(self, tmp_path, capsys):
         manifest = circle_manifest(tmp_path)

@@ -44,19 +44,6 @@ def test_against_reference_eval(text):
                         rtol=1e-14, atol=1e-300)
 
 
-def test_pretty_roundtrip_same_evaluation():
-    rng = np.random.default_rng(1)
-    texts = ["sin(mu1)*cos(mu2) - mu1/2", "-(mu1+1)*(mu2-2)",
-             "exp(mu1)/(1 + mu2*mu2)", "sqrt(mu1*mu1 + 1) - 2"]
-    for text in texts:
-        expr = parse_theta(text)
-        again = parse_theta(expr.pretty())
-        for mu in rng.uniform(-1.0, 1.0, size=(100, 2)):
-            a = expr.evaluate(mu)
-            b = again.evaluate(mu)
-            assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
-
-
 def test_unknown_identifier_offset():
     with pytest.raises(ParseError) as err:
         parse_theta("co(mu1)")
