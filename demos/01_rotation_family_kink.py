@@ -11,22 +11,21 @@ every parameter.
 
 import numpy as np
 
-from eigenbounds import (SubspacePool, append_sample, compute_bounding_box,
-                         unit_circle_family)
+from eigenbounds import SubspacePool, append_sample, unit_circle_family
 
 family = unit_circle_family()
-box = compute_bounding_box(family)
+pool = SubspacePool(family, ell=1, r_max=2)     # builds the bounding box
+box = pool.box
 print(f"bounding box: [{box.lower[0]:+.2f},{box.upper[0]:+.2f}] x "
       f"[{box.lower[1]:+.2f},{box.upper[1]:+.2f}]")
 
-pool = SubspacePool(family, ell=1, r_max=2)
 for mu in ([0.0], [np.pi / 2], [np.pi]):
     append_sample(pool, mu)
 
 
 def bounds(mus):
     """The classical and subspace bound columns at the parameters mus."""
-    return pool.bounds_at(box, family.theta_table(np.reshape(mus, (-1, 1))))[0]
+    return pool.bounds_at(family.theta_table(np.reshape(mus, (-1, 1))))[0]
 
 
 mus = np.linspace(0.3, np.pi - 0.3, 13)

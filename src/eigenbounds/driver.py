@@ -31,7 +31,7 @@ __all__ = [
     "write_csv",
 ]
 
-CSV_SCHEMA_VERSION = 2
+CSV_SCHEMA_VERSION = 3
 PIPELINES = ("scm", "subspace", "subspace-heuristic")
 ORACLE_CAP = 800    # largest n that an oracle run solves densely
 
@@ -50,7 +50,7 @@ BOUND_COLUMNS = (
     ("lam_lb", "lam_lb"), ("lam_slb", "lam_slb"), ("lam_sub", "lam_sub"),
     ("lam_ub", "lam_ub"), ("heuristic", "heuristic"), ("residual", "residual"),
     ("chosen_r", "chosen_r"), ("error_ratio", "ratio"),
-    ("oracle_lambda_min", "oracle"),
+    ("oracle_lambda_min", "oracle"), ("ratio_fallback", "ratio_fallback"),
 )
 # summary.json "counts": (key, GreedyRecord attribute of the last record)
 SUMMARY_COUNTS = (
@@ -129,11 +129,7 @@ def heuristic_first_valid(records):
     for rec in records:
         if rec.heuristic_valid is None:
             return None
-        if rec.heuristic_valid:
-            if first is None:
-                first = rec.iteration
-        else:
-            first = None
+        first = (first or rec.iteration) if rec.heuristic_valid else None
     return first
 
 
@@ -149,11 +145,8 @@ def run_pipeline(config, family, outdir, problem_meta=None):
     t0 = time.perf_counter()
     train = random_training_set(family.domain, config.n_train,
                                 config.train_seed)
-    oracle = None
-    oracle_active = False
-    if config.oracle and family.n <= ORACLE_CAP:
-        oracle = _oracle_values(family, train.points)
-        oracle_active = True
+    oracle_active = bool(config.oracle) and family.n <= ORACLE_CAP
+    oracle = _oracle_values(family, train.points) if oracle_active else None
 
     if config.pipeline == "scm":
         result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
@@ -208,7 +201,7 @@ def run_pipeline(config, family, outdir, problem_meta=None):
             if result.records else None,
         "oracle_active": oracle_active,
         "heuristic_first_valid_iteration": heuristic_first_valid(result.records),
-        "box_seconds": result.box_seconds,
+        "box_seconds": result.model.box_seconds,
         "wall_seconds": time.perf_counter() - t0,
     }
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -222,16 +215,31 @@ class CompareError(ValueError):
 
 
 def _load_run(path):
+    # what compare_runs reads, refused as a CompareError naming its file
+    summary_path, curve_path = (os.path.join(path, name) for name in
+                                ("summary.json", "convergence.csv"))
     try:
-        summary = read_input(os.path.join(path, "summary.json"))
-        reader = csv.DictReader(read_input(
-            os.path.join(path, "convergence.csv"), as_json=False).splitlines())
+        summary = read_input(summary_path)
+        reader = csv.DictReader(read_input(curve_path,
+                                           as_json=False).splitlines())
     except ManifestError as exc:
         raise CompareError(exc.reason) from exc
+    for key, kind in (("seeds.train_seed", int), ("training_size", int),
+                      ("problem.domain", list), ("config.pipeline", str),
+                      ("termination.iterations", int),
+                      ("final_max_ratio", (int, float))):
+        value = summary
+        for part in key.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CompareError(f"{summary_path}: missing or mistyped '{key}'")
     if "max_error_ratio" not in (reader.fieldnames or ()):
-        raise CompareError(f"{path}: convergence.csv has no "
-                           "max_error_ratio column")
-    return summary, [float(row["max_error_ratio"]) for row in reader]
+        raise CompareError(f"{curve_path} has no max_error_ratio column")
+    try:
+        return summary, [float(row["max_error_ratio"]) for row in reader]
+    except (TypeError, ValueError) as exc:
+        raise CompareError(f"{curve_path}: a max_error_ratio cell is not a "
+                           f"number: {exc}") from exc
 
 
 def compare_runs(dir_a, dir_b):
@@ -243,11 +251,10 @@ def compare_runs(dir_a, dir_b):
     """
     sum_a, ratios_a = _load_run(dir_a)
     sum_b, ratios_b = _load_run(dir_b)
-    for key in ("train_seed",):
-        if sum_a["seeds"][key] != sum_b["seeds"][key]:
-            raise CompareError(
-                f"training seeds differ ({sum_a['seeds'][key]} vs "
-                f"{sum_b['seeds'][key]}); curves are not comparable")
+    seed_a, seed_b = sum_a["seeds"]["train_seed"], sum_b["seeds"]["train_seed"]
+    if seed_a != seed_b:
+        raise CompareError(f"training seeds differ ({seed_a} vs {seed_b}); "
+                           "curves are not comparable")
     if sum_a["training_size"] != sum_b["training_size"]:
         raise CompareError("training set sizes differ")
     if sum_a["problem"]["domain"] != sum_b["problem"]["domain"]:
@@ -258,13 +265,10 @@ def compare_runs(dir_a, dir_b):
                ratios_a + [None] * (length - len(ratios_a)),
                ratios_b + [None] * (length - len(ratios_b))]
 
-    lines = []
-    lines.append(f"run A: {sum_a['config']['pipeline']}, "
-                 f"{sum_a['termination']['iterations']} iterations, "
-                 f"final ratio {sum_a['final_max_ratio']:.6e}")
-    lines.append(f"run B: {sum_b['config']['pipeline']}, "
-                 f"{sum_b['termination']['iterations']} iterations, "
-                 f"final ratio {sum_b['final_max_ratio']:.6e}")
+    lines = [f"run {label}: {summ['config']['pipeline']}, "
+             f"{summ['termination']['iterations']} iterations, "
+             f"final ratio {summ['final_max_ratio']:.6e}"
+             for label, summ in (("A", sum_a), ("B", sum_b))]
     common = min(len(ratios_a), len(ratios_b))
     if ratios_a[:common] == ratios_b[:common] and len(ratios_a) == len(ratios_b):
         lines.append("curves are identical (zero diff)")

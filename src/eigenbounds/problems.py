@@ -56,11 +56,13 @@ BLOCK_COEFF_RANGE = (0.1, 0.5)   # blocks: every parameter's interval
 
 
 class ManifestError(ValueError):
-    """Refused input: ``field`` names the offending manifest or spec entry
-    ('<json>' for a whole JSON document) and ``reason`` says why."""
+    """Refused input: ``field`` names the offending entry and ``reason``
+    says why, in a message ``field '<field>': <reason>``; for a whole JSON
+    document ('<json>') the message is the reason, which names its input."""
 
     def __init__(self, field, message):
-        super().__init__(f"manifest field '{field}': {message}")
+        super().__init__(message if field == "<json>"
+                         else f"field '{field}': {message}")
         self.field = field
         self.reason = message
 

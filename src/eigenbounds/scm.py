@@ -82,10 +82,9 @@ class GreedyResult:
     converged: bool
     reason: str
     model: ScmState             # or its subclass SubspacePool
-    box: BoundingBox
+    box: BoundingBox            # the model's box
     records: list
     tables: dict                # per-training-point arrays from the final sweep
-    box_seconds: float          # wall time of compute_bounding_box
 
 
 def solve_at_sample(family, mu, k, seed=0, below=None):
@@ -100,25 +99,30 @@ def solve_at_sample(family, mu, k, seed=0, below=None):
 
 
 class ScmState:
-    """Greedy sample set: samples, the joint-Rayleigh points of their
+    """Greedy sample set of one family: its bounding box ``box``, built
+    here in ``box_seconds`` with the solver ``seed`` that every sample
+    solve takes too, the samples, the joint-Rayleigh points of their
     smallest eigenvectors (no n-vector is kept) and the LP constraints
     ``rows @ y >= rhs``, whose right-hand sides are the sampled smallest
-    eigenvalues.  ``shift_fallbacks`` counts the sample solves (and box
-    solves) whose shift failed its positive-definite test; the ``lp_*``
-    counters and ``sweep_seconds`` total the work of :meth:`bounds_at`."""
+    eigenvalues.  ``shift_fallbacks`` counts the box and sample solves
+    whose shift failed its positive-definite test; the ``lp_*`` counters
+    and ``sweep_seconds`` total the work of :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
     ranked = ("lam_lb", "lam_ub")
     # every bound column of bounds_at and its value before the first sample
     unsampled = {"lam_lb": -math.inf, "lam_ub": math.inf}
 
-    def __init__(self, family):
-        self.family = family
+    def __init__(self, family, seed=0):
+        self.family, self.seed = family, seed
         self.samples = []
         self.upper_points = np.zeros((0, family.q))
         self.rows = np.zeros((0, family.q))
         self.rhs = np.zeros(0)
-        self.shift_fallbacks = 0
+        t = time.perf_counter()
+        self.box = compute_bounding_box(family, seed=seed)
+        self.box_seconds = time.perf_counter() - t
+        self.shift_fallbacks = self.box.shift_fallbacks
         self.lp_count = self.lp_pivots = self.lp_degenerate = 0
         self.lp_seconds = self.sweep_seconds = 0.0
 
@@ -145,15 +149,16 @@ class ScmState:
         self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
         self.rhs = np.append(self.rhs, float(value))
 
-    def add_sample(self, mu, seed=0, below=None):
+    def add_sample(self, mu, below=None):
         """Solve for the smallest eigenpair at ``mu`` and append it."""
         if self.has_sample(mu):
             raise ArgumentError("sample already present in the pool")
-        pairs = solve_at_sample(self.family, mu, 1, seed=seed, below=below)
+        pairs = solve_at_sample(self.family, mu, 1, seed=self.seed,
+                                below=below)
         self.shift_fallbacks += pairs.shift_fallback
         self.append(mu, pairs.values[0], pairs.vectors[:, 0])
 
-    def bounds_at(self, box, theta, start=None):
+    def bounds_at(self, theta, start=None):
         """Bounds at the coefficient rows ``theta`` (m, Q).
 
         Returns a dict of per-row arrays (here ``lam_ub`` and the LP bound
@@ -176,7 +181,7 @@ class ScmState:
             return {k: np.full(m, v) for k, v in self.unsampled.items()}, None
         lam_ub = np.min(theta @ self.upper_points.T, axis=1)
         t = time.perf_counter()
-        lam_lb, sols = lower_bound(self, box, None, c=theta, start=start)
+        lam_lb, sols = lower_bound(self, None, c=theta, start=start)
         self.lp_count += (m if start is None
                           else int(np.count_nonzero(sols.row_pivots)))
         self.lp_pivots += sols.pivots
@@ -196,8 +201,8 @@ def upper_bound(state, mu):
     return float(np.min(state.upper_points @ th))
 
 
-def lower_bound(state, box, mu, c=None, start=None):
-    """LP lower bound over the box cut by the sampled constraints.
+def lower_bound(state, mu, c=None, start=None):
+    """LP lower bound over the state's box cut by the sampled constraints.
 
     Returns the bound and the one-row :class:`~eigenbounds.lp.LPBatch` of
     its LP solution.  ``c`` is the objective row theta(mu) when the caller
@@ -208,8 +213,8 @@ def lower_bound(state, box, mu, c=None, start=None):
     """
     if c is None:
         c = state.family.theta_at(mu)
-    problem = LPProblem(c=c, lower=box.lower,
-                        upper=box.upper, rows=state.rows, rhs=state.rhs)
+    problem = LPProblem(c=c, lower=state.box.lower, upper=state.box.upper,
+                        rows=state.rows, rhs=state.rhs)
     sol = lp_minimize(problem, start=start)
     return (sol.value if problem.c.ndim == 2 else float(sol.value[0])), sol
 
@@ -236,37 +241,30 @@ def _ratio_array(lb, ub):
     return out
 
 
-def _greedy(model, train, eps, j_max, *, warm_start, oracle, seed,
+def _greedy(model, train, eps, j_max, *, warm_start, oracle,
             mode="certified"):
     """The greedy loop of both pipelines.
 
-    The loop starts with the bounding box (:func:`compute_bounding_box`,
-    timed in ``box_seconds``; ``eig_count`` starts at the eigensolves it
-    ran), whose terms :func:`~eigenbounds.extreme_eigs` solves.
-    Each iteration solves at the selected parameter (``model.add_sample``),
-    shifted below the selected point's lower bound (``sample_shift``; the
-    first sample where the eigensolver places its own shift), counts one
-    eigensolve, bounds every training point with ``model.bounds_at``,
-    restarted from the previous iteration's LP solutions with
-    ``warm_start``, and picks
-    the point with the worst ratio: the relative gap between the bound
-    columns ``model.ranked``, or with ``mode='heuristic'`` the relative
-    Ritz residual.  The loop stops, not converged, when the worst ratio
-    sits at a parameter already sampled.
+    The loop's clocks and ``eig_count`` start with the model's bounding
+    box.  Each iteration solves at the selected parameter
+    (``model.add_sample``), shifted below the selected point's lower bound
+    (``sample_shift``; the first sample where the eigensolver places its
+    own shift), counts one eigensolve, bounds every training point with
+    ``model.bounds_at``, restarted from the previous iteration's LP
+    solutions with ``warm_start``, and picks the point with the worst
+    ratio: the relative gap between the bound columns ``model.ranked``, or
+    with ``mode='heuristic'`` the relative Ritz residual.  The loop stops,
+    not converged, when the worst ratio sits at a parameter already
+    sampled.
     """
-    family = model.family
     pts = train.points
-    m = len(pts)
-    if m == 0:
+    if len(pts) == 0:
         raise ArgumentError("training set is empty")
-    t0 = time.perf_counter()
-    box = compute_bounding_box(family, seed=seed)
-    box_seconds = eig_seconds = time.perf_counter() - t0
-    model.shift_fallbacks += box.shift_fallbacks
-    eig_count = box.eig_count
-
-    theta_all = family.theta_table(pts)
-    tables, sols = model.bounds_at(box, theta_all)
+    eig_seconds, eig_count = model.box_seconds, model.box.eig_count
+    t0 = time.perf_counter() - eig_seconds
+    theta_all = model.family.theta_table(pts)
+    box_scale = np.maximum(np.abs(model.box.lower), np.abs(model.box.upper))
+    tables, sols = model.bounds_at(theta_all)
     lower, upper = model.ranked
     records = []
     converged = False
@@ -284,12 +282,10 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, seed,
         """
         if model.j == 0:
             return None
-        th = theta_all[i]
         s = tables["lam_lb"][i]
         if "heuristic" in tables:
             s = max(s, tables["heuristic"][i])
-        scale = np.abs(th) @ np.maximum(np.abs(box.lower), np.abs(box.upper))
-        return float(s - SHIFT_MARGIN * scale)
+        return float(s - SHIFT_MARGIN * (np.abs(theta_all[i]) @ box_scale))
 
     def result():
         tabs = {key: col.copy() for key, col in tables.items()}
@@ -299,8 +295,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, seed,
         if oracle is not None:
             tabs["oracle"] = np.asarray(oracle, dtype=float)
         return GreedyResult(converged=converged, reason=reason, model=model,
-                            box=box, records=records, tables=tabs,
-                            box_seconds=box_seconds)
+                            box=model.box, records=records, tables=tabs)
 
     for it in range(1, j_max + 1):
         mu_new = pts[selected]
@@ -311,14 +306,13 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle, seed,
             break
         t = time.perf_counter()
         try:
-            model.add_sample(mu_new, seed=seed,
-                             below=sample_shift(selected))
+            model.add_sample(mu_new, below=sample_shift(selected))
         except EigensolverError as exc:
             reason = f"eigensolver failed at sample {it}: {exc}"
             raise GreedyError(reason, partial=result()) from exc
         eig_seconds += time.perf_counter() - t
         eig_count += 1
-        tables, sols = model.bounds_at(box, theta_all,
+        tables, sols = model.bounds_at(theta_all,
                                        start=sols if warm_start else None)
 
         if mode == "heuristic":
@@ -374,8 +368,8 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """
-    return _greedy(ScmState(family), train, eps, j_max,
-                   warm_start=warm_start, oracle=oracle, seed=seed)
+    return _greedy(ScmState(family, seed=seed), train, eps, j_max,
+                   warm_start=warm_start, oracle=oracle)
 
 
 def worst_case_family(state, y_tilde):
@@ -401,7 +395,7 @@ def worst_case_family(state, y_tilde):
         raise ArgumentError("minimizer length must equal the term count")
     if state.j:
         V, _ = orthonormal_columns(np.column_stack(
-            [solve_at_sample(family, mu, 1).vectors[:, 0]
+            [solve_at_sample(family, mu, 1, seed=state.seed).vectors[:, 0]
              for mu in state.samples]))
     else:
         V = np.zeros((n, 0))

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # bench/tracer.py patches these names in this module, so they stay bound
-# here: the greedy loop in scm calls compute_bounding_box, and nothing
-# calls tighten_and_resolve, the solve-based reference for the sweep's eta.
+# here uncalled: ScmState builds the box through scm's binding, and
+# tighten_and_resolve is the solve-based reference for the sweep's eta.
 from .family import compute_bounding_box  # noqa: F401
 from .hermitian import ArgumentError, orthonormal_columns
 from .lp import dual_bound, tighten_and_resolve  # noqa: F401
@@ -77,12 +77,12 @@ class SubspacePool(ScmState):
                  "lam_sub": math.inf, "heuristic": math.inf,
                  "residual": math.inf, "chosen_r": 0}
 
-    def __init__(self, family, ell=1, r_max=None):
+    def __init__(self, family, ell=1, r_max=None, seed=0):
         if ell < 1:
             raise ArgumentError("ell must be at least 1")
-        super().__init__(family)
         self.ell = int(min(ell, family.n))
         self.r_max = _valid_r_max(r_max, family.q)
+        super().__init__(family, seed=seed)
         n, q = family.n, family.q
         self.sample_values = np.zeros((0, min(self.ell + 1, n)))
         self.coeffs = np.zeros((0, 0, self.ell))
@@ -96,17 +96,17 @@ class SubspacePool(ScmState):
     def dim(self):
         return self.basis.shape[1]
 
-    def add_sample(self, mu, seed=0, below=None):
-        append_sample(self, mu, seed=seed, below=below)
+    def add_sample(self, mu, below=None):
+        append_sample(self, mu, below=below)
 
-    def bounds_at(self, box, theta, start=None):
+    def bounds_at(self, theta, start=None):
         """:meth:`ScmState.bounds_at` plus the :func:`sweep_bounds` columns
         ``lam_slb``, ``lam_sub``, ``residual`` and ``chosen_r``, and the
         residual heuristic ``heuristic`` = ``lam_sub - residual``."""
-        cols, sols = super().bounds_at(box, theta, start=start)
+        cols, sols = super().bounds_at(theta, start=start)
         if sols is not None:
             t = time.perf_counter()
-            out = sweep_bounds(self, box, theta, sols)
+            out = sweep_bounds(self, theta, sols)
             cols.update({key: out[key] for key in ("lam_slb", "lam_sub",
                                                    "residual", "chosen_r")},
                         heuristic=out["lam_sub"] - out["residual"])
@@ -141,7 +141,7 @@ def _bordered(old, cols):
     return out
 
 
-def append_sample(pool, mu_new, seed=0, below=None):
+def append_sample(pool, mu_new, below=None):
     """Solve at a new sample and extend the pool incrementally.
 
     Requests ell+1 eigenvalues (one more than the number of vectors kept:
@@ -150,7 +150,7 @@ def append_sample(pool, mu_new, seed=0, below=None):
     near-dependence, and borders the reduced and cross matrices with the
     new columns only: V*(A_q N) and (A_q V)* X^{-1} (A_p N) for all terms
     at once, with one solve with X for all new columns and terms.
-    ``below`` is the shift of :func:`solve_at_sample`.
+    ``below`` is the :func:`solve_at_sample` shift; the seed is the pool's.
     """
     family = pool.family
     X = family.inner_product
@@ -158,7 +158,7 @@ def append_sample(pool, mu_new, seed=0, below=None):
     if pool.has_sample(mu_new):
         raise ArgumentError("sample already present in the pool")
     k = min(pool.ell + 1, family.n)
-    pairs = solve_at_sample(family, mu_new, k, seed=seed, below=below)
+    pairs = solve_at_sample(family, mu_new, k, seed=pool.seed, below=below)
     pool.shift_fallbacks += pairs.shift_fallback
     vectors = pairs.vectors[:, :pool.ell]
 
@@ -330,7 +330,7 @@ def f_bound(lam_v1, eta, rho):
     return float(out) if out.ndim == 0 else out
 
 
-def _sweep_rows(pool, box, theta, sols, r_max):
+def _sweep_rows(pool, theta, sols, r_max):
     """Subspace bounds for coefficient rows whose LP solutions are known.
 
     The array core of :func:`sweep_bounds`, for one chunk of rows and the
@@ -357,7 +357,7 @@ def _sweep_rows(pool, box, theta, sols, r_max):
     idx = np.where(sols.active < sols.n_rows, sols.active, -1)
     psi = sols.psi[:, None] + np.swapaxes(beta[rows[:, None], idx], 1, 2)
     eta = dual_bound(theta[:, None], sols.z[:, None], sols.theta_mat[:, None],
-                     psi, box.lower, box.upper)
+                     psi, pool.box.lower, pool.box.upper)
     cands = np.hstack([lam_lb[:, None],
                        f_bound(vals[:, :1], eta, rho[:, :r_hi])])
 
@@ -374,13 +374,13 @@ def _sweep_rows(pool, box, theta, sols, r_max):
             "vals": vals, "vecs": vecs}
 
 
-def sweep_bounds(pool, box, theta, sols, r_max=None):
+def sweep_bounds(pool, theta, sols, r_max=None):
     """Subspace bounds at many parameters at once.
 
     ``theta`` (m, Q) holds the parameters' coefficient rows and ``sols``
-    the :class:`~eigenbounds.lp.LPBatch` of their LP solutions over
-    ``box``, one row each (from :func:`~eigenbounds.scm.lower_bound` with
-    ``theta`` as the objective stack).  Each row gets the same bounds
+    the :class:`~eigenbounds.lp.LPBatch` of their LP solutions over the
+    pool's box, one row each (from :func:`~eigenbounds.scm.lower_bound`
+    with ``theta`` as the objective stack).  Each row gets the same bounds
     as :func:`subspace_lower_bound`, from array code run in chunks of at
     most about SWEEP_CHUNK_BYTES, with the pool's ``r_max`` by default.
     Returns a dict of per-row arrays ``lam_slb``, ``lam_lb``, ``chosen_r``,
@@ -396,14 +396,14 @@ def sweep_bounds(pool, box, theta, sols, r_max=None):
     row_bytes = 16 * (3 * d * d + pool.family.q ** 2
                       + 4 * j * min(r_max, d) * pool.ell ** 2)
     step = max(1, SWEEP_CHUNK_BYTES // row_bytes)
-    parts = [_sweep_rows(pool, box, theta[at], sols.take(at), r_max)
+    parts = [_sweep_rows(pool, theta[at], sols.take(at), r_max)
              for at in (slice(lo, lo + step) for lo in range(0, m, step))]
     return {key: np.concatenate([p[key] for p in parts]) if parts else
             np.zeros(0) for key in ("lam_slb", "lam_lb", "chosen_r",
                                     "lam_sub", "residual", "rho", "eta")}
 
 
-def subspace_lower_bound(pool, box, mu, r_max=None):
+def subspace_lower_bound(pool, mu, r_max=None):
     """Best certified lower bound over Ritz-space dimensions r = 0..r_max.
 
     r = 0 reproduces the classical LP lower bound; each r >= 1 combines the
@@ -416,8 +416,8 @@ def subspace_lower_bound(pool, box, mu, r_max=None):
         raise ArgumentError("subspace pool is empty")
     r_max = _valid_r_max(r_max, pool.r_max)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    _, sol = lower_bound(pool, box, mu)
-    out = _sweep_rows(pool, box, pool.family.theta_at(mu)[None], sol, r_max)
+    _, sol = lower_bound(pool, mu)
+    out = _sweep_rows(pool, pool.family.theta_at(mu)[None], sol, r_max)
     r = int(out["chosen_r"][0])
     vals, vecs = out["vals"][0], out["vecs"][0]
     data = RitzData(r=r, values=vals[:r].copy(), coeffs=vecs[:, :r].copy())
@@ -454,6 +454,6 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     """
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    return _greedy(SubspacePool(family, ell=ell, r_max=r_max), train, eps,
-                   j_max, warm_start=warm_start, oracle=oracle, seed=seed,
+    return _greedy(SubspacePool(family, ell=ell, r_max=r_max, seed=seed),
+                   train, eps, j_max, warm_start=warm_start, oracle=oracle,
                    mode=mode)

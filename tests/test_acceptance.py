@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from eigenbounds import (beta_gap, compute_bounding_box, f_bound,
+from eigenbounds import (beta_gap, f_bound,
                          joint_rayleigh, lower_bound,
                          one_parameter_analytic_family, random_family,
                          random_training_set, ritz_upper_bound,
@@ -90,11 +90,10 @@ def desk_scale_runs(tmp_path_factory):
 def test_criterion_01_example_exactness():
     t0 = time.perf_counter()
     fam = unit_circle_family()
-    box = compute_bounding_box(fam)
     state = build_state(fam, [[0.0], [np.pi / 2], [np.pi]])
 
     def lam_lb(mu):
-        return lower_bound(state, box, [mu])[0]
+        return lower_bound(state, [mu])[0]
 
     worst = 0.0
     for mu in np.linspace(np.pi / 4, np.pi / 2, 101):
@@ -139,11 +138,11 @@ def test_criterion_02_cascade(cascade_runs):
 def test_criterion_03_interpolation(cascade_runs):
     worst = 0.0
     for fam, res, _ in cascade_runs[0]:
-        pool, box = res.model, res.box
+        pool = res.model
         for i, mu in enumerate(pool.samples):
             lam = float(np.linalg.eigvalsh(fam.assemble_dense(mu))[0])
-            lb = lower_bound(pool, box, mu)[0]
-            slb = subspace_lower_bound(pool, box, mu)[0]
+            lb = lower_bound(pool, mu)[0]
+            slb = subspace_lower_bound(pool, mu)[0]
             sub = float(ritz_upper_bound(pool, mu, r=1).values[0])
             ub = upper_bound(pool, mu)
             for val in (lb, slb, sub, ub):
@@ -155,7 +154,6 @@ def test_criterion_03_interpolation(cascade_runs):
 @criterion(4, "Hermite gradient interpolation windows")
 def test_criterion_04_gradients():
     fam, theta_grad = make_smooth_family(seed=8)
-    box = compute_bounding_box(fam)
     samples = [[-0.5, -0.4], [0.0, 0.3], [0.45, -0.2], [-0.2, 0.5],
                [0.3, 0.1]]
     for mu in samples:  # verified simple smallest eigenvalue
@@ -175,7 +173,7 @@ def test_criterion_04_gradients():
     bound_fns = {
         "ub": lambda mu: upper_bound(state, mu),
         "sub": lambda mu: float(ritz_upper_bound(pool, mu, r=1).values[0]),
-        "slb": lambda mu: subspace_lower_bound(pool, box, mu, r_max=1)[0],
+        "slb": lambda mu: subspace_lower_bound(pool, mu, r_max=1)[0],
     }
     ratios = {}
     for name, fn in bound_fns.items():
@@ -200,10 +198,10 @@ def test_criterion_05_worst_case_family():
         fam = random_family(2, 20, delta=0.4, seed=seed)
         train = random_training_set(fam.domain, 40, seed=50 + seed)
         res = scm_greedy(fam, train, eps=1e-14, j_max=3)
-        state, box = res.model, res.box
+        state = res.model
         rng = np.random.default_rng(seed)
         mu_t = rng.uniform(0.0, 0.4, size=1)
-        val, sol = lower_bound(state, box, mu_t)
+        val, sol = lower_bound(state, mu_t)
         bar = worst_case_family(state, sol.y)
         err_t = abs(np.linalg.eigvalsh(bar.assemble_dense(mu_t))[0] - val)
         assert err_t <= 1e-8
@@ -264,7 +262,6 @@ def test_criterion_07_beta_validity():
 def test_criterion_08_exponential_convergence():
     t0 = time.perf_counter()
     fam = one_parameter_analytic_family(n=40, gap=1.0, seed=0)
-    box = compute_bounding_box(fam)
     grid = np.linspace(-1.0, 1.0, 150)
     oracle = dense_oracle(fam, grid.reshape(-1, 1))
     js = list(range(2, 15))
@@ -275,7 +272,7 @@ def test_criterion_08_exponential_convergence():
         e_sub = e_slb = 0.0
         for k, mu in enumerate(grid):
             sub = float(ritz_upper_bound(pool, [mu], r=1).values[0])
-            slb = subspace_lower_bound(pool, box, [mu], r_max=1)[0]
+            slb = subspace_lower_bound(pool, [mu], r_max=1)[0]
             e_sub = max(e_sub, sub - oracle[k])
             e_slb = max(e_slb, oracle[k] - slb)
         errs_sub.append(max(e_sub, 1e-16))

@@ -74,7 +74,8 @@ class TestRunPipeline:
         bheader = (out / "bounds.csv").read_text().splitlines()[0]
         assert bheader.split(",") == [
             "mu_1", "lam_lb", "lam_slb", "lam_sub", "lam_ub", "heuristic",
-            "residual", "chosen_r", "error_ratio", "oracle_lambda_min"]
+            "residual", "chosen_r", "error_ratio", "oracle_lambda_min",
+            "ratio_fallback"]
 
     def test_oracle_cascade_in_bounds_table(self, tmp_path):
         # a standard family, and a pencil whose oracle is scipy's eigh(A, X):
@@ -226,7 +227,7 @@ class TestCli:
         assert table(out_a, "bounds.csv")[0] == [
             "mu_1", "mu_2", "lam_lb", "lam_slb", "lam_sub", "lam_ub",
             "heuristic", "residual", "chosen_r", "error_ratio",
-            "oracle_lambda_min"]
+            "oracle_lambda_min", "ratio_fallback"]
         valid = conv[0].index("heuristic_valid")
         assert len(conv) == 7
         assert all(row[valid] in ("1", "0") for row in conv[1:])
@@ -328,7 +329,8 @@ class TestCli:
         "manifest-malformed", "term-missing", "term-directory",
         "generator-malformed", "generator-file-missing", "spec-malformed",
         "config-missing", "config-malformed", "compare-missing-run",
-        "compare-corrupt-summary"])
+        "compare-corrupt-summary", "compare-summary-missing-key",
+        "compare-summary-mistyped-key", "compare-ratio-not-a-number"])
     def test_unreadable_input_exit_2(self, tmp_path, capsys, case):
         # every input that cannot be opened, decoded or parsed is refused
         # with exit 2 and one JSON line naming it, before --out is made
@@ -351,6 +353,22 @@ class TestCli:
         run_dir.mkdir()
         (run_dir / "summary.json").write_text("{bad")
         (run_dir / "convergence.csv").write_text("iter,max_error_ratio\n")
+        # runs whose files parse but hold what compare cannot read
+        summary = {"seeds": {"train_seed": 0}, "training_size": 1,
+                   "problem": {"domain": [[0.0, 1.0]]},
+                   "config": {"pipeline": "scm"},
+                   "termination": {"iterations": 1}, "final_max_ratio": 0.5}
+        odd_runs = {"compare-summary-missing-key": ({}, "1,0.5"),
+                    "compare-summary-mistyped-key": (
+                        {**summary, "training_size": "1"}, "1,0.5"),
+                    "compare-ratio-not-a-number": (summary, "1,abc")}
+        odd_dir = tmp_path / "odd"
+        if case in odd_runs:
+            odd, row = odd_runs[case]
+            odd_dir.mkdir()
+            (odd_dir / "summary.json").write_text(json.dumps(odd))
+            (odd_dir / "convergence.csv").write_text(
+                f"iter,max_error_ratio\n{row}\n")
         run = ["run", "--out", out]
         gen = ["run", "--generator", '{"kind": "random"}', "--out", out]
         argv, where, field = {
@@ -379,6 +397,18 @@ class TestCli:
             "compare-corrupt-summary": (
                 ["compare", str(run_dir), str(run_dir)],
                 str(run_dir / "summary.json"), None),
+            "compare-summary-missing-key": (
+                ["compare", str(odd_dir), str(run_dir)],
+                f"{odd_dir / 'summary.json'}: missing or mistyped "
+                "'seeds.train_seed'", None),
+            "compare-summary-mistyped-key": (
+                ["compare", str(odd_dir), str(run_dir)],
+                f"{odd_dir / 'summary.json'}: missing or mistyped "
+                "'training_size'", None),
+            "compare-ratio-not-a-number": (
+                ["compare", str(odd_dir), str(run_dir)],
+                f"{odd_dir / 'convergence.csv'}: a max_error_ratio cell",
+                None),
         }[case]
         assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
@@ -629,6 +659,21 @@ class TestCli:
 
     def test_unknown_config_field_rejected(self, tmp_path, capsys):
         self._assert_config_field_rejected(tmp_path, capsys, "nonsense")
+
+    def test_config_field_refusal_names_the_field_not_a_manifest(
+            self, tmp_path, capsys):
+        payload = self._assert_config_field_rejected(tmp_path, capsys, "x")
+        assert payload["message"] == "field 'x': unknown config field"
+
+    def test_generator_refusal_gives_its_reason_alone(self, tmp_path,
+                                                      capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--generator", "{bad", "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["field"] == "<json>"
+        assert payload["message"].startswith("not valid JSON: --generator: ")
+        assert "manifest" not in payload["message"]
+        assert not out.exists()
 
     def test_deleted_lazy_sweep_field_rejected(self, tmp_path, capsys):
         self._assert_config_field_rejected(tmp_path, capsys, "lazy_sweep")

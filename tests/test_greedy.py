@@ -1,5 +1,6 @@
 """The greedy loop that classical SCM and the subspace pipeline share."""
 
+import csv
 import importlib
 
 import numpy as np
@@ -11,8 +12,8 @@ import scipy.sparse.linalg as sparse_linalg
 from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
                          GreedyError, ScmState, SubspacePool,
                          block_grid_family, coercivity_transform,
-                         compute_bounding_box, random_family,
-                         random_training_set, scm_greedy, subspace_greedy)
+                         random_family, random_training_set, scm_greedy,
+                         subspace_greedy)
 from eigenbounds import driver, scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 
@@ -115,8 +116,8 @@ def test_box_seconds_is_the_first_part_of_eig_seconds(tmp_path, monkeypatch,
     config = RunConfig(pipeline=pipeline, n_train=20, j_max=3, eps=1e-12)
     summary = run_pipeline(config, fam, str(tmp_path))
     res, = results
-    assert summary["box_seconds"] == res.box_seconds
-    assert 0.0 <= res.box_seconds <= res.records[0].eig_seconds
+    assert summary["box_seconds"] == res.model.box_seconds
+    assert 0.0 <= res.model.box_seconds <= res.records[0].eig_seconds
 
 
 def _grid_pencil():
@@ -426,7 +427,7 @@ def finished_run(request):
 def test_held_out_bounds_certified_at_roundoff_allowance(finished_run):
     pipeline, fam, _, res, allowance = finished_run
     held_out = random_training_set(fam.domain, 100, seed=99).points
-    cols, _ = res.model.bounds_at(res.box, fam.theta_table(held_out))
+    cols, _ = res.model.bounds_at(fam.theta_table(held_out))
     oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
                        for mu in held_out])
     lower, upper = (("lam_lb", "lam_ub") if pipeline == "scm"
@@ -439,7 +440,7 @@ def test_held_out_bounds_certified_at_roundoff_allowance(finished_run):
 def test_cold_bounds_at_training_points_match_the_tables(finished_run):
     # the tables come from restarted LPs, these from cold ones
     pipeline, fam, train, res, _ = finished_run
-    cols, sols = res.model.bounds_at(res.box, fam.theta_table(train.points))
+    cols, sols = res.model.bounds_at(fam.theta_table(train.points))
     assert set(cols) == PIPELINES[pipeline][2]
     assert sols.n_rows == res.model.j
     for key, col in cols.items():
@@ -447,22 +448,59 @@ def test_cold_bounds_at_training_points_match_the_tables(finished_run):
         assert np.all(np.abs(col - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+@pytest.mark.parametrize("make, size, j_max", [
+    (lambda: random_family(4, 120, seed=2), 60, 12),
+    (lambda: block_grid_family(16, 17), 30, 8)], ids=["random", "blocks"])
+@pytest.mark.parametrize("train_seed", [0, 1, 2])
+def test_finished_model_alone_reproduces_the_tables(pipeline, make, size,
+                                                    j_max, train_seed):
+    # the model carries its box, so one call bounds any parameter after
+    # the run; at the training points it gives the run's final table
+    fam = make()
+    train = random_training_set(fam.domain, size, seed=train_seed)
+    res = PIPELINES[pipeline][0](fam, train, eps=1e-12, j_max=j_max)
+    cols, _ = res.model.bounds_at(fam.theta_table(train.points))
+    assert set(cols) == PIPELINES[pipeline][2]
+    for key, col in cols.items():
+        assert np.array_equal(col, res.tables[key]), key
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_ratio_fallback_column_flags_an_upper_bound_below_the_floor(
+        tmp_path, pipeline):
+    # A(mu) = diag(0, mu, 1, 2): the upper bound is exactly 0 for mu > 0
+    # (sample vector e1) and mu for mu < 0 (e2), so both flags occur
+    fam = AffineFamily(terms=(np.diag([0.0, 0.0, 1.0, 2.0]),
+                              np.diag([0.0, 1.0, 0.0, 0.0])),
+                       theta=lambda mu: np.array([1.0, mu[0]]),
+                       domain=((-1.0, 1.0),))
+    config = RunConfig(pipeline=pipeline, n_train=20, j_max=4, eps=1e-12)
+    run_pipeline(config, fam, str(tmp_path))
+    with open(tmp_path / "bounds.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    upper = PIPELINES[pipeline][1].ranked[1]
+    flags = [int(row["ratio_fallback"]) for row in rows]
+    assert flags == [int(abs(float(row[upper])) < scm.RATIO_DENOMINATOR_FLOOR)
+                     for row in rows]
+    assert 0 in flags and 1 in flags
+
+
 def test_bounds_at_rejects_a_start_of_another_sample_count():
     fam = random_family(3, 40, delta=0.3, seed=60)
-    box = compute_bounding_box(fam)
     theta = fam.theta_table(random_training_set(fam.domain, 5, seed=61).points)
     model = ScmState(fam)
-    cols, sols = model.bounds_at(box, theta)
+    cols, sols = model.bounds_at(theta)
     assert sols is None and np.all(np.isinf(cols["lam_lb"]))
     model.add_sample([0.1, 0.1])
-    _, sols = model.bounds_at(box, theta)
+    _, sols = model.bounds_at(theta)
     with pytest.raises(ArgumentError, match="one sample ago"):
-        model.bounds_at(box, theta, start=sols)     # no new sample since
+        model.bounds_at(theta, start=sols)     # no new sample since
     model.add_sample([0.2, 0.05])
     with pytest.raises(ArgumentError, match="one sample ago"):
-        model.bounds_at(box, theta, start=sols.take([0, 1]))
-    warm, _ = model.bounds_at(box, theta, start=sols)
-    cold, _ = model.bounds_at(box, theta)
+        model.bounds_at(theta, start=sols.take([0, 1]))
+    warm, _ = model.bounds_at(theta, start=sols)
+    cold, _ = model.bounds_at(theta)
     assert np.all(np.abs(warm["lam_lb"] - cold["lam_lb"])
                   <= 1e-12 * np.maximum(1.0, np.abs(cold["lam_lb"])))
 

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenbounds import (AffineFamily, ScmState, coercivity_transform,
-                         compute_bounding_box, error_ratio, joint_rayleigh,
-                         lower_bound, random_family, random_training_set,
-                         scm_greedy, solve_at_sample, unit_circle_family,
-                         upper_bound, worst_case_family)
+                         error_ratio, joint_rayleigh, lower_bound,
+                         random_family, random_training_set, scm_greedy,
+                         solve_at_sample, unit_circle_family, upper_bound,
+                         worst_case_family)
 from eigenbounds import scm
 from eigenbounds.family import TrainingSet
 from eigenbounds.hermitian import ArgumentError
@@ -19,19 +19,18 @@ from helpers import build_state, make_smooth_family
 @pytest.fixture(scope="module")
 def circle_state():
     family = unit_circle_family()
-    box = compute_bounding_box(family)
     state = build_state(family, [[0.0], [np.pi / 2], [np.pi]])
-    return family, box, state
+    return family, state
 
 
 class TestUpperBound:
     def test_hand_enumeration(self, circle_state):
-        family, box, state = circle_state
+        family, state = circle_state
         ub = upper_bound(state, [np.pi / 4])
         assert_allclose(ub, -math.sqrt(2) / 2, atol=1e-12)
 
     def test_interpolation_at_samples(self, circle_state):
-        family, box, state = circle_state
+        family, state = circle_state
         for i, mu in enumerate(state.samples):
             assert_allclose(upper_bound(state, mu), state.values[i], atol=1e-10)
 
@@ -54,31 +53,30 @@ class TestUpperBound:
 
 class TestLowerBound:
     def test_piecewise_formula(self, circle_state):
-        family, box, state = circle_state
-        val, _ = lower_bound(state, box, [np.pi / 4])
+        family, state = circle_state
+        val, _ = lower_bound(state, [np.pi / 4])
         assert_allclose(val, -math.sqrt(2), atol=1e-12)
-        val, _ = lower_bound(state, box, [np.pi / 2])
+        val, _ = lower_bound(state, [np.pi / 2])
         assert_allclose(val, -1.0, atol=1e-12)
 
     def test_below_oracle_on_random_family(self):
         fam = random_family(3, 60, delta=0.3, seed=2)
-        box = compute_bounding_box(fam)
         state = build_state(fam, [[0.05, 0.2], [0.25, 0.1]])
         rng = np.random.default_rng(1)
         for _ in range(20):
             mu = rng.uniform(0.0, 0.3, size=2)
-            val, _ = lower_bound(state, box, mu)
+            val, _ = lower_bound(state, mu)
             oracle = np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
             assert val <= oracle + 1e-8
 
     def test_one_sided_derivatives_at_crossing(self, circle_state):
         # the lower bound has a kink between samples: slopes +1 / -1 around
         # pi/2 while the exact eigenvalue derivative is 0
-        family, box, state = circle_state
+        family, state = circle_state
         h = 1e-7
-        mid, _ = lower_bound(state, box, [np.pi / 2])
-        left, _ = lower_bound(state, box, [np.pi / 2 - h])
-        right, _ = lower_bound(state, box, [np.pi / 2 + h])
+        mid, _ = lower_bound(state, [np.pi / 2])
+        left, _ = lower_bound(state, [np.pi / 2 - h])
+        right, _ = lower_bound(state, [np.pi / 2 + h])
         assert_allclose((mid - left) / h, 1.0, atol=1e-6)
         assert_allclose((right - mid) / h, -1.0, atol=1e-6)
 
@@ -186,26 +184,25 @@ class TestInvariantsAgainstOracle:
         fam = random_family(q, n, delta=0.25, seed=seed)
         train = random_training_set(fam.domain, 60, seed=seed + 10)
         res = scm_greedy(fam, train, eps=1e-12, j_max=6)
-        state, box = res.model, res.box
+        state = res.model
         rng = np.random.default_rng(seed)
         for _ in range(50):
             mu = rng.uniform(0.0, 0.25, size=q - 1)
             oracle = np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
             slack = 1e-8 * (1.0 + abs(oracle))
-            lb, _ = lower_bound(state, box, mu)
+            lb, _ = lower_bound(state, mu)
             ub = upper_bound(state, mu)
             assert lb <= oracle + slack
             assert ub >= oracle - slack
         for i, mu in enumerate(state.samples):
             oracle = np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
-            lb, _ = lower_bound(state, box, mu)
+            lb, _ = lower_bound(state, mu)
             ub = upper_bound(state, mu)
             assert abs(lb - oracle) <= 1e-6
             assert abs(ub - oracle) <= 1e-6
 
     def test_monotone_in_j(self):
         fam = random_family(3, 50, delta=0.3, seed=3)
-        box = compute_bounding_box(fam)
         samples = [[0.05, 0.25], [0.2, 0.1], [0.28, 0.22], [0.12, 0.02]]
         probes = np.random.default_rng(4).uniform(0, 0.3, size=(10, 2))
         state = ScmState(fam)
@@ -215,7 +212,7 @@ class TestInvariantsAgainstOracle:
             pairs = solve_at_sample(fam, mu, 1)
             state.append(mu, pairs.values[0], pairs.vectors[:, 0])
             for k, p in enumerate(probes):
-                lb, _ = lower_bound(state, box, p)
+                lb, _ = lower_bound(state, p)
                 ub = upper_bound(state, p)
                 assert lb >= prev_lb[k] - 1e-10
                 assert ub <= prev_ub[k] + 1e-10
@@ -263,11 +260,11 @@ class TestWorstCaseFamily:
         fam = random_family(2, 20, delta=0.4, seed=seed)
         train = random_training_set(fam.domain, 30, seed=seed + 5)
         res = scm_greedy(fam, train, eps=1e-12, j_max=3)
-        state, box = res.model, res.box
+        state = res.model
         rng = np.random.default_rng(seed)
         for trial in range(2):
             mu_t = rng.uniform(0.0, 0.4, size=1)
-            val, sol = lower_bound(state, box, mu_t)
+            val, sol = lower_bound(state, mu_t)
             bar = worst_case_family(state, sol.y)
             w_t = np.linalg.eigvalsh(bar.assemble_dense(mu_t))[0]
             assert abs(w_t - val) <= 1e-8

@@ -6,8 +6,7 @@ from numpy.testing import assert_allclose
 
 from eigenbounds import (AffineFamily, RitzData, SubspacePool,
                          append_sample, beta_gap,
-                         coercivity_transform, compute_bounding_box,
-                         f_bound, lower_bound,
+                         coercivity_transform, f_bound, lower_bound,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
                          ritz_upper_bound, solve_at_sample, subspace_greedy,
@@ -263,10 +262,9 @@ class TestBetaGap:
 class TestEtaEstimate:
     def test_zero_bumps_give_lp_value(self):
         fam = unit_circle_family()
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
         mu = [np.pi / 4]
-        val, sol = lower_bound(pool, box, mu)
+        val, sol = lower_bound(pool, mu)
         (active,) = sol.active
         bumps = {i: 0.0 for i in active[active < sol.n_rows]}
         out = tighten_and_resolve(sol, bumps, fam.theta_at(mu))
@@ -274,12 +272,11 @@ class TestEtaEstimate:
 
     def test_eta_below_complement_minimum(self):
         fam = random_family(3, 40, delta=0.3, seed=12)
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.1, 0.1], [0.25, 0.05], [0.02, 0.22]])
         rng = np.random.default_rng(3)
         for _ in range(10):
             mu = rng.uniform(0, 0.3, size=2)
-            slb, data, sol = subspace_lower_bound(pool, box, mu, r_max=2)
+            slb, data, sol = subspace_lower_bound(pool, mu, r_max=2)
             if data.r == 0:
                 continue
             U = pool.basis @ data.coeffs
@@ -323,33 +320,31 @@ class TestFBound:
 class TestSubspaceLowerBound:
     def test_unit_circle_two_samples_exact(self):
         fam = unit_circle_family()
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
         for mu in np.linspace(0.05, np.pi - 0.05, 15):
-            slb, data, _ = subspace_lower_bound(pool, box, [mu], r_max=1)
+            slb, data, _ = subspace_lower_bound(pool, [mu], r_max=1)
             assert slb <= -1.0 + 1e-9
             assert slb >= -1.0 - 1e-6
 
     def test_sample_interpolation(self):
         fam = random_family(3, 60, delta=0.3, seed=13)
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.1, 0.2], [0.25, 0.02]])
         for i, mu in enumerate(pool.samples):
-            slb, _, _ = subspace_lower_bound(pool, box, mu, r_max=3)
+            slb, _, _ = subspace_lower_bound(pool, mu, r_max=3)
             assert abs(slb - pool.sample_values[i][0]) <= 1e-6
 
     def test_cascade_against_oracle(self):
         fam = random_family(4, 200, delta=0.2, seed=14)
         train = random_training_set(fam.domain, 60, seed=15)
         res = subspace_greedy(fam, train, eps=1e-12, j_max=10)
-        pool, box = res.model, res.box
+        pool = res.model
         rng = np.random.default_rng(5)
         for _ in range(30):
             mu = rng.uniform(0, 0.2, size=3)
             oracle = np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
             slack = 1e-8 * (1 + abs(oracle))
-            lam_lb, sol = lower_bound(pool, box, mu)
-            slb, data, _ = subspace_lower_bound(pool, box, mu)
+            lam_lb, sol = lower_bound(pool, mu)
+            slb, data, _ = subspace_lower_bound(pool, mu)
             rd = ritz_upper_bound(pool, mu, r=1)
             ub = float(np.min(pool.upper_points @ fam.theta_at(mu)))
             assert lam_lb <= slb + slack
@@ -359,27 +354,24 @@ class TestSubspaceLowerBound:
 
     def test_smallest_winning_r_reported(self):
         fam = unit_circle_family()
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
-        slb, data, _ = subspace_lower_bound(pool, box, [1.0], r_max=2)
+        slb, data, _ = subspace_lower_bound(pool, [1.0], r_max=2)
         assert data.r in (0, 1, 2)
 
     @pytest.mark.parametrize("r_max", [-1, -2])
     def test_negative_r_max_rejected(self, r_max):
         fam = unit_circle_family()
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
         with pytest.raises(ArgumentError, match="r_max must be non-negative"):
-            subspace_lower_bound(pool, box, [1.0], r_max=r_max)
+            subspace_lower_bound(pool, [1.0], r_max=r_max)
 
     @pytest.mark.parametrize("r_max", [-1, -2])
     def test_sweep_rejects_negative_r_max(self, r_max):
         fam = unit_circle_family()
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.0], [np.pi / 2]])
-        _, sol = lower_bound(pool, box, [1.0])
+        _, sol = lower_bound(pool, [1.0])
         with pytest.raises(ArgumentError, match="r_max must be non-negative"):
-            sweep_bounds(pool, box, fam.theta_at([1.0])[None], sol,
+            sweep_bounds(pool, fam.theta_at([1.0])[None], sol,
                          r_max=r_max)
         with pytest.raises(ArgumentError, match="r_max must be non-negative"):
             SubspacePool(fam, r_max=r_max)
@@ -488,14 +480,13 @@ class TestComplexHermitianFamily:
         fam = AffineFamily(terms=tuple(terms),
                            theta=lambda mu: np.array([1.0, mu[0]]),
                            domain=((0.0, 0.5),))
-        box = compute_bounding_box(fam)
         pool = build_pool(fam, [[0.1], [0.4]])
         assert np.iscomplexobj(pool.basis)
         for mu in rng.uniform(0.0, 0.5, 10):
             oracle = np.linalg.eigvalsh(fam.assemble_dense([mu]))[0]
             slack = 1e-8 * (1 + abs(oracle))
-            lam_lb, _ = lower_bound(pool, box, [mu])
-            slb, data, _ = subspace_lower_bound(pool, box, [mu], r_max=2)
+            lam_lb, _ = lower_bound(pool, [mu])
+            slb, data, _ = subspace_lower_bound(pool, [mu], r_max=2)
             rd = ritz_upper_bound(pool, [mu], r=1)
             assert lam_lb <= slb + slack
             assert slb <= oracle + slack
@@ -511,7 +502,6 @@ class TestComplexHermitianFamily:
 class TestGradientInterpolation:
     def test_subspace_bounds_gradient_order2(self):
         fam, theta_grad = make_smooth_family(seed=30)
-        box = compute_bounding_box(fam)
         sample_points = [[-0.5, -0.4], [0.0, 0.3], [0.45, -0.2],
                          [-0.2, 0.5], [0.3, 0.1]]
         pool = build_pool(fam, sample_points)
@@ -529,7 +519,7 @@ class TestGradientInterpolation:
             return ritz_upper_bound(pool, mu, r=1).values[0]
 
         def slb_fn(mu):
-            return subspace_lower_bound(pool, box, mu, r_max=1)[0]
+            return subspace_lower_bound(pool, mu, r_max=1)[0]
 
         for i, mu in enumerate(pool.samples):
             mu = np.asarray(mu)

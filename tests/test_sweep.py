@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 
 from eigenbounds import (AffineFamily, LPBatch, LPProblem, SubspacePool,
-                         append_sample, beta_gap, compute_bounding_box,
-                         f_bound, lower_bound, lp_minimize,
+                         append_sample, beta_gap, f_bound, lower_bound,
+                         lp_minimize,
                          one_parameter_analytic_family, random_family,
                          random_training_set, ritz_upper_bound,
                          subspace_greedy, subspace_lower_bound, sweep_bounds,
@@ -117,9 +117,9 @@ def _check_row(new, k, ref, rho2_tol):
     assert abs(new["lam_slb"][k] - ref["lam_slb"]) <= d_rho + _tol(ref["lam_slb"])
 
 
-def _rho2_tol(pool, box, th):
-    norm_a = float(np.sum(np.abs(th) * np.maximum(np.abs(box.lower),
-                                                  np.abs(box.upper))))
+def _rho2_tol(pool, th):
+    norm_a = float(np.sum(np.abs(th) * np.maximum(np.abs(pool.box.lower),
+                                                  np.abs(pool.box.upper))))
     return 16 * pool.dim * U * norm_a ** 2
 
 
@@ -162,9 +162,8 @@ FAMILIES = {
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def problem(request):
     fam = FAMILIES[request.param]()
-    box = compute_bounding_box(fam)
     train = random_training_set(fam.domain, 16, seed=43)
-    return fam, box, train.points
+    return fam, train.points
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -178,7 +177,7 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
     only the rows whose warm start missed: rows of a batch must not
     couple, and bounds kept from a smaller pool stay below the upper bound
     of the grown one."""
-    fam, box, pts = problem
+    fam, pts = problem
     r_max = {"zero": 0, "one": 1, "Q": fam.q}[r_choice]
     m = len(pts)
     theta = fam.theta_table(pts)
@@ -193,13 +192,13 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
                              for i in range(m)])
         idx = np.flatnonzero(~cache_ok) if subset else np.arange(m)
         for i in np.flatnonzero(~cache_ok):
-            _, sols[i] = lower_bound(pool, box, pts[i])
-        new = sweep_bounds(pool, box, theta[idx],
+            _, sols[i] = lower_bound(pool, pts[i])
+        new = sweep_bounds(pool, theta[idx],
                            _stacked([sols[i] for i in idx], pool.j),
                            r_max=r_max)
         for k, i in enumerate(idx):
             ref = _reference_bounds(pool, pts[i], sols[i], r_max)
-            _check_row(new, k, ref, _rho2_tol(pool, box, theta[i]))
+            _check_row(new, k, ref, _rho2_tol(pool, theta[i]))
             lam_slb[i] = new["lam_slb"][k]
         for i in range(m):
             sub = ritz_upper_bound(pool, pts[i]).values[0]
@@ -208,7 +207,6 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
 
 def test_all_box_vertex_gives_the_lp_value():
     fam = FAMILIES["random-q3"]()
-    box = compute_bounding_box(fam)
     pool = SubspacePool(fam)
     for mu in ([0.05, 0.2], [0.25, 0.1], [0.15, 0.28]):
         append_sample(pool, mu)
@@ -216,20 +214,20 @@ def test_all_box_vertex_gives_the_lp_value():
     theta = fam.theta_table(pts)
     sols = []
     for mu in pts:
-        _, sol = lower_bound(pool, box, mu)
+        _, sol = lower_bound(pool, mu)
         assert np.any(sol.active < sol.n_rows)
         sols.append(sol)
     # the LP over the box alone: its active set holds no sample row
-    box_only = lp_minimize(LPProblem(c=theta[0], lower=box.lower,
-                                     upper=box.upper,
+    box_only = lp_minimize(LPProblem(c=theta[0], lower=pool.box.lower,
+                                     upper=pool.box.upper,
                                      rows=np.zeros((0, fam.q)),
                                      rhs=np.zeros(0)))
     assert np.all(box_only.active >= box_only.n_rows)
     sols[0] = box_only
-    new = sweep_bounds(pool, box, theta, _stacked(sols, pool.j), r_max=fam.q)
+    new = sweep_bounds(pool, theta, _stacked(sols, pool.j), r_max=fam.q)
     for k, (mu, sol) in enumerate(zip(pts, sols)):
         ref = _reference_bounds(pool, mu, sol, fam.q)
-        _check_row(new, k, ref, _rho2_tol(pool, box, theta[k]))
+        _check_row(new, k, ref, _rho2_tol(pool, theta[k]))
     # no sample row to shift: eta is the LP value, so r = 0 wins
     assert new["chosen_r"][0] == 0
     assert new["lam_slb"][0] == box_only.value[0]
@@ -244,8 +242,8 @@ def _ill_conditioned_vertex():
     data without the right-hand side, the restart's active set and the
     solution there."""
     fam = random_family(2, 40, delta=0.3, seed=40)
-    box = compute_bounding_box(fam)
     pool = SubspacePool(fam)
+    box = pool.box
     gap = 1e-13
     for mu in ([0.0], [0.1], [0.1 + gap], [0.3]):
         append_sample(pool, mu)
@@ -281,7 +279,7 @@ def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
         return f_bound(lam_v1, eta, rho)
 
     monkeypatch.setattr(subspace, "f_bound", spy)
-    sweep_bounds(pool, box, c[None], sol, r_max=fam.q)
+    sweep_bounds(pool, c[None], sol, r_max=fam.q)
     (eta,) = swept[0]
     assert eta.size == 2
     vals, vecs = np.linalg.eigh(np.tensordot(c, pool.reduced, axes=1))
@@ -297,38 +295,36 @@ def test_ill_conditioned_vertex_eta_below_bumped_lp(monkeypatch):
 
 def test_chunked_sweep_matches_one_chunk(monkeypatch):
     fam = FAMILIES["random-q4"]()
-    box = compute_bounding_box(fam)
     pts = random_training_set(fam.domain, 9, seed=44).points
     theta = fam.theta_table(pts)
     pool = SubspacePool(fam, ell=2)
     for mu in pts[[0, 4, 8]]:
         append_sample(pool, mu)
-    sols = _stacked([lower_bound(pool, box, mu)[1] for mu in pts], pool.j)
-    whole = sweep_bounds(pool, box, theta, sols)
+    sols = _stacked([lower_bound(pool, mu)[1] for mu in pts], pool.j)
+    whole = sweep_bounds(pool, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
-    chunked = sweep_bounds(pool, box, theta, sols)
+    chunked = sweep_bounds(pool, theta, sols)
     for k in range(len(pts)):
         ref = {"lam_lb": whole["lam_lb"][k], "lam_sub": whole["lam_sub"][k],
                "residual": whole["residual"][k], "r": int(whole["chosen_r"][k]),
                "rho": whole["rho"][k], "eta": whole["eta"][k],
                "lam_slb": whole["lam_slb"][k], "cands": None}
         if chunked["chosen_r"][k] == ref["r"]:
-            _check_row(chunked, k, ref, _rho2_tol(pool, box, theta[k]))
+            _check_row(chunked, k, ref, _rho2_tol(pool, theta[k]))
         else:
             assert abs(chunked["lam_slb"][k] - whole["lam_slb"][k]) <= 1e-7
 
 
 def test_one_row_call_matches_batched_row():
     fam = FAMILIES["random-q3"]()
-    box = compute_bounding_box(fam)
     pts = random_training_set(fam.domain, 6, seed=45).points
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
         append_sample(pool, mu)
-    batch = sweep_bounds(pool, box, fam.theta_table(pts), _stacked(
-        [lower_bound(pool, box, mu)[1] for mu in pts], pool.j))
+    batch = sweep_bounds(pool, fam.theta_table(pts), _stacked(
+        [lower_bound(pool, mu)[1] for mu in pts], pool.j))
     for k, mu in enumerate(pts):
-        slb, data, sol = subspace_lower_bound(pool, box, mu)
+        slb, data, sol = subspace_lower_bound(pool, mu)
         assert abs(slb - batch["lam_slb"][k]) <= 1e-9
         assert data.r == batch["chosen_r"][k]
         assert sol.value[0] == batch["lam_lb"][k]
