@@ -1,11 +1,11 @@
 """Command-line interface: run, compare, gen.
 
 Failures exit nonzero and print a single machine-readable JSON object to
-stderr.  Exit code 2 marks refused input: an unreadable, undecodable or
-malformed file or JSON argument, whose path (or option) the message names,
-and an invalid field or setting, which a ManifestError names as its
-``field``; 1 marks anything else.  A JSON config file passed with --config
-overrides the command-line flags.
+stderr.  Exit code 2 marks refused input, flags included: a command line
+argparse refuses, an unreadable or malformed file or JSON argument, each
+named in the message, and an invalid field or setting, which a
+ManifestError names as its ``field``; 1 marks anything else.  A JSON
+config file passed with --config overrides the command-line flags.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from dataclasses import asdict, fields
 
 from .driver import (ORACLE_CAP, PIPELINES, RunConfig, compare_runs,
                      load_problem, run_pipeline, write_csv)
+from .hermitian import ArgumentError
 from .problems import (GENERATORS, PIPELINES as PROBLEM_PIPELINES,
                        ManifestError, read_input, write_problem_files)
 
@@ -31,8 +31,15 @@ def _error_json(exc):
     print(json.dumps(payload), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its refusals instead of exiting."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eigenbounds",
         description="Certified bounds for parametric smallest eigenvalues "
                     "(SCM and subspace-accelerated SCM).")
@@ -74,29 +81,15 @@ def _build_parser():
     return parser
 
 
-def _fits(value, hint):
-    """Whether a JSON value fits a RunConfig annotation: only a bool fits
-    bool, and an int also fits float."""
-    if typing.get_args(hint):       # a union such as int | None
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    return (isinstance(value, (int, float) if hint is float else hint)
-            and isinstance(value, bool) == (hint is bool))
-
-
 def _config_from_args(args):
-    config = RunConfig(**{f.name: getattr(args, f.name)
-                          for f in fields(RunConfig)})
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     if args.config:
         overrides = read_input(args.config)
-        hints = typing.get_type_hints(RunConfig)
-        for key, value in overrides.items():
-            if key not in hints:
-                raise ManifestError(key, "unknown config field")
-            if not _fits(value, hints[key]):
-                raise ManifestError(key, f"wrong type: {value!r}")
-            setattr(config, key, float(value) if hints[key] is float
-                    else value)
-    return config.validate()
+        unknown = [key for key in overrides if key not in settings]
+        if unknown:
+            raise ManifestError(unknown[0], "unknown config field")
+        settings.update(overrides)
+    return RunConfig(**settings)
 
 
 def _cmd_run(args):
@@ -135,10 +128,9 @@ def _cmd_gen(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"run": _cmd_run, "compare": _cmd_compare, "gen": _cmd_gen}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ValueError as exc:   # every refusal of input is a ValueError
         _error_json(exc)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -17,7 +16,8 @@ import scipy.linalg
 
 from .family import random_training_set
 from .hermitian import ArgumentError
-from .problems import ManifestError, generate_family, load_family, read_input
+from .problems import (ManifestError, generate_family, load_family,
+                       read_input, require)
 from .scm import scm_greedy
 from .subspace import subspace_greedy
 
@@ -60,9 +60,11 @@ SUMMARY_COUNTS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Run settings; defaults follow the standard experimental protocol."""
+    """Run settings; defaults follow the standard experimental protocol.
+    A config is checked when it is made, each field by the rule of
+    manifest fields (:func:`~eigenbounds.problems.require`)."""
 
     pipeline: str = "subspace"
     eps: float = 1e-4
@@ -75,20 +77,17 @@ class RunConfig:
     seed: int = 0
     workers: int = 1              # runs are single-threaded; only 1 is valid
 
-    def validate(self):
-        if self.pipeline not in PIPELINES:
-            raise ArgumentError(f"pipeline must be one of {PIPELINES}")
-        if not 0 < self.eps < math.inf:
-            raise ArgumentError("eps must be positive and finite")
-        if self.j_max < 1 or self.n_train < 1 or self.ell < 1:
-            raise ArgumentError("j_max, n_train and ell must be at least 1")
-        for name in ("r_max", "train_seed", "seed"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ArgumentError(f"{name} must be non-negative")
-        if self.workers != 1:
-            raise ArgumentError("workers must be 1")
-        return self
+    def __post_init__(self):
+        for name, kind, rule in (
+                ("pipeline", str, {"choices": PIPELINES}),
+                ("eps", float, {"positive": True}),
+                ("j_max", int, {"least": 1}), ("n_train", int, {"least": 1}),
+                ("train_seed", int, {"least": 0}), ("ell", int, {"least": 1}),
+                ("r_max", int, {"least": 0, "nullable": True}),
+                ("oracle", bool, {}), ("seed", int, {"least": 0}),
+                ("workers", int, {"choices": (1,)})):
+            object.__setattr__(self, name,
+                               require(vars(self), name, kind, **rule))
 
 
 def load_problem(manifest=None, generator=None):
@@ -140,7 +139,6 @@ def run_pipeline(config, family, outdir, problem_meta=None):
     per-training-point bound table) and summary.json; returns the summary
     dict.
     """
-    config.validate()
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     train = random_training_set(family.domain, config.n_train,
@@ -227,12 +225,14 @@ def _load_run(path):
     for key, kind in (("seeds.train_seed", int), ("training_size", int),
                       ("problem.domain", list), ("config.pipeline", str),
                       ("termination.iterations", int),
-                      ("final_max_ratio", (int, float))):
-        value = summary
-        for part in key.split("."):
-            value = value.get(part) if isinstance(value, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise CompareError(f"{summary_path}: missing or mistyped '{key}'")
+                      ("final_max_ratio", float)):
+        section, _, name = key.rpartition(".")
+        try:
+            require(require(summary, section, dict) if section else summary,
+                    name, kind)
+        except ManifestError as exc:
+            raise CompareError(f"{summary_path}: missing or mistyped "
+                               f"'{key}': {exc.reason}") from exc
     if "max_error_ratio" not in (reader.fieldnames or ()):
         raise CompareError(f"{curve_path} has no max_error_ratio column")
     try:

@@ -41,6 +41,7 @@ __all__ = [
     "coercivity_transform",
     "singular_value_expansion",
     "read_input",
+    "require",
     "GENERATORS",
     "generate_family",
     "load_family",
@@ -309,8 +310,11 @@ def read_input(path, text=None, as_json=True):
 
 
 def _not_a(kind, value):
-    """Why ``value`` is not a ``kind``, an int (never a bool) or, for
-    ``float``, a finite int or float; None if it is one."""
+    """Why ``value`` is not a ``kind``: an int (never a bool), for ``float``
+    a finite int or float, else an instance; None if it is one."""
+    if kind not in (int, float):
+        return (None if isinstance(value, kind) else
+                f"expected {kind.__name__}, got {type(value).__name__}")
     if (not isinstance(value, (int, float) if kind is float else int)
             or isinstance(value, bool)):
         return (f"expected {'number' if kind is float else 'integer'}, "
@@ -320,23 +324,24 @@ def _not_a(kind, value):
     return None
 
 
-def _require(manifest, field, kind, length=None, default=None, least=None,
-             positive=False):
-    """``manifest[field]`` if it is a ``kind``: an int (never a bool), a
-    finite int or float (``float``, returned as a float) or a list of
-    ``length``; refused below ``least``, and at or below 0 when
-    ``positive``.  An absent field is ``default``, and refused when that
-    is None."""
-    if field not in manifest:
-        if default is None:
+def require(record, field, kind, length=None, default=None, least=None,
+            positive=False, choices=None, nullable=False):
+    """``record[field]`` if it is a ``kind`` as :func:`_not_a` says (an int
+    in a ``float`` field comes back as a float, a NumPy scalar as its
+    Python value) of ``length``, not below ``least``, above 0 when
+    ``positive`` and one of ``choices``, or None when ``nullable``; else a
+    ManifestError naming ``field``.  An absent field is ``default``,
+    refused when that is None and not ``nullable``."""
+    if field not in record:
+        if default is None and not nullable:
             raise ManifestError(field, "missing")
         return default
-    value = manifest[field]
-    if kind is list:
-        if not isinstance(value, list):
-            raise ManifestError(field,
-                                f"expected list, got {type(value).__name__}")
-    elif (why := _not_a(kind, value)) is not None:
+    value = record[field]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if value is None and nullable:
+        return None
+    if (why := _not_a(kind, value)) is not None:
         raise ManifestError(field, why)
     if length is not None and len(value) != length:
         raise ManifestError(field, f"expected length {length}, got {len(value)}")
@@ -344,6 +349,8 @@ def _require(manifest, field, kind, length=None, default=None, least=None,
         raise ManifestError(field, f"must be at least {least}, got {value}")
     if positive and not value > 0:
         raise ManifestError(field, f"must be positive, got {value}")
+    if choices is not None and value not in choices:
+        raise ManifestError(field, f"must be one of {choices}, got {value!r}")
     return float(value) if kind is float else value
 
 
@@ -351,28 +358,25 @@ def _require(manifest, field, kind, length=None, default=None, least=None,
 GENERATORS = {
     "unit-circle": lambda spec: unit_circle_family(),
     "random": lambda spec: random_family(
-        q=_require(spec, "Q", int, default=4, least=2),
-        n=_require(spec, "N", int, default=200, least=1),
-        delta=_require(spec, "delta", float, default=0.2, positive=True),
-        seed=_require(spec, "seed", int, default=0, least=0)),
+        q=require(spec, "Q", int, default=4, least=2),
+        n=require(spec, "N", int, default=200, least=1),
+        delta=require(spec, "delta", float, default=0.2, positive=True),
+        seed=require(spec, "seed", int, default=0, least=0)),
     "one-param": lambda spec: one_parameter_analytic_family(
-        n=_require(spec, "N", int, default=40, least=2),
-        gap=_require(spec, "gap", float, default=1.0, positive=True),
-        seed=_require(spec, "seed", int, default=0, least=0)),
+        n=require(spec, "N", int, default=40, least=2),
+        gap=require(spec, "gap", float, default=1.0, positive=True),
+        seed=require(spec, "seed", int, default=0, least=0)),
     "blocks": lambda spec: block_grid_family(
-        nx=_require(spec, "nx", int, default=32, least=1),
-        ny=_require(spec, "ny", int, default=33, least=1),
-        blocks=(_require(spec, "blocks_x", int, default=3, least=1),
-                _require(spec, "blocks_y", int, default=3, least=1))),
+        nx=require(spec, "nx", int, default=32, least=1),
+        ny=require(spec, "ny", int, default=33, least=1),
+        blocks=(require(spec, "blocks_x", int, default=3, least=1),
+                require(spec, "blocks_y", int, default=3, least=1))),
 }
 
 
 def generate_family(spec):
     """The family of a generator spec, a dict with a "kind" field."""
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in GENERATORS:
-        raise ManifestError("kind", f"unknown generator {kind!r}; "
-                            f"known: {sorted(GENERATORS)}")
+    kind = require(spec, "kind", str, choices=tuple(sorted(GENERATORS)))
     return GENERATORS[kind](spec)
 
 
@@ -416,25 +420,24 @@ def load_family(path):
     manifest = read_input(path)
     base = os.path.dirname(os.path.abspath(path))
 
-    q = _require(manifest, "Q", int, least=1)
-    p = _require(manifest, "P", int, least=1)
-    domain_raw = _require(manifest, "domain", list, length=p)
+    q = require(manifest, "Q", int, least=1)
+    p = require(manifest, "P", int, least=1)
+    domain_raw = require(manifest, "domain", list, length=p)
     domain = []
     for k, pair in enumerate(domain_raw):
         if (not isinstance(pair, list) or len(pair) != 2
                 or any(_not_a(float, v) for v in pair) or pair[0] > pair[1]):
             raise ManifestError("domain", f"entry {k} is not a valid interval")
         domain.append((float(pair[0]), float(pair[1])))
-    theta_raw = _require(manifest, "theta", list, length=q)
-    terms_raw = _require(manifest, "terms", list, length=q)
-    pipeline = manifest.get("pipeline", "eig")
-    if pipeline not in PIPELINES:
-        raise ManifestError("pipeline", f"must be one of {PIPELINES}")
+    theta_raw = require(manifest, "theta", list, length=q)
+    terms_raw = require(manifest, "terms", list, length=q)
+    pipeline = require(manifest, "pipeline", str, default="eig",
+                       choices=PIPELINES)
 
     exprs = []
     for k, text in enumerate(theta_raw):
-        if not isinstance(text, str):
-            raise ManifestError("theta", f"entry {k} is not a string")
+        if (why := _not_a(str, text)) is not None:
+            raise ManifestError("theta", f"entry {k}: {why}")
         try:
             exprs.append(parse_theta(text, n_params=p))
         except ParseError as exc:
@@ -447,8 +450,8 @@ def load_family(path):
     matrices = []
     n = None
     for k, rel in enumerate(terms_raw):
-        if not isinstance(rel, str):
-            raise ManifestError("terms", f"entry {k} is not a string")
+        if (why := _not_a(str, rel)) is not None:
+            raise ManifestError("terms", f"entry {k}: {why}")
         mat = _read_manifest_matrix(base, rel, "terms")
         if n is None:
             n = mat.shape[0]
@@ -458,13 +461,11 @@ def load_family(path):
         matrices.append((mat, rel))
 
     inner = None
-    rel = manifest.get("inner_product")
+    rel = require(manifest, "inner_product", str, nullable=True)
     if rel is not None:
         if pipeline == "eig":
             raise ManifestError("inner_product", "the eig pipeline takes "
                                 "none; use coercivity or singular")
-        if not isinstance(rel, str):
-            raise ManifestError("inner_product", "not a string")
         inner = _read_manifest_matrix(base, rel, "inner_product")
         if inner.shape[0] != n:
             raise ManifestError("inner_product",

