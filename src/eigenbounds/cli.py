@@ -135,7 +135,7 @@ def main(argv=None):
     except ValueError as exc:   # every refusal of input is a ValueError
         _error_json(exc)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:    # an internal failure, not refused input
         _error_json(exc)
         return 1
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.linalg
 
+from .expressions import EvaluationError
 from .family import random_training_set
 from .hermitian import ArgumentError
 from .problems import (ManifestError, generate_family, load_family,
@@ -135,28 +136,33 @@ def heuristic_first_valid(records):
 def run_pipeline(config, family, outdir, problem_meta=None):
     """Run the configured pipeline and write artifacts into ``outdir``.
 
-    Writes convergence.csv (one row per greedy iteration), bounds.csv (final
-    per-training-point bound table) and summary.json; returns the summary
-    dict.
+    After the run, makes ``outdir`` and writes convergence.csv (a row per
+    iteration), bounds.csv (final per-training-point bounds) and summary.json;
+    returns the summary dict.  A compiled theta that fails at a training
+    point, which its load-time probe missed, is refused as a ManifestError.
     """
-    os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     train = random_training_set(family.domain, config.n_train,
                                 config.train_seed)
     oracle_active = bool(config.oracle) and family.n <= ORACLE_CAP
-    oracle = _oracle_values(family, train.points) if oracle_active else None
+    try:
+        oracle = (_oracle_values(family, train.points) if oracle_active
+                  else None)
+        if config.pipeline == "scm":
+            result = scm_greedy(family, train, eps=config.eps,
+                                j_max=config.j_max, oracle=oracle,
+                                seed=config.seed)
+        else:
+            result = subspace_greedy(
+                family, train, eps=config.eps, j_max=config.j_max,
+                ell=config.ell, r_max=config.r_max,
+                mode=("heuristic" if config.pipeline == "subspace-heuristic"
+                      else "certified"),
+                oracle=oracle, seed=config.seed)
+    except EvaluationError as exc:
+        raise ManifestError("theta", str(exc)) from exc
 
-    if config.pipeline == "scm":
-        result = scm_greedy(family, train, eps=config.eps, j_max=config.j_max,
-                            oracle=oracle, seed=config.seed)
-    else:
-        mode = "heuristic" if config.pipeline == "subspace-heuristic" \
-            else "certified"
-        result = subspace_greedy(
-            family, train, eps=config.eps, j_max=config.j_max,
-            ell=config.ell, r_max=config.r_max, mode=mode, oracle=oracle,
-            seed=config.seed)
-
+    os.makedirs(outdir, exist_ok=True)
     mu_cols = [f"mu_{k + 1}" for k in range(family.p)]
     recs, tabs = result.records, result.tables
     mus = np.reshape([rec.selected_mu for rec in recs], (len(recs), family.p))

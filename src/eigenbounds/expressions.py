@@ -3,7 +3,8 @@
 The grammar covers what coefficient functions in affine decompositions
 need: numeric literals, parameter variables mu1..muP, the four arithmetic
 operators with unary minus, and the functions cos, sin, exp, sqrt.  Parse
-errors report the byte offset and the expected token set.
+errors report the byte offset and the expected token set.  A :class:`Theta`
+is the coefficient map mu -> R^Q of Q parsed expressions.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ParseError", "EvaluationError", "ThetaExpression", "parse_theta",
-           "probe_expressions"]
+__all__ = ["ParseError", "EvaluationError", "ThetaExpression", "Theta",
+           "parse_theta", "compile_theta", "probe_expressions"]
 
 PROBE_COUNT = 100   # random domain points probe_expressions evaluates at
 PROBE_SEED = 0
@@ -238,20 +239,39 @@ def parse_theta(text, n_params=None):
     return ThetaExpression(source=text, ast=parser.parse())
 
 
-def probe_expressions(exprs, domain):
-    """Evaluate expressions at PROBE_COUNT random domain points (drawn with
-    PROBE_SEED) to surface domain errors.
+@dataclass(frozen=True)
+class Theta:
+    """The coefficient map of the parsed expressions ``exprs``; entry k
+    fails as an EvaluationError ``theta[k] = '<source>': <reason>``."""
 
-    Raises the first EvaluationError encountered, annotated with the
-    offending expression index; returns None on success.
-    """
-    rng = np.random.default_rng(PROBE_SEED)
-    dom = np.asarray(domain, dtype=float)
-    pts = rng.uniform(dom[:, 0], dom[:, 1], size=(PROBE_COUNT, dom.shape[0]))
-    for k, ex in enumerate(exprs):
-        for mu in pts:
+    exprs: tuple
+
+    @property
+    def sources(self):
+        return tuple(e.source for e in self.exprs)
+
+    def __call__(self, mu):
+        values = []
+        for k, ex in enumerate(self.exprs):
             try:
-                ex.evaluate(mu)
+                values.append(ex.evaluate(mu))
             except EvaluationError as exc:
                 raise EvaluationError(
                     f"theta[{k}] = {ex.source!r}: {exc}") from exc
+        return np.array(values)
+
+
+def compile_theta(sources, n_params):
+    """The :class:`Theta` of expression strings over mu1..mu<n_params>."""
+    return Theta(tuple(parse_theta(s, n_params=n_params) for s in sources))
+
+
+def probe_expressions(theta, domain):
+    """Evaluate the :class:`Theta` ``theta`` at PROBE_COUNT random domain
+    points (drawn with PROBE_SEED) to surface domain errors: the first
+    EvaluationError, naming its entry, propagates."""
+    rng = np.random.default_rng(PROBE_SEED)
+    dom = np.asarray(domain, dtype=float)
+    pts = rng.uniform(dom[:, 0], dom[:, 1], size=(PROBE_COUNT, dom.shape[0]))
+    for mu in pts:
+        theta(mu)

@@ -31,16 +31,14 @@ class AffineFamily:
     """Hermitian terms plus the coefficient map theta: D -> R^Q.
 
     ``theta`` maps a parameter point (array of length P) to the Q
-    coefficients.  ``domain`` lists the per-coordinate intervals of the
-    parameter box D.  ``theta_source`` optionally carries expression strings
-    for the coefficients, used for manifest emission.  ``inner_product``
-    optionally holds the SpdFactor of the inner-product matrix X.
+    coefficients; a compiled :class:`~eigenbounds.expressions.Theta` also
+    holds their strings, ``theta_source``.  ``domain`` lists the intervals
+    of the parameter box D, ``inner_product`` optionally the SpdFactor of X.
     """
 
     terms: tuple
     theta: object
     domain: tuple
-    theta_source: tuple | None = None
     name: str = ""
     inner_product: object = None
 
@@ -58,6 +56,10 @@ class AffineFamily:
         if any(lo > hi for lo, hi in dom):
             raise ArgumentError("empty domain interval")
         object.__setattr__(self, "domain", dom)
+
+    @property
+    def theta_source(self):
+        return getattr(self.theta, "sources", None)
 
     @property
     def q(self):

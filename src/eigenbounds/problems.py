@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import scipy.io
@@ -24,8 +25,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg
 
-from .expressions import (EvaluationError, ParseError, parse_theta,
-                          probe_expressions)
+from .expressions import (EvaluationError, ParseError, Theta, compile_theta,
+                          parse_theta, probe_expressions)
 from .family import AffineFamily
 from .hermitian import (ArgumentError, DenseHermitian,
                         NotPositiveDefiniteError, cholesky, hermitian)
@@ -33,7 +34,6 @@ from .mmio import MMFormatError, read_matrix_market
 
 __all__ = [
     "ManifestError",
-    "theta_from_expressions",
     "unit_circle_family",
     "random_family",
     "one_parameter_analytic_family",
@@ -68,21 +68,6 @@ class ManifestError(ValueError):
         self.reason = message
 
 
-def _theta_of(exprs):
-    """The coefficient map mu -> R^Q of parsed expressions."""
-    exprs = tuple(exprs)
-
-    def theta(mu):
-        return np.array([e.evaluate(mu) for e in exprs])
-
-    return theta
-
-
-def theta_from_expressions(sources, n_params):
-    """Compile expression strings into a coefficient map mu -> R^Q."""
-    return _theta_of(parse_theta(s, n_params=n_params) for s in sources)
-
-
 def unit_circle_family():
     """2x2 rotation family cos(mu) A1 + sin(mu) A2 on [0, pi].
 
@@ -92,11 +77,9 @@ def unit_circle_family():
     """
     a1 = np.array([[1.0, 0.0], [0.0, -1.0]])
     a2 = np.array([[0.0, -1.0], [-1.0, 0.0]])
-    sources = ("cos(mu1)", "sin(mu1)")
-    theta = theta_from_expressions(sources, n_params=1)
-    return AffineFamily(terms=(a1, a2), theta=theta,
-                        domain=((0.0, np.pi),), theta_source=sources,
-                        name="unit-circle")
+    return AffineFamily(terms=(a1, a2),
+                        theta=compile_theta(("cos(mu1)", "sin(mu1)"), 1),
+                        domain=((0.0, np.pi),), name="unit-circle")
 
 
 def random_family(q, n, delta=0.2, seed=0):
@@ -112,11 +95,10 @@ def random_family(q, n, delta=0.2, seed=0):
     for _ in range(q):
         g = rng.standard_normal((n, n))
         terms.append(0.5 * (g + g.T))
-    sources = ("1",) + tuple(f"mu{k}" for k in range(1, q))
-    theta = theta_from_expressions(sources, n_params=q - 1)
+    theta = compile_theta(["1", *(f"mu{k}" for k in range(1, q))], q - 1)
     domain = tuple((0.0, float(delta)) for _ in range(q - 1))
     return AffineFamily(terms=tuple(terms), theta=theta, domain=domain,
-                        theta_source=sources, name=f"random-q{q}-n{n}")
+                        name=f"random-q{q}-n{n}")
 
 
 def one_parameter_analytic_family(n=40, gap=1.0, seed=0):
@@ -133,8 +115,7 @@ def one_parameter_analytic_family(n=40, gap=1.0, seed=0):
     if gap <= 0:
         raise ArgumentError("gap must be positive")
     rng = np.random.default_rng(seed)
-    sources = ("1", "mu1", "mu1*mu1/2")
-    theta = theta_from_expressions(sources, n_params=1)
+    theta = compile_theta(("1", "mu1", "mu1*mu1/2"), 1)
     mus = np.linspace(-1.0, 1.0, GAP_GRID)
     for _ in range(GAP_ATTEMPTS):
         base = np.concatenate([[0.0, 1.5 * gap],
@@ -148,8 +129,7 @@ def one_parameter_analytic_family(n=40, gap=1.0, seed=0):
         a2 = scale * 0.5 * (g2 + g2.T) / np.sqrt(n)
         a3 = scale * 0.5 * (g3 + g3.T) / np.sqrt(n)
         fam = AffineFamily(terms=(a1, a2, a3), theta=theta,
-                           domain=((-1.0, 1.0),), theta_source=sources,
-                           name="one-parameter-analytic")
+                           domain=((-1.0, 1.0),), name="one-parameter-analytic")
         ok = True
         for mu in mus:
             w = np.linalg.eigvalsh(fam.assemble_dense([mu]))
@@ -205,11 +185,9 @@ def block_grid_family(nx=32, ny=33, blocks=(3, 3)):
         term = (D @ mixed @ D).tocsr()
         terms.append(term)
     q = gx * gy + 1
-    sources = ("1",) + tuple(f"mu{k}" for k in range(1, q))
-    theta = theta_from_expressions(sources, n_params=q - 1)
+    theta = compile_theta(["1", *(f"mu{k}" for k in range(1, q))], q - 1)
     domain = (BLOCK_COEFF_RANGE,) * (q - 1)
     return AffineFamily(terms=tuple(terms), theta=theta, domain=domain,
-                        theta_source=sources,
                         name=f"block-grid-{nx}x{ny}-{gx}x{gy}")
 
 
@@ -221,11 +199,8 @@ def coercivity_transform(family, X):
     terms are kept as they are; X enters through its sparse factor
     (:func:`~eigenbounds.hermitian.cholesky`).
     """
-    return AffineFamily(terms=family.terms, theta=family.theta,
-                        domain=family.domain,
-                        theta_source=family.theta_source,
-                        name=family.name + ":coercivity",
-                        inner_product=cholesky(X))
+    return replace(family, name=family.name + ":coercivity",
+                   inner_product=cholesky(X))
 
 
 def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
@@ -257,20 +232,16 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
     C = [solve(solve(B.T).T) for B in mats]
     terms = []
     pair_sources = []
-    p = len(domain)
     src = list(theta_sources)
     for i in range(q):
         for j in range(i, q):
-            if i == j:
-                terms.append(DenseHermitian(C[i].T @ C[i]))
-                pair_sources.append(f"({src[i]})*({src[i]})")
-            else:
-                terms.append(DenseHermitian(C[i].T @ C[j] + C[j].T @ C[i]))
-                pair_sources.append(f"({src[i]})*({src[j]})")
-    theta = theta_from_expressions(tuple(pair_sources), n_params=p)
-    return AffineFamily(terms=tuple(terms), theta=theta, domain=tuple(domain),
-                        theta_source=tuple(pair_sources),
-                        name="singular-value-expansion")
+            pair = C[i].T @ C[j]
+            terms.append(DenseHermitian(pair if i == j
+                                        else pair + C[j].T @ C[i]))
+            pair_sources.append(f"({src[i]})*({src[j]})")
+    return AffineFamily(terms=tuple(terms),
+                        theta=compile_theta(pair_sources, len(domain)),
+                        domain=tuple(domain), name="singular-value-expansion")
 
 
 def _unreadable(field, where, exc):
@@ -442,8 +413,9 @@ def load_family(path):
             exprs.append(parse_theta(text, n_params=p))
         except ParseError as exc:
             raise ManifestError("theta", f"entry {k}: {exc}") from exc
+    theta = Theta(tuple(exprs))
     try:
-        probe_expressions(exprs, domain)
+        probe_expressions(theta, domain)
     except EvaluationError as exc:
         raise ManifestError("theta", str(exc)) from exc
 
@@ -479,18 +451,16 @@ def load_family(path):
             inner = sparse.eye(n).tocsr()
         try:
             return singular_value_expansion([m for m, _ in matrices],
-                                            [e.source for e in exprs],
-                                            domain, inner), meta
+                                            theta.sources, domain,
+                                            inner), meta
         except np.linalg.LinAlgError as exc:    # only its Cholesky of X
             raise ManifestError("inner_product",
                                 f"{rel} is not positive definite") from exc
 
     wrapped = [_checked_hermitian(mat, "terms", rel)
                for mat, rel in matrices]
-    fam = AffineFamily(terms=tuple(wrapped), theta=_theta_of(exprs),
-                       domain=tuple(domain),
-                       theta_source=tuple(e.source for e in exprs),
-                       name=os.path.basename(path))
+    fam = AffineFamily(terms=tuple(wrapped), theta=theta,
+                       domain=tuple(domain), name=os.path.basename(path))
     if pipeline == "coercivity":
         if inner is None:
             raise ManifestError("inner_product",

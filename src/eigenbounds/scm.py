@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .family import (AffineFamily, BoundingBox, compute_bounding_box,
-                     joint_rayleigh)
+from .family import compute_bounding_box, joint_rayleigh
 # dense_smallest is not called here but stays bound: bench/tracer.py counts
 # the sample eigensolves through scm.dense_smallest and scm.smallest_eigpairs
 # (tests/test_bench_bindings.py checks that both names exist).
@@ -82,9 +81,13 @@ class GreedyResult:
     converged: bool
     reason: str
     model: ScmState             # or its subclass SubspacePool
-    box: BoundingBox            # the model's box
     records: list
     tables: dict                # per-training-point arrays from the final sweep
+
+    @property
+    def box(self):
+        """The model's bounding box."""
+        return self.model.box
 
 
 def solve_at_sample(family, mu, k, seed=0, below=None):
@@ -295,7 +298,7 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle,
         if oracle is not None:
             tabs["oracle"] = np.asarray(oracle, dtype=float)
         return GreedyResult(converged=converged, reason=reason, model=model,
-                            box=model.box, records=records, tables=tabs)
+                            records=records, tables=tabs)
 
     for it in range(1, j_max + 1):
         mu_new = pts[selected]
@@ -406,6 +409,5 @@ def worst_case_family(state, y_tilde):
     for qi, term in enumerate(family.terms):
         A = term.dense()
         terms.append(DenseHermitian(proj @ A @ proj + y[qi] * perp))
-    return AffineFamily(terms=tuple(terms), theta=family.theta,
-                        domain=family.domain,
-                        name=family.name + ":worst-case")
+    return replace(family, terms=tuple(terms),
+                   name=family.name + ":worst-case")

@@ -234,7 +234,7 @@ def _rho_from_parts(P_block, values):
     B[..., diag, diag] -= values ** 2
     rho2 = np.linalg.eigvalsh(_hermitian_part(B))[..., -1]
     if np.any(rho2 < RHO_SQ_FLOOR):
-        raise ArgumentError(
+        raise RuntimeError(
             f"negative squared residual {np.min(rho2):.3e}: reduced matrices "
             "are internally inconsistent")
     return np.sqrt(np.maximum(rho2, 0.0))

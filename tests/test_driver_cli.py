@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -7,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eigenbounds import cli, driver
+from eigenbounds import cli, driver, subspace
 from eigenbounds.cli import main
 from eigenbounds.driver import (RunConfig, heuristic_first_valid,
                                 load_problem, run_pipeline)
@@ -34,13 +35,19 @@ def test_schema_config_is_every_run_config_field():
     assert sorted(config["properties"]) == sorted(names)
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
-def test_schema_config_agrees_with_run_config(name):
-    # a probe value is a valid config field by the schema (type, minimum,
-    # allowed values, null) exactly when RunConfig takes it; the schema
-    # cannot state finiteness, so no probe is infinite
+@pytest.mark.parametrize("section, entry, name", [
+    *(pytest.param("config", f.name, f.name, id=f.name)
+      for f in fields(RunConfig)),
+    # the seeds section repeats two config fields
+    pytest.param("seeds", "train_seed", "train_seed", id="seeds.train_seed"),
+    pytest.param("seeds", "solver_seed", "seed", id="seeds.solver_seed")])
+def test_schema_config_agrees_with_run_config(section, entry, name):
+    # a probe value is valid for the schema's rule of ``entry`` (type,
+    # minimum, allowed values, null) exactly when RunConfig takes it as
+    # field ``name``; the schema cannot state finiteness, so no probe is
+    # infinite
     with open(SCHEMA_PATH) as fh:
-        rule = json.load(fh)["properties"]["config"]["properties"][name]
+        rule = json.load(fh)["properties"][section]["properties"][entry]
     probes = [None, False, True, -1, 0, 1, 2, -1e-3, 1e-3, 1.5, "1",
               *driver.PIPELINES, "none"]
 
@@ -862,3 +869,119 @@ class TestCli:
                            "--oracle"]) == 0
         assert seen == [RunConfig(),
                         RunConfig(eps=1e-3, n_train=7, oracle=True)]
+
+    def test_theta_failing_at_run_time_exit_2_names_entry(self, tmp_path,
+                                                          capsys):
+        # the 100-point load probe misses [0, 1e-4), where sqrt fails; a
+        # training point there is refused as the probe refuses at load
+        gen_dir = tmp_path / "gen"
+        assert main(["gen", "--kind", "one-param", "--spec", '{"N": 20}',
+                     "--out", str(gen_dir)]) == 0
+        manifest = gen_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data.update(domain=[[0.0, 0.1]],
+                    theta=["1", "sqrt(mu1 - 0.0001)", "mu1*mu1/2"])
+        manifest.write_text(json.dumps(data))
+        load_problem(manifest=str(manifest))    # the probe passes it
+        capsys.readouterr()
+        out = str(tmp_path / "o")
+        assert main(["run", "--manifest", str(manifest), "--out", out,
+                     "--pipeline", "scm", "--train-size", "1000",
+                     "--train-seed", "0", "--j-max", "2"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "theta"
+        assert payload["message"].startswith(
+            "field 'theta': theta[1] = 'sqrt(mu1 - 0.0001)': sqrt of "
+            "negative value")
+        assert not os.path.exists(out)
+
+    def test_inconsistent_reduced_matrices_exit_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # an internal inconsistency is no refused input
+        monkeypatch.setattr(subspace, "RHO_SQ_FLOOR", math.inf)
+        assert main(["run", "--generator", '{"kind": "unit-circle"}',
+                     "--out", str(tmp_path / "o"), "--pipeline", "subspace",
+                     "--train-size", "8"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "RuntimeError"
+        assert "reduced matrices are internally inconsistent" in \
+            payload["message"]
+
+    @pytest.mark.parametrize("text, reason", [
+        ("", "empty file"),
+        ("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n",
+         "unsupported object/format"),
+        ("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+         "unsupported field 'pattern'"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n"
+         "2 1 1.0\n", "unsupported symmetry 'skew-symmetric'"),
+        ("%%MatrixMarket matrix coordinate real general\n% no size\n",
+         "missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n",
+         "bad size line: '2 2'"),
+    ], ids=["empty", "array-format", "pattern-field", "skew-symmetric",
+            "no-size-line", "two-field-size-line"])
+    def test_unsupported_term_file_exit_2(self, tmp_path, capsys, text,
+                                          reason):
+        manifest = circle_manifest(tmp_path)
+        (tmp_path / "circle" / "a1.mtx").write_text(text)
+        out = str(tmp_path / "o")
+        assert main(["run", "--manifest", manifest, "--out", out]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MMFormatError"
+        assert payload["message"].startswith(f"a1.mtx: {reason}")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("case", [
+        "training-size", "domain", "no-ratio-column"])
+    def test_compare_refusal_exit_2(self, tmp_path, capsys, case):
+        summary = {"seeds": {"train_seed": 0}, "training_size": 1,
+                   "problem": {"domain": [[0.0, 1.0]]},
+                   "config": {"pipeline": "scm"},
+                   "termination": {"iterations": 1}, "final_max_ratio": 0.5}
+        other, header, message = {
+            "training-size": ({"training_size": 2}, "max_error_ratio",
+                              "training set sizes differ"),
+            "domain": ({"problem": {"domain": [[0.0, 2.0]]}},
+                       "max_error_ratio", "parameter domains differ"),
+            "no-ratio-column": ({}, "ratio",
+                                f"{tmp_path / 'b' / 'convergence.csv'} has "
+                                "no max_error_ratio column"),
+        }[case]
+        for name, summ, column in (("a", summary, "max_error_ratio"),
+                                   ("b", {**summary, **other}, header)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.json").write_text(json.dumps(summ))
+            (tmp_path / name / "convergence.csv").write_text(
+                f"iter,{column}\n1,0.5\n")
+        assert main(["compare", str(tmp_path / "a"),
+                     str(tmp_path / "b")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CompareError"
+        assert payload["message"] == message
+
+    @pytest.mark.parametrize("change, field, reason", [
+        ({"inner_product": "a1.mtx"}, "inner_product",
+         "the eig pipeline takes none"),
+        ({"theta": ["cos(mu1)", 2]}, "theta", "entry 1: expected str"),
+        ({"terms": ["a1.mtx", ["a2.mtx"]]}, "terms",
+         "entry 1: expected str"),
+    ], ids=["inner-product-default-eig", "theta-not-a-string",
+            "terms-not-a-string"])
+    def test_manifest_entry_refusal_exit_2(self, tmp_path, capsys, change,
+                                           field, reason):
+        manifest = circle_manifest(tmp_path)
+        with open(manifest) as fh:
+            data = json.load(fh)
+        del data["pipeline"]    # the default pipeline, eig
+        data.update(change)
+        with open(manifest, "w") as fh:
+            json.dump(data, fh)
+        out = str(tmp_path / "o")
+        assert main(["run", "--manifest", manifest, "--out", out]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == field
+        assert payload["message"].startswith(f"field '{field}': {reason}")
+        assert not os.path.exists(out)

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenbounds import ParseError, parse_theta
-from eigenbounds.expressions import EvaluationError, probe_expressions
+from eigenbounds.expressions import (EvaluationError, compile_theta,
+                                     probe_expressions)
 
 
 def reference_eval(text, mu):
@@ -98,8 +99,27 @@ def test_overflow_is_evaluation_error(text, message):
 
 
 def test_probe_catches_domain_errors():
-    bad = parse_theta("sqrt(mu1)")
-    with pytest.raises(EvaluationError):
-        probe_expressions([bad], [(-1.0, 1.0)])
-    good = parse_theta("sqrt(mu1 + 2)")
-    probe_expressions([good], [(-1.0, 1.0)])
+    bad = compile_theta(["1", "sqrt(mu1)"], 1)
+    with pytest.raises(EvaluationError, match=re.escape(
+            "theta[1] = 'sqrt(mu1)': sqrt of negative value")):
+        probe_expressions(bad, [(-1.0, 1.0)])
+    good = compile_theta(["sqrt(mu1 + 2)"], 1)
+    probe_expressions(good, [(-1.0, 1.0)])
+
+
+def test_compiled_theta_evaluates_each_expression_and_keeps_sources():
+    sources = ("1", "cos(mu2)", "mu1*mu1/2")
+    theta = compile_theta(sources, 2)
+    assert theta.sources == sources
+    mu = np.array([0.3, -1.2])
+    assert theta(mu).tolist() == [parse_theta(s).evaluate(mu)
+                                  for s in sources]
+    with pytest.raises(ParseError, match="exceeds parameter count 1"):
+        compile_theta(sources, 1)
+
+
+def test_compiled_theta_names_the_failing_entry():
+    theta = compile_theta(["1", "1/mu1"], 1)
+    with pytest.raises(EvaluationError, match=re.escape(
+            "theta[1] = '1/mu1': division by zero at offset 1")):
+        theta([0.0])

@@ -260,6 +260,7 @@ def test_first_sample_without_an_estimate_is_unshifted(monkeypatch):
     below, factored, res = _first_sample(monkeypatch, fam, train)
     assert below is None and factored == []
     # the Laplacian's two box ends, then the sample
+    assert res.box is res.model.box
     assert res.box.shift_fallbacks == 2
     assert res.records[-1].shift_fallbacks == 3
 

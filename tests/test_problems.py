@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from eigenbounds import (ManifestError, block_grid_family,
                          one_parameter_analytic_family, random_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family)
+from eigenbounds.expressions import parse_theta
+from eigenbounds.family import AffineFamily
 from eigenbounds.hermitian import ArgumentError
-from eigenbounds.problems import _mixed_stencil_2d, write_problem_files
+from eigenbounds.problems import (GENERATORS, _mixed_stencil_2d,
+                                  write_problem_files)
 from helpers import write_mtx
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
@@ -47,6 +51,22 @@ def make_spd(n, seed):
 
 
 class TestGenerators:
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_theta_is_compiled_and_carries_its_sources(self, kind):
+        # theta_source is what the compiled theta holds, not a second copy
+        fam = GENERATORS[kind]({})
+        assert "theta_source" not in [f.name for f in fields(AffineFamily)]
+        assert fam.theta_source == fam.theta.sources
+        assert len(fam.theta_source) == fam.q
+        mu = np.mean(fam.domain, axis=1)
+        assert fam.theta_at(mu).tolist() == [
+            parse_theta(s).evaluate(mu) for s in fam.theta_source]
+
+    def test_callable_theta_has_no_source(self):
+        fam = AffineFamily(terms=(np.eye(2),), domain=((0.0, 1.0),),
+                           theta=lambda mu: np.array([1.0]))
+        assert fam.theta_source is None
+
     def test_unit_circle_values(self):
         fam = unit_circle_family()
         for mu in (0.0, np.pi / 4, np.pi / 2, 2.2):
@@ -134,6 +154,14 @@ class TestGenerators:
 
 
 class TestCoercivityTransform:
+    def test_keeps_terms_theta_and_domain(self):
+        fam = random_family(3, 10, delta=0.3, seed=1)
+        out = coercivity_transform(fam, np.eye(10))
+        assert out.theta is fam.theta and out.domain == fam.domain
+        assert all(a is b for a, b in zip(out.terms, fam.terms))
+        assert out.theta_source == ("1", "mu1", "mu2")
+        assert out.name == fam.name + ":coercivity"
+
     def test_identity_inner_product_is_noop(self):
         fam = random_family(2, 30, delta=0.3, seed=1)
         out = coercivity_transform(fam, np.eye(30))
@@ -317,6 +345,25 @@ class TestManifest:
         M = np.linalg.solve(L, np.linalg.solve(L, (mu * B).T).T)
         sigma = np.linalg.svd(M, compute_uv=False)[-1]
         assert abs(np.sqrt(max(w, 0)) - sigma) <= 1e-9
+
+    def test_singular_pipeline_defaults_to_identity_inner_product(
+            self, tmp_path):
+        rng = np.random.default_rng(5)
+        write_mtx(tmp_path / "b.mtx", rng.standard_normal((5, 5)),
+                  symmetry="general")
+        write_mtx(tmp_path / "x.mtx", scipy.sparse.eye(5))
+        manifest = {"Q": 1, "P": 1, "domain": [[0.5, 2.0]],
+                    "theta": ["mu1"], "terms": ["b.mtx"],
+                    "pipeline": "singular"}
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(manifest))
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(json.dumps({**manifest, "inner_product": "x.mtx"}))
+        (fam, _), (ref, _) = load_family(plain), load_family(explicit)
+        assert fam.theta_source == ref.theta_source == ("(mu1)*(mu1)",)
+        assert fam.inner_product is ref.inner_product is None
+        for a, b in zip(fam.terms, ref.terms):
+            assert a.dense().tobytes() == b.dense().tobytes()
 
     def test_non_square_inner_product_named_as_such(self, tmp_path):
         write_mtx(tmp_path / "a.mtx", make_spd(4, 2))
