@@ -11,7 +11,7 @@ every parameter.
 
 import numpy as np
 
-from eigenbounds import SubspacePool, append_sample, unit_circle_family
+from eigenbounds import SubspacePool, unit_circle_family
 
 family = unit_circle_family()
 pool = SubspacePool(family, ell=1, r_max=2)     # builds the bounding box
@@ -20,7 +20,7 @@ print(f"bounding box: [{box.lower[0]:+.2f},{box.upper[0]:+.2f}] x "
       f"[{box.lower[1]:+.2f},{box.upper[1]:+.2f}]")
 
 for mu in ([0.0], [np.pi / 2], [np.pi]):
-    append_sample(pool, mu)
+    pool.add_sample(mu)
 
 
 def bounds(mus):

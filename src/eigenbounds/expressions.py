@@ -228,8 +228,7 @@ class ThetaExpression:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         value = _eval(self.ast, mu)
         if not math.isfinite(value):
-            raise EvaluationError(
-                f"expression {self.source!r} is not finite at mu={mu}")
+            raise EvaluationError(f"not finite at mu={mu}")
         return value
 
 

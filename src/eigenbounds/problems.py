@@ -50,6 +50,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-10
 SINGULAR_DENSE_CAP = 2048   # the singular-value expansion is dense
+SINGULAR_TERM_BYTES = 1 << 29   # its q(q+1)/2 dense terms: 512 MiB at most
 PIPELINES = ("eig", "coercivity", "singular")
 GAP_GRID = 200              # one-param: points of the gap verification grid
 GAP_ATTEMPTS = 10           # one-param: draws before the gap is given up
@@ -210,22 +211,29 @@ def singular_value_expansion(raw_terms, theta_sources, domain, inner_product):
     SPD matrix X = L L^T, builds the Hermitian family equal to
     L^{-1} A(mu)^T X^{-1} A(mu) L^{-T}: q*(q+1)/2 stored Hermitian terms
     (the i=j products plus symmetrized i<j pairs) with coefficients
-    theta_i * theta_j.  Dense, so n <= SINGULAR_DENSE_CAP.
+    theta_i * theta_j.  Dense, so n <= SINGULAR_DENSE_CAP and the terms
+    take at most SINGULAR_TERM_BYTES, both checked from the raw terms'
+    shapes before any of them is made dense.
     """
+    q = len(raw_terms)
+    if q == 0:
+        raise ArgumentError("need at least one term")
+    n = np.shape(raw_terms[0])[0]
+    if any(np.shape(t) != (n, n) for t in raw_terms):
+        raise ArgumentError("terms must be square with a common dimension")
+    if n > SINGULAR_DENSE_CAP:
+        raise ArgumentError(
+            f"singular-value expansion is dense-only up to {SINGULAR_DENSE_CAP}")
+    if (need := q * (q + 1) // 2 * n * n * 8) > SINGULAR_TERM_BYTES:
+        raise ArgumentError(
+            f"singular-value expansion of {q} terms at n = {n} needs "
+            f"{need / 2**20:.0f} MiB of dense terms, over the budget of "
+            f"{SINGULAR_TERM_BYTES / 2**20:.0f} MiB")
     if any(np.iscomplexobj(t.data if sparse.issparse(t) else t)
            for t in raw_terms):
         raise ArgumentError("singular-value expansion supports real terms only")
     mats = [np.asarray(t.toarray() if sparse.issparse(t) else t, dtype=float)
             for t in raw_terms]
-    q = len(mats)
-    if q == 0:
-        raise ArgumentError("need at least one term")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ArgumentError("terms must be square with a common dimension")
-    if n > SINGULAR_DENSE_CAP:
-        raise ArgumentError(
-            f"singular-value expansion is dense-only up to {SINGULAR_DENSE_CAP}")
     L = scipy.linalg.cholesky(hermitian(inner_product).dense(), lower=True)
     solve = functools.partial(scipy.linalg.solve_triangular, L, lower=True)
     # C_q = L^{-1} B_q L^{-T}; the expansion terms are C_i^T C_j products.
@@ -453,6 +461,8 @@ def load_family(path):
             return singular_value_expansion([m for m, _ in matrices],
                                             theta.sources, domain,
                                             inner), meta
+        except ArgumentError as exc:    # too large, or complex terms
+            raise ManifestError("terms", str(exc)) from exc
         except np.linalg.LinAlgError as exc:    # only its Cholesky of X
             raise ManifestError("inner_product",
                                 f"{rel} is not positive definite") from exc

@@ -18,9 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .family import compute_bounding_box, joint_rayleigh
-# dense_smallest is not called here but stays bound: bench/tracer.py counts
-# the sample eigensolves through scm.dense_smallest and scm.smallest_eigpairs
-# (tests/test_bench_bindings.py checks that both names exist).
+# bench/tracer.py counts the sample eigensolves through scm.smallest_eigpairs
+# and scm.dense_smallest, which stays bound here uncalled.
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
                         dense_smallest, orthonormal_columns,
                         smallest_eigpairs)
@@ -107,14 +106,15 @@ class ScmState:
     solve takes too, the samples, the joint-Rayleigh points of their
     smallest eigenvectors (no n-vector is kept) and the LP constraints
     ``rows @ y >= rhs``, whose right-hand sides are the sampled smallest
-    eigenvalues.  ``shift_fallbacks`` counts the box and sample solves
-    whose shift failed its positive-definite test; the ``lp_*`` counters
-    and ``sweep_seconds`` total the work of :meth:`bounds_at`."""
+    eigenvalues.  ``eig_seconds``, ``eig_count`` and ``shift_fallbacks``
+    total the box and sample solves; the ``lp_*`` counters and
+    ``sweep_seconds`` the work of :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
     ranked = ("lam_lb", "lam_ub")
     # every bound column of bounds_at and its value before the first sample
     unsampled = {"lam_lb": -math.inf, "lam_ub": math.inf}
+    k = 1  # the smallest eigenpairs each sample solve asks for
 
     def __init__(self, family, seed=0):
         self.family, self.seed = family, seed
@@ -125,6 +125,7 @@ class ScmState:
         t = time.perf_counter()
         self.box = compute_bounding_box(family, seed=seed)
         self.box_seconds = time.perf_counter() - t
+        self.eig_seconds, self.eig_count = self.box_seconds, self.box.eig_count
         self.shift_fallbacks = self.box.shift_fallbacks
         self.lp_count = self.lp_pivots = self.lp_degenerate = 0
         self.lp_seconds = self.sweep_seconds = 0.0
@@ -144,22 +145,29 @@ class ScmState:
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         return any(np.array_equal(mu, s) for s in self.samples)
 
-    def append(self, mu, value, vector):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        self.samples.append(mu)
-        point = joint_rayleigh(self.family, vector)
-        self.upper_points = np.vstack([self.upper_points, point])
-        self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
-        self.rhs = np.append(self.rhs, float(value))
-
     def add_sample(self, mu, below=None):
-        """Solve for the smallest eigenpair at ``mu`` and append it."""
+        """Solve for the ``k`` smallest eigenpairs at a new sample ``mu``
+        (shifted at ``below``), :meth:`extend` the model by them and count
+        the solve; a solve that raises leaves the model as it was."""
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.has_sample(mu):
             raise ArgumentError("sample already present in the pool")
-        pairs = solve_at_sample(self.family, mu, 1, seed=self.seed,
+        t = time.perf_counter()
+        pairs = solve_at_sample(self.family, mu, self.k, seed=self.seed,
                                 below=below)
+        self.extend(mu, pairs)
         self.shift_fallbacks += pairs.shift_fallback
-        self.append(mu, pairs.values[0], pairs.vectors[:, 0])
+        self.eig_seconds += time.perf_counter() - t
+        self.eig_count += 1
+
+    def extend(self, mu, pairs):
+        """Add ``mu`` with the joint-Rayleigh point and constraint of the
+        smallest pair of its solve's EigenPairs ``pairs``."""
+        self.samples.append(mu)
+        point = joint_rayleigh(self.family, pairs.vectors[:, 0])
+        self.upper_points = np.vstack([self.upper_points, point])
+        self.rows = np.vstack([self.rows, self.family.theta_at(mu)])
+        self.rhs = np.append(self.rhs, float(pairs.values[0]))
 
     def bounds_at(self, theta, start=None):
         """Bounds at the coefficient rows ``theta`` (m, Q).
@@ -244,28 +252,28 @@ def _ratio_array(lb, ub):
     return out
 
 
-def _greedy(model, train, eps, j_max, *, warm_start, oracle,
+def _greedy(make_model, family, train, eps, j_max, *, warm_start, oracle,
             mode="certified"):
     """The greedy loop of both pipelines.
 
-    The loop's clocks and ``eig_count`` start with the model's bounding
-    box.  Each iteration solves at the selected parameter
-    (``model.add_sample``), shifted below the selected point's lower bound
-    (``sample_shift``; the first sample where the eigensolver places its
-    own shift), counts one eigensolve, bounds every training point with
-    ``model.bounds_at``, restarted from the previous iteration's LP
-    solutions with ``warm_start``, and picks the point with the worst
-    ratio: the relative gap between the bound columns ``model.ranked``, or
-    with ``mode='heuristic'`` the relative Ritz residual.  The loop stops,
-    not converged, when the worst ratio sits at a parameter already
-    sampled.
+    Evaluates theta at the training points before the model
+    ``make_model(family)`` builds its box.  Each iteration takes the model's
+    sample step at the selected parameter (``model.add_sample``), shifted
+    below the selected point's lower bound (``sample_shift``; the first
+    sample where the eigensolver places its own shift), bounds every
+    training point with ``model.bounds_at``, restarted from the previous
+    iteration's LP solutions with ``warm_start``, and picks the point with
+    the worst ratio: the relative gap between the bound columns
+    ``model.ranked``, or with ``mode='heuristic'`` the relative Ritz
+    residual.  The loop stops, not converged, when the worst ratio sits at
+    a parameter already sampled.
     """
     pts = train.points
     if len(pts) == 0:
         raise ArgumentError("training set is empty")
-    eig_seconds, eig_count = model.box_seconds, model.box.eig_count
-    t0 = time.perf_counter() - eig_seconds
-    theta_all = model.family.theta_table(pts)
+    t0 = time.perf_counter()
+    theta_all = family.theta_table(pts)
+    model = make_model(family)
     box_scale = np.maximum(np.abs(model.box.lower), np.abs(model.box.upper))
     tables, sols = model.bounds_at(theta_all)
     lower, upper = model.ranked
@@ -307,14 +315,11 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle,
             reason = (f"worst ratio at training point {selected}, which is "
                       f"already sampled, after J={it - 1} (not converged)")
             break
-        t = time.perf_counter()
         try:
             model.add_sample(mu_new, below=sample_shift(selected))
         except EigensolverError as exc:
             reason = f"eigensolver failed at sample {it}: {exc}"
             raise GreedyError(reason, partial=result()) from exc
-        eig_seconds += time.perf_counter() - t
-        eig_count += 1
         tables, sols = model.bounds_at(theta_all,
                                        start=sols if warm_start else None)
 
@@ -328,9 +333,9 @@ def _greedy(model, train, eps, j_max, *, warm_start, oracle,
             iteration=it, selected_index=int(selected),
             selected_mu=mu_new.copy(), max_ratio=max_ratio,
             wall_seconds=time.perf_counter() - t0,
-            eig_seconds=eig_seconds, lp_seconds=model.lp_seconds,
+            eig_seconds=model.eig_seconds, lp_seconds=model.lp_seconds,
             reduced_seconds=model.sweep_seconds,
-            lp_count=model.lp_count, eig_count=eig_count,
+            lp_count=model.lp_count, eig_count=model.eig_count,
             lp_pivots=model.lp_pivots, lp_degenerate=model.lp_degenerate,
             shift_fallbacks=model.shift_fallbacks)
         if oracle is not None:
@@ -371,8 +376,8 @@ def scm_greedy(family, train, eps=1e-4, j_max=200, *, warm_start=True,
     oracle : optional per-training-point exact smallest eigenvalues, used
         only for the error columns of the iteration records
     """
-    return _greedy(ScmState(family, seed=seed), train, eps, j_max,
-                   warm_start=warm_start, oracle=oracle)
+    return _greedy(lambda fam: ScmState(fam, seed=seed), family, train, eps,
+                   j_max, warm_start=warm_start, oracle=oracle)
 
 
 def worst_case_family(state, y_tilde):
@@ -402,9 +407,8 @@ def worst_case_family(state, y_tilde):
              for mu in state.samples]))
     else:
         V = np.zeros((n, 0))
-    eye = np.eye(n)
-    proj = V @ V.conj().T if V.shape[1] else np.zeros((n, n))
-    perp = eye - proj
+    proj = V @ V.conj().T           # zero with no samples
+    perp = np.eye(n) - proj
     terms = []
     for qi, term in enumerate(family.terms):
         A = term.dense()

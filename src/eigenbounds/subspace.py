@@ -36,12 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # bench/tracer.py patches these names in this module, so they stay bound
-# here uncalled: ScmState builds the box through scm's binding, and
-# tighten_and_resolve is the solve-based reference for the sweep's eta.
+# here uncalled: ScmState builds the box and solves samples through scm's
+# bindings; tighten_and_resolve is the reference for the sweep's eta.
 from .family import compute_bounding_box  # noqa: F401
 from .hermitian import ArgumentError, orthonormal_columns
 from .lp import dual_bound, tighten_and_resolve  # noqa: F401
-from .scm import ScmState, _greedy, lower_bound, solve_at_sample
+from .scm import ScmState, _greedy, lower_bound
+from .scm import solve_at_sample  # noqa: F401
 
 __all__ = [
     "SubspacePool",
@@ -65,11 +66,12 @@ SWEEP_CHUNK_BYTES = 1 << 22
 class SubspacePool(ScmState):
     """Samples, their eigen-data, the joint basis V and its reduced matrices.
 
-    :func:`append_sample` grows one array per quantity: ``applied`` A_q V
-    (Q, n, dim), ``reduced`` V*A_q V (Q, dim, dim), ``cross`` V*A_q X^{-1}
-    A_p V (Q, Q, dim, dim), ``sample_values`` (J, min(ell + 1, n)) and the
-    zero-padded basis coefficients ``coeffs`` (J, dim, ell) of each sample;
-    bounds take the best Ritz dimension r <= ``r_max`` (default Q).
+    A sample solve gives ``k`` = min(ell + 1, n) pairs, from which
+    :func:`append_sample` grows ``applied`` A_q V (Q, n, dim), ``reduced``
+    V*A_q V (Q, dim, dim), ``cross`` V*A_q X^{-1} A_p V (Q, Q, dim, dim),
+    ``sample_values`` (J, k) and the zero-padded basis coefficients
+    ``coeffs`` (J, dim, ell); bounds take the best Ritz dimension r <=
+    ``r_max`` (default Q).
     """
 
     ranked = ("lam_slb", "lam_sub")
@@ -84,7 +86,8 @@ class SubspacePool(ScmState):
         self.r_max = _valid_r_max(r_max, family.q)
         super().__init__(family, seed=seed)
         n, q = family.n, family.q
-        self.sample_values = np.zeros((0, min(self.ell + 1, n)))
+        self.k = min(self.ell + 1, n)
+        self.sample_values = np.zeros((0, self.k))
         self.coeffs = np.zeros((0, 0, self.ell))
         self.dropped = []         # per sample: number of near-dependent vectors
         self.basis = np.zeros((n, 0))
@@ -96,8 +99,8 @@ class SubspacePool(ScmState):
     def dim(self):
         return self.basis.shape[1]
 
-    def add_sample(self, mu, below=None):
-        append_sample(self, mu, below=below)
+    def extend(self, mu, pairs):
+        append_sample(self, mu, pairs)
 
     def bounds_at(self, theta, start=None):
         """:meth:`ScmState.bounds_at` plus the :func:`sweep_bounds` columns
@@ -141,25 +144,18 @@ def _bordered(old, cols):
     return out
 
 
-def append_sample(pool, mu_new, below=None):
-    """Solve at a new sample and extend the pool incrementally.
+def append_sample(pool, mu_new, pairs):
+    """Extend the pool by the sample ``mu_new`` and the EigenPairs
+    ``pairs`` of its solve (:meth:`ScmState.add_sample`).
 
-    Requests ell+1 eigenvalues (one more than the number of vectors kept:
-    the extra value feeds the gap lemma) and ell eigenvectors, orthogonalizes
-    the new vectors N against the basis V with a drop tolerance for
-    near-dependence, and borders the reduced and cross matrices with the
-    new columns only: V*(A_q N) and (A_q V)* X^{-1} (A_p N) for all terms
-    at once, with one solve with X for all new columns and terms.
-    ``below`` is the :func:`solve_at_sample` shift; the seed is the pool's.
+    Keeps all k values (the one past the ell vectors feeds the gap lemma),
+    orthogonalizes the new vectors N against the basis V with a drop
+    tolerance for near-dependence, and borders the reduced and cross
+    matrices with the new columns only: V*(A_q N) and (A_q V)* X^{-1}
+    (A_p N) for all terms at once, with one solve with X for all of them.
     """
     family = pool.family
     X = family.inner_product
-    mu_new = np.atleast_1d(np.asarray(mu_new, dtype=float))
-    if pool.has_sample(mu_new):
-        raise ArgumentError("sample already present in the pool")
-    k = min(pool.ell + 1, family.n)
-    pairs = solve_at_sample(family, mu_new, k, seed=pool.seed, below=below)
-    pool.shift_fallbacks += pairs.shift_fallback
     vectors = pairs.vectors[:, :pool.ell]
 
     new_block, _ = orthonormal_columns(vectors, against=pool.basis, M=X)
@@ -179,7 +175,7 @@ def append_sample(pool, mu_new, below=None):
         pool.cross = _bordered(pool.cross, np.tensordot(
             pool.applied.conj(), solved, axes=(1, 0)).transpose(0, 2, 1, 3))
 
-    pool.append(mu_new, pairs.values[0], pairs.vectors[:, 0])
+    ScmState.extend(pool, mu_new, pairs)
     pool.sample_values = np.vstack([pool.sample_values, pairs.values])
     X_vectors = vectors if X is None else X.matrix.matmat(vectors)
     new = pool.basis.conj().T @ X_vectors
@@ -454,6 +450,6 @@ def subspace_greedy(family, train, eps=1e-4, j_max=200, ell=1, r_max=None,
     """
     if mode not in ("certified", "heuristic"):
         raise ArgumentError(f"unknown mode {mode!r}")
-    return _greedy(SubspacePool(family, ell=ell, r_max=r_max, seed=seed),
+    return _greedy(lambda fam: SubspacePool(fam, ell, r_max, seed), family,
                    train, eps, j_max, warm_start=warm_start, oracle=oracle,
                    mode=mode)

@@ -6,22 +6,20 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sparse
 
-from eigenbounds import AffineFamily, ScmState, SubspacePool, append_sample, \
-    solve_at_sample
+from eigenbounds import AffineFamily, ScmState, SubspacePool
 
 
 def build_state(family, sample_points):
     state = ScmState(family)
     for mu in sample_points:
-        pairs = solve_at_sample(family, mu, 1)
-        state.append(mu, pairs.values[0], pairs.vectors[:, 0])
+        state.add_sample(mu)
     return state
 
 
 def build_pool(family, sample_points, ell=1):
     pool = SubspacePool(family, ell=ell)
     for mu in sample_points:
-        append_sample(pool, mu)
+        pool.add_sample(mu)
     return pool
 
 

@@ -2,6 +2,8 @@
 
 import csv
 import importlib
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
 from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
-                         GreedyError, ScmState, SubspacePool,
+                         EvaluationError, GreedyError, ScmState, SubspacePool,
                          block_grid_family, coercivity_transform,
                          random_family, random_training_set, scm_greedy,
                          subspace_greedy)
 from eigenbounds import driver, scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
+from eigenbounds.expressions import compile_theta
 
 # the package re-exports a function named ``hermitian`` over the module
 hermitian_module = importlib.import_module("eigenbounds.hermitian")
@@ -336,6 +339,25 @@ def test_eigensolver_failure_keeps_partial_result(problem, monkeypatch,
 
 
 @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+def test_theta_is_evaluated_before_the_model_builds_its_box(pipeline,
+                                                           monkeypatch):
+    # a training point in [0, 1e-4), where sqrt fails, is refused before
+    # any box eigensolve
+    fam = AffineFamily(terms=(np.diag([1.0, 2.0, 3.0]), np.eye(3)),
+                       theta=compile_theta(["1", "sqrt(mu1 - 0.0001)"], 1),
+                       domain=((0.0, 0.1),))
+    train = random_training_set(fam.domain, 1000, seed=0)
+
+    def no_box(*args, **kwargs):
+        raise AssertionError("the bounding box was built")
+
+    monkeypatch.setattr(scm, "compute_bounding_box", no_box)
+    with pytest.raises(EvaluationError, match=re.escape(
+            "theta[1] = 'sqrt(mu1 - 0.0001)': sqrt of negative value")):
+        PIPELINES[pipeline][0](fam, train, j_max=2)
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
 def test_worst_ratio_at_a_sample_stops_the_loop(pipeline, monkeypatch):
     # once a sample is taken, the model reports the same positive ratio
     # everywhere, so argmax picks training point 0, the first one sampled
@@ -425,17 +447,34 @@ def finished_run(request):
     return pipeline, fam, train, res, allowance
 
 
+def corners_and_edge_midpoints(domain):
+    """D's 2^P corners and the midpoints of its P 2^(P-1) edges."""
+    corners = np.array(list(itertools.product(*domain)))
+    mids = []
+    for axis, (lo, hi) in enumerate(domain):
+        for corner in corners[corners[:, axis] == lo]:
+            mids.append(corner.copy())
+            mids[-1][axis] = 0.5 * (lo + hi)
+    return np.vstack([corners, mids])
+
+
 def test_held_out_bounds_certified_at_roundoff_allowance(finished_run):
+    # uniform held-out points, and D's boundary, where the gaps are widest
+    # (the ratio there is not asserted: the loop converges only on the
+    # training set)
     pipeline, fam, _, res, allowance = finished_run
-    held_out = random_training_set(fam.domain, 100, seed=99).points
-    cols, _ = res.model.bounds_at(fam.theta_table(held_out))
-    oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
-                       for mu in held_out])
     lower, upper = (("lam_lb", "lam_ub") if pipeline == "scm"
                     else ("lam_slb", "lam_sub"))
     assert res.model.ranked == (lower, upper)
-    assert np.all(cols[lower] <= oracle + allowance(held_out))
-    assert np.all(cols[upper] >= oracle - allowance(held_out))
+    edges = corners_and_edge_midpoints(fam.domain)
+    assert len(edges) == 2 ** fam.p + fam.p * 2 ** (fam.p - 1) == 20
+    for points in (random_training_set(fam.domain, 100, seed=99).points,
+                   edges):
+        cols, _ = res.model.bounds_at(fam.theta_table(points))
+        oracle = np.array([np.linalg.eigvalsh(fam.assemble_dense(mu))[0]
+                           for mu in points])
+        assert np.all(cols[lower] <= oracle + allowance(points))
+        assert np.all(cols[upper] >= oracle - allowance(points))
 
 
 def test_cold_bounds_at_training_points_match_the_tables(finished_run):

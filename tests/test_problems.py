@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,12 +13,26 @@ from eigenbounds import (ManifestError, block_grid_family,
                          one_parameter_analytic_family, random_family,
                          singular_value_expansion, solve_at_sample,
                          unit_circle_family)
+from eigenbounds.cli import main
 from eigenbounds.expressions import parse_theta
 from eigenbounds.family import AffineFamily
 from eigenbounds.hermitian import ArgumentError
-from eigenbounds.problems import (GENERATORS, _mixed_stencil_2d,
-                                  write_problem_files)
+from eigenbounds.problems import (GENERATORS, SINGULAR_DENSE_CAP,
+                                  _mixed_stencil_2d, write_problem_files)
 from helpers import write_mtx
+
+
+class WatchedTerm(scipy.sparse.csr_matrix):
+    """A sparse term that records every time it is made dense."""
+
+    densified = []
+
+    def toarray(self, *args, **kwargs):
+        self.densified.append(self.shape)
+        return super().toarray(*args, **kwargs)
+
+    todense = toarray
+
 
 # frozen output of random_family(2, 5, delta=0.2, seed=123)
 GOLDEN_A1 = np.array([
@@ -244,8 +259,45 @@ class TestSingularValueExpansion:
             sigma = np.linalg.svd(M, compute_uv=False)[-1]
             assert abs(np.sqrt(max(w, 0.0)) - sigma) <= 1e-8
 
+    @pytest.mark.parametrize("q, n, message", [
+        (2, SINGULAR_DENSE_CAP + 1, "dense-only up to 2048"),
+        (10, SINGULAR_DENSE_CAP, "needs 1760 MiB of dense terms, over the "
+         "budget of 512 MiB")], ids=["size-cap", "byte-budget"])
+    def test_size_refused_before_any_term_is_made_dense(self, q, n, message):
+        terms = [WatchedTerm(scipy.sparse.eye(n)) for _ in range(q)]
+        WatchedTerm.densified.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArgumentError, match=message):
+                singular_value_expansion(terms, ["1"] * q, [(0.0, 1.0)],
+                                         scipy.sparse.eye(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert WatchedTerm.densified == []
+        assert peak < n * n     # one dense term would take 8 n^2 bytes
+
 
 class TestManifest:
+    def test_singular_expansion_over_budget_names_terms(self, tmp_path,
+                                                        capsys):
+        q, n = 10, SINGULAR_DENSE_CAP
+        for k in range(q):
+            write_mtx(tmp_path / f"b{k}.mtx", scipy.sparse.eye(n))
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({
+            "Q": q, "P": 1, "domain": [[0.0, 1.0]], "theta": ["1"] * q,
+            "terms": [f"b{k}.mtx" for k in range(q)],
+            "pipeline": "singular"}))
+        with pytest.raises(ManifestError, match="over the budget") as err:
+            load_family(path)
+        assert err.value.field == "terms"
+        assert main(["run", "--manifest", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ManifestError"
+        assert payload["field"] == "terms"
+
     def write_circle_manifest(self, tmp_path, theta=("cos(mu1)", "sin(mu1)"),
                               break_dim=False):
         fam = unit_circle_family()

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenbounds import (AffineFamily, ScmState, coercivity_transform,
+from eigenbounds import (AffineFamily, ScmState, SubspacePool,
+                         coercivity_transform,
                          error_ratio, joint_rayleigh, lower_bound,
                          random_family, random_training_set, scm_greedy,
                          solve_at_sample, unit_circle_family, upper_bound,
                          worst_case_family)
 from eigenbounds import scm
 from eigenbounds.family import TrainingSet
-from eigenbounds.hermitian import ArgumentError
+from eigenbounds.hermitian import ArgumentError, EigensolverError
 from eigenbounds.scm import _ratio_array
 from helpers import build_state, make_smooth_family
 
@@ -81,9 +82,55 @@ class TestLowerBound:
         assert_allclose((right - mid) / h, -1.0, atol=1e-6)
 
 
+def _model_state(model):
+    """Every attribute of a model, arrays by shape and bytes."""
+    return {key: (val.shape, val.tobytes()) if isinstance(val, np.ndarray)
+            else repr(val) for key, val in vars(model).items()}
+
+
 class TestAddSample:
+    # ScmState.add_sample is the sample step of both models
+
+    @pytest.mark.parametrize("make, k", [
+        (ScmState, 1), (lambda fam: SubspacePool(fam, ell=2), 3),
+        (lambda fam: SubspacePool(fam, ell=5), 4)],
+        ids=["scm", "subspace-ell2", "subspace-ell-capped"])
+    def test_solves_k_pairs_and_counts_the_solve(self, monkeypatch, make, k):
+        fam = random_family(q=3, n=4, seed=1)
+        model = make(fam)
+        assert model.k == k
+        assert model.eig_seconds == model.box_seconds
+        assert model.eig_count == model.box.eig_count
+        asked = []
+
+        def spy(family, mu, k, **kwargs):
+            asked.append(k)
+            return solve_at_sample(family, mu, k, **kwargs)
+
+        monkeypatch.setattr(scm, "solve_at_sample", spy)
+        for i, mu in enumerate(([0.1, 0.2], [0.2, 0.05]), start=1):
+            seconds = model.eig_seconds
+            model.add_sample(mu)
+            assert model.eig_count == model.box.eig_count + i
+            assert model.eig_seconds > seconds
+        assert asked == [k, k] and model.j == 2
+
+    @pytest.mark.parametrize("make", [ScmState, SubspacePool],
+                             ids=["scm", "subspace"])
+    def test_failed_solve_changes_nothing(self, monkeypatch, make):
+        model = make(random_family(q=3, n=20, seed=2))
+        model.add_sample([0.1, 0.2])
+        before = _model_state(model)
+
+        def fail(*args, **kwargs):
+            raise EigensolverError("no convergence")
+
+        monkeypatch.setattr(scm, "solve_at_sample", fail)
+        with pytest.raises(EigensolverError):
+            model.add_sample([0.2, 0.05])
+        assert _model_state(model) == before
+
     def test_duplicate_sample_refused_before_the_solve(self, monkeypatch):
-        # as append_sample refuses one for the subspace pool
         state = ScmState(unit_circle_family())
         state.add_sample([0.3])
         solves = []
@@ -209,8 +256,7 @@ class TestInvariantsAgainstOracle:
         prev_lb = np.full(10, -np.inf)
         prev_ub = np.full(10, np.inf)
         for mu in samples:
-            pairs = solve_at_sample(fam, mu, 1)
-            state.append(mu, pairs.values[0], pairs.vectors[:, 0])
+            state.add_sample(mu)
             for k, p in enumerate(probes):
                 lb, _ = lower_bound(state, p)
                 ub = upper_bound(state, p)

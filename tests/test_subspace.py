@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenbounds import (AffineFamily, RitzData, SubspacePool,
-                         append_sample, beta_gap,
+                         beta_gap,
                          coercivity_transform, f_bound, lower_bound,
                          random_family, random_training_set,
                          residual_heuristic_bound, residual_norm,
@@ -80,13 +80,13 @@ class TestAppendSample:
         fam = unit_circle_family()
         pool = build_pool(fam, [[0.0]])
         with pytest.raises(ArgumentError):
-            append_sample(pool, [0.0])
+            pool.add_sample([0.0])
 
     def test_dependent_vectors_dropped_but_constraints_kept(self):
         fam = diag_family([1.0, 2.0, 3.0])
         pool = build_pool(fam, [[0.2]])
         # same matrix at another parameter: eigenvectors are dependent
-        append_sample(pool, [0.7])
+        pool.add_sample([0.7])
         assert pool.j == 2
         assert pool.dim == 1
         assert pool.dropped[1] == 1
@@ -195,8 +195,8 @@ class TestPencilPool:
     def test_sample_coefficients_rebuild_sample_vectors(self, pencil):
         _, _, pool = pencil
         for i, mu in enumerate(pool.samples):
-            # the solve append_sample made: ell + 1 pairs
-            v = solve_at_sample(pool.family, mu, pool.ell + 1).vectors[:, 0]
+            # the solve add_sample made: k = ell + 1 pairs
+            v = solve_at_sample(pool.family, mu, pool.k).vectors[:, 0]
             assert_allclose(pool.basis @ pool.coeffs[i][:, 0], v,
                             atol=1e-10)
             assert_allclose(pool.rows[i] @ pool.upper_points[i],
@@ -424,7 +424,7 @@ class TestSubspaceGreedy:
         probes = np.random.default_rng(7).uniform(0, 0.3, size=(8, 2))
         prev = np.full(8, np.inf)
         for mu in ([0.02, 0.2], [0.25, 0.05], [0.15, 0.28], [0.29, 0.17]):
-            append_sample(pool, mu)
+            pool.add_sample(mu)
             for k, p in enumerate(probes):
                 rd = ritz_upper_bound(pool, p, r=1)
                 assert rd.values[0] <= prev[k] + 1e-10

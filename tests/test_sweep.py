@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from eigenbounds import (AffineFamily, LPBatch, LPProblem, SubspacePool,
-                         append_sample, beta_gap, f_bound, lower_bound,
+                         beta_gap, f_bound, lower_bound,
                          lp_minimize,
                          one_parameter_analytic_family, random_family,
                          random_training_set, ritz_upper_bound,
@@ -185,7 +185,7 @@ def test_batched_sweep_matches_per_point_loop(problem, ell, r_choice, warm,
     sols = [None] * m
     lam_slb = np.full(m, -math.inf)
     for it, s in enumerate([0, 7, 11, 3, 14]):
-        append_sample(pool, pts[s])
+        pool.add_sample(pts[s])
         lam_new, th_new = pool.rhs[-1], pool.rows[-1]
         cache_ok = np.array([warm and it > 0 and
                              float(th_new @ sols[i].y[0]) >= lam_new - 1e-8
@@ -209,7 +209,7 @@ def test_all_box_vertex_gives_the_lp_value():
     fam = FAMILIES["random-q3"]()
     pool = SubspacePool(fam)
     for mu in ([0.05, 0.2], [0.25, 0.1], [0.15, 0.28]):
-        append_sample(pool, mu)
+        pool.add_sample(mu)
     pts = np.array([[0.1, 0.1], [0.2, 0.25]])
     theta = fam.theta_table(pts)
     sols = []
@@ -246,7 +246,7 @@ def _ill_conditioned_vertex():
     box = pool.box
     gap = 1e-13
     for mu in ([0.0], [0.1], [0.1 + gap], [0.3]):
-        append_sample(pool, mu)
+        pool.add_sample(mu)
     c = fam.theta_at(np.array([0.1 + gap / 2]))
     lp = dict(c=c, lower=box.lower, upper=box.upper, rows=pool.rows)
     pair = types.SimpleNamespace(active=np.array([[1, 2]]), n_rows=pool.j)
@@ -299,7 +299,7 @@ def test_chunked_sweep_matches_one_chunk(monkeypatch):
     theta = fam.theta_table(pts)
     pool = SubspacePool(fam, ell=2)
     for mu in pts[[0, 4, 8]]:
-        append_sample(pool, mu)
+        pool.add_sample(mu)
     sols = _stacked([lower_bound(pool, mu)[1] for mu in pts], pool.j)
     whole = sweep_bounds(pool, theta, sols)
     monkeypatch.setattr(subspace, "SWEEP_CHUNK_BYTES", 1)
@@ -320,7 +320,7 @@ def test_one_row_call_matches_batched_row():
     pts = random_training_set(fam.domain, 6, seed=45).points
     pool = SubspacePool(fam)
     for mu in pts[[0, 3]]:
-        append_sample(pool, mu)
+        pool.add_sample(mu)
     batch = sweep_bounds(pool, fam.theta_table(pts), _stacked(
         [lower_bound(pool, mu)[1] for mu in pts], pool.j))
     for k, mu in enumerate(pts):
