@@ -14,9 +14,9 @@ from .family import (AffineFamily, BoundingBox, TrainingSet,
                      random_training_set)
 from .hermitian import (ArgumentError, DenseHermitian, EigenPairs,
                         EigensolverError, HermitianOperator,
-                        NotPositiveDefiniteError, SparseHermitian, SpdFactor,
-                        cholesky, dense_smallest, extreme_eigs, hermitian,
-                        smallest_eigpairs)
+                        NotPositiveDefiniteError, SparseHermitian,
+                        SparsePattern, SpdFactor, cholesky, dense_smallest,
+                        extreme_eigs, hermitian, smallest_eigpairs)
 from .lp import (InfeasibleError, LPBatch, LPError, LPProblem, TightenedBound,
                  dual_bound, lp_minimize, tighten_and_resolve)
 from .mmio import MMFormatError, read_matrix_market

@@ -57,7 +57,8 @@ BOUND_COLUMNS = (
 SUMMARY_COUNTS = (
     ("lp", "lp_count"), ("eig", "eig_count"),
     ("shift_fallbacks", "shift_fallbacks"), ("lp_pivots", "lp_pivots"),
-    ("lp_degenerate", "lp_degenerate"),
+    ("lp_degenerate", "lp_degenerate"), ("sparse_factors", "sparse_factors"),
+    ("sparse_orderings", "sparse_orderings"),
 )
 
 

@@ -9,12 +9,14 @@ inner product X, every eigenproblem is the pencil (A(mu), X).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermitian import (ArgumentError, DenseHermitian, EigensolverError,
-                        SparseHermitian, _extreme_values, hermitian)
+                        SparseHermitian, SparsePattern, _extreme_values,
+                        hermitian)
 
 __all__ = [
     "AffineFamily",
@@ -100,18 +102,26 @@ class AffineFamily:
             A = A + c * term.dense()
         return A
 
-    def operator_at(self, mu):
-        """A(mu) as a stored matrix: a SparseHermitian when every term is
-        sparse, otherwise a DenseHermitian.  A real combination of exactly
-        Hermitian terms is exactly Hermitian, so it is wrapped as it
-        stands."""
+    def sparse_pattern(self):
+        """A new :class:`~eigenbounds.hermitian.SparsePattern` of the terms
+        and the inner product when every term is sparse, else None.  Its
+        factors share the ordering of its first, so a run makes its own."""
         if not all(isinstance(t, SparseHermitian) for t in self.terms):
+            return None
+        return SparsePattern([t.matrix for t in self.terms],
+                             self.inner_product)
+
+    def operator_at(self, mu, pattern=None):
+        """A(mu) as a stored matrix: a SparseHermitian when every term is
+        sparse, summed on ``pattern`` (the family's :meth:`sparse_pattern`,
+        a new one when None), otherwise a DenseHermitian.  A real
+        combination of exactly Hermitian terms is exactly Hermitian, so it
+        is wrapped as it stands."""
+        if pattern is None:
+            pattern = self.sparse_pattern()
+        if pattern is None:
             return DenseHermitian._exact(self.assemble_dense(mu))
-        th = self.theta_at(mu)
-        acc = th[0] * self.terms[0].matrix
-        for c, term in zip(th[1:], self.terms[1:]):
-            acc = acc + c * term.matrix
-        return SparseHermitian._exact(acc)
+        return pattern.operator(self.theta_at(mu))
 
 
 def joint_rayleigh(family, u):
@@ -136,13 +146,17 @@ class BoundingBox:
 
     ``shift_fallbacks`` counts the interval ends whose shifted solve fell
     back to the unshifted one, ``eig_count`` the eigensolves that ran (see
-    :func:`compute_bounding_box`).
+    :func:`compute_bounding_box`), ``sparse_factors`` the sparse factors
+    of A_q - sigma X made and ``sparse_orderings`` the fill-reducing
+    orderings computed for them.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     shift_fallbacks: int = 0
     eig_count: int = 0
+    sparse_factors: int = 0
+    sparse_orderings: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -166,24 +180,24 @@ def compute_bounding_box(family, seed=0):
     the other rows folded in; a term with no stored entry is (0, 0) with
     no solve.  Every other term takes two ARPACK smallest-eigenvalue
     solves, of A_q and -A_q, under the shift rule of
-    :func:`~eigenbounds.extreme_eigs`.  The box counts its eigensolves:
-    one per reduction, two per ARPACK-solved term.
+    :func:`~eigenbounds.extreme_eigs`, factored on a one-off sparse
+    pattern of the term and X, each end under an ordering of its own.  The
+    box counts its eigensolves (one per reduction, two per ARPACK-solved
+    term) and their sparse factors and orderings.
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)
-    fallbacks = solves = 0
+    counts = Counter()
     for qi, term in enumerate(family.terms):
         try:
-            lows[qi], highs[qi], unshifted, ran = _extreme_values(
+            lows[qi], highs[qi], work = _extreme_values(
                 term, seed=seed, M=family.inner_product)
         except EigensolverError as exc:
             raise EigensolverError(
                 f"bounding box failed on term {qi + 1}: {exc}",
                 best=exc.best) from exc
-        fallbacks += unshifted
-        solves += ran
-    return BoundingBox(lower=lows, upper=highs, shift_fallbacks=fallbacks,
-                       eig_count=solves)
+        counts.update(work)
+    return BoundingBox(lower=lows, upper=highs, **counts)
 
 
 @dataclass(frozen=True)

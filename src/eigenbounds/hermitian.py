@@ -30,11 +30,13 @@ ARPACK takes runs in shift-invert mode on the factor of A - sigma X
 when the factor's pivots certify sigma below the spectrum by Sylvester's
 law of inertia: at the caller's shift, or else just below a loose
 estimate of the smallest eigenvalue.  Box ends and samples take that one
-rule alike.
+rule alike, and every such factor is made on a :class:`SparsePattern`,
+whose factors share one fill-reducing ordering.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ __all__ = [
     "SparseHermitian",
     "EigenPairs",
     "SpdFactor",
+    "SparsePattern",
     "hermitian",
     "orthonormal_columns",
     "smallest_eigpairs",
@@ -161,7 +164,13 @@ class DenseHermitian(HermitianOperator):
 
 
 class SparseHermitian(HermitianOperator):
-    """Sparse Hermitian matrix in CSR form, symmetrized on construction."""
+    """Sparse Hermitian matrix in CSR form, symmetrized on construction.
+
+    ``pattern`` is the :class:`SparsePattern` whose layout the matrix is
+    stored in, when :meth:`SparsePattern.operator` made it, else None.
+    """
+
+    pattern = None
 
     def __init__(self, matrix):
         A = sparse.csr_matrix(matrix)
@@ -174,10 +183,11 @@ class SparseHermitian(HermitianOperator):
         self.n = A.shape[0]
 
     @classmethod
-    def _exact(cls, matrix):
-        """Wrap a CSR matrix that is exactly Hermitian, as it stands."""
+    def _exact(cls, matrix, pattern=None):
+        """Wrap a CSR matrix that is exactly Hermitian, as it stands (in
+        the layout of ``pattern``, if given)."""
         op = cls.__new__(cls)
-        op.matrix, op.n = matrix, matrix.shape[0]
+        op.matrix, op.n, op.pattern = matrix, matrix.shape[0], pattern
         op.iscomplex = np.iscomplexobj(matrix.data) if matrix.nnz else False
         return op
 
@@ -206,10 +216,13 @@ def hermitian(matrix):
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """An SPD matrix X with its sparse factor; made by :func:`cholesky`."""
+    """An SPD matrix X with its sparse factor; made by :func:`cholesky`
+    or :meth:`SparsePattern.factor`.  With ``order``, ``lu`` factors
+    X[order][:, order] in its natural order."""
 
     matrix: SparseHermitian    # X
-    lu: object                 # SuperLU factor of X
+    lu: object                 # SuperLU factor of X (of X[order][:, order])
+    order: np.ndarray | None = None
 
     @property
     def n(self):
@@ -217,33 +230,186 @@ class SpdFactor:
 
     def solve(self, B):
         """X^{-1} B for a vector or a block of columns."""
+        if self.order is None:
+            return self._lu_solve(B)
+        y = self._lu_solve(B[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+    def _lu_solve(self, B):
         if np.iscomplexobj(B) and not self.matrix.iscomplex:
             return self.lu.solve(B.real) + 1j * self.lu.solve(B.imag)
         return self.lu.solve(B)
 
 
-def cholesky(X):
-    """Sparse factorization of a symmetric positive definite X, never dense.
+def _superlu(csc, order=None):
+    """SuperLU's factor of the symmetric positive definite ``csc``.
 
-    SuperLU in symmetric mode pivots on the diagonal only: P X P^T = L D L^T,
-    and X is positive definite iff every pivot is positive.  A non-positive
-    or skipped pivot raises NotPositiveDefiniteError with its index in X.
-    A :class:`SparseHermitian` is taken as it stands; anything else is
-    wrapped (and symmetrized) first.
+    Symmetric mode pivots on the diagonal only: P X P^T = L D L^T, and X
+    is positive definite iff every pivot is positive.  P is SuperLU's MMD
+    ordering of X, or with ``order`` (``csc`` is X[order][:, order]) the
+    natural order of ``csc``.  A non-positive or skipped pivot raises
+    NotPositiveDefiniteError with its row in X.
     """
-    op = X if isinstance(X, SparseHermitian) else SparseHermitian(X)
     try:
-        lu = splu(op.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0, options={"SymmetricMode": True})
+        lu = splu(csc, permc_spec="MMD_AT_PLUS_A" if order is None
+                  else "NATURAL", diag_pivot_thresh=0,
+                  options={"SymmetricMode": True})
     except RuntimeError as exc:          # "Factor is exactly singular"
         raise NotPositiveDefiniteError(pivot=None) from exc
-    # pivot k sits at row order_r[k] and column order_c[k] of X
+    # pivot k sits at row order_r[k] and column order_c[k] of csc
     order_r, order_c = np.argsort(lu.perm_r), np.argsort(lu.perm_c)
     bad = np.flatnonzero((order_r != order_c)
                          | ~(np.real(lu.U.diagonal()) > 0.0))
     if bad.size:
-        raise NotPositiveDefiniteError(pivot=int(order_c[bad[0]]) + 1)
-    return SpdFactor(op, lu)
+        row = order_c[bad[0]]
+        raise NotPositiveDefiniteError(
+            pivot=int(row if order is None else order[row]) + 1)
+    return lu
+
+
+def cholesky(X):
+    """Sparse factorization of a symmetric positive definite X, never dense.
+
+    SuperLU in symmetric mode under its MMD ordering (:func:`_superlu`);
+    a non-positive or skipped pivot raises NotPositiveDefiniteError with
+    its index in X.  A :class:`SparseHermitian` is taken as it stands;
+    anything else is wrapped (and symmetrized) first.
+    """
+    op = X if isinstance(X, SparseHermitian) else SparseHermitian(X)
+    return SpdFactor(op, _superlu(op.matrix.tocsc()))
+
+
+def _entries(matrix, n):
+    """(keys, data) of a sparse matrix's entries in CSR order, each key
+    row * n + column, duplicates summed."""
+    m = sparse.csr_matrix(matrix)
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    rows = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr))
+    return rows + m.indices, m.data
+
+
+def _union(keys):
+    """The sorted union of sorted arrays of distinct entry keys, and each
+    array's positions in it."""
+    joined = np.concatenate(keys)
+    order = np.argsort(joined, kind="stable")    # merges the sorted runs
+    ranked = joined[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    where = np.empty(joined.size, dtype=np.int64)
+    where[order] = np.cumsum(first) - 1
+    return ranked[first], np.split(where, np.cumsum([k.size
+                                                     for k in keys[:-1]]))
+
+
+def _csr_index(keys, n):
+    """(indices, indptr) of the CSR pattern of the sorted entry keys."""
+    return ((keys % n).astype(np.int32),
+            np.searchsorted(keys, np.arange(n + 1, dtype=np.int64)
+                            * n).astype(np.int32))
+
+
+class SparsePattern:
+    """One merged CSR pattern of sparse Hermitian matrices, with X.
+
+    The pattern is the union of the matrices' patterns.  ``values`` holds
+    one row per matrix, zero off its own pattern, so that A(theta) =
+    sum_q theta_q A_q is the rows summed in matrix order (:meth:`operator`),
+    value for value the sum of the CSR matrices.  Its factors
+    (:meth:`factor`) take the union with the pattern of X (of I without
+    the factor ``M`` of an inner product), on which A - sigma X is A's
+    values minus sigma times X's.
+
+    The factors share one fill-reducing ordering P (George & Liu, Computer
+    Solution of Large Sparse Positive Definite Systems, 1981: the symbolic
+    analysis depends on the pattern only).  The first factor that passes
+    the positive-definite test takes SuperLU's MMD ordering; every later
+    one factors P (A - sigma X) P^T, gathered through an index computed
+    once, in its natural order.  P (A - sigma X) P^T is congruent to
+    A - sigma X, so its pivots certify sigma alike.  ``factors`` counts the
+    factors made, ``orderings`` the MMD orderings computed.
+    """
+
+    def __init__(self, matrices, M=None):
+        n = matrices[0].shape[0]
+        entries = [_entries(m, n) for m in matrices]
+        x_keys, x_data = _entries(sparse.identity(n, format="csr") if M is None
+                                  else M.matrix.matrix, n)
+        merged, where = _union([keys for keys, _ in entries])
+        factored, (from_a, from_x) = _union([merged, x_keys])
+        self.n, self.inner_product = n, M
+        self.indices, self.indptr = _csr_index(merged, n)
+        self.values = np.zeros((len(entries), merged.size),
+                               dtype=np.result_type(*(d for _, d in entries)))
+        for row, at, (_, data) in zip(self.values, where, entries):
+            row[at] = data
+        # on the factors' pattern: where A's values sit among A's data
+        # padded with one zero, and X's values
+        self._factored = _csr_index(factored, n)
+        self._take = np.full(factored.size, merged.size)
+        self._take[from_a] = np.arange(merged.size)
+        self._x = np.zeros(factored.size, dtype=x_data.dtype)
+        self._x[from_x] = x_data
+        self.order = self._layout = None
+        self.factors = self.orderings = 0
+
+    def unordered_copy(self):
+        """A pattern on the same arrays with no ordering and no counts."""
+        twin = copy.copy(self)
+        twin.order = twin._layout = None
+        twin.factors = twin.orderings = 0
+        return twin
+
+    def _csc_layout(self, order):
+        """(gather, indices, indptr): the CSC arrays of B = C[order][:,
+        order] for a matrix C on the factors' pattern, B's data being C's
+        CSR data[gather]."""
+        indices, indptr = self._factored
+        inverse = np.argsort(order)
+        rows = np.repeat(inverse, np.diff(indptr))
+        cols = inverse[indices]
+        gather = np.argsort(cols.astype(np.int64) * self.n + rows)
+        indptr = np.searchsorted(cols[gather], np.arange(self.n + 1))
+        return gather, rows[gather].astype(np.int32), indptr.astype(np.int32)
+
+    def operator(self, theta):
+        """sum_q theta_q A_q, summed in term order, as a SparseHermitian in
+        this pattern's layout.  A real combination of exactly Hermitian
+        matrices is exactly Hermitian, so it is wrapped as it stands."""
+        rows = self.values
+        acc = theta[0] * rows[0]
+        for c, row in zip(theta[1:], rows[1:]):
+            acc += c * row
+        return SparseHermitian._exact(sparse.csr_matrix(
+            (acc, self.indices, self.indptr), shape=(self.n, self.n)), self)
+
+    def factor(self, op, sigma):
+        """The :class:`SpdFactor` of A - sigma X for an operator ``op`` = A
+        that :meth:`operator` made.  Raises NotPositiveDefiniteError, with
+        the row of A - sigma X of the failing pivot, when sigma is not below
+        every eigenvalue of the pencil."""
+        if op.pattern is not self:
+            raise ArgumentError("the operator is not in this pattern's layout")
+        data = np.append(op.matrix.data, 0.0)[self._take] - sigma * self._x
+        shifted = SparseHermitian._exact(sparse.csr_matrix(
+            (data, *self._factored), shape=(self.n, self.n)))
+        self.factors += 1
+        if self.order is None:
+            self.orderings += 1
+            lu = _superlu(shifted.matrix.tocsc())
+            # pivot k eliminates row and column argsort(perm_c)[k]; taking
+            # perm_c itself for the order grows the fill several times
+            self.order = np.argsort(lu.perm_c)
+            return SpdFactor(shifted, lu)
+        if self._layout is None:
+            self._layout = self._csc_layout(self.order)
+        gather, indices, indptr = self._layout
+        csc = sparse.csc_matrix((data[gather], indices, indptr),
+                                shape=(self.n, self.n))
+        return SpdFactor(shifted, _superlu(csc, self.order), self.order)
 
 
 def _norms(V, apply):
@@ -298,16 +464,21 @@ def _ritz_pairs(op, values, vectors, M, shift_fallback=False):
 
 
 def _shifted_factor(op, sigma, M):
-    """The factor of A - sigma X (X = I without ``M``), or None.
+    """The factor of A - sigma X (X = I without ``M``) on the pattern of
+    ``op`` (a one-off pattern of A and X when ``op`` has none for ``M``),
+    or None.
 
     None when the factor has a non-positive pivot, that is when sigma is
     not below every eigenvalue of the pencil.  The difference of two
     exactly Hermitian matrices is exactly Hermitian, so it is factored as
     it stands.
     """
-    X = sparse.identity(op.n, format="csr") if M is None else M.matrix.matrix
+    pattern = op.pattern
+    if pattern is None or pattern.inner_product is not M:
+        pattern = SparsePattern((op.matrix,), M)
+        op = pattern.operator(np.ones(1))
     try:
-        return cholesky(SparseHermitian._exact(op.matrix - sigma * X))
+        return pattern.factor(op, sigma)
     except NotPositiveDefiniteError:
         return None
 
@@ -358,9 +529,12 @@ def smallest_eigpairs(A, k, seed=0, M=None, below=None):
     caller's ``below``, or with none sigma = e - ESTIMATE_TOL |e| from a
     loose estimate e of the smallest eigenvalue (one regular-mode ARPACK
     pass at ``tol=ESTIMATE_TOL``, no vectors).  A - sigma X is factored
-    first.  If every pivot is positive, sigma lies below the spectrum and
-    ARPACK runs in shift-invert mode on that factor, where the wanted
-    eigenvalues are the best separated.  If a pivot is not, or the
+    first, on the :class:`SparsePattern` that made the operator (for an
+    operator that no pattern of ``M`` made, a one-off pattern of A and X),
+    so that the samples of one pattern share its ordering.  If every pivot
+    is positive, sigma lies below the spectrum and ARPACK runs in
+    shift-invert mode on that factor, where the wanted eigenvalues are the
+    best separated.  If a pivot is not, or the
     estimate does not converge, the solve runs unshifted and the result
     has ``shift_fallback`` set.  Dense operators ignore ``below``, and
     LAPACK ignores it with ``seed``.
@@ -484,30 +658,45 @@ def _tridiagonal_ends(A, M=None):
 
 
 def _extreme_values(op, seed, M):
-    """(lo, hi, fallbacks, solves): the extreme eigenvalues of ``op`` (of
-    the pencil (op, X) with ``M``), how many of the two ends ran unshifted
-    after a failed shift, and the eigensolves run: none for a term with no
-    stored entry, one tridiagonal reduction, or two ARPACK solves (see
-    extreme_eigs).
+    """(lo, hi, counts): the extreme eigenvalues of ``op`` (of the pencil
+    (op, X) with ``M``) and the counts of the work by the names of the
+    :class:`~eigenbounds.family.BoundingBox` fields, a count left out
+    being zero: ``eig_count`` the eigensolves run (none for a term with no
+    stored entry, one tridiagonal reduction, or two ARPACK solves; see
+    extreme_eigs), ``shift_fallbacks`` the ends that ran unshifted after a
+    failed shift, and ``sparse_factors`` and ``sparse_orderings`` the work
+    of the factors on the one-off :class:`SparsePattern` of a sparse
+    ``op``, each end ordered afresh.
     """
     if isinstance(op, SparseHermitian):
         support = np.flatnonzero(np.diff(op.matrix.indptr))
         if support.size == 0:
-            return 0.0, 0.0, 0, 0
+            return 0.0, 0.0, {}
         if M is None and support.size < op.n:
             # A is permutation-similar to diag(A[S, S], 0)
             sub = op.matrix[support][:, support]
             sub = (DenseHermitian._exact(sub.toarray())
                    if support.size <= DENSE_PARTIAL_CAP
                    else SparseHermitian._exact(sub.tocsr()))
-            lo, hi, fallbacks, solves = _extreme_values(sub, seed, None)
-            return min(lo, 0.0), max(hi, 0.0), fallbacks, solves
+            lo, hi, counts = _extreme_values(sub, seed, None)
+            return min(lo, 0.0), max(hi, 0.0), counts
     if _takes_lapack(op, M):
-        return (*_tridiagonal_ends(op.dense(), M), 0, 1)
-    lo, neg_hi = [smallest_eigpairs(end, 1, seed=seed, M=M)
-                  for end in (op, -op)]
-    return (float(lo.values[0]), float(-neg_hi.values[0]),
-            lo.shift_fallback + neg_hi.shift_fallback, 2)
+        return (*_tridiagonal_ends(op.dense(), M), {"eig_count": 1})
+    ends = (op, -op)
+    patterns = ()
+    if isinstance(op, SparseHermitian):
+        # an ordering per end, so that each end is solved as it would be
+        # alone and extreme_eigs(-A) mirrors extreme_eigs(A) exactly
+        pattern = SparsePattern((op.matrix,), M)
+        patterns = (pattern, pattern.unordered_copy())
+        ends = [p.operator(np.array([sign]))
+                for p, sign in zip(patterns, (1.0, -1.0))]
+    lo, neg_hi = [smallest_eigpairs(end, 1, seed=seed, M=M) for end in ends]
+    return float(lo.values[0]), float(-neg_hi.values[0]), {
+        "eig_count": 2,
+        "shift_fallbacks": lo.shift_fallback + neg_hi.shift_fallback,
+        "sparse_factors": sum(p.factors for p in patterns),
+        "sparse_orderings": sum(p.orderings for p in patterns)}
 
 
 def extreme_eigs(A, seed=0, M=None):
@@ -521,10 +710,11 @@ def extreme_eigs(A, seed=0, M=None):
     bisection, with no vector and no residual.  They are the values
     LAPACK's partial solver gives for A and -A.  Every other operator
     takes :func:`smallest_eigpairs` on A and on -A at working precision,
-    a sparse one shift-inverted just below a loose estimate of each end,
-    so each end lies within its residual norm of an eigenvalue, the
-    extreme one provided ARPACK missed none beyond it.  Either way the
-    largest eigenvalue is the negated smallest of -A, so
+    a sparse one shift-inverted just below a loose estimate of each end
+    and factored on a one-off :class:`SparsePattern` of A and X, under an
+    ordering of the end's own, so each end lies within its residual norm
+    of an eigenvalue, the extreme one provided ARPACK missed none beyond
+    it.  Either way the largest eigenvalue is the negated smallest of -A, so
     extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
 
@@ -537,7 +727,7 @@ def extreme_eigs(A, seed=0, M=None):
     reduction and Sturm counts) and sparse beyond it.  A pencil keeps its
     route, since X couples the rows.
     """
-    lo, hi, _, _ = _extreme_values(hermitian(A), seed=seed, M=M)
+    lo, hi, _ = _extreme_values(hermitian(A), seed=seed, M=M)
     return lo, hi
 
 

@@ -70,6 +70,8 @@ class GreedyRecord:
     lp_pivots: int = 0
     lp_degenerate: int = 0
     shift_fallbacks: int = 0
+    sparse_factors: int = 0
+    sparse_orderings: int = 0
     max_abs_ub_error: float | None = None
     max_abs_lb_error: float | None = None
     heuristic_valid: bool | None = None
@@ -89,15 +91,18 @@ class GreedyResult:
         return self.model.box
 
 
-def solve_at_sample(family, mu, k, seed=0, below=None):
+def solve_at_sample(family, mu, k, seed=0, below=None, pattern=None):
     """Smallest k eigenpairs of A(mu) (of the pencil with an inner product).
 
-    k is capped at n.  :func:`smallest_eigpairs` picks dense or iterative,
+    k is capped at n.  A sparse A(mu) is summed on ``pattern`` (see
+    :meth:`~eigenbounds.family.AffineFamily.operator_at`), whose ordering
+    its factor shares.  :func:`smallest_eigpairs` picks dense or iterative,
     and shift-inverts a sparse A(mu) at ``below`` (with none, just below a
     loose estimate) when that shift passes its positive-definite test.
     """
-    return smallest_eigpairs(family.operator_at(mu), min(k, family.n),
-                             seed=seed, M=family.inner_product, below=below)
+    return smallest_eigpairs(family.operator_at(mu, pattern),
+                             min(k, family.n), seed=seed,
+                             M=family.inner_product, below=below)
 
 
 class ScmState:
@@ -106,8 +111,11 @@ class ScmState:
     solve takes too, the samples, the joint-Rayleigh points of their
     smallest eigenvectors (no n-vector is kept) and the LP constraints
     ``rows @ y >= rhs``, whose right-hand sides are the sampled smallest
-    eigenvalues.  ``eig_seconds``, ``eig_count`` and ``shift_fallbacks``
-    total the box and sample solves; the ``lp_*`` counters and
+    eigenvalues.  A sparse family's samples are summed and factored on the
+    model's own ``pattern`` (None for a dense family), made here so that
+    each run computes its own ordering.  ``eig_seconds``, ``eig_count``,
+    ``shift_fallbacks``, ``sparse_factors`` and ``sparse_orderings`` total
+    the box and sample solves; the ``lp_*`` counters and
     ``sweep_seconds`` the work of :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
@@ -127,6 +135,7 @@ class ScmState:
         self.box_seconds = time.perf_counter() - t
         self.eig_seconds, self.eig_count = self.box_seconds, self.box.eig_count
         self.shift_fallbacks = self.box.shift_fallbacks
+        self.pattern = family.sparse_pattern()
         self.lp_count = self.lp_pivots = self.lp_degenerate = 0
         self.lp_seconds = self.sweep_seconds = 0.0
 
@@ -141,6 +150,17 @@ class ScmState:
         view.flags.writeable = False
         return view
 
+    @property
+    def sparse_factors(self):
+        """The sparse factors of A - sigma X made by the box and samples."""
+        return self.box.sparse_factors + getattr(self.pattern, "factors", 0)
+
+    @property
+    def sparse_orderings(self):
+        """The fill-reducing orderings computed for those factors."""
+        return (self.box.sparse_orderings
+                + getattr(self.pattern, "orderings", 0))
+
     def has_sample(self, mu):
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         return any(np.array_equal(mu, s) for s in self.samples)
@@ -148,13 +168,15 @@ class ScmState:
     def add_sample(self, mu, below=None):
         """Solve for the ``k`` smallest eigenpairs at a new sample ``mu``
         (shifted at ``below``), :meth:`extend` the model by them and count
-        the solve; a solve that raises leaves the model as it was."""
+        the solve; a solve that raises leaves the model as it was, but for
+        the factors it made on ``pattern``, which stay counted there and
+        may have set its ordering."""
         mu = np.atleast_1d(np.asarray(mu, dtype=float))
         if self.has_sample(mu):
             raise ArgumentError("sample already present in the pool")
         t = time.perf_counter()
         pairs = solve_at_sample(self.family, mu, self.k, seed=self.seed,
-                                below=below)
+                                below=below, pattern=self.pattern)
         self.extend(mu, pairs)
         self.shift_fallbacks += pairs.shift_fallback
         self.eig_seconds += time.perf_counter() - t
@@ -337,7 +359,9 @@ def _greedy(make_model, family, train, eps, j_max, *, warm_start, oracle,
             reduced_seconds=model.sweep_seconds,
             lp_count=model.lp_count, eig_count=model.eig_count,
             lp_pivots=model.lp_pivots, lp_degenerate=model.lp_degenerate,
-            shift_fallbacks=model.shift_fallbacks)
+            shift_fallbacks=model.shift_fallbacks,
+            sparse_factors=model.sparse_factors,
+            sparse_orderings=model.sparse_orderings)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]
                                                        - oracle)))

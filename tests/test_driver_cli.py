@@ -142,6 +142,20 @@ class TestRunPipeline:
         assert not summary["termination"]["converged"]
         assert "not converged" in summary["termination"]["reason"]
 
+    def test_reruns_on_one_sparse_family_object_are_bit_identical(
+            self, tmp_path):
+        # every run orders its own sample factors: an ordering kept from
+        # the first run would send the second run's first factor down the
+        # reused path and move the last bits of its bounds
+        family, meta = load_problem(generator={"kind": "blocks"})
+        config = RunConfig(pipeline="subspace", n_train=25, j_max=10,
+                           train_seed=1)
+        out1, out2 = tmp_path / "one", tmp_path / "two"
+        for out in (out1, out2):
+            run_pipeline(config, family, str(out), problem_meta=meta)
+        assert (out1 / "bounds.csv").read_bytes() == \
+            (out2 / "bounds.csv").read_bytes()
+
     def test_bit_identical_reruns(self, tmp_path):
         family, meta = load_problem(
             generator={"kind": "random", "Q": 3, "N": 50, "delta": 0.25,

@@ -14,8 +14,8 @@ import scipy.sparse.linalg as sparse_linalg
 from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
                          EvaluationError, GreedyError, ScmState, SubspacePool,
                          block_grid_family, coercivity_transform,
-                         random_family, random_training_set, scm_greedy,
-                         subspace_greedy)
+                         compute_bounding_box, random_family,
+                         random_training_set, scm_greedy, subspace_greedy)
 from eigenbounds import driver, scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 from eigenbounds.expressions import compile_theta
@@ -210,6 +210,23 @@ def test_shift_above_the_spectrum_is_counted(tmp_path, monkeypatch,
     assert forced["counts"]["shift_fallbacks"] == 3
 
 
+def test_one_ordering_serves_every_sample_factor(tmp_path):
+    # the blocks family's Laplacian takes two ARPACK box ends, each
+    # factored on a one-off pattern with an ordering of its own; its nine
+    # subdomain terms take tridiagonal reductions and no factor.  The
+    # samples share the run's pattern: the first factor computes the
+    # ordering and the other three reuse it
+    fam, meta = load_problem(generator={"kind": "blocks"})
+    box = compute_bounding_box(fam)
+    assert (box.sparse_factors, box.sparse_orderings) == (2, 2)
+    config = RunConfig(pipeline="subspace", n_train=25, j_max=4, eps=1e-12)
+    counts = run_pipeline(config, fam, str(tmp_path), meta)["counts"]
+    assert counts["eig"] == box.eig_count + 4
+    assert counts["shift_fallbacks"] == 0
+    assert counts["sparse_factors"] == box.sparse_factors + 4
+    assert counts["sparse_orderings"] == box.sparse_orderings + 1
+
+
 def _first_sample(monkeypatch, fam, train):
     """The first sample's shift from the loop, the shift the eigensolver
     factored at for it, and the run's result."""
@@ -274,13 +291,14 @@ def test_operator_at_is_assembled_once_per_sample(monkeypatch):
     calls = []
     original = AffineFamily.operator_at
 
-    def counted(self, mu):
-        calls.append(1)
-        return original(self, mu)
+    def counted(self, mu, pattern=None):
+        calls.append(pattern)
+        return original(self, mu, pattern)
 
     monkeypatch.setattr(AffineFamily, "operator_at", counted)
     res = subspace_greedy(fam, train, eps=1e-12, j_max=3)
-    assert res.model.j == 3 and len(calls) == 3
+    # every sample is summed on the run's one pattern
+    assert res.model.j == 3 and calls == [res.model.pattern] * 3
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

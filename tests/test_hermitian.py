@@ -13,7 +13,7 @@ from eigenbounds import (AffineFamily, ArgumentError, DenseHermitian,
                          SparseHermitian, block_grid_family, cholesky,
                          coercivity_transform, compute_bounding_box,
                          dense_smallest, extreme_eigs, hermitian,
-                         smallest_eigpairs)
+                         smallest_eigpairs, solve_at_sample)
 from eigenbounds.hermitian import orthonormal_columns
 
 # the package re-exports a function named ``hermitian`` over the module
@@ -277,6 +277,135 @@ class TestShiftInvert:
         with pytest.raises(ArgumentError, match="finite"):
             smallest_eigpairs(sparse.identity(80, format="csr"), 1,
                               below=sigma)
+
+
+def _x_matrix(fam):
+    """X of the family's pencil as a CSR matrix, I without one."""
+    M = fam.inner_product
+    return (sparse.identity(fam.n, format="csr") if M is None
+            else M.matrix.matrix)
+
+
+def _ordered_pattern(monkeypatch, kind, mu):
+    """A grid family, a pattern whose ordering one factor below lambda_1
+    has set, A(mu) summed on it and the unshifted pairs of A(mu)."""
+    fam = _grid_families()[kind]
+    pattern = fam.sparse_pattern()
+    op = fam.operator_at(mu, pattern)
+    plain = _unshifted(monkeypatch, op, 2, M=fam.inner_product)
+    first = pattern.factor(op, plain.values[0] - 0.5 * abs(plain.values[0]))
+    assert first.order is None and pattern.order is not None
+    return fam, pattern, op, plain
+
+
+class TestReusedOrdering:
+    """A factor under the ordering of an earlier one certifies a shift as
+    a fresh factor of A - sigma X does."""
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    def test_shift_above_falls_back_as_a_fresh_factor_refuses_it(
+            self, monkeypatch, kind):
+        fam, pattern, op, plain = _ordered_pattern(monkeypatch, kind,
+                                                   [0.4, 0.1, 0.25, 0.35])
+        above = 0.5 * (plain.values[0] + plain.values[1])
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(SparseHermitian._exact(op.matrix
+                                            - above * _x_matrix(fam)))
+        got = smallest_eigpairs(op, 2, M=fam.inner_product, below=above)
+        assert got.shift_fallback
+        assert np.array_equal(got.values, plain.values)
+        assert np.array_equal(got.vectors, plain.vectors)
+        assert (pattern.factors, pattern.orderings) == (2, 1)
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    def test_failing_pivot_names_the_row_a_fresh_factor_names(
+            self, monkeypatch, kind):
+        fam, pattern, op, plain = _ordered_pattern(monkeypatch, kind,
+                                                   [0.2, 0.45, 0.1, 0.3])
+        above = 0.5 * (plain.values[0] + plain.values[1])
+        with pytest.raises(NotPositiveDefiniteError) as fresh:
+            cholesky(SparseHermitian._exact(op.matrix
+                                            - above * _x_matrix(fam)))
+        with pytest.raises(NotPositiveDefiniteError) as reused:
+            pattern.factor(op, above)
+        assert reused.value.pivot == fresh.value.pivot is not None
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    def test_reused_ordering_keeps_the_fresh_fill(self, monkeypatch, kind):
+        # pre-permuting by perm_c itself instead of its inverse grows the
+        # fill several times over
+        fam, pattern, op, plain = _ordered_pattern(monkeypatch, kind,
+                                                   [0.3, 0.2, 0.4, 0.15])
+        sigma = plain.values[0] - 1e-3 * abs(plain.values[0])
+        fresh = cholesky(SparseHermitian._exact(op.matrix
+                                                - sigma * _x_matrix(fam)))
+        reused = pattern.factor(op, sigma)
+        assert reused.order is not None
+        assert (reused.lu.L.nnz + reused.lu.U.nnz
+                == fresh.lu.L.nnz + fresh.lu.U.nnz)
+        b = np.random.default_rng(3).standard_normal((fam.n, 2))
+        assert_allclose(reused.solve(b), fresh.solve(b), rtol=1e-10)
+
+
+def _complex_grid_family():
+    """The n = 120 grid family with every subdomain term made complex
+    Hermitian: i (U - U^T) from its strict upper triangle U."""
+    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+    terms = [fam.terms[0].matrix]
+    for term in fam.terms[1:]:
+        upper = sparse.triu(term.matrix, 1)
+        terms.append((1j * (upper - upper.T)).tocsr())
+    return AffineFamily(terms=tuple(terms), theta=fam.theta,
+                        domain=fam.domain)
+
+
+class TestComplexPattern:
+    """A complex Hermitian sparse family (n > DENSE_FALLBACK_SIZE, so its
+    samples are shift-inverted by ARPACK) through one merged pattern."""
+
+    POINTS = np.random.default_rng(31).uniform(0.1, 0.5, size=(4, 4))
+
+    def test_assembly_is_the_term_by_term_sum(self):
+        fam = _complex_grid_family()
+        pattern = fam.sparse_pattern()
+        for mu in self.POINTS:
+            th = fam.theta_at(mu)
+            acc = th[0] * fam.terms[0].matrix
+            for c, term in zip(th[1:], fam.terms[1:]):
+                acc = acc + c * term.matrix
+            op = fam.operator_at(mu, pattern)
+            assert op.iscomplex and op.pattern is pattern
+            assert np.array_equal(op.matrix.toarray(), acc.toarray())
+
+    def test_samples_match_the_dense_spectrum(self):
+        fam = _complex_grid_family()
+        assert fam.n > hermitian_module.DENSE_FALLBACK_SIZE
+        pattern = fam.sparse_pattern()
+        for mu in self.POINTS:
+            pairs = solve_at_sample(fam, mu, 2, pattern=pattern)
+            w = np.linalg.eigvalsh(fam.assemble_dense(mu))[:2]
+            scale = np.abs(w).max()
+            assert not pairs.shift_fallback
+            # a factor of the conjugate (the transpose) would give the
+            # same values with conjugated vectors and large residuals
+            assert np.all(pairs.residuals <= 1e-10 * scale)
+            assert np.all(np.abs(pairs.values - w)
+                          <= pairs.residuals + 1e-13 * scale)
+        assert (pattern.factors, pattern.orderings) == (len(self.POINTS), 1)
+
+    def test_reused_factor_solves_the_complex_system(self):
+        fam = _complex_grid_family()
+        pattern = fam.sparse_pattern()
+        op = fam.operator_at(self.POINTS[0], pattern)
+        A = op.matrix.toarray()
+        sigma = np.linalg.eigvalsh(A)[0] - 1.0
+        rng = np.random.default_rng(5)
+        b = rng.standard_normal((fam.n, 2)) + 1j * rng.standard_normal(
+            (fam.n, 2))
+        for factor in (pattern.factor(op, sigma), pattern.factor(op, sigma)):
+            x = factor.solve(b)
+            assert_allclose((A - sigma * np.eye(fam.n)) @ x, b, atol=1e-10)
+        assert factor.order is not None
 
 
 class TestExtremeEigs:
