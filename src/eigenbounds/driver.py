@@ -56,7 +56,8 @@ BOUND_COLUMNS = (
 # summary.json "counts": (key, GreedyRecord attribute of the last record)
 SUMMARY_COUNTS = (
     ("lp", "lp_count"), ("eig", "eig_count"),
-    ("shift_fallbacks", "shift_fallbacks"), ("lp_pivots", "lp_pivots"),
+    ("shift_fallbacks", "shift_fallbacks"),
+    ("loose_estimates", "loose_estimates"), ("lp_pivots", "lp_pivots"),
     ("lp_degenerate", "lp_degenerate"), ("sparse_factors", "sparse_factors"),
     ("sparse_orderings", "sparse_orderings"),
 )

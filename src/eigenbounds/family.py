@@ -145,7 +145,8 @@ class BoundingBox:
     """Per-term spectral intervals [lambda_min(A_q), lambda_max(A_q)].
 
     ``shift_fallbacks`` counts the interval ends whose shifted solve fell
-    back to the unshifted one, ``eig_count`` the eigensolves that ran (see
+    back to the unshifted one, ``loose_estimates`` the ends whose shift a
+    loose pass placed, ``eig_count`` the eigensolves that ran (see
     :func:`compute_bounding_box`), ``sparse_factors`` the sparse factors
     of A_q - sigma X made and ``sparse_orderings`` the fill-reducing
     orderings computed for them.
@@ -154,6 +155,7 @@ class BoundingBox:
     lower: np.ndarray
     upper: np.ndarray
     shift_fallbacks: int = 0
+    loose_estimates: int = 0
     eig_count: int = 0
     sparse_factors: int = 0
     sparse_orderings: int = 0
@@ -181,9 +183,12 @@ def compute_bounding_box(family, seed=0):
     no solve.  Every other term takes two ARPACK smallest-eigenvalue
     solves, of A_q and -A_q, under the shift rule of
     :func:`~eigenbounds.extreme_eigs`, factored on a one-off sparse
-    pattern of the term and X, each end under an ordering of its own.  The
-    box counts its eigensolves (one per reduction, two per ARPACK-solved
-    term) and their sparse factors and orderings.
+    pattern of the term and X, each end under an ordering of its own: an
+    end with a positive diagonal (the low end of a stiffness term) at its
+    Gershgorin floor when that factor passes the pivot test, every other
+    end just below a loose estimate.  The box counts its eigensolves (one
+    per reduction, two per ARPACK-solved term), its loose passes and their
+    sparse factors and orderings.
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)

@@ -28,10 +28,12 @@ vectors, residuals in the X^{-1} norm.  Every sparse eigensolve that
 ARPACK takes runs in shift-invert mode on the factor of A - sigma X
 (spectral-transformation Lanczos, Ericsson & Ruhe, Math. Comp. 35, 1980)
 when the factor's pivots certify sigma below the spectrum by Sylvester's
-law of inertia: at the caller's shift, or else just below a loose
-estimate of the smallest eigenvalue.  Box ends and samples take that one
-rule alike, and every such factor is made on a :class:`SparsePattern`,
-whose factors share one fill-reducing ordering.
+law of inertia: at the caller's shift, or else at the Gershgorin floor of
+an operator with a positive diagonal, which costs no eigensolve, and
+failing that just below a loose estimate of the smallest eigenvalue,
+whose Ritz vector starts the shifted solve.  Box ends and samples take
+that one rule alike, and every such factor is made on a
+:class:`SparsePattern`, whose factors share one fill-reducing ordering.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ DENSE_PARTIAL_CAP = 800
 DENSE_PENCIL_CAP = 350
 DENSIFY_CAP = 4096
 # relative accuracy of the loose pass that places a sparse solve's shift
-# when the caller gives none, and the shift's distance below its estimate e
-# as a fraction of |e|
+# when the caller gives none and the Gershgorin floor fails, and the
+# shift's distance below its estimate e as a fraction of |e|
 ESTIMATE_TOL = 1e-2
 
 
@@ -110,6 +112,7 @@ class EigenPairs:
     vectors: np.ndarray   # (n, k) orthonormal (X-orthonormal) columns
     residuals: np.ndarray # (k,) norms of A v - lambda v (or - lambda X v)
     shift_fallback: bool = False  # unshifted: no shift passed the factor test
+    loose_estimate: bool = False  # a loose pass ran to place the shift
 
 
 class HermitianOperator:
@@ -453,14 +456,15 @@ def orthonormal_columns(X, against=None, M=None):
     return np.column_stack(cols), kept
 
 
-def _ritz_pairs(op, values, vectors, M, shift_fallback=False):
-    """EigenPairs in ascending order, with residuals computed explicitly."""
+def _ritz_pairs(op, values, vectors, M, **flags):
+    """EigenPairs in ascending order, with residuals computed explicitly;
+    ``flags`` are its ``shift_fallback`` and ``loose_estimate``."""
     order = np.argsort(values)
     w = np.asarray(values, dtype=float)[order]
     V = np.ascontiguousarray(vectors[:, order])
     R = op.matmat(V) - (V if M is None else M.matrix.matmat(V)) * w
     return EigenPairs(values=w, vectors=V, residuals=_norms(R, M and M.solve),
-                      shift_fallback=shift_fallback)
+                      **flags)
 
 
 def _shifted_factor(op, sigma, M):
@@ -526,18 +530,22 @@ def smallest_eigpairs(A, k, seed=0, M=None, below=None):
     ||A v - lambda X v|| in the X^{-1} norm.
 
     A sparse operator that ARPACK takes is solved at a shift sigma: the
-    caller's ``below``, or with none sigma = e - ESTIMATE_TOL |e| from a
-    loose estimate e of the smallest eigenvalue (one regular-mode ARPACK
-    pass at ``tol=ESTIMATE_TOL``, no vectors).  A - sigma X is factored
-    first, on the :class:`SparsePattern` that made the operator (for an
-    operator that no pattern of ``M`` made, a one-off pattern of A and X),
-    so that the samples of one pattern share its ordering.  If every pivot
-    is positive, sigma lies below the spectrum and ARPACK runs in
-    shift-invert mode on that factor, where the wanted eigenvalues are the
-    best separated.  If a pivot is not, or the
-    estimate does not converge, the solve runs unshifted and the result
-    has ``shift_fallback`` set.  Dense operators ignore ``below``, and
-    LAPACK ignores it with ``seed``.
+    caller's ``below``, or with none the shift that one rule places
+    (:func:`_placed_shift`): the Gershgorin floor sigma_0 of the pencil
+    when every diagonal entry of A is positive and its factor passes the
+    pivot test, else sigma = e - ESTIMATE_TOL |e| from a loose estimate e
+    of the smallest eigenvalue (one regular-mode ARPACK pass at
+    ``tol=ESTIMATE_TOL``), whose Ritz vector then starts the shifted solve.
+    A - sigma X is factored on the :class:`SparsePattern` that made the
+    operator (for an operator that no pattern of ``M`` made, a one-off
+    pattern of A and X), so that the samples of one pattern share its
+    ordering.  If every pivot is positive, sigma lies below the spectrum
+    and ARPACK runs in shift-invert mode on that factor, where the wanted
+    eigenvalues are the best separated.  If a pivot is not, or the
+    estimate does not converge, the solve runs unshifted from the seeded
+    start and the result has ``shift_fallback`` set; a result whose shift
+    took a loose pass has ``loose_estimate`` set.  Dense operators ignore
+    ``below``, and LAPACK ignores it with ``seed``.
 
     Parameters
     ----------
@@ -565,16 +573,20 @@ def smallest_eigpairs(A, k, seed=0, M=None, below=None):
 
     lin, v0 = _arpack_start(op, seed)
     arpack = {"Minv": M and _inverse(M, n, v0.dtype), "which": "SA"}
-    fallback = False
+    flags = {}
     if isinstance(op, SparseHermitian):
+        start = None
         if below is None:
-            e = _estimate(op, seed, M)
-            below = None if e is None else e - ESTIMATE_TOL * abs(e)
-        shifted = None if below is None else _shifted_factor(op, below, M)
-        fallback = shifted is None
+            below, shifted, start, flags["loose_estimate"] = _placed_shift(
+                op, seed, M)
+        else:
+            shifted = _shifted_factor(op, below, M)
+        flags["shift_fallback"] = shifted is None
         if shifted is not None:
             arpack = {"sigma": below, "which": "LM",
                       "OPinv": _inverse(shifted, n, v0.dtype)}
+            if start is not None:
+                v0 = start
     try:
         w, V = eigsh(lin, k=k, M=M and M.matrix.matrix, tol=0, v0=v0,
                      **arpack)
@@ -582,23 +594,88 @@ def smallest_eigpairs(A, k, seed=0, M=None, below=None):
         raise EigensolverError(
             f"no convergence: {exc}",
             best=_ritz_pairs(op, exc.eigenvalues, exc.eigenvectors, M,
-                             fallback)) from exc
-    return _ritz_pairs(op, w, V, M, fallback)
+                             **flags)) from exc
+    return _ritz_pairs(op, w, V, M, **flags)
+
+
+def _gershgorin(matrix):
+    """(diagonal, radii) of a Hermitian CSR matrix: the real diagonal and
+    each row's absolute off-diagonal sum, so that every eigenvalue lies in
+    some disc [d_i - r_i, d_i + r_i]."""
+    n = matrix.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    on = matrix.indices == rows
+    return (np.bincount(rows[on], np.real(matrix.data[on]), n),
+            np.bincount(rows[~on], np.abs(matrix.data[~on]), n))
+
+
+def _floor(op, M):
+    """The Gershgorin floor sigma_0 of the pencil (A, X) of the sparse
+    ``op`` (X = I without ``M``), or None when a diagonal entry of A is
+    not positive.
+
+    sigma_0 = g_A / x_hi when A's Gershgorin lower end g_A = min_i(a_ii -
+    sum_{j != i} |a_ij|) is positive, else 0; x_hi is X's Gershgorin upper
+    end, 1 without ``M``.  Then A - g_A I and x_hi I - X are positive
+    semidefinite, so A - sigma_0 X is too.  A positive diagonal is
+    necessary for A - sigma_0 X to be positive definite at a sigma_0 >= 0,
+    so an operator without one takes no trial factor.
+    """
+    diagonal, radii = _gershgorin(op.matrix)
+    if not np.all(diagonal > 0):
+        return None
+    g = float(np.min(diagonal - radii))
+    if g <= 0:
+        return 0.0
+    if M is None:
+        return g
+    x_diagonal, x_radii = _gershgorin(M.matrix.matrix)
+    return g / float(np.max(x_diagonal + x_radii))
+
+
+def _placed_shift(op, seed, M):
+    """(sigma, factor, start, loose): the shift of a sparse solve whose
+    caller gives none, the factor of A - sigma X (X = I without ``M``),
+    the start vector of the shifted solve and whether a loose pass ran.
+
+    The first try is the Gershgorin floor sigma_0 (:func:`_floor`) of an
+    A with a positive diagonal: if its factor passes the pivot test,
+    sigma_0 lies below the spectrum and the solve starts from the seeded
+    vector, with no loose pass.  Otherwise :func:`_estimate` makes one,
+    sigma = e - ESTIMATE_TOL |e| below its estimate e, and its Ritz vector
+    is the start.  ``factor`` is None when no shift passed the test or the
+    pass did not converge: the solve then runs unshifted from the seeded
+    vector.  Each choice depends only on ``op``, ``seed`` and ``M``, so
+    the ends of a box term, A and -A, each take the route they would alone.
+    """
+    floor = _floor(op, M)
+    if floor is not None:
+        factor = _shifted_factor(op, floor, M)
+        if factor is not None:
+            return floor, factor, None, False
+    estimate = _estimate(op, seed, M)
+    if estimate is None:
+        return None, None, None, True
+    e, ritz = estimate
+    sigma = e - ESTIMATE_TOL * abs(e)
+    return sigma, _shifted_factor(op, sigma, M), ritz, True
 
 
 def _estimate(op, seed, M):
-    """The smallest eigenvalue of the sparse ``op`` (of the pencil (A, X)
-    with ``M``) to relative accuracy ESTIMATE_TOL, from one regular-mode
-    pass; None if ARPACK gives up."""
+    """(e, v): the smallest eigenvalue e of the sparse ``op`` (of the
+    pencil (A, X) with ``M``) to relative accuracy ESTIMATE_TOL and its
+    Ritz vector v, from one regular-mode pass that places a shift where
+    the Gershgorin floor does not (:func:`_placed_shift`); None if ARPACK
+    gives up."""
     lin, v0 = _arpack_start(op, seed)
     pencil = {} if M is None else {"M": M.matrix.matrix,
                                    "Minv": _inverse(M, op.n, v0.dtype)}
     try:
-        w = eigsh(lin, k=1, which="SA", tol=ESTIMATE_TOL, v0=v0,
-                  return_eigenvectors=False, **pencil)
+        w, V = eigsh(lin, k=1, which="SA", tol=ESTIMATE_TOL, v0=v0,
+                     **pencil)
     except ArpackNoConvergence:
         return None
-    return float(w[0])
+    return float(w[0]), V[:, 0]
 
 
 def _takes_lapack(op, M):
@@ -664,7 +741,8 @@ def _extreme_values(op, seed, M):
     being zero: ``eig_count`` the eigensolves run (none for a term with no
     stored entry, one tridiagonal reduction, or two ARPACK solves; see
     extreme_eigs), ``shift_fallbacks`` the ends that ran unshifted after a
-    failed shift, and ``sparse_factors`` and ``sparse_orderings`` the work
+    failed shift, ``loose_estimates`` the ends whose shift a loose pass
+    placed, and ``sparse_factors`` and ``sparse_orderings`` the work
     of the factors on the one-off :class:`SparsePattern` of a sparse
     ``op``, each end ordered afresh.
     """
@@ -695,6 +773,7 @@ def _extreme_values(op, seed, M):
     return float(lo.values[0]), float(-neg_hi.values[0]), {
         "eig_count": 2,
         "shift_fallbacks": lo.shift_fallback + neg_hi.shift_fallback,
+        "loose_estimates": lo.loose_estimate + neg_hi.loose_estimate,
         "sparse_factors": sum(p.factors for p in patterns),
         "sparse_orderings": sum(p.orderings for p in patterns)}
 
@@ -710,12 +789,15 @@ def extreme_eigs(A, seed=0, M=None):
     bisection, with no vector and no residual.  They are the values
     LAPACK's partial solver gives for A and -A.  Every other operator
     takes :func:`smallest_eigpairs` on A and on -A at working precision,
-    a sparse one shift-inverted just below a loose estimate of each end
-    and factored on a one-off :class:`SparsePattern` of A and X, under an
-    ordering of the end's own, so each end lies within its residual norm
-    of an eigenvalue, the extreme one provided ARPACK missed none beyond
-    it.  Either way the largest eigenvalue is the negated smallest of -A, so
-    extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
+    a sparse one shift-inverted and factored on a one-off
+    :class:`SparsePattern` of A and X, under an ordering of the end's own:
+    an end whose operator has a positive diagonal at its Gershgorin floor
+    if that factor passes the pivot test, any other end just below a loose
+    estimate, started from its Ritz vector.  Each end lies within its
+    residual norm of an eigenvalue, the extreme one provided ARPACK missed
+    none beyond it.  Either way the largest eigenvalue is the negated
+    smallest of -A, and each end's route depends on its own operator only,
+    so extreme_eigs(-A) == -reversed(extreme_eigs(A)) holds exactly by
     construction.
 
     A sparse operator with no stored entry has the ends (0, 0) and takes

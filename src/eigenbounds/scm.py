@@ -70,6 +70,7 @@ class GreedyRecord:
     lp_pivots: int = 0
     lp_degenerate: int = 0
     shift_fallbacks: int = 0
+    loose_estimates: int = 0
     sparse_factors: int = 0
     sparse_orderings: int = 0
     max_abs_ub_error: float | None = None
@@ -97,8 +98,9 @@ def solve_at_sample(family, mu, k, seed=0, below=None, pattern=None):
     k is capped at n.  A sparse A(mu) is summed on ``pattern`` (see
     :meth:`~eigenbounds.family.AffineFamily.operator_at`), whose ordering
     its factor shares.  :func:`smallest_eigpairs` picks dense or iterative,
-    and shift-inverts a sparse A(mu) at ``below`` (with none, just below a
-    loose estimate) when that shift passes its positive-definite test.
+    and shift-inverts a sparse A(mu) at ``below`` (with none, at the
+    Gershgorin floor or just below a loose estimate) when that shift
+    passes its positive-definite test.
     """
     return smallest_eigpairs(family.operator_at(mu, pattern),
                              min(k, family.n), seed=seed,
@@ -114,8 +116,8 @@ class ScmState:
     eigenvalues.  A sparse family's samples are summed and factored on the
     model's own ``pattern`` (None for a dense family), made here so that
     each run computes its own ordering.  ``eig_seconds``, ``eig_count``,
-    ``shift_fallbacks``, ``sparse_factors`` and ``sparse_orderings`` total
-    the box and sample solves; the ``lp_*`` counters and
+    ``shift_fallbacks``, ``loose_estimates``, ``sparse_factors`` and
+    ``sparse_orderings`` total the box and sample solves; the ``lp_*`` counters and
     ``sweep_seconds`` the work of :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
@@ -135,6 +137,7 @@ class ScmState:
         self.box_seconds = time.perf_counter() - t
         self.eig_seconds, self.eig_count = self.box_seconds, self.box.eig_count
         self.shift_fallbacks = self.box.shift_fallbacks
+        self.loose_estimates = self.box.loose_estimates
         self.pattern = family.sparse_pattern()
         self.lp_count = self.lp_pivots = self.lp_degenerate = 0
         self.lp_seconds = self.sweep_seconds = 0.0
@@ -179,6 +182,7 @@ class ScmState:
                                 below=below, pattern=self.pattern)
         self.extend(mu, pairs)
         self.shift_fallbacks += pairs.shift_fallback
+        self.loose_estimates += pairs.loose_estimate
         self.eig_seconds += time.perf_counter() - t
         self.eig_count += 1
 
@@ -360,6 +364,7 @@ def _greedy(make_model, family, train, eps, j_max, *, warm_start, oracle,
             lp_count=model.lp_count, eig_count=model.eig_count,
             lp_pivots=model.lp_pivots, lp_degenerate=model.lp_degenerate,
             shift_fallbacks=model.shift_fallbacks,
+            loose_estimates=model.loose_estimates,
             sparse_factors=model.sparse_factors,
             sparse_orderings=model.sparse_orderings)
         if oracle is not None:

@@ -23,6 +23,12 @@ def build_pool(family, sample_points, ell=1):
     return pool
 
 
+def no_placed_shift(op, seed, M):
+    """A stand-in for ``hermitian._placed_shift`` that places no shift: a
+    sparse solve given none runs unshifted from its seeded start."""
+    return None, None, None, False
+
+
 def write_mtx(path, matrix, symmetry=None, writer=scipy.io.mmwrite):
     """Write ``matrix`` as a coordinate Matrix Market file with SciPy's
     ``writer``: symmetric (hermitian if complex) unless ``symmetry`` says

@@ -4,6 +4,7 @@ import csv
 import importlib
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from eigenbounds import (AffineFamily, ArgumentError, EigensolverError,
 from eigenbounds import driver, scm, smallest_eigpairs, subspace
 from eigenbounds.driver import RunConfig, load_problem, run_pipeline
 from eigenbounds.expressions import compile_theta
+from helpers import no_placed_shift
 
 # the package re-exports a function named ``hermitian`` over the module
 hermitian_module = importlib.import_module("eigenbounds.hermitian")
@@ -132,12 +134,13 @@ def _grid_pencil():
 
 
 def _unshifted(solve, monkeypatch, shifts):
-    """``solve`` with its shift dropped (appended to ``shifts``) and no
-    estimate to place one: the unshifted solve."""
+    """``solve`` with its shift dropped (appended to ``shifts``) and none
+    placed: the unshifted solve."""
     def unshifted(*args, below=None, **kwargs):
         shifts.append(below)
         with monkeypatch.context() as patched:
-            patched.setattr(hermitian_module, "_estimate", lambda *a: None)
+            patched.setattr(hermitian_module, "_placed_shift",
+                            no_placed_shift)
             return solve(*args, **kwargs)
     return unshifted
 
@@ -184,10 +187,10 @@ def test_shifted_box_changes_no_selection(monkeypatch):
 
 
 def test_unplaced_box_shifts_are_counted(tmp_path, monkeypatch):
-    # no loose estimate converges: every box end and the first sample are
-    # solved unshifted
+    # no shift is placed: every box end and the first sample are solved
+    # unshifted
     fam = _grid_pencil()
-    monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+    monkeypatch.setattr(hermitian_module, "_placed_shift", no_placed_shift)
     config = RunConfig(pipeline="scm", n_train=20, j_max=3, eps=1e-12)
     counts = run_pipeline(config, fam, str(tmp_path))["counts"]
     assert counts["shift_fallbacks"] == 2 * fam.q + 1
@@ -227,6 +230,24 @@ def test_one_ordering_serves_every_sample_factor(tmp_path):
     assert counts["sparse_orderings"] == box.sparse_orderings + 1
 
 
+@pytest.mark.parametrize("pipeline", ["scm", "subspace"])
+def test_loose_passes_are_counted(tmp_path, pipeline):
+    # a positive diagonal takes the Gershgorin floor: the Laplacian's low
+    # end and the first sample.  Every other ARPACK-solved end (-L, and a
+    # pencil's zero-diagonal cross terms) takes one loose pass, as do the
+    # first samples of the family with its Laplacian negated
+    blocks, _ = load_problem(generator={"kind": "blocks"})
+    pencil = _grid_pencil()
+    config = RunConfig(pipeline=pipeline, n_train=25, j_max=3, eps=1e-12)
+    for run, (fam, box, first) in enumerate((
+            (blocks, 1, 0), (pencil, 2 * pencil.q - 1, 0),
+            (_negated_laplacian(pencil), 2 * pencil.q - 1, 1))):
+        counts = run_pipeline(config, fam, str(tmp_path / str(run)))["counts"]
+        assert compute_bounding_box(fam).loose_estimates == box
+        assert counts["loose_estimates"] == box + first
+        assert counts["shift_fallbacks"] == 0
+
+
 def _first_sample(monkeypatch, fam, train):
     """The first sample's shift from the loop, the shift the eigensolver
     factored at for it, and the run's result."""
@@ -249,34 +270,71 @@ def _first_sample(monkeypatch, fam, train):
     return shifts[0], factored, res
 
 
-def _assert_first_shift_estimated(monkeypatch, fam):
-    """The loop gives the first sample no shift, and the eigensolver
-    factors at one within 2.1% below lambda_min(A(mu))."""
-    train = random_training_set(fam.domain, 20, seed=3)
-    below, factored, res = _first_sample(monkeypatch, fam, train)
+def _negated_laplacian(fam):
+    """``fam`` with its Laplacian term negated (a pencil keeps its X):
+    every A(mu) has a negative diagonal, so no Gershgorin floor is tried."""
+    return replace(fam, terms=(-fam.terms[0], *fam.terms[1:]))
+
+
+def _first_lambda(fam, mu):
     X = fam.inner_product
-    lam1 = scipy.linalg.eigh(fam.operator_at(train.points[0]).dense(),
+    return scipy.linalg.eigh(fam.operator_at(mu).dense(),
                              None if X is None else X.matrix.dense(),
                              eigvals_only=True)[0]
+
+
+def _assert_first_shift_estimated(monkeypatch, fam):
+    """The loop gives the first sample no shift, and the eigensolver
+    factors at one within 2.1% below lambda_min(A(mu)), placed by a loose
+    pass."""
+    train = random_training_set(fam.domain, 20, seed=3)
+    below, factored, res = _first_sample(monkeypatch, fam, train)
+    lam1 = _first_lambda(fam, train.points[0])
     assert below is None
     sigma, = factored
     assert lam1 - 0.021 * abs(lam1) <= sigma < lam1
     assert res.records[-1].shift_fallbacks == 0
+    assert res.records[-1].loose_estimates == res.box.loose_estimates + 1
+
+
+def _assert_first_shift_at_the_floor(monkeypatch, fam):
+    """The loop gives the first sample no shift, and the eigensolver
+    factors once, at the Gershgorin floor sigma_0 <= lambda_min(A(mu)),
+    with no loose pass."""
+    train = random_training_set(fam.domain, 20, seed=3)
+    below, factored, res = _first_sample(monkeypatch, fam, train)
+    op = fam.operator_at(train.points[0])
+    assert below is None
+    sigma, = factored
+    assert sigma == hermitian_module._floor(op, fam.inner_product)
+    assert sigma <= _first_lambda(fam, train.points[0])
+    assert res.records[-1].shift_fallbacks == 0
+    assert res.records[-1].loose_estimates == res.box.loose_estimates
 
 
 def test_first_shift_of_a_standard_sparse_family_is_estimated(monkeypatch):
-    _assert_first_shift_estimated(
-        monkeypatch, block_grid_family(nx=12, ny=10, blocks=(2, 2)))
+    _assert_first_shift_estimated(monkeypatch, _negated_laplacian(
+        block_grid_family(nx=12, ny=10, blocks=(2, 2))))
 
 
 def test_first_shift_of_a_pencil_is_estimated(monkeypatch):
-    _assert_first_shift_estimated(monkeypatch, _grid_pencil())
+    _assert_first_shift_estimated(monkeypatch,
+                                  _negated_laplacian(_grid_pencil()))
+
+
+def test_first_shift_of_a_standard_sparse_family_is_the_floor(monkeypatch):
+    _assert_first_shift_at_the_floor(
+        monkeypatch, block_grid_family(nx=12, ny=10, blocks=(2, 2)))
+
+
+def test_first_shift_of_a_pencil_is_the_floor(monkeypatch):
+    _assert_first_shift_at_the_floor(monkeypatch, _grid_pencil())
 
 
 def test_first_sample_without_an_estimate_is_unshifted(monkeypatch):
     fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
     train = random_training_set(fam.domain, 20, seed=3)
-    monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+    monkeypatch.setattr(hermitian_module, "_placed_shift", no_placed_shift)
     below, factored, res = _first_sample(monkeypatch, fam, train)
     assert below is None and factored == []
     # the Laplacian's two box ends, then the sample

@@ -1,6 +1,7 @@
 import functools
 import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eigenbounds import (AffineFamily, ArgumentError, DenseHermitian,
                          dense_smallest, extreme_eigs, hermitian,
                          smallest_eigpairs, solve_at_sample)
 from eigenbounds.hermitian import orthonormal_columns
+from helpers import no_placed_shift
 
 # the package re-exports a function named ``hermitian`` over the module
 hermitian_module = importlib.import_module("eigenbounds.hermitian")
@@ -171,7 +173,8 @@ class TestSmallestEigpairs:
         A = rng.standard_normal((300, 300))
         A = sparse.csr_matrix(0.5 * (A + A.T))       # sparse: ARPACK
         # unshifted, with one restart; shift-inverted it would converge
-        monkeypatch.setattr(hermitian_module, "_estimate", lambda *args: None)
+        monkeypatch.setattr(hermitian_module, "_placed_shift",
+                            no_placed_shift)
         monkeypatch.setattr(hermitian_module, "eigsh", functools.partial(
             hermitian_module.eigsh, maxiter=1))
         with pytest.raises(EigensolverError) as err:
@@ -203,10 +206,16 @@ def _grid_families():
     return {"standard": fam, "pencil": coercivity_transform(fam, X)}
 
 
+def _negated_laplacian(fam):
+    """``fam`` with its Laplacian term negated (the pencil keeps its X):
+    every A(mu) has a negative diagonal, so no Gershgorin floor is tried."""
+    return replace(fam, terms=(-fam.terms[0], *fam.terms[1:]))
+
+
 def _unshifted(monkeypatch, op, k, M=None):
-    """The unshifted solve: no shift given and no estimate to place one."""
+    """The unshifted solve: no shift given and none placed."""
     with monkeypatch.context() as patched:
-        patched.setattr(hermitian_module, "_estimate", lambda *args: None)
+        patched.setattr(hermitian_module, "_placed_shift", no_placed_shift)
         pairs = smallest_eigpairs(op, k, M=M)
     assert pairs.shift_fallback
     return pairs
@@ -247,7 +256,8 @@ class TestShiftInvert:
     @pytest.mark.parametrize("kind", ["standard", "pencil"])
     def test_no_shift_is_placed_below_a_loose_estimate(self, monkeypatch,
                                                        kind):
-        fam = _grid_families()[kind]
+        # a negative diagonal: no floor is tried, so one factor is made
+        fam = _negated_laplacian(_grid_families()[kind])
         mu = [0.3, 0.2, 0.4, 0.15]
         op, M = fam.operator_at(mu), fam.inner_product
         plain = _unshifted(monkeypatch, op, 2, M=M)
@@ -259,6 +269,89 @@ class TestShiftInvert:
         assert not placed.shift_fallback
         assert np.all(np.abs(placed.values - plain.values)
                       <= placed.residuals + plain.residuals)
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    @pytest.mark.parametrize("which", ["laplacian", "sample"])
+    def test_no_shift_is_placed_at_the_gershgorin_floor(self, monkeypatch,
+                                                        kind, which):
+        # the Laplacian's low end and a sample A(mu) have a positive
+        # diagonal: one factor at sigma_0 <= lambda_1, and no loose pass
+        fam = _grid_families()[kind]
+        op = (fam.terms[0] if which == "laplacian"
+              else fam.operator_at([0.3, 0.2, 0.4, 0.15]))
+        M = fam.inner_product
+        plain = _unshifted(monkeypatch, op, 2, M=M)
+        calls = _record_shifted_factors(monkeypatch)
+        monkeypatch.setattr(hermitian_module, "_estimate", None)  # uncallable
+        placed = smallest_eigpairs(op, 2, M=M)
+        lam1 = scipy.linalg.eigh(op.dense(), None if M is None
+                                 else M.matrix.dense(), eigvals_only=True)[0]
+        sigma, = calls
+        assert sigma == hermitian_module._floor(op, M) <= lam1
+        assert not placed.shift_fallback and not placed.loose_estimate
+        assert np.all(np.abs(placed.values - plain.values)
+                      <= placed.residuals + plain.residuals)
+
+    def test_a_positive_floor_needs_no_more_solves(self, monkeypatch):
+        # L + 1e4 I (n = 1056): sigma_0 = g_A > 0 sits just below lambda_1
+        lap = block_grid_family().terms[0].matrix
+        op = hermitian(lap + 1e4 * sparse.identity(lap.shape[0]))
+        diagonal, radii = hermitian_module._gershgorin(op.matrix)
+        assert hermitian_module._floor(op, None) == np.min(diagonal
+                                                           - radii) > 0
+        solves = []
+        original = hermitian_module.SpdFactor.solve
+
+        def counted(factor, B):
+            solves.append(1)
+            return original(factor, B)
+
+        monkeypatch.setattr(hermitian_module.SpdFactor, "solve", counted)
+        floored = smallest_eigpairs(op, 1)
+        at_floor = len(solves)
+        with monkeypatch.context() as patched:
+            patched.setattr(hermitian_module, "_floor", lambda *args: None)
+            estimated = smallest_eigpairs(op, 1)
+        assert not floored.loose_estimate and estimated.loose_estimate
+        assert 0 < at_floor <= len(solves) - at_floor
+        assert (abs(floored.values[0] - estimated.values[0])
+                <= floored.residuals[0] + estimated.residuals[0])
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil"])
+    @pytest.mark.parametrize("which", ["negated laplacian", "cross term"])
+    def test_loose_shift_starts_from_the_pass_ritz_vector(self, monkeypatch,
+                                                          kind, which):
+        # a non-positive diagonal entry: the loose pass places the shift
+        # within 2.1% below lambda_1, and its Ritz vector starts the solve
+        fam = _grid_families()[kind]
+        op = -fam.terms[0] if which == "negated laplacian" else fam.terms[1]
+        M = fam.inner_product
+        plain = _unshifted(monkeypatch, op, 1, M=M)
+        calls = _record_shifted_factors(monkeypatch)
+        estimates, starts = [], []
+        estimate, eigsh = hermitian_module._estimate, hermitian_module.eigsh
+
+        def recorded_estimate(*args):
+            estimates.append(estimate(*args))
+            return estimates[-1]
+
+        def recorded_eigsh(*args, **kwargs):
+            if "sigma" in kwargs:
+                starts.append(kwargs["v0"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian_module, "_estimate", recorded_estimate)
+        monkeypatch.setattr(hermitian_module, "eigsh", recorded_eigsh)
+        placed = smallest_eigpairs(op, 1, M=M)
+        (_, ritz), = estimates
+        start, = starts
+        sigma, = calls
+        lam1 = plain.values[0]
+        assert lam1 - 0.021 * abs(lam1) <= sigma < lam1
+        assert start is ritz
+        assert placed.loose_estimate and not placed.shift_fallback
+        assert (abs(placed.values[0] - lam1)
+                <= placed.residuals[0] + plain.residuals[0])
 
     def test_dense_operator_ignores_the_shift(self):
         rng = np.random.default_rng(13)
@@ -442,6 +535,15 @@ class TestExtremeEigs:
         lo, hi = extreme_eigs(op)
         assert extreme_eigs(-op) == (-hi, -lo)
 
+    def test_negation_symmetry_exact_across_the_two_routes(self):
+        # the sparse Laplacian's low end takes its Gershgorin floor and the
+        # high end, of -L, a loose pass; the ends of -L swap the routes
+        lap = _grid_families()["standard"].terms[0]
+        lo, hi, counts = hermitian_module._extreme_values(lap, 0, None)
+        assert counts["loose_estimates"] == 1
+        assert extreme_eigs(lap) == (lo, hi)
+        assert extreme_eigs(-lap) == (-hi, -lo)
+
     def test_one_by_one(self):
         assert extreme_eigs(np.array([[-2.5]])) == (-2.5, -2.5)
 
@@ -517,15 +619,19 @@ class TestPencilBox:
         plain = [(_unshifted(monkeypatch, t, 1, M=M).values[0],
                   -_unshifted(monkeypatch, -t, 1, M=M).values[0])
                  for t in fam.terms]
-        original = hermitian_module._estimate
+        estimate = hermitian_module._estimate
 
-        def estimate(op, seed, M):
+        def placed_shift(op, seed, M):
+            if failure == "unconverged":
+                return None, None, None, True
             # the other end's estimate puts sigma near the top of the
             # spectrum, far above its smallest eigenvalue
-            return None if failure == "unconverged" else -original(-op, seed,
-                                                                   M)
+            e = -estimate(-op, seed, M)[0]
+            sigma = e - hermitian_module.ESTIMATE_TOL * abs(e)
+            return (sigma, hermitian_module._shifted_factor(op, sigma, M),
+                    None, True)
 
-        monkeypatch.setattr(hermitian_module, "_estimate", estimate)
+        monkeypatch.setattr(hermitian_module, "_placed_shift", placed_shift)
         box = compute_bounding_box(fam)
         assert box.shift_fallbacks == 2 * fam.q
         assert np.array_equal(box.lower, [lo for lo, _ in plain])
