@@ -2,7 +2,7 @@
 
 A stiffness family A(mu) measured in an energy inner product X defines
 the pencil (A(mu), X), whose smallest eigenvalue is the discrete
-coercivity constant.  X is factored once (sparse, SuperLU) and attached
+coercivity constant.  X is factored once (sparse, never dense) and attached
 to the family; every eigensolve then runs on the pencil, and the bound
 machinery certifies the constant over the whole parameter domain.
 """

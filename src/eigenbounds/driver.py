@@ -59,7 +59,7 @@ SUMMARY_COUNTS = (
     ("shift_fallbacks", "shift_fallbacks"),
     ("loose_estimates", "loose_estimates"), ("lp_pivots", "lp_pivots"),
     ("lp_degenerate", "lp_degenerate"), ("sparse_factors", "sparse_factors"),
-    ("sparse_orderings", "sparse_orderings"),
+    ("band_factors", "band_factors"), ("sparse_orderings", "sparse_orderings"),
 )
 
 

@@ -105,7 +105,8 @@ class AffineFamily:
     def sparse_pattern(self):
         """A new :class:`~eigenbounds.hermitian.SparsePattern` of the terms
         and the inner product when every term is sparse, else None.  Its
-        factors share the ordering of its first, so a run makes its own."""
+        factors share one ordering, computed on the first factor, so a run
+        makes its own."""
         if not all(isinstance(t, SparseHermitian) for t in self.terms):
             return None
         return SparsePattern([t.matrix for t in self.terms],
@@ -148,8 +149,8 @@ class BoundingBox:
     back to the unshifted one, ``loose_estimates`` the ends whose shift a
     loose pass placed, ``eig_count`` the eigensolves that ran (see
     :func:`compute_bounding_box`), ``sparse_factors`` the sparse factors
-    of A_q - sigma X made and ``sparse_orderings`` the fill-reducing
-    orderings computed for them.
+    of A_q - sigma X made, ``band_factors`` those made by LAPACK's band
+    Cholesky and ``sparse_orderings`` the orderings computed for them.
     """
 
     lower: np.ndarray
@@ -158,6 +159,7 @@ class BoundingBox:
     loose_estimates: int = 0
     eig_count: int = 0
     sparse_factors: int = 0
+    band_factors: int = 0
     sparse_orderings: int = 0
 
     def __post_init__(self):
@@ -183,12 +185,13 @@ def compute_bounding_box(family, seed=0):
     no solve.  Every other term takes two ARPACK smallest-eigenvalue
     solves, of A_q and -A_q, under the shift rule of
     :func:`~eigenbounds.extreme_eigs`, factored on a one-off sparse
-    pattern of the term and X, each end under an ordering of its own: an
-    end with a positive diagonal (the low end of a stiffness term) at its
+    pattern of the term and X (both ends under its band ordering when the
+    band fits, else each end under an MMD ordering of its own): an end
+    with a positive diagonal (the low end of a stiffness term) at its
     Gershgorin floor when that factor passes the pivot test, every other
     end just below a loose estimate.  The box counts its eigensolves (one
     per reduction, two per ARPACK-solved term), its loose passes and their
-    sparse factors and orderings.
+    sparse factors, band factors and orderings.
     """
     lows = np.empty(family.q)
     highs = np.empty(family.q)

@@ -72,6 +72,7 @@ class GreedyRecord:
     shift_fallbacks: int = 0
     loose_estimates: int = 0
     sparse_factors: int = 0
+    band_factors: int = 0
     sparse_orderings: int = 0
     max_abs_ub_error: float | None = None
     max_abs_lb_error: float | None = None
@@ -116,9 +117,10 @@ class ScmState:
     eigenvalues.  A sparse family's samples are summed and factored on the
     model's own ``pattern`` (None for a dense family), made here so that
     each run computes its own ordering.  ``eig_seconds``, ``eig_count``,
-    ``shift_fallbacks``, ``loose_estimates``, ``sparse_factors`` and
-    ``sparse_orderings`` total the box and sample solves; the ``lp_*`` counters and
-    ``sweep_seconds`` the work of :meth:`bounds_at`."""
+    ``shift_fallbacks``, ``loose_estimates``, ``sparse_factors``,
+    ``band_factors`` and ``sparse_orderings`` total the box and sample
+    solves; the ``lp_*`` counters and ``sweep_seconds`` the work of
+    :meth:`bounds_at`."""
 
     # the (lower, upper) bound columns the greedy loop ranks points by
     ranked = ("lam_lb", "lam_ub")
@@ -159,8 +161,14 @@ class ScmState:
         return self.box.sparse_factors + getattr(self.pattern, "factors", 0)
 
     @property
+    def band_factors(self):
+        """Those of the factors that LAPACK's band Cholesky made."""
+        return self.box.band_factors + getattr(self.pattern,
+                                               "band_factors", 0)
+
+    @property
     def sparse_orderings(self):
-        """The fill-reducing orderings computed for those factors."""
+        """The orderings computed for those factors."""
         return (self.box.sparse_orderings
                 + getattr(self.pattern, "orderings", 0))
 
@@ -366,6 +374,7 @@ def _greedy(make_model, family, train, eps, j_max, *, warm_start, oracle,
             shift_fallbacks=model.shift_fallbacks,
             loose_estimates=model.loose_estimates,
             sparse_factors=model.sparse_factors,
+            band_factors=model.band_factors,
             sparse_orderings=model.sparse_orderings)
         if oracle is not None:
             rec.max_abs_ub_error = float(np.max(np.abs(tables[upper]

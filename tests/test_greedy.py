@@ -214,20 +214,21 @@ def test_shift_above_the_spectrum_is_counted(tmp_path, monkeypatch,
 
 
 def test_one_ordering_serves_every_sample_factor(tmp_path):
-    # the blocks family's Laplacian takes two ARPACK box ends, each
-    # factored on a one-off pattern with an ordering of its own; its nine
+    # the blocks family's Laplacian takes two ARPACK box ends, factored
+    # on one one-off pattern whose band ordering both share; its nine
     # subdomain terms take tridiagonal reductions and no factor.  The
-    # samples share the run's pattern: the first factor computes the
-    # ordering and the other three reuse it
+    # samples share the run's pattern and its one band ordering.  Every
+    # factor is a band factor
     fam, meta = load_problem(generator={"kind": "blocks"})
     box = compute_bounding_box(fam)
-    assert (box.sparse_factors, box.sparse_orderings) == (2, 2)
+    assert (box.sparse_factors, box.sparse_orderings) == (2, 1)
     config = RunConfig(pipeline="subspace", n_train=25, j_max=4, eps=1e-12)
     counts = run_pipeline(config, fam, str(tmp_path), meta)["counts"]
     assert counts["eig"] == box.eig_count + 4
     assert counts["shift_fallbacks"] == 0
     assert counts["sparse_factors"] == box.sparse_factors + 4
     assert counts["sparse_orderings"] == box.sparse_orderings + 1
+    assert counts["band_factors"] == counts["sparse_factors"]
 
 
 @pytest.mark.parametrize("pipeline", ["scm", "subspace"])

@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 
 from eigenbounds import (AffineFamily, ArgumentError, DenseHermitian,
                          EigensolverError, NotPositiveDefiniteError,
-                         SparseHermitian, block_grid_family, cholesky,
-                         coercivity_transform, compute_bounding_box,
+                         SparseHermitian, SpdFactor, block_grid_family,
+                         cholesky, coercivity_transform, compute_bounding_box,
                          dense_smallest, extreme_eigs, hermitian,
                          smallest_eigpairs, solve_at_sample)
 from eigenbounds.hermitian import orthonormal_columns
@@ -197,13 +197,34 @@ class TestSmallestEigpairs:
         assert np.all(ep.residuals <= tol * norm_est * 1.01)
 
 
-def _grid_families():
-    """A small sparse block-grid family (n = 120) and its pencil form."""
-    fam = block_grid_family(nx=12, ny=10, blocks=(2, 2))
+def _with_pencil(fam):
+    """``fam`` and its pencil form, X = Laplacian + 0.3 mean(diag) I."""
     lap = fam.terms[0].matrix
     X = (lap + 0.3 * lap.diagonal().mean()
          * sparse.identity(fam.n, format="csr")).tocsr()
     return {"standard": fam, "pencil": coercivity_transform(fam, X)}
+
+
+def _grid_families():
+    """A small sparse block-grid family (n = 120) and its pencil form."""
+    return _with_pencil(block_grid_family(nx=12, ny=10, blocks=(2, 2)))
+
+
+def _wide_band_families():
+    """A block-grid family (n = 1152) whose Laplacian couples grid point 0
+    to every other point through a star's graph Laplacian, and its pencil
+    form.  A row adjacent to every other gives every ordering a
+    half-bandwidth of at least (n - 1) / 2, so the band exceeds
+    DENSE_PARTIAL_CAP**2 entries and the factors take SuperLU."""
+    fam = block_grid_family(nx=36, ny=32, blocks=(2, 2))
+    hub = sparse.csr_matrix((-np.ones(fam.n - 1), (np.zeros(fam.n - 1),
+                                                   np.arange(1, fam.n))),
+                            shape=(fam.n, fam.n))
+    star = hub + hub.T - sparse.diags(np.ravel(hub.sum(axis=1)
+                                               + hub.sum(axis=0).T))
+    lap = fam.terms[0].matrix + 0.01 * star
+    return _with_pencil(replace(fam, terms=(hermitian(lap.tocsr()),
+                                            *fam.terms[1:])))
 
 
 def _negated_laplacian(fam):
@@ -380,10 +401,12 @@ def _x_matrix(fam):
 
 
 def _ordered_pattern(monkeypatch, kind, mu):
-    """A grid family, a pattern whose ordering one factor below lambda_1
-    has set, A(mu) summed on it and the unshifted pairs of A(mu)."""
-    fam = _grid_families()[kind]
+    """A family whose band is too wide, a pattern whose SuperLU ordering
+    one factor below lambda_1 has set, A(mu) summed on it and the
+    unshifted pairs of A(mu)."""
+    fam = _wide_band_families()[kind]
     pattern = fam.sparse_pattern()
+    assert not pattern.banded
     op = fam.operator_at(mu, pattern)
     plain = _unshifted(monkeypatch, op, 2, M=fam.inner_product)
     first = pattern.factor(op, plain.values[0] - 0.5 * abs(plain.values[0]))
@@ -392,8 +415,8 @@ def _ordered_pattern(monkeypatch, kind, mu):
 
 
 class TestReusedOrdering:
-    """A factor under the ordering of an earlier one certifies a shift as
-    a fresh factor of A - sigma X does."""
+    """On the SuperLU route, a factor under the ordering of an earlier one
+    certifies a shift as a fresh factor of A - sigma X does."""
 
     @pytest.mark.parametrize("kind", ["standard", "pencil"])
     def test_shift_above_falls_back_as_a_fresh_factor_refuses_it(
@@ -450,6 +473,112 @@ def _complex_grid_family():
         terms.append((1j * (upper - upper.T)).tocsr())
     return AffineFamily(terms=tuple(terms), theta=fam.theta,
                         domain=fam.domain)
+
+
+def _band_families():
+    """The small grid families, standard, pencil and complex Hermitian,
+    whose bands fit: their factors take LAPACK's band Cholesky."""
+    return {**_grid_families(), "complex": _complex_grid_family()}
+
+
+class TestBandRoute:
+    """A pattern whose band fits factors every A - sigma X by LAPACK's band
+    Cholesky under one band ordering, and certifies a shift as SuperLU's
+    factor does."""
+
+    MU = [0.4, 0.1, 0.25, 0.35]
+
+    def _sample(self, monkeypatch, kind):
+        """A family, a new pattern, A(MU) summed on it and the unshifted
+        pairs of A(MU)."""
+        fam = _band_families()[kind]
+        pattern = fam.sparse_pattern()
+        op = fam.operator_at(self.MU, pattern)
+        plain = _unshifted(monkeypatch, op, 2, M=fam.inner_product)
+        return fam, pattern, op, plain
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil", "complex"])
+    def test_shift_above_lambda_1_is_refused(self, monkeypatch, kind):
+        fam, pattern, op, plain = self._sample(monkeypatch, kind)
+        lam1 = plain.values[0]
+        below = pattern.factor(op, lam1 - 1e-3 * abs(lam1))
+        assert below.band is not None and below.lu is None
+        above = 0.5 * (plain.values[0] + plain.values[1])
+        with pytest.raises(NotPositiveDefiniteError):
+            pattern.factor(op, above)
+        got = smallest_eigpairs(op, 2, M=fam.inner_product, below=above)
+        assert got.shift_fallback
+        assert np.array_equal(got.values, plain.values)
+        assert np.array_equal(got.vectors, plain.vectors)
+        assert (pattern.factors, pattern.band_factors,
+                pattern.orderings) == (3, 3, 1)
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil", "complex"])
+    def test_failing_pivot_names_the_row_a_fresh_factor_names(
+            self, monkeypatch, kind):
+        fam, pattern, op, plain = self._sample(monkeypatch, kind)
+        above = 0.5 * (plain.values[0] + plain.values[1])
+        with pytest.raises(NotPositiveDefiniteError) as fresh:
+            cholesky(SparseHermitian._exact(op.matrix
+                                            - above * _x_matrix(fam)))
+        with pytest.raises(NotPositiveDefiniteError) as banded:
+            pattern.factor(op, above)
+        assert banded.value.pivot == fresh.value.pivot is not None
+        assert pattern.band_factors == 1
+
+    @pytest.mark.parametrize("kind", ["standard", "pencil", "complex"])
+    def test_complex_solves_match_the_superlu_route(self, monkeypatch,
+                                                    kind):
+        fam, pattern, op, plain = self._sample(monkeypatch, kind)
+        sigma = plain.values[0] - 0.5 * abs(plain.values[0])
+        banded = pattern.factor(op, sigma)
+        fresh = SpdFactor(banded.matrix, hermitian_module._superlu(
+            banded.matrix.matrix.tocsc()))
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((fam.n, 2)) + 1j * rng.standard_normal(
+            (fam.n, 2))
+        for b in (B, B[:, 0]):
+            x = fresh.solve(b)
+            assert np.iscomplexobj(banded.solve(b))
+            assert np.linalg.norm(banded.solve(b) - x) <= (
+                1e-12 * np.linalg.norm(x))
+
+    def test_a_band_over_the_budget_takes_superlu(self):
+        fam = _wide_band_families()["standard"]
+        pattern = fam.sparse_pattern()
+        op = fam.operator_at(self.MU, pattern)
+        factor = pattern.factor(op, hermitian_module._floor(op, None))
+        assert not pattern.banded
+        assert factor.band is None and factor.lu is not None
+        assert (pattern.factors, pattern.band_factors,
+                pattern.orderings) == (1, 0, 1)
+        assert cholesky(op.matrix).band is None
+
+    def test_the_budget_is_the_largest_dense_lapack_matrix(self):
+        # a dense pattern has half-bandwidth n - 1 in every order
+        cap = hermitian_module.DENSE_PARTIAL_CAP
+        for n, fits in ((cap, True), (cap + 1, False)):
+            full = sparse.csr_matrix(np.ones((n, n)))
+            layout = hermitian_module._band_layout(full.indices,
+                                                   full.indptr, n)
+            assert (layout is not None) == fits
+
+    def test_band_ordering_is_the_narrower_ties_natural(self):
+        # a path's natural order and its reverse Cuthill-McKee order both
+        # have half-bandwidth 1, so the natural one is taken; randomly
+        # permuted, the path is narrowest under reverse Cuthill-McKee
+        n = 200
+        path = sparse.diags([-np.ones(n - 1), 2.0 * np.ones(n),
+                             -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        order, kd, _, _ = hermitian_module._band_layout(path.indices,
+                                                        path.indptr, n)
+        assert np.array_equal(order, np.arange(n)) and kd == 1
+        shuffle = np.random.default_rng(3).permutation(n)
+        mixed = path[shuffle][:, shuffle].tocsr()
+        mixed.sort_indices()
+        order, kd, _, _ = hermitian_module._band_layout(mixed.indices,
+                                                        mixed.indptr, n)
+        assert kd == 1 and not np.array_equal(order, np.arange(n))
 
 
 class TestComplexPattern:
@@ -542,6 +671,19 @@ class TestExtremeEigs:
         lo, hi, counts = hermitian_module._extreme_values(lap, 0, None)
         assert counts["loose_estimates"] == 1
         assert extreme_eigs(lap) == (lo, hi)
+        assert extreme_eigs(-lap) == (-hi, -lo)
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_box_ends_share_the_band_ordering(self, band):
+        # both ends of a term whose band fits are band factors under its
+        # one band ordering; a wider term orders each end by SuperLU's MMD.
+        # Either way the ends mirror exactly
+        lap = (_grid_families() if band
+               else _wide_band_families())["standard"].terms[0]
+        lo, hi, counts = hermitian_module._extreme_values(lap, 0, None)
+        assert counts["sparse_factors"] == 2
+        assert counts["band_factors"] == (2 if band else 0)
+        assert counts["sparse_orderings"] == (1 if band else 2)
         assert extreme_eigs(-lap) == (-hi, -lo)
 
     def test_one_by_one(self):
